@@ -86,19 +86,13 @@ fn thread_count() -> i64 {
         .unwrap_or(0)
 }
 
-/// A handle on the backend's progress engine.
-type ProgressHandle = std::sync::Arc<dyn Fn() -> bool + Send + Sync>;
-/// `Some` when the backend exposes a progress engine.
-type ProgressFn = Option<ProgressHandle>;
 /// A named, lazily-built backend configuration.
 type Backend = (&'static str, fn() -> TransportConfig);
 
-/// Spin until the world has received `want` frames in total, with a
+/// Wait until the world has received `want` frames in total, with a
 /// generous deadline (a stuck backend should fail loudly, not hang CI).
-/// Drives the transport's progress engine from this thread when the
-/// backend exposes one — the schedulers' idle loops do the same, and on
-/// a single CPU it is what keeps delivery off the poller's back.
-fn wait_received(world: &CommWorld, progress: &ProgressFn, want: u64, what: &str) {
+/// Delivery is the transport's own threads' job; this one only watches.
+fn wait_received(world: &CommWorld, want: u64, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let got = world.transport_stats().frames_received;
@@ -109,10 +103,7 @@ fn wait_received(world: &CommWorld, progress: &ProgressFn, want: u64, what: &str
             Instant::now() < deadline,
             "{what}: stalled at {got}/{want} received frames"
         );
-        match progress {
-            Some(p) if p() => {}
-            _ => std::thread::sleep(Duration::from_millis(1)),
-        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -123,7 +114,6 @@ fn fan_out(backend: &'static str, config: TransportConfig, peers: u32) -> ScaleL
     let world = CommWorld::with_transport(peers, 1, config);
     let e0 = world.endpoint(Address::new(0, 0));
     let payload = Bytes::from_static(&[0xA5u8; 32]);
-    let progress = world.progress_fn();
 
     // Warm: one message per peer, so every connection is dialed (and,
     // on the legacy backend, every drain thread spawned) before the
@@ -131,7 +121,7 @@ fn fan_out(backend: &'static str, config: TransportConfig, peers: u32) -> ScaleL
     for pe in 1..peers {
         e0.isend(Address::new(pe, 0), 1, 0, kind::DATA, payload.clone());
     }
-    wait_received(&world, &progress, u64::from(peers - 1), "warm round");
+    wait_received(&world, u64::from(peers - 1), "warm round");
 
     let socket_fds = socket_fds();
     let transport_threads = thread_count() - threads_before;
@@ -142,7 +132,7 @@ fn fan_out(backend: &'static str, config: TransportConfig, peers: u32) -> ScaleL
         let pe = 1 + (i % (peers - 1));
         e0.isend(Address::new(pe, 0), 1, 0, kind::DATA, payload.clone());
     }
-    wait_received(&world, &progress, base + u64::from(MSGS), "measured round");
+    wait_received(&world, base + u64::from(MSGS), "measured round");
     let elapsed = t0.elapsed().as_secs_f64();
 
     world.shutdown();

@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::guard::assert_may_block;
 use crate::handle::{RecvHandle, RecvShared, SendHandle};
@@ -72,27 +72,29 @@ pub(crate) struct RecvOwner {
     shared: Arc<RecvShared>,
 }
 
-impl Drop for RecvOwner {
-    fn drop(&mut self) {
-        // Already-completed receives were removed from the buckets when
-        // they matched; retiring is only needed for unmatched ones. The
-        // completion check is advisory (the removal below re-checks
-        // presence under the endpoint lock), it just skips the lock in
-        // the common case.
+impl RecvOwner {
+    /// Take the posted entry out of the endpoint's buckets. `true` if
+    /// it was still there — from now on no arrival can match this
+    /// receive. `false` if it is gone: an arrival matched it (delivery
+    /// completes a receive under the same endpoint lock, so the message
+    /// is in hand by the time this returns), or it was retired before.
+    pub(crate) fn retire(&self) -> bool {
+        // Advisory fast path: completed receives left the buckets when
+        // they matched (the removal below re-checks under the lock).
         if self.shared.state.lock().done {
-            return;
+            return false;
         }
         let Some(inner) = self.inner.upgrade() else {
-            return;
+            return false;
         };
         let mut inner = inner.lock();
         let Some(bucket) = inner.posted.get_mut(&self.key) else {
-            return;
+            return false;
         };
-        // Buckets are sorted by posting seq, so absence (already
-        // matched between the `done` check and here) is a clean miss.
+        // Buckets are sorted by posting seq, so absence (matched between
+        // the `done` check and here) is a clean miss.
         let Ok(i) = bucket.binary_search_by_key(&self.seq, |(s, _)| *s) else {
-            return;
+            return false;
         };
         bucket.remove(i);
         if bucket.is_empty() {
@@ -100,6 +102,13 @@ impl Drop for RecvOwner {
         }
         inner.posted_count -= 1;
         CommStats::bump(&self.stats.posted_retired);
+        true
+    }
+}
+
+impl Drop for RecvOwner {
+    fn drop(&mut self) {
+        self.retire();
     }
 }
 
@@ -262,11 +271,16 @@ pub struct Endpoint {
     inner: Arc<Mutex<EndpointInner>>,
     stats: Arc<CommStats>,
     world: Weak<WorldInner>,
+    /// Called after every delivery (see [`Endpoint::set_waker`]).
+    waker: RwLock<Option<Waker>>,
     /// Trace lane + cached histogram handles; `None` when no tracer was
     /// installed at construction time.
     #[cfg(feature = "trace")]
     obs: Option<crate::obs::EpObs>,
 }
+
+/// An endpoint's arrival callback; see [`Endpoint::set_waker`].
+type Waker = Arc<dyn Fn() + Send + Sync>;
 
 impl Endpoint {
     pub(crate) fn new(addr: Address, world: Weak<WorldInner>) -> Endpoint {
@@ -275,6 +289,7 @@ impl Endpoint {
             inner: Arc::new(Mutex::new(EndpointInner::default())),
             stats: Arc::new(CommStats::default()),
             world,
+            waker: RwLock::new(None),
             #[cfg(feature = "trace")]
             obs: crate::obs::EpObs::register(addr),
         }
@@ -288,6 +303,19 @@ impl Endpoint {
     /// This endpoint's statistics counters.
     pub fn stats(&self) -> &Arc<CommStats> {
         &self.stats
+    }
+
+    /// Install the callback run after every delivery into this endpoint
+    /// — a posted receive completed *or* an unexpected message buffered —
+    /// on whichever thread delivered (the sender in-process, a socket
+    /// backend's reader, the fault shim's or latency line's deliverer).
+    /// A runtime whose scheduler sleeps when nothing is runnable installs
+    /// its wake-up here, so an arrival ends the sleep the same way on
+    /// every transport; the callback runs with no endpoint lock held,
+    /// after the message is visible to `msgtest`/`irecv`. Replaces any
+    /// previous waker.
+    pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
+        *self.waker.write() = Some(Arc::new(waker));
     }
 
     // ------------------------------------------------------------------
@@ -506,6 +534,10 @@ impl Endpoint {
                 );
             }
             inner.buffer_unexpected(header, body);
+        }
+        drop(inner);
+        if let Some(wake) = &*self.waker.read() {
+            wake();
         }
     }
 }

@@ -163,6 +163,22 @@ impl RecvHandle {
         true
     }
 
+    /// Give up on this receive: take it out of the endpoint's matching
+    /// tables *now*, instead of when the last clone is dropped. Returns
+    /// `true` if it was retired unmatched — no later arrival can be
+    /// claimed by it. Returns `false` if an arrival got there first: the
+    /// receive is complete and [`RecvHandle::take`] yields the message,
+    /// which a caller timing out must then deliver rather than drop.
+    /// (A timeout and an arrival can always race; deciding the race
+    /// under the endpoint lock is what keeps the message from being
+    /// lost in it.)
+    pub fn retire(&self) -> bool {
+        match &self.owner {
+            Some(owner) => owner.retire(),
+            None => false, // satisfied at posting time
+        }
+    }
+
     /// Claim the delivered message. Returns `None` until completion, and
     /// `None` again after the first successful claim.
     pub fn take(&self) -> Option<(Header, Bytes)> {

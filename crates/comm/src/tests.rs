@@ -440,6 +440,59 @@ fn completed_receive_is_not_retired_on_drop() {
 }
 
 #[test]
+fn explicit_retire_settles_the_race_between_giving_up_and_an_arrival() {
+    let world = CommWorld::flat(2);
+    let a = world.endpoint(Address::new(0, 0));
+    let bep = world.endpoint(Address::new(1, 0));
+
+    // Gave up first: retired unmatched, and a later arrival is buffered
+    // for the next receive instead of vanishing into this one.
+    let h = bep.irecv(RecvSpec::tag(7));
+    assert!(h.retire(), "nothing had arrived: the receive is retired");
+    assert!(!h.retire(), "retiring is once-only");
+    assert_eq!(bep.outstanding_recvs(), 0);
+    a.isend(Address::new(1, 0), 7, 0, kind::DATA, b("late"));
+    assert!(!h.is_complete(), "a retired receive can no longer be matched");
+    assert_eq!(&bep.irecv(RecvSpec::tag(7)).take().unwrap().1[..], b"late");
+
+    // The arrival won: retire says so, and the message is there to take
+    // — a caller on its way out with a timeout must deliver it.
+    let h = bep.irecv(RecvSpec::tag(8));
+    a.isend(Address::new(1, 0), 8, 0, kind::DATA, b("just in time"));
+    assert!(!h.retire(), "it matched before it could be retired");
+    assert_eq!(&h.take().unwrap().1[..], b"just in time");
+
+    // A receive satisfied at posting time has nothing to retire.
+    a.isend(Address::new(1, 0), 9, 0, kind::DATA, b("early"));
+    let h = bep.irecv(RecvSpec::tag(9));
+    assert!(!h.retire());
+    assert_eq!(&h.take().unwrap().1[..], b"early");
+    assert_eq!(bep.stats().snapshot().posted_retired, 1);
+}
+
+#[test]
+fn delivery_runs_the_waker_for_posted_and_unexpected_arrivals() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    let world = CommWorld::flat(2);
+    let a = world.endpoint(Address::new(0, 0));
+    let bep = world.endpoint(Address::new(1, 0));
+    let wakes = Arc::new(AtomicU32::new(0));
+    let w = Arc::clone(&wakes);
+    bep.set_waker(move || {
+        w.fetch_add(1, Ordering::SeqCst);
+    });
+    a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("unexpected"));
+    assert_eq!(wakes.load(Ordering::SeqCst), 1, "an unexpected enqueue wakes");
+    let h = bep.irecv(RecvSpec::tag(2));
+    a.isend(Address::new(1, 0), 2, 0, kind::DATA, b("posted"));
+    assert_eq!(wakes.load(Ordering::SeqCst), 2, "a posted match wakes");
+    assert!(h.is_complete(), "and the message is visible by then");
+    a.isend(Address::new(0, 0), 3, 0, kind::DATA, b("elsewhere"));
+    assert_eq!(wakes.load(Ordering::SeqCst), 2, "other endpoints' arrivals do not");
+}
+
+#[test]
 fn msgwait_timeout_expires_then_succeeds() {
     use std::time::Duration;
     let world = CommWorld::flat(2);

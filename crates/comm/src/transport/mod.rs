@@ -27,11 +27,11 @@
 //!   spaces", live.
 //! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
 //!   the same wire format and topology, but every connection is driven
-//!   by a single epoll poller thread with nonblocking sockets,
-//!   same-peer send coalescing into vectored writes, pooled frame
-//!   buffers, and an adaptive spin-then-park progress loop — the
-//!   LCI-style nonblocking progress engine. Scales to hundreds of
-//!   peers on two threads where the legacy backend needs two per peer.
+//!   by a single poller thread blocked in `epoll_wait`, with
+//!   nonblocking sockets, same-peer send coalescing into vectored
+//!   writes, pooled frame buffers and a bounded per-peer send queue.
+//!   Scales to hundreds of peers on two threads where the legacy
+//!   backend needs two per peer.
 
 mod frame;
 mod pool;
@@ -83,31 +83,6 @@ pub trait Transport: Send + Sync {
     /// Tear down background threads and close any handles. Called once
     /// from world teardown; must be idempotent.
     fn shutdown(&self);
-
-    /// Opportunistically advance this transport's progress engine on the
-    /// calling thread (one nonblocking event-loop turn). Runtimes with
-    /// spinning schedulers call this from their idle loops so message
-    /// delivery rides an already-hot application thread instead of
-    /// waiting for a background poller to be scheduled. Must be cheap,
-    /// never block, and be safe from any thread. Returns whether any
-    /// progress was made. Default: no-op for transports whose delivery
-    /// is already synchronous or thread-driven.
-    fn try_progress(&self) -> bool {
-        false
-    }
-
-    /// Whether [`Transport::try_progress`] can actually do work here —
-    /// i.e. whether installing an idle-loop progress driver is worth a
-    /// virtual call per idle spin.
-    fn wants_progress_driver(&self) -> bool {
-        false
-    }
-
-    /// Notify the transport that application threads will call
-    /// [`Transport::try_progress`] from now on. A backend may demote its
-    /// own background poller to a backstop role (e.g. stop waking per
-    /// inbound frame) — callers must actually follow through and drive.
-    fn attach_progress_driver(&self) {}
 }
 
 /// Where a transport hands arriving messages back into the runtime: the
@@ -166,6 +141,7 @@ pub(crate) struct TransportStats {
     pub coalesced_frames: AtomicU64,
     pub partial_writes: AtomicU64,
     pub wakeups: AtomicU64,
+    pub backpressure_waits: AtomicU64,
 }
 
 impl TransportStats {
@@ -195,6 +171,7 @@ impl TransportStats {
             coalesced_frames: self.coalesced_frames.load(Ordering::Relaxed),
             partial_writes: self.partial_writes.load(Ordering::Relaxed),
             wakeups: self.wakeups.load(Ordering::Relaxed),
+            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
             pool_hits: 0,
             pool_misses: 0,
         }
@@ -234,9 +211,12 @@ pub struct TransportStatsSnapshot {
     /// Writes the kernel cut short, resumed later from the saved
     /// offset (event-loop backend).
     pub partial_writes: u64,
-    /// Times the parked poller was woken through the eventfd
-    /// (event-loop backend; shutdown and stragglers only).
+    /// Times the poller was woken through the eventfd (event-loop
+    /// backend; shutdown only).
     pub wakeups: u64,
+    /// Sends that found their peer's queue at its byte bound and waited
+    /// for the poller's flush to make room (event-loop backend).
+    pub backpressure_waits: u64,
     /// Frame buffers served from the reuse pool (socket backends).
     pub pool_hits: u64,
     /// Frame buffers that had to be freshly allocated.

@@ -64,11 +64,6 @@ pub struct TcpOptions {
     pub connect_backoff_ms: u64,
     /// Per-frame length ceiling (capped by [`MAX_FRAME_LEN`]).
     pub max_frame_len: u32,
-    /// Event-loop backend only: how long the poller keeps polling hot
-    /// (zero-timeout `epoll_wait`, yielding between polls) after the
-    /// last activity before parking in the kernel. Keeps ping-pong
-    /// traffic off the park/unpark path; 0 parks immediately.
-    pub spin_us: u64,
 }
 
 impl Default for TcpOptions {
@@ -79,7 +74,6 @@ impl Default for TcpOptions {
             connect_attempts: 80,
             connect_backoff_ms: 25,
             max_frame_len: MAX_FRAME_LEN,
-            spin_us: 100,
         }
     }
 }

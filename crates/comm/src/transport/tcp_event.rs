@@ -10,20 +10,16 @@
 //!
 //! Structure:
 //!
-//! * **One reactor, any driver.** The listener, the wakeup eventfd, and
+//! * **One reactor, one driver.** The listener, the wakeup eventfd, and
 //!   every connection (inbound and outbound) are registered with one
-//!   epoll instance, and the dispatch state (inbound staging buffers,
-//!   the listener) lives behind a single try-lock. The dedicated poller
-//!   thread is merely the driver of last resort: any thread may take
-//!   the lock and run one nonblocking reactor turn.
-//! * **Sender-driven progress.** After its inline write, a sender
-//!   opportunistically drives the reactor once (`try_lock` + zero
-//!   -timeout `epoll_wait`). On loopback — and whenever traffic is
-//!   bidirectional — inbound frames are therefore read and delivered on
-//!   the *sending* thread, without waiting for the poller to be
-//!   scheduled. This is the LCI shape: communication progresses inside
-//!   the communicating threads' calls, not on a background thread's
-//!   schedule. Ping-pong latency drops to the inline write + read cost.
+//!   epoll instance, and the poller thread is the *only* thread that
+//!   waits on it: it blocks in `epoll_wait(-1)`, dispatches what is
+//!   ready, and blocks again. It owns the inbound staging buffers and
+//!   the listener outright — no lock, no hand-over protocol. An idle
+//!   transport costs nothing; an arriving frame costs one wake-up of
+//!   this thread, which reads it, delivers it into the destination
+//!   endpoint, and — through the endpoint's waker — ends the park of
+//!   the scheduler lane that is waiting for it.
 //! * **Inline-send fast path.** A sender encodes its frame into a
 //!   pooled buffer, appends it to the destination peer's queue, and —
 //!   when the queue was idle — flushes it right there with a
@@ -36,17 +32,16 @@
 //!   whole queue through one `write_vectored` call per kernel
 //!   round-trip — under load, many frames per syscall; the
 //!   `coalesced_*` counters record the achieved batch depth.
-//! * **Adaptive spin-then-park.** After any activity the poller polls
-//!   epoll with a zero timeout for a short window (yielding the core
-//!   between polls, so single-CPU hosts keep making progress), then
-//!   parks in a blocking `epoll_wait` held *outside* the reactor lock —
-//!   a parked poller never blocks a sender from driving. Level
-//!   -triggered epoll makes this safe: whatever the parked poller is
-//!   woken for but a sender consumed first simply isn't there on the
-//!   next turn.
+//! * **A bounded send queue.** The backlog behind a socket that pushes
+//!   back holds at most [`SEND_QUEUE_MAX_BYTES`] (plus the frame that
+//!   crossed the line). At the bound `send` waits, on the peer's
+//!   condvar, for the poller's `EPOLLOUT` flush to make room — counted
+//!   in `backpressure_waits`. Nothing is dropped and queue order is
+//!   send order, so per-link FIFO holds across the wait. The poller
+//!   never sends, so it can never wait on itself.
 //! * **No blocking handoff for wakeups.** Senders arm interest with
 //!   `epoll_ctl` directly (epoll is thread-safe); the eventfd exists
-//!   only to interrupt a parked poller at shutdown.
+//!   only to interrupt the blocked poller at shutdown.
 //!
 //! Delivery semantics are identical to the legacy backend — per-link
 //! FIFO (one connection per destination PE, queue order preserved,
@@ -63,10 +58,10 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
@@ -85,13 +80,14 @@ const MAX_IOV: usize = 64;
 /// Initial per-connection receive staging buffer.
 const READ_BUF_INIT: usize = 64 * 1024;
 
-/// Epoll tokens 0 and 1 are the wakeup eventfd and the listener;
-/// connections start here.
-/// Backstop-mode park tick: the longest an inbound frame can sit
-/// unread when every application thread is too busy to run its idle
-/// progress hook.
-const STANDBY_TICK_MS: i32 = 1;
+/// Most bytes one peer's send queue holds before `send` waits for the
+/// poller to flush: enough to ride out a burst against a full socket
+/// buffer, small enough that a peer that stopped reading stalls its
+/// senders instead of growing this process.
+const SEND_QUEUE_MAX_BYTES: usize = 1 << 20;
 
+/// Epoll tokens 0 and 1 are the wakeup eventfd and the listener;
+/// connections start at 2.
 const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
@@ -103,6 +99,9 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// a kernel wait.
 struct PeerOut {
     s: Mutex<PeerOutState>,
+    /// Signalled whenever `s.q` shrinks; senders held at the queue's
+    /// byte bound wait here.
+    room: Condvar,
 }
 
 struct PeerOutState {
@@ -113,6 +112,9 @@ struct PeerOutState {
     token: u64,
     /// Encoded frames not yet fully handed to the kernel.
     q: VecDeque<Vec<u8>>,
+    /// Total length of the frames in `q` (bounded, see
+    /// [`SEND_QUEUE_MAX_BYTES`]).
+    q_bytes: usize,
     /// Bytes of `q[0]` already written (partial-write resume point).
     woff: usize,
     /// Is `EPOLLOUT` armed (backlog handed to the poller)?
@@ -129,6 +131,7 @@ impl PeerOutState {
             conn: None,
             token: 0,
             q: VecDeque::new(),
+            q_bytes: 0,
             woff: 0,
             want_write: false,
             dialing: false,
@@ -148,10 +151,7 @@ struct InboundConn {
     end: usize,
 }
 
-/// The dispatch state a reactor turn needs: whoever holds this lock is
-/// the driver. The poller thread holds it only for nonblocking turns —
-/// parking happens outside it — so a sender's opportunistic
-/// [`TcpEventTransport::try_progress`] is never blocked for long.
+/// The dispatch state a reactor turn needs, owned by the poller thread.
 struct Reactor {
     inbound: HashMap<u64, InboundConn>,
     /// `None` after teardown (dropping it closes the listening socket).
@@ -173,19 +173,8 @@ pub(crate) struct TcpEventTransport {
     pool: BufferPool,
     epoll: Epoll,
     wake: EventFd,
-    /// Second epoll set holding only the wake eventfd: the poller parks
-    /// here (with a coarse tick) once application threads have taken
-    /// over progress, so inbound traffic no longer wakes it per frame.
-    standby: Epoll,
-    /// Set once a scheduler registers [`TcpEventTransport::try_progress`]
-    /// as an idle driver; flips the poller from first responder (park on
-    /// the data epoll, wake per event) to backstop (park on `standby`).
-    external_driver: AtomicBool,
-    /// The dispatch state; see [`Reactor`]. Lock order: `reactor` before
-    /// any peer lock before `out_tokens` — and `try_progress` is never
-    /// called with a peer lock held.
-    reactor: Mutex<Reactor>,
-    /// Per-destination-PE outbound state, created lazily.
+    /// Per-destination-PE outbound state, created lazily. Lock order:
+    /// a peer lock before `out_tokens`.
     out: Mutex<HashMap<u32, Arc<PeerOut>>>,
     /// Epoll token -> destination PE, for outbound connections (inbound
     /// connections live in the reactor's map).
@@ -242,8 +231,6 @@ impl TcpEventTransport {
         let wake = EventFd::new()?;
         epoll.add(wake.fd(), EPOLLIN, TOKEN_WAKE)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        let standby = Epoll::new()?;
-        standby.add(wake.fd(), EPOLLIN, TOKEN_WAKE)?;
         let transport = Arc::new(TcpEventTransport {
             opts,
             peers,
@@ -253,24 +240,22 @@ impl TcpEventTransport {
             pool: BufferPool::new(256),
             epoll,
             wake,
-            standby,
-            external_driver: AtomicBool::new(false),
-            reactor: Mutex::new(Reactor {
-                inbound: HashMap::new(),
-                listener: Some(listener),
-                events: vec![EpollEvent { events: 0, data: 0 }; 128],
-                ready: Vec::with_capacity(128),
-            }),
             out: Mutex::new(HashMap::new()),
             out_tokens: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(TOKEN_FIRST_CONN),
             poller: Mutex::new(None),
             stop: AtomicBool::new(false),
         });
+        let reactor = Reactor {
+            inbound: HashMap::new(),
+            listener: Some(listener),
+            events: vec![EpollEvent { events: 0, data: 0 }; 128],
+            ready: Vec::with_capacity(128),
+        };
         let me = Arc::clone(&transport);
         let handle = std::thread::Builder::new()
             .name("chant-tcp-poll".into())
-            .spawn(move || me.poll_loop())
+            .spawn(move || me.poll_loop(reactor))
             .expect("spawn TCP event poller");
         *transport.poller.lock() = Some(handle);
         Ok(transport)
@@ -287,8 +272,12 @@ impl TcpEventTransport {
     fn out_slot(&self, pe: u32) -> Arc<PeerOut> {
         let mut out = self.out.lock();
         Arc::clone(
-            out.entry(pe)
-                .or_insert_with(|| Arc::new(PeerOut { s: Mutex::new(PeerOutState::new()) })),
+            out.entry(pe).or_insert_with(|| {
+                Arc::new(PeerOut {
+                    s: Mutex::new(PeerOutState::new()),
+                    room: Condvar::new(),
+                })
+            }),
         )
     }
 
@@ -322,9 +311,15 @@ impl TcpEventTransport {
     /// Register a freshly dialed stream with the poller's epoll set and
     /// install it as the peer's connection. Returns false (queue
     /// dropped and counted) if registration fails.
-    fn install_conn(&self, pe: u32, s: &mut PeerOutState, stream: TcpStream) -> bool {
+    fn install_conn(
+        &self,
+        pe: u32,
+        slot: &PeerOut,
+        s: &mut PeerOutState,
+        stream: TcpStream,
+    ) -> bool {
         if stream.set_nonblocking(true).is_err() {
-            self.fail_queue(s);
+            self.fail_queue(slot, s);
             return false;
         }
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
@@ -334,7 +329,7 @@ impl TcpEventTransport {
         // link, so EPOLLIN here means EOF.
         if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, token).is_err() {
             self.out_tokens.lock().remove(&token);
-            self.fail_queue(s);
+            self.fail_queue(slot, s);
             return false;
         }
         s.conn = Some(Arc::new(stream));
@@ -346,33 +341,36 @@ impl TcpEventTransport {
 
     /// Drop everything queued for an unreachable peer, counting each
     /// frame as a send failure (upstream retry/liveness takes over).
-    fn fail_queue(&self, s: &mut PeerOutState) {
+    fn fail_queue(&self, slot: &PeerOut, s: &mut PeerOutState) {
         while let Some(f) = s.q.pop_front() {
             TransportStats::bump(&self.stats.send_failures);
             emit_counter("comm.tcp_event.send_failures");
             self.pool.put(f);
         }
+        s.q_bytes = 0;
         s.woff = 0;
+        slot.room.notify_all();
     }
 
     /// Tear down a peer's connection after an I/O error or remote EOF:
     /// close the socket, deregister, drop the backlog (counted), and
     /// leave the slot ready for a fail-fast redial on the next send.
-    fn teardown_locked(&self, s: &mut PeerOutState) {
+    fn teardown_locked(&self, slot: &PeerOut, s: &mut PeerOutState) {
         if let Some(conn) = s.conn.take() {
             self.out_tokens.lock().remove(&s.token);
             self.epoll.delete(conn.as_raw_fd());
             let _ = conn.shutdown(Shutdown::Both);
         }
         s.want_write = false;
-        self.fail_queue(s);
+        self.fail_queue(slot, s);
     }
 
     /// Flush as much of the peer's queue as the socket will take, in as
     /// few vectored writes as possible. Caller holds the peer lock; all
     /// writes are nonblocking.
-    fn flush_locked(&self, s: &mut PeerOutState) {
+    fn flush_locked(&self, slot: &PeerOut, s: &mut PeerOutState) {
         let Some(conn) = s.conn.clone() else { return };
+        let mut full = s.q_bytes >= SEND_QUEUE_MAX_BYTES;
         let mut w = &*conn;
         while !s.q.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(s.q.len().min(MAX_IOV));
@@ -386,7 +384,7 @@ impl TcpEventTransport {
             match w.write_vectored(&slices) {
                 Ok(0) => {
                     TransportStats::bump(&self.stats.reconnects);
-                    self.teardown_locked(s);
+                    self.teardown_locked(slot, s);
                     return;
                 }
                 Ok(mut n) => {
@@ -404,6 +402,7 @@ impl TcpEventTransport {
                             n -= remaining;
                             s.woff = 0;
                             let done = s.q.pop_front().expect("frame while advancing");
+                            s.q_bytes -= done.len();
                             self.pool.put(done);
                             TransportStats::bump(&self.stats.frames_sent);
                         } else {
@@ -412,6 +411,10 @@ impl TcpEventTransport {
                             TransportStats::bump(&self.stats.partial_writes);
                             emit_counter("comm.tcp_event.partial_writes");
                         }
+                    }
+                    if full && s.q_bytes < SEND_QUEUE_MAX_BYTES {
+                        full = false;
+                        slot.room.notify_all();
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -430,12 +433,12 @@ impl TcpEventTransport {
                 Err(_) => {
                     TransportStats::bump(&self.stats.reconnects);
                     emit_counter("comm.tcp_event.reconnects");
-                    self.teardown_locked(s);
+                    self.teardown_locked(slot, s);
                     return;
                 }
             }
         }
-        // Drained: quiesce write interest so the poller stays parked.
+        // Drained: quiesce write interest so the poller stays blocked.
         if s.want_write {
             s.want_write = false;
             if let Some(conn) = &s.conn {
@@ -448,41 +451,19 @@ impl TcpEventTransport {
 
     // -- reactor side --------------------------------------------------
 
-    /// One opportunistic reactor turn from a non-poller thread: if no
-    /// other thread is driving, wait zero time for readiness and
-    /// dispatch it. Called by `send` after its inline write, so inbound
-    /// traffic (the loopback echo, the RSR reply already on the wire)
-    /// is delivered on the calling thread instead of waiting for the
-    /// poller to be scheduled. Returns whether any event was handled.
-    fn try_progress(&self) -> bool {
-        if self.stop.load(Ordering::Acquire) {
-            return false;
-        }
-        match self.reactor.try_lock() {
-            Some(mut r) => self.drive(&mut r, 0) > 0,
-            None => false, // someone else is driving; that's progress too
-        }
-    }
-
-    /// One reactor turn: wait up to `timeout_ms` for readiness and
-    /// dispatch every reported event. Caller holds the reactor lock.
-    /// Returns the number of events handled.
-    fn drive(&self, r: &mut Reactor, timeout_ms: i32) -> usize {
+    /// One reactor turn: block until something is ready and dispatch
+    /// every reported event.
+    fn drive(&self, r: &mut Reactor) {
         r.ready.clear();
-        for ev in self.epoll.wait(&mut r.events, timeout_ms) {
+        for ev in self.epoll.wait(&mut r.events, -1) {
             r.ready.push((ev.data, ev.events));
         }
-        let handled = r.ready.len();
-        for i in 0..handled {
+        for i in 0..r.ready.len() {
             let (token, bits) = r.ready[i];
             match token {
                 TOKEN_WAKE => {
                     TransportStats::bump(&self.stats.wakeups);
-                    // Leave the signal in place during shutdown so a
-                    // sender's turn can't eat the poller's unpark.
-                    if !self.stop.load(Ordering::Acquire) {
-                        self.wake.drain();
-                    }
+                    self.wake.drain();
                 }
                 TOKEN_LISTENER => self.accept_ready(r),
                 _ => {
@@ -499,67 +480,21 @@ impl TcpEventTransport {
                 }
             }
         }
-        handled
     }
 
-    fn poll_loop(self: Arc<Self>) {
-        let spin = Duration::from_micros(self.opts.spin_us);
-        let mut last_activity = Instant::now();
-        // Parking scratch, separate from the reactor's: park-phase
-        // events are only a wake signal — the next locked turn
-        // re-collects them (level-triggered).
-        let mut park = [EpollEvent { events: 0, data: 0 }; 8];
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let worked = match self.reactor.try_lock() {
-                Some(mut r) => self.drive(&mut r, 0),
-                None => {
-                    // A sender is driving; stay out of its way. Its
-                    // turn does NOT count as poller activity — if
-                    // senders keep the reactor drained we should fall
-                    // through to the park below, not burn the core.
-                    std::thread::yield_now();
-                    continue;
-                }
-            };
-            if worked > 0 {
-                last_activity = Instant::now();
-                continue;
-            }
-            if self.external_driver.load(Ordering::Acquire) {
-                // Backstop mode: application threads drive the reactor
-                // from their idle loops, so this thread must NOT park on
-                // the data epoll (every inbound frame would wake it for
-                // nothing). Park on the wake-only set with a coarse tick
-                // — worst case an arrival waits one tick if every
-                // application thread stays busy; shutdown still wakes it
-                // immediately through the eventfd.
-                let _ = self.standby.wait(&mut park, STANDBY_TICK_MS);
-                continue;
-            }
-            // Adaptive spin-then-park: poll hot for a short window after
-            // the poller itself last found work (yielding between polls
-            // so co-scheduled runtime threads keep the core), then park
-            // in the kernel — outside the reactor lock, so senders can
-            // still drive. A park wake-up alone doesn't re-arm the spin
-            // window: if the racing sender consumed the readiness first,
-            // the next turn handles nothing and we park right back.
-            if last_activity.elapsed() <= spin {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                continue;
-            }
-            let _ = self.epoll.wait(&mut park, -1);
+    /// The poller thread: the reactor's one and only driver. It sleeps
+    /// in the kernel whenever no socket is ready; `shutdown` interrupts
+    /// that sleep through the eventfd.
+    fn poll_loop(self: Arc<Self>, mut r: Reactor) {
+        while !self.stop.load(Ordering::Acquire) {
+            self.drive(&mut r);
         }
-        // Teardown: the reactor owns the inbound side and the listener.
-        let mut r = self.reactor.lock();
+        // Teardown: the reactor owns the inbound side and the listener
+        // (dropping `r` closes it).
         for (_, conn) in r.inbound.drain() {
             self.epoll.delete(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        r.listener = None;
     }
 
     fn accept_ready(&self, r: &mut Reactor) {
@@ -615,11 +550,11 @@ impl TcpEventTransport {
             // or a hangup flag means the connection is gone.
             TransportStats::bump(&self.stats.reconnects);
             emit_counter("comm.tcp_event.reconnects");
-            self.teardown_locked(&mut s);
+            self.teardown_locked(&slot, &mut s);
             return;
         }
         if bits & EPOLLOUT != 0 {
-            self.flush_locked(&mut s);
+            self.flush_locked(&slot, &mut s);
         }
     }
 
@@ -735,6 +670,22 @@ impl Transport for TcpEventTransport {
         encode_frame_into(&header, &body, &mut frame);
         let slot = self.out_slot(pe);
         let mut s = slot.s.lock();
+        // At the queue's byte bound, wait for the poller's EPOLLOUT
+        // flush (or a teardown) to make room. (The poller itself never
+        // sends — delivery only matches — so it cannot end up here
+        // waiting on its own flush.)
+        if s.q_bytes >= SEND_QUEUE_MAX_BYTES {
+            TransportStats::bump(&self.stats.backpressure_waits);
+            emit_counter("comm.tcp_event.backpressure_waits");
+            while s.q_bytes >= SEND_QUEUE_MAX_BYTES && !self.stop.load(Ordering::Acquire) {
+                slot.room.wait(&mut s);
+            }
+            if self.stop.load(Ordering::Acquire) {
+                self.pool.put(frame);
+                return;
+            }
+        }
+        s.q_bytes += frame.len();
         s.q.push_back(frame);
         while s.conn.is_none() {
             if s.dialing {
@@ -757,12 +708,12 @@ impl Transport for TcpEventTransport {
             s.dialing = false;
             match dialed {
                 Some(stream) => {
-                    if !self.install_conn(pe, &mut s, stream) {
+                    if !self.install_conn(pe, &slot, &mut s, stream) {
                         return;
                     }
                 }
                 None => {
-                    self.fail_queue(&mut s);
+                    self.fail_queue(&slot, &mut s);
                     return;
                 }
             }
@@ -771,14 +722,8 @@ impl Transport for TcpEventTransport {
         // already armed with the poller (order demands we queue behind
         // it and let EPOLLOUT drive).
         if !s.want_write {
-            self.flush_locked(&mut s);
+            self.flush_locked(&slot, &mut s);
         }
-        // Opportunistic receive on the sending thread: if the reactor
-        // is free, run one zero-timeout turn so a reply already on the
-        // wire (loopback, fast peer) is delivered without waiting for
-        // the poller thread to be scheduled.
-        drop(s);
-        self.try_progress();
     }
 
     fn stats(&self) -> TransportStatsSnapshot {
@@ -787,22 +732,6 @@ impl Transport for TcpEventTransport {
         snap.pool_hits = hits;
         snap.pool_misses = misses;
         snap
-    }
-
-    fn try_progress(&self) -> bool {
-        TcpEventTransport::try_progress(self)
-    }
-
-    fn wants_progress_driver(&self) -> bool {
-        true
-    }
-
-    fn attach_progress_driver(&self) {
-        if !self.external_driver.swap(true, Ordering::AcqRel) {
-            // Unpark the poller so it re-reads the flag and moves to the
-            // standby set.
-            self.wake.signal();
-        }
     }
 
     fn shutdown(&self) {
@@ -829,7 +758,8 @@ impl Transport for TcpEventTransport {
                 self.out_tokens.lock().remove(&s.token);
                 let _ = conn.shutdown(Shutdown::Both);
             }
-            self.fail_queue(&mut s);
+            // Also releases any sender held at the queue bound.
+            self.fail_queue(&peer, &mut s);
         }
     }
 }
@@ -839,9 +769,18 @@ mod tests {
     use super::*;
     use crate::header::Address;
     use std::sync::Weak;
+    use std::time::Instant;
 
     fn dangling_sink() -> DeliverySink {
         DeliverySink::new(Weak::new())
+    }
+
+    /// The fd-leak test counts this process's open fds, so the tests of
+    /// this module (which all open sockets) take turns.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn header(dst_pe: u32, len: u32) -> Header {
@@ -867,6 +806,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_leaks_no_fds() {
+        let _serial = serial();
         let before = open_fds();
         {
             let t = TcpEventTransport::start(TcpOptions::default(), 2, dangling_sink())
@@ -894,8 +834,107 @@ mod tests {
         assert_eq!(open_fds(), before, "event transport leaked fds");
     }
 
+    /// A peer that stops reading fills the kernel buffers, then the
+    /// bounded user-space queue; from there `send` waits instead of
+    /// queueing. When the peer reads again everything arrives, in order.
+    #[test]
+    fn full_send_queue_holds_senders_back_and_loses_nothing() {
+        let _serial = serial();
+        const FRAMES: u32 = 400;
+        const BODY: usize = 64 * 1024; // 25 MiB in all: far past any socket buffer
+        let peer = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let opts = TcpOptions {
+            rank: Some(0),
+            peers: vec!["127.0.0.1:0".into(), peer.local_addr().unwrap().to_string()],
+            connect_attempts: 2,
+            ..TcpOptions::default()
+        };
+        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+        let sender = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let mut body = vec![0u8; BODY];
+                for seq in 0..FRAMES {
+                    body[..4].copy_from_slice(&seq.to_le_bytes());
+                    t.send(header(1, BODY as u32), Bytes::copy_from_slice(&body));
+                }
+            })
+        };
+        let (mut conn, _) = peer.accept().unwrap();
+        // Do not read: the sender must end up held at the bound.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while t.stats().backpressure_waits == 0 {
+            assert!(Instant::now() < deadline, "sender never hit the bound: {:?}", t.stats());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!sender.is_finished(), "an unread peer must stall its sender");
+        let held = t.stats();
+        assert!(
+            (held.frames_sent as usize) < FRAMES as usize,
+            "frames cannot all be on the wire yet: {held:?}"
+        );
+
+        // The peer reads again: every frame, in send order.
+        conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut len = [0u8; 4];
+        for want in 0..FRAMES {
+            conn.read_exact(&mut len).expect("frame length");
+            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+            conn.read_exact(&mut payload).expect("frame payload");
+            let (_, body) = decode_frame(&payload).expect("well-formed frame");
+            assert_eq!(body.len(), BODY);
+            let seq = u32::from_le_bytes(body[..4].try_into().unwrap());
+            assert_eq!(seq, want, "per-link FIFO broken across the backpressure wait");
+        }
+        sender.join().unwrap();
+        let snap = t.stats();
+        assert_eq!(snap.frames_sent, u64::from(FRAMES), "{snap:?}");
+        assert_eq!(snap.send_failures, 0, "nothing may be dropped: {snap:?}");
+        assert!(snap.backpressure_waits >= 1);
+        t.shutdown();
+    }
+
+    /// A sender held at the bound is released (its frame dropped, like
+    /// every send after shutdown) when the transport shuts down.
+    #[test]
+    fn shutdown_releases_a_sender_held_at_the_bound() {
+        let _serial = serial();
+        let peer = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let opts = TcpOptions {
+            rank: Some(0),
+            peers: vec!["127.0.0.1:0".into(), peer.local_addr().unwrap().to_string()],
+            connect_attempts: 2,
+            ..TcpOptions::default()
+        };
+        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+        let sender = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let body = Bytes::from(vec![0u8; 256 * 1024]);
+                while !t.stop.load(Ordering::Acquire) {
+                    t.send(header(1, body.len() as u32), body.clone());
+                }
+            })
+        };
+        let (_conn, _) = peer.accept().unwrap(); // held open, never read
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while t.stats().backpressure_waits == 0 {
+            assert!(Instant::now() < deadline, "sender never hit the bound");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        t.shutdown();
+        let t0 = Instant::now();
+        while !sender.is_finished() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "shutdown left a sender waiting");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        sender.join().unwrap();
+    }
+
     #[test]
     fn unreachable_peer_counts_failures_without_blocking_forever() {
+        let _serial = serial();
         // Reserve a port nobody listens on.
         let dead = {
             let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();

@@ -278,23 +278,6 @@ impl CommWorld {
         self.inner.transport().stats()
     }
 
-    /// A callable that opportunistically drives the transport's progress
-    /// engine from the calling thread, or `None` for backends whose
-    /// delivery needs no external driver (in-process, thread-per-
-    /// connection). Schedulers with spinning idle loops install this so
-    /// socket completions are reaped by an already-running application
-    /// thread instead of waiting for the transport's background poller
-    /// to be scheduled. Safe to call from any thread at any time,
-    /// including after shutdown (it becomes a no-op).
-    pub fn progress_fn(&self) -> Option<Arc<dyn Fn() -> bool + Send + Sync>> {
-        let t = Arc::clone(self.inner.transport());
-        if !t.wants_progress_driver() {
-            return None;
-        }
-        t.attach_progress_driver();
-        Some(Arc::new(move || t.try_progress()))
-    }
-
     /// Tear the world down *now*, on the calling thread: stop the fault
     /// shim and delay line, close every transport socket, and join the
     /// transport's background threads. Idempotent, and implied by

@@ -614,9 +614,8 @@ fn run_shutdown_protocol(node: &Arc<ChantNode>, n_nodes: u32, resident: usize, q
     // the resident runtime threads (server + daemons) to finish. Skipped
     // when main panicked (its threads may be wedged); the barrier still
     // runs so other nodes can finish.
-    let base = 1 + resident;
-    while quiesce && node.vp().live_threads() > base {
-        node.yield_now();
+    if quiesce {
+        node.vp().wait_live_at_most(1 + resident);
     }
     if n_nodes == 1 {
         return;

@@ -99,14 +99,16 @@ impl ChantNode {
         let vp = Vp::new(chant_ult::VpConfig::named(format!("pe{pe}.{process}")).with_vps(vps));
         let endpoint = world.endpoint(Address::new(pe, process));
         let engine = PollEngine::install(Arc::clone(&vp), policy);
-        // Socket-backed worlds: drive the transport's event loop from
-        // this VP's idle spins, so inbound frames are reaped by the
-        // application thread that is waiting for them (the scheduler-
-        // polls idea applied to the transport itself). In-process worlds
-        // return None and pay nothing.
-        if let Some(progress) = world.progress_fn() {
-            vp.install_hook(Arc::new(crate::poll::TransportProgressHook::new(progress)));
-        }
+        // An idle lane sleeps; every arrival at this node's endpoint —
+        // whichever thread of whichever transport delivers it — ends the
+        // sleep, so the lane re-tests what its threads are waiting for.
+        // Weak: the world owns the endpoint and outlives the node.
+        let sleeper = Arc::downgrade(&vp);
+        endpoint.set_waker(move || {
+            if let Some(vp) = sleeper.upgrade() {
+                vp.wake();
+            }
+        });
         Arc::new(ChantNode {
             pe,
             process,
@@ -404,8 +406,10 @@ impl ChantNode {
         timeout: std::time::Duration,
     ) -> Result<(MsgInfo, Bytes), ChantError> {
         let handle = self.irecv(src, tag)?;
-        self.engine
-            .wait_deadline(&handle.inner, std::time::Instant::now() + timeout)?;
+        let waited = self
+            .engine
+            .wait_deadline(&handle.inner, std::time::Instant::now() + timeout);
+        gave_up_or_arrived(&handle.inner, waited)?;
         handle
             .take()
             .ok_or_else(|| ChantError::Wire("completed receive had no message".into()))
@@ -431,8 +435,10 @@ impl ChantNode {
         timeout: std::time::Duration,
     ) -> Result<(Header, Bytes), ChantError> {
         let handle = self.endpoint.irecv(spec);
-        self.engine
-            .wait_deadline(&handle, std::time::Instant::now() + timeout)?;
+        let waited = self
+            .engine
+            .wait_deadline(&handle, std::time::Instant::now() + timeout);
+        gave_up_or_arrived(&handle, waited)?;
         handle
             .take()
             .ok_or_else(|| ChantError::Wire("completed receive had no message".into()))
@@ -486,6 +492,18 @@ impl ChantNode {
     // Used by the RSR layer (same wait machinery, server boost rules).
     pub(crate) fn wait_handle(&self, handle: &RecvHandle) {
         self.engine.wait(handle);
+    }
+}
+
+/// Settle a timed receive that is about to be abandoned. A deadline and
+/// an arrival can always race; if the wait reported a timeout but the
+/// message matched the posted receive before it could be retired, the
+/// receive *succeeded* — dropping the handle now would drop the message
+/// with it. Only a receive retired unmatched is a timeout.
+fn gave_up_or_arrived(handle: &RecvHandle, waited: Result<(), ChantError>) -> Result<(), ChantError> {
+    match waited {
+        Err(e) if handle.retire() => Err(e),
+        _ => Ok(()),
     }
 }
 

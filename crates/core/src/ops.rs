@@ -96,8 +96,9 @@ impl ChantNode {
     pub fn remote_join(self: &Arc<Self>, id: ChanterId) -> Result<Bytes, ChantError> {
         self.check_dst(id)?;
         if id.address() == self.address() {
-            // Local join: poll the exit table cooperatively. Works even
-            // on a node without a server thread.
+            // Local join: block until the thread's exit (its exit record
+            // is written before it finishes). Works even on a node
+            // without a server thread.
             loop {
                 if self.exits.lock().contains_key(&id.thread) {
                     return self.claim_exit(id.thread);
@@ -105,7 +106,7 @@ impl ChantNode {
                 if self.vp().thread_info(id.thread).is_none() {
                     return Err(ChantError::NoSuchThread(id));
                 }
-                self.yield_now();
+                self.vp().wait_exit(id.thread);
             }
         }
         let args = Writer::new().u32(id.thread).finish();

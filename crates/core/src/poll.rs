@@ -26,7 +26,6 @@
 //!   MPI-class layers.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,11 +104,6 @@ pub(crate) struct WqHook {
     // back-reference would form a cycle and leak the whole VP.
     vp: Mutex<Option<std::sync::Weak<Vp>>>,
     table: Mutex<WqTable>,
-    /// Deadlines armed by timed waits, keyed by thread. Kept out of the
-    /// matching table so the no-deadline case costs one relaxed load per
-    /// schedule point (lock order: `table` before `deadlines`).
-    deadlines: Mutex<Vec<(Tid, Instant)>>,
-    armed: AtomicUsize,
 }
 
 impl WqHook {
@@ -126,8 +120,6 @@ impl WqHook {
         Arc::new(WqHook {
             vp: Mutex::new(None),
             table: Mutex::new(table),
-            deadlines: Mutex::new(Vec::new()),
-            armed: AtomicUsize::new(0),
         })
     }
 
@@ -157,19 +149,6 @@ impl WqHook {
                     owner.remove(&token);
                 }
             }
-        }
-    }
-
-    fn arm_deadline(&self, tid: Tid, deadline: Instant) {
-        self.deadlines.lock().push((tid, deadline));
-        self.armed.fetch_add(1, Ordering::Release);
-    }
-
-    fn disarm_deadline(&self, tid: Tid) {
-        let mut dl = self.deadlines.lock();
-        if let Some(i) = dl.iter().position(|(t, _)| *t == tid) {
-            dl.swap_remove(i);
-            self.armed.fetch_sub(1, Ordering::Release);
         }
     }
 
@@ -204,7 +183,6 @@ impl SchedulerHook for WqHook {
                             owner.remove(&sibling);
                         }
                     }
-                    self.disarm_deadline(tid);
                     let _ = vp.unblock(tid);
                 }
             }
@@ -220,28 +198,10 @@ impl SchedulerHook for WqHook {
                         // (wait-any); drop its other entries so it is
                         // woken exactly once.
                         entries.retain(|(t, _)| *t != tid);
-                        self.disarm_deadline(tid);
                         let _ = vp.unblock(tid);
                     } else {
                         i += 1;
                     }
-                }
-            }
-        }
-        // Expired timed waits: wake them so they can observe the timeout.
-        // Their table entries stay registered until the woken thread
-        // calls `unregister` on itself.
-        if self.armed.load(Ordering::Acquire) > 0 {
-            let now = Instant::now();
-            let mut dl = self.deadlines.lock();
-            let mut i = 0;
-            while i < dl.len() {
-                if dl[i].1 <= now {
-                    let (tid, _) = dl.swap_remove(i);
-                    self.armed.fetch_sub(1, Ordering::Release);
-                    let _ = vp.unblock(tid);
-                } else {
-                    i += 1;
                 }
             }
         }
@@ -258,71 +218,6 @@ struct PsHook;
 
 impl SchedulerHook for PsHook {
     fn at_schedule_point(&self) {}
-}
-
-/// Drives a socket transport's progress engine from the VP's idle loop.
-///
-/// The paper's scheduler-polls policies test *matching-table* completion
-/// at schedule points; this hook extends the same idea one layer down:
-/// when the VP has nothing runnable, the idle spin runs one nonblocking
-/// event-loop turn on the transport, so the frame that will unblock a
-/// waiting thread is read off the socket by the thread that wants it —
-/// no background-poller handoff on the critical path. Only the idle
-/// callback is used: dispatch-path schedule points stay syscall-free.
-pub(crate) struct TransportProgressHook {
-    progress: Arc<dyn Fn() -> bool + Send + Sync>,
-    /// Idle calls to skip before the next progress attempt (current
-    /// backoff position), and the countdown within that interval. When
-    /// delivery is happening elsewhere — typically on the *sender's*
-    /// thread via the transport's post-send progress hook — every idle
-    /// probe here comes back empty, and probing (a syscall) every spin
-    /// only slows the scheduler's handoff to the next runnable thread.
-    /// Probes that find nothing double the interval up to a cap; a probe
-    /// that makes progress snaps it back to every-spin.
-    interval: AtomicUsize,
-    skip: AtomicUsize,
-}
-
-/// Upper bound on consecutive idle spins skipped between transport
-/// probes (~tens of microseconds of added latency worst case, only on a
-/// VP whose traffic is not being progressed by anyone else).
-const PROGRESS_BACKOFF_MAX: usize = 64;
-
-impl TransportProgressHook {
-    pub(crate) fn new(progress: Arc<dyn Fn() -> bool + Send + Sync>) -> TransportProgressHook {
-        TransportProgressHook {
-            progress,
-            interval: AtomicUsize::new(1),
-            skip: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl SchedulerHook for TransportProgressHook {
-    fn at_schedule_point(&self) {}
-
-    fn wants_dispatch_check(&self) -> bool {
-        false
-    }
-
-    fn on_idle(&self) {
-        // on_idle calls are serialized by the scheduler's hook gate (one
-        // lane sweeps at a time, and only when the whole lane set is
-        // idle), so relaxed ordering and a load/store pair (not RMW)
-        // are still enough even at n_vps > 1.
-        let skip = self.skip.load(Ordering::Relaxed);
-        if skip > 0 {
-            self.skip.store(skip - 1, Ordering::Relaxed);
-            return;
-        }
-        if (self.progress)() {
-            self.interval.store(1, Ordering::Relaxed);
-        } else {
-            let next = (self.interval.load(Ordering::Relaxed) * 2).min(PROGRESS_BACKOFF_MAX);
-            self.interval.store(next, Ordering::Relaxed);
-            self.skip.store(next - 1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Per-node polling machinery: installs the right scheduler hooks for a
@@ -355,7 +250,6 @@ impl PollEngine {
     pub fn policy(&self) -> PollingPolicy {
         self.policy
     }
-
 
     /// Block the calling user-level thread until `handle` completes,
     /// using the configured polling policy. Never blocks the VP.
@@ -415,6 +309,13 @@ impl PollEngine {
     /// Returns `Err(ChantError::Timeout)` on expiry; the handle stays
     /// valid (the message may still arrive later). Kept separate from
     /// `wait` so untimed receives pay nothing for deadline bookkeeping.
+    ///
+    /// Under the scheduler-polls policies the deadline is a timer in the
+    /// VP ([`Vp::block_until`] / [`Vp::timer_arm`]), so a lane with
+    /// nothing else to run sleeps until the message or the deadline
+    /// instead of re-reading the clock. TP keeps the paper's loop: its
+    /// waiter is ready anyway, re-testing each time it is scheduled, and
+    /// reads the clock while it is there.
     pub fn wait_deadline(
         &self,
         handle: &RecvHandle,
@@ -437,31 +338,29 @@ impl PollEngine {
                 let me = current_tid().expect("wait_deadline outside a user-level thread");
                 let wq = self.wq.as_ref().expect("WQ policy without its hook");
                 wq.register(me, handle.clone());
-                wq.arm_deadline(me, deadline);
-                loop {
-                    self.vp.block();
+                let outcome = loop {
+                    self.vp.block_until(deadline);
                     if handle.is_complete() {
-                        // The completion wake dropped our entries and
-                        // disarmed the deadline; a deadline wake that
-                        // raced a late completion did not — clean up
-                        // both ways (the calls are idempotent).
-                        wq.disarm_deadline(me);
-                        wq.unregister(me);
-                        return Ok(());
+                        break Ok(());
                     }
                     if Instant::now() >= deadline {
-                        wq.disarm_deadline(me);
-                        wq.unregister(me);
-                        return Err(ChantError::Timeout);
+                        break Err(ChantError::Timeout);
                     }
-                    // Spurious wake: entries and deadline still armed.
-                }
+                    // Spurious wake: our entry is still registered.
+                };
+                // The completion wake dropped our entry; a deadline wake
+                // (even one that raced a late completion) did not — the
+                // call is idempotent.
+                wq.unregister(me);
+                outcome
             }
             PollingPolicy::SchedulerPollsPs => {
-                // The TCB's pending check doubles as the timer: the
-                // dispatcher resumes us when the receive completes *or*
-                // the deadline passes, and we disambiguate here.
-                loop {
+                // The dispatcher resumes us when the receive completes
+                // *or* the deadline passes, and we disambiguate here.
+                // The armed timer is what makes a sleeping lane run the
+                // round in which the pending check reads the clock.
+                let timer = self.vp.timer_arm(deadline);
+                let outcome = loop {
                     let h = handle.clone();
                     self.vp.set_current_pending(Box::new(move || {
                         h.msgtest() || Instant::now() >= deadline
@@ -469,12 +368,14 @@ impl PollEngine {
                     self.vp.yield_now();
                     self.vp.take_current_pending();
                     if handle.is_complete() {
-                        return Ok(());
+                        break Ok(());
                     }
                     if Instant::now() >= deadline {
-                        return Err(ChantError::Timeout);
+                        break Err(ChantError::Timeout);
                     }
-                }
+                };
+                self.vp.timer_disarm(timer);
+                outcome
             }
         }
     }

@@ -293,13 +293,21 @@ fn wq_policy_uses_scheduler_msgtests_while_threads_block() {
         let me = node.self_id();
         let peer = ChanterId::new(1 - me.pe, 0, me.thread);
         if me.pe == 0 {
-            // Delay so PE1 blocks and its scheduler polls a while.
-            for _ in 0..2000 {
-                node.yield_now();
-            }
+            // Only send once PE1's compute thread is done, so PE1's
+            // receiver stays blocked across all of its schedule points.
+            node.recv_tag(3).unwrap();
             node.send(peer, 1, b"late").unwrap();
             node.recv_tag(2).unwrap();
         } else {
+            // The scheduler polls "while other ready threads use the
+            // processor" (§3.1): give PE1 one. (With nothing runnable
+            // the lane sleeps and polls nothing.)
+            node.spawn(SpawnAttr::new().name("compute"), move |n| {
+                for _ in 0..200 {
+                    n.yield_now();
+                }
+                n.send(peer, 3, b"computed").unwrap();
+            });
             node.recv_tag(1).unwrap();
             node.send(peer, 2, b"ack").unwrap();
         }
@@ -323,12 +331,18 @@ fn wq_testany_policy_counts_testany_not_msgtest() {
         let me = node.self_id();
         let peer = ChanterId::new(1 - me.pe, 0, me.thread);
         if me.pe == 0 {
-            for _ in 0..2000 {
-                node.yield_now();
-            }
+            node.recv_tag(3).unwrap();
             node.send(peer, 1, b"late").unwrap();
             node.recv_tag(2).unwrap();
         } else {
+            // As above: polling happens at schedule points, and those
+            // happen while something is runnable.
+            node.spawn(SpawnAttr::new().name("compute"), move |n| {
+                for _ in 0..200 {
+                    n.yield_now();
+                }
+                n.send(peer, 3, b"computed").unwrap();
+            });
             node.recv_tag(1).unwrap();
             node.send(peer, 2, b"ack").unwrap();
         }

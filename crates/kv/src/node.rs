@@ -660,8 +660,10 @@ fn kv_loop(node: &Arc<ChantNode>, cfg: KvConfig) {
 }
 
 /// Seed every not-ready owned shard from its peer replica (or trivially
-/// when it has none). Peers that fail a fetch are suspected for a
-/// while; the pass retries next tick.
+/// when it has none). A peer that *fails* a fetch is suspected for a
+/// while; a peer that answers "not ready yet" (its own daemon is still
+/// booting — the normal case when a cluster starts) is simply asked
+/// again next tick.
 fn recover_pass(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32) {
     let pending: Vec<u32> = {
         let inner = st.inner.lock();
@@ -693,10 +695,20 @@ fn recover_pass(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u3
             continue;
         }
         match fetch_snapshot(node, st, cfg, shard, peer) {
-            Ok(()) => {}
+            Ok(Fetched::Installed) => {}
+            Ok(Fetched::PeerNotReady) => KvStats::bump(&st.stats.repl_retries),
             Err(_) => suspect(st, cfg, peer),
         }
     }
+}
+
+/// What a snapshot fetch that did not *fail* came to.
+enum Fetched {
+    /// The shard is seeded (by this fetch or by someone else meanwhile).
+    Installed,
+    /// The peer answered `RETRY`: it cannot stage yet. It is alive and
+    /// said so, which is the opposite of a reason to suspect it.
+    PeerNotReady,
 }
 
 /// Pull one shard's snapshot from `peer`, part by part, and install it.
@@ -706,7 +718,7 @@ fn fetch_snapshot(
     cfg: &KvConfig,
     shard: u32,
     peer: u32,
-) -> Result<(), ChantError> {
+) -> Result<Fetched, ChantError> {
     let dst = addr_of(node, peer);
     let mut acc: Vec<u8> = Vec::new();
     let mut part = 0u32;
@@ -720,9 +732,7 @@ fn fetch_snapshot(
         )?;
         let sr = wire::decode_snap_reply(&raw)?;
         if sr.status != status::OK {
-            // Peer can't stage yet (its daemon is still booting): not a
-            // liveness failure, just try again next tick.
-            return Err(ChantError::Timeout);
+            return Ok(Fetched::PeerNotReady);
         }
         if sr.len > 0 {
             let data = node.rma_get(dst, KV_SEG, sr.off, sr.len)?;
@@ -737,10 +747,10 @@ fn fetch_snapshot(
     debug_assert_eq!(blob.ver, ver, "snapshot blob disagrees with its header");
     let mut inner = st.inner.lock();
     let Some(sh) = inner.shards.get_mut(&shard) else {
-        return Ok(());
+        return Ok(Fetched::Installed);
     };
     if sh.ready {
-        return Ok(()); // someone else seeded it meanwhile
+        return Ok(Fetched::Installed); // someone else seeded it meanwhile
     }
     if blob.ver > sh.version {
         sh.version = blob.ver;
@@ -758,7 +768,7 @@ fn fetch_snapshot(
     sh.ready = true;
     sh.replicated = sh.version;
     KvStats::bump(&st.stats.snapshots_installed);
-    Ok(())
+    Ok(Fetched::Installed)
 }
 
 /// Ship queued mutations to their backups, strictly in order per shard.

@@ -306,9 +306,12 @@ fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, cfg: &P
             payload: f.payload.clone(),
             sent_ns: f.sent_ns,
         });
+        // Counted before it is visible: a subscriber that has the
+        // message (possibly on another lane, the instant it is woken)
+        // must find it in the tally.
+        PubsubStats::bump(&st.stats.delivered);
         drop(q);
         sub.cv.notify_all();
-        PubsubStats::bump(&st.stats.delivered);
         trace_deliver(node, st, f, now_ns);
     }
 }

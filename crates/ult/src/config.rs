@@ -16,17 +16,6 @@ pub struct VpConfig {
     /// exactly the paper's single-VP model — same code path, same counter
     /// stream.
     pub n_vps: usize,
-    /// Number of consecutive empty schedule rounds after which the idle
-    /// loop starts calling `std::thread::yield_now()` between rounds, so an
-    /// idle VP does not starve other VPs hosted on the same machine.
-    pub idle_spins_before_os_yield: u32,
-    /// Number of consecutive empty schedule rounds after which a VP with
-    /// **no scheduler hooks installed** declares deadlock and panics. With
-    /// hooks installed the scheduler may legitimately spin forever waiting
-    /// for a message from another address space, so the limit only applies
-    /// to the hook-free (pure shared-memory) case, where no external event
-    /// can ever make a thread ready.
-    pub deadlock_spin_limit: u64,
 }
 
 impl Default for VpConfig {
@@ -34,8 +23,6 @@ impl Default for VpConfig {
         VpConfig {
             name: "vp".to_string(),
             n_vps: 1,
-            idle_spins_before_os_yield: 4,
-            deadlock_spin_limit: 1_000_000,
         }
     }
 }
@@ -74,10 +61,6 @@ mod tests {
         let c = VpConfig::named("pe0");
         assert_eq!(c.name, "pe0");
         assert_eq!(c.n_vps, 1);
-        assert_eq!(
-            c.deadlock_spin_limit,
-            VpConfig::default().deadlock_spin_limit
-        );
     }
 
     #[test]

@@ -58,22 +58,32 @@ pub enum DispatchDecision {
 /// thread). The concurrency contract on a multi-lane VP
 /// ([`crate::VpConfig::n_vps`] > 1):
 ///
-/// * [`Self::at_schedule_point`] and [`Self::on_idle`] are serialized
-///   across lanes by a try-lock gate and therefore never run
-///   concurrently with themselves or each other — but an individual lane
-///   may *skip* its sweep when another lane's is in flight, so neither
-///   callback may be relied on to run on every schedule point of every
-///   lane. The holder's sweep services all lanes' threads.
+/// * [`Self::at_schedule_point`] is serialized across lanes by a
+///   try-lock gate and therefore never runs concurrently with itself —
+///   but an individual lane may *skip* its sweep when another lane's is
+///   in flight, so it may not be relied on to run on every schedule
+///   point of every lane. The holder's sweep services all lanes' threads.
 /// * [`Self::before_dispatch`] may run concurrently on different lanes
 ///   for *different* candidate threads (each call is made under its own
 ///   candidate's pending-slot lock). It is never called twice
 ///   concurrently for the same thread.
-/// * [`Self::on_idle`] fires only when **every** lane of the VP is
-///   simultaneously out of work, not when a single lane's queue happens
-///   to be empty — a busy sibling lane is already making progress.
 ///
 /// At `n_vps == 1` the gate is uncontended and this reduces to the
 /// original single-baton contract: never concurrent with anything.
+///
+/// # Hooks and the sleeping lane
+///
+/// A lane whose round dispatched nothing **parks its OS thread** until
+/// the nearest armed timer or [`crate::Vp::wake`]; it does not keep
+/// calling hooks while nothing happens. Whatever can turn a hook's
+/// answer from "not yet" into "ready" from *outside* the VP's own
+/// threads — a message arrival completing a receive, an external OS
+/// thread setting the flag a [`PendingPoll`] reads — must therefore call
+/// [`crate::Vp::wake`] after publishing the change (Chant's endpoints
+/// do so on every delivery). Changes made by a running thread of the VP
+/// need no wake: the lane is awake and reaches a schedule point when
+/// that thread next yields, blocks or exits. A poll that becomes ready
+/// with the passage of time arms a timer ([`crate::Vp::timer_arm`]).
 pub trait SchedulerHook: Send + Sync {
     /// Called at every schedule point, before the ready queue is examined.
     /// A WQ-style hook scans its request list here and calls
@@ -99,18 +109,6 @@ pub trait SchedulerHook: Send + Sync {
     fn wants_dispatch_check(&self) -> bool {
         true
     }
-
-    /// Called once per *idle* spin — a schedule point that found nothing
-    /// runnable while live threads remain blocked. This is where a
-    /// communication runtime drives its network progress engine from the
-    /// scheduler (the paper's "scheduler polls" idea applied to the
-    /// transport itself): the VP has nothing better to do, so it reaps
-    /// socket completions that may unblock one of its threads. Never
-    /// called on the dispatch hot path, so an implementation may make a
-    /// syscall. On a multi-lane VP it fires only when the whole lane set
-    /// is idle, serialized by the hook gate (see the trait docs).
-    /// Default: nothing.
-    fn on_idle(&self) {}
 }
 
 /// A no-op hook, useful in tests and as a default.

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod affinity;
 mod attr;
 mod config;
 mod current;
@@ -56,6 +57,7 @@ mod error;
 mod hooks;
 #[cfg(feature = "trace")]
 mod obs;
+mod park;
 mod stats;
 mod sync;
 mod tcb;
@@ -67,6 +69,7 @@ pub use config::VpConfig;
 pub use current::{current_tid, current_vp, is_ult_context};
 pub use error::{JoinError, UltError};
 pub use hooks::{DispatchDecision, NullHook, PendingPoll, SchedulerHook};
+pub use park::TimerKey;
 pub use stats::{StatsSnapshot, VpStats};
 pub use sync::{
     UltBarrier, UltCondvar, UltMutex, UltMutexGuard, UltReadGuard, UltRwLock, UltSemaphore,

@@ -210,9 +210,9 @@ impl UltCondvar {
 
     /// Like [`UltCondvar::wait`], but give up after `timeout`. Returns
     /// the re-acquired guard and whether the wait *timed out* (`true` =
-    /// no notification arrived in time). The thread polls by yielding —
-    /// there is no timer in the VP — so other ready threads keep running
-    /// while it waits.
+    /// no notification arrived in time). The wait is a timer in the VP
+    /// ([`Vp::block_until`]): the thread is blocked, not polling, so an
+    /// otherwise idle lane sleeps until the notification or the deadline.
     pub fn wait_timeout<'a, T: ?Sized>(
         &self,
         guard: UltMutexGuard<'a, T>,
@@ -224,23 +224,24 @@ impl UltCondvar {
         self.waiters.lock().push_back(me);
         drop(guard); // release the mutex
         loop {
-            self.vp.yield_now();
-            // A notifier popped us from the queue. (Its unblock left a
-            // wake token, since we were Ready rather than Blocked; that
-            // is harmless — every block loop tolerates spurious wakes.)
-            if !self.waiters.lock().contains(&me) {
-                return Ok((mutex.lock()?, false));
-            }
-            if Instant::now() >= deadline {
-                // Remove ourselves so a future notification is not
-                // wasted on a waiter that already gave up.
-                let mut w = self.waiters.lock();
-                if let Some(i) = w.iter().position(|&t| t == me) {
+            self.vp.block_until(deadline);
+            // Decide under the queue lock, so a notification and the
+            // timeout cannot both claim this wait: still queued at the
+            // deadline means no notifier picked us — remove ourselves so
+            // a future notification is not wasted on a waiter that
+            // already gave up.
+            let mut w = self.waiters.lock();
+            let queued = w.iter().position(|&t| t == me);
+            let timed_out = match queued {
+                None => false, // a notifier popped us
+                Some(i) if Instant::now() >= deadline => {
                     w.remove(i);
+                    true
                 }
-                drop(w);
-                return Ok((mutex.lock()?, true));
-            }
+                Some(_) => continue, // spurious wake: keep waiting
+            };
+            drop(w);
+            return Ok((mutex.lock()?, timed_out));
         }
     }
 
@@ -365,7 +366,7 @@ impl UltSemaphore {
     }
 
     /// Acquire one permit, giving up after `timeout`. Returns whether a
-    /// permit was acquired. Polls by yielding, like
+    /// permit was acquired. Blocks on a VP timer, like
     /// [`UltCondvar::wait_timeout`].
     pub fn acquire_timeout(&self, timeout: Duration) -> Result<bool, UltError> {
         let me = current_on(&self.vp)?;
@@ -391,7 +392,7 @@ impl UltSemaphore {
                     st.waiters.push_back(me);
                 }
             }
-            self.vp.yield_now();
+            self.vp.block_until(deadline);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -81,6 +81,10 @@ impl Permit {
         let mut g = self.granted.lock();
         debug_assert!(!*g, "double grant of a thread permit");
         *g = true;
+        // Notify with the lock released: when another core is free the
+        // woken thread starts at once, and must not find the lock it
+        // needs still held by its waker.
+        drop(g);
         self.cv.notify_one();
     }
 
@@ -124,6 +128,10 @@ pub(crate) struct Tcb {
     /// scheduler for its old worker, and granting it from elsewhere would
     /// strand that worker's baton. Single-worker VPs never consult this.
     pub parked: AtomicBool,
+    /// Kernel id of the backing OS thread (0 until it has started), and
+    /// the CPU it is currently confined to — see [`crate::affinity`].
+    pub os_tid: AtomicI32,
+    pub cpu_pin: AtomicI32,
     /// Condvar (paired with `life`) for joiners on foreign OS threads.
     pub ext_cv: Condvar,
     /// Thread-local data slots (pthread_key style), keyed by TlsKey id.
@@ -157,6 +165,8 @@ impl Tcb {
             // A thread that has not yet been dispatched will consume the
             // first grant whenever its OS thread reaches `permit.wait`.
             parked: AtomicBool::new(true),
+            os_tid: AtomicI32::new(0),
+            cpu_pin: AtomicI32::new(crate::affinity::NO_CPU),
             ext_cv: Condvar::new(),
             #[cfg(feature = "trace")]
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),

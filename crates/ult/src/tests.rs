@@ -372,10 +372,7 @@ fn partial_switch_requeues_until_pending_ready() {
 
 #[test]
 fn hookless_all_blocked_vp_is_detected_as_deadlock() {
-    let vp = Vp::new(VpConfig {
-        deadlock_spin_limit: 100,
-        ..VpConfig::named("dl")
-    });
+    let vp = Vp::new(VpConfig::named("dl"));
     let h = vp.spawn(SpawnAttr::new(), |vp| {
         vp.block(); // nobody will ever unblock us
     });
@@ -1242,10 +1239,7 @@ fn multivp_cancelled_semaphore_waiter_does_not_strand_others() {
 
 #[test]
 fn multivp_hookless_deadlock_still_detected() {
-    let vp = Vp::new(VpConfig {
-        deadlock_spin_limit: 200,
-        ..VpConfig::named("mdl").with_vps(3)
-    });
+    let vp = Vp::new(VpConfig::named("mdl").with_vps(3));
     let h = vp.spawn(SpawnAttr::new(), |vp| {
         vp.block(); // nobody will ever unblock us
     });
@@ -1258,4 +1252,286 @@ fn multivp_hookless_deadlock_still_detected() {
         Err(JoinError::Cancelled) => {}
         other => panic!("expected deadlock report, ok={}", other.is_ok()),
     }
+}
+
+// ---------------------------------------------------------------------
+// Waiting that sleeps: the parker, the timer queue, and what wakes them
+// ---------------------------------------------------------------------
+
+/// The PS policy's hook: the default `before_dispatch` requeues a
+/// candidate whose pending poll is not ready.
+struct PendingPollHook;
+impl SchedulerHook for PendingPollHook {
+    fn at_schedule_point(&self) {}
+}
+
+/// CPU time the calling OS thread has used so far, from the kernel's
+/// per-thread accounting (ns resolution). Per *thread*, not per process:
+/// sibling tests run concurrently in this process, and the thread that
+/// waits is the lane — its baton holder is what would spin.
+#[cfg(target_os = "linux")]
+fn thread_cpu_time() -> std::time::Duration {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+    let ns: u64 = stat.split_whitespace().next().unwrap().parse().unwrap();
+    std::time::Duration::from_nanos(ns)
+}
+
+/// An `unblock` from outside the VP races the lane's idle scan 10 000
+/// times. Whatever the interleaving — wake before the block (token),
+/// between the scan and the park, or into the sleep — no wake-up may be
+/// lost. On this hook-free VP a lost one would sit out the deadlock
+/// grace and be *reported*, so a hang cannot hide it.
+#[test]
+fn unblock_racing_the_idle_scan_never_loses_a_wakeup() {
+    const ROUNDS: u32 = 10_000;
+    let vp = vp();
+    let round = Arc::new(AtomicU32::new(0));
+    let r2 = Arc::clone(&round);
+    let sleeper = vp.spawn(SpawnAttr::new().name("sleeper"), move |vp| {
+        for i in 1..=ROUNDS {
+            r2.store(i, Ordering::SeqCst);
+            vp.block();
+        }
+    });
+    let tid = sleeper.tid();
+    let (vp2, r3) = (Arc::clone(&vp), Arc::clone(&round));
+    let waker = std::thread::spawn(move || {
+        for i in 1..=ROUNDS {
+            while r3.load(Ordering::SeqCst) != i {
+                std::hint::spin_loop();
+            }
+            vp2.unblock(tid).unwrap();
+        }
+    });
+    let t0 = std::time::Instant::now();
+    vp.start();
+    waker.join().unwrap();
+    sleeper.join().expect("a lost wake-up surfaces as a deadlock report");
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(20),
+        "10 000 wake-ups took {:?}: some slept through their wake",
+        t0.elapsed()
+    );
+    let s = vp.stats().snapshot();
+    assert_eq!(s.blocks, s.unblocks, "every real block was ended by a real unblock");
+}
+
+/// A timed wait on an otherwise empty lane is a sleep: it returns on
+/// time and the waiting thread — the lane — burns next to no CPU.
+#[test]
+fn timed_wait_on_an_idle_lane_sleeps() {
+    let vp = vp();
+    let vp2 = Arc::clone(&vp);
+    vp.run(move |_| {
+        let m = UltMutex::new(&vp2, ());
+        let cv = UltCondvar::new(&vp2);
+        let wait = std::time::Duration::from_millis(300);
+        #[cfg(target_os = "linux")]
+        let cpu0 = thread_cpu_time();
+        let t0 = std::time::Instant::now();
+        let (_g, timed_out) = cv.wait_timeout(m.lock().unwrap(), wait).unwrap();
+        let took = t0.elapsed();
+        assert!(timed_out);
+        assert!(took >= wait, "returned early: {took:?}");
+        assert!(
+            took < wait + std::time::Duration::from_millis(150),
+            "returned late: {took:?}"
+        );
+        #[cfg(target_os = "linux")]
+        {
+            let burned = thread_cpu_time() - cpu0;
+            assert!(
+                burned < std::time::Duration::from_millis(30),
+                "a 300 ms wait burned {burned:?} of CPU: the lane is spinning"
+            );
+        }
+    })
+    .unwrap();
+    let s = vp.stats().snapshot();
+    assert!(s.idle_spins <= 4, "one park should cover the wait: {s:?}");
+    assert_eq!(s.yields, 0, "a timed waiter must not stay ready to watch a clock");
+}
+
+/// Several timed waiters: each wakes at its own deadline, nearest
+/// first, whatever order they were armed in.
+#[test]
+fn timed_waiters_wake_in_deadline_order() {
+    let vp = vp();
+    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let t0 = std::time::Instant::now();
+    for ms in [90u64, 30, 60] {
+        let (vp2, order) = (Arc::clone(&vp), Arc::clone(&order));
+        vp.spawn(SpawnAttr::new().detached(), move |_| {
+            let sem = crate::UltSemaphore::new(&vp2, 0);
+            let got = sem
+                .acquire_timeout(std::time::Duration::from_millis(ms))
+                .unwrap();
+            assert!(!got);
+            order.lock().push((ms, t0.elapsed()));
+        });
+    }
+    vp.start();
+    let order = order.lock();
+    let which: Vec<u64> = order.iter().map(|(ms, _)| *ms).collect();
+    assert_eq!(which, vec![30, 60, 90]);
+    for (ms, at) in order.iter() {
+        let due = std::time::Duration::from_millis(*ms);
+        assert!(*at >= due, "{ms} ms waiter woke early at {at:?}");
+        assert!(
+            *at < due + std::time::Duration::from_millis(150),
+            "{ms} ms waiter woke late at {at:?}"
+        );
+    }
+}
+
+/// Cancelling a thread in a timed wait ends the wait at once (not at
+/// its deadline), and the permit released afterwards reaches the live
+/// waiter queued behind it.
+#[test]
+fn cancelled_timed_waiter_unwinds_promptly_and_is_skipped() {
+    let vp = vp();
+    let vp2 = Arc::clone(&vp);
+    vp.run(move |vp| {
+        let sem = crate::UltSemaphore::new(&vp2, 0);
+        let s2 = Arc::clone(&sem);
+        let victim = vp.spawn(SpawnAttr::new().name("victim"), move |_| {
+            let _ = s2.acquire_timeout(std::time::Duration::from_secs(60));
+            unreachable!("cancelled in the wait");
+        });
+        let s3 = Arc::clone(&sem);
+        let survivor = vp.spawn(SpawnAttr::new().name("survivor"), move |_| {
+            s3.acquire_timeout(std::time::Duration::from_secs(60)).unwrap()
+        });
+        while vp.thread_info(victim.tid()).unwrap().state != crate::ThreadState::Blocked
+            || vp.thread_info(survivor.tid()).unwrap().state != crate::ThreadState::Blocked
+        {
+            vp.yield_now();
+        }
+        let t0 = std::time::Instant::now();
+        vp.cancel(victim.tid()).unwrap();
+        assert!(matches!(victim.join(), Err(JoinError::Cancelled)));
+        sem.release();
+        assert!(survivor.join().unwrap(), "the permit must reach the live waiter");
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+    })
+    .unwrap();
+}
+
+/// An armed timer is a pending event: a hook-free VP whose only thread
+/// sleeps past the deadlock grace in a *timed* block is not deadlocked.
+#[test]
+fn armed_timer_keeps_the_deadlock_detector_quiet() {
+    let vp = vp();
+    let h = vp.spawn(SpawnAttr::new(), |vp| {
+        let t0 = std::time::Instant::now();
+        let deadline = t0 + std::time::Duration::from_millis(1300);
+        while std::time::Instant::now() < deadline {
+            vp.block_until(deadline);
+        }
+        t0.elapsed()
+    });
+    vp.start();
+    let took = h.join().expect("a timed block must not be reported as deadlock");
+    assert!(took >= std::time::Duration::from_millis(1300));
+}
+
+/// A pending poll that reads the clock is re-tested when its timer
+/// fires, even though nothing else ever wakes the lane.
+#[test]
+fn armed_timer_reruns_the_dispatch_check() {
+    let vp = vp();
+    vp.install_hook(Arc::new(PendingPollHook));
+    let h = vp.spawn(SpawnAttr::new(), |vp| {
+        let t0 = std::time::Instant::now();
+        let deadline = t0 + std::time::Duration::from_millis(50);
+        let timer = vp.timer_arm(deadline);
+        vp.set_current_pending(Box::new(move || std::time::Instant::now() >= deadline));
+        vp.yield_now();
+        vp.take_current_pending();
+        vp.timer_disarm(timer);
+        t0.elapsed()
+    });
+    vp.start();
+    let took = h.join().unwrap();
+    assert!(took >= std::time::Duration::from_millis(50), "{took:?}");
+    assert!(took < std::time::Duration::from_millis(500), "{took:?}");
+    let s = vp.stats().snapshot();
+    assert!(
+        s.partial_switches <= 8,
+        "the lane must sleep between tests, not re-test in a loop: {s:?}"
+    );
+}
+
+/// An event source outside the VP flips the flag a pending poll reads,
+/// then calls `Vp::wake` — the contract Chant's endpoints follow.
+#[test]
+fn external_wake_reruns_the_dispatch_check() {
+    let vp = vp();
+    vp.install_hook(Arc::new(PendingPollHook));
+    let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let f2 = Arc::clone(&flag);
+    let h = vp.spawn(SpawnAttr::new(), move |vp| {
+        vp.set_current_pending(Box::new(move || f2.load(Ordering::SeqCst)));
+        vp.yield_now();
+        vp.take_current_pending();
+    });
+    let vp2 = Arc::clone(&vp);
+    let source = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        flag.store(true, Ordering::SeqCst);
+        vp2.wake();
+    });
+    vp.start();
+    source.join().unwrap();
+    h.join().unwrap();
+    let s = vp.stats().snapshot();
+    assert!(s.partial_switches <= 8, "slept, not polled: {s:?}");
+}
+
+/// `wait_live_at_most` is woken by the exit that reaches the count.
+#[test]
+fn wait_live_at_most_returns_on_the_last_exit() {
+    let vp = vp();
+    let done = Arc::new(AtomicU32::new(0));
+    let d2 = Arc::clone(&done);
+    vp.run(move |vp| {
+        for i in 0..5u64 {
+            let d = Arc::clone(&d2);
+            vp.spawn(SpawnAttr::new().detached(), move |vp| {
+                let until = std::time::Instant::now() + std::time::Duration::from_millis(10 * i);
+                while std::time::Instant::now() < until {
+                    vp.block_until(until);
+                }
+                d.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        vp.wait_live_at_most(1);
+        assert_eq!(d2.load(Ordering::SeqCst), 5);
+        assert_eq!(vp.live_threads(), 1);
+    })
+    .unwrap();
+    assert_eq!(vp.stats().snapshot().yields, 0, "quiescing is a block, not a yield loop");
+}
+
+/// `wait_exit` blocks until the thread is gone — detached or not, and
+/// claiming nothing.
+#[test]
+fn wait_exit_follows_a_detached_thread() {
+    let vp = vp();
+    vp.run(|vp| {
+        let gate = crate::UltSemaphore::new(vp, 0);
+        let g2 = Arc::clone(&gate);
+        let worker = vp.spawn(SpawnAttr::new().name("worker").detached(), move |_| {
+            g2.acquire().unwrap();
+        });
+        let tid = worker.tid();
+        while vp.thread_info(tid).unwrap().state != crate::ThreadState::Blocked {
+            vp.yield_now();
+        }
+        gate.release();
+        vp.wait_exit(tid);
+        assert!(vp.thread_info(tid).is_none(), "a detached thread is reaped at exit");
+        vp.wait_exit(tid); // already gone: returns at once
+    })
+    .unwrap();
 }

@@ -22,30 +22,58 @@
 //! the back of other lanes' queues — a steal moves one quantum of
 //! computation, never the home, and never any endpoint or matching-table
 //! ownership. Scheduler hooks stay effectively single-threaded: the
-//! schedule-point and idle sweeps are serialized by a try-lock gate
-//! (contending lanes skip, they do not wait), and the idle sweep fires
-//! only when *every* lane is simultaneously out of work. At `n_vps == 1`
-//! all of this degenerates to the paper's single-baton scheduler: the
-//! gate is never contended, the one lane is "all lanes", and no candidate
-//! is ever deferred by the steal-safety check, so counter streams are
-//! bit-identical to the pre-multi-VP scheduler.
+//! schedule-point sweep is serialized by a try-lock gate (contending
+//! lanes skip, they do not wait). At `n_vps == 1` all of this
+//! degenerates to the paper's single-baton scheduler: the gate is never
+//! contended and no candidate is ever deferred by the steal-safety
+//! check, so counter streams are bit-identical to the pre-multi-VP
+//! scheduler while anything is runnable.
+//!
+//! # Waiting
+//!
+//! "Nothing to run" is a kernel sleep. A lane whose round dispatched
+//! nothing — own queue, steal, every partial-switch candidate requeued —
+//! fires the timers that are due and otherwise **parks its OS thread**
+//! until the nearest armed deadline or [`Vp::wake`] (see [`crate::park`]
+//! for the parker and why no wake-up is lost). Everything that can make
+//! a thread runnable ends the park: [`Vp::unblock`], [`Vp::spawn`],
+//! [`Vp::cancel`], [`Vp::set_priority`], a timer, a thread becoming
+//! grantable to another lane, the last thread's exit — and, from outside
+//! the VP, whoever completes what a scheduler hook is polling for calls
+//! [`Vp::wake`] itself (Chant's endpoints do on every delivery). Timed
+//! waits ([`Vp::block_until`], [`Vp::timer_arm`]) register a deadline in
+//! the VP's timer queue instead of staying ready to watch a clock; due
+//! timers fire at every schedule point, so a busy lane honours them too.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, Ordering};
 use std::sync::{Arc, Once};
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
+use crate::affinity::{self, Allowed, NO_CPU};
 use crate::attr::{Priority, SpawnAttr};
 use crate::config::VpConfig;
 use crate::current::{self, UltContext};
 use crate::error::{JoinError, UltError};
 use crate::hooks::{DispatchDecision, HookRef, PendingPoll};
+use crate::park::{Parker, TimerKey, Timers};
 use crate::stats::VpStats;
-use crate::tcb::{Outcome, Phase, Tcb, Tid, MAIN_TID};
+use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
+
+/// How long a hook-free VP with every live thread blocked and no timer
+/// armed must go without a single wake-up before it is declared
+/// deadlocked. Only an OS thread outside the VP could still unblock
+/// anyone by then, and it has had this long to do so.
+const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
+
+/// A lane that never sleeps re-offers its placement to the kernel every
+/// this many full switches (see [`Vp::follow_baton`]).
+const FLOAT_EVERY: u32 = 256;
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -78,6 +106,18 @@ enum Departure {
     /// Initial dispatch from [`Vp::start`]'s calling thread (or one of
     /// its worker-lane host threads).
     Bootstrap,
+}
+
+/// What a baton holder's look at its own queued entry came to
+/// ([`Vp::redispatch_queued_self`]).
+enum SelfDispatch {
+    /// It was runnable and has been resumed in place.
+    Resumed,
+    /// It is blocked, or its pending poll says "not yet": sleep on.
+    NotRunnable,
+    /// It is runnable but off its queue in another lane's hands for a
+    /// moment (that lane cannot grant it and puts it straight back).
+    InOtherHands,
 }
 
 /// Externally visible lifecycle state of a thread.
@@ -120,6 +160,9 @@ struct Shared {
     shutdown: bool,
     /// Round-robin cursor for spawn placement across worker lanes.
     next_place: usize,
+    /// Threads blocked in [`Vp::wait_live_at_most`], with the live count
+    /// each is waiting for; woken by the exit that reaches it.
+    exit_watchers: Vec<(Tid, usize)>,
 }
 
 /// One worker lane: a run queue plus the lane's scheduling baton state.
@@ -136,6 +179,13 @@ struct Worker {
     ready: Mutex<[VecDeque<Tid>; Priority::LEVELS]>,
     /// Tid last dispatched on this lane (0 = none yet), for introspection.
     current: AtomicU32,
+    /// Where this lane's baton holder sleeps when a round finds nothing.
+    parker: Parker,
+    /// The CPU this lane's threads are confined to, or `NO_CPU` while
+    /// the lane *floats* — see [`Vp::follow_baton`].
+    cpu: AtomicI32,
+    /// Full switches on this lane, for the periodic float.
+    grants: AtomicU32,
 }
 
 /// A virtual processor hosting cooperative user-level threads.
@@ -152,13 +202,15 @@ pub struct Vp {
     /// scheduling loop snapshots with one refcount bump and iterates
     /// with no extra indirection or allocation.
     hooks: RwLock<Arc<[HookRef]>>,
-    /// Serializes the `at_schedule_point` and `on_idle` hook sweeps
-    /// across worker lanes (try-lock: a contending lane skips its sweep
-    /// rather than waiting — the holder's sweep is doing the work).
+    /// Serializes the `at_schedule_point` hook sweep across worker lanes
+    /// (try-lock: a contending lane skips its sweep rather than waiting —
+    /// the holder's sweep is doing the work).
     hook_gate: Mutex<()>,
-    /// Number of lanes currently in their idle loop; `on_idle` fires only
-    /// when this reaches `n` (the whole VP set is out of work).
-    idle_workers: AtomicUsize,
+    /// Deadlines of timed waits, shared by all lanes.
+    timers: Timers,
+    /// The CPUs this process may run on; `None` when there is only one
+    /// (or no way to tell), which switches lane confinement off.
+    allowed_cpus: Option<Allowed>,
     /// Ensures exactly one lane reports a detected deadlock.
     deadlock_reported: AtomicBool,
     stats: VpStats,
@@ -196,6 +248,9 @@ impl Vp {
             .map(|_| Worker {
                 ready: Mutex::new(Default::default()),
                 current: AtomicU32::new(0),
+                parker: Parker::new(),
+                cpu: AtomicI32::new(NO_CPU),
+                grants: AtomicU32::new(0),
             })
             .collect();
         Arc::new(Vp {
@@ -207,12 +262,14 @@ impl Vp {
                 live: 0,
                 shutdown: false,
                 next_place: 0,
+                exit_watchers: Vec::new(),
             }),
             workers,
             done_cv: Condvar::new(),
             hooks: RwLock::new(Arc::from(Vec::new())),
             hook_gate: Mutex::new(()),
-            idle_workers: AtomicUsize::new(0),
+            timers: Timers::new(),
+            allowed_cpus: Allowed::capture(),
             deadlock_reported: AtomicBool::new(false),
             stats: VpStats::default(),
             #[cfg(feature = "trace")]
@@ -259,6 +316,87 @@ impl Vp {
 
     fn hooks_snapshot(&self) -> Arc<[HookRef]> {
         Arc::clone(&self.hooks.read())
+    }
+
+    // ------------------------------------------------------------------
+    // Sleeping and waking.
+    // ------------------------------------------------------------------
+
+    /// End every sleeping lane's park so it looks for work again — or,
+    /// for a lane that is awake, make its next park return at once.
+    ///
+    /// Call this *after* publishing whatever a lane's scan should find:
+    /// the VP calls it itself for everything it knows about (unblocks,
+    /// spawns, cancels, timers); an event source outside the VP calls it
+    /// when it completes something a scheduler hook polls for — a
+    /// message arrival, an externally set [`PendingPoll`] flag. Safe from
+    /// any thread; one load per lane that already has a wake pending,
+    /// a syscall only for lanes that are really asleep.
+    pub fn wake(&self) {
+        for w in self.workers.iter() {
+            w.parker.unpark();
+        }
+    }
+
+    /// Arm a timer for the calling thread: at `deadline` the thread is
+    /// made ready if it is blocked, and in any case a lane runs a fresh
+    /// scheduling round (so a [`PendingPoll`] that reads the clock is
+    /// re-tested). Pair with [`Vp::timer_disarm`].
+    pub fn timer_arm(self: &Arc<Vp>, deadline: Instant) -> TimerKey {
+        self.timer_arm_for(&self.current_tcb(), deadline)
+    }
+
+    fn timer_arm_for(&self, tcb: &Arc<Tcb>, deadline: Instant) -> TimerKey {
+        let (key, nearest) = self.timers.arm(deadline, Arc::clone(tcb));
+        if nearest {
+            // A lane asleep until a later deadline (or for good) must
+            // re-plan its park.
+            self.wake();
+        }
+        key
+    }
+
+    /// Disarm a timer armed with [`Vp::timer_arm`]. Idempotent, and a
+    /// no-op once the timer has fired; when it returns the timer is not
+    /// firing and never will.
+    pub fn timer_disarm(&self, key: TimerKey) {
+        self.timers.disarm(key);
+    }
+
+    /// Fire every due timer: blocked owners become ready. Called at each
+    /// schedule point, just before the round that will find them.
+    fn expire_timers(&self) {
+        let mut woke = false;
+        self.timers.expire(|tcb| {
+            // Never a wake token: a thread that is not blocked has no
+            // wait for this timer to end.
+            let life = tcb.life.lock();
+            if life.phase == Phase::Blocked {
+                self.make_ready(tcb, life);
+                woke = true;
+            }
+        });
+        if woke {
+            self.wake();
+        }
+    }
+
+    /// Make a thread found Blocked ready (`life` is its held lifecycle
+    /// lock) and queue it on its home lane. Does not wake sleeping
+    /// lanes — callers do, once, after their last push.
+    fn make_ready(&self, tcb: &Arc<Tcb>, mut life: MutexGuard<'_, Lifecycle>) {
+        debug_assert_eq!(life.phase, Phase::Blocked);
+        life.phase = Phase::Ready;
+        drop(life);
+        self.push_home(tcb);
+        VpStats::bump(&self.stats.unblocks);
+        #[cfg(feature = "trace")]
+        if let Some(o) = &self.obs {
+            let now = o.lane.now_ns();
+            o.blocked_ns
+                .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
+            o.lane.emit_at(now, chant_obs::Event::Unblock { thread: tcb.id });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -341,6 +479,7 @@ impl Vp {
             (tcb, attr.detached)
         };
         self.push_home(&tcb);
+        self.wake();
         VpStats::bump(&self.stats.spawned);
 
         let vp = Arc::clone(self);
@@ -357,6 +496,7 @@ impl Vp {
                     vp: Arc::clone(&vp),
                     tcb: Arc::clone(&me),
                 }));
+                me.os_tid.store(affinity::os_tid(), Ordering::Release);
                 // Wait for the first dispatch before touching user code.
                 me.permit.wait();
                 me.parked.store(false, Ordering::Relaxed);
@@ -466,7 +606,24 @@ impl Vp {
     /// "token" case) is consumed instead of blocking. Cancellation point.
     pub fn block(self: &Arc<Vp>) {
         let me = self.current_tcb();
-        self.testcancel_tcb(&me);
+        self.block_inner(&me, None);
+    }
+
+    /// Like [`Vp::block`], but also return once `deadline` has passed.
+    /// The deadline is a timer in the VP's queue, not a polling loop: the
+    /// thread is off the ready queue for the whole wait, and a lane with
+    /// nothing else to run sleeps until the deadline. As with `block`,
+    /// spurious returns are possible; callers re-check their condition
+    /// and the clock. Cancellation point.
+    pub fn block_until(self: &Arc<Vp>, deadline: Instant) {
+        let me = self.current_tcb();
+        let key = self.timer_arm_for(&me, deadline);
+        self.block_inner(&me, Some(deadline));
+        self.timer_disarm(key);
+    }
+
+    fn block_inner(self: &Arc<Vp>, me: &Arc<Tcb>, deadline: Option<Instant>) {
+        self.testcancel_tcb(me);
         {
             // The `life` lock orders this decision against `unblock`: an
             // unblocker either sets the token while we hold `life` here
@@ -478,6 +635,13 @@ impl Vp {
             }
             if std::mem::take(&mut *me.wake_token.lock()) {
                 return; // consume a pending wakeup token
+            }
+            // A timer only ever wakes a thread it finds Blocked, and it
+            // fires no earlier than its deadline: if it has fired
+            // already, the clock (read under `life`, after its look at
+            // our phase) says so.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return;
             }
             // Stamp before publishing Blocked so an unblocker racing in
             // right after the lock drops reads a fresh timestamp.
@@ -494,10 +658,10 @@ impl Vp {
         }
         self.reschedule(
             me.running_on.load(Ordering::Relaxed),
-            Some(&me),
+            Some(me),
             Departure::Block,
         );
-        self.testcancel_tcb(&me);
+        self.testcancel_tcb(me);
     }
 
     /// Make a blocked thread ready again. If the target is not currently
@@ -511,20 +675,11 @@ impl Vp {
             .get(&tid)
             .cloned()
             .ok_or(UltError::NoSuchThread(tid))?;
-        let mut life = tcb.life.lock();
+        let life = tcb.life.lock();
         match life.phase {
             Phase::Blocked => {
-                life.phase = Phase::Ready;
-                drop(life);
-                self.push_home(&tcb);
-                VpStats::bump(&self.stats.unblocks);
-                #[cfg(feature = "trace")]
-                if let Some(o) = &self.obs {
-                    let now = o.lane.now_ns();
-                    o.blocked_ns
-                        .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
-                    o.lane.emit_at(now, chant_obs::Event::Unblock { thread: tid });
-                }
+                self.make_ready(&tcb, life);
+                self.wake();
             }
             Phase::Done => {}
             _ => {
@@ -562,8 +717,11 @@ impl Vp {
             .cloned()
             .ok_or(UltError::NoSuchThread(tid))?;
         tcb.cancel_requested.store(true, Ordering::Relaxed);
-        // If it is blocked, wake it so it can observe the request.
+        // If it is blocked, wake it so it can observe the request; if it
+        // is queued behind a pending poll, the dispatcher must look at it
+        // again (a cancel-requested candidate always runs).
         let _ = self.unblock(tid);
+        self.wake();
         Ok(())
     }
 
@@ -598,6 +756,8 @@ impl Vp {
         tcb.set_priority(priority);
         // Note: if the thread is already queued, it stays in its old class
         // until next requeue — matching typical pthread implementations.
+        drop(shared);
+        self.wake();
         Ok(())
     }
 
@@ -642,6 +802,50 @@ impl Vp {
         self.shared.lock().live
     }
 
+    /// Block the calling thread until thread `tid` has finished (or is
+    /// already gone). Unlike [`JoinHandle::join`] this claims nothing and
+    /// works for detached threads: it is the "tell me when it exits"
+    /// half of a join, for runtimes that keep their own exit table.
+    /// Cancellation point.
+    pub fn wait_exit(self: &Arc<Vp>, tid: Tid) {
+        let me = self.current_tcb();
+        let Some(tcb) = self.shared.lock().tcbs.get(&tid).cloned() else {
+            return;
+        };
+        loop {
+            {
+                let mut life = tcb.life.lock();
+                if life.phase == Phase::Done {
+                    return;
+                }
+                if !life.joiners.contains(&me.id) {
+                    life.joiners.push(me.id);
+                }
+            }
+            self.block_inner(&me, None);
+        }
+    }
+
+    /// Block the calling thread until at most `n` threads of this VP are
+    /// still live (itself included). Woken by the exit that gets there,
+    /// not by polling [`Vp::live_threads`]. Cancellation point.
+    pub fn wait_live_at_most(self: &Arc<Vp>, n: usize) {
+        let me = self.current_tcb();
+        loop {
+            {
+                let mut shared = self.shared.lock();
+                if shared.live <= n {
+                    shared.exit_watchers.retain(|(t, _)| *t != me.id);
+                    return;
+                }
+                if !shared.exit_watchers.iter().any(|(t, _)| *t == me.id) {
+                    shared.exit_watchers.push((me.id, n));
+                }
+            }
+            self.block_inner(&me, None);
+        }
+    }
+
     // ------------------------------------------------------------------
     // The dispatcher.
     // ------------------------------------------------------------------
@@ -659,7 +863,7 @@ impl Vp {
         for j in joiners {
             let _ = self.unblock(j);
         }
-        {
+        let (live, watchers): (usize, Vec<Tid>) = {
             let mut shared = self.shared.lock();
             if me.detached.load(Ordering::Relaxed) {
                 shared.tcbs.remove(&me.id);
@@ -669,6 +873,22 @@ impl Vp {
             if shared.live == 0 {
                 self.done_cv.notify_all();
             }
+            let live = shared.live;
+            let due = shared
+                .exit_watchers
+                .iter()
+                .filter(|(_, n)| live <= *n)
+                .map(|(t, _)| *t)
+                .collect();
+            (live, due)
+        };
+        for w in watchers {
+            let _ = self.unblock(w);
+        }
+        if live == 0 {
+            // The last exit ends every lane's run: sleeping ones must
+            // wake to see it and return.
+            self.wake();
         }
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
@@ -696,7 +916,39 @@ impl Vp {
     fn steal_safe(&self, tcb: &Tcb, me: Option<&Arc<Tcb>>) -> bool {
         self.n == 1
             || me.is_some_and(|m| m.id == tcb.id)
-            || tcb.parked.load(Ordering::Acquire)
+            || tcb.parked.load(Ordering::SeqCst)
+    }
+
+    /// Multi-lane only: the departing thread `me` (still this lane's
+    /// baton holder) was not among the candidates this round examined.
+    /// If it is ready — queued on its home lane — apply the dispatch
+    /// test here and, on `Run`, pull its entry and resume it in place.
+    fn redispatch_queued_self(
+        self: &Arc<Vp>,
+        worker: usize,
+        me: &Arc<Tcb>,
+        hooks: &[HookRef],
+        wants_check: bool,
+        dep: Departure,
+    ) -> SelfDispatch {
+        if me.life.lock().phase != Phase::Ready {
+            return SelfDispatch::NotRunnable;
+        }
+        if self.dispatch_decision(hooks, wants_check, me) == DispatchDecision::Requeue {
+            VpStats::bump(&self.stats.partial_switches);
+            return SelfDispatch::NotRunnable;
+        }
+        let home = me.home.load(Ordering::Relaxed) % self.n;
+        let mut q = self.workers[home].ready.lock();
+        let Some((class, at)) = q.iter().enumerate().find_map(|(c, lane)| {
+            lane.iter().position(|&t| t == me.id).map(|i| (c, i))
+        }) else {
+            return SelfDispatch::InOtherHands;
+        };
+        q[class].remove(at);
+        drop(q);
+        self.dispatch_to(worker, me, Some(me), dep);
+        SelfDispatch::Resumed
     }
 
     /// Run the pre-dispatch hooks for a candidate (the PS partial-switch
@@ -734,13 +986,17 @@ impl Vp {
     /// baton has been handed off — for `Yield`/`Block` departures, only
     /// after *this* thread has been granted a baton again.
     fn reschedule(self: &Arc<Vp>, worker: usize, me: Option<&Arc<Tcb>>, dep: Departure) {
-        let mut empty_rounds: u64 = 0;
-        // Whether this lane is currently counted in `idle_workers`.
-        let mut marked_idle = false;
+        let parker = &self.workers[worker].parker;
+        #[cfg(feature = "trace")]
+        let mut idle_traced = false;
         loop {
             VpStats::bump(&self.stats.schedule_points);
             #[cfg(feature = "trace")]
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
+            // From here on, whatever a waker publishes is either seen by
+            // this round's scan or leaves a token that voids the park.
+            parker.begin_scan();
+            self.expire_timers();
             let hooks = self.hooks_snapshot();
             if !hooks.is_empty() {
                 // Gate-serialized across lanes; skip if another lane's
@@ -761,6 +1017,8 @@ impl Vp {
             // again.
             let round_len = self.local_len(worker);
             let mut deferred: Vec<Arc<Tcb>> = Vec::new();
+            // Whether this round looked at the departing thread itself.
+            let mut saw_me = false;
             let mut dispatched = false;
             let mut examined = 0usize;
             while examined < round_len.max(1) {
@@ -769,6 +1027,7 @@ impl Vp {
                 let Some(tcb) = self.candidate(tid) else {
                     continue;
                 };
+                saw_me |= me.is_some_and(|m| m.id == tcb.id);
                 if !self.steal_safe(&tcb, me) {
                     // Not a partial switch: the candidate was not examined
                     // by any hook, it is merely not yet grantable.
@@ -789,10 +1048,6 @@ impl Vp {
                         // handing off, or they would be lost.
                         for t in deferred.drain(..) {
                             self.push_home(&t);
-                        }
-                        if marked_idle {
-                            self.idle_workers.fetch_sub(1, Ordering::AcqRel);
-                            marked_idle = false;
                         }
                         self.dispatch_to(worker, &tcb, me, dep);
                         dispatched = true;
@@ -816,6 +1071,7 @@ impl Vp {
                     let Some(tcb) = self.candidate(tid) else {
                         continue;
                     };
+                    saw_me |= me.is_some_and(|m| m.id == tcb.id);
                     if !self.steal_safe(&tcb, me) {
                         self.push_home(&tcb);
                         break;
@@ -833,10 +1089,6 @@ impl Vp {
                             if me.is_none_or(|m| m.id != tcb.id) {
                                 VpStats::bump(&self.stats.steals);
                             }
-                            if marked_idle {
-                                self.idle_workers.fetch_sub(1, Ordering::AcqRel);
-                                marked_idle = false;
-                            }
                             self.dispatch_to(worker, &tcb, me, dep);
                             dispatched = true;
                         }
@@ -845,9 +1097,29 @@ impl Vp {
                 }
             }
 
+            // The departing thread is this lane's baton holder until it
+            // hands off, so no other lane may grant it (they put it back
+            // when they pop it) — and if it is queued on a *foreign* home
+            // lane, the one-candidate steal above may never reach it.
+            // Before sleeping on it, give it the look only this lane can.
+            if !dispatched && !saw_me && self.n > 1 {
+                if let Some(m) = me.filter(|_| matches!(dep, Departure::Yield | Departure::Block)) {
+                    match self.redispatch_queued_self(worker, m, &hooks, wants_check, dep) {
+                        SelfDispatch::Resumed => dispatched = true,
+                        SelfDispatch::NotRunnable => {}
+                        SelfDispatch::InOtherHands => {
+                            // Runnable, but popped by another lane this
+                            // instant; it is on its way back.
+                            std::hint::spin_loop();
+                            continue;
+                        }
+                    }
+                }
+            }
+
             if dispatched {
                 // Attribute the search cost only for rounds that found a
-                // thread; idle spinning is accounted by `idle_spins`.
+                // thread; sleeping is accounted by `idle_spins`.
                 #[cfg(feature = "trace")]
                 if let Some(o) = &self.obs {
                     if let Some(start) = sched_start_ns {
@@ -865,88 +1137,124 @@ impl Vp {
                     matches!(dep, Departure::Exit | Departure::Bootstrap),
                     "a live thread found the VP empty"
                 );
-                if marked_idle {
-                    self.idle_workers.fetch_sub(1, Ordering::AcqRel);
-                }
                 return;
             }
-            empty_rounds += 1;
+            // Sleep until something can have changed: a wake-up, or the
+            // nearest deadline. A hook-free VP with no timer armed has no
+            // event source but its own threads, so its park is bounded by
+            // the deadlock grace period instead.
+            let until_timer = self.timers.until_next();
+            if until_timer.is_some_and(|d| d.is_zero()) {
+                continue; // already due: the next round fires it
+            }
+            let unattended = hooks.is_empty() && until_timer.is_none();
             VpStats::bump(&self.stats.idle_spins);
-            if !marked_idle {
-                marked_idle = true;
-                self.idle_workers.fetch_add(1, Ordering::AcqRel);
-            }
-            // Idle hook: let installed hooks use the otherwise-wasted
-            // spin to make external progress (e.g. drive a transport's
-            // event loop). Fires only when the *whole* lane set is idle —
-            // a busy sibling lane is already making progress, and its
-            // dispatches may be about to feed this queue — and only on
-            // the lane that wins the gate.
-            if self.idle_workers.load(Ordering::Acquire) == self.n {
-                if let Some(_g) = self.hook_gate.try_lock() {
-                    for h in hooks.iter() {
-                        h.on_idle();
-                    }
-                }
-            }
-            // One Idle event per idle *period*, not per spin: the spin
-            // loop would otherwise flood the ring while waiting.
+            // One Idle event per idle *period*, not per park.
             #[cfg(feature = "trace")]
-            if empty_rounds == 1 {
+            if !std::mem::replace(&mut idle_traced, true) {
                 if let Some(o) = &self.obs {
                     o.emit(chant_obs::Event::Idle);
                 }
             }
-            if hooks.is_empty() && empty_rounds > self.cfg.deadlock_spin_limit {
-                // Before declaring deadlock, confirm the whole VP is
-                // wedged: with several lanes, *this* lane's queue running
-                // dry for a long time only means the work lives elsewhere.
-                let (all_blocked, blocked) = {
-                    let shared = self.shared.lock();
-                    let mut all = true;
-                    let mut blocked = Vec::new();
-                    for t in shared.tcbs.values() {
-                        match t.life.lock().phase {
-                            Phase::Blocked => blocked.push(t.id),
-                            Phase::Done => {}
-                            _ => {
-                                all = false;
-                                break;
-                            }
-                        }
-                    }
-                    (all, blocked)
-                };
-                if all_blocked
-                    && self
-                        .deadlock_reported
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    // Unwedge the VP: cancel every blocked thread so they
-                    // all unwind in an orderly fashion, then report the
-                    // deadlock by panicking the detecting thread (whose
-                    // joiner sees it).
-                    for t in &blocked {
-                        let _ = self.cancel(*t);
-                    }
-                    panic!(
-                        "ULT deadlock on VP '{}': {} thread(s) blocked with none ready and \
-                         no scheduler hooks that could make progress (cancelled: {blocked:?})",
-                        self.cfg.name,
-                        blocked.len()
-                    );
-                }
-                // Some thread is still Ready/Running (or another lane is
-                // already reporting): not our deadlock to declare.
-                empty_rounds = 0;
-            }
-            if empty_rounds > u64::from(self.cfg.idle_spins_before_os_yield) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
+            // Where the lane runs after this sleep is the kernel's call.
+            self.float_lane(worker, me);
+            let woken = parker.park(until_timer.or(unattended.then_some(DEADLOCK_GRACE)));
+            if unattended && !woken && !self.timers.any_armed() {
+                self.report_if_deadlocked();
             }
         }
+    }
+
+    /// Called by a lane of a hook-free VP that slept a whole
+    /// [`DEADLOCK_GRACE`] with no timer armed and was never woken: if
+    /// every live thread is blocked, nothing inside the VP can ever run
+    /// again. Unwedge it and report. With several lanes, *this* lane
+    /// sleeping through the grace only means the work lives elsewhere —
+    /// hence the all-blocked check — and exactly one lane reports.
+    fn report_if_deadlocked(&self) {
+        let (all_blocked, blocked) = {
+            let shared = self.shared.lock();
+            let mut all = true;
+            let mut blocked = Vec::new();
+            for t in shared.tcbs.values() {
+                match t.life.lock().phase {
+                    Phase::Blocked => blocked.push(t.id),
+                    Phase::Done => {}
+                    _ => {
+                        all = false;
+                        break;
+                    }
+                }
+            }
+            (all, blocked)
+        };
+        if all_blocked
+            && self
+                .deadlock_reported
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            // Cancel every blocked thread so they all unwind in an
+            // orderly fashion, then report the deadlock by panicking the
+            // detecting thread (whose joiner sees it).
+            for t in &blocked {
+                let _ = self.cancel(*t);
+            }
+            panic!(
+                "ULT deadlock on VP '{}': {} thread(s) blocked with none ready, no timer \
+                 armed and no scheduler hooks that could make progress (cancelled: {blocked:?})",
+                self.cfg.name,
+                blocked.len()
+            );
+        }
+    }
+
+    /// Keep the lane's threads where its baton is ([`crate::affinity`]).
+    /// Called by the granter just before it wakes `next`.
+    ///
+    /// While the lane has a CPU, `next` is confined to it (a syscall
+    /// only if `next` was last confined elsewhere). While the lane
+    /// *floats* it adopts the CPU the granter is running on — the
+    /// kernel's most recent placement decision for this lane. The lane
+    /// floats, handing placement back to the kernel, whenever staying
+    /// put has no locality to protect or may have outlived its reason:
+    /// after a sleep and at a self-redispatch ([`Vp::float_lane`]), and
+    /// every [`FLOAT_EVERY`]th grant — then it is `next` that is
+    /// released, so that two lanes that ended up on one CPU while
+    /// another stands idle part ways within that many switches.
+    fn follow_baton(&self, worker: usize, next: &Tcb) {
+        let Some(allowed) = &self.allowed_cpus else {
+            return;
+        };
+        let tid = next.os_tid.load(Ordering::Acquire);
+        if tid == 0 {
+            return; // its OS thread has not started yet
+        }
+        let lane = &self.workers[worker];
+        if lane.grants.fetch_add(1, Ordering::Relaxed) % FLOAT_EVERY == FLOAT_EVERY - 1 {
+            affinity::release(tid, &next.cpu_pin, allowed);
+            lane.cpu.store(NO_CPU, Ordering::Relaxed);
+            return;
+        }
+        let mut cpu = lane.cpu.load(Ordering::Relaxed);
+        if cpu == NO_CPU {
+            cpu = affinity::current_cpu();
+            lane.cpu.store(cpu, Ordering::Relaxed);
+        }
+        affinity::confine(tid, &next.cpu_pin, cpu);
+    }
+
+    /// Let the kernel place lane `worker` afresh: release its baton
+    /// holder (the calling thread, when it is one of ours) and forget the
+    /// lane's CPU; the next grant adopts wherever the holder then runs.
+    fn float_lane(&self, worker: usize, holder: Option<&Arc<Tcb>>) {
+        let Some(allowed) = &self.allowed_cpus else {
+            return;
+        };
+        if let Some(h) = holder {
+            affinity::release(0, &h.cpu_pin, allowed);
+        }
+        self.workers[worker].cpu.store(NO_CPU, Ordering::Relaxed);
     }
 
     /// Complete a context switch to `next` on lane `worker`.
@@ -956,10 +1264,7 @@ impl Vp {
         if let Some(me) = me {
             if me.id == next.id {
                 // "The scheduler simply returns without having to perform a
-                // context switch" (paper §4.1). Give the OS scheduler a
-                // chance first: a lone thread self-redispatching is almost
-                // always polling for another VP's progress, and on a
-                // single-CPU host that VP needs the core to make any.
+                // context switch" (paper §4.1).
                 VpStats::bump(&self.stats.self_redispatches);
                 #[cfg(feature = "trace")]
                 if let Some(o) = &self.obs {
@@ -969,7 +1274,9 @@ impl Vp {
                     });
                 }
                 debug_assert!(dep != Departure::Exit, "exiting thread re-dispatched");
-                std::thread::yield_now();
+                // The only runnable thread of its lane has nothing to
+                // stay close to.
+                self.float_lane(worker, Some(me));
                 return;
             }
         }
@@ -978,6 +1285,7 @@ impl Vp {
         // reschedule on this lane's behalf at its next departure.
         next.running_on.store(worker, Ordering::Relaxed);
         VpStats::bump(&self.stats.full_switches);
+        self.follow_baton(worker, next);
         // Emit before granting the permit: the incoming thread may start
         // emitting the moment it wakes, and its events must follow its
         // Dispatch in the lane.
@@ -994,7 +1302,14 @@ impl Vp {
                 let me = me.expect("yield/block without a current thread");
                 // From here on any lane may grant us; until here only the
                 // queues knew about us and `parked == false` deferred them.
-                me.parked.store(true, Ordering::Release);
+                // A lane that deferred us and went to sleep must look
+                // again — this is the moment a cross-lane push lands.
+                me.parked.store(true, Ordering::SeqCst);
+                if self.n > 1 {
+                    self.workers[me.home.load(Ordering::Relaxed) % self.n]
+                        .parker
+                        .unpark();
+                }
                 me.permit.wait();
                 me.parked.store(false, Ordering::Relaxed);
             }
@@ -1034,18 +1349,7 @@ impl<T: 'static> JoinHandle<T> {
                 if my_tid == self.tid {
                     return Err(UltError::JoinSelf(self.tid).into());
                 }
-                loop {
-                    {
-                        let mut life = tcb.life.lock();
-                        if life.phase == Phase::Done {
-                            break;
-                        }
-                        if !life.joiners.contains(&my_tid) {
-                            life.joiners.push(my_tid);
-                        }
-                    }
-                    self.vp.block();
-                }
+                self.vp.wait_exit(self.tid);
             }
             _ => {
                 // External OS thread (or a ULT of another VP, which we

@@ -528,3 +528,43 @@ for_each_transport!(expired_lease_blocks_reads_until_renewed, |backend: Backend|
         });
     }
 });
+
+// ---------------------------------------------------------------------
+// Start-up: "not ready yet" is not "dead".
+// ---------------------------------------------------------------------
+
+// Both daemons boot at once and each asks the other for its shard
+// snapshots; whichever asks first is told RETRY, because the peer has
+// not registered its staging segment yet. That answer used to be
+// treated like a failed fetch — the asker suspected its (perfectly
+// healthy) peer and sat out `suspect_for` before asking again, so
+// about every other cluster start took a quarter of a second longer
+// than the rest. A peer that answers at all is alive: ask again next
+// tick. Twenty cold starts per backend, none may lose a `suspect_for`.
+for_each_transport!(cold_start_never_waits_out_a_suspicion, |backend: Backend| {
+    const STARTS: usize = 20;
+    let cfg = KvConfig::default();
+    let suspect_for = cfg.suspect_for;
+    let worst = Arc::new(std::sync::Mutex::new(Duration::ZERO));
+    for _ in 0..STARTS {
+        let w = Arc::clone(&worst);
+        let cluster = with_kv_config(
+            ChantCluster::builder().pes(2).transport(backend.config()),
+            cfg.clone(),
+        )
+        .build();
+        cluster.run(move |node| {
+            let t0 = Instant::now();
+            kv_await_ready(node, PATIENCE).expect("cluster becomes ready");
+            let took = t0.elapsed();
+            let mut worst = w.lock().unwrap();
+            *worst = (*worst).max(took);
+        });
+    }
+    let worst = *worst.lock().unwrap();
+    assert!(
+        worst < suspect_for,
+        "[{backend:?}] a cold start took {worst:?} to become ready — a healthy peer \
+         was suspected for {suspect_for:?}"
+    );
+});

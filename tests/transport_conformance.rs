@@ -489,3 +489,43 @@ for_each_transport!(rma_exactly_once_atomics_under_dup_and_reorder, |backend: Ba
     }
     assert_eq!(total, u64::from(2 * CLIENTS_PER_NODE) * ADDS_PER_CLIENT);
 });
+
+// ---------------------------------------------------------------------
+// Waiting sleeps: a blocked receive is tested when something arrives,
+// not in a loop.
+// ---------------------------------------------------------------------
+
+// Under the scheduler-polls policies a node with nothing runnable parks
+// until an arrival (or a deadline) wakes it, so a remote round trip
+// costs a handful of `msgtest`s — the eager test, one sweep when the
+// request lands, one when the reply does — on every backend alike. (TP
+// is left out on purpose: its waiter re-tests every time it is
+// scheduled, which is the policy, paper Figure 5.)
+for_each_transport!(remote_pings_cost_a_bounded_number_of_msgtests, |backend: Backend| {
+    const PINGS: u64 = 1000;
+    // An arrival wakes every lane of the node (the thread it completes
+    // may be homed anywhere), and each woken lane sweeps once before it
+    // sleeps again: the budget is per lane. 20 at the default one lane.
+    let budget = 20.0 * chant::ult::VpConfig::vps_from_env() as f64;
+    for policy in [PollingPolicy::SchedulerPollsWq, PollingPolicy::SchedulerPollsPs] {
+        let cluster = ChantCluster::builder()
+            .pes(2)
+            .policy(policy)
+            .transport(backend.config())
+            .build();
+        let report = cluster.run(|node| {
+            if node.pe() == 0 {
+                for _ in 0..PINGS {
+                    node.ping(Address::new(1, 0), b"").unwrap();
+                }
+            }
+        });
+        let per_rtt = report.total_msgtests() as f64 / PINGS as f64;
+        assert!(
+            per_rtt <= budget,
+            "[{backend:?}/{policy:?}] {per_rtt:.1} msgtests per remote round trip \
+             ({} in all, budget {budget}): blocked receives are being polled, not woken",
+            report.total_msgtests()
+        );
+    }
+});
