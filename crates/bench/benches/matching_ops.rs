@@ -3,7 +3,7 @@
 //! (scanning vs completion-list) as outstanding requests grow 8 → 512.
 //!
 //! The benchmark bodies live in `chant_bench::matching` so the
-//! `perf_snapshot` binary can run the identical measurements.
+//! `obs_overhead` gate can run the identical measurements.
 
 use criterion::{criterion_group, criterion_main};
 

@@ -4,7 +4,7 @@
 //! and reports the WQ/PS and TP/PS time ratios plus the waiting-thread
 //! population; CSV series land in bench_results/.
 
-use chant_bench::{print_table, write_csv};
+use chant_bench::{print_table, shown, write_csv};
 use chant_sim::experiments::PollingConfig;
 use chant_sim::sensitivity::{sweep, SweepParam};
 
@@ -44,7 +44,7 @@ fn run_sweep(param: SweepParam, values: &[u64], csv_name: &str) {
         "value_ns,tp_ms,ps_ms,wq_ms,tp_over_ps,wq_over_ps,ps_avg_waiting",
         &csv,
     );
-    println!("series written: {}", path.display());
+    println!("series written: {}", shown(&path));
 }
 
 fn main() {

@@ -35,9 +35,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use chant_bench::launch::rank_from_env;
 use chant_core::{
     ChantCluster, ChantError, ChantNode, FaultConfig, PollingPolicy, RecvSrc, RetryPolicy,
-    TransportConfig,
 };
 use chant_kv::{
     kv_await_ready, kv_digest_local, kv_drain, kv_owners, kv_remote_digest, kv_shard_of,
@@ -185,15 +185,7 @@ fn await_replica_parity(node: &Arc<ChantNode>, shards: u32) {
 }
 
 fn main() {
-    let transport = TransportConfig::from_env();
-    let rank: u32 = std::env::var("CHANT_RANK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .expect("kv_recover_node needs CHANT_RANK");
-    let pes = match &transport {
-        TransportConfig::Tcp(o) | TransportConfig::TcpEvent(o) => o.peers.len() as u32,
-        _ => panic!("kv_recover_node needs CHANT_TRANSPORT=tcp|tcp-event"),
-    };
+    let (transport, _rank, pes) = rank_from_env("kv_recover_node");
     assert!(pes >= 3, "recovery needs surviving replicas");
     let phase2 = env_u64("CHANT_KV_PHASE", 1) == 2;
     let seed = env_u64("CHANT_FAULT_SEED", 1);
@@ -341,5 +333,4 @@ fn main() {
         await_replica_parity(node, shards);
         println!("KVREC-OK rank={pe} vsum={got}");
     });
-    let _ = rank;
 }

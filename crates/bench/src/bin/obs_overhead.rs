@@ -3,7 +3,7 @@
 //!
 //! A single binary cannot contain both sides of a `cfg` feature, so the
 //! measurement is two invocations of this program merged into one
-//! snapshot file (`bench_results/BENCH_PR2.json`):
+//! untracked scratch file (`target/obs_overhead.json`):
 //!
 //! ```text
 //! cargo run --release -p chant-bench --bin obs_overhead            # "baseline"
@@ -19,7 +19,7 @@
 //!   stays `None`. This is the configuration a tracing-capable build
 //!   pays when nobody is tracing, and the one the ≤2% budget governs.
 //!
-//! `--check` recomputes the per-benchmark ratios from the snapshot file
+//! `--check` recomputes the per-benchmark ratios from the scratch file
 //! and exits nonzero if the geometric-mean `trace_disabled / baseline`
 //! ratio exceeds 1.02 (individual microbenchmarks are noisy; the
 //! geomean over the whole matching sweep is the stable signal).
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use criterion::Criterion;
 use serde::{Map, Number, Value};
 
-use chant_bench::{matching, results_dir};
+use chant_bench::{matching, shown, workspace_root};
 
 /// Which half of the measurement this compilation is.
 #[cfg(feature = "trace")]
@@ -41,7 +41,7 @@ const SIDE: &str = "baseline";
 const MAX_RATIO: f64 = 1.02;
 
 fn snapshot_path() -> std::path::PathBuf {
-    results_dir().join("BENCH_PR2.json")
+    workspace_root().join("target").join("obs_overhead.json")
 }
 
 /// Load the snapshot file as a map of side → (bench id → median ns),
@@ -107,11 +107,7 @@ fn ratios(
 
 fn write_snapshot(sides: &BTreeMap<String, BTreeMap<String, f64>>) {
     let mut root = Map::new();
-    root.insert("snapshot".to_string(), Value::String("BENCH_PR2".to_string()));
-    root.insert(
-        "budget_max_ratio".to_string(),
-        f(MAX_RATIO),
-    );
+    root.insert("budget_max_ratio".to_string(), f(MAX_RATIO));
     for (side, m) in sides {
         root.insert(side.clone(), side_obj(m));
     }
@@ -119,29 +115,12 @@ fn write_snapshot(sides: &BTreeMap<String, BTreeMap<String, f64>>) {
         root.insert("ratio".to_string(), side_obj(&per_id));
         root.insert("geomean_ratio".to_string(), f(geomean));
     }
-    let json = serde_json::to_string_pretty(&Value::Object(root.clone())).expect("serialize snapshot");
+    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serialize snapshot");
     let path = snapshot_path();
+    // Absent when cargo was pointed at a target directory elsewhere.
+    std::fs::create_dir_all(path.parent().expect("target/")).expect("create target/");
     std::fs::write(&path, json + "\n").expect("write snapshot");
-    println!("wrote {}", path.display());
-
-    // PR 7 keeps the wire-context overhead numbers next to the
-    // merge-tool timing (the `trace_merge` bin writes the
-    // "trace_merge" key of the same file) — one snapshot per PR.
-    root.remove("snapshot");
-    let pr7 = results_dir().join("BENCH_PR7.json");
-    let mut pr7_root = std::fs::read_to_string(&pr7)
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
-        .and_then(|v| match v {
-            Value::Object(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
-    pr7_root.insert("snapshot".to_string(), Value::String("BENCH_PR7".to_string()));
-    pr7_root.insert("obs_overhead".to_string(), Value::Object(root));
-    let json = serde_json::to_string_pretty(&Value::Object(pr7_root)).expect("serialize snapshot");
-    std::fs::write(&pr7, json + "\n").expect("write snapshot");
-    println!("wrote {}", pr7.display());
+    println!("wrote {}", shown(&path));
 }
 
 fn main() {
@@ -151,7 +130,7 @@ fn main() {
             eprintln!(
                 "obs_overhead --check: {} lacks both sides; run the bench twice first \
                  (with and without --features trace)",
-                snapshot_path().display()
+                shown(&snapshot_path())
             );
             std::process::exit(2);
         };

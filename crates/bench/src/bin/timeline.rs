@@ -57,6 +57,9 @@ fn main() {
         let json = chant_obs::perfetto::to_json_string(&all_lanes);
         let path = chant_bench::results_dir().join("timeline_trace.json");
         std::fs::write(&path, json).expect("write timeline trace");
-        println!("wrote {} (load in https://ui.perfetto.dev)", path.display());
+        println!(
+            "wrote {} (load in https://ui.perfetto.dev)",
+            chant_bench::shown(&path)
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! and validates the merged file against the Chrome-trace schema.
 //!
 //! Usage:
-//! `trace_merge [-o merged.json] [--bench-json FILE] [--require-cross N] rank0.json rank1.json ...`
+//! `trace_merge [-o merged.json] [--require-cross N] rank0.json rank1.json ...`
 //!
 //! Exits nonzero on unreadable input, schema violations, unbalanced
 //! flow arrows, a negative post-alignment wire gap, or fewer than
@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use chant_obs::merge::{merge_cluster_trace, read_process_trace, ProcessTrace};
 use chant_obs::perfetto::validate_chrome_trace;
-use serde::{Number, Serialize as _, Value};
+use serde::Value;
 
 fn fail(msg: &str) -> ! {
     eprintln!("trace_merge: {msg}");
@@ -29,7 +29,6 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut out_path = String::from("chant_cluster_trace.json");
-    let mut bench_json: Option<String> = None;
     let mut require_cross = 0u64;
     let mut inputs: Vec<String> = Vec::new();
 
@@ -37,9 +36,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out_path = args.next().unwrap_or_else(|| fail("-o needs a path")),
-            "--bench-json" => {
-                bench_json = Some(args.next().unwrap_or_else(|| fail("--bench-json needs a path")));
-            }
             "--require-cross" => {
                 require_cross = args
                     .next()
@@ -51,8 +47,7 @@ fn main() {
     }
     if inputs.len() < 2 {
         eprintln!(
-            "usage: trace_merge [-o merged.json] [--bench-json FILE] \
-             [--require-cross N] rank0.json rank1.json ..."
+            "usage: trace_merge [-o merged.json] [--require-cross N] rank0.json rank1.json ..."
         );
         std::process::exit(2);
     }
@@ -96,10 +91,6 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("{out_path}: cannot write: {e}")));
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    if let Some(path) = bench_json {
-        record_bench(&path, &report, elapsed_ms);
-    }
-
     println!(
         "trace_merge: OK — {} processes, {} events, {} flows ({} cross-process, \
          {} causal repairs), min wire gap {} ns, {} unmatched sends, \
@@ -114,30 +105,4 @@ fn main() {
         report.unmatched_recvs,
         elapsed_ms,
     );
-}
-
-/// Merge a `"trace_merge"` entry into the benchmark JSON file,
-/// preserving whatever other suites already recorded there.
-fn record_bench(path: &str, report: &chant_obs::merge::MergeReport, elapsed_ms: f64) {
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .unwrap_or_else(|| Value::Object(Default::default()));
-    if !matches!(root, Value::Object(_)) {
-        root = Value::Object(Default::default());
-    }
-    let mut entry = report.serialize();
-    if let Value::Object(map) = &mut entry {
-        map.insert(
-            "elapsed_ms".to_string(),
-            Value::Number(Number::Float(elapsed_ms)),
-        );
-    }
-    if let Value::Object(map) = &mut root {
-        map.insert("trace_merge".to_string(), entry);
-    }
-    let out = serde_json::to_string(&root).expect("serialize bench json");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("trace_merge: warning: cannot update {path}: {e}");
-    }
 }

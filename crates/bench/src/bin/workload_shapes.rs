@@ -6,7 +6,7 @@
 //! all-to-all) on the calibrated Paragon model, asking whether the
 //! paper's ranking generalizes beyond its benchmark.
 
-use chant_bench::{print_table, write_csv};
+use chant_bench::{print_table, shown, write_csv};
 use chant_core::PollingPolicy;
 use chant_sim::workloads::{all_to_all, master_worker, stencil};
 use chant_sim::{CostModel, Engine, LayerMode, ThreadSpec};
@@ -74,7 +74,7 @@ fn main() {
         "workload,tp_ms,ps_ms,wq_ms",
         &csv,
     );
-    println!("series written: {}", path.display());
+    println!("series written: {}", shown(&path));
     println!(
         "\nfinding: the paper's ranking generalizes — PS never loses, and WQ's\n\
          penalty tracks how much receiving the shape does (all-to-all worst)."

@@ -35,9 +35,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use chant_core::{
-    ChantCluster, FaultConfig, RetryPolicy, TransportConfig,
-};
+use chant_bench::launch::rank_from_env;
+use chant_core::{ChantCluster, FaultConfig, RetryPolicy};
 
 const FN_COUNT: u32 = 1001;
 
@@ -67,14 +66,7 @@ fn open_socket_fds() -> Option<Vec<String>> {
 }
 
 fn main() {
-    let transport = TransportConfig::from_env();
-    let (rank, pes) = match &transport {
-        TransportConfig::Tcp(opts) | TransportConfig::TcpEvent(opts) => (
-            opts.rank.expect("xproc_node needs CHANT_RANK"),
-            opts.peers.len() as u32,
-        ),
-        _ => panic!("xproc_node needs CHANT_TRANSPORT=tcp|tcp-event and CHANT_PEERS"),
-    };
+    let (transport, rank, pes) = rank_from_env("xproc_node");
     assert!(pes >= 2, "xproc_node needs at least two peers");
     let ops = env_u64("CHANT_XPROC_OPS", 250) as u32;
     let seed = env_u64("CHANT_FAULT_SEED", 42);

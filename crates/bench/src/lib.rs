@@ -1,22 +1,22 @@
 //! # chant-bench: the benchmark harness regenerating the paper's tables
 //! and figures
 //!
-//! One binary per table (`table1` … `table5`, `table_wq_testany`) prints
-//! the paper's published numbers next to this reproduction's, and writes
-//! the figure series (Figures 8, 10–13) as CSV under `bench_results/`.
-//! Criterion microbenchmarks (`cargo bench`) measure the live runtime:
-//! thread creation and switching (Table 1's metrics), raw message-layer
-//! operations, Chant point-to-point vs the raw layer (the live analogue
-//! of Table 2's overhead question), and remote service requests.
+//! The `tables` binary (`tables 3`, `tables all`) prints the paper's
+//! published numbers next to this reproduction's, and writes the figure
+//! series (Figures 8, 10–13) as CSV under `bench_results/`; the sweeps
+//! behind them live here so a test can hold them to the committed files.
+//! Criterion microbenchmarks (`cargo bench`) time single operations of
+//! the live runtime; measuring it end to end and layer by layer under
+//! load is the job of the `benchmark/` package, not of this crate.
+//! [`launch`] is the one multi-process cluster launcher the
+//! cross-process test harnesses share.
 
 #![warn(missing_docs)]
 
 use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-pub mod latency;
-pub mod load;
+pub mod launch;
 pub mod matching;
 
 /// The paper's published numbers, transcribed from the text.
@@ -119,22 +119,65 @@ pub mod paper {
     ];
 }
 
-/// Directory where the table binaries drop their CSV figure series.
+/// The workspace root. Fixed when the crate is compiled, so binaries and
+/// tests agree on it whatever directory they are started from.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+}
+
+/// `bench_results/` at the workspace root: where the figure series,
+/// traces and table transcripts live.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("bench_results");
+    let dir = workspace_root().join("bench_results");
     fs::create_dir_all(&dir).expect("create bench_results/");
     dir
+}
+
+/// `path` as the documents name it: relative to the workspace root.
+pub fn shown(path: &Path) -> std::path::Display<'_> {
+    path.strip_prefix(workspace_root()).unwrap_or(path).display()
+}
+
+/// The exact contents of a CSV file with this header and these rows.
+fn csv_text(header: &str, rows: &[String]) -> String {
+    let mut out = format!("{header}\n");
+    for r in rows {
+        out.push_str(r);
+        out.push('\n');
+    }
+    out
 }
 
 /// Write a CSV file into [`results_dir`], given a header and rows.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     let path = results_dir().join(name);
-    let mut f = fs::File::create(&path).expect("create CSV");
-    writeln!(f, "{header}").expect("write CSV header");
-    for r in rows {
-        writeln!(f, "{r}").expect("write CSV row");
-    }
+    fs::write(&path, csv_text(header, rows)).expect("write CSV");
     path
+}
+
+/// A figure series of one of the paper's tables, held in memory until
+/// [`Series::write`] so a test can compare it with the committed file
+/// instead of overwriting it.
+pub struct Series {
+    /// File name under `bench_results/`.
+    pub name: String,
+    header: &'static str,
+    rows: Vec<String>,
+}
+
+impl Series {
+    /// The file's exact contents.
+    pub fn text(&self) -> String {
+        csv_text(self.header, &self.rows)
+    }
+
+    /// Write the file and return its path.
+    pub fn write(&self) -> PathBuf {
+        write_csv(&self.name, self.header, &self.rows)
+    }
 }
 
 /// Render a ruled table to stdout: a title, a header row, and data rows.
@@ -176,20 +219,62 @@ pub fn ratio(ours: f64, paper: f64) -> String {
     }
 }
 
-/// Shared driver for the `table3`/`table4`/`table5` binaries: run the
-/// Figure-9 workload sweep at one β, print paper-vs-ours, and emit the
-/// figure CSVs.
-pub fn run_polling_table(
-    label: &str,
-    beta: u64,
-    paper_tp: &[paper::PollingRow; 4],
-    paper_ps: &[paper::PollingRow; 4],
-    paper_wq: &[paper::PollingRow; 4],
-) {
+/// Table 2's sweep on the calibrated simulator, against `paper::TABLE2`:
+/// the printed rows and the Figure-8 series.
+pub fn table2_sweep() -> (Vec<Vec<String>>, Series) {
+    use chant_sim::experiments::{pingpong, PAPER_SIZES};
+    use chant_sim::CostModel;
+
+    let iterations = 20_000; // the paper used 100,000; the shape is identical
+    let rows_sim = pingpong(CostModel::paragon_pingpong(), &PAPER_SIZES, iterations)
+        .expect("pingpong simulation");
+
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    for (r, p) in rows_sim.iter().zip(paper::TABLE2) {
+        rows.push(vec![
+            r.msg_bytes.to_string(),
+            format!("{:.1}", r.process_us),
+            format!("{:.1}", p.1),
+            format!("{:.1}", r.thread_tp_us),
+            format!("{:.1}%", r.tp_overhead_pct),
+            format!("{:.1}%", p.3),
+            format!("{:.1}", r.thread_sp_us),
+            format!("{:.1}%", r.sp_overhead_pct),
+            format!("{:.1}%", p.5),
+            ratio(r.process_us, p.1),
+        ]);
+        csv.push(format!(
+            "{},{},{},{}",
+            r.msg_bytes, r.process_us, r.thread_tp_us, r.thread_sp_us
+        ));
+    }
+    let series = Series {
+        name: "table2_fig8_per_message_us.csv".to_string(),
+        header: "bytes,process_us,thread_tp_us,thread_sp_us",
+        rows: csv,
+    };
+    (rows, series)
+}
+
+/// β and the paper's (TP, PS, WQ) rows of polling table 3, 4 or 5.
+fn polling_table(table: u32) -> (u64, [&'static [paper::PollingRow; 4]; 3]) {
+    match table {
+        3 => (100, [&paper::TABLE3_TP, &paper::TABLE3_PS, &paper::TABLE3_WQ]),
+        4 => (1000, [&paper::TABLE4_TP, &paper::TABLE4_PS, &paper::TABLE4_WQ]),
+        5 => (0, [&paper::TABLE5_TP, &paper::TABLE5_PS, &paper::TABLE5_WQ]),
+        _ => panic!("the polling tables are 3, 4 and 5, not {table}"),
+    }
+}
+
+/// The Figure-9 workload sweep of polling table 3, 4 or 5: its β, the
+/// printed paper-vs-ours rows and the Figures 10–13 series.
+pub fn polling_sweep(table: u32) -> (u64, Vec<Vec<String>>, [Series; 4]) {
     use chant_core::PollingPolicy;
     use chant_sim::experiments::{polling_run, PollingConfig, PAPER_ALPHAS};
     use chant_sim::CostModel;
 
+    let (beta, [paper_tp, paper_ps, paper_wq]) = polling_table(table);
     let cost = CostModel::paragon_polling();
     let cfg = PollingConfig::default();
     let mut rows = Vec::new();
@@ -242,33 +327,18 @@ pub fn run_polling_table(
         ));
     }
 
-    print_table(
-        &format!("{label} — Figure-9 workload, beta = {beta} (2 PEs x 12 threads x 100 iters)"),
-        &[
-            "alpha", "policy", "Time ms", "paper", "ratio", "CtxSw", "paper", "msgtest",
-            "paper", "AvgWait",
-        ],
-        &rows,
-    );
-    println!(
-        "note: 'msgtest' compares failed tests (the quantity the paper's Figure 12 plots\n\
-         and its tables appear to report); CtxSw counts dispatches — the paper's counter\n\
-         appears to include both the save and the restore of a switch (~2x)."
-    );
-
-    let tag = label.to_lowercase().replace(' ', "_");
-    let header = "alpha,thread_polls,scheduler_polls_ps,scheduler_polls_wq";
-    let p1 = write_csv(&format!("{tag}_fig10_time_ms.csv"), header, &csv_time);
-    let p2 = write_csv(&format!("{tag}_fig11_ctxsw.csv"), header, &csv_ctxsw);
-    let p3 = write_csv(&format!("{tag}_fig12_msgtest_failed.csv"), header, &csv_msgtest);
-    let p4 = write_csv(&format!("{tag}_fig13_avg_waiting.csv"), header, &csv_waiting);
-    println!(
-        "figure series written: {}, {}, {}, {}",
-        p1.display(),
-        p2.display(),
-        p3.display(),
-        p4.display()
-    );
+    let series = [
+        ("fig10_time_ms", csv_time),
+        ("fig11_ctxsw", csv_ctxsw),
+        ("fig12_msgtest_failed", csv_msgtest),
+        ("fig13_avg_waiting", csv_waiting),
+    ]
+    .map(|(figure, rows)| Series {
+        name: format!("table_{table}_{figure}.csv"),
+        header: "alpha,thread_polls,scheduler_polls_ps,scheduler_polls_wq",
+        rows,
+    });
+    (beta, rows, series)
 }
 
 #[cfg(test)]
@@ -303,6 +373,29 @@ mod tests {
             assert!(paper::TABLE4_TP[i].1 < paper::TABLE4_WQ[i].1);
             assert!(paper::TABLE5_PS[i].1 < paper::TABLE5_TP[i].1);
             assert!(paper::TABLE5_TP[i].1 < paper::TABLE5_WQ[i].1);
+        }
+    }
+
+    /// "Tables 2–5 bit-identical" is the gate every refactor of the
+    /// simulator or its cost model has to pass: regenerate every series
+    /// the committed figures were drawn from and compare the bytes.
+    #[test]
+    fn simulated_series_match_the_committed_files_byte_for_byte() {
+        let mut series = vec![table2_sweep().1];
+        for table in [3, 4, 5] {
+            series.extend(polling_sweep(table).2);
+        }
+        assert_eq!(series.len(), 13);
+        for s in &series {
+            let path = results_dir().join(&s.name);
+            let committed = fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                s.text(),
+                committed,
+                "{} no longer regenerates byte-for-byte",
+                s.name
+            );
         }
     }
 

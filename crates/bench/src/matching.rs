@@ -10,8 +10,8 @@
 //! a flat profile from `n = 8` to `n = 512`.
 //!
 //! The bodies live in the library (rather than the bench target) so the
-//! `perf_snapshot` binary can run the same measurements and dump their
-//! medians as JSON.
+//! `obs_overhead` gate can run the same measurements in two builds and
+//! compare their medians.
 
 use bytes::Bytes;
 use criterion::{BenchmarkId, Criterion};
@@ -108,7 +108,7 @@ pub fn bench_testany_completion_list(c: &mut Criterion) {
     g.finish();
 }
 
-/// Run every matching benchmark against `c` (the `perf_snapshot` entry
+/// Run every matching benchmark against `c` (the `obs_overhead` entry
 /// point; the `matching_ops` bench target registers the same list).
 pub fn run_all(c: &mut Criterion) {
     bench_posted_match(c);

@@ -9,123 +9,53 @@
 //! drop + 1% dup shim), joins the termination barrier cleanly, and
 //! exits having leaked zero socket file descriptors.
 
-use std::io::Read;
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::Command;
+use std::time::Duration;
+
+use chant_bench::launch::{report, retry_once, Cluster};
 
 const NODES: usize = 4;
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Reserve `n` distinct loopback ports: bind them all concurrently,
-/// record the assignments, then release. A raced port is possible but
-/// vanishingly rare; the caller retries once.
-fn free_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind ephemeral port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn spawn_cluster(
-    ports: &[u16],
-    backend: &str,
-    per_rank_env: impl Fn(usize) -> Vec<(String, String)>,
-) -> Vec<Child> {
-    let peers = ports
-        .iter()
-        .map(|p| format!("127.0.0.1:{p}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    let seed = std::env::var("CHANT_FAULT_SEED").unwrap_or_else(|_| "42".into());
-    (0..NODES)
+/// Run the cluster once over `backend` and return the retries its ranks
+/// reported; with a `trace_dir`, every rank also exports its trace
+/// there as `rank<r>.json`. The fault seed is the ranks' to read
+/// (`CHANT_FAULT_SEED`, inherited; default 42).
+fn run_once(backend: &str, trace_dir: Option<&Path>) -> Result<u64, String> {
+    let commands = (0..NODES)
         .map(|rank| {
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_xproc_node"));
-            cmd.env("CHANT_TRANSPORT", backend)
-                .env("CHANT_RANK", rank.to_string())
-                .env("CHANT_PEERS", &peers)
-                .env("CHANT_FAULT_SEED", &seed)
-                .env("CHANT_XPROC_OPS", "250")
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            for (k, v) in per_rank_env(rank) {
-                cmd.env(k, v);
+            cmd.env("CHANT_XPROC_OPS", "250");
+            if let Some(dir) = trace_dir {
+                cmd.env("CHANT_TRACE_OUT", dir.join(format!("rank{rank}.json")));
             }
-            cmd.spawn().expect("spawn xproc_node")
+            cmd
         })
-        .collect()
-}
-
-/// Wait for every child with a shared deadline; on timeout, kill the
-/// stragglers so the test fails instead of hanging.
-fn join_all(mut children: Vec<Child>) -> Vec<(bool, String, String)> {
-    let deadline = Instant::now() + TIMEOUT;
-    let mut done: Vec<Option<bool>> = vec![None; children.len()];
-    while done.iter().any(Option::is_none) {
-        for (i, child) in children.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        if Instant::now() > deadline {
-            for child in children.iter_mut() {
-                let _ = child.kill();
-            }
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    children
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut child)| {
-            let _ = child.wait();
-            let mut out = String::new();
-            let mut err = String::new();
-            if let Some(mut s) = child.stdout.take() {
-                let _ = s.read_to_string(&mut out);
-            }
-            if let Some(mut s) = child.stderr.take() {
-                let _ = s.read_to_string(&mut err);
-            }
-            (done[i].unwrap_or(false), out, err)
-        })
-        .collect()
-}
-
-fn run_once(backend: &str) -> Result<(), String> {
-    let ports = free_ports(NODES);
-    let children = spawn_cluster(&ports, backend, |_| Vec::new());
-    let results = join_all(children);
-    for (rank, (ok, out, err)) in results.iter().enumerate() {
-        if !ok {
-            return Err(format!(
-                "rank {rank} failed.\n--- stdout ---\n{out}\n--- stderr ---\n{err}"
-            ));
-        }
+        .collect();
+    let exits = Cluster::launch(backend, TIMEOUT, commands).join_all();
+    let mut retries = 0u64;
+    for (rank, exit) in exits.iter().enumerate() {
         let marker = format!("XPROC-OK rank={rank}");
-        if !out.contains(&marker) {
-            return Err(format!(
-                "rank {rank} exited 0 without '{marker}'.\n--- stdout ---\n{out}"
-            ));
-        }
+        let line = exit
+            .stdout
+            .lines()
+            .find(|l| exit.ok && l.contains(&marker))
+            .ok_or_else(|| {
+                format!("[{backend}] rank {rank}: no '{marker}'\n{}", report(&exits))
+            })?;
+        retries += line
+            .split("retries=")
+            .nth(1)
+            .and_then(|s| s.trim().parse::<u64>().ok())
+            .unwrap_or(0);
     }
-    Ok(())
+    Ok(retries)
 }
 
 #[test]
 fn four_process_tcp_cluster_runs_lossy_workload_exactly_once() {
-    // One retry covers the (rare) case of a reserved port being raced
-    // away between release and the child's bind.
-    if let Err(first) = run_once("tcp") {
-        eprintln!("first attempt failed, retrying once:\n{first}");
-        run_once("tcp").expect("cross-process cluster failed twice");
-    }
+    retry_once("cross-process cluster", || run_once("tcp", None));
 }
 
 /// The PR 7 tracing acceptance scenario: the same four-process lossy
@@ -140,36 +70,6 @@ mod traced {
     use chant_obs::merge::{merge_cluster_trace, read_process_trace, ProcessTrace};
     use chant_obs::perfetto::validate_chrome_trace;
     use serde::Value;
-
-    fn run_traced(dir: &std::path::Path) -> Result<u64, String> {
-        let ports = free_ports(NODES);
-        let children = spawn_cluster(&ports, "tcp", |rank| {
-            vec![(
-                "CHANT_TRACE_OUT".to_string(),
-                dir.join(format!("rank{rank}.json")).to_string_lossy().into_owned(),
-            )]
-        });
-        let results = join_all(children);
-        let mut retries = 0u64;
-        for (rank, (ok, out, err)) in results.iter().enumerate() {
-            if !ok {
-                return Err(format!(
-                    "rank {rank} failed.\n--- stdout ---\n{out}\n--- stderr ---\n{err}"
-                ));
-            }
-            let marker = format!("XPROC-OK rank={rank}");
-            let line = out
-                .lines()
-                .find(|l| l.contains(&marker))
-                .ok_or_else(|| format!("rank {rank} exited 0 without '{marker}':\n{out}"))?;
-            retries += line
-                .split("retries=")
-                .nth(1)
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .unwrap_or(0);
-        }
-        Ok(retries)
-    }
 
     /// Count non-metadata events whose `name` matches `pred`.
     fn count_events(merged: &Value, pred: impl Fn(&str) -> bool) -> usize {
@@ -192,16 +92,26 @@ mod traced {
 
     #[test]
     fn four_process_traces_merge_into_one_causal_timeline() {
-        let dir =
-            std::env::temp_dir().join(format!("chant_xproc_trace_{}", std::process::id()));
+        merged_timeline_is_causal("tcp");
+    }
+
+    /// The backend the benchmark measures, whose sends and receives are
+    /// traced from the poller thread rather than per-peer drain threads.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn four_process_tcp_event_traces_merge_into_one_causal_timeline() {
+        merged_timeline_is_causal("tcp-event");
+    }
+
+    fn merged_timeline_is_causal(backend: &str) {
+        let dir = std::env::temp_dir().join(format!(
+            "chant_xproc_trace_{}_{backend}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("create trace dir");
-        let retries = match run_traced(&dir) {
-            Ok(r) => r,
-            Err(first) => {
-                eprintln!("first attempt failed, retrying once:\n{first}");
-                run_traced(&dir).expect("traced cross-process cluster failed twice")
-            }
-        };
+        let retries = retry_once("traced cross-process cluster", || {
+            run_once(backend, Some(&dir))
+        });
 
         let mut processes: Vec<ProcessTrace> = Vec::with_capacity(NODES);
         for rank in 0..NODES {
@@ -265,8 +175,5 @@ mod traced {
 #[cfg(target_os = "linux")]
 #[test]
 fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
-    if let Err(first) = run_once("tcp-event") {
-        eprintln!("first attempt failed, retrying once:\n{first}");
-        run_once("tcp-event").expect("cross-process tcp-event cluster failed twice");
-    }
+    retry_once("cross-process tcp-event cluster", || run_once("tcp-event", None));
 }

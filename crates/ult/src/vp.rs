@@ -171,8 +171,8 @@ struct Worker {
     /// from the front; thieves pop from the back (oldest entry of the
     /// highest non-empty class), keeping owner traffic cache-friendly.
     ///
-    /// A plain mutexed deque, not a Chase–Lev deque: measured under
-    /// `ult_scale`, queue-lock hold times are tens of nanoseconds against
+    /// A plain mutexed deque, not a Chase–Lev deque: measured in PR 8's
+    /// lane sweep, queue-lock hold times are tens of nanoseconds against
     /// microsecond-scale dispatch costs (permit grant + OS wakeup), so an
     /// uncontended parking_lot lock is nowhere near the bottleneck. The
     /// lock-free deque stays an upgrade path behind this same interface.

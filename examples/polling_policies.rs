@@ -3,7 +3,7 @@
 //! a live (wall-clock) miniature of the §4.2 experiment.
 //!
 //! The simulated reproduction of Tables 3–5 lives in
-//! `cargo run -p chant-bench --bin table3` (etc.); this example shows the
+//! `cargo run -p chant-bench --bin tables -- 3` (etc.); this example shows the
 //! same structural signatures (who context-switches, who msgtests) on
 //! real threads.
 //!

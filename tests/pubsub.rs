@@ -9,7 +9,8 @@
 //!
 //! * subscribe / publish / unsubscribe semantics, with the topic home
 //!   on the publisher (tree rooted at the origin) *and* remote (a real
-//!   first hop), and several subscriber threads per node;
+//!   first hop), on four nodes with many subscribers per node — where a
+//!   publish must cost O(tree edges) frames, not O(subscribers);
 //! * late join: a subscriber that arrives after a batch of publishes
 //!   sees none of them, and a registration parked across the home's
 //!   expiry window survives on periodic resync alone;
@@ -20,6 +21,8 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use chant::chant::{ChantCluster, ChantError, FaultConfig, PollingPolicy, RecvSrc, RetryPolicy};
@@ -73,27 +76,36 @@ fn park(node: &std::sync::Arc<chant::chant::ChantNode>, d: Duration) {
 // ---------------------------------------------------------------------
 
 for_each_transport!(subscribe_publish_unsubscribe_across_policies, |backend: Backend| {
+    const PES: u64 = 4;
     const MSGS: u64 = 8;
+    /// Many subscribers behind every tree edge: deliveries scale with
+    /// them, frames on the links must not.
+    const SUBS_PER_NODE: u64 = 12;
+    const TOPICS: [u64; 2] = [3, 1];
     for policy in POLICIES {
         let cluster = with_pubsub_config(
             ChantCluster::builder()
-                .pes(3)
+                .pes(PES as u32)
                 .policy(policy)
                 .transport(backend.config()),
             fast(),
         )
         .build();
+        // Cluster-wide sums of every node's counters at the end.
+        let totals = Arc::new([const { AtomicU64::new(0) }; 3]);
+        let totals2 = Arc::clone(&totals);
         cluster.run(move |node| {
             let pe = node.pe();
             // Topic 3's home is PE 0 — the publisher, so the tree is
             // rooted at the origin with no first hop; topic 1's home is
             // PE 1, a real ROUTE_TO_HOME hop. Subscribers must not be
             // able to tell the difference.
-            for topic in [3u64, 1] {
-                // Two subscriber threads per non-publisher node: the
-                // last tree hop fans out locally.
-                let subs = (pe != 0)
-                    .then(|| (node.subscribe(topic).unwrap(), node.subscribe(topic).unwrap()));
+            for topic in TOPICS {
+                // Several subscribers per non-publisher node: the last
+                // tree hop fans out locally.
+                let subs: Vec<_> = (0..if pe != 0 { SUBS_PER_NODE } else { 0 })
+                    .map(|_| node.subscribe(topic).unwrap())
+                    .collect();
                 let group = main_group(node, topic as u8);
 
                 if pe == 0 {
@@ -102,39 +114,37 @@ for_each_transport!(subscribe_publish_unsubscribe_across_policies, |backend: Bac
                         assert_eq!(seq, i, "publish seq is per-topic and dense");
                     }
                 }
-                if let Some((a, b)) = &subs {
-                    for sub in [a, b] {
-                        let mut got: Vec<u64> = (0..MSGS)
-                            .map(|_| {
-                                let m = sub.recv_timeout(PATIENCE).unwrap();
-                                assert_eq!(m.topic, topic);
-                                assert_eq!(m.origin, Address::new(0, 0));
-                                assert_eq!(&m.payload[..], &m.seq.to_le_bytes());
-                                m.seq
-                            })
-                            .collect();
-                        got.sort_unstable();
-                        let want: Vec<u64> = (1..=MSGS).collect();
-                        assert_eq!(
-                            got, want,
-                            "[{backend:?}/{policy:?}] topic {topic}: every subscriber sees every publish exactly once"
-                        );
-                    }
+                for sub in &subs {
+                    let mut got: Vec<u64> = (0..MSGS)
+                        .map(|_| {
+                            let m = sub.recv_timeout(PATIENCE).unwrap();
+                            assert_eq!(m.topic, topic);
+                            assert_eq!(m.origin, Address::new(0, 0));
+                            assert_eq!(&m.payload[..], &m.seq.to_le_bytes());
+                            m.seq
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    let want: Vec<u64> = (1..=MSGS).collect();
+                    assert_eq!(
+                        got, want,
+                        "[{backend:?}/{policy:?}] topic {topic}: every subscriber sees every publish exactly once"
+                    );
                 }
                 group.barrier(node).unwrap();
 
-                // PE 2 unsubscribes both threads (exactly-once control:
+                // PE 2 unsubscribes every thread (exactly-once control:
                 // the home's count is corrected before the call
-                // returns); PE 1 stays. A second batch must reach PE 1
-                // and leave PE 2 untouched.
+                // returns); the others stay. A second batch must reach
+                // them and leave PE 2 untouched.
                 let delivered_before = node.pubsub_stats().delivered;
-                let keep = match (pe, subs) {
-                    (2, Some((a, b))) => {
-                        a.unsubscribe(node).unwrap();
-                        b.unsubscribe(node).unwrap();
-                        None
+                let keep = if pe == 2 {
+                    for sub in subs {
+                        sub.unsubscribe(node).unwrap();
                     }
-                    (_, other) => other,
+                    Vec::new()
+                } else {
+                    subs
                 };
                 group.barrier(node).unwrap();
                 if pe == 0 {
@@ -142,12 +152,10 @@ for_each_transport!(subscribe_publish_unsubscribe_across_policies, |backend: Bac
                         node.publish(topic, &i.to_le_bytes()).unwrap();
                     }
                 }
-                if let Some((a, b)) = &keep {
-                    for sub in [a, b] {
-                        for want in MSGS + 1..=2 * MSGS {
-                            let m = sub.recv_timeout(PATIENCE).unwrap();
-                            assert_eq!(m.seq, want, "[{backend:?}/{policy:?}] in-order per link");
-                        }
+                for sub in &keep {
+                    for want in MSGS + 1..=2 * MSGS {
+                        let m = sub.recv_timeout(PATIENCE).unwrap();
+                        assert_eq!(m.seq, want, "[{backend:?}/{policy:?}] in-order per link");
                     }
                 }
                 group.barrier(node).unwrap();
@@ -160,7 +168,32 @@ for_each_transport!(subscribe_publish_unsubscribe_across_policies, |backend: Bac
                 }
                 group.barrier(node).unwrap();
             }
+            let stats = node.pubsub_stats();
+            for (total, mine) in
+                totals2.iter().zip([stats.delivered, stats.forwarded, stats.retransmits])
+            {
+                total.fetch_add(mine, Ordering::SeqCst);
+            }
         });
+
+        // Tree economy on more than two nodes: a publish costs O(tree
+        // edges) frames however many subscribers sit behind each edge,
+        // while every subscriber still gets every publish exactly once.
+        let [delivered, forwarded, retransmits] =
+            totals.each_ref().map(|t| t.load(Ordering::SeqCst));
+        let publishes = TOPICS.len() as u64 * 2 * MSGS;
+        let subscribed = (PES - 1 + PES - 2) * SUBS_PER_NODE;
+        assert_eq!(
+            delivered,
+            TOPICS.len() as u64 * MSGS * subscribed,
+            "[{backend:?}/{policy:?}] deliveries = publishes x subscribers at the time"
+        );
+        assert!(
+            forwarded <= publishes * 2 * PES + retransmits,
+            "[{backend:?}/{policy:?}] per-link traffic must scale with tree edges, not \
+             subscribers: {forwarded} data frames (+{retransmits} retransmits) for \
+             {publishes} publishes and {delivered} deliveries"
+        );
     }
 });
 
