@@ -22,18 +22,18 @@ use serde::Value;
 
 /// Columns: telemetry key, short header, whether to render as a rate.
 const COLS: &[(&str, &str, bool)] = &[
-    ("sends", "send/s", true),
-    ("bytes_sent", "B/s", true),
-    ("posted_matches", "match/s", true),
-    ("unexpected", "unexp/s", true),
-    ("full_switches", "csw/s", true),
-    ("rsr_retries", "retry", false),
-    ("rsr_timeouts", "tmo", false),
-    ("faults_dropped", "drop", false),
-    ("faults_duplicated", "dup", false),
-    ("tx_frames_sent", "frm/s", true),
-    ("tx_coalesced_writes", "coal/s", true),
-    ("tx_send_failures", "txerr", false),
+    ("comm.sends", "send/s", true),
+    ("comm.bytes_sent", "B/s", true),
+    ("comm.posted_matches", "match/s", true),
+    ("comm.unexpected_buffered", "unexp/s", true),
+    ("ult.full_switches", "csw/s", true),
+    ("rsr.retries", "retry", false),
+    ("rsr.timeouts", "tmo", false),
+    ("fault.dropped", "drop", false),
+    ("transport.frames_sent", "frm/s", true),
+    ("transport.send_failures", "txerr", false),
+    ("kv.mutations", "kvmut/s", true),
+    ("pubsub.delivered", "psdlv/s", true),
 ];
 
 fn header() -> String {

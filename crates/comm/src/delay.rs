@@ -9,8 +9,7 @@
 //! FIFO ordering is preserved (messages on one link never overtake each
 //! other, as on a wormhole-routed network).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -37,89 +36,43 @@ impl LatencyModel {
     }
 }
 
-struct QueueEntry {
-    due: Instant,
-    seq: u64,
-    header: Header,
-    body: Bytes,
-}
-
-// Heap ordering: earliest due first, FIFO within a tie.
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-struct DelayState {
-    queue: BinaryHeap<Reverse<QueueEntry>>,
-    /// Last scheduled delivery per (src, dst): per-link FIFO floor.
-    link_floor: HashMap<(Address, Address), Instant>,
+#[derive(Default)]
+struct HoldState {
+    /// Held messages, earliest due first, FIFO within a tie.
+    held: BTreeMap<(Instant, u64), (Header, Bytes)>,
     seq: u64,
     shutdown: bool,
 }
 
-/// The deliverer: owns the deadline queue and the background thread.
-pub(crate) struct DelayLine {
-    model: LatencyModel,
-    state: Mutex<DelayState>,
+/// Messages held until a due time, and the background thread that hands
+/// each to the transport when it comes due. The queue itself imposes no
+/// order between messages beyond their due times: the latency model
+/// (below) adds a per-link FIFO floor on submit, the fault shim holds
+/// without one — that absence is what reorders.
+#[derive(Default)]
+pub(crate) struct HoldQueue {
+    state: Mutex<HoldState>,
     cv: Condvar,
 }
 
-impl DelayLine {
-    /// Create the delay line and start its deliverer thread.
-    pub fn start(model: LatencyModel, world: Weak<WorldInner>) -> Arc<DelayLine> {
-        let line = Arc::new(DelayLine {
-            model,
-            state: Mutex::new(DelayState {
-                queue: BinaryHeap::new(),
-                link_floor: HashMap::new(),
-                seq: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let line2 = Arc::clone(&line);
+impl HoldQueue {
+    /// Create the queue and start its deliverer thread.
+    pub fn start(thread_name: &str, world: Weak<WorldInner>) -> Arc<HoldQueue> {
+        let queue = Arc::new(HoldQueue::default());
+        let q2 = Arc::clone(&queue);
         std::thread::Builder::new()
-            .name("chant-comm-delayline".into())
-            .spawn(move || line2.run(world))
-            .expect("spawn delay-line deliverer");
-        line
+            .name(thread_name.into())
+            .spawn(move || q2.run(world))
+            .expect("spawn hold-queue deliverer");
+        queue
     }
 
-    /// Enqueue a message for delayed delivery.
-    pub fn submit(&self, header: Header, body: Bytes) {
-        let now = Instant::now();
-        let mut due = now + self.model.flight(body.len());
+    /// Hold a message until `due`.
+    pub fn hold(&self, due: Instant, header: Header, body: Bytes) {
         let mut st = self.state.lock();
-        // Per-link FIFO: never schedule before an earlier message on the
-        // same (src, dst) link.
-        let key = (header.src, header.dst);
-        if let Some(floor) = st.link_floor.get(&key) {
-            if due < *floor {
-                due = *floor;
-            }
-        }
-        st.link_floor.insert(key, due);
         st.seq += 1;
         let seq = st.seq;
-        st.queue.push(Reverse(QueueEntry {
-            due,
-            seq,
-            header,
-            body,
-        }));
+        st.held.insert((due, seq), (header, body));
         self.cv.notify_one();
     }
 
@@ -133,20 +86,19 @@ impl DelayLine {
     fn run(&self, world: Weak<WorldInner>) {
         loop {
             // Pop the next due entry, or sleep until one is due.
-            let entry = {
+            let (header, body) = {
                 let mut st = self.state.lock();
                 loop {
                     if st.shutdown {
                         return;
                     }
                     let now = Instant::now();
-                    match st.queue.peek() {
-                        Some(Reverse(e)) if e.due <= now => {
-                            break st.queue.pop().expect("peeked entry").0;
+                    match st.held.first_key_value() {
+                        Some((&(due, _), _)) if due <= now => {
+                            break st.held.pop_first().expect("peeked entry").1;
                         }
-                        Some(Reverse(e)) => {
-                            let wait = e.due - now;
-                            self.cv.wait_for(&mut st, wait);
+                        Some((&(due, _), _)) => {
+                            self.cv.wait_for(&mut st, due - now);
                         }
                         None => {
                             self.cv.wait(&mut st);
@@ -156,12 +108,49 @@ impl DelayLine {
             };
             match world.upgrade() {
                 // Through the transport, not straight into the endpoint:
-                // on a TCP world a delayed message must still cross the
+                // on a TCP world a held message must still cross the
                 // socket like every other message.
-                Some(w) => w.transport_send(entry.header, entry.body),
+                Some(w) => w.transport_send(header, body),
                 None => return, // world is gone; stop delivering
             }
         }
+    }
+}
+
+/// The latency line: a [`HoldQueue`] whose due times are the model's
+/// flight times, floored per link so a link stays FIFO.
+pub(crate) struct DelayLine {
+    model: LatencyModel,
+    /// Last scheduled delivery per (src, dst).
+    link_floor: Mutex<HashMap<(Address, Address), Instant>>,
+    queue: Arc<HoldQueue>,
+}
+
+impl DelayLine {
+    /// Create the delay line and start its deliverer thread.
+    pub fn start(model: LatencyModel, world: Weak<WorldInner>) -> Arc<DelayLine> {
+        Arc::new(DelayLine {
+            model,
+            link_floor: Mutex::new(HashMap::new()),
+            queue: HoldQueue::start("chant-comm-delayline", world),
+        })
+    }
+
+    /// Enqueue a message for delayed delivery.
+    pub fn submit(&self, header: Header, body: Bytes) {
+        let due = Instant::now() + self.model.flight(body.len());
+        // Per-link FIFO: never schedule before an earlier message on the
+        // same (src, dst) link. The floor stays locked until the message
+        // is queued, so two submits on one link queue in floor order.
+        let mut floors = self.link_floor.lock();
+        let floor = floors.entry((header.src, header.dst)).or_insert(due);
+        *floor = due.max(*floor);
+        self.queue.hold(*floor, header, body);
+    }
+
+    /// Stop the deliverer.
+    pub fn shutdown(&self) {
+        self.queue.shutdown();
     }
 }
 
@@ -182,29 +171,24 @@ mod tests {
     #[test]
     fn queue_orders_by_due_then_seq() {
         let t0 = Instant::now();
-        let mk = |due: Instant, seq: u64| {
-            Reverse(QueueEntry {
-                due,
-                seq,
-                header: Header {
-                    src: Address::new(0, 0),
-                    dst: Address::new(0, 0),
-                    tag: 0,
-                    ctx: 0,
-                    kind: 0,
-                    len: 0,
-                    #[cfg(feature = "trace")]
-                    trace: 0,
-                },
-                body: Bytes::new(),
-            })
+        let header = Header {
+            src: Address::new(0, 0),
+            dst: Address::new(0, 0),
+            tag: 0,
+            ctx: 0,
+            kind: 0,
+            len: 0,
+            #[cfg(feature = "trace")]
+            trace: 0,
         };
-        let mut heap = BinaryHeap::new();
-        heap.push(mk(t0 + Duration::from_millis(5), 2));
-        heap.push(mk(t0 + Duration::from_millis(1), 3));
-        heap.push(mk(t0 + Duration::from_millis(5), 1));
-        assert_eq!(heap.pop().unwrap().0.seq, 3);
-        assert_eq!(heap.pop().unwrap().0.seq, 1);
-        assert_eq!(heap.pop().unwrap().0.seq, 2);
+        let q = HoldQueue::default();
+        for (ms, tag) in [(5, 1), (1, 2), (5, 3)] {
+            q.hold(t0 + Duration::from_millis(ms), Header { tag, ..header }, Bytes::new());
+        }
+        let mut st = q.state.lock();
+        let order: Vec<i32> = std::iter::from_fn(|| st.held.pop_first())
+            .map(|(_, (h, _))| h.tag)
+            .collect();
+        assert_eq!(order, [2, 1, 3]);
     }
 }

@@ -101,7 +101,7 @@ impl RecvOwner {
             inner.posted.remove(&self.key);
         }
         inner.posted_count -= 1;
-        CommStats::bump(&self.stats.posted_retired);
+        self.stats.posted_retired.incr();
         true
     }
 }
@@ -342,8 +342,8 @@ impl Endpoint {
             #[cfg(feature = "trace")]
             trace: self.obs.as_ref().map_or(0, |o| o.next_trace_id()),
         };
-        CommStats::bump(&self.stats.sends);
-        CommStats::add(&self.stats.bytes_sent, body.len() as u64);
+        self.stats.sends.incr();
+        self.stats.bytes_sent.add(body.len() as u64);
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.lane.emit(chant_obs::Event::Send { to: dst.pe, tag });
@@ -373,11 +373,11 @@ impl Endpoint {
     /// destinations). The body is `Bytes`, so no copy is made per
     /// destination; every frame shares one allocation.
     pub fn isend_many(&self, dsts: &[Address], tag: i32, ctx: u64, kind: u8, body: Bytes) -> usize {
-        CommStats::bump(&self.stats.multicasts);
+        self.stats.multicasts.incr();
         let mut sent = 0usize;
         for (i, &dst) in dsts.iter().enumerate() {
             if dsts[..i].contains(&dst) {
-                CommStats::bump(&self.stats.multicast_dedups);
+                self.stats.multicast_dedups.incr();
                 continue;
             }
             self.isend(dst, tag, ctx, kind, body.clone());
@@ -390,7 +390,7 @@ impl Endpoint {
     /// be modified. Must not be called from a user-level thread.
     pub fn csend(&self, dst: Address, tag: i32, ctx: u64, kind: u8, body: Bytes) {
         assert_may_block("csend");
-        CommStats::bump(&self.stats.blocking_waits);
+        self.stats.blocking_waits.incr();
         self.isend(dst, tag, ctx, kind, body).msgwait();
     }
 
@@ -403,7 +403,7 @@ impl Endpoint {
     /// matching message is already waiting in the unexpected queue it is
     /// claimed immediately.
     pub fn irecv(&self, spec: RecvSpec) -> RecvHandle {
-        CommStats::bump(&self.stats.recvs_posted);
+        self.stats.recvs_posted.incr();
         let shared = RecvShared::new();
         let mut handle = RecvHandle {
             shared: Arc::clone(&shared),
@@ -426,7 +426,7 @@ impl Endpoint {
                 }
             }
             let (header, body) = inner.take_unexpected(seq);
-            CommStats::bump(&self.stats.unexpected_claimed);
+            self.stats.unexpected_claimed.incr();
             shared.complete(header, body);
         } else {
             let seq = inner.post_seq;
@@ -463,7 +463,7 @@ impl Endpoint {
     /// Nonblocking probe (NX `iprobe`): is a matching message waiting in
     /// the unexpected queue? Does not consume the message.
     pub fn iprobe(&self, spec: RecvSpec) -> bool {
-        CommStats::bump(&self.stats.probes);
+        self.stats.probes.incr();
         let inner = self.inner.lock();
         inner.find_unexpected(&spec).is_some()
     }
@@ -498,7 +498,7 @@ impl Endpoint {
         let mut inner = self.inner.lock();
         if let Some((key, index)) = inner.find_posted(&header) {
             let posted = inner.take_posted(key, index);
-            CommStats::bump(&self.stats.posted_matches);
+            self.stats.posted_matches.incr();
             #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 let now = o.lane.now_ns();
@@ -518,7 +518,7 @@ impl Endpoint {
             // earlier-posted matching receive first.
             posted.shared.complete(header, body);
         } else {
-            CommStats::bump(&self.stats.unexpected_buffered);
+            self.stats.unexpected_buffered.incr();
             #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 let now = o.lane.now_ns();

@@ -25,17 +25,17 @@
 //!   paths, so DATA-kind messages in that range pass through untouched
 //!   unless [`FaultConfig::fault_control`] opts in.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use chant_obs::FaultKind;
+
+use crate::delay::HoldQueue;
 use crate::header::{Address, Header};
-use crate::stats::CommStats;
 use crate::world::WorldInner;
 
 /// First tag of the reserved control range the shim spares by default.
@@ -167,79 +167,20 @@ impl FaultConfig {
     }
 }
 
-/// Always-on tallies of what the shim did (relaxed atomics, same
-/// soundness argument as [`CommStats`]).
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    /// Messages discarded.
-    pub dropped: AtomicU64,
-    /// Messages delivered twice.
-    pub duplicated: AtomicU64,
-    /// Messages held on the delay path.
-    pub delayed: AtomicU64,
-    /// Messages held on the (short) reorder path.
-    pub reordered: AtomicU64,
-    /// Messages that passed through unfaulted.
-    pub passed: AtomicU64,
-}
-
-impl FaultStats {
-    /// Copy all counters.
-    pub fn snapshot(&self) -> FaultStatsSnapshot {
-        FaultStatsSnapshot {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            passed: self.passed.load(Ordering::Relaxed),
-        }
+chant_obs::counters! {
+    /// Always-on tallies of what the shim did.
+    "fault": pub struct FaultStats => pub struct FaultStatsSnapshot {
+        /// Messages discarded.
+        dropped,
+        /// Messages delivered twice.
+        duplicated,
+        /// Messages held on the delay path.
+        delayed,
+        /// Messages held on the (short) reorder path.
+        reordered,
+        /// Messages that passed through unfaulted.
+        passed,
     }
-}
-
-/// A point-in-time copy of [`FaultStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on FaultStats
-pub struct FaultStatsSnapshot {
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub delayed: u64,
-    pub reordered: u64,
-    pub passed: u64,
-}
-
-struct HeldEntry {
-    due: Instant,
-    seq: u64,
-    header: Header,
-    body: Bytes,
-}
-
-impl PartialEq for HeldEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for HeldEntry {}
-impl PartialOrd for HeldEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-struct InjectorState {
-    /// Per-link decision streams, created lazily and seeded from the
-    /// world seed and the link's coordinates (order-independent).
-    links: HashMap<(Address, Address), SplitMix64>,
-    /// Held copies awaiting their due time. No per-link FIFO floor —
-    /// that absence is what produces genuine reordering.
-    held: BinaryHeap<Reverse<HeldEntry>>,
-    seq: u64,
-    shutdown: bool,
 }
 
 /// What the shim decided for one message, returned to the router.
@@ -254,13 +195,17 @@ pub(crate) enum FaultAction {
     HoldOnly,
 }
 
-/// The fault shim: per-link PRNGs, the held-message queue, and the
-/// background deliverer that drains it.
+/// The fault shim: per-link PRNGs and the queue of held copies.
 pub(crate) struct FaultInjector {
     config: FaultConfig,
-    stats: Arc<FaultStats>,
-    state: Mutex<InjectorState>,
-    cv: Condvar,
+    stats: FaultStats,
+    /// Per-link decision streams, created lazily and seeded from the
+    /// world seed and the link's coordinates (order-independent).
+    links: Mutex<HashMap<(Address, Address), SplitMix64>>,
+    /// Held copies awaiting their due time, with no per-link FIFO floor:
+    /// later messages genuinely overtake held ones, and everything not
+    /// dropped is delivered in finite time.
+    held: Arc<HoldQueue>,
     /// Trace lane for annotated fault events carrying each victim's
     /// wire-level trace id; `None` when no tracer was installed.
     #[cfg(feature = "trace")]
@@ -271,34 +216,22 @@ impl FaultInjector {
     /// Create the shim and start its deliverer thread.
     pub fn start(config: FaultConfig, world: Weak<WorldInner>) -> Arc<FaultInjector> {
         config.validate();
-        let inj = Arc::new(FaultInjector {
+        Arc::new(FaultInjector {
             config,
-            stats: Arc::new(FaultStats::default()),
-            state: Mutex::new(InjectorState {
-                links: HashMap::new(),
-                held: BinaryHeap::new(),
-                seq: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
+            stats: FaultStats::default(),
+            links: Mutex::new(HashMap::new()),
+            held: HoldQueue::start("chant-comm-faults", world),
             #[cfg(feature = "trace")]
             lane: chant_obs::tracer::register_lane("faults"),
-        });
-        let inj2 = Arc::clone(&inj);
-        std::thread::Builder::new()
-            .name("chant-comm-faults".into())
-            .spawn(move || inj2.run(world))
-            .expect("spawn fault-injector deliverer");
-        inj
+        })
     }
 
-    pub fn stats(&self) -> &Arc<FaultStats> {
+    pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
 
     pub fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cv.notify_one();
+        self.held.shutdown();
     }
 
     fn link_seed(&self, src: Address, dst: Address) -> u64 {
@@ -319,87 +252,57 @@ impl FaultInjector {
             && header.kind == crate::header::kind::DATA
             && (CONTROL_TAG_BASE..=CONTROL_TAG_END).contains(&header.tag)
         {
-            CommStats::bump(&self.stats.passed);
+            self.stats.passed.incr();
             return FaultAction::Deliver;
         }
-        let mut st = self.state.lock();
-        let link = (header.src, header.dst);
-        let seed = self.link_seed(header.src, header.dst);
-        let rng = st
-            .links
-            .entry(link)
-            .or_insert_with(|| SplitMix64::new(seed));
-        // Draw all four decisions unconditionally so the stream position
+        // Draw all five numbers unconditionally so the stream position
         // does not depend on the config — same seed, same per-message
         // randomness under any probability mix.
-        let (r_drop, r_dup, r_delay, r_reorder) = (
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-        );
-        let hold = rng.next_f64();
+        let (r_drop, r_dup, r_delay, r_reorder, hold) = {
+            let mut links = self.links.lock();
+            let rng = links
+                .entry((header.src, header.dst))
+                .or_insert_with(|| SplitMix64::new(self.link_seed(header.src, header.dst)));
+            (
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+            )
+        };
 
         if r_drop < self.config.drop_p {
-            CommStats::bump(&self.stats.dropped);
-            self.emit(FaultKind::Dropped, header);
+            self.stats.dropped.incr();
+            self.emit(FaultKind::Drop, header);
             return FaultAction::Drop;
         }
-        if r_dup < self.config.dup_p {
-            CommStats::bump(&self.stats.duplicated);
-            self.emit(FaultKind::Duplicated, header);
-            let (lo, hi) = self.config.dup_delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::DeliverAndHoldCopy;
-        }
-        if r_delay < self.config.delay_p {
-            CommStats::bump(&self.stats.delayed);
-            self.emit(FaultKind::Delayed, header);
-            let (lo, hi) = self.config.delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::HoldOnly;
-        }
-        if r_reorder < self.config.reorder_p {
-            CommStats::bump(&self.stats.reordered);
-            self.emit(FaultKind::Reordered, header);
-            let (lo, hi) = self.config.reorder_delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::HoldOnly;
-        }
-        CommStats::bump(&self.stats.passed);
-        FaultAction::Deliver
+        let (cfg, st) = (&self.config, &self.stats);
+        let (counter, kind, (lo, hi), action) = if r_dup < cfg.dup_p {
+            let action = FaultAction::DeliverAndHoldCopy;
+            (&st.duplicated, FaultKind::Duplicate, cfg.dup_delay_ns, action)
+        } else if r_delay < cfg.delay_p {
+            (&st.delayed, FaultKind::Delay, cfg.delay_ns, FaultAction::HoldOnly)
+        } else if r_reorder < cfg.reorder_p {
+            (&st.reordered, FaultKind::Reorder, cfg.reorder_delay_ns, FaultAction::HoldOnly)
+        } else {
+            st.passed.incr();
+            return FaultAction::Deliver;
+        };
+        counter.incr();
+        self.emit(kind, header);
+        let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
+        self.held
+            .hold(Instant::now() + Duration::from_nanos(ns), *header, body.clone());
+        action
     }
 
-    fn enqueue(st: &mut InjectorState, due: Instant, header: &Header, body: &Bytes) {
-        st.seq += 1;
-        let seq = st.seq;
-        st.held.push(Reverse(HeldEntry {
-            due,
-            seq,
-            header: *header,
-            body: body.clone(),
-        }));
-    }
-
+    /// Annotate the victim's wire-level trace id on the shim's lane.
     #[cfg(feature = "trace")]
     fn emit(&self, kind: FaultKind, header: &Header) {
-        let reg = chant_obs::registry();
-        let (name, obs_kind) = match kind {
-            FaultKind::Dropped => ("comm.fault.dropped", chant_obs::FaultKind::Drop),
-            FaultKind::Duplicated => ("comm.fault.duplicated", chant_obs::FaultKind::Duplicate),
-            FaultKind::Delayed => ("comm.fault.delayed", chant_obs::FaultKind::Delay),
-            FaultKind::Reordered => ("comm.fault.reordered", chant_obs::FaultKind::Reorder),
-        };
-        reg.counter(name).incr();
         if let Some(lane) = &self.lane {
             lane.emit(chant_obs::Event::Fault {
-                kind: obs_kind,
+                kind,
                 id: header.trace_id(),
             });
         }
@@ -407,47 +310,6 @@ impl FaultInjector {
 
     #[cfg(not(feature = "trace"))]
     fn emit(&self, _kind: FaultKind, _header: &Header) {}
-
-    /// Background deliverer: drains held copies at their due times,
-    /// guaranteeing eventual delivery of everything not dropped.
-    fn run(&self, world: Weak<WorldInner>) {
-        loop {
-            let entry = {
-                let mut st = self.state.lock();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    let now = Instant::now();
-                    match st.held.peek() {
-                        Some(Reverse(e)) if e.due <= now => {
-                            break st.held.pop().expect("peeked entry").0;
-                        }
-                        Some(Reverse(e)) => {
-                            let wait = e.due - now;
-                            self.cv.wait_for(&mut st, wait);
-                        }
-                        None => {
-                            self.cv.wait(&mut st);
-                        }
-                    }
-                }
-            };
-            match world.upgrade() {
-                // Through the transport: a duplicated or delayed copy on
-                // a TCP world must cross the socket like the original.
-                Some(w) => w.transport_send(entry.header, entry.body),
-                None => return,
-            }
-        }
-    }
-}
-
-enum FaultKind {
-    Dropped,
-    Duplicated,
-    Delayed,
-    Reordered,
 }
 
 #[cfg(test)]

@@ -112,10 +112,10 @@ pub struct RecvHandle {
 impl RecvHandle {
     /// Test for completion, counting one `msgtest` call (NX `msgdone`).
     pub fn msgtest(&self) -> bool {
-        CommStats::bump(&self.stats.msgtests);
+        self.stats.msgtests.incr();
         let done = self.shared.state.lock().done;
         if !done {
-            CommStats::bump(&self.stats.msgtest_failures);
+            self.stats.msgtest_failures.incr();
         }
         #[cfg(feature = "trace")]
         if let Some(lane) = &self.lane {
@@ -138,7 +138,7 @@ impl RecvHandle {
     /// is installed — thread runtimes must poll instead (paper §3.1).
     pub fn msgwait(&self) {
         assert_may_block("msgwait");
-        CommStats::bump(&self.stats.blocking_waits);
+        self.stats.blocking_waits.incr();
         let mut st = self.shared.state.lock();
         while !st.done {
             self.shared.cv.wait(&mut st);
@@ -150,7 +150,7 @@ impl RecvHandle {
     /// blocking-guard rules as [`RecvHandle::msgwait`].
     pub fn msgwait_timeout(&self, timeout: std::time::Duration) -> bool {
         assert_may_block("msgwait_timeout");
-        CommStats::bump(&self.stats.blocking_waits);
+        self.stats.blocking_waits.incr();
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.shared.state.lock();
         while !st.done {
@@ -188,7 +188,7 @@ impl RecvHandle {
         }
         match (st.header.take(), st.body.take()) {
             (Some(h), Some(b)) => {
-                CommStats::add(&self.stats.bytes_received, b.len() as u64);
+                self.stats.bytes_received.add(b.len() as u64);
                 Some((h, b))
             }
             _ => None,

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod codec_props;
 mod delay;
 mod endpoint;
 mod fault;

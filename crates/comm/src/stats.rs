@@ -10,163 +10,48 @@
 //!   for one system-buffer stop (the copy Chant's design avoids by
 //!   pre-posting).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters for one endpoint.
-///
-/// Every update and read uses `Ordering::Relaxed`, uniformly. That is
-/// sound because these counters are *monotone statistics*, not
-/// synchronization: relaxed atomics still guarantee each individual
-/// counter is torn-free and never loses an increment (its modification
-/// order is total), which is everything a tally needs. Stronger
-/// orderings would only buy happens-before edges *between* counters —
-/// e.g. "if the snapshot saw the send, it also sees the byte count" —
-/// and no reader relies on such edges: snapshots are taken for
-/// reporting after the traffic of interest has quiesced (end of run,
-/// end of phase), at which point all writers' increments are visible
-/// regardless of ordering.
-#[derive(Debug, Default)]
-pub struct CommStats {
-    /// Messages sent (blocking + nonblocking).
-    pub sends: AtomicU64,
-    /// Receives posted (blocking + nonblocking).
-    pub recvs_posted: AtomicU64,
-    /// Arriving messages that found a matching posted receive: the
-    /// zero-copy path ("place the incoming message in the proper memory
-    /// location upon arrival", paper §3.1).
-    pub posted_matches: AtomicU64,
-    /// Arriving messages with no matching posted receive, parked in the
-    /// unexpected queue: the buffered path.
-    pub unexpected_buffered: AtomicU64,
-    /// Posted receives satisfied from the unexpected queue.
-    pub unexpected_claimed: AtomicU64,
-    /// Posted receives retired unmatched when their last handle was
-    /// dropped (abandoned receives must not claim future arrivals).
-    pub posted_retired: AtomicU64,
-    /// `msgtest` calls (the paper's "total number of msgtest calls").
-    pub msgtests: AtomicU64,
-    /// `msgtest` calls that returned "not yet" (the paper's Figure 12
-    /// counts failed tests).
-    pub msgtest_failures: AtomicU64,
-    /// `msgtestany`-style calls (MPI `MPI_TEST_ANY`; one call however
-    /// many requests it covers).
-    pub testany_calls: AtomicU64,
-    /// Blocking waits (`msgwait`, `crecv`, `csend`).
-    pub blocking_waits: AtomicU64,
-    /// `iprobe` calls.
-    pub probes: AtomicU64,
-    /// Payload bytes sent.
-    pub bytes_sent: AtomicU64,
-    /// Payload bytes received (claimed by receives).
-    pub bytes_received: AtomicU64,
-    /// Multicast (`isend_many`) calls. One call however many
-    /// destinations it covers; the per-destination sends are counted in
-    /// [`CommStats::sends`] as usual.
-    pub multicasts: AtomicU64,
-    /// Destinations suppressed by `isend_many`'s per-link dedup: a
-    /// destination listed more than once receives the frame exactly
-    /// once, and the repeats land here instead of on the wire.
-    pub multicast_dedups: AtomicU64,
-}
-
-impl CommStats {
-    #[inline]
-    pub(crate) fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(c: &AtomicU64, n: u64) {
-        c.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Copy all counters.
-    pub fn snapshot(&self) -> CommStatsSnapshot {
-        CommStatsSnapshot {
-            sends: self.sends.load(Ordering::Relaxed),
-            recvs_posted: self.recvs_posted.load(Ordering::Relaxed),
-            posted_matches: self.posted_matches.load(Ordering::Relaxed),
-            unexpected_buffered: self.unexpected_buffered.load(Ordering::Relaxed),
-            unexpected_claimed: self.unexpected_claimed.load(Ordering::Relaxed),
-            posted_retired: self.posted_retired.load(Ordering::Relaxed),
-            msgtests: self.msgtests.load(Ordering::Relaxed),
-            msgtest_failures: self.msgtest_failures.load(Ordering::Relaxed),
-            testany_calls: self.testany_calls.load(Ordering::Relaxed),
-            blocking_waits: self.blocking_waits.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            multicasts: self.multicasts.load(Ordering::Relaxed),
-            multicast_dedups: self.multicast_dedups.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`CommStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on CommStats
-pub struct CommStatsSnapshot {
-    pub sends: u64,
-    pub recvs_posted: u64,
-    pub posted_matches: u64,
-    pub unexpected_buffered: u64,
-    pub unexpected_claimed: u64,
-    pub posted_retired: u64,
-    pub msgtests: u64,
-    pub msgtest_failures: u64,
-    pub testany_calls: u64,
-    pub blocking_waits: u64,
-    pub probes: u64,
-    pub bytes_sent: u64,
-    pub bytes_received: u64,
-    pub multicasts: u64,
-    pub multicast_dedups: u64,
-}
-
-impl CommStatsSnapshot {
-    /// Counter-wise difference `self - earlier`, for measuring one phase
-    /// of a run (e.g. per-policy sections of a multi-policy process).
-    /// Saturates at zero, so a stale `earlier` cannot produce a wrapped
-    /// count.
-    pub fn delta(&self, earlier: &CommStatsSnapshot) -> CommStatsSnapshot {
-        CommStatsSnapshot {
-            sends: self.sends.saturating_sub(earlier.sends),
-            recvs_posted: self.recvs_posted.saturating_sub(earlier.recvs_posted),
-            posted_matches: self.posted_matches.saturating_sub(earlier.posted_matches),
-            unexpected_buffered: self
-                .unexpected_buffered
-                .saturating_sub(earlier.unexpected_buffered),
-            unexpected_claimed: self
-                .unexpected_claimed
-                .saturating_sub(earlier.unexpected_claimed),
-            posted_retired: self.posted_retired.saturating_sub(earlier.posted_retired),
-            msgtests: self.msgtests.saturating_sub(earlier.msgtests),
-            msgtest_failures: self.msgtest_failures.saturating_sub(earlier.msgtest_failures),
-            testany_calls: self.testany_calls.saturating_sub(earlier.testany_calls),
-            blocking_waits: self.blocking_waits.saturating_sub(earlier.blocking_waits),
-            probes: self.probes.saturating_sub(earlier.probes),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            multicasts: self.multicasts.saturating_sub(earlier.multicasts),
-            multicast_dedups: self
-                .multicast_dedups
-                .saturating_sub(earlier.multicast_dedups),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bump_and_add_are_visible_in_snapshot() {
-        let s = CommStats::default();
-        CommStats::bump(&s.sends);
-        CommStats::add(&s.bytes_sent, 1024);
-        let snap = s.snapshot();
-        assert_eq!(snap.sends, 1);
-        assert_eq!(snap.bytes_sent, 1024);
-        assert_eq!(snap.msgtests, 0);
+chant_obs::counters! {
+    /// Monotonic counters for one endpoint.
+    "comm": pub struct CommStats => pub struct CommStatsSnapshot {
+        /// Messages sent (blocking + nonblocking).
+        sends,
+        /// Receives posted (blocking + nonblocking).
+        recvs_posted,
+        /// Arriving messages that found a matching posted receive: the
+        /// zero-copy path ("place the incoming message in the proper memory
+        /// location upon arrival", paper §3.1).
+        posted_matches,
+        /// Arriving messages with no matching posted receive, parked in the
+        /// unexpected queue: the buffered path.
+        unexpected_buffered,
+        /// Posted receives satisfied from the unexpected queue.
+        unexpected_claimed,
+        /// Posted receives retired unmatched when their last handle was
+        /// dropped (abandoned receives must not claim future arrivals).
+        posted_retired,
+        /// `msgtest` calls (the paper's "total number of msgtest calls").
+        msgtests,
+        /// `msgtest` calls that returned "not yet" (the paper's Figure 12
+        /// counts failed tests).
+        msgtest_failures,
+        /// `msgtestany`-style calls (MPI `MPI_TEST_ANY`; one call however
+        /// many requests it covers).
+        testany_calls,
+        /// Blocking waits (`msgwait`, `crecv`, `csend`).
+        blocking_waits,
+        /// `iprobe` calls.
+        probes,
+        /// Payload bytes sent.
+        bytes_sent,
+        /// Payload bytes received (claimed by receives).
+        bytes_received,
+        /// Multicast (`isend_many`) calls. One call however many
+        /// destinations it covers; the per-destination sends are counted in
+        /// `sends` as usual.
+        multicasts,
+        /// Destinations suppressed by `isend_many`'s per-link dedup: a
+        /// destination listed more than once receives the frame exactly
+        /// once, and the repeats land here instead of on the wire.
+        multicast_dedups,
     }
 }

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::handle::RecvHandle;
-use crate::stats::CommStats;
 
 /// MPI-style `MPI_TEST_ANY`: test a set of outstanding receives with a
 /// *single* call, returning the index of one completed receive, if any.
@@ -25,7 +24,7 @@ use crate::stats::CommStats;
 /// are *not* counted as `msgtest` calls, which is the whole point.
 pub fn testany(handles: &[&RecvHandle]) -> Option<usize> {
     let first = handles.first()?;
-    CommStats::bump(&first.stats.testany_calls);
+    first.stats.testany_calls.incr();
     let found = handles.iter().position(|h| h.is_complete());
     #[cfg(feature = "trace")]
     if let Some(lane) = &first.lane {
@@ -118,7 +117,7 @@ impl CompletionSet {
     /// bump is recorded per call, whether or not a completion is found.
     pub fn testany(&mut self) -> Option<u64> {
         let member = self.members.values().next()?;
-        CommStats::bump(&member.stats.testany_calls);
+        member.stats.testany_calls.incr();
         #[cfg(feature = "trace")]
         let lane = member.lane.clone();
         let mut found = None;
@@ -158,7 +157,7 @@ mod tests {
     use bytes::Bytes;
 
     fn handle_pair() -> (RecvHandle, RecvHandle) {
-        let stats = Arc::new(CommStats::default());
+        let stats = Arc::new(crate::CommStats::default());
         let a = RecvHandle {
             shared: RecvShared::new(),
             stats: Arc::clone(&stats),

@@ -253,16 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let h = header(3, 9, 2, 4);
-        let frame = encode_frame(&h, b"body");
-        for cut in 0..frame.len() - 4 {
-            let r = decode_frame(&frame[4..4 + cut]);
-            assert!(r.is_err(), "cut at {cut} must not decode");
-        }
-    }
-
-    #[test]
     fn length_mismatch_is_rejected() {
         let h = header(3, 9, 2, 4);
         let mut frame = encode_frame(&h, b"body");
@@ -342,54 +332,46 @@ mod tests {
         ));
     }
 
+    fn arb_frame() -> impl Strategy<Value = (Header, Vec<u8>)> {
+        let body = proptest::collection::vec(any::<u8>(), 0..256);
+        (0i32..i32::MAX, any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>(), body).prop_map(
+            |(tag, ctx, kind, src, dst, body)| {
+                let h = Header {
+                    src: Address::new((src >> 32) as u32, src as u32),
+                    dst: Address::new((dst >> 32) as u32, dst as u32),
+                    tag,
+                    ctx,
+                    kind,
+                    len: body.len() as u32,
+                    #[cfg(feature = "trace")]
+                    trace: ctx.rotate_left(7) ^ dst,
+                };
+                (h, body)
+            },
+        )
+    }
+
+    // The codec under test is the payload after the 4-byte length
+    // prefix, as a stream reader hands it over. A flipped byte either
+    // fails to decode or decodes to a different well-formed message.
+    crate::codec_props!(
+        frame: arb_frame(),
+        |(h, body): &(Header, Vec<u8>)| encode_frame(h, body)[4..].to_vec(),
+        |raw: &[u8]| decode_frame(raw).map(|(h, body)| (h, body.to_vec())),
+        rejects_prefixes_below = usize::MAX,
+        every_byte_matters = true,
+    );
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Any header/body pair survives the codec bit-exactly.
-        #[test]
-        fn prop_roundtrip(
-            tag in 0i32..i32::MAX,
-            ctx in any::<u64>(),
-            kind in any::<u8>(),
-            src_pe in any::<u32>(), src_pr in any::<u32>(),
-            dst_pe in any::<u32>(), dst_pr in any::<u32>(),
-            body in proptest::collection::vec(any::<u8>(), 0..256),
-        ) {
-            let h = Header {
-                src: Address::new(src_pe, src_pr),
-                dst: Address::new(dst_pe, dst_pr),
-                tag, ctx, kind,
-                len: body.len() as u32,
-                #[cfg(feature = "trace")]
-                trace: ctx ^ u64::from(src_pe),
-            };
-            let frame = encode_frame(&h, &body);
-            let (h2, b2) = decode_frame(&frame[4..]).unwrap();
-            prop_assert_eq!(h2, h);
-            prop_assert_eq!(&b2[..], &body[..]);
-        }
-
         /// `encode_frame_into` onto a dirty, pre-sized reused buffer is
         /// byte-identical to a fresh `encode_frame`, and the appended
         /// frame round-trips through `decode_frame` unchanged.
         #[test]
         fn prop_encode_into_matches_encode(
-            tag in 0i32..i32::MAX,
-            ctx in any::<u64>(),
-            kind in any::<u8>(),
-            src in any::<u64>(),
-            dst in any::<u64>(),
-            body in proptest::collection::vec(any::<u8>(), 0..256),
+            frame in arb_frame(),
             residue in proptest::collection::vec(any::<u8>(), 0..64),
         ) {
-            let h = Header {
-                src: Address::new((src >> 32) as u32, src as u32),
-                dst: Address::new((dst >> 32) as u32, dst as u32),
-                tag, ctx, kind,
-                len: body.len() as u32,
-                #[cfg(feature = "trace")]
-                trace: ctx.rotate_left(7) ^ dst,
-            };
+            let (h, body) = frame;
             let fresh = encode_frame(&h, &body);
             // A pooled buffer arrives with stale capacity, cleared.
             let mut reused = residue;
@@ -399,44 +381,6 @@ mod tests {
             let (h2, b2) = decode_frame(&reused[4..]).unwrap();
             prop_assert_eq!(h2, h);
             prop_assert_eq!(&b2[..], &body[..]);
-        }
-
-        /// Decoding never panics on arbitrary bytes.
-        #[test]
-        fn prop_decode_is_total(raw in proptest::collection::vec(any::<u8>(), 0..300)) {
-            let _ = decode_frame(&raw);
-        }
-
-        /// A single flipped byte either fails to decode or decodes to a
-        /// *different* but well-formed message — never a panic, and
-        /// never the original message with a corrupted field accepted
-        /// silently as identical.
-        #[test]
-        fn prop_corruption_is_detected_or_contained(
-            body in proptest::collection::vec(any::<u8>(), 0..64),
-            at in 0usize..64,
-            flip in 1u8..=255,
-        ) {
-            let h = Header {
-                src: Address::new(0, 1),
-                dst: Address::new(2, 3),
-                tag: 17,
-                ctx: 0xABCD,
-                kind: 1,
-                len: body.len() as u32,
-                #[cfg(feature = "trace")]
-                trace: 0x5A5A,
-            };
-            let mut frame = encode_frame(&h, &body);
-            let at = 4 + (at % (frame.len() - 4)); // corrupt past the prefix
-            frame[at] ^= flip;
-            match decode_frame(&frame[4..]) {
-                Err(_) => {} // detected
-                Ok((h2, b2)) => {
-                    // Contained: the corruption must be visible.
-                    prop_assert!(h2 != h || b2[..] != body[..]);
-                }
-            }
         }
     }
 }

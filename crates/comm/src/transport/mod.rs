@@ -51,7 +51,6 @@ pub(crate) use tcp::TcpTransport;
 #[cfg(target_os = "linux")]
 pub(crate) use tcp_event::TcpEventTransport;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
@@ -123,104 +122,50 @@ impl DeliverySink {
     }
 }
 
-/// Always-on transport tallies (relaxed atomics; same monotone-counter
-/// soundness argument as [`crate::CommStats`]).
-#[derive(Debug, Default)]
-pub(crate) struct TransportStats {
-    pub frames_sent: AtomicU64,
-    pub frames_received: AtomicU64,
-    pub frame_bytes_sent: AtomicU64,
-    pub frame_bytes_received: AtomicU64,
-    pub connects: AtomicU64,
-    pub accepts: AtomicU64,
-    pub reconnects: AtomicU64,
-    pub send_failures: AtomicU64,
-    pub malformed_frames: AtomicU64,
-    pub misrouted: AtomicU64,
-    pub coalesced_writes: AtomicU64,
-    pub coalesced_frames: AtomicU64,
-    pub partial_writes: AtomicU64,
-    pub wakeups: AtomicU64,
-    pub backpressure_waits: AtomicU64,
-}
-
-impl TransportStats {
-    #[inline]
-    pub fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+chant_obs::counters! {
+    /// What a transport has done so far. In-process worlds report frames
+    /// but keep every socket-specific counter at zero.
+    "transport": pub(crate) struct TransportStats => pub struct TransportStatsSnapshot {
+        /// Frames handed to the wire (or delivered directly, in-process).
+        frames_sent,
+        /// Frames received and delivered into endpoints.
+        frames_received,
+        /// Frame bytes written (headers + bodies + prefixes).
+        frame_bytes_sent,
+        /// Frame bytes read.
+        frame_bytes_received,
+        /// Outbound connections established.
+        connects,
+        /// Inbound connections accepted.
+        accepts,
+        /// Outbound connections re-established after a write failure.
+        reconnects,
+        /// Messages dropped because the peer stayed unreachable.
+        send_failures,
+        /// Frames rejected by the codec (connection dropped afterwards).
+        malformed_frames,
+        /// Well-formed frames addressed to an endpoint this process does
+        /// not host.
+        misrouted,
+        /// Vectored writes that carried more than one frame (event-loop
+        /// backend; batch depth = `coalesced_frames / coalesced_writes`).
+        coalesced_writes,
+        /// Frames carried by those multi-frame vectored writes.
+        coalesced_frames,
+        /// Writes the kernel cut short, resumed later from the saved
+        /// offset (event-loop backend).
+        partial_writes,
+        /// Times the poller was woken through the eventfd (event-loop
+        /// backend; shutdown only).
+        wakeups,
+        /// Sends that found their peer's queue at its byte bound and waited
+        /// for the poller's flush to make room (event-loop backend).
+        backpressure_waits,
+        /// Frame buffers served from the reuse pool (socket backends).
+        pool_hits,
+        /// Frame buffers that had to be freshly allocated.
+        pool_misses,
     }
-
-    #[inline]
-    pub fn add(c: &AtomicU64, n: u64) {
-        c.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> TransportStatsSnapshot {
-        TransportStatsSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            frame_bytes_sent: self.frame_bytes_sent.load(Ordering::Relaxed),
-            frame_bytes_received: self.frame_bytes_received.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            accepts: self.accepts.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            send_failures: self.send_failures.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            misrouted: self.misrouted.load(Ordering::Relaxed),
-            coalesced_writes: self.coalesced_writes.load(Ordering::Relaxed),
-            coalesced_frames: self.coalesced_frames.load(Ordering::Relaxed),
-            partial_writes: self.partial_writes.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            pool_hits: 0,
-            pool_misses: 0,
-        }
-    }
-}
-
-/// A point-in-time copy of a transport's counters. In-process worlds
-/// report frames but keep every socket-specific counter at zero.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStatsSnapshot {
-    /// Frames handed to the wire (or delivered directly, in-process).
-    pub frames_sent: u64,
-    /// Frames received and delivered into endpoints.
-    pub frames_received: u64,
-    /// Frame bytes written (headers + bodies + prefixes).
-    pub frame_bytes_sent: u64,
-    /// Frame bytes read.
-    pub frame_bytes_received: u64,
-    /// Outbound connections established.
-    pub connects: u64,
-    /// Inbound connections accepted.
-    pub accepts: u64,
-    /// Outbound connections re-established after a write failure.
-    pub reconnects: u64,
-    /// Messages dropped because the peer stayed unreachable.
-    pub send_failures: u64,
-    /// Frames rejected by the codec (connection dropped afterwards).
-    pub malformed_frames: u64,
-    /// Well-formed frames addressed to an endpoint this process does
-    /// not host.
-    pub misrouted: u64,
-    /// Vectored writes that carried more than one frame (event-loop
-    /// backend; batch depth = `coalesced_frames / coalesced_writes`).
-    pub coalesced_writes: u64,
-    /// Frames carried by those multi-frame vectored writes.
-    pub coalesced_frames: u64,
-    /// Writes the kernel cut short, resumed later from the saved
-    /// offset (event-loop backend).
-    pub partial_writes: u64,
-    /// Times the poller was woken through the eventfd (event-loop
-    /// backend; shutdown only).
-    pub wakeups: u64,
-    /// Sends that found their peer's queue at its byte bound and waited
-    /// for the poller's flush to make room (event-loop backend).
-    pub backpressure_waits: u64,
-    /// Frame buffers served from the reuse pool (socket backends).
-    pub pool_hits: u64,
-    /// Frame buffers that had to be freshly allocated.
-    pub pool_misses: u64,
 }
 
 /// Which transport a world routes through, and how it is configured.
@@ -331,9 +276,9 @@ impl Transport for InProcessTransport {
     }
 
     fn send(&self, header: Header, body: Bytes) {
-        TransportStats::bump(&self.stats.frames_sent);
+        self.stats.frames_sent.incr();
         if self.sink.deliver(header, body).is_ok() {
-            TransportStats::bump(&self.stats.frames_received);
+            self.stats.frames_received.incr();
         }
     }
 
@@ -366,14 +311,3 @@ pub(crate) fn build_transport(
         }
     }
 }
-
-/// Trace-gated counter shared by the socket backends (compiled out
-/// entirely without the `trace` feature).
-#[cfg(feature = "trace")]
-pub(crate) fn emit_counter(name: &'static str) {
-    chant_obs::registry().counter(name).incr();
-}
-
-#[cfg(not(feature = "trace"))]
-pub(crate) fn emit_counter(_name: &'static str) {}
-

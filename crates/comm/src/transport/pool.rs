@@ -14,9 +14,11 @@
 //! is dropped rather than cached — one 64 MiB bulk transfer must not
 //! pin 64 MiB forever.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+use super::TransportStats;
 
 /// Buffers that grew beyond this are freed, not pooled.
 const MAX_POOLED_CAPACITY: usize = 1 << 20;
@@ -25,29 +27,29 @@ const MAX_POOLED_CAPACITY: usize = 1 << 20;
 pub(crate) struct BufferPool {
     free: Mutex<Vec<Vec<u8>>>,
     max_pooled: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// The owning transport's counters (`pool_hits`, `pool_misses`).
+    stats: Arc<TransportStats>,
 }
 
 impl BufferPool {
-    /// A pool retaining at most `max_pooled` idle buffers.
-    pub fn new(max_pooled: usize) -> BufferPool {
+    /// A pool retaining at most `max_pooled` idle buffers, counting
+    /// hits and misses into `stats`.
+    pub fn new(max_pooled: usize, stats: Arc<TransportStats>) -> BufferPool {
         BufferPool {
             free: Mutex::new(Vec::with_capacity(max_pooled.min(64))),
             max_pooled,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            stats,
         }
     }
 
     /// An empty buffer, reusing pooled capacity when available.
     pub fn get(&self) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.pool_hits.incr();
             debug_assert!(buf.is_empty(), "pooled buffer not cleared");
             buf
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.pool_misses.incr();
             Vec::new()
         }
     }
@@ -64,24 +66,19 @@ impl BufferPool {
             free.push(buf);
         }
     }
-
-    /// `(hits, misses)` so far — a `get` served from the pool vs one
-    /// that had to allocate.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pool(max_pooled: usize) -> BufferPool {
+        BufferPool::new(max_pooled, Arc::default())
+    }
+
     #[test]
     fn capacity_is_recycled() {
-        let pool = BufferPool::new(4);
+        let pool = pool(4);
         let mut a = pool.get();
         a.extend_from_slice(&[7u8; 300]);
         let cap = a.capacity();
@@ -89,13 +86,13 @@ mod tests {
         let b = pool.get();
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap, "capacity must survive the pool");
-        let (hits, misses) = pool.counters();
-        assert_eq!((hits, misses), (1, 1));
+        let s = pool.stats.snapshot();
+        assert_eq!((s.pool_hits, s.pool_misses), (1, 1));
     }
 
     #[test]
     fn pool_is_bounded() {
-        let pool = BufferPool::new(2);
+        let pool = pool(2);
         for _ in 0..5 {
             let mut v = pool.get();
             v.push(1);
@@ -107,7 +104,7 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_not_cached() {
-        let pool = BufferPool::new(4);
+        let pool = pool(4);
         let mut big = Vec::with_capacity(MAX_POOLED_CAPACITY + 1);
         big.push(0u8);
         pool.put(big);

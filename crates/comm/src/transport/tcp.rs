@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
 use super::{
-    emit_counter, DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot,
+    DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot,
 };
 use crate::header::Header;
 
@@ -167,13 +167,14 @@ impl TcpTransport {
             (listener, peers)
         };
         let local_addr = listener.local_addr()?;
+        let stats = Arc::new(TransportStats::default());
         let transport = Arc::new(TcpTransport {
             opts,
             peers,
             local_addr,
             sink,
-            stats: Arc::new(TransportStats::default()),
-            pool: BufferPool::new(64),
+            pool: BufferPool::new(64, Arc::clone(&stats)),
+            stats,
             state: Mutex::new(TcpState::default()),
             stop: AtomicBool::new(false),
         });
@@ -209,8 +210,7 @@ impl TcpTransport {
                 // also drops the listener.
                 return;
             }
-            TransportStats::bump(&self.stats.accepts);
-            emit_counter("comm.tcp.accepts");
+            self.stats.accepts.incr();
             let _ = stream.set_nodelay(true);
             let clone = stream.try_clone().ok();
             let me = Arc::clone(&self);
@@ -246,8 +246,7 @@ impl TcpTransport {
             }
             let n = u32::from_le_bytes(lenbuf);
             if (n as usize) < FRAME_HEADER_LEN || n > max {
-                TransportStats::bump(&self.stats.malformed_frames);
-                emit_counter("comm.tcp.malformed_frames");
+                self.stats.malformed_frames.incr();
                 return; // framing lost; drop the connection
             }
             let mut payload = vec![0u8; n as usize];
@@ -256,20 +255,18 @@ impl TcpTransport {
             }
             match decode_frame(&payload) {
                 Ok((header, body)) => {
-                    TransportStats::bump(&self.stats.frames_received);
-                    TransportStats::add(&self.stats.frame_bytes_received, 4 + n as u64);
+                    self.stats.frames_received.incr();
+                    self.stats.frame_bytes_received.add(4 + n as u64);
                     match self.sink.deliver(header, body) {
                         Ok(()) => {}
                         Err(DeliverError::NotHosted) => {
-                            TransportStats::bump(&self.stats.misrouted);
-                            emit_counter("comm.tcp.misrouted");
+                            self.stats.misrouted.incr();
                         }
                         Err(DeliverError::WorldGone) => return,
                     }
                 }
                 Err(_) => {
-                    TransportStats::bump(&self.stats.malformed_frames);
-                    emit_counter("comm.tcp.malformed_frames");
+                    self.stats.malformed_frames.incr();
                     return;
                 }
             }
@@ -288,8 +285,7 @@ impl TcpTransport {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(2)) {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
-                    TransportStats::bump(&self.stats.connects);
-                    emit_counter("comm.tcp.connects");
+                    self.stats.connects.incr();
                     return Some(s);
                 }
                 Err(_) if attempt + 1 < attempts => {
@@ -360,8 +356,7 @@ impl Transport for TcpTransport {
             return;
         }
         let Some(stream) = self.connected_stream(header.dst.pe, &slot) else {
-            TransportStats::bump(&self.stats.send_failures);
-            emit_counter("comm.tcp.send_failures");
+            self.stats.send_failures.incr();
             self.pool.put(frame);
             return;
         };
@@ -370,16 +365,14 @@ impl Transport for TcpTransport {
             // The write failed because shutdown closed the stream out
             // from under us — surface the failure but don't redial a
             // connection nobody would ever close.
-            TransportStats::bump(&self.stats.send_failures);
-            emit_counter("comm.tcp.send_failures");
+            self.stats.send_failures.incr();
             self.pool.put(frame);
             return;
         }
         if !sent {
             // The peer dropped the connection (restart, shutdown, or a
             // malformed-frame disconnect): redial once, fail-fast.
-            TransportStats::bump(&self.stats.reconnects);
-            emit_counter("comm.tcp.reconnects");
+            self.stats.reconnects.incr();
             let redialed = {
                 let mut conn = slot.conn.lock();
                 conn.stream = self.dial(header.dst.pe, RECONNECT_ATTEMPTS).map(Arc::new);
@@ -391,23 +384,18 @@ impl Transport for TcpTransport {
             };
             if !sent {
                 slot.conn.lock().stream = None;
-                TransportStats::bump(&self.stats.send_failures);
-                emit_counter("comm.tcp.send_failures");
+                self.stats.send_failures.incr();
                 self.pool.put(frame);
                 return;
             }
         }
-        TransportStats::bump(&self.stats.frames_sent);
-        TransportStats::add(&self.stats.frame_bytes_sent, frame.len() as u64);
+        self.stats.frames_sent.incr();
+        self.stats.frame_bytes_sent.add(frame.len() as u64);
         self.pool.put(frame);
     }
 
     fn stats(&self) -> TransportStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        let (hits, misses) = self.pool.counters();
-        snap.pool_hits = hits;
-        snap.pool_misses = misses;
-        snap
+        self.stats.snapshot()
     }
 
     fn shutdown(&self) {

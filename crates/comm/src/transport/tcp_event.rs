@@ -67,7 +67,7 @@ use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_
 use super::pool::BufferPool;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::tcp::TcpOptions;
-use super::{emit_counter, DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot};
+use super::{DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot};
 use crate::header::Header;
 
 /// Fail-fast redial budget once a peer has answered before (same rule
@@ -231,13 +231,14 @@ impl TcpEventTransport {
         let wake = EventFd::new()?;
         epoll.add(wake.fd(), EPOLLIN, TOKEN_WAKE)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        let stats = Arc::new(TransportStats::default());
         let transport = Arc::new(TcpEventTransport {
             opts,
             peers,
             local_addr,
             sink,
-            stats: Arc::new(TransportStats::default()),
-            pool: BufferPool::new(256),
+            pool: BufferPool::new(256, Arc::clone(&stats)),
+            stats,
             epoll,
             wake,
             out: Mutex::new(HashMap::new()),
@@ -294,8 +295,7 @@ impl TcpEventTransport {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(2)) {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
-                    TransportStats::bump(&self.stats.connects);
-                    emit_counter("comm.tcp_event.connects");
+                    self.stats.connects.incr();
                     return Some(s);
                 }
                 Err(_) if attempt + 1 < attempts => {
@@ -343,8 +343,7 @@ impl TcpEventTransport {
     /// frame as a send failure (upstream retry/liveness takes over).
     fn fail_queue(&self, slot: &PeerOut, s: &mut PeerOutState) {
         while let Some(f) = s.q.pop_front() {
-            TransportStats::bump(&self.stats.send_failures);
-            emit_counter("comm.tcp_event.send_failures");
+            self.stats.send_failures.incr();
             self.pool.put(f);
         }
         s.q_bytes = 0;
@@ -383,16 +382,15 @@ impl TcpEventTransport {
             let batched = slices.len();
             match w.write_vectored(&slices) {
                 Ok(0) => {
-                    TransportStats::bump(&self.stats.reconnects);
+                    self.stats.reconnects.incr();
                     self.teardown_locked(slot, s);
                     return;
                 }
                 Ok(mut n) => {
-                    TransportStats::add(&self.stats.frame_bytes_sent, n as u64);
+                    self.stats.frame_bytes_sent.add(n as u64);
                     if batched > 1 {
-                        TransportStats::bump(&self.stats.coalesced_writes);
-                        TransportStats::add(&self.stats.coalesced_frames, batched as u64);
-                        emit_counter("comm.tcp_event.coalesced_writes");
+                        self.stats.coalesced_writes.incr();
+                        self.stats.coalesced_frames.add(batched as u64);
                     }
                     // Advance the queue by n bytes, recycling every
                     // fully written frame.
@@ -404,12 +402,11 @@ impl TcpEventTransport {
                             let done = s.q.pop_front().expect("frame while advancing");
                             s.q_bytes -= done.len();
                             self.pool.put(done);
-                            TransportStats::bump(&self.stats.frames_sent);
+                            self.stats.frames_sent.incr();
                         } else {
                             s.woff += n;
                             n = 0;
-                            TransportStats::bump(&self.stats.partial_writes);
-                            emit_counter("comm.tcp_event.partial_writes");
+                            self.stats.partial_writes.incr();
                         }
                     }
                     if full && s.q_bytes < SEND_QUEUE_MAX_BYTES {
@@ -431,8 +428,7 @@ impl TcpEventTransport {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    TransportStats::bump(&self.stats.reconnects);
-                    emit_counter("comm.tcp_event.reconnects");
+                    self.stats.reconnects.incr();
                     self.teardown_locked(slot, s);
                     return;
                 }
@@ -462,7 +458,7 @@ impl TcpEventTransport {
             let (token, bits) = r.ready[i];
             match token {
                 TOKEN_WAKE => {
-                    TransportStats::bump(&self.stats.wakeups);
+                    self.stats.wakeups.incr();
                     self.wake.drain();
                 }
                 TOKEN_LISTENER => self.accept_ready(r),
@@ -517,8 +513,7 @@ impl TcpEventTransport {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            TransportStats::bump(&self.stats.accepts);
-            emit_counter("comm.tcp_event.accepts");
+            self.stats.accepts.incr();
             let token = self.next_token.fetch_add(1, Ordering::Relaxed);
             if self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
                 continue;
@@ -548,8 +543,7 @@ impl TcpEventTransport {
         if bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP | EPOLLIN) != 0 {
             // The remote never sends on our outbound link: readability
             // or a hangup flag means the connection is gone.
-            TransportStats::bump(&self.stats.reconnects);
-            emit_counter("comm.tcp_event.reconnects");
+            self.stats.reconnects.incr();
             self.teardown_locked(&slot, &mut s);
             return;
         }
@@ -609,8 +603,7 @@ impl TcpEventTransport {
                     .expect("4 bytes"),
             );
             if (n as usize) < FRAME_HEADER_LEN || n > max {
-                TransportStats::bump(&self.stats.malformed_frames);
-                emit_counter("comm.tcp_event.malformed_frames");
+                self.stats.malformed_frames.incr();
                 return false;
             }
             let total = 4 + n as usize;
@@ -627,13 +620,12 @@ impl TcpEventTransport {
             let payload = &conn.buf[conn.start + 4..conn.start + total];
             match decode_frame(payload) {
                 Ok((header, body)) => {
-                    TransportStats::bump(&self.stats.frames_received);
-                    TransportStats::add(&self.stats.frame_bytes_received, total as u64);
+                    self.stats.frames_received.incr();
+                    self.stats.frame_bytes_received.add(total as u64);
                     match self.sink.deliver(header, body) {
                         Ok(()) => {}
                         Err(DeliverError::NotHosted) => {
-                            TransportStats::bump(&self.stats.misrouted);
-                            emit_counter("comm.tcp_event.misrouted");
+                            self.stats.misrouted.incr();
                         }
                         // World teardown is in progress; the stop flag
                         // arrives with the transport's shutdown call.
@@ -641,8 +633,7 @@ impl TcpEventTransport {
                     }
                 }
                 Err(_) => {
-                    TransportStats::bump(&self.stats.malformed_frames);
-                    emit_counter("comm.tcp_event.malformed_frames");
+                    self.stats.malformed_frames.incr();
                     return false;
                 }
             }
@@ -675,8 +666,7 @@ impl Transport for TcpEventTransport {
         // sends — delivery only matches — so it cannot end up here
         // waiting on its own flush.)
         if s.q_bytes >= SEND_QUEUE_MAX_BYTES {
-            TransportStats::bump(&self.stats.backpressure_waits);
-            emit_counter("comm.tcp_event.backpressure_waits");
+            self.stats.backpressure_waits.incr();
             while s.q_bytes >= SEND_QUEUE_MAX_BYTES && !self.stop.load(Ordering::Acquire) {
                 slot.room.wait(&mut s);
             }
@@ -727,11 +717,7 @@ impl Transport for TcpEventTransport {
     }
 
     fn stats(&self) -> TransportStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        let (hits, misses) = self.pool.counters();
-        snap.pool_hits = hits;
-        snap.pool_misses = misses;
-        snap
+        self.stats.snapshot()
     }
 
     fn shutdown(&self) {

@@ -342,22 +342,7 @@ impl CommWorld {
     pub fn total_stats(&self) -> CommStatsSnapshot {
         let mut total = CommStatsSnapshot::default();
         for ep in &self.inner.endpoints {
-            let s = ep.stats().snapshot();
-            total.sends += s.sends;
-            total.recvs_posted += s.recvs_posted;
-            total.posted_matches += s.posted_matches;
-            total.unexpected_buffered += s.unexpected_buffered;
-            total.unexpected_claimed += s.unexpected_claimed;
-            total.posted_retired += s.posted_retired;
-            total.msgtests += s.msgtests;
-            total.msgtest_failures += s.msgtest_failures;
-            total.testany_calls += s.testany_calls;
-            total.blocking_waits += s.blocking_waits;
-            total.probes += s.probes;
-            total.bytes_sent += s.bytes_sent;
-            total.bytes_received += s.bytes_received;
-            total.multicasts += s.multicasts;
-            total.multicast_dedups += s.multicast_dedups;
+            total += ep.stats().snapshot();
         }
         total
     }

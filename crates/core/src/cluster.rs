@@ -179,10 +179,11 @@ impl ClusterBuilder {
     }
 
     /// Emit a live telemetry snapshot every `interval` while the
-    /// cluster runs: one NDJSON line per tick folding the deltas of
-    /// every stats family (comm, scheduler, RSR, faults, transport)
-    /// to `$CHANT_TELEMETRY_PATH` (a file to append to, or a unix
-    /// socket with a `unix:` prefix; default `chant_telemetry.ndjson`).
+    /// cluster runs: one NDJSON line per tick with the delta of every
+    /// counter of every family present (scheduler, comm, RSR, installed
+    /// extensions, transport, faults) to `$CHANT_TELEMETRY_PATH` (a file
+    /// to append to, or a unix socket with a `unix:` prefix; default
+    /// `chant_telemetry.ndjson`).
     /// Also switched on, without code changes, by setting
     /// `CHANT_TELEMETRY_MS=<millis>` in the environment. Zero cost when
     /// off; independent of the `trace` feature.
@@ -519,8 +520,9 @@ impl ChantCluster {
             }
         }
         let elapsed = started.elapsed();
+        let counters = crate::telemetry::collect(&self.nodes, &self.world);
         if let Some(t) = telemetry {
-            t.stop();
+            t.stop(counters.clone());
         }
         if !panicked.is_empty() {
             // A crashing run is exactly what the flight recorder is
@@ -564,29 +566,19 @@ impl ChantCluster {
                 .collect(),
             faults: self.world.fault_stats(),
             transport: self.world.transport_stats(),
+            counters,
         };
 
-        // Fold the run's tallies into the global metrics registry so a
-        // tracing session sees counters and histograms side by side.
-        // Each run() adds its own totals (nodes are fresh per cluster),
-        // so multi-cluster processes accumulate rather than double-count.
+        // Fold the run's totals into the global metrics registry, under
+        // the names telemetry uses, so a tracing session sees counters
+        // and histograms side by side. Each run() adds its own totals
+        // (nodes are fresh per cluster), so multi-cluster processes
+        // accumulate rather than double-count.
         #[cfg(feature = "trace")]
         if chant_obs::tracer::active() {
             let reg = chant_obs::registry();
-            for n in &report.nodes {
-                reg.counter("cluster.full_switches").add(n.sched.full_switches);
-                reg.counter("cluster.partial_switches")
-                    .add(n.sched.partial_switches);
-                reg.counter("cluster.unblocks").add(n.sched.unblocks);
-                reg.counter("cluster.msgtests").add(n.comm.msgtests);
-                reg.counter("cluster.testany_calls").add(n.comm.testany_calls);
-                reg.counter("cluster.posted_matches").add(n.comm.posted_matches);
-                reg.counter("cluster.unexpected_claimed")
-                    .add(n.comm.unexpected_claimed);
-                reg.counter("core.rsr_retries").add(n.rsr.retries);
-                reg.counter("core.rsr_timeouts").add(n.rsr.timeouts);
-                reg.counter("core.rsr_dup_dropped").add(n.rsr.dup_dropped);
-                reg.counter("core.rsr_dup_replayed").add(n.rsr.dup_replayed);
+            for &(name, value) in &report.counters {
+                reg.counter(name).add(value);
             }
         }
         report
@@ -663,6 +655,7 @@ pub struct ClusterReport {
     /// What the transport did during the run (socket-specific counters
     /// stay zero on the in-process backend).
     pub transport: TransportStatsSnapshot,
+    counters: crate::telemetry::Totals,
 }
 
 /// One node's statistics.
@@ -681,40 +674,19 @@ pub struct NodeReport {
 }
 
 impl ClusterReport {
-    /// Total complete context switches across all nodes (the paper's
-    /// "CtxSw" column).
-    pub fn total_full_switches(&self) -> u64 {
-        self.nodes.iter().map(|n| n.sched.full_switches).sum()
+    /// Cluster-wide totals of every counter of every family present on
+    /// this process's nodes — `ult`, `comm`, `rsr`, installed extensions
+    /// such as `kv` and `pubsub` — plus the world's `transport` and
+    /// `fault`, as `("<family>.<field>", value)`: the names telemetry
+    /// emits and the paper's tables are built from (`ult.full_switches`
+    /// is its "CtxSw" column, `comm.msgtests` its "msgtest" column).
+    pub fn counters(&self) -> &[(&'static str, u64)] {
+        &self.counters
     }
 
-    /// Total `msgtest` calls across all nodes (the paper's "msgtest"
-    /// column).
-    pub fn total_msgtests(&self) -> u64 {
-        self.nodes.iter().map(|n| n.comm.msgtests).sum()
-    }
-
-    /// Total `msgtestany` calls across all nodes.
-    pub fn total_testany_calls(&self) -> u64 {
-        self.nodes.iter().map(|n| n.comm.testany_calls).sum()
-    }
-
-    /// Total partial switches across all nodes (PS policy).
-    pub fn total_partial_switches(&self) -> u64 {
-        self.nodes.iter().map(|n| n.sched.partial_switches).sum()
-    }
-
-    /// Total RSR retransmissions across all nodes — nonzero in a lossy
-    /// run means the retry machinery did its job.
-    pub fn total_rsr_retries(&self) -> u64 {
-        self.nodes.iter().map(|n| n.rsr.retries).sum()
-    }
-
-    /// Total duplicate RSRs suppressed (dropped in flight or replayed
-    /// from the cached-reply window) across all nodes.
-    pub fn total_rsr_dups_suppressed(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.rsr.dup_dropped + n.rsr.dup_replayed)
-            .sum()
+    /// One of [`ClusterReport::counters`] by name; 0 for a family that
+    /// was not present.
+    pub fn counter(&self, name: &str) -> u64 {
+        crate::telemetry::value_of(&self.counters, name)
     }
 }

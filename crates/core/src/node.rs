@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use chant_comm::{kind, Address, CommWorld, Endpoint, Header, RecvHandle, RecvSpec};
+use chant_obs::CounterFamily;
 use chant_ult::{current_tid, SpawnAttr, Tid, Vp};
 use parking_lot::Mutex;
 
@@ -80,6 +81,9 @@ pub struct ChantNode {
     /// (e.g. `chant-rma`'s segment table) hang their node-scoped state
     /// here instead of the core growing a field per subsystem.
     ext: Mutex<HashMap<std::any::TypeId, Arc<dyn Any + Send + Sync>>>,
+    /// Counter families of the extensions installed on this node (KV,
+    /// pub-sub), in the order they registered.
+    ext_counters: Mutex<Vec<Arc<dyn CounterFamily>>>,
 }
 
 impl ChantNode {
@@ -126,6 +130,7 @@ impl ChantNode {
             kv: Mutex::new(HashMap::new()),
             server_tid: AtomicU32::new(0),
             ext: Mutex::new(HashMap::new()),
+            ext_counters: Mutex::new(Vec::new()),
         })
     }
 
@@ -180,7 +185,29 @@ impl ChantNode {
     /// This node's RSR robustness counters (retries, timeouts, dedup
     /// hits, malformed requests).
     pub fn rsr_stats(&self) -> RsrStatsSnapshot {
-        self.rsr.snapshot()
+        self.rsr.stats.snapshot()
+    }
+
+    /// Add an extension's counter family to the ones this node reports:
+    /// called once, where the extension creates its per-node state.
+    pub fn add_counters(&self, family: Arc<dyn CounterFamily>) {
+        self.ext_counters.lock().push(family);
+    }
+
+    /// Every counter of every family that lives on this node — `ult`,
+    /// `comm`, `rsr`, then each installed extension's — as
+    /// `("<family>.<field>", value)`. Transport and fault-shim counters
+    /// belong to the world, not to a node (see
+    /// [`crate::ClusterReport::counters`] for the cluster-wide view).
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let builtin: [&dyn CounterFamily; 3] =
+            [self.vp.stats(), &**self.endpoint.stats(), &self.rsr.stats];
+        let ext = self.ext_counters.lock();
+        builtin
+            .into_iter()
+            .chain(ext.iter().map(|f| &**f))
+            .flat_map(|f| f.fields())
+            .collect()
     }
 
     /// Take the most recent malformed-RSR note, if any (the server

@@ -128,33 +128,22 @@ pub(crate) enum DedupVerdict {
     Replay(Bytes),
 }
 
-/// Always-on robustness counters (plain relaxed atomics, same pattern as
-/// `CommStats` — cheap enough to keep out of the `trace` gate).
-#[derive(Default)]
-pub(crate) struct RsrStats {
-    pub retries: AtomicU64,
-    pub timeouts: AtomicU64,
-    pub unreachable: AtomicU64,
-    pub dup_dropped: AtomicU64,
-    pub dup_replayed: AtomicU64,
-    pub malformed: AtomicU64,
-}
-
-/// Point-in-time copy of one node's RSR robustness counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RsrStatsSnapshot {
-    /// Client-side request retransmissions.
-    pub retries: u64,
-    /// Remote ops that exhausted retries with the target still alive.
-    pub timeouts: u64,
-    /// Remote ops that failed fast because the target missed its PING.
-    pub unreachable: u64,
-    /// Duplicate requests dropped while the original was in flight.
-    pub dup_dropped: u64,
-    /// Duplicate requests answered from the cached-reply window.
-    pub dup_replayed: u64,
-    /// Malformed RSR bodies dropped by the server.
-    pub malformed: u64,
+chant_obs::counters! {
+    /// One node's always-on RSR robustness counters.
+    "rsr": pub(crate) struct RsrStats => pub struct RsrStatsSnapshot {
+        /// Client-side request retransmissions.
+        retries,
+        /// Remote ops that exhausted retries with the target still alive.
+        timeouts,
+        /// Remote ops that failed fast because the target missed its PING.
+        unreachable,
+        /// Duplicate requests dropped while the original was in flight.
+        dup_dropped,
+        /// Duplicate requests answered from the cached-reply window.
+        dup_replayed,
+        /// Malformed RSR bodies dropped by the server.
+        malformed,
+    }
 }
 
 /// Per-node RSR state: reply-token and sequence allocators, the retry
@@ -247,19 +236,8 @@ impl RsrState {
     }
 
     pub fn note_malformed(&self, note: String) {
-        self.stats.malformed.fetch_add(1, Ordering::Relaxed);
+        self.stats.malformed.incr();
         *self.malformed_note.lock() = Some(note);
-    }
-
-    pub fn snapshot(&self) -> RsrStatsSnapshot {
-        RsrStatsSnapshot {
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed),
-            unreachable: self.stats.unreachable.load(Ordering::Relaxed),
-            dup_dropped: self.stats.dup_dropped.load(Ordering::Relaxed),
-            dup_replayed: self.stats.dup_replayed.load(Ordering::Relaxed),
-            malformed: self.stats.malformed.load(Ordering::Relaxed),
-        }
     }
 
     pub fn take_malformed_note(&self) -> Option<String> {
@@ -499,7 +477,7 @@ impl ChantNode {
         let mut timeout = policy.base_timeout;
         for attempt in 0..policy.max_attempts.max(1) {
             if attempt > 0 {
-                self.rsr.stats.retries.fetch_add(1, Ordering::Relaxed);
+                self.rsr.stats.retries.incr();
                 #[cfg(feature = "trace")]
                 if let Some(lane) = self.vp().obs_lane() {
                     lane.emit(chant_obs::Event::RsrRetry {
@@ -529,13 +507,13 @@ impl ChantNode {
             }
             timeout = (timeout * 2).min(policy.max_timeout);
         }
-        self.rsr.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+        self.rsr.stats.timeouts.incr();
         if self.probe_liveness(call.dst, policy.liveness_ping) {
             #[cfg(feature = "trace")]
             let _ = crate::flight::dump("retry-exhausted");
             Err(ChantError::Timeout)
         } else {
-            self.rsr.stats.unreachable.fetch_add(1, Ordering::Relaxed);
+            self.rsr.stats.unreachable.incr();
             #[cfg(feature = "trace")]
             let _ = crate::flight::dump("node-unreachable");
             Err(ChantError::NodeUnreachable(ChanterId::new(
@@ -637,12 +615,12 @@ impl ChantNode {
                         match self.rsr.dedup_begin(env.from.address(), env.seq) {
                             DedupVerdict::New => {}
                             DedupVerdict::InFlight => {
-                                self.rsr.stats.dup_dropped.fetch_add(1, Ordering::Relaxed);
+                                self.rsr.stats.dup_dropped.incr();
                                 self.engine().unboost();
                                 continue;
                             }
                             DedupVerdict::Replay(cached) => {
-                                self.rsr.stats.dup_replayed.fetch_add(1, Ordering::Relaxed);
+                                self.rsr.stats.dup_replayed.incr();
                                 if env.reply_token != 0 {
                                     self.send_rsr_reply_raw(env.from, env.reply_token, cached);
                                 }
@@ -694,8 +672,6 @@ impl ChantNode {
                         "dropped malformed RSR on {}: {e}",
                         self.address()
                     ));
-                    #[cfg(feature = "trace")]
-                    chant_obs::registry().counter("core.rsr_malformed").incr();
                 }
             }
             self.engine().unboost();

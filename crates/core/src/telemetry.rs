@@ -1,20 +1,20 @@
-//! Live telemetry: periodic NDJSON snapshots of every stats family.
+//! Live telemetry: periodic NDJSON snapshots of every counter family.
 //!
 //! Tracing (the `trace` feature) answers "what happened", after the
 //! fact, at event granularity. This module answers "what is happening
 //! *now*", cheaply, in production builds: an [`Emitter`] thread wakes
-//! every `CHANT_TELEMETRY_MS` milliseconds, snapshots the always-on
-//! counters ([`chant_comm::CommStatsSnapshot`], scheduler stats, RSR
-//! robustness stats, fault-shim tallies, transport counters), folds
-//! them into cluster-wide *deltas since the previous tick*, and writes
-//! one flat JSON object per line to `CHANT_TELEMETRY_PATH` — a file to
-//! append to, or a unix-domain socket when the value starts with
-//! `unix:`. The `chant-top` binary tails and renders that stream.
+//! every `CHANT_TELEMETRY_MS` milliseconds, reads every always-on
+//! counter family present (`collect`), turns the cluster-wide totals
+//! into *deltas since the previous tick*, and writes one flat JSON
+//! object per line to `CHANT_TELEMETRY_PATH` — a file to append to, or a
+//! unix-domain socket when the value starts with `unix:`. The
+//! `chant-top` binary tails and renders that stream.
 //!
 //! The JSON is hand-rolled: every field is a `u64` (plus one f64
 //! `elapsed_s`), so a formatter is ~20 lines and the emitter needs no
-//! serializer in the default build. Keys are stable; new keys may be
-//! appended.
+//! serializer in the default build. The keys are the counters' dotted
+//! names (`comm.sends`, `kv.mutations`, ...): a family's keys appear
+//! once it exists on a node, and a new counter is a new key.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -36,68 +36,40 @@ pub const PATH_ENV: &str = "CHANT_TELEMETRY_PATH";
 /// Default output file when [`PATH_ENV`] is unset.
 pub const DEFAULT_PATH: &str = "chant_telemetry.ndjson";
 
-/// One tick's cluster-wide counter values, in emission order.
-/// `collect` produces absolutes; the emitter subtracts the previous
-/// tick to publish deltas (rates), which is what a live view wants.
-fn collect(nodes: &[Arc<ChantNode>], world: &CommWorld) -> Vec<(&'static str, u64)> {
-    let mut sends = 0u64;
-    let mut bytes_sent = 0u64;
-    let mut recvs_posted = 0u64;
-    let mut posted_matches = 0u64;
-    let mut unexpected = 0u64;
-    let mut msgtests = 0u64;
-    let mut full_switches = 0u64;
-    let mut partial_switches = 0u64;
-    let mut unblocks = 0u64;
-    let mut rsr_retries = 0u64;
-    let mut rsr_timeouts = 0u64;
-    let mut rsr_unreachable = 0u64;
-    let mut rsr_dups = 0u64;
+/// Cluster-wide counter totals under their dotted names.
+pub(crate) type Totals = Vec<(&'static str, u64)>;
+
+/// Cluster-wide totals of every counter of every family present: each
+/// node's `ult`, `comm`, `rsr` and extension families summed over
+/// `nodes`, then the world's `transport` and (with a shim installed)
+/// `fault`. Absolute values; the emitter subtracts the previous tick to
+/// publish deltas (rates), which is what a live view wants.
+pub(crate) fn collect(nodes: &[Arc<ChantNode>], world: &CommWorld) -> Totals {
+    let mut totals = Totals::new();
+    let mut add = |fields: Totals| {
+        for (name, value) in fields {
+            match totals.iter_mut().find(|(k, _)| *k == name) {
+                Some((_, total)) => *total += value,
+                None => totals.push((name, value)),
+            }
+        }
+    };
     for n in nodes {
-        let c = n.endpoint().stats().snapshot();
-        sends += c.sends;
-        bytes_sent += c.bytes_sent;
-        recvs_posted += c.recvs_posted;
-        posted_matches += c.posted_matches;
-        unexpected += c.unexpected_buffered;
-        msgtests += c.msgtests;
-        let s = n.vp().stats().snapshot();
-        full_switches += s.full_switches;
-        partial_switches += s.partial_switches;
-        unblocks += s.unblocks;
-        let r = n.rsr_stats();
-        rsr_retries += r.retries;
-        rsr_timeouts += r.timeouts;
-        rsr_unreachable += r.unreachable;
-        rsr_dups += r.dup_dropped + r.dup_replayed;
+        add(n.counters());
     }
-    let f = world.fault_stats().unwrap_or_default();
-    let t = world.transport_stats();
-    vec![
-        ("sends", sends),
-        ("bytes_sent", bytes_sent),
-        ("recvs_posted", recvs_posted),
-        ("posted_matches", posted_matches),
-        ("unexpected", unexpected),
-        ("msgtests", msgtests),
-        ("full_switches", full_switches),
-        ("partial_switches", partial_switches),
-        ("unblocks", unblocks),
-        ("rsr_retries", rsr_retries),
-        ("rsr_timeouts", rsr_timeouts),
-        ("rsr_unreachable", rsr_unreachable),
-        ("rsr_dups", rsr_dups),
-        ("faults_dropped", f.dropped),
-        ("faults_duplicated", f.duplicated),
-        ("faults_delayed", f.delayed),
-        ("faults_reordered", f.reordered),
-        ("tx_frames_sent", t.frames_sent),
-        ("tx_frames_received", t.frames_received),
-        ("tx_bytes_sent", t.frame_bytes_sent),
-        ("tx_bytes_received", t.frame_bytes_received),
-        ("tx_coalesced_writes", t.coalesced_writes),
-        ("tx_send_failures", t.send_failures),
-    ]
+    add(world.transport_stats().fields());
+    if let Some(f) = world.fault_stats() {
+        add(f.fields());
+    }
+    totals
+}
+
+/// `name`'s value in `totals`; 0 when its family is not present.
+pub(crate) fn value_of(totals: &[(&'static str, u64)], name: &str) -> u64 {
+    totals
+        .iter()
+        .find(|(k, _)| *k == name)
+        .map_or(0, |(_, v)| *v)
 }
 
 /// Where the stream goes.
@@ -149,7 +121,9 @@ impl Sink {
 /// and joins the thread, so a run's last counters always reach the
 /// sink even when the run is shorter than one interval.
 pub(crate) struct Emitter {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    /// `Some(totals)` once stopped: the run's final totals, which the
+    /// last tick is computed from.
+    stop: Arc<(Mutex<Option<Totals>>, Condvar)>,
     /// `None` when the OS refused the thread: telemetry is disabled for
     /// this run but the run itself proceeds.
     thread: Option<std::thread::JoinHandle<()>>,
@@ -169,11 +143,16 @@ impl Emitter {
         world: CommWorld,
         path: Option<std::path::PathBuf>,
     ) -> Emitter {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let stop = Arc::new((Mutex::new(None), Condvar::new()));
         let stop2 = Arc::clone(&stop);
+        // The baseline is read here, before the caller starts the
+        // nodes, not on the emitter thread racing them: the first tick
+        // then carries everything since `start`, and the ticks of a run
+        // sum to its totals exactly.
+        let baseline = collect(&nodes, &world);
         let thread = std::thread::Builder::new()
             .name("chant-telemetry".into())
-            .spawn(move || run(interval, &nodes, &world, path.as_deref(), &stop2))
+            .spawn(move || run(interval, &nodes, &world, path.as_deref(), &stop2, baseline))
             .map_err(|e| {
                 SPAWN_FAILURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 eprintln!("chant: telemetry emitter thread failed to spawn ({e}); telemetry disabled for this run");
@@ -182,8 +161,11 @@ impl Emitter {
         Emitter { stop, thread }
     }
 
-    pub fn stop(self) {
-        *self.stop.0.lock() = true;
+    /// Emit one last tick that brings the stream up to `totals` — the
+    /// same read the run's [`crate::ClusterReport`] carries, so a run's
+    /// ticks sum to its report exactly — and join the thread.
+    pub fn stop(self, totals: Totals) {
+        *self.stop.0.lock() = Some(totals);
         self.stop.1.notify_one();
         if let Some(thread) = self.thread {
             let _ = thread.join();
@@ -196,31 +178,33 @@ fn run(
     nodes: &[Arc<ChantNode>],
     world: &CommWorld,
     path: Option<&std::path::Path>,
-    stop: &(Mutex<bool>, Condvar),
+    stop: &(Mutex<Option<Totals>>, Condvar),
+    mut prev: Totals,
 ) {
     let Some(mut sink) = Sink::open(path) else {
         return;
     };
     let started = Instant::now();
     let mut seq = 0u64;
-    let mut prev = collect(nodes, world);
     loop {
-        let stopped = {
+        let last = {
             let mut guard = stop.0.lock();
-            if !*guard {
+            if guard.is_none() {
                 stop.1.wait_for(&mut guard, interval);
             }
-            *guard
+            guard.take()
         };
-        let now = collect(nodes, world);
+        let stopped = last.is_some();
+        let now = last.unwrap_or_else(|| collect(nodes, world));
         seq += 1;
         let mut line = format!(
             "{{\"seq\":{seq},\"elapsed_s\":{:.3}",
             started.elapsed().as_secs_f64()
         );
-        for ((key, cur), (_, old)) in now.iter().zip(prev.iter()) {
+        for (key, cur) in &now {
             use std::fmt::Write as _;
-            let _ = write!(line, ",\"{key}\":{}", cur.saturating_sub(*old));
+            // A family registered since the last tick was zero then.
+            let _ = write!(line, ",\"{key}\":{}", cur.saturating_sub(value_of(&prev, key)));
         }
         line.push_str("}\n");
         if !sink.write_line(&line) {
@@ -230,46 +214,5 @@ fn run(
         if stopped {
             return;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The emitter is driven end to end by a real cluster run in
-    /// `tests/telemetry.rs`; here, pin the line format contract the
-    /// `chant-top` renderer parses: flat object, `seq` first,
-    /// integer-valued counter keys.
-    #[test]
-    fn snapshot_keys_are_stable_and_flat() {
-        let keys: Vec<&str> = vec![
-            "sends",
-            "bytes_sent",
-            "recvs_posted",
-            "posted_matches",
-            "unexpected",
-            "msgtests",
-            "full_switches",
-            "partial_switches",
-            "unblocks",
-            "rsr_retries",
-            "rsr_timeouts",
-            "rsr_unreachable",
-            "rsr_dups",
-            "faults_dropped",
-            "faults_duplicated",
-            "faults_delayed",
-            "faults_reordered",
-            "tx_frames_sent",
-            "tx_frames_received",
-            "tx_bytes_sent",
-            "tx_bytes_received",
-            "tx_coalesced_writes",
-            "tx_send_failures",
-        ];
-        let cluster = crate::ChantCluster::builder().pes(1).server(false).build();
-        let got = collect(cluster.nodes(), cluster.world());
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keys);
     }
 }

@@ -396,7 +396,7 @@ fn ps_policy_performs_partial_switches() {
         }
     });
     assert!(
-        report.total_partial_switches() > 0,
+        report.counter("ult.partial_switches") > 0,
         "PS must requeue unready TCBs without full switches: {report:?}"
     );
 }
@@ -809,7 +809,7 @@ fn report_counts_plausible_messages() {
     // 20 data messages + termination-protocol messages (1 DONE + 1
     // SHUTDOWN for the 2-node barrier).
     assert!(sends >= 21, "sends = {sends}");
-    assert!(report.total_full_switches() > 0);
+    assert!(report.counter("ult.full_switches") > 0);
 }
 
 #[test]

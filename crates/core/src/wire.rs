@@ -357,92 +357,45 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// An RSR envelope survives encode/decode bit-exactly for
-            /// arbitrary field values and argument bytes.
-            #[test]
-            fn prop_rsr_roundtrip(
-                fn_id in any::<u32>(),
-                reply_token in any::<u32>(),
-                pe in any::<u32>(), process in any::<u32>(), thread in any::<u32>(),
-                seq in any::<u64>(),
-                args in proptest::collection::vec(any::<u8>(), 0..256),
-            ) {
-                let from = ChanterId::new(pe, process, thread);
-                let body = encode_rsr(fn_id, reply_token, from, seq, &args);
-                let env = decode_rsr(&body).unwrap();
-                prop_assert_eq!(env.fn_id, fn_id);
-                prop_assert_eq!(env.reply_token, reply_token);
-                prop_assert_eq!(env.from, from);
-                prop_assert_eq!(env.seq, seq);
-                prop_assert_eq!(&env.args[..], &args[..]);
-            }
-
-            /// Decoding an RSR envelope from arbitrary bytes is total:
-            /// it returns `Ok` or `ChantError::Wire`, never panics —
-            /// the malformed-RSR rule, now that bodies can arrive off a
-            /// real socket.
-            #[test]
-            fn prop_decode_rsr_is_total(raw in proptest::collection::vec(any::<u8>(), 0..128)) {
-                let _ = decode_rsr(&Bytes::from(raw));
-            }
-
-            /// Truncating a valid envelope below its fixed header is an
-            /// error, never a panic and never a silent success.
-            #[test]
-            fn prop_truncated_rsr_is_rejected(
-                seq in any::<u64>(),
-                args in proptest::collection::vec(any::<u8>(), 0..32),
-                cut in 0usize..24, // fixed part is 4+4+12+8 = 28 bytes
-            ) {
-                let body = encode_rsr(1, 2, ChanterId::new(3, 4, 5), seq, &args);
-                let trunc = Bytes::copy_from_slice(&body[..cut]);
-                prop_assert!(decode_rsr(&trunc).is_err());
-            }
-
-            /// OK and error replies round-trip for arbitrary payloads,
-            /// and the seq echo is preserved (it is what lets retrying
-            /// callers discard stale replies).
-            #[test]
-            fn prop_reply_roundtrip(
-                seq in any::<u64>(),
-                payload in proptest::collection::vec(any::<u8>(), 0..256),
-            ) {
-                let ok = encode_reply(seq, &Ok(Bytes::from(payload.clone())));
-                let (s, r) = decode_reply(&ok).unwrap();
-                prop_assert_eq!(s, seq);
-                prop_assert_eq!(&r.unwrap()[..], &payload[..]);
-            }
-
-            /// Decoding a reply from arbitrary bytes is total.
-            #[test]
-            fn prop_decode_reply_is_total(raw in proptest::collection::vec(any::<u8>(), 0..128)) {
-                let _ = decode_reply(&Bytes::from(raw));
-            }
-
-            /// A corrupted status byte is rejected (only OK/ERR exist);
-            /// corruption elsewhere either errors or yields a visibly
-            /// different reply — never a panic.
-            #[test]
-            fn prop_corrupted_reply_is_detected_or_contained(
-                payload in proptest::collection::vec(any::<u8>(), 1..64),
-                at in 0usize..64,
-                flip in 1u8..=255,
-            ) {
-                let orig = encode_reply(9, &Ok(Bytes::from(payload.clone())));
-                let mut raw = orig.to_vec();
-                let at = at % raw.len();
-                raw[at] ^= flip;
-                match decode_reply(&Bytes::from(raw)) {
-                    Err(_) => {}
-                    Ok((seq, Ok(p))) => {
-                        prop_assert!(seq != 9 || p[..] != payload[..]);
-                    }
-                    Ok((_, Err(_))) => {} // flipped into an ERR reply: visible
-                }
-            }
+        fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
+            proptest::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
         }
+
+        fn arb_rsr() -> impl Strategy<Value = RsrEnvelope> {
+            let from = (any::<u32>(), any::<u32>(), any::<u32>());
+            (any::<u32>(), any::<u32>(), from, any::<u64>(), arb_bytes(256)).prop_map(
+                |(fn_id, reply_token, (pe, process, thread), seq, args)| RsrEnvelope {
+                    fn_id,
+                    reply_token,
+                    from: ChanterId::new(pe, process, thread),
+                    seq,
+                    args,
+                },
+            )
+        }
+
+        // The arguments are "the rest" of the body, so only a cut into
+        // the 28-byte fixed part (4+4+12+8) can be told from a shorter
+        // request.
+        chant_comm::codec_props!(
+            rsr: arb_rsr(),
+            |e: &RsrEnvelope| encode_rsr(e.fn_id, e.reply_token, e.from, e.seq, &e.args),
+            |raw: &[u8]| decode_rsr(&Bytes::copy_from_slice(raw)),
+            rejects_prefixes_below = 28,
+            every_byte_matters = true,
+        );
+
+        // OK replies; the seq echo is what lets retrying callers discard
+        // stale replies. (Error replies do not round-trip by design: all
+        // but the typed RMA errors arrive as `Remote(display string)`.)
+        // A corrupted status byte is rejected or flips the reply into a
+        // visibly different ERR.
+        chant_comm::codec_props!(
+            reply: (any::<u64>(), arb_bytes(256)).prop_map(|(seq, payload)| (seq, Ok(payload))),
+            |(seq, result): &(u64, Result<Bytes, ChantError>)| encode_reply(*seq, result),
+            |raw: &[u8]| decode_reply(&Bytes::copy_from_slice(raw)),
+            rejects_prefixes_below = 9,
+            every_byte_matters = true,
+        );
     }
 }

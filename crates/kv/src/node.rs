@@ -35,7 +35,7 @@ use chant_ult::UltError;
 
 use crate::ring::{shard_of, Ring};
 use crate::state::{
-    entry_digest, ClientMark, Entry, Inner, KvConfig, KvState, KvStats, KvStatsSnapshot, ReplRec,
+    entry_digest, ClientMark, Entry, Inner, KvConfig, KvState, KvStatsSnapshot, ReplRec,
     ShardState, SnapStash,
 };
 use crate::wire::{self, op, status, DigestReply, KvReply};
@@ -78,7 +78,11 @@ pub fn with_kv_config(builder: ClusterBuilder, cfg: KvConfig) -> ClusterBuilder 
 }
 
 fn kv_state(node: &ChantNode) -> Arc<KvState> {
-    node.extension(KvState::default)
+    node.extension(|| {
+        let st = KvState::default();
+        node.add_counters(Arc::clone(&st.stats) as _);
+        st
+    })
 }
 
 fn ult_err(_: UltError) -> ChantError {
@@ -148,7 +152,7 @@ fn handle_mutate(
     let a = match wire::decode_mutate(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -163,22 +167,22 @@ fn handle_mutate(
     }
     let mut inner = st.inner.lock();
     let Some(sh) = inner.shards.get_mut(&a.shard) else {
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     };
     if !sh.ready {
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     }
     // Exactly-once: resubmissions replay the cached reply, stale
     // sequence numbers are refused outright.
     if let Some(mark) = sh.clients.get(&a.client) {
         if a.seq == mark.seq {
-            KvStats::bump(&st.stats.dup_replayed);
+            st.stats.dup_replayed.incr();
             return Ok(mark.reply.clone());
         }
         if a.seq < mark.seq {
-            KvStats::bump(&st.stats.stale_dropped);
+            st.stats.stale_dropped.incr();
             return reply(status::STALE, mark.seq, &[]);
         }
     }
@@ -232,7 +236,7 @@ fn handle_mutate(
         }
         other => {
             sh.version -= 1; // nothing applied
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(ChantError::Wire(format!("kv: unknown opcode {other}")));
         }
     };
@@ -247,8 +251,7 @@ fn handle_mutate(
             reply: reply_bytes.clone(),
         },
     );
-    KvStats::bump(&st.stats.mutations);
-    trace_count("kv.mutations");
+    st.stats.mutations.incr();
     if backup.is_none() {
         sh.replicated = ver;
         return Ok(reply_bytes);
@@ -286,7 +289,7 @@ fn handle_get(
     let a = match wire::decode_get(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -297,26 +300,25 @@ fn handle_get(
     }
     let mut inner = st.inner.lock();
     let Some(sh) = inner.shards.get_mut(&a.shard) else {
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     };
     if !sh.ready {
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     }
     // The local read is only safe while the backup's lease promise
     // holds; without it the backup could (in a richer design) have
     // taken over the shard.
     if backup.is_some() && sh.lease_until.is_none_or(|t| Instant::now() >= t) {
-        KvStats::bump(&st.stats.no_lease);
+        st.stats.no_lease.incr();
         return reply(status::NO_LEASE, 0, &[]);
     }
-    KvStats::bump(&st.stats.reads);
-    trace_count("kv.reads");
+    st.stats.reads.incr();
     match sh.entries.get(&a.key) {
         Some(e) if !e.tomb => reply(status::OK, e.ver, &e.val),
         _ => {
-            KvStats::bump(&st.stats.read_misses);
+            st.stats.read_misses.incr();
             reply(status::NOT_FOUND, sh.version, &[])
         }
     }
@@ -330,7 +332,7 @@ fn handle_replicate(
     let a = match wire::decode_repl(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -342,7 +344,7 @@ fn handle_replicate(
         match node.rma_segment(KV_SEG) {
             Some(seg) => match seg.read(a.off, a.len) {
                 Ok(b) => {
-                    KvStats::bump(&st.stats.staged_bulk);
+                    st.stats.staged_bulk.incr();
                     Some(b)
                 }
                 Err(e) => return Err(e),
@@ -354,13 +356,13 @@ fn handle_replicate(
     };
     let mut inner = st.inner.lock();
     let Some(sh) = inner.shards.get_mut(&a.shard) else {
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     };
     if !sh.ready {
         // Mid-recovery: applying now could be undone by the snapshot
         // install racing us. Refuse; the primary retries.
-        KvStats::bump(&st.stats.not_ready);
+        st.stats.not_ready.incr();
         return reply(status::RETRY, 0, &[]);
     }
     if a.ver <= sh.version {
@@ -402,7 +404,7 @@ fn handle_replicate(
             },
         );
     }
-    KvStats::bump(&st.stats.repl_applied);
+    st.stats.repl_applied.incr();
     reply(status::OK, a.ver, &[])
 }
 
@@ -414,7 +416,7 @@ fn handle_lease(
     let a = match wire::decode_lease(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -426,7 +428,7 @@ fn handle_lease(
     let mut inner = st.inner.lock();
     let sh = inner.shards.entry(a.shard).or_default();
     sh.granted_until = Some(Instant::now() + Duration::from_millis(u64::from(a.ttl_ms)));
-    KvStats::bump(&st.stats.leases_granted);
+    st.stats.leases_granted.incr();
     reply(status::OK, sh.version, &[])
 }
 
@@ -438,7 +440,7 @@ fn handle_flush(
     let a = match wire::decode_shard_args(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -466,7 +468,7 @@ fn handle_snapshot(
     let a = match wire::decode_shard_args(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -548,7 +550,7 @@ fn handle_snapshot(
     if take > 0 {
         seg.write(off, &part)?;
     }
-    KvStats::bump(&st.stats.snapshots_served);
+    st.stats.snapshots_served.incr();
     Ok(wire::encode_snap_reply(&wire::SnapReply {
         status: status::OK,
         ver,
@@ -566,7 +568,7 @@ fn handle_digest(
     let a = match wire::decode_shard_args(&req.args) {
         Ok(a) => a,
         Err(e) => {
-            KvStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return Err(e);
         }
     };
@@ -696,7 +698,7 @@ fn recover_pass(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u3
         }
         match fetch_snapshot(node, st, cfg, shard, peer) {
             Ok(Fetched::Installed) => {}
-            Ok(Fetched::PeerNotReady) => KvStats::bump(&st.stats.repl_retries),
+            Ok(Fetched::PeerNotReady) => st.stats.repl_retries.incr(),
             Err(_) => suspect(st, cfg, peer),
         }
     }
@@ -767,7 +769,7 @@ fn fetch_snapshot(
     }
     sh.ready = true;
     sh.replicated = sh.version;
-    KvStats::bump(&st.stats.snapshots_installed);
+    st.stats.snapshots_installed.incr();
     Ok(Fetched::Installed)
 }
 
@@ -812,18 +814,17 @@ fn drain_queue(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32
                 if let Some(sh) = inner.shards.get_mut(&rec.shard) {
                     sh.replicated = sh.replicated.max(rec.ver);
                 }
-                KvStats::bump(&st.stats.repl_sent);
-                trace_count("kv.repl_sent");
+                st.stats.repl_sent.incr();
             }
             Ok(false) => {
                 // Backup said RETRY (recovering): back off this shard
                 // without suspecting the member.
-                KvStats::bump(&st.stats.repl_retries);
+                st.stats.repl_retries.incr();
                 failed.insert(rec.shard);
                 retry.push_back(rec);
             }
             Err(_) => {
-                KvStats::bump(&st.stats.repl_retries);
+                st.stats.repl_retries.incr();
                 suspect(st, cfg, backup);
                 failed.insert(rec.shard);
                 retry.push_back(rec);
@@ -859,7 +860,7 @@ fn ship_record(
         // with a one-sided put; the record then carries (off, len).
         let off = repl_off(cfg, me);
         node.rma_put(dst, KV_SEG, off, &rec.val)?;
-        KvStats::bump(&st.stats.staged_bulk);
+        st.stats.staged_bulk.incr();
         (off, rec.val.len() as u64)
     };
     let args = wire::encode_repl(&wire::ReplArgs {
@@ -939,7 +940,7 @@ fn take_lease(
     if let Some(sh) = inner.shards.get_mut(&shard) {
         sh.lease_until = Some(t0 + cfg.lease.mul_f64(0.9));
     }
-    KvStats::bump(&st.stats.leases_taken);
+    st.stats.leases_taken.incr();
     Ok(())
 }
 
@@ -1162,7 +1163,7 @@ pub fn kv_owners(node: &ChantNode, shard: u32) -> (Address, Option<Address>) {
 
 /// This node's KV counters.
 pub fn kv_stats(node: &ChantNode) -> KvStatsSnapshot {
-    kv_state(node).snapshot()
+    kv_state(node).stats.snapshot()
 }
 
 /// Σ of shard versions over the shards this node is *primary* for.
@@ -1289,20 +1290,6 @@ fn park_tick(node: &Arc<ChantNode>, st: &Arc<KvState>) -> Result<(), ChantError>
     let _ = cv.wait_timeout(g, tick).map_err(ult_err)?;
     Ok(())
 }
-
-// ----------------------------------------------------------------------
-// Trace instrumentation (compiled out without the `trace` feature)
-// ----------------------------------------------------------------------
-
-#[cfg(feature = "trace")]
-fn trace_count(name: &'static str) {
-    if chant_obs::tracer::active() {
-        chant_obs::registry().counter(name).incr();
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-fn trace_count(_name: &'static str) {}
 
 #[cfg(test)]
 mod tests {

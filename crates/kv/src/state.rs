@@ -11,7 +11,6 @@
 //! its lane.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -164,68 +163,42 @@ pub(crate) struct Inner {
     pub next_client: u64,
 }
 
-/// Monotonic KV counters for one node.
-#[derive(Default)]
-pub(crate) struct KvStats {
-    pub mutations: AtomicU64,
-    pub reads: AtomicU64,
-    pub read_misses: AtomicU64,
-    pub dup_replayed: AtomicU64,
-    pub stale_dropped: AtomicU64,
-    pub not_ready: AtomicU64,
-    pub no_lease: AtomicU64,
-    pub repl_sent: AtomicU64,
-    pub repl_applied: AtomicU64,
-    pub repl_retries: AtomicU64,
-    pub staged_bulk: AtomicU64,
-    pub leases_granted: AtomicU64,
-    pub leases_taken: AtomicU64,
-    pub snapshots_served: AtomicU64,
-    pub snapshots_installed: AtomicU64,
-    pub malformed: AtomicU64,
-}
-
-impl KvStats {
-    pub(crate) fn bump(cell: &AtomicU64) {
-        cell.fetch_add(1, Ordering::Relaxed);
+chant_obs::counters! {
+    /// Monotonic KV counters for one node (see [`crate::kv_stats`]).
+    "kv": pub(crate) struct KvStats => pub struct KvStatsSnapshot {
+        /// Mutations applied at this node as a primary.
+        mutations,
+        /// Reads served (hit or miss) at this node as a primary.
+        reads,
+        /// Reads that found no live entry.
+        read_misses,
+        /// Resubmitted mutations answered from the dedup watermark.
+        dup_replayed,
+        /// Mutations below the watermark dropped as stale.
+        stale_dropped,
+        /// Ops refused with `RETRY` because the shard was still seeding.
+        not_ready,
+        /// Reads refused because the read lease had lapsed.
+        no_lease,
+        /// Replication records shipped to the backup.
+        repl_sent,
+        /// Replication records applied at this node as a backup.
+        repl_applied,
+        /// Replication records re-shipped after a failed or refused send.
+        repl_retries,
+        /// Bulk values staged through the RMA segment (either direction).
+        staged_bulk,
+        /// Leases granted by this node as a backup.
+        leases_granted,
+        /// Leases obtained by this node as a primary.
+        leases_taken,
+        /// Snapshot parts served to recovering peers.
+        snapshots_served,
+        /// Snapshots installed (shards seeded) at this node.
+        snapshots_installed,
+        /// Malformed KV bodies refused.
+        malformed,
     }
-}
-
-/// Snapshot of one node's KV counters (see [`crate::kv_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KvStatsSnapshot {
-    /// Mutations applied at this node as a primary.
-    pub mutations: u64,
-    /// Reads served (hit or miss) at this node as a primary.
-    pub reads: u64,
-    /// Reads that found no live entry.
-    pub read_misses: u64,
-    /// Resubmitted mutations answered from the dedup watermark.
-    pub dup_replayed: u64,
-    /// Mutations below the watermark dropped as stale.
-    pub stale_dropped: u64,
-    /// Ops refused with `RETRY` because the shard was still seeding.
-    pub not_ready: u64,
-    /// Reads refused because the read lease had lapsed.
-    pub no_lease: u64,
-    /// Replication records shipped to the backup.
-    pub repl_sent: u64,
-    /// Replication records applied at this node as a backup.
-    pub repl_applied: u64,
-    /// Replication records re-shipped after a failed or refused send.
-    pub repl_retries: u64,
-    /// Bulk values staged through the RMA segment (either direction).
-    pub staged_bulk: u64,
-    /// Leases granted by this node as a backup.
-    pub leases_granted: u64,
-    /// Leases obtained by this node as a primary.
-    pub leases_taken: u64,
-    /// Snapshot parts served to recovering peers.
-    pub snapshots_served: u64,
-    /// Snapshots installed (shards seeded) at this node.
-    pub snapshots_installed: u64,
-    /// Malformed KV bodies refused.
-    pub malformed: u64,
 }
 
 /// A lazily-created `UltMutex<()>`/`UltCondvar` pair: a park point for
@@ -241,7 +214,8 @@ pub(crate) struct KvState {
     pub cfg: OnceLock<KvConfig>,
     /// The placement ring, built once from the world shape.
     pub ring: OnceLock<Ring>,
-    pub stats: KvStats,
+    /// Shared with the node's counter-family list.
+    pub stats: Arc<KvStats>,
     pub inner: Mutex<Inner>,
     /// The daemon's park point: mutations queued by the server thread
     /// poke it so replication starts before the next tick.
@@ -266,29 +240,6 @@ impl KvState {
     pub(crate) fn poke_daemon(&self) {
         if let Some((_, cv)) = self.daemon_park.get() {
             cv.notify_one();
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> KvStatsSnapshot {
-        let s = &self.stats;
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        KvStatsSnapshot {
-            mutations: ld(&s.mutations),
-            reads: ld(&s.reads),
-            read_misses: ld(&s.read_misses),
-            dup_replayed: ld(&s.dup_replayed),
-            stale_dropped: ld(&s.stale_dropped),
-            not_ready: ld(&s.not_ready),
-            no_lease: ld(&s.no_lease),
-            repl_sent: ld(&s.repl_sent),
-            repl_applied: ld(&s.repl_applied),
-            repl_retries: ld(&s.repl_retries),
-            staged_bulk: ld(&s.staged_bulk),
-            leases_granted: ld(&s.leases_granted),
-            leases_taken: ld(&s.leases_taken),
-            snapshots_served: ld(&s.snapshots_served),
-            snapshots_installed: ld(&s.snapshots_installed),
-            malformed: ld(&s.malformed),
         }
     }
 }
@@ -330,17 +281,5 @@ mod tests {
         assert!(c.lease_renew.unwrap() < c.lease);
         assert!(c.tick < c.daemon_op_timeout);
         assert!(c.daemon_op_timeout < c.op_patience);
-    }
-
-    #[test]
-    fn stats_snapshot_reflects_bumps() {
-        let st = KvState::default();
-        KvStats::bump(&st.stats.mutations);
-        KvStats::bump(&st.stats.mutations);
-        KvStats::bump(&st.stats.no_lease);
-        let s = st.snapshot();
-        assert_eq!(s.mutations, 2);
-        assert_eq!(s.no_lease, 1);
-        assert_eq!(s.reads, 0);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every record decodes with [`chant_core::wire::Reader`]'s bounds
 //! checks — truncated or corrupt bytes come back as
-//! [`ChantError::Wire`], never a panic — and the proptest battery at
-//! the bottom holds the codecs to roundtrip and totality the same way
-//! the core RSR envelopes are held.
+//! [`ChantError::Wire`], never a panic — and the bottom of this file
+//! holds every codec to the workspace's one property battery
+//! (`chant_comm::codec_props!`) the same way the core RSR envelopes are
+//! held.
 //!
 //! Service-level outcomes (`NOT_FOUND`, `RETRY`, `NO_LEASE`, …) are a
 //! status byte *inside* a successful RSR reply, not transport errors:
@@ -433,93 +434,78 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn b(v: Vec<u8>) -> Bytes {
-        Bytes::from(v)
+    fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
+        proptest::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
     }
 
-    proptest! {
-        #[test]
-        fn mutate_roundtrips(shard in any::<u32>(), client in any::<u64>(), seq in any::<u64>(),
-                             opcode in 0u8..3, key in proptest::collection::vec(any::<u8>(), 0..64),
-                             val in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let a = MutateArgs { shard, client, seq, opcode, key: b(key), val: b(val) };
-            prop_assert_eq!(decode_mutate(&encode_mutate(&a)).unwrap(), a);
-        }
-
-        #[test]
-        fn repl_roundtrips(ids in (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
-                           tomb in any::<bool>(), inline in any::<bool>(),
-                           span in (any::<u64>(), any::<u64>()),
-                           key in proptest::collection::vec(any::<u8>(), 0..64),
-                           reply in proptest::collection::vec(any::<u8>(), 0..32),
-                           val in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let (shard, ver, client, seq) = ids;
-            let (off, len) = span;
-            let a = ReplArgs { shard, ver, client, seq, tomb, inline, off, len,
-                               key: b(key), reply: b(reply), val: b(val) };
-            prop_assert_eq!(decode_repl(&encode_repl(&a)).unwrap(), a);
-        }
-
-        #[test]
-        fn small_records_roundtrip(shard in any::<u32>(), x in any::<u32>(), v in any::<u64>(),
-                                   w in any::<u64>(), z in any::<u64>(), f in any::<bool>()) {
-            let g = GetArgs { shard, key: b(v.to_le_bytes().to_vec()) };
-            prop_assert_eq!(decode_get(&encode_get(&g)).unwrap(), g);
-            let l = LeaseArgs { shard, ttl_ms: x };
-            prop_assert_eq!(decode_lease(&encode_lease(&l)).unwrap(), l);
-            let s = ShardArgs { shard, part: x };
-            prop_assert_eq!(decode_shard_args(&encode_shard_args(&s)).unwrap(), s);
-            let r = KvReply { status: (x % 7) as u8, ver: v, val: b(w.to_le_bytes().to_vec()) };
-            prop_assert_eq!(decode_reply(&encode_reply(&r)).unwrap(), r);
-            let fl = FlushReply { status: (x % 7) as u8, version: v, replicated: w };
-            prop_assert_eq!(decode_flush_reply(&encode_flush_reply(&fl)).unwrap(), fl);
-            let sr = SnapReply { status: (x % 7) as u8, ver: v, off: w, len: z, done: f };
-            prop_assert_eq!(decode_snap_reply(&encode_snap_reply(&sr)).unwrap(), sr);
-            let d = DigestReply { ver: v, count: w, digest: z };
-            prop_assert_eq!(decode_digest_reply(&encode_digest_reply(&d)).unwrap(), d);
-        }
-
-        #[test]
-        fn snapshot_roundtrips(ver in any::<u64>(),
-                               entries in proptest::collection::vec(
-                                   (proptest::collection::vec(any::<u8>(), 0..16), any::<u64>(),
-                                    any::<bool>(), proptest::collection::vec(any::<u8>(), 0..32)), 0..8),
-                               clients in proptest::collection::vec(
-                                   (any::<u64>(), any::<u64>(),
-                                    proptest::collection::vec(any::<u8>(), 0..16)), 0..8)) {
-            let s = SnapshotBlob {
-                ver,
-                entries: entries.into_iter().map(|(k, v, t, val)| (b(k), v, t, b(val))).collect(),
-                clients: clients.into_iter().map(|(c, q, r)| (c, q, b(r))).collect(),
-            };
-            prop_assert_eq!(decode_snapshot(&encode_snapshot(&s)).unwrap(), s);
-        }
-
-        #[test]
-        fn decoders_are_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            // No decoder may panic on arbitrary input; errors only.
-            let _ = decode_mutate(&bytes);
-            let _ = decode_get(&bytes);
-            let _ = decode_repl(&bytes);
-            let _ = decode_lease(&bytes);
-            let _ = decode_shard_args(&bytes);
-            let _ = decode_reply(&bytes);
-            let _ = decode_flush_reply(&bytes);
-            let _ = decode_snap_reply(&bytes);
-            let _ = decode_digest_reply(&bytes);
-            let _ = decode_snapshot(&bytes);
-        }
-
-        #[test]
-        fn truncation_always_errors(seq in any::<u64>(), cut in 0usize..32) {
-            let a = MutateArgs {
-                shard: 7, client: 9, seq, opcode: op::PUT,
-                key: b(vec![1, 2, 3]), val: b(vec![4; 10]),
-            };
-            let enc = encode_mutate(&a);
-            if cut < enc.len() {
-                prop_assert!(decode_mutate(&enc[..cut]).is_err());
-            }
-        }
+    // Every KV record is self-delimiting (fixed fields and
+    // length-prefixed byte strings, no "rest"), so no strict prefix of
+    // one may decode. The three records that carry a flag read it as
+    // `byte != 0`; for those a flipped byte may be invisible.
+    macro_rules! kv_codec {
+        ($name:ident: $strategy:expr, $encode:ident, $decode:ident, every_byte_matters = $strict:expr) => {
+            chant_comm::codec_props!(
+                $name: $strategy, $encode, $decode,
+                rejects_prefixes_below = usize::MAX, every_byte_matters = $strict,
+            );
+        };
     }
+
+    kv_codec!(
+        mutate: (any::<u32>(), any::<u64>(), any::<u64>(), 0u8..3, arb_bytes(64), arb_bytes(128))
+            .prop_map(|(shard, client, seq, opcode, key, val)| MutateArgs { shard, client, seq, opcode, key, val }),
+        encode_mutate, decode_mutate, every_byte_matters = true
+    );
+    kv_codec!(
+        get: (any::<u32>(), arb_bytes(64)).prop_map(|(shard, key)| GetArgs { shard, key }),
+        encode_get, decode_get, every_byte_matters = true
+    );
+    kv_codec!(
+        repl: (
+            (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<bool>(), any::<bool>(), any::<u64>(), any::<u64>()),
+            (arb_bytes(64), arb_bytes(32), arb_bytes(128)),
+        )
+            .prop_map(|((shard, ver, client, seq), (tomb, inline, off, len), (key, reply, val))| {
+                ReplArgs { shard, ver, client, seq, tomb, inline, off, len, key, reply, val }
+            }),
+        encode_repl, decode_repl, every_byte_matters = false
+    );
+    kv_codec!(
+        lease: (any::<u32>(), any::<u32>()).prop_map(|(shard, ttl_ms)| LeaseArgs { shard, ttl_ms }),
+        encode_lease, decode_lease, every_byte_matters = true
+    );
+    kv_codec!(
+        shard_args: (any::<u32>(), any::<u32>()).prop_map(|(shard, part)| ShardArgs { shard, part }),
+        encode_shard_args, decode_shard_args, every_byte_matters = true
+    );
+    kv_codec!(
+        reply: (any::<u8>(), any::<u64>(), arb_bytes(64))
+            .prop_map(|(status, ver, val)| KvReply { status, ver, val }),
+        encode_reply, decode_reply, every_byte_matters = true
+    );
+    kv_codec!(
+        flush_reply: (any::<u8>(), any::<u64>(), any::<u64>())
+            .prop_map(|(status, version, replicated)| FlushReply { status, version, replicated }),
+        encode_flush_reply, decode_flush_reply, every_byte_matters = true
+    );
+    kv_codec!(
+        snap_reply: (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>())
+            .prop_map(|(status, ver, off, len, done)| SnapReply { status, ver, off, len, done }),
+        encode_snap_reply, decode_snap_reply, every_byte_matters = false
+    );
+    kv_codec!(
+        digest_reply: (any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(ver, count, digest)| DigestReply { ver, count, digest }),
+        encode_digest_reply, decode_digest_reply, every_byte_matters = true
+    );
+    kv_codec!(
+        snapshot: (
+            any::<u64>(),
+            proptest::collection::vec((arb_bytes(16), any::<u64>(), any::<bool>(), arb_bytes(32)), 0..8),
+            proptest::collection::vec((any::<u64>(), any::<u64>(), arb_bytes(16)), 0..8),
+        )
+            .prop_map(|(ver, entries, clients)| SnapshotBlob { ver, entries, clients }),
+        encode_snapshot, decode_snapshot, every_byte_matters = false
+    );
 }

@@ -10,7 +10,8 @@
 //! * [`ring`] — the lock-free bounded ring each lane buffers events in.
 //! * [`tracer`] — process-wide lane registration and collection; emit
 //!   is a timestamp read plus a lock-free push.
-//! * [`metrics`] — named monotone counters and log₂-bucketed latency
+//! * [`metrics`] — the [`counters!`] declaration every always-on counter
+//!   family is made with, and named counters and log₂-bucketed latency
 //!   histograms behind one registry.
 //! * [`perfetto`] — the Chrome-trace-event/Perfetto JSON exporter (and
 //!   schema validator) both trace sources render through.
@@ -20,10 +21,9 @@
 //!   cluster timeline with Perfetto flow arrows on the wire-level
 //!   trace ids.
 //!
-//! The runtime crates (`chant-ult`, `chant-comm`, `chant-core`) depend
-//! on this crate only behind their `trace` cargo feature and compile
-//! their instrumentation out entirely when it is off, so the default
-//! build is bit-for-bit the uninstrumented one.
+//! The runtime crates always link this crate for their counter
+//! families; event emission and every histogram stay behind their
+//! `trace` cargo feature and are compiled out entirely when it is off.
 
 #![warn(missing_docs)]
 
@@ -37,7 +37,7 @@ pub mod tracer;
 
 pub use clock::{estimate_offset, ClockEstimate, ClockSample};
 pub use event::{trace_id, Event, FaultKind, LaneTrace, TimedEvent};
-pub use metrics::{registry, Counter, Histogram, MetricsRegistry, Percentiles};
+pub use metrics::{registry, Counter, CounterFamily, Histogram, MetricsRegistry, Percentiles};
 pub use tracer::{LaneHandle, RingMode};
 
 /// What [`check_balance`] tallied over one lane.

@@ -1,18 +1,26 @@
 //! Metrics: monotone counters and log₂-bucketed latency histograms.
 //!
-//! This unifies the repo's scattered per-subsystem atomics behind one
-//! named registry, so a run can be summarised (`registry().snapshot()`)
-//! and serialized next to its trace without each caller hand-reading a
-//! dozen `AtomicU64`s.
+//! Every always-on counter of the runtime is a [`Counter`] field of a
+//! family declared once with [`counters!`](crate::counters) (`ult`,
+//! `comm`, `transport`, `fault`, `rsr`, `kv`, `pubsub`); the macro
+//! derives the snapshot struct, `snapshot()`, `delta()`, `+=` and the
+//! dotted `("<family>.<field>", value)` names that telemetry, the
+//! cluster report and the end-of-run fold into the named [`registry`]
+//! all read. Histograms and ad-hoc counters live in the registry
+//! directly.
 //!
 //! All metric updates use `Ordering::Relaxed`. That is sound here
 //! because every metric is *monotone* — increment-only counters and
-//! histogram cells — and readers only consume totals after the writers
-//! have been joined or quiesced (end of run, end of bench iteration).
-//! Relaxed still guarantees per-cell atomicity and modification-order
-//! consistency, which is all a monotone tally needs; the stronger
-//! orderings would only buy cross-metric ordering that no reader relies
-//! on, at real cost on weakly-ordered machines.
+//! histogram cells — and is a statistic, not synchronization. Relaxed
+//! still guarantees each cell is torn-free and never loses an increment
+//! (its modification order is total), which is all a tally needs.
+//! Stronger orderings would only buy happens-before edges *between*
+//! cells — "if the snapshot saw the send, it also sees the byte count" —
+//! and no reader relies on such edges: totals are consumed after the
+//! traffic of interest has quiesced (end of run, end of phase, end of
+//! bench iteration), and a live telemetry tick is a rate display, not an
+//! invariant check. The stronger orderings would cost real time on
+//! weakly-ordered machines for nothing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +30,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// A monotone event counter.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -42,6 +50,92 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+}
+
+/// A family of counters declared with [`counters!`](crate::counters),
+/// readable without naming its type: what a node keeps a list of so
+/// telemetry and the cluster report reach families (KV, pub-sub) that
+/// live in crates `chant-core` cannot name.
+pub trait CounterFamily: Send + Sync {
+    /// Every counter's current value as `("<family>.<field>", value)`,
+    /// in declaration order.
+    fn fields(&self) -> Vec<(&'static str, u64)>;
+}
+
+/// Declare a counter family once: from a prefix, two struct names and a
+/// list of documented field names, produce the live struct (public
+/// [`Counter`] fields; bump with `s.f.incr()` / `s.f.add(n)`), the
+/// `Copy` snapshot struct with the same fields as `u64`, and on them
+/// `snapshot()`, `delta()`, `+=`, `fields()` and [`CounterFamily`].
+///
+/// ```
+/// chant_obs::counters! {
+///     /// What the door did.
+///     "door": pub struct DoorStats => pub struct DoorSnapshot {
+///         /// Times it opened.
+///         opened,
+///         /// Times it slammed.
+///         slammed,
+///     }
+/// }
+/// let d = DoorStats::default();
+/// d.opened.incr();
+/// assert_eq!(d.snapshot().fields(), [("door.opened", 1), ("door.slammed", 0)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $prefix:literal: $lvis:vis struct $Live:ident => $svis:vis struct $Snap:ident {
+            $( $(#[$fmeta:meta])* $field:ident ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $lvis struct $Live {
+            $( $(#[$fmeta])* pub $field: $crate::Counter, )+
+        }
+
+        #[doc = concat!("A point-in-time copy of `", stringify!($Live), "`.")]
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $svis struct $Snap {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $Live {
+            /// Copy every counter out.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap { $( $field: self.$field.get(), )+ }
+            }
+        }
+
+        impl $crate::CounterFamily for $Live {
+            fn fields(&self) -> Vec<(&'static str, u64)> {
+                self.snapshot().fields()
+            }
+        }
+
+        impl $Snap {
+            /// Counter-wise `self - earlier`, for measuring one phase of
+            /// a run. Saturates at zero, so a stale `earlier` cannot
+            /// produce a wrapped count.
+            pub fn delta(&self, earlier: &$Snap) -> $Snap {
+                $Snap { $( $field: self.$field.saturating_sub(earlier.$field), )+ }
+            }
+
+            /// Every counter as `("<family>.<field>", value)`, in
+            /// declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![ $( (concat!($prefix, ".", stringify!($field)), self.$field), )+ ]
+            }
+        }
+
+        impl ::std::ops::AddAssign for $Snap {
+            fn add_assign(&mut self, other: $Snap) {
+                $( self.$field += other.$field; )+
+            }
+        }
+    };
 }
 
 /// Number of log₂ buckets in a [`Histogram`].
@@ -245,20 +339,12 @@ impl MetricsRegistry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::default())),
-        )
+        get_or_create(&self.histograms, name)
     }
 
     /// Copy every metric's current value out.
@@ -288,6 +374,15 @@ impl MetricsRegistry {
     }
 }
 
+/// Look `name` up, allocating the key only when it has to be inserted.
+fn get_or_create<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 /// A plain-data copy of a [`MetricsRegistry`] at one instant,
 /// serializable next to the trace it annotates.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -307,6 +402,59 @@ pub fn registry() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    crate::counters! {
+        /// A family for the property test below.
+        "door": struct DoorStats => struct DoorSnapshot {
+            /// Times it opened.
+            opened,
+            /// Times it closed.
+            closed,
+            /// People through it.
+            passed,
+        }
+    }
+
+    proptest! {
+        /// Random bump sequences against a plain-array model, with a
+        /// snapshot taken somewhere in the middle.
+        #[test]
+        fn declared_family_counts_snapshots_and_subtracts(
+            bumps in proptest::collection::vec((0usize..3, 1u64..1000), 0..200),
+            cut in 0usize..200,
+        ) {
+            let live = DoorStats::default();
+            let cells = [&live.opened, &live.closed, &live.passed];
+            let mut model = [0u64; 3];
+            let mut earlier = live.snapshot();
+            for (i, &(field, n)) in bumps.iter().enumerate() {
+                if i == cut {
+                    earlier = live.snapshot();
+                }
+                if n == 1 {
+                    cells[field].incr();
+                } else {
+                    cells[field].add(n);
+                }
+                model[field] += n;
+            }
+            let now = live.snapshot();
+            prop_assert_eq!([now.opened, now.closed, now.passed], model);
+
+            // delta() undoes +=, and saturates the other way round.
+            let mut sum = now.delta(&earlier);
+            sum += earlier;
+            prop_assert_eq!(sum, now);
+            prop_assert_eq!(earlier.delta(&now), DoorSnapshot::default());
+
+            // Names are unique by construction if they are these, in
+            // declaration order, with the family prefix.
+            let expect = [("door.opened", model[0]), ("door.closed", model[1]), ("door.passed", model[2])];
+            prop_assert_eq!(now.fields(), expect);
+            prop_assert_eq!(CounterFamily::fields(&live), expect);
+        }
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -401,6 +549,8 @@ mod tests {
         r.counter("a").add(3);
         r.counter("a").incr();
         r.histogram("h").record(9);
+        assert!(Arc::ptr_eq(&r.counter("a"), &r.counter("a")));
+        assert!(Arc::ptr_eq(&r.histogram("h"), &r.histogram("h")));
         let s = r.snapshot();
         assert_eq!(s.counters["a"], 4);
         assert_eq!(s.histograms["h"].count, 1);

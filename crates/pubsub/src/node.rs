@@ -26,7 +26,7 @@ use chant_core::{ChantError, ChantNode, ClusterBuilder};
 use chant_ult::{UltCondvar, UltError, UltMutex};
 
 use crate::state::{
-    Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStats, PubsubStatsSnapshot, SubEntry,
+    Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStatsSnapshot, SubEntry,
     SubQueue,
 };
 use crate::tree;
@@ -65,7 +65,11 @@ pub fn home_of(topic: u64, pes: u32, procs: u32) -> Address {
 }
 
 fn pubsub_state(node: &ChantNode) -> Arc<PubsubState> {
-    node.extension(PubsubState::default)
+    node.extension(|| {
+        let st = PubsubState::default();
+        node.add_counters(Arc::clone(&st.stats) as _);
+        st
+    })
 }
 
 fn home_for(node: &ChantNode, topic: u64) -> Address {
@@ -107,7 +111,7 @@ fn apply_subscription(st: &PubsubState, topic: u64, from: Address, count: u32, v
                 version,
                 last_heard: Instant::now(),
             });
-            PubsubStats::bump(&st.stats.control_updates);
+            st.stats.control_updates.incr();
         }
         Entry::Occupied(mut o) => {
             let e = o.get_mut();
@@ -115,7 +119,7 @@ fn apply_subscription(st: &PubsubState, topic: u64, from: Address, count: u32, v
                 e.count = count;
                 e.version = version;
                 e.last_heard = Instant::now();
-                PubsubStats::bump(&st.stats.control_updates);
+                st.stats.control_updates.incr();
             } else if version == e.version {
                 e.last_heard = Instant::now();
             }
@@ -179,7 +183,7 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
         let a = match wire::decode_ack(&body) {
             Ok(a) => a,
             Err(_) => {
-                PubsubStats::bump(&st.stats.malformed);
+                st.stats.malformed.incr();
                 return;
             }
         };
@@ -196,7 +200,7 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
             if all_acked {
                 inner.pending.remove(&key);
             }
-            PubsubStats::bump(&st.stats.acks);
+            st.stats.acks.incr();
         }
         return;
     }
@@ -204,7 +208,7 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
     let f = match wire::decode_data(&body) {
         Ok(f) => f,
         Err(_) => {
-            PubsubStats::bump(&st.stats.malformed);
+            st.stats.malformed.incr();
             return;
         }
     };
@@ -225,7 +229,7 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
     {
         let mut inner = st.inner.lock();
         if !inner.seen.insert((f.topic, f.origin, f.seq), cfg.dedup_window) {
-            PubsubStats::bump(&st.stats.dup_dropped);
+            st.stats.dup_dropped.incr();
             return;
         }
     }
@@ -263,7 +267,7 @@ fn process_routed(
     let sent = node
         .endpoint()
         .isend_many(&kids, tag, 0, kind::PUBSUB, body.clone());
-    PubsubStats::add(&st.stats.forwarded, sent as u64);
+    st.stats.forwarded.add(sent as u64);
     let mut inner = st.inner.lock();
     inner.pending.insert(
         (f.topic, f.origin, f.seq),
@@ -296,7 +300,7 @@ fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, cfg: &P
             continue;
         };
         if !q.seen.insert((f.origin, f.seq), cfg.dedup_window) {
-            PubsubStats::bump(&st.stats.dup_dropped);
+            st.stats.dup_dropped.incr();
             continue;
         }
         q.items.push_back(PubsubMsg {
@@ -309,7 +313,7 @@ fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, cfg: &P
         // Counted before it is visible: a subscriber that has the
         // message (possibly on another lane, the instant it is woken)
         // must find it in the tally.
-        PubsubStats::bump(&st.stats.delivered);
+        st.stats.delivered.incr();
         drop(q);
         sub.cv.notify_all();
         trace_deliver(node, st, f, now_ns);
@@ -333,7 +337,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
                 return true;
             }
             if p.attempts >= cfg.max_attempts {
-                PubsubStats::bump(&stats.expired);
+                stats.expired.incr();
                 return false;
             }
             let unacked: Vec<Address> = p
@@ -347,7 +351,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
             }
             p.attempts += 1;
             p.last_sent = now;
-            PubsubStats::bump(&stats.retransmits);
+            stats.retransmits.incr();
             resend.push((unacked, p.tag, p.body.clone()));
             true
         });
@@ -380,7 +384,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
             .collect()
     };
     for u in updates {
-        PubsubStats::bump(&st.stats.resyncs);
+        st.stats.resyncs.incr();
         let home = home_for(node, u.topic);
         if home == me {
             apply_subscription(st, u.topic, me, u.count, u.version);
@@ -398,7 +402,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
         regs.retain(|_, e| {
             let keep = now.duration_since(e.last_heard) <= cfg.topic_timeout;
             if !keep {
-                PubsubStats::bump(&stats.expired);
+                stats.expired.incr();
             }
             keep
         });
@@ -507,7 +511,7 @@ impl PubsubNode for ChantNode {
             *c
         };
         let sent_ns = unix_ns();
-        PubsubStats::bump(&st.stats.published);
+        st.stats.published.incr();
         trace_publish(self, &st, topic, seq);
         let home = home_for(self, topic);
         if home == me {
@@ -562,7 +566,7 @@ impl PubsubNode for ChantNode {
     }
 
     fn pubsub_stats(&self) -> PubsubStatsSnapshot {
-        pubsub_state(self).snapshot()
+        pubsub_state(self).stats.snapshot()
     }
 }
 
@@ -662,26 +666,22 @@ impl Drop for Subscriber {
 // ----------------------------------------------------------------------
 
 #[cfg(feature = "trace")]
-fn lane(node: &ChantNode, st: &PubsubState) -> Option<chant_obs::tracer::LaneHandle> {
-    st.lane
+fn obs<'a>(node: &ChantNode, st: &'a PubsubState) -> Option<&'a crate::state::PubsubObs> {
+    st.obs
         .get_or_init(|| {
-            chant_obs::tracer::register_lane(&format!(
-                "pubsub{}.{}",
-                node.pe(),
-                node.process()
-            ))
+            let name = format!("pubsub{}.{}", node.pe(), node.process());
+            Some(crate::state::PubsubObs {
+                lane: chant_obs::tracer::register_lane(&name)?,
+                deliver_latency_ns: chant_obs::registry().histogram("pubsub.deliver_latency_ns"),
+            })
         })
-        .clone()
+        .as_ref()
 }
 
 #[cfg(feature = "trace")]
 fn trace_publish(node: &ChantNode, st: &PubsubState, topic: u64, seq: u64) {
-    if !chant_obs::tracer::active() {
-        return;
-    }
-    chant_obs::registry().counter("pubsub.published").incr();
-    if let Some(l) = lane(node, st) {
-        l.emit(chant_obs::Event::PubsubPublish { topic, seq });
+    if let Some(o) = obs(node, st) {
+        o.lane.emit(chant_obs::Event::PubsubPublish { topic, seq });
     }
 }
 
@@ -690,15 +690,9 @@ fn trace_publish(_node: &ChantNode, _st: &PubsubState, _topic: u64, _seq: u64) {
 
 #[cfg(feature = "trace")]
 fn trace_deliver(node: &ChantNode, st: &PubsubState, f: &DataFrame, now_ns: u64) {
-    if !chant_obs::tracer::active() {
-        return;
-    }
-    let reg = chant_obs::registry();
-    reg.counter("pubsub.delivered").incr();
-    reg.histogram("pubsub.deliver_latency_ns")
-        .record(now_ns.saturating_sub(f.sent_ns));
-    if let Some(l) = lane(node, st) {
-        l.emit(chant_obs::Event::PubsubDeliver {
+    if let Some(o) = obs(node, st) {
+        o.deliver_latency_ns.record(now_ns.saturating_sub(f.sent_ns));
+        o.lane.emit(chant_obs::Event::PubsubDeliver {
             topic: f.topic,
             seq: f.seq,
         });

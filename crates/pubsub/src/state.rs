@@ -12,7 +12,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -78,56 +77,32 @@ pub struct PubsubMsg {
     pub sent_ns: u64,
 }
 
-/// Monotonic pub-sub counters for one node.
-#[derive(Default)]
-pub(crate) struct PubsubStats {
-    pub published: AtomicU64,
-    pub delivered: AtomicU64,
-    pub forwarded: AtomicU64,
-    pub acks: AtomicU64,
-    pub retransmits: AtomicU64,
-    pub dup_dropped: AtomicU64,
-    pub expired: AtomicU64,
-    pub resyncs: AtomicU64,
-    pub control_updates: AtomicU64,
-    pub malformed: AtomicU64,
-}
-
-impl PubsubStats {
-    pub(crate) fn bump(cell: &AtomicU64) {
-        cell.fetch_add(1, Ordering::Relaxed);
+chant_obs::counters! {
+    /// Monotonic pub-sub counters for one node
+    /// (see [`crate::PubsubNode::pubsub_stats`]).
+    "pubsub": pub(crate) struct PubsubStats => pub struct PubsubStatsSnapshot {
+        /// Publishes issued by this node's threads.
+        published,
+        /// Messages handed to local subscriber queues (counted per
+        /// subscriber).
+        delivered,
+        /// Data frames forwarded to fan-out-tree children.
+        forwarded,
+        /// Hop acknowledgements received.
+        acks,
+        /// Data-frame hop retransmissions.
+        retransmits,
+        /// Duplicate data frames dropped (node-level or per-subscriber).
+        dup_dropped,
+        /// Frames abandoned after `max_attempts` retransmissions.
+        expired,
+        /// Periodic subscription resyncs sent.
+        resyncs,
+        /// Subscription updates applied at this node (as a topic home).
+        control_updates,
+        /// Malformed pub-sub bodies dropped.
+        malformed,
     }
-
-    pub(crate) fn add(cell: &AtomicU64, n: u64) {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of one node's pub-sub counters
-/// (see [`crate::PubsubNode::pubsub_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PubsubStatsSnapshot {
-    /// Publishes issued by this node's threads.
-    pub published: u64,
-    /// Messages handed to local subscriber queues (counted per
-    /// subscriber).
-    pub delivered: u64,
-    /// Data frames forwarded to fan-out-tree children.
-    pub forwarded: u64,
-    /// Hop acknowledgements received.
-    pub acks: u64,
-    /// Data-frame hop retransmissions.
-    pub retransmits: u64,
-    /// Duplicate data frames dropped (node-level or per-subscriber).
-    pub dup_dropped: u64,
-    /// Frames abandoned after `max_attempts` retransmissions.
-    pub expired: u64,
-    /// Periodic subscription resyncs sent.
-    pub resyncs: u64,
-    /// Subscription updates applied at this node (as a topic home).
-    pub control_updates: u64,
-    /// Malformed pub-sub bodies dropped.
-    pub malformed: u64,
 }
 
 /// A bounded first-in-first-out duplicate-suppression window over keys
@@ -235,35 +210,28 @@ pub(crate) struct PubsubState {
     /// (first writer wins), read per use so SDK calls racing startup
     /// just see defaults until it lands.
     pub cfg: OnceLock<PubsubConfig>,
-    pub stats: PubsubStats,
+    /// Shared with the node's counter-family list.
+    pub stats: Arc<PubsubStats>,
     pub inner: Mutex<Inner>,
-    /// This node's trace lane (`pubsub{pe}.{process}`), registered on
-    /// first use; `None` once resolved means no tracer was installed.
+    /// This node's trace handles, resolved on first use; `None` once
+    /// resolved means no tracer was installed.
     #[cfg(feature = "trace")]
-    pub lane: OnceLock<Option<chant_obs::tracer::LaneHandle>>,
+    pub obs: OnceLock<Option<PubsubObs>>,
+}
+
+/// Per-node trace handles, looked up once.
+#[cfg(feature = "trace")]
+pub(crate) struct PubsubObs {
+    /// The node's trace lane (`pubsub{pe}.{process}`).
+    pub lane: chant_obs::LaneHandle,
+    /// Publisher wall clock → local delivery, ns.
+    pub deliver_latency_ns: Arc<chant_obs::Histogram>,
 }
 
 impl PubsubState {
     /// The installed config, or defaults if none landed yet.
     pub(crate) fn config(&self) -> PubsubConfig {
         self.cfg.get().cloned().unwrap_or_default()
-    }
-
-    pub(crate) fn snapshot(&self) -> PubsubStatsSnapshot {
-        let s = &self.stats;
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        PubsubStatsSnapshot {
-            published: ld(&s.published),
-            delivered: ld(&s.delivered),
-            forwarded: ld(&s.forwarded),
-            acks: ld(&s.acks),
-            retransmits: ld(&s.retransmits),
-            dup_dropped: ld(&s.dup_dropped),
-            expired: ld(&s.expired),
-            resyncs: ld(&s.resyncs),
-            control_updates: ld(&s.control_updates),
-            malformed: ld(&s.malformed),
-        }
     }
 }
 

@@ -278,91 +278,40 @@ mod tests {
             (any::<u32>(), any::<u32>()).prop_map(|(pe, process)| Address::new(pe, process))
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Data frames survive encode/decode bit-exactly for
-            /// arbitrary field values, node lists, and payloads.
-            #[test]
-            fn prop_data_roundtrip(
-                route_tree in any::<bool>(),
-                topic in any::<u64>(),
-                origin in arb_addr(),
-                seq in any::<u64>(),
-                sent_ns in any::<u64>(),
-                nodes in proptest::collection::vec(arb_addr(), 0..24),
-                payload in proptest::collection::vec(any::<u8>(), 0..256),
-            ) {
-                let f = DataFrame {
-                    route: if route_tree { ROUTE_TREE } else { ROUTE_TO_HOME },
-                    topic, origin, seq, sent_ns, nodes,
+        fn arb_data() -> impl Strategy<Value = DataFrame> {
+            (
+                (any::<bool>(), any::<u64>(), arb_addr(), any::<u64>(), any::<u64>()),
+                proptest::collection::vec(arb_addr(), 0..24),
+                proptest::collection::vec(any::<u8>(), 0..256),
+            )
+                .prop_map(|((tree, topic, origin, seq, sent_ns), nodes, payload)| DataFrame {
+                    route: if tree { ROUTE_TREE } else { ROUTE_TO_HOME },
+                    topic,
+                    origin,
+                    seq,
+                    sent_ns,
+                    nodes,
                     payload: Bytes::from(payload),
-                };
-                prop_assert_eq!(decode_data(&encode_data(&f)).unwrap(), f);
-            }
-
-            /// Decoding arbitrary bytes is total: `Ok` or `Wire`, never
-            /// a panic — frames arrive off real sockets through a fault
-            /// shim.
-            #[test]
-            fn prop_decode_data_is_total(raw in proptest::collection::vec(any::<u8>(), 0..192)) {
-                let _ = decode_data(&raw);
-            }
-
-            /// Truncating a valid data frame anywhere strictly inside it
-            /// is an error, never a panic and never a silent success.
-            #[test]
-            fn prop_truncated_data_rejected(
-                nodes in proptest::collection::vec(arb_addr(), 0..4),
-                payload in proptest::collection::vec(any::<u8>(), 0..32),
-                cut_seed in any::<usize>(),
-            ) {
-                let f = DataFrame {
-                    route: ROUTE_TREE, topic: 5, origin: Address::new(1, 0),
-                    seq: 2, sent_ns: 3, nodes, payload: Bytes::from(payload),
-                };
-                let full = encode_data(&f);
-                let cut = cut_seed % full.len();
-                prop_assert!(decode_data(&full[..cut]).is_err());
-            }
-
-            /// Corrupting one byte of a data frame is detected or
-            /// contained: decode errors, or yields a visibly different
-            /// frame — never a panic, never the original frame with a
-            /// silently different meaning.
-            #[test]
-            fn prop_corrupted_data_contained(
-                payload in proptest::collection::vec(any::<u8>(), 1..64),
-                at in any::<usize>(),
-                flip in 1u8..=255,
-            ) {
-                let f = frame(vec![Address::new(0, 0), Address::new(1, 0)]);
-                let mut raw = encode_data(&DataFrame { payload: Bytes::from(payload), ..f.clone() }).to_vec();
-                let at = at % raw.len();
-                raw[at] ^= flip;
-                match decode_data(&raw) {
-                    Err(_) => {}
-                    Ok(g) => prop_assert!(g != f, "corruption invisible"),
-                }
-            }
-
-            /// Ack and subscription-update codecs: roundtrip + totality.
-            #[test]
-            fn prop_ack_sub_roundtrip_total(
-                topic in any::<u64>(),
-                origin in arb_addr(),
-                seq in any::<u64>(),
-                count in any::<u32>(),
-                version in any::<u64>(),
-                raw in proptest::collection::vec(any::<u8>(), 0..64),
-            ) {
-                let a = AckFrame { topic, origin, seq };
-                prop_assert_eq!(decode_ack(&encode_ack(&a)).unwrap(), a);
-                let u = SubUpdate { topic, count, version };
-                prop_assert_eq!(decode_sub(&encode_sub(&u)).unwrap(), u);
-                let _ = decode_ack(&raw);
-                let _ = decode_sub(&raw);
-            }
+                })
         }
+
+        // All three frames are self-delimiting: a cut anywhere strictly
+        // inside one is an error, never a silent success.
+        chant_comm::codec_props!(
+            data: arb_data(), encode_data, decode_data,
+            rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+        );
+        chant_comm::codec_props!(
+            ack: (any::<u64>(), arb_addr(), any::<u64>())
+                .prop_map(|(topic, origin, seq)| AckFrame { topic, origin, seq }),
+            encode_ack, decode_ack,
+            rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+        );
+        chant_comm::codec_props!(
+            sub: (any::<u64>(), any::<u32>(), any::<u64>())
+                .prop_map(|(topic, count, version)| SubUpdate { topic, count, version }),
+            encode_sub, decode_sub,
+            rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+        );
     }
 }

@@ -78,6 +78,9 @@ pub struct RmaHandle {
     /// Issue time, for the `core.rma.*_ns` latency histograms.
     #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     pub(crate) started: Instant,
+    /// Where completion latency is recorded; `None` when untraced.
+    #[cfg(feature = "trace")]
+    pub(crate) latency_ns: Option<std::sync::Arc<chant_obs::Histogram>>,
 }
 
 impl RmaHandle {
@@ -94,15 +97,8 @@ impl RmaHandle {
 
     #[cfg(feature = "trace")]
     fn record_latency(&self) {
-        if chant_obs::tracer::active() {
-            chant_obs::registry()
-                .histogram(match self.kind {
-                    OpKind::Get => "core.rma.get_ns",
-                    OpKind::Put => "core.rma.put_ns",
-                    OpKind::FetchAdd => "core.rma.fetch_add_ns",
-                    OpKind::CompareSwap => "core.rma.compare_swap_ns",
-                })
-                .record(self.started.elapsed().as_nanos() as u64);
+        if let Some(h) = &self.latency_ns {
+            h.record(self.started.elapsed().as_nanos() as u64);
         }
     }
 

@@ -60,23 +60,6 @@ fn rma_state(node: &ChantNode) -> Arc<RmaState> {
     node.extension(RmaState::default)
 }
 
-#[cfg(feature = "trace")]
-fn count_op(kind: OpKind) {
-    if chant_obs::tracer::active() {
-        chant_obs::registry()
-            .counter(match kind {
-                OpKind::Get => "core.rma.get",
-                OpKind::Put => "core.rma.put",
-                OpKind::FetchAdd => "core.rma.fetch_add",
-                OpKind::CompareSwap => "core.rma.compare_swap",
-            })
-            .incr();
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-fn count_op(_kind: OpKind) {}
-
 /// One-sided memory operations, callable on any [`ChantNode`] of a
 /// cluster built through [`with_rma`].
 ///
@@ -185,7 +168,11 @@ where
     L: FnOnce(&RmaState) -> Result<RmaResult, ChantError>,
 {
     node.check_dst(ChanterId::new(dst.pe, dst.process, 0))?;
-    count_op(kind);
+    #[cfg(feature = "trace")]
+    let latency_ns = rma_state(node).obs(kind).map(|(issued, latency_ns)| {
+        issued.incr();
+        Arc::clone(latency_ns)
+    });
     let started = Instant::now();
     let inner = if dst == node.address() {
         Inner::Ready(local(&rma_state(node)))
@@ -199,6 +186,8 @@ where
         kind,
         inner,
         started,
+        #[cfg(feature = "trace")]
+        latency_ns,
     })
 }
 

@@ -130,9 +130,37 @@ fn write_cell(data: &mut [u8], offset: u64, value: u64) {
 #[derive(Default)]
 pub(crate) struct RmaState {
     segments: Mutex<HashMap<u32, Arc<RmaSegment>>>,
+    /// Per op kind, the `core.rma.<op>` counter and `core.rma.<op>_ns`
+    /// latency histogram, looked up once per node; `None` once resolved
+    /// means no tracer was installed.
+    #[cfg(feature = "trace")]
+    obs: std::sync::OnceLock<Option<[OpObs; 4]>>,
 }
 
+/// One op kind's issue counter and completion-latency histogram.
+#[cfg(feature = "trace")]
+pub(crate) type OpObs = (Arc<chant_obs::Counter>, Arc<chant_obs::Histogram>);
+
 impl RmaState {
+    #[cfg(feature = "trace")]
+    pub(crate) fn obs(&self, kind: crate::handle::OpKind) -> Option<&OpObs> {
+        self.obs
+            .get_or_init(|| {
+                chant_obs::tracer::active().then(|| {
+                    let reg = chant_obs::registry();
+                    // In `OpKind` declaration order.
+                    ["get", "put", "fetch_add", "compare_swap"].map(|op| {
+                        (
+                            reg.counter(&format!("core.rma.{op}")),
+                            reg.histogram(&format!("core.rma.{op}_ns")),
+                        )
+                    })
+                })
+            })
+            .as_ref()
+            .map(|per_kind| &per_kind[kind as usize])
+    }
+
     pub(crate) fn register(&self, id: u32, size: usize) -> Arc<RmaSegment> {
         let seg = Arc::new(RmaSegment::new(id, size));
         let prev = self.segments.lock().insert(id, Arc::clone(&seg));

@@ -131,56 +131,34 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    // Three fixed-size envelopes and one (put) whose data is
+    // length-prefixed: none has a decodable strict prefix.
+    chant_comm::codec_props!(
+        get: (any::<u32>(), any::<u64>(), any::<u64>())
+            .prop_map(|(seg, offset, len)| GetArgs { seg, offset, len }),
+        encode_get, decode_get,
+        rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+    );
+    chant_comm::codec_props!(
+        put: (any::<u32>(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..256))
+            .prop_map(|(seg, offset, data)| PutArgs { seg, offset, data: Bytes::from(data) }),
+        encode_put, decode_put,
+        rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+    );
+    chant_comm::codec_props!(
+        fetch_add: (any::<u32>(), any::<u64>(), any::<u64>())
+            .prop_map(|(seg, offset, delta)| FetchAddArgs { seg, offset, delta }),
+        encode_fetch_add, decode_fetch_add,
+        rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+    );
+    chant_comm::codec_props!(
+        compare_swap: (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(seg, offset, expected, new)| CompareSwapArgs { seg, offset, expected, new }),
+        encode_compare_swap, decode_compare_swap,
+        rejects_prefixes_below = usize::MAX, every_byte_matters = true,
+    );
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Every RMA envelope survives encode/decode bit-exactly.
-        #[test]
-        fn prop_rma_args_roundtrip(
-            seg in any::<u32>(),
-            offset in any::<u64>(),
-            len in any::<u64>(),
-            delta in any::<u64>(),
-            expected in any::<u64>(),
-            new in any::<u64>(),
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-        ) {
-            let g = GetArgs { seg, offset, len };
-            prop_assert_eq!(decode_get(&encode_get(&g)).unwrap(), g);
-
-            let p = PutArgs { seg, offset, data: Bytes::from(data) };
-            prop_assert_eq!(decode_put(&encode_put(&p)).unwrap(), p);
-
-            let f = FetchAddArgs { seg, offset, delta };
-            prop_assert_eq!(decode_fetch_add(&encode_fetch_add(&f)).unwrap(), f);
-
-            let c = CompareSwapArgs { seg, offset, expected, new };
-            prop_assert_eq!(decode_compare_swap(&encode_compare_swap(&c)).unwrap(), c);
-        }
-
-        /// Decoding arbitrary bytes is total for all four envelopes:
-        /// `Ok` or `ChantError::Wire`, never a panic.
-        #[test]
-        fn prop_rma_decode_is_total(raw in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = decode_get(&raw);
-            let _ = decode_put(&raw);
-            let _ = decode_fetch_add(&raw);
-            let _ = decode_compare_swap(&raw);
-        }
-
-        /// Truncating a fixed-size envelope below its full length is
-        /// rejected, never silently mis-decoded as a shorter field set.
-        #[test]
-        fn prop_truncated_rma_args_rejected(
-            seg in any::<u32>(),
-            offset in any::<u64>(),
-            len in any::<u64>(),
-            cut in 0usize..20, // get args are 4 + 8 + 8 = 20 bytes
-        ) {
-            let full = encode_get(&GetArgs { seg, offset, len });
-            prop_assert!(decode_get(&full[..cut]).is_err());
-        }
-
         /// Corrupting a put envelope's length prefix beyond the
         /// available bytes is a wire error, not a panic or a read of
         /// someone else's bytes.

@@ -5,131 +5,38 @@
 //! `msgtest` calls. The first two are properties of the thread scheduler
 //! and are counted here; `msgtest` counts live in `chant-comm`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters describing one VP's scheduling activity.
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization, and are only read for reporting.
-#[derive(Debug, Default)]
-pub struct VpStats {
-    /// Complete context switches: the scheduling baton moved from one
-    /// thread to a *different* thread whose context was then restored.
-    /// This is the paper's "CtxSw" column.
-    pub full_switches: AtomicU64,
-    /// A thread yielded but was immediately re-dispatched because it was
-    /// the only candidate ("the scheduler simply returns without having to
-    /// perform a context switch", paper §4.1).
-    pub self_redispatches: AtomicU64,
-    /// Partial switches: a candidate TCB was examined by the pre-dispatch
-    /// hook and requeued without restoring its context (PS algorithm).
-    pub partial_switches: AtomicU64,
-    /// Schedule points: times the scheduler looked for the next thread.
-    pub schedule_points: AtomicU64,
-    /// Dispatches stolen from another worker's run queue (multi-VP only;
-    /// always zero at `n_vps == 1`).
-    pub steals: AtomicU64,
-    /// Voluntary yields from running threads.
-    pub yields: AtomicU64,
-    /// Threads that entered the Blocked state.
-    pub blocks: AtomicU64,
-    /// Threads moved back to the ready queue from Blocked.
-    pub unblocks: AtomicU64,
-    /// Empty schedule rounds spent waiting for any thread to become ready.
-    pub idle_spins: AtomicU64,
-    /// Threads spawned over the VP's lifetime.
-    pub spawned: AtomicU64,
-    /// Threads that ran to completion (returned, panicked, or cancelled).
-    pub exited: AtomicU64,
-}
-
-impl VpStats {
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot all counters into a plain struct for reporting.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            full_switches: self.full_switches.load(Ordering::Relaxed),
-            self_redispatches: self.self_redispatches.load(Ordering::Relaxed),
-            partial_switches: self.partial_switches.load(Ordering::Relaxed),
-            schedule_points: self.schedule_points.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            yields: self.yields.load(Ordering::Relaxed),
-            blocks: self.blocks.load(Ordering::Relaxed),
-            unblocks: self.unblocks.load(Ordering::Relaxed),
-            idle_spins: self.idle_spins.load(Ordering::Relaxed),
-            spawned: self.spawned.load(Ordering::Relaxed),
-            exited: self.exited.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`VpStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`VpStats::full_switches`].
-    pub full_switches: u64,
-    /// See [`VpStats::self_redispatches`].
-    pub self_redispatches: u64,
-    /// See [`VpStats::partial_switches`].
-    pub partial_switches: u64,
-    /// See [`VpStats::schedule_points`].
-    pub schedule_points: u64,
-    /// See [`VpStats::steals`].
-    pub steals: u64,
-    /// See [`VpStats::yields`].
-    pub yields: u64,
-    /// See [`VpStats::blocks`].
-    pub blocks: u64,
-    /// See [`VpStats::unblocks`].
-    pub unblocks: u64,
-    /// See [`VpStats::idle_spins`].
-    pub idle_spins: u64,
-    /// See [`VpStats::spawned`].
-    pub spawned: u64,
-    /// See [`VpStats::exited`].
-    pub exited: u64,
-}
-
-impl StatsSnapshot {
-    /// Counter-wise difference `self - earlier`, for measuring one
-    /// phase of a run. Saturates at zero, so a stale `earlier` cannot
-    /// produce a wrapped count.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            full_switches: self.full_switches.saturating_sub(earlier.full_switches),
-            self_redispatches: self
-                .self_redispatches
-                .saturating_sub(earlier.self_redispatches),
-            partial_switches: self.partial_switches.saturating_sub(earlier.partial_switches),
-            schedule_points: self.schedule_points.saturating_sub(earlier.schedule_points),
-            steals: self.steals.saturating_sub(earlier.steals),
-            yields: self.yields.saturating_sub(earlier.yields),
-            blocks: self.blocks.saturating_sub(earlier.blocks),
-            unblocks: self.unblocks.saturating_sub(earlier.unblocks),
-            idle_spins: self.idle_spins.saturating_sub(earlier.idle_spins),
-            spawned: self.spawned.saturating_sub(earlier.spawned),
-            exited: self.exited.saturating_sub(earlier.exited),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_bumps() {
-        let s = VpStats::default();
-        VpStats::bump(&s.full_switches);
-        VpStats::bump(&s.full_switches);
-        VpStats::bump(&s.yields);
-        let snap = s.snapshot();
-        assert_eq!(snap.full_switches, 2);
-        assert_eq!(snap.yields, 1);
-        assert_eq!(snap.blocks, 0);
+chant_obs::counters! {
+    /// Monotonic counters describing one VP's scheduling activity.
+    "ult": pub struct VpStats => pub struct StatsSnapshot {
+        /// Complete context switches: the scheduling baton moved from one
+        /// thread to a *different* thread whose context was then restored.
+        /// This is the paper's "CtxSw" column.
+        full_switches,
+        /// A thread yielded but was immediately re-dispatched because it was
+        /// the only candidate ("the scheduler simply returns without having to
+        /// perform a context switch", paper §4.1).
+        self_redispatches,
+        /// Partial switches: a candidate TCB was examined by the pre-dispatch
+        /// hook and requeued without restoring its context (PS algorithm).
+        partial_switches,
+        /// Schedule points: times the scheduler looked for the next thread.
+        schedule_points,
+        /// Dispatches stolen from another worker's run queue (multi-VP only;
+        /// always zero at `n_vps == 1`).
+        steals,
+        /// Voluntary yields from running threads.
+        yields,
+        /// Threads that entered the Blocked state.
+        blocks,
+        /// Threads moved back to the ready queue from Blocked.
+        unblocks,
+        /// Parks: times a lane whose round dispatched nothing slept until
+        /// its nearest timer deadline or a wake-up. (Nothing spins; the
+        /// name is the one the benchmark reads, `ult.idle_spins`.)
+        idle_spins,
+        /// Threads spawned over the VP's lifetime.
+        spawned,
+        /// Threads that ran to completion (returned, panicked, or cancelled).
+        exited,
     }
 }

@@ -389,7 +389,7 @@ impl Vp {
         life.phase = Phase::Ready;
         drop(life);
         self.push_home(tcb);
-        VpStats::bump(&self.stats.unblocks);
+        self.stats.unblocks.incr();
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             let now = o.lane.now_ns();
@@ -480,7 +480,7 @@ impl Vp {
         };
         self.push_home(&tcb);
         self.wake();
-        VpStats::bump(&self.stats.spawned);
+        self.stats.spawned.incr();
 
         let vp = Arc::clone(self);
         let tcb_for_thread = Arc::clone(&tcb);
@@ -586,7 +586,7 @@ impl Vp {
     pub fn yield_now(self: &Arc<Vp>) {
         let me = self.current_tcb();
         self.testcancel_tcb(&me);
-        VpStats::bump(&self.stats.yields);
+        self.stats.yields.incr();
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Yield { thread: me.id });
@@ -651,7 +651,7 @@ impl Vp {
             }
             life.phase = Phase::Blocked;
         }
-        VpStats::bump(&self.stats.blocks);
+        self.stats.blocks.incr();
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Block { thread: me.id });
@@ -869,7 +869,7 @@ impl Vp {
                 shared.tcbs.remove(&me.id);
             }
             shared.live -= 1;
-            VpStats::bump(&self.stats.exited);
+            self.stats.exited.incr();
             if shared.live == 0 {
                 self.done_cv.notify_all();
             }
@@ -935,7 +935,7 @@ impl Vp {
             return SelfDispatch::NotRunnable;
         }
         if self.dispatch_decision(hooks, wants_check, me) == DispatchDecision::Requeue {
-            VpStats::bump(&self.stats.partial_switches);
+            self.stats.partial_switches.incr();
             return SelfDispatch::NotRunnable;
         }
         let home = me.home.load(Ordering::Relaxed) % self.n;
@@ -990,7 +990,7 @@ impl Vp {
         #[cfg(feature = "trace")]
         let mut idle_traced = false;
         loop {
-            VpStats::bump(&self.stats.schedule_points);
+            self.stats.schedule_points.incr();
             #[cfg(feature = "trace")]
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
             // From here on, whatever a waker publishes is either seen by
@@ -1036,7 +1036,7 @@ impl Vp {
                 }
                 match self.dispatch_decision(&hooks, wants_check, &tcb) {
                     DispatchDecision::Requeue => {
-                        VpStats::bump(&self.stats.partial_switches);
+                        self.stats.partial_switches.incr();
                         #[cfg(feature = "trace")]
                         if let Some(o) = &self.obs {
                             o.emit(chant_obs::Event::PartialSwitch { thread: tid });
@@ -1078,7 +1078,7 @@ impl Vp {
                     }
                     match self.dispatch_decision(&hooks, wants_check, &tcb) {
                         DispatchDecision::Requeue => {
-                            VpStats::bump(&self.stats.partial_switches);
+                            self.stats.partial_switches.incr();
                             #[cfg(feature = "trace")]
                             if let Some(o) = &self.obs {
                                 o.emit(chant_obs::Event::PartialSwitch { thread: tid });
@@ -1087,7 +1087,7 @@ impl Vp {
                         }
                         DispatchDecision::Run => {
                             if me.is_none_or(|m| m.id != tcb.id) {
-                                VpStats::bump(&self.stats.steals);
+                                self.stats.steals.incr();
                             }
                             self.dispatch_to(worker, &tcb, me, dep);
                             dispatched = true;
@@ -1148,7 +1148,7 @@ impl Vp {
                 continue; // already due: the next round fires it
             }
             let unattended = hooks.is_empty() && until_timer.is_none();
-            VpStats::bump(&self.stats.idle_spins);
+            self.stats.idle_spins.incr();
             // One Idle event per idle *period*, not per park.
             #[cfg(feature = "trace")]
             if !std::mem::replace(&mut idle_traced, true) {
@@ -1265,7 +1265,7 @@ impl Vp {
             if me.id == next.id {
                 // "The scheduler simply returns without having to perform a
                 // context switch" (paper §4.1).
-                VpStats::bump(&self.stats.self_redispatches);
+                self.stats.self_redispatches.incr();
                 #[cfg(feature = "trace")]
                 if let Some(o) = &self.obs {
                     o.emit(chant_obs::Event::Dispatch {
@@ -1284,7 +1284,7 @@ impl Vp {
         // makes the store visible to the woken thread, which reads it to
         // reschedule on this lane's behalf at its next departure.
         next.running_on.store(worker, Ordering::Relaxed);
-        VpStats::bump(&self.stats.full_switches);
+        self.stats.full_switches.incr();
         self.follow_baton(worker, next);
         // Emit before granting the permit: the incoming thread may start
         // emitting the moment it wakes, and its events must follow its

@@ -55,11 +55,11 @@ fn run_policy(policy: PollingPolicy) {
         }
     });
 
-    let full: u64 = report.total_full_switches();
-    let partial: u64 = report.total_partial_switches();
-    let tests: u64 = report.total_msgtests();
-    let testany: u64 = report.total_testany_calls();
-    let redisp: u64 = report.nodes.iter().map(|n| n.sched.self_redispatches).sum();
+    let full: u64 = report.counter("ult.full_switches");
+    let partial: u64 = report.counter("ult.partial_switches");
+    let tests: u64 = report.counter("comm.msgtests");
+    let testany: u64 = report.counter("comm.testany_calls");
+    let redisp: u64 = report.counter("ult.self_redispatches");
     println!(
         "{:<30} wall {:>8.2?}  ctxsw {:>6}  partial {:>6}  redispatch {:>6}  msgtest {:>6}  testany {:>5}",
         policy.label(),

@@ -57,7 +57,7 @@ fn main() {
     println!(
         "\ndone: {} messages, {} context switches, {:.2?} wall time",
         report.nodes.iter().map(|n| n.comm.sends).sum::<u64>(),
-        report.total_full_switches(),
+        report.counter("ult.full_switches"),
         report.elapsed
     );
 }

@@ -126,8 +126,8 @@ fn main() {
         );
         println!(
             "rsr recovery: {} retransmissions, {} duplicates suppressed",
-            report.total_rsr_retries(),
-            report.total_rsr_dups_suppressed()
+            report.counter("rsr.retries"),
+            report.counter("rsr.dup_dropped") + report.counter("rsr.dup_replayed")
         );
     }
 

@@ -88,17 +88,17 @@ fn live_trace_balances_and_matches_metrics() {
     let reg = chant_obs::registry();
     assert_eq!(
         reg.histogram("ult.blocked_ns").count(),
-        reg.counter("cluster.unblocks").get(),
+        reg.counter("ult.unblocks").get(),
         "one blocked-time sample per unblock"
     );
     assert_eq!(
         reg.histogram("comm.recv_wait_ns").count(),
-        reg.counter("cluster.posted_matches").get(),
+        reg.counter("comm.posted_matches").get(),
         "one recv-wait sample per posted match"
     );
     assert_eq!(
         reg.histogram("comm.unexpected_park_ns").count(),
-        reg.counter("cluster.unexpected_claimed").get(),
+        reg.counter("comm.unexpected_claimed").get(),
         "one park-time sample per claimed unexpected message"
     );
     // The RSR echo ran on both nodes' servers.

@@ -242,7 +242,7 @@ fn lossy_four_node_rpc_is_exactly_once() {
         "a 1% drop rate over ~{total} round trips must drop something"
     );
     assert!(
-        report.total_rsr_retries() > 0,
+        report.counter("rsr.retries") > 0,
         "drops happened, so retries must have happened"
     );
 }
