@@ -8,16 +8,15 @@
 //! blocks the processor.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use chant_comm::{kind, Address, CommWorld, Endpoint, Header, RecvHandle, RecvSpec};
 use chant_obs::CounterFamily;
-use chant_ult::{current_tid, SpawnAttr, Tid, Vp};
+use chant_ult::{current_tid, SpawnAttr, Tid, TlsKey, Vp};
 use parking_lot::Mutex;
 
 use crate::error::ChantError;
@@ -50,8 +49,13 @@ pub(crate) type JoinWaiter = (ChanterId, u32, u64);
 /// calling thread, making `0.0` its exit value.
 pub(crate) struct ExitPayload(pub Bytes);
 
-thread_local! {
-    static CURRENT_NODE: RefCell<Option<Arc<ChantNode>>> = const { RefCell::new(None) };
+/// "The node I belong to", per *user-level* thread: the slot lives in
+/// the thread's TCB. (An OS-level `thread_local!` would be shared by
+/// every thread of the lane, and the first chanter to exit would clear
+/// it for all the others.)
+fn current_node_key() -> TlsKey<Arc<ChantNode>> {
+    static KEY: OnceLock<TlsKey<Arc<ChantNode>>> = OnceLock::new();
+    *KEY.get_or_init(TlsKey::new)
 }
 
 /// One `(pe, process)` worth of the Chant runtime.
@@ -219,7 +223,9 @@ impl ChantNode {
     /// The node the calling user-level thread belongs to
     /// (cf. `pthread_chanter_self`'s ambient context).
     pub fn current() -> Option<Arc<ChantNode>> {
-        CURRENT_NODE.with(|c| c.borrow().clone())
+        chant_ult::is_ult_context()
+            .then(|| current_node_key().get())
+            .flatten()
     }
 
     /// Fetch this node's instance of a typed extension state, creating
@@ -271,7 +277,7 @@ impl ChantNode {
     {
         let node = Arc::clone(self);
         let handle = self.vp.spawn(attr, move |_vp| {
-            CURRENT_NODE.with(|c| *c.borrow_mut() = Some(Arc::clone(&node)));
+            current_node_key().set(Arc::clone(&node));
             let tid = current_tid().expect("chant thread without a tid");
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&node)));
             match result {
@@ -289,7 +295,7 @@ impl ChantNode {
                     }
                 }
             }
-            CURRENT_NODE.with(|c| *c.borrow_mut() = None);
+            current_node_key().take();
         });
         let tid = handle.tid();
         // The ult-level handle is redundant with the Chant exit table.

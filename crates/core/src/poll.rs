@@ -254,183 +254,127 @@ impl PollEngine {
     /// Block the calling user-level thread until `handle` completes,
     /// using the configured polling policy. Never blocks the VP.
     pub fn wait(&self, handle: &RecvHandle) {
-        if handle.msgtest() {
-            return;
-        }
-        match self.policy {
-            PollingPolicy::ThreadPolls => {
-                // Figure 5: while (probe != true) yield.
-                loop {
-                    self.vp.yield_now();
-                    if handle.msgtest() {
-                        return;
-                    }
-                }
-            }
-            PollingPolicy::SchedulerPollsWq | PollingPolicy::SchedulerPollsWqTestany => {
-                // Figure 6: add probe request to scheduler table; yield.
-                let me = current_tid().expect("wait outside a user-level thread");
-                let wq = self.wq.as_ref().expect("WQ policy without its hook");
-                wq.register(me, handle.clone());
-                // `block` can also be completed by a stale wakeup token
-                // (e.g. a condvar notify that raced the notified
-                // waiter's departure elsewhere on this VP): re-park
-                // until the receive is really complete — our table
-                // entry is still registered on a spurious wake.
-                loop {
-                    self.vp.block();
-                    if handle.is_complete() {
-                        break;
-                    }
-                }
-                // Idempotent: the hook's completion wake already
-                // dropped our entry; an exit via stale token (receive
-                // completed between our register and the hook's next
-                // scan) has not.
-                wq.unregister(me);
-            }
-            PollingPolicy::SchedulerPollsPs => {
-                // §4.2: store the request in the TCB; the scheduler tests
-                // it before completing a switch to us.
-                let h = handle.clone();
-                self.vp
-                    .set_current_pending(Box::new(move || h.msgtest()));
-                self.vp.yield_now();
-                self.vp.take_current_pending();
-                debug_assert!(
-                    handle.is_complete(),
-                    "PS dispatch resumed a thread whose receive is incomplete"
-                );
-            }
-        }
+        self.wait_first(&[handle], None)
+            .expect("an untimed wait cannot time out");
     }
 
     /// Like [`PollEngine::wait`], but give up once `deadline` passes.
     /// Returns `Err(ChantError::Timeout)` on expiry; the handle stays
-    /// valid (the message may still arrive later). Kept separate from
-    /// `wait` so untimed receives pay nothing for deadline bookkeeping.
-    ///
-    /// Under the scheduler-polls policies the deadline is a timer in the
-    /// VP ([`Vp::block_until`] / [`Vp::timer_arm`]), so a lane with
-    /// nothing else to run sleeps until the message or the deadline
-    /// instead of re-reading the clock. TP keeps the paper's loop: its
-    /// waiter is ready anyway, re-testing each time it is scheduled, and
-    /// reads the clock while it is there.
+    /// valid (the message may still arrive later).
     pub fn wait_deadline(
         &self,
         handle: &RecvHandle,
         deadline: Instant,
     ) -> Result<(), ChantError> {
-        if handle.msgtest() {
-            return Ok(());
-        }
-        match self.policy {
-            PollingPolicy::ThreadPolls => loop {
-                if Instant::now() >= deadline {
-                    return Err(ChantError::Timeout);
-                }
-                self.vp.yield_now();
-                if handle.msgtest() {
-                    return Ok(());
-                }
-            },
-            PollingPolicy::SchedulerPollsWq | PollingPolicy::SchedulerPollsWqTestany => {
-                let me = current_tid().expect("wait_deadline outside a user-level thread");
-                let wq = self.wq.as_ref().expect("WQ policy without its hook");
-                wq.register(me, handle.clone());
-                let outcome = loop {
-                    self.vp.block_until(deadline);
-                    if handle.is_complete() {
-                        break Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        break Err(ChantError::Timeout);
-                    }
-                    // Spurious wake: our entry is still registered.
-                };
-                // The completion wake dropped our entry; a deadline wake
-                // (even one that raced a late completion) did not — the
-                // call is idempotent.
-                wq.unregister(me);
-                outcome
-            }
-            PollingPolicy::SchedulerPollsPs => {
-                // The dispatcher resumes us when the receive completes
-                // *or* the deadline passes, and we disambiguate here.
-                // The armed timer is what makes a sleeping lane run the
-                // round in which the pending check reads the clock.
-                let timer = self.vp.timer_arm(deadline);
-                let outcome = loop {
-                    let h = handle.clone();
-                    self.vp.set_current_pending(Box::new(move || {
-                        h.msgtest() || Instant::now() >= deadline
-                    }));
-                    self.vp.yield_now();
-                    self.vp.take_current_pending();
-                    if handle.is_complete() {
-                        break Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        break Err(ChantError::Timeout);
-                    }
-                };
-                self.vp.timer_disarm(timer);
-                outcome
-            }
-        }
+        self.wait_first(&[handle], Some(deadline)).map(|_| ())
     }
 
     /// Block the calling thread until *any* of `handles` completes,
     /// returning the index of one completed receive (MPI `WAITANY` at
-    /// the Chant level). Uses the same policy machinery as
-    /// [`PollEngine::wait`].
+    /// the Chant level).
     pub fn wait_any(&self, handles: &[&RecvHandle]) -> usize {
         assert!(!handles.is_empty(), "wait_any needs at least one handle");
+        self.wait_first(handles, None)
+            .expect("an untimed wait cannot time out")
+    }
+
+    /// The one wait: block until any of `handles` completes — returning
+    /// its index — or, with a `deadline`, until that passes
+    /// (`Err(ChantError::Timeout)`). Each policy is written out here once;
+    /// [`PollEngine::wait`] and [`PollEngine::wait_deadline`] are the
+    /// one-handle callers.
+    ///
+    /// An untimed wait arms no timer and never reads the clock. Under the
+    /// scheduler-polls policies a deadline is a timer in the VP
+    /// ([`Vp::block_until`] / [`Vp::timer_arm`]), so a lane with nothing
+    /// else to run sleeps until the message or the deadline instead of
+    /// re-reading the clock. TP keeps the paper's loop: its waiter is
+    /// ready anyway, re-testing each time it is scheduled, and reads the
+    /// clock while it is there.
+    fn wait_first(
+        &self,
+        handles: &[&RecvHandle],
+        deadline: Option<Instant>,
+    ) -> Result<usize, ChantError> {
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        let first_arrived = || handles.iter().position(|h| h.msgtest());
+        let first_complete = || handles.iter().position(|h| h.is_complete());
         // Eager first pass, as in Figures 5/6.
-        for (i, h) in handles.iter().enumerate() {
-            if h.msgtest() {
-                return i;
-            }
+        if let Some(i) = first_arrived() {
+            return Ok(i);
         }
         match self.policy {
+            // Figure 5: while (probe != true) yield.
             PollingPolicy::ThreadPolls => loop {
+                if expired() {
+                    return Err(ChantError::Timeout);
+                }
                 self.vp.yield_now();
-                for (i, h) in handles.iter().enumerate() {
-                    if h.msgtest() {
-                        return i;
-                    }
+                if let Some(i) = first_arrived() {
+                    return Ok(i);
                 }
             },
             PollingPolicy::SchedulerPollsWq | PollingPolicy::SchedulerPollsWqTestany => {
-                let me = current_tid().expect("wait_any outside a user-level thread");
+                // Figure 6: add probe request to scheduler table; yield.
+                let me = current_tid().expect("wait outside a user-level thread");
                 let wq = self.wq.as_ref().expect("WQ policy without its hook");
                 for h in handles {
                     wq.register(me, (*h).clone());
                 }
-                // As in `wait`: a stale wakeup token can complete the
-                // block before any receive has — re-park until one is
-                // really done, then drop whatever entries the hook has
-                // not already cleaned up.
-                let i = loop {
-                    self.vp.block();
-                    if let Some(i) = handles.iter().position(|h| h.is_complete()) {
-                        break i;
+                // `block` can also be completed by a stale wakeup token
+                // (e.g. a condvar notify that raced the notified
+                // waiter's departure elsewhere on this VP): re-park
+                // until a receive is really complete — our table
+                // entries are still registered on a spurious wake.
+                let outcome = loop {
+                    match deadline {
+                        None => self.vp.block(),
+                        Some(d) => self.vp.block_until(d),
+                    }
+                    if let Some(i) = first_complete() {
+                        break Ok(i);
+                    }
+                    if expired() {
+                        break Err(ChantError::Timeout);
                     }
                 };
+                // Idempotent: the hook's completion wake already dropped
+                // our entries; an exit via stale token or deadline (even
+                // one that raced a late completion) has not.
                 wq.unregister(me);
-                i
+                outcome
             }
             PollingPolicy::SchedulerPollsPs => {
-                let owned: Vec<RecvHandle> = handles.iter().map(|h| (*h).clone()).collect();
-                self.vp.set_current_pending(Box::new(move || {
-                    owned.iter().any(|h| h.msgtest())
-                }));
-                self.vp.yield_now();
-                self.vp.take_current_pending();
-                handles
-                    .iter()
-                    .position(|h| h.is_complete())
-                    .expect("PS wait_any resumed with no completed receive")
+                // §4.2: store the request in the TCB; the scheduler tests
+                // it before completing a switch to us. With a deadline it
+                // resumes us when a receive completes *or* the deadline
+                // passes, and we disambiguate here; the armed timer is
+                // what makes a sleeping lane run the round in which the
+                // pending check reads the clock.
+                let timer = deadline.map(|d| self.vp.timer_arm(d));
+                let outcome = loop {
+                    let owned: Vec<RecvHandle> = handles.iter().map(|h| (*h).clone()).collect();
+                    self.vp.set_current_pending(Box::new(move || {
+                        owned.iter().any(|h| h.msgtest())
+                            || deadline.is_some_and(|d| Instant::now() >= d)
+                    }));
+                    self.vp.yield_now();
+                    self.vp.take_current_pending();
+                    if let Some(i) = first_complete() {
+                        break Ok(i);
+                    }
+                    if expired() {
+                        break Err(ChantError::Timeout);
+                    }
+                    assert!(
+                        deadline.is_some(),
+                        "PS dispatch resumed a thread whose receive is incomplete"
+                    );
+                };
+                if let Some(t) = timer {
+                    self.vp.timer_disarm(t);
+                }
+                outcome
             }
         }
     }

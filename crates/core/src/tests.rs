@@ -1389,3 +1389,42 @@ fn dedup_windows_are_per_client_node() {
         DedupVerdict::InFlight
     ));
 }
+
+// ---------------------------------------------------------------------
+// Ambient node context
+// ---------------------------------------------------------------------
+
+/// "The node I belong to" is per user-level thread. A lane is one OS
+/// thread, so an OS-level slot would be shared by every chanter of the
+/// lane and cleared for all of them by the first one to exit.
+#[test]
+fn current_node_survives_another_chanters_exit() {
+    let cluster = ChantCluster::builder().pes(1).server(false).build();
+    let checks = Arc::new(AtomicU32::new(0));
+    let seen = Arc::clone(&checks);
+    cluster.run(move |node| {
+        assert!(Arc::ptr_eq(&crate::ChantNode::current().unwrap(), node));
+        let n = Arc::clone(&seen);
+        let long = node.spawn_chanter(SpawnAttr::new().name("long"), move |node| {
+            for _ in 0..50 {
+                let here = crate::ChantNode::current().expect("lost the node mid-run");
+                assert!(Arc::ptr_eq(&here, node));
+                n.fetch_add(1, Ordering::Relaxed);
+                node.yield_now();
+            }
+            Bytes::new()
+        });
+        // Short-lived chanters come and go while `long` keeps asking.
+        for _ in 0..10 {
+            let short = node.spawn(SpawnAttr::new().name("short"), |node| {
+                assert!(crate::ChantNode::current().is_some());
+                node.yield_now();
+            });
+            node.remote_join(short).unwrap();
+        }
+        node.remote_join(long).unwrap();
+        assert!(Arc::ptr_eq(&crate::ChantNode::current().unwrap(), node));
+    });
+    assert_eq!(checks.load(Ordering::Relaxed), 50);
+    assert!(crate::ChantNode::current().is_none(), "off-ULT there is no node");
+}

@@ -138,6 +138,16 @@ impl<K: Hash + Eq + Copy> SeqWindow<K> {
                 self.set.remove(&old);
             }
         }
+        // A full window inserts and removes one key per call, and the
+        // hash table takes the slots its removals have left unusable for
+        // a reason to double — at a constant number of keys. Every
+        // subscriber has a window, so that is the node's memory doubling
+        // after a few thousand publishes. A table for at most `cap + 1`
+        // keys never needs to reach twice that capacity: rebuild it at
+        // the size it needs instead (once per several `cap` inserts).
+        if self.set.capacity() >= 2 * (cap + 1) {
+            self.set.shrink_to_fit();
+        }
         true
     }
 }

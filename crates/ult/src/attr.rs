@@ -50,9 +50,13 @@ pub struct SpawnAttr {
     pub(crate) name: Option<String>,
     pub(crate) priority: Priority,
     pub(crate) detached: bool,
-    /// Requested stack size in bytes for the backing OS thread. `None`
-    /// uses the platform default. The paper's Table 1 systems expose
-    /// "stack management routines"; we forward the request to the OS.
+    /// Requested stack size in bytes. `None` means 2 MiB, what a
+    /// `std::thread` gets. The paper's Table 1 systems expose "stack
+    /// management routines"; this is ours: the stack is an `mmap`'d
+    /// region of this many usable bytes (rounded up to whole pages, at
+    /// least 16 KiB), *reserved* but committed lazily — only pages the
+    /// thread touches become resident — with a guard page below it, so
+    /// an overflow kills the process by signal. It does not grow.
     pub(crate) stack_size: Option<usize>,
     /// Preferred worker lane (VP) on a multi-VP processor; `None` uses
     /// round-robin placement. Taken modulo the VP's worker count, so a
@@ -85,7 +89,10 @@ impl SpawnAttr {
         self
     }
 
-    /// Request a specific stack size for the backing OS thread.
+    /// Request a specific stack size: reserved, guard-paged, lazily
+    /// committed (see the crate docs). On targets without the native
+    /// context switch the request is forwarded to the OS thread that
+    /// carries the thread.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = Some(bytes);
         self

@@ -1,8 +1,15 @@
 //! The per-OS-thread notion of "which user-level thread am I".
 //!
-//! Every OS thread that backs a user-level thread carries a pointer to its
-//! VP and TCB in OS-level TLS; that is how `yield_now`, `block`, TLS keys
-//! and the Chant layer find their context (cf. `pthread_chanter_self`).
+//! The OS thread a lane runs on carries, in OS-level TLS, the VP and TCB
+//! of the user-level thread it is executing right now; that is how
+//! `yield_now`, `block`, TLS keys and the Chant layer find their context
+//! (cf. `pthread_chanter_self`). The slot is *moved*, not copied, at
+//! every context switch: the departing thread takes its entry out before
+//! it switches and puts it back when it is resumed — which, after a
+//! steal, is on a different OS thread. For the same reason every access
+//! to the slot is an `#[inline(never)]` leaf function: the compiler may
+//! compute a thread-local's address once per function, and no function
+//! that touches it may straddle a switch.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -19,12 +26,35 @@ thread_local! {
     static CURRENT: RefCell<Option<UltContext>> = const { RefCell::new(None) };
 }
 
-pub(crate) fn set_current(ctx: Option<UltContext>) {
-    CURRENT.with(|c| *c.borrow_mut() = ctx);
+/// Replace this OS thread's current user-level thread, returning the
+/// previous one: `swap_current(None)` before switching away,
+/// `swap_current(mine)` on resuming.
+#[inline(never)]
+pub(crate) fn swap_current(ctx: Option<UltContext>) -> Option<UltContext> {
+    CURRENT.with(|c| c.replace(ctx))
 }
 
+/// Run `f` on the current user-level thread's context. `f` must not
+/// reach a context switch (nothing in this crate passes one that does).
+#[inline(never)]
 pub(crate) fn with_current<R>(f: impl FnOnce(Option<&UltContext>) -> R) -> R {
     CURRENT.with(|c| f(c.borrow().as_ref()))
+}
+
+/// `"'name' (tid N) of VP 'vp'"` for the current user-level thread, for
+/// the panic hook. `None` off-ULT, or if the slot is being written.
+#[inline(never)]
+pub(crate) fn describe_current() -> Option<String> {
+    CURRENT.with(|c| {
+        let c = c.try_borrow().ok()?;
+        let ctx = c.as_ref()?;
+        Some(format!(
+            "'{}' (tid {}) of VP '{}'",
+            ctx.tcb.name,
+            ctx.tcb.id,
+            ctx.vp.name()
+        ))
+    })
 }
 
 /// Returns `true` if the calling OS thread is currently executing a

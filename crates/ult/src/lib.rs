@@ -25,15 +25,53 @@
 //!
 //! Each [`Vp`] ("virtual processor", the paper's *processing element +
 //! process* context) multiplexes many user-level threads with **strict
-//! cooperative scheduling**: exactly one thread of a VP runs at any time,
-//! and control moves only at explicit points (`yield_now`, blocking
-//! operations, exit). Threads are backed by real OS threads so that stack
-//! state is genuine, but the OS never makes a scheduling decision for us:
-//! a parked thread runs only when this scheduler hands it the baton.
-//! Everything the Chant paper measures — who runs when, how many full
-//! context switches happen, when the scheduler polls — is therefore fully
-//! under the control of this crate, exactly as it was for the paper's
-//! "small lightweight thread library" on the Intel Paragon.
+//! cooperative scheduling**: exactly one thread of a VP lane runs at any
+//! time, and control moves only at explicit points (`yield_now`,
+//! blocking operations, exit).
+//!
+//! A thread is a **saved register set plus a stack of its own**, and a
+//! lane is **one OS thread**: the caller of [`Vp::start`] for lane 0,
+//! one named host thread for each further lane. A *full switch* saves
+//! the departing thread's callee-saved registers and stack pointer and
+//! restores the next thread's — a dozen instructions of `global_asm!`,
+//! no system call, no kernel scheduling decision — after the scheduler
+//! (run queues, hooks, timers) has run on the departing thread's stack,
+//! as the paper's scheduler does. A *partial switch* is the paper's
+//! too: the pre-dispatch hook peeks at the candidate's TCB and puts it
+//! back without restoring its context. Create and switch therefore cost
+//! what the paper's Table 1 says such a package costs: microseconds and
+//! less. Everything the Chant paper measures — who runs when, how many
+//! full context switches happen, when the scheduler polls — is under
+//! the control of this crate, exactly as it was for the paper's "small
+//! lightweight thread library" on the Intel Paragon.
+//!
+//! Stacks are `mmap`'d: [`SpawnAttr::stack_size`] bytes (default 2 MiB,
+//! what a `std::thread` gets), reserved but committed lazily — only the
+//! pages a thread touches are resident — with a guard page below, so an
+//! overflow kills the process by signal instead of corrupting a
+//! neighbour. The native switch exists for x86-64 and AArch64 Linux; on
+//! any other target each thread is carried by an OS thread and a switch
+//! is a baton hand-off between them — same API, same schedule, same
+//! counters (the crate's tests hold the two implementations against
+//! each other), kernel-priced switches. The choice is made by the
+//! target alone; the `ctx` module documents the seam and its invariants.
+//!
+//! ### What code running on a VP must not do
+//!
+//! * **Block the OS thread.** A lane is one OS thread: a blocking system
+//!   call, `std::thread::sleep` or a `std::sync` wait stalls every
+//!   thread of the lane. Use this crate's primitives, which block the
+//!   calling user-level thread only.
+//! * **Hold OS-thread-local state across a switch point on a multi-lane
+//!   VP.** An idle lane steals ready threads, so a thread that yields on
+//!   one OS thread may resume on another. A `thread_local!` value (or
+//!   its address — compilers cache it per function, so read
+//!   thread-locals in small non-inlined functions that contain no
+//!   yield), a `std::sync::MutexGuard`, an `Rc` shared with the old OS
+//!   thread: none may live across `yield_now`/`block`. Use [`TlsKey`],
+//!   which lives in the TCB. At one lane (the default) a VP's threads
+//!   never leave the OS thread that called [`Vp::start`].
+//! * **Overflow the stack.** There is no growth; ask for what you need.
 //!
 //! ## Quick example
 //!
@@ -49,9 +87,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod affinity;
 mod attr;
 mod config;
+mod ctx;
 mod current;
 mod error;
 mod hooks;

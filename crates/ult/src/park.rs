@@ -19,8 +19,8 @@
 //! the state word are `SeqCst`, so they sit in one total order with each
 //! other. Suppose the scan missed a publication. Everything the scan
 //! reads is either behind a lock the publisher also takes (run queues,
-//! a receive's completion state) or itself a `SeqCst` flag (a thread's
-//! `parked` bit), so the scan's read preceding the publication puts
+//! a receive's completion state) or itself a `SeqCst` word (a context's
+//! suspended state), so the scan's read preceding the publication puts
 //! `begin_scan` before the waker's `unpark` in that order. The unpark
 //! then either finds `PARKED` and notifies under the lock the sleeper
 //! re-checks the state under, or finds `EMPTY` and leaves `NOTIFIED`,

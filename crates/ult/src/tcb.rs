@@ -8,12 +8,13 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::attr::Priority;
+use crate::ctx::Context;
 use crate::hooks::PendingPoll;
 
 /// Local thread identifier, unique within one VP for its lifetime.
@@ -58,44 +59,7 @@ pub(crate) struct Lifecycle {
     /// True once some joiner consumed the outcome.
     pub joined: bool,
     /// Threads blocked in `join` on this one, to unblock at exit.
-    pub joiners: Vec<Tid>,
-}
-
-/// The permit a parked thread waits on. The scheduler "grants" the permit
-/// to hand the VP's baton to this thread.
-pub(crate) struct Permit {
-    granted: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Permit {
-    fn new() -> Self {
-        Permit {
-            granted: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Hand the baton to this thread. Called by the departing thread.
-    pub fn grant(&self) {
-        let mut g = self.granted.lock();
-        debug_assert!(!*g, "double grant of a thread permit");
-        *g = true;
-        // Notify with the lock released: when another core is free the
-        // woken thread starts at once, and must not find the lock it
-        // needs still held by its waker.
-        drop(g);
-        self.cv.notify_one();
-    }
-
-    /// Park until the baton is granted, then consume it.
-    pub fn wait(&self) {
-        let mut g = self.granted.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
+    pub joiners: Vec<Arc<Tcb>>,
 }
 
 /// A thread control block.
@@ -105,7 +69,10 @@ pub(crate) struct Tcb {
     pub priority: AtomicU8,
     pub detached: AtomicBool,
     pub cancel_requested: AtomicBool,
-    pub permit: Permit,
+    /// The thread's execution context: its saved registers and its stack
+    /// (see [`crate::ctx`]). Set once, by `Vp::spawn`, before the TCB is
+    /// first queued.
+    pub ctx: OnceLock<Context>,
     /// The PS-policy pending-request slot (paper §4.2): the outstanding
     /// receive this thread is waiting on, tested by the scheduler before
     /// completing a switch to this thread.
@@ -117,21 +84,12 @@ pub(crate) struct Tcb {
     /// its placement affinity. Stealing moves a single dispatch, never the
     /// home — a stolen thread's next yield/unblock returns it here.
     pub home: AtomicUsize,
-    /// The worker whose scheduling baton this thread currently holds (set
-    /// by the dispatcher just before the permit is granted). `yield`,
-    /// `block`, and exit reschedule on behalf of this worker.
+    /// The lane this thread is running on, set by the dispatcher just
+    /// before it switches to the thread. `yield`, `block` and exit
+    /// reschedule on behalf of this lane. A stolen thread resumes on
+    /// another lane — another OS thread — so this is re-read after
+    /// every switch, never carried across one.
     pub running_on: AtomicUsize,
-    /// True while the thread is parked on (or guaranteed to next consume)
-    /// its permit, i.e. it is safe for *another* worker to grant it. False
-    /// from the moment `permit.wait()` returns until just before the next
-    /// `wait` — in that window the thread may still be running the
-    /// scheduler for its old worker, and granting it from elsewhere would
-    /// strand that worker's baton. Single-worker VPs never consult this.
-    pub parked: AtomicBool,
-    /// Kernel id of the backing OS thread (0 until it has started), and
-    /// the CPU it is currently confined to — see [`crate::affinity`].
-    pub os_tid: AtomicI32,
-    pub cpu_pin: AtomicI32,
     /// Condvar (paired with `life`) for joiners on foreign OS threads.
     pub ext_cv: Condvar,
     /// Thread-local data slots (pthread_key style), keyed by TlsKey id.
@@ -150,7 +108,7 @@ impl Tcb {
             priority: AtomicU8::new(priority.0),
             detached: AtomicBool::new(detached),
             cancel_requested: AtomicBool::new(false),
-            permit: Permit::new(),
+            ctx: OnceLock::new(),
             pending: Mutex::new(None),
             life: Mutex::new(Lifecycle {
                 phase: Phase::Ready,
@@ -162,15 +120,19 @@ impl Tcb {
             wake_token: Mutex::new(false),
             home: AtomicUsize::new(0),
             running_on: AtomicUsize::new(0),
-            // A thread that has not yet been dispatched will consume the
-            // first grant whenever its OS thread reaches `permit.wait`.
-            parked: AtomicBool::new(true),
-            os_tid: AtomicI32::new(0),
-            cpu_pin: AtomicI32::new(crate::affinity::NO_CPU),
             ext_cv: Condvar::new(),
             #[cfg(feature = "trace")]
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),
         })
+    }
+
+    /// The thread's context.
+    ///
+    /// # Panics
+    /// Before `Vp::spawn` has attached one (never observable: only the
+    /// dispatcher asks, and the TCB is on no run queue until then).
+    pub fn ctx(&self) -> &Context {
+        self.ctx.get().expect("TCB without a context")
     }
 
     /// Wake any foreign-OS-thread joiners waiting on `ext_cv`.
@@ -221,26 +183,6 @@ impl std::fmt::Debug for Tcb {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn permit_grant_then_wait_does_not_block() {
-        let p = Permit::new();
-        p.grant();
-        p.wait(); // must return immediately and consume the grant
-        let g = p.granted.lock();
-        assert!(!*g);
-    }
-
-    #[test]
-    fn permit_wait_blocks_until_grant() {
-        let tcb = Tcb::new(1, "t".into(), Priority::NORMAL, false);
-        let t2 = Arc::clone(&tcb);
-        let h = std::thread::spawn(move || t2.permit.wait());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert!(!h.is_finished());
-        tcb.permit.grant();
-        h.join().unwrap();
-    }
 
     #[test]
     fn pending_slot_roundtrip() {

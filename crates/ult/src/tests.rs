@@ -1535,3 +1535,429 @@ fn wait_exit_follows_a_detached_thread() {
     })
     .unwrap();
 }
+
+// ---------------------------------------------------------------------
+// User-level contexts: a thread is a stack, not an OS thread
+// ---------------------------------------------------------------------
+
+mod contexts {
+    use std::process::Command;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    use proptest::prelude::*;
+
+    use crate::{JoinError, JoinHandle, Priority, SpawnAttr, Tid, TlsKey, Vp, VpConfig};
+
+    // -- the reference-implementation test ------------------------------
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Yield,
+        /// Wait for an explicit unblock (the releaser's, or a token).
+        Block,
+        /// `block_until` a deadline that has already passed: returns at once.
+        TimedBlockPast,
+        /// `block_until` a deadline an hour away: ended by an unblock.
+        TimedBlockFuture,
+        /// Unblock worker `i` (leaves a token if it is not blocked).
+        Unblock(usize),
+        Cancel(usize),
+        SetPriority(usize, u8),
+        /// Spawn a child that yields this many times, joined by main.
+        Spawn(u8),
+    }
+
+    /// One generated `(kind, target, argument)` triple as an [`Op`] of a
+    /// program with `workers` workers.
+    fn decode((kind, target, arg): (u8, usize, u8), workers: usize) -> Op {
+        let target = target % workers;
+        match kind {
+            0..=4 => Op::Yield,
+            5..=6 => Op::Block,
+            7 => Op::TimedBlockPast,
+            8 => Op::TimedBlockFuture,
+            9..=10 => Op::Unblock(target),
+            11 => Op::Cancel(target),
+            12..=13 => Op::SetPriority(target, arg % 3),
+            _ => Op::Spawn(arg),
+        }
+    }
+
+    /// Run `program` on a one-lane VP and return the order in which
+    /// everything happened plus the VP's counters.
+    fn execute(vp: Arc<Vp>, program: Vec<Vec<Op>>) -> (Vec<String>, Vec<(&'static str, u64)>) {
+        let log = Arc::new(Mutex::new(Vec::<String>::new()));
+        let workers = program.len();
+        // tids are assigned in spawn order: main is 1, workers 2..
+        let tid_of = |w: usize| (w + 2) as Tid;
+        let children: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let (l, ch) = (Arc::clone(&log), Arc::clone(&children));
+        let main = vp.spawn(SpawnAttr::new().name("main"), move |vp| {
+            let say = |l: &Mutex<Vec<String>>, s: String| l.lock().unwrap().push(s);
+            let mut handles = Vec::new();
+            for (w, ops) in program.into_iter().enumerate() {
+                let (l, ch) = (Arc::clone(&l), Arc::clone(&ch));
+                handles.push(vp.spawn(SpawnAttr::new(), move |vp| {
+                    let me = crate::current_tid().unwrap();
+                    assert_eq!(me, tid_of(w));
+                    for (k, op) in ops.into_iter().enumerate() {
+                        say(&l, format!("t{me} op{k} {op:?}"));
+                        match op {
+                            Op::Yield => vp.yield_now(),
+                            Op::Block => vp.block(),
+                            Op::TimedBlockPast => {
+                                let past = Instant::now()
+                                    .checked_sub(Duration::from_millis(1))
+                                    .unwrap_or_else(Instant::now);
+                                vp.block_until(past);
+                            }
+                            Op::TimedBlockFuture => {
+                                vp.block_until(Instant::now() + Duration::from_secs(3600));
+                            }
+                            Op::Unblock(t) => {
+                                let r = vp.unblock(tid_of(t));
+                                say(&l, format!("t{me} unblock {t} -> {r:?}"));
+                            }
+                            Op::Cancel(t) => {
+                                let r = vp.cancel(tid_of(t));
+                                say(&l, format!("t{me} cancel {t} -> {r:?}"));
+                            }
+                            Op::SetPriority(t, p) => {
+                                let r = vp.set_priority(tid_of(t), Priority::from_level(p));
+                                say(&l, format!("t{me} prio {t} -> {r:?}"));
+                            }
+                            Op::Spawn(yields) => {
+                                let l2 = Arc::clone(&l);
+                                ch.lock().unwrap().push(vp.spawn(SpawnAttr::new(), move |vp| {
+                                    let me = crate::current_tid().unwrap();
+                                    for y in 0..yields {
+                                        say(&l2, format!("child t{me} yield {y}"));
+                                        vp.yield_now();
+                                    }
+                                }));
+                            }
+                        }
+                        say(&l, format!("t{me} op{k} done"));
+                    }
+                    me
+                }));
+            }
+            // The releaser runs only when nothing of higher priority is
+            // ready — i.e. when every worker is blocked or done — and
+            // then unblocks them all, so no program can deadlock and the
+            // lane is never idle (idle parks would be timing-dependent).
+            let releaser = vp.spawn(SpawnAttr::new().priority(Priority::LOW), move |vp| {
+                while vp.live_threads() > 1 {
+                    for w in 0..workers {
+                        let _ = vp.unblock(tid_of(w));
+                    }
+                    vp.yield_now();
+                }
+            });
+            for (w, h) in handles.into_iter().enumerate() {
+                let outcome = match h.join() {
+                    Ok(t) => format!("value {t}"),
+                    Err(JoinError::Cancelled) => "cancelled".into(),
+                    Err(e) => format!("error {e:?}"),
+                };
+                say(&l, format!("join worker {w}: {outcome}"));
+            }
+            loop {
+                let Some(h) = ch.lock().unwrap().pop() else { break };
+                let tid = h.tid();
+                say(&l, format!("join child t{tid}: {:?}", h.join().is_ok()));
+            }
+            drop(releaser);
+        });
+        vp.start();
+        main.join().expect("main panicked");
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (log, vp.stats().snapshot().fields())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Why the OS-thread `Context` is kept: it is the reference the
+        /// user-level switch is compared against. On one lane a
+        /// program's schedule is a pure function of the program, so the
+        /// two must produce the same execution log, event for event, and
+        /// the same `ult.*` counters.
+        #[test]
+        fn both_context_kinds_run_the_same_schedule(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u8..16, 0usize..64, 0u8..4), 4..16),
+                2..7,
+            ),
+        ) {
+            let workers = raw.len();
+            let prog: Vec<Vec<Op>> = raw
+                .into_iter()
+                .map(|ops| ops.into_iter().map(|op| decode(op, workers)).collect())
+                .collect();
+            let reference = execute(Vp::new_os_threaded(VpConfig::named("ref")), prog.clone());
+            let native = execute(Vp::new(VpConfig::named("ult")), prog);
+            prop_assert_eq!(&native.0, &reference.0);
+            prop_assert_eq!(&native.1, &reference.1);
+            let exited = native.1.iter().find(|(k, _)| *k == "ult.exited").unwrap().1;
+            let spawned = native.1.iter().find(|(k, _)| *k == "ult.spawned").unwrap().1;
+            prop_assert_eq!(spawned, exited);
+        }
+    }
+
+    // -- stacks ----------------------------------------------------------
+
+    /// Recurse until `budget` bytes of stack are in use below `base`.
+    #[inline(never)]
+    fn dig(base: usize, budget: usize, depth: u32) -> u32 {
+        let pad = [depth as u8; 512];
+        let here = std::hint::black_box(&pad) as *const _ as usize;
+        if base - here >= budget {
+            return depth;
+        }
+        let reached = dig(base, budget, depth + 1);
+        // Not a tail call: the frame stays live across the recursion.
+        std::hint::black_box(pad[depth as usize % 512]);
+        reached
+    }
+
+    #[test]
+    fn a_thread_may_use_ninety_percent_of_the_stack_it_asked_for() {
+        const STACK: usize = 64 * 1024;
+        let vp = Vp::new(VpConfig::named("deep"));
+        let h = vp.spawn(SpawnAttr::new().stack_size(STACK), |vp| {
+            let marker = 0u8;
+            let base = std::hint::black_box(&marker) as *const u8 as usize;
+            let depth = dig(base, STACK * 9 / 10, 0);
+            // The scheduler still fits on what is left once we are back up.
+            vp.yield_now();
+            depth
+        });
+        vp.start();
+        assert!(h.join().unwrap() > 50);
+    }
+
+    #[test]
+    fn a_panic_and_a_cancel_leave_the_lane_running() {
+        let vp = Vp::new(VpConfig::named("after"));
+        let panicker = vp.spawn(SpawnAttr::new().name("panicker"), |vp| {
+            vp.yield_now();
+            panic!("boom on a user-level stack");
+        });
+        let victim = vp.spawn(SpawnAttr::new().name("victim"), |vp| loop {
+            vp.yield_now();
+        });
+        let vt = victim.tid();
+        let last = vp.spawn(SpawnAttr::new().name("last"), move |vp| {
+            vp.yield_now();
+            vp.cancel(vt).unwrap();
+            // Both are gone by the time this has been around the queue
+            // a few times; the lane still runs us.
+            for _ in 0..5 {
+                vp.yield_now();
+            }
+            "still here"
+        });
+        vp.start();
+        match panicker.join() {
+            Err(JoinError::Panicked(p)) => {
+                assert_eq!(*p.downcast::<&str>().unwrap(), "boom on a user-level stack");
+            }
+            other => panic!("expected Panicked, got {:?}", other.map(|_| ())),
+        }
+        assert!(matches!(victim.join(), Err(JoinError::Cancelled)));
+        assert_eq!(last.join().unwrap(), "still here");
+    }
+
+    // -- migration -------------------------------------------------------
+
+    /// The lane whose OS thread is executing the caller, from that OS
+    /// thread's name. Not inlined: a thread-local (here, std's handle to
+    /// the current thread) must not be read in a function that also
+    /// contains a switch point — see the crate docs.
+    #[inline(never)]
+    fn lane_of_this_os_thread(vp_name: &str, lane0: std::thread::ThreadId) -> usize {
+        let t = std::thread::current();
+        if t.id() == lane0 {
+            return 0;
+        }
+        let name = t.name().expect("lane hosts are named");
+        name.strip_prefix(&format!("{vp_name}-w"))
+            .and_then(|k| k.parse().ok())
+            .unwrap_or_else(|| panic!("running on a foreign OS thread {name:?}"))
+    }
+
+    #[test]
+    fn a_stolen_thread_knows_where_and_who_it_is_after_every_resume() {
+        const LANES: usize = 4;
+        const THREADS: usize = 16;
+        let vp = Vp::new(VpConfig::named("mig").with_vps(LANES));
+        let lane0 = std::thread::current().id();
+        let key: TlsKey<usize> = TlsKey::new();
+        let lanes_seen = Arc::new(AtomicUsize::new(0));
+        let mut hs = Vec::new();
+        for i in 0..THREADS {
+            let seen = Arc::clone(&lanes_seen);
+            // Every thread is homed on lane 0: lanes 1-3 have nothing to
+            // run but what they steal.
+            hs.push(vp.spawn(SpawnAttr::new().affinity(0), move |vp| {
+                let me = crate::current_tid().unwrap();
+                key.set(i);
+                let mut mine = 0usize;
+                for _ in 0..300 {
+                    // A little work, so that a thief has time to get in.
+                    for _ in 0..200 {
+                        std::hint::spin_loop();
+                    }
+                    vp.yield_now();
+                    // Resumed, possibly elsewhere.
+                    let os_lane = lane_of_this_os_thread("mig", lane0);
+                    assert_eq!(vp.current_lane(), os_lane, "running_on is stale");
+                    assert_eq!(crate::current_tid(), Some(me));
+                    assert_eq!(key.get(), Some(i));
+                    assert!(crate::is_ult_context());
+                    mine |= 1 << os_lane;
+                }
+                seen.fetch_or(mine, Ordering::Relaxed);
+                me
+            }));
+        }
+        vp.start();
+        for h in hs {
+            h.join().unwrap();
+        }
+        let s = vp.stats().snapshot();
+        assert!(s.steals > 0, "nothing was stolen: {s:?}");
+        assert!(
+            lanes_seen.load(Ordering::Relaxed).count_ones() > 1,
+            "every thread stayed on one lane"
+        );
+    }
+
+    // -- child processes -------------------------------------------------
+
+    /// Run one `#[ignore]`d test of this binary in a process of its own.
+    fn run_child(test: &str) -> std::process::Output {
+        Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--ignored", "--exact", test, "--test-threads=1", "--nocapture"])
+            .output()
+            .expect("re-running the test binary")
+    }
+
+    fn count_lines(path: &str) -> usize {
+        std::fs::read_to_string(path).unwrap().lines().count()
+    }
+
+    /// Spawn `n` threads that all exist at once, let each take a turn,
+    /// join them; returns the most OS threads seen while they lived.
+    fn batch(n: usize) -> usize {
+        let vp = Vp::new(VpConfig::named("many"));
+        let tasks = Arc::new(AtomicUsize::new(0));
+        let hs: Vec<_> = (0..n)
+            .map(|i| {
+                let tasks = Arc::clone(&tasks);
+                vp.spawn(SpawnAttr::new(), move |vp| {
+                    vp.yield_now();
+                    if i % 1000 == 0 {
+                        let now = std::fs::read_dir("/proc/self/task").unwrap().count();
+                        tasks.fetch_max(now, Ordering::Relaxed);
+                    }
+                    i
+                })
+            })
+            .collect();
+        vp.start();
+        for (i, h) in hs.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap(), i);
+        }
+        tasks.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    #[ignore = "child body of ten_thousand_threads_are_stacks_not_os_threads"]
+    fn child_ten_thousand_threads() {
+        if !cfg!(chant_native_ctx) {
+            return;
+        }
+        let few = batch(100);
+        let many = batch(10_000);
+        assert_eq!(many, few, "OS threads grew with the thread count");
+        let after_first = count_lines("/proc/self/maps");
+        assert_eq!(batch(10_000), few);
+        let after_second = count_lines("/proc/self/maps");
+        assert_eq!(
+            after_second, after_first,
+            "stacks are neither recycled nor unmapped"
+        );
+    }
+
+    /// Alone in a process: the counts are the whole process's.
+    #[test]
+    fn ten_thousand_threads_are_stacks_not_os_threads() {
+        let out = run_child("tests::contexts::child_ten_thousand_threads");
+        assert!(
+            out.status.success(),
+            "{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[inline(never)]
+    #[allow(unconditional_recursion)]
+    fn overflow(depth: u64) -> u64 {
+        let pad = [depth; 64];
+        let below = overflow(depth + 1);
+        std::hint::black_box(pad[(below % 64) as usize]) + below
+    }
+
+    #[test]
+    #[ignore = "child body of a_stack_overflow_dies_by_signal"]
+    fn child_stack_overflow() {
+        let vp = Vp::new(VpConfig::named("overflow"));
+        let h = vp.spawn(SpawnAttr::new().stack_size(64 * 1024), |_| overflow(0));
+        vp.start();
+        println!("survived: {:?}", h.join().ok());
+    }
+
+    /// An overflow runs into the guard page: the process dies by signal.
+    /// It does not carry on with a neighbour's memory overwritten.
+    #[cfg(chant_native_ctx)]
+    #[test]
+    fn a_stack_overflow_dies_by_signal() {
+        use std::os::unix::process::ExitStatusExt;
+        let out = run_child("tests::contexts::child_stack_overflow");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("survived"), "{stdout}");
+        let signal = out.status.signal();
+        assert!(
+            matches!(signal, Some(11 | 7 | 6)),
+            "expected death by SIGSEGV/SIGBUS/SIGABRT, got {:?}\n{stdout}",
+            out.status
+        );
+    }
+
+    /// The OS thread's name used to name the user-level thread in a
+    /// panic report; the hook does now.
+    #[test]
+    #[ignore = "child body of a_panic_report_names_the_user_level_thread"]
+    fn child_named_panic() {
+        let vp = Vp::new(VpConfig::named("pe7"));
+        let h = vp.spawn(SpawnAttr::new().name("subscriber-3"), |_| panic!("lost my place"));
+        vp.start();
+        assert!(h.join().is_err());
+    }
+
+    #[test]
+    fn a_panic_report_names_the_user_level_thread() {
+        let out = run_child("tests::contexts::child_named_panic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let at = stderr
+            .find("user-level thread 'subscriber-3' (tid 1) of VP 'pe7' panicked:")
+            .unwrap_or_else(|| panic!("no prefix in:\n{stderr}"));
+        assert!(stderr[at..].contains("lost my place"), "{stderr}");
+    }
+}

@@ -80,7 +80,8 @@ impl<T: Send + Clone + 'static> TlsKey<T> {
     }
 
     /// Run `f` with a mutable reference to the slot's value, inserting
-    /// `default()` first if the slot is empty.
+    /// `default()` first if the slot is empty. `f` must not yield or
+    /// block: the calling thread's slot table is locked while it runs.
     pub fn with_mut<R>(&self, default: impl FnOnce() -> T, f: impl FnOnce(&mut T) -> R) -> R {
         current::with_current(|c| {
             let ctx = c.expect("TLS used outside a user-level thread");

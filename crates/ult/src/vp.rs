@@ -11,17 +11,36 @@
 //! messages on each context switch" (paper §3.1) without any dedicated
 //! scheduler thread.
 //!
+//! A lane is **one OS thread** — the caller of [`Vp::start`] for lane 0,
+//! a `"{vp}-w{k}"` host thread for each further lane — and passing the
+//! baton is a user-level context switch on that thread
+//! ([`crate::ctx`]): the departing thread runs the scheduler *on its own
+//! stack*, picks the next thread, and `dispatch_to` saves its registers
+//! and restores the other's. A partial switch (PS) is then literally the
+//! paper's: the scheduler peeks at the next TCB's pending request before
+//! restoring its context, and puts the TCB back if the message is not
+//! there. An exiting thread picks its successor the same way and the
+//! context layer makes the final switch once the thread's closure is
+//! gone; the lane's last exit switches back to the host, and
+//! [`Vp::start`] returns.
+//!
 //! # Multi-VP mode
 //!
 //! With [`VpConfig::n_vps`] > 1 the VP multiplexes its threads over N
-//! *worker lanes*, one scheduling baton each, so a multicore PE can run N
-//! user-level threads truly in parallel. Each lane owns a run queue;
+//! *worker lanes*, one scheduling baton and one OS thread each, so a
+//! multicore PE can run N user-level threads truly in parallel. Each lane owns a run queue;
 //! threads have a *home* lane (round-robin at spawn, or pinned with
 //! [`SpawnAttr::affinity`](crate::SpawnAttr::affinity)) that they requeue
 //! on at every yield/unblock. An idle lane steals single dispatches from
 //! the back of other lanes' queues — a steal moves one quantum of
 //! computation, never the home, and never any endpoint or matching-table
-//! ownership. Scheduler hooks stay effectively single-threaded: the
+//! ownership. A stolen thread resumes on the thief's OS thread, so
+//! nothing per-OS-thread (the lane, `current`, any `thread_local!`) is
+//! carried across a switch: it is re-read afterwards. A thread that
+//! yields or blocks is on a run queue *before* its registers are saved;
+//! until the context that runs next has marked it suspended
+//! ([`Context::is_suspended`]) other lanes defer it (`steal_safe`).
+//! Scheduler hooks stay effectively single-threaded: the
 //! schedule-point sweep is serialized by a try-lock gate (contending
 //! lanes skip, they do not wait). At `n_vps == 1` all of this
 //! degenerates to the paper's single-baton scheduler: the gate is never
@@ -49,15 +68,15 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
-use crate::affinity::{self, Allowed, NO_CPU};
 use crate::attr::{Priority, SpawnAttr};
 use crate::config::VpConfig;
+use crate::ctx::{Context, Host, Kind};
 use crate::current::{self, UltContext};
 use crate::error::{JoinError, UltError};
 use crate::hooks::{DispatchDecision, HookRef, PendingPoll};
@@ -71,16 +90,17 @@ use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
 /// anyone by then, and it has had this long to do so.
 const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
 
-/// A lane that never sleeps re-offers its placement to the kernel every
-/// this many full switches (see [`Vp::follow_baton`]).
-const FLOAT_EVERY: u32 = 256;
+/// "No lane" in [`Worker::departed_home`].
+const NO_LANE: usize = usize::MAX;
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
 struct CancelPayload;
 
 /// Install a process-wide panic hook that silences cancellation unwinds
-/// while delegating every other panic to the previously installed hook.
+/// while delegating every other panic to the previously installed hook —
+/// after saying *which user-level thread* panicked: the OS thread the
+/// default report names is the lane, shared by every thread on it.
 fn install_cancel_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -88,6 +108,9 @@ fn install_cancel_hook() {
         panic::set_hook(Box::new(move |info| {
             if info.payload().is::<CancelPayload>() {
                 return; // orderly cancellation, not an error
+            }
+            if let Some(who) = current::describe_current() {
+                eprintln!("user-level thread {who} panicked:");
             }
             prev(info);
         }));
@@ -99,9 +122,9 @@ fn install_cancel_hook() {
 enum Departure {
     /// Voluntary yield: requeue me, run someone (possibly me again).
     Yield,
-    /// I am blocked: do not requeue me; park me after handing off.
+    /// I am blocked: do not requeue me; switch away.
     Block,
-    /// I am exiting: hand off and let my OS thread die.
+    /// I am exiting: choose my successor, do not come back.
     Exit,
     /// Initial dispatch from [`Vp::start`]'s calling thread (or one of
     /// its worker-lane host threads).
@@ -116,7 +139,7 @@ enum SelfDispatch {
     /// It is blocked, or its pending poll says "not yet": sleep on.
     NotRunnable,
     /// It is runnable but off its queue in another lane's hands for a
-    /// moment (that lane cannot grant it and puts it straight back).
+    /// moment (that lane cannot resume it and puts it straight back).
     InOtherHands,
 }
 
@@ -162,10 +185,12 @@ struct Shared {
     next_place: usize,
     /// Threads blocked in [`Vp::wait_live_at_most`], with the live count
     /// each is waiting for; woken by the exit that reaches it.
-    exit_watchers: Vec<(Tid, usize)>,
+    exit_watchers: Vec<(Arc<Tcb>, usize)>,
 }
 
 /// One worker lane: a run queue plus the lane's scheduling baton state.
+/// The lane's scheduler always runs on the lane's one OS thread, on
+/// whichever stack — a thread's or the host's — that thread is on.
 struct Worker {
     /// This lane's ready queue, one FIFO per priority class. Owners pop
     /// from the front; thieves pop from the back (oldest entry of the
@@ -173,19 +198,28 @@ struct Worker {
     ///
     /// A plain mutexed deque, not a Chase–Lev deque: measured in PR 8's
     /// lane sweep, queue-lock hold times are tens of nanoseconds against
-    /// microsecond-scale dispatch costs (permit grant + OS wakeup), so an
-    /// uncontended parking_lot lock is nowhere near the bottleneck. The
+    /// a dispatch's other fixed costs, so an uncontended lock is not the
+    /// bottleneck — still true with a ≈0.2 µs user-level switch, where
+    /// the lock is one of several such costs per schedule point. The
     /// lock-free deque stays an upgrade path behind this same interface.
-    ready: Mutex<[VecDeque<Tid>; Priority::LEVELS]>,
+    ///
+    /// Entries are the TCBs themselves, so a dispatch candidate costs no
+    /// directory lookup; an entry whose thread has since finished is
+    /// recognised by `phase == Done` and skipped.
+    ready: Mutex<[VecDeque<Arc<Tcb>>; Priority::LEVELS]>,
     /// Tid last dispatched on this lane (0 = none yet), for introspection.
     current: AtomicU32,
     /// Where this lane's baton holder sleeps when a round finds nothing.
     parker: Parker,
-    /// The CPU this lane's threads are confined to, or `NO_CPU` while
-    /// the lane *floats* — see [`Vp::follow_baton`].
-    cpu: AtomicI32,
-    /// Full switches on this lane, for the periodic float.
-    grants: AtomicU32,
+    /// The context of the OS thread hosting this lane, while one is
+    /// inside [`Vp::start`]: what the lane's last exit switches back to.
+    host: Mutex<Option<Context>>,
+    /// Post-switch step, multi-lane only: the home lane of the thread
+    /// that just yielded or blocked here ([`NO_LANE`] = nothing to do).
+    /// Written by the departing thread before it switches, consumed by
+    /// whatever runs next on this lane (`Vp::after_switch`) — by which
+    /// time the context layer has marked the departed thread suspended.
+    departed_home: AtomicUsize,
 }
 
 /// A virtual processor hosting cooperative user-level threads.
@@ -208,9 +242,9 @@ pub struct Vp {
     hook_gate: Mutex<()>,
     /// Deadlines of timed waits, shared by all lanes.
     timers: Timers,
-    /// The CPUs this process may run on; `None` when there is only one
-    /// (or no way to tell), which switches lane confinement off.
-    allowed_cpus: Option<Allowed>,
+    /// How this VP's threads are carried (see [`crate::ctx`]). Always
+    /// [`Kind::DEFAULT`] outside this crate's own tests.
+    kind: Kind,
     /// Ensures exactly one lane reports a detected deadlock.
     deadlock_reported: AtomicBool,
     stats: VpStats,
@@ -240,6 +274,17 @@ pub struct JoinHandle<T> {
 impl Vp {
     /// Create a new, empty virtual processor.
     pub fn new(cfg: VpConfig) -> Arc<Vp> {
+        Vp::with_kind(cfg, Kind::DEFAULT)
+    }
+
+    /// A VP whose threads are carried by OS threads whatever the target:
+    /// the reference implementation the native switch is tested against.
+    #[cfg(test)]
+    pub(crate) fn new_os_threaded(cfg: VpConfig) -> Arc<Vp> {
+        Vp::with_kind(cfg, Kind::OsThread)
+    }
+
+    fn with_kind(cfg: VpConfig, kind: Kind) -> Arc<Vp> {
         install_cancel_hook();
         #[cfg(feature = "trace")]
         let obs = crate::obs::VpObs::register(&cfg.name);
@@ -249,8 +294,8 @@ impl Vp {
                 ready: Mutex::new(Default::default()),
                 current: AtomicU32::new(0),
                 parker: Parker::new(),
-                cpu: AtomicI32::new(NO_CPU),
-                grants: AtomicU32::new(0),
+                host: Mutex::new(None),
+                departed_home: AtomicUsize::new(NO_LANE),
             })
             .collect();
         Arc::new(Vp {
@@ -269,7 +314,7 @@ impl Vp {
             hooks: RwLock::new(Arc::from(Vec::new())),
             hook_gate: Mutex::new(()),
             timers: Timers::new(),
-            allowed_cpus: Allowed::capture(),
+            kind,
             deadlock_reported: AtomicBool::new(false),
             stats: VpStats::default(),
             #[cfg(feature = "trace")]
@@ -406,14 +451,14 @@ impl Vp {
     // ------------------------------------------------------------------
 
     /// Queue a ready thread on its home lane.
-    fn push_home(&self, tcb: &Tcb) {
+    fn push_home(&self, tcb: &Arc<Tcb>) {
         let w = tcb.home.load(Ordering::Relaxed) % self.n;
-        self.workers[w].ready.lock()[tcb.priority().index()].push_back(tcb.id);
+        self.workers[w].ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
     }
 
     /// Pop the frontmost thread of the highest non-empty priority class
     /// of this lane's own queue.
-    fn pop_local(&self, worker: usize) -> Option<Tid> {
+    fn pop_local(&self, worker: usize) -> Option<Arc<Tcb>> {
         let mut q = self.workers[worker].ready.lock();
         for lane in q.iter_mut().rev() {
             if let Some(t) = lane.pop_front() {
@@ -430,7 +475,7 @@ impl Vp {
     /// Steal one dispatch from another lane: scan victims round-robin
     /// from this lane and take the *back* of the highest non-empty
     /// priority class — the entry its owner would reach last.
-    fn try_steal(&self, worker: usize) -> Option<Tid> {
+    fn try_steal(&self, worker: usize) -> Option<Arc<Tcb>> {
         for d in 1..self.n {
             let victim = (worker + d) % self.n;
             let mut q = self.workers[victim].ready.lock();
@@ -478,38 +523,38 @@ impl Vp {
             shared.live += 1;
             (tcb, attr.detached)
         };
+        let vp = Arc::clone(self);
+        let me = Arc::clone(&tcb);
+        let entry = Box::new(move || {
+            // First dispatch: this thread is what its lane's OS thread
+            // runs now (the thread that switched here took itself out).
+            current::swap_current(Some(UltContext {
+                vp: Arc::clone(&vp),
+                tcb: Arc::clone(&me),
+            }));
+            vp.after_switch(me.running_on.load(Ordering::Relaxed));
+            // The root of the thread: neither a panic nor a cancellation
+            // unwinds past this frame (and so never into the context
+            // layer's `extern "C"` root, let alone its asm).
+            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&vp)));
+            let outcome = match result {
+                Ok(v) => Outcome::Value(Box::new(v) as Box<dyn Any + Send>),
+                Err(payload) if payload.is::<CancelPayload>() => Outcome::Cancelled,
+                Err(payload) => Outcome::Panicked(payload),
+            };
+            let successor = vp.finish(&me, outcome);
+            current::swap_current(None);
+            // `vp` and `me` are dropped with this closure; the context
+            // layer switches to `successor` once nothing is left here.
+            successor
+        });
+        let ctx = Context::new(self.kind, entry, attr.stack_size)
+            .expect("failed to allocate a stack for a user-level thread");
+        assert!(tcb.ctx.set(ctx).is_ok(), "fresh TCB already has a context");
+        // Reachable by the dispatcher only from here on.
         self.push_home(&tcb);
         self.wake();
         self.stats.spawned.incr();
-
-        let vp = Arc::clone(self);
-        let tcb_for_thread = Arc::clone(&tcb);
-        let mut builder =
-            std::thread::Builder::new().name(format!("{}:{}", self.cfg.name, tcb.name));
-        if let Some(sz) = attr.stack_size {
-            builder = builder.stack_size(sz);
-        }
-        builder
-            .spawn(move || {
-                let me = tcb_for_thread;
-                current::set_current(Some(UltContext {
-                    vp: Arc::clone(&vp),
-                    tcb: Arc::clone(&me),
-                }));
-                me.os_tid.store(affinity::os_tid(), Ordering::Release);
-                // Wait for the first dispatch before touching user code.
-                me.permit.wait();
-                me.parked.store(false, Ordering::Relaxed);
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&vp)));
-                let outcome = match result {
-                    Ok(v) => Outcome::Value(Box::new(v) as Box<dyn Any + Send>),
-                    Err(payload) if payload.is::<CancelPayload>() => Outcome::Cancelled,
-                    Err(payload) => Outcome::Panicked(payload),
-                };
-                vp.finish(&me, outcome);
-                current::set_current(None);
-            })
-            .expect("failed to spawn backing OS thread for a user-level thread");
 
         JoinHandle {
             vp: Arc::clone(self),
@@ -524,9 +569,11 @@ impl Vp {
     /// initial spawns; threads spawned later by running threads are
     /// awaited too.
     ///
-    /// On a multi-lane VP this additionally spawns one host OS thread per
-    /// extra lane to bootstrap that lane's baton; they are joined before
-    /// returning.
+    /// The calling OS thread *is* lane 0 for the duration: every thread
+    /// dispatched on that lane runs on it, on its own stack, and the
+    /// lane's last exit switches back here. On a multi-lane VP this
+    /// additionally spawns one host OS thread per extra lane, named
+    /// `"{vp}-w{k}"`; they are joined before returning.
     pub fn start(self: &Arc<Vp>) {
         assert!(
             !current::is_ult_context(),
@@ -538,11 +585,11 @@ impl Vp {
             hosts.push(
                 std::thread::Builder::new()
                     .name(format!("{}-w{}", self.cfg.name, w))
-                    .spawn(move || vp.reschedule(w, None, Departure::Bootstrap))
+                    .spawn(move || vp.host_lane(w))
                     .expect("failed to spawn VP worker-lane host thread"),
             );
         }
-        self.reschedule(0, None, Departure::Bootstrap);
+        self.host_lane(0);
         {
             let mut shared = self.shared.lock();
             while shared.live > 0 {
@@ -551,6 +598,33 @@ impl Vp {
         }
         for h in hosts {
             let _ = h.join();
+        }
+    }
+
+    /// Run lane `w` on the calling OS thread until the VP has no live
+    /// thread left.
+    fn host_lane(self: &Arc<Vp>, w: usize) {
+        let host = Host::enter(self.kind);
+        *self.workers[w].host.lock() = Some(host.context().clone());
+        let successor = self.reschedule(w, None, Departure::Bootstrap);
+        debug_assert!(successor.is_none());
+        *self.workers[w].host.lock() = None;
+    }
+
+    /// Post-switch step, run by whatever runs next on lane `worker` —
+    /// a resumed thread, a thread's first instructions, the host. The
+    /// context layer has by now marked the thread that left suspended,
+    /// so any lane may resume it: a lane that looked at it too early,
+    /// deferred it and went to sleep must look again, and this is the
+    /// moment a cross-lane push really lands.
+    fn after_switch(&self, worker: usize) {
+        if self.n > 1 {
+            let home = self.workers[worker]
+                .departed_home
+                .swap(NO_LANE, Ordering::Relaxed);
+            if home != NO_LANE {
+                self.workers[home].parker.unpark();
+            }
         }
     }
 
@@ -579,6 +653,12 @@ impl Vp {
             );
             Arc::clone(&ctx.tcb)
         })
+    }
+
+    /// The lane the calling thread believes it is running on.
+    #[cfg(test)]
+    pub(crate) fn current_lane(self: &Arc<Vp>) -> usize {
+        self.current_tcb().running_on.load(Ordering::Relaxed)
     }
 
     /// Yield the processor to the next ready thread, as determined by the
@@ -675,10 +755,17 @@ impl Vp {
             .get(&tid)
             .cloned()
             .ok_or(UltError::NoSuchThread(tid))?;
+        self.unblock_tcb(&tcb);
+        Ok(())
+    }
+
+    /// [`Vp::unblock`] for callers that already hold the TCB (joiner and
+    /// watcher lists): no directory lookup.
+    fn unblock_tcb(&self, tcb: &Arc<Tcb>) {
         let life = tcb.life.lock();
         match life.phase {
             Phase::Blocked => {
-                self.make_ready(&tcb, life);
+                self.make_ready(tcb, life);
                 self.wake();
             }
             Phase::Done => {}
@@ -689,7 +776,6 @@ impl Vp {
                 *tcb.wake_token.lock() = true;
             }
         }
-        Ok(())
     }
 
     /// Store a pending poll request in the calling thread's TCB (the PS
@@ -720,7 +806,7 @@ impl Vp {
         // If it is blocked, wake it so it can observe the request; if it
         // is queued behind a pending poll, the dispatcher must look at it
         // again (a cancel-requested candidate always runs).
-        let _ = self.unblock(tid);
+        self.unblock_tcb(&tcb);
         self.wake();
         Ok(())
     }
@@ -818,8 +904,8 @@ impl Vp {
                 if life.phase == Phase::Done {
                     return;
                 }
-                if !life.joiners.contains(&me.id) {
-                    life.joiners.push(me.id);
+                if !life.joiners.iter().any(|j| j.id == me.id) {
+                    life.joiners.push(Arc::clone(&me));
                 }
             }
             self.block_inner(&me, None);
@@ -835,11 +921,11 @@ impl Vp {
             {
                 let mut shared = self.shared.lock();
                 if shared.live <= n {
-                    shared.exit_watchers.retain(|(t, _)| *t != me.id);
+                    shared.exit_watchers.retain(|(t, _)| t.id != me.id);
                     return;
                 }
-                if !shared.exit_watchers.iter().any(|(t, _)| *t == me.id) {
-                    shared.exit_watchers.push((me.id, n));
+                if !shared.exit_watchers.iter().any(|(t, _)| t.id == me.id) {
+                    shared.exit_watchers.push((Arc::clone(&me), n));
                 }
             }
             self.block_inner(&me, None);
@@ -850,10 +936,13 @@ impl Vp {
     // The dispatcher.
     // ------------------------------------------------------------------
 
-    /// Thread exit: record the outcome, wake joiners, hand off the baton.
-    fn finish(self: &Arc<Vp>, me: &Arc<Tcb>, outcome: Outcome) {
+    /// Thread exit: record the outcome, wake joiners, and run the
+    /// scheduler one last time — on the exiting thread's own stack — to
+    /// choose the context that takes the lane over: the next thread, or
+    /// the lane's host once the VP has no live thread left.
+    fn finish(self: &Arc<Vp>, me: &Arc<Tcb>, outcome: Outcome) -> Context {
         let worker = me.running_on.load(Ordering::Relaxed);
-        let joiners: Vec<Tid> = {
+        let joiners: Vec<Arc<Tcb>> = {
             let mut life = me.life.lock();
             life.phase = Phase::Done;
             life.outcome = Some(outcome);
@@ -861,9 +950,9 @@ impl Vp {
         };
         me.ext_cv_notify();
         for j in joiners {
-            let _ = self.unblock(j);
+            self.unblock_tcb(&j);
         }
-        let (live, watchers): (usize, Vec<Tid>) = {
+        let (live, watchers): (usize, Vec<Arc<Tcb>>) = {
             let mut shared = self.shared.lock();
             if me.detached.load(Ordering::Relaxed) {
                 shared.tcbs.remove(&me.id);
@@ -878,12 +967,12 @@ impl Vp {
                 .exit_watchers
                 .iter()
                 .filter(|(_, n)| live <= *n)
-                .map(|(t, _)| *t)
+                .map(|(t, _)| Arc::clone(t))
                 .collect();
             (live, due)
         };
         for w in watchers {
-            let _ = self.unblock(w);
+            self.unblock_tcb(&w);
         }
         if live == 0 {
             // The last exit ends every lane's run: sleeping ones must
@@ -894,29 +983,24 @@ impl Vp {
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::ThreadDone { thread: me.id });
         }
-        self.reschedule(worker, Some(me), Departure::Exit);
+        self.reschedule(worker, Some(me), Departure::Exit)
+            .expect("an exiting thread always has a successor")
     }
 
-    /// Fetch a popped candidate's TCB, filtering garbage queue entries.
-    /// `None` means "skip this tid and keep looking".
-    fn candidate(&self, tid: Tid) -> Option<Arc<Tcb>> {
-        let tcb = self.shared.lock().tcbs.get(&tid).cloned()?; // reaped
-        if tcb.life.lock().phase == Phase::Done {
-            return None; // stale queue entry for an exited thread
-        }
-        Some(tcb)
+    /// Whether a popped queue entry is worth examining: `false` for the
+    /// stale entry of a thread that has since exited.
+    fn is_live(tcb: &Tcb) -> bool {
+        tcb.life.lock().phase != Phase::Done
     }
 
     /// Whether it is safe for lane `worker`'s baton holder to dispatch
-    /// this candidate. A thread that is not `me` and not parked is still
-    /// winding down through *another* lane's scheduler (it was requeued
-    /// before reaching its park point); granting it now would strand that
-    /// lane's baton. Single-lane VPs never defer: the only unparked
-    /// candidate possible is `me`.
+    /// this candidate. A thread that is not `me` and not suspended is
+    /// still running the scheduler of *another* lane on its own stack
+    /// (it was requeued before its registers were saved); resuming it
+    /// now would put two OS threads on one stack. Single-lane VPs never
+    /// defer: the only unsuspended candidate possible is `me`.
     fn steal_safe(&self, tcb: &Tcb, me: Option<&Arc<Tcb>>) -> bool {
-        self.n == 1
-            || me.is_some_and(|m| m.id == tcb.id)
-            || tcb.parked.load(Ordering::SeqCst)
+        self.n == 1 || me.is_some_and(|m| m.id == tcb.id) || tcb.ctx().is_suspended()
     }
 
     /// Multi-lane only: the departing thread `me` (still this lane's
@@ -941,13 +1025,14 @@ impl Vp {
         let home = me.home.load(Ordering::Relaxed) % self.n;
         let mut q = self.workers[home].ready.lock();
         let Some((class, at)) = q.iter().enumerate().find_map(|(c, lane)| {
-            lane.iter().position(|&t| t == me.id).map(|i| (c, i))
+            lane.iter().position(|t| t.id == me.id).map(|i| (c, i))
         }) else {
             return SelfDispatch::InOtherHands;
         };
         q[class].remove(at);
         drop(q);
-        self.dispatch_to(worker, me, Some(me), dep);
+        let successor = self.dispatch_to(worker, me, Some(me), dep);
+        debug_assert!(successor.is_none(), "self-redispatch never switches");
         SelfDispatch::Resumed
     }
 
@@ -981,11 +1066,19 @@ impl Vp {
         d
     }
 
-    /// Core scheduling loop for one worker lane. Runs on the departing
-    /// thread's OS thread (or a bootstrap host); returns once the lane's
-    /// baton has been handed off — for `Yield`/`Block` departures, only
-    /// after *this* thread has been granted a baton again.
-    fn reschedule(self: &Arc<Vp>, worker: usize, me: Option<&Arc<Tcb>>, dep: Departure) {
+    /// Core scheduling loop for one worker lane. Runs on the lane's OS
+    /// thread, on the departing thread's stack (or the host's). For
+    /// `Yield`/`Block`/`Bootstrap` departures it switches to the thread
+    /// it picked and returns `None` once *this* context has been resumed
+    /// — for a stolen thread, on another lane's OS thread. For `Exit` it
+    /// switches nowhere: it returns the context that takes the lane
+    /// over, and the caller unwinds its stack before the final switch.
+    fn reschedule(
+        self: &Arc<Vp>,
+        worker: usize,
+        me: Option<&Arc<Tcb>>,
+        dep: Departure,
+    ) -> Option<Context> {
         let parker = &self.workers[worker].parker;
         #[cfg(feature = "trace")]
         let mut idle_traced = false;
@@ -1020,17 +1113,18 @@ impl Vp {
             // Whether this round looked at the departing thread itself.
             let mut saw_me = false;
             let mut dispatched = false;
+            let mut successor = None;
             let mut examined = 0usize;
             while examined < round_len.max(1) {
-                let Some(tid) = self.pop_local(worker) else { break };
+                let Some(tcb) = self.pop_local(worker) else { break };
                 examined += 1;
-                let Some(tcb) = self.candidate(tid) else {
+                if !Self::is_live(&tcb) {
                     continue;
-                };
+                }
                 saw_me |= me.is_some_and(|m| m.id == tcb.id);
                 if !self.steal_safe(&tcb, me) {
                     // Not a partial switch: the candidate was not examined
-                    // by any hook, it is merely not yet grantable.
+                    // by any hook, it is merely not yet resumable.
                     deferred.push(tcb);
                     continue;
                 }
@@ -1039,7 +1133,7 @@ impl Vp {
                         self.stats.partial_switches.incr();
                         #[cfg(feature = "trace")]
                         if let Some(o) = &self.obs {
-                            o.emit(chant_obs::Event::PartialSwitch { thread: tid });
+                            o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
                         }
                         deferred.push(tcb);
                     }
@@ -1049,7 +1143,7 @@ impl Vp {
                         for t in deferred.drain(..) {
                             self.push_home(&t);
                         }
-                        self.dispatch_to(worker, &tcb, me, dep);
+                        successor = self.dispatch_to(worker, &tcb, me, dep);
                         dispatched = true;
                         break;
                     }
@@ -1067,10 +1161,10 @@ impl Vp {
             // gate or hook test is returned home and the attempt ends —
             // re-stealing it in a tight loop would spin on the same head.
             if !dispatched && self.n > 1 {
-                while let Some(tid) = self.try_steal(worker) {
-                    let Some(tcb) = self.candidate(tid) else {
+                while let Some(tcb) = self.try_steal(worker) {
+                    if !Self::is_live(&tcb) {
                         continue;
-                    };
+                    }
                     saw_me |= me.is_some_and(|m| m.id == tcb.id);
                     if !self.steal_safe(&tcb, me) {
                         self.push_home(&tcb);
@@ -1081,7 +1175,7 @@ impl Vp {
                             self.stats.partial_switches.incr();
                             #[cfg(feature = "trace")]
                             if let Some(o) = &self.obs {
-                                o.emit(chant_obs::Event::PartialSwitch { thread: tid });
+                                o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
                             }
                             self.push_home(&tcb);
                         }
@@ -1089,7 +1183,7 @@ impl Vp {
                             if me.is_none_or(|m| m.id != tcb.id) {
                                 self.stats.steals.incr();
                             }
-                            self.dispatch_to(worker, &tcb, me, dep);
+                            successor = self.dispatch_to(worker, &tcb, me, dep);
                             dispatched = true;
                         }
                     }
@@ -1098,7 +1192,7 @@ impl Vp {
             }
 
             // The departing thread is this lane's baton holder until it
-            // hands off, so no other lane may grant it (they put it back
+            // switches away, so no other lane may resume it (they put it back
             // when they pop it) — and if it is queued on a *foreign* home
             // lane, the one-candidate steal above may never reach it.
             // Before sleeping on it, give it the look only this lane can.
@@ -1127,17 +1221,21 @@ impl Vp {
                             .record(o.lane.now_ns().saturating_sub(start));
                     }
                 }
-                return;
+                return successor;
             }
 
             // Nothing runnable this round.
             if self.shared.lock().live == 0 {
                 self.done_cv.notify_all();
-                debug_assert!(
-                    matches!(dep, Departure::Exit | Departure::Bootstrap),
-                    "a live thread found the VP empty"
-                );
-                return;
+                return match dep {
+                    // The lane's last exit: back to the host, so that
+                    // `Vp::start` returns.
+                    Departure::Exit => Some(self.lane_host(worker)),
+                    Departure::Bootstrap => None,
+                    Departure::Yield | Departure::Block => {
+                        unreachable!("a live thread found the VP empty")
+                    }
+                };
             }
             // Sleep until something can have changed: a wake-up, or the
             // nearest deadline. A hook-free VP with no timer armed has no
@@ -1156,11 +1254,20 @@ impl Vp {
                     o.emit(chant_obs::Event::Idle);
                 }
             }
-            // Where the lane runs after this sleep is the kernel's call.
-            self.float_lane(worker, me);
             let woken = parker.park(until_timer.or(unattended.then_some(DEADLOCK_GRACE)));
             if unattended && !woken && !self.timers.any_armed() {
-                self.report_if_deadlocked();
+                if let Some(report) = self.detect_deadlock() {
+                    // The blocked threads have been cancelled and unwind
+                    // in an orderly fashion. Report by panicking the
+                    // detecting thread (whose joiner sees it) — unless
+                    // this stack has no thread left to panic: an exited
+                    // thread's or the host's, still needed to dispatch
+                    // the unwinding ones.
+                    if matches!(dep, Departure::Yield | Departure::Block) {
+                        panic!("{report}");
+                    }
+                    eprintln!("{report}");
+                }
             }
         }
     }
@@ -1168,10 +1275,11 @@ impl Vp {
     /// Called by a lane of a hook-free VP that slept a whole
     /// [`DEADLOCK_GRACE`] with no timer armed and was never woken: if
     /// every live thread is blocked, nothing inside the VP can ever run
-    /// again. Unwedge it and report. With several lanes, *this* lane
-    /// sleeping through the grace only means the work lives elsewhere —
-    /// hence the all-blocked check — and exactly one lane reports.
-    fn report_if_deadlocked(&self) {
+    /// again. Unwedge it — cancel every blocked thread — and return the
+    /// report. With several lanes, *this* lane sleeping through the grace
+    /// only means the work lives elsewhere — hence the all-blocked check
+    /// — and exactly one lane reports.
+    fn detect_deadlock(&self) -> Option<String> {
         let (all_blocked, blocked) = {
             let shared = self.shared.lock();
             let mut all = true;
@@ -1188,107 +1296,65 @@ impl Vp {
             }
             (all, blocked)
         };
-        if all_blocked
-            && self
+        if !all_blocked
+            || self
                 .deadlock_reported
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+                .is_err()
         {
-            // Cancel every blocked thread so they all unwind in an
-            // orderly fashion, then report the deadlock by panicking the
-            // detecting thread (whose joiner sees it).
-            for t in &blocked {
-                let _ = self.cancel(*t);
-            }
-            panic!(
-                "ULT deadlock on VP '{}': {} thread(s) blocked with none ready, no timer \
-                 armed and no scheduler hooks that could make progress (cancelled: {blocked:?})",
-                self.cfg.name,
-                blocked.len()
-            );
+            return None;
         }
+        for t in &blocked {
+            let _ = self.cancel(*t);
+        }
+        Some(format!(
+            "ULT deadlock on VP '{}': {} thread(s) blocked with none ready, no timer \
+             armed and no scheduler hooks that could make progress (cancelled: {blocked:?})",
+            self.cfg.name,
+            blocked.len()
+        ))
     }
 
-    /// Keep the lane's threads where its baton is ([`crate::affinity`]).
-    /// Called by the granter just before it wakes `next`.
-    ///
-    /// While the lane has a CPU, `next` is confined to it (a syscall
-    /// only if `next` was last confined elsewhere). While the lane
-    /// *floats* it adopts the CPU the granter is running on — the
-    /// kernel's most recent placement decision for this lane. The lane
-    /// floats, handing placement back to the kernel, whenever staying
-    /// put has no locality to protect or may have outlived its reason:
-    /// after a sleep and at a self-redispatch ([`Vp::float_lane`]), and
-    /// every [`FLOAT_EVERY`]th grant — then it is `next` that is
-    /// released, so that two lanes that ended up on one CPU while
-    /// another stands idle part ways within that many switches.
-    fn follow_baton(&self, worker: usize, next: &Tcb) {
-        let Some(allowed) = &self.allowed_cpus else {
-            return;
-        };
-        let tid = next.os_tid.load(Ordering::Acquire);
-        if tid == 0 {
-            return; // its OS thread has not started yet
-        }
-        let lane = &self.workers[worker];
-        if lane.grants.fetch_add(1, Ordering::Relaxed) % FLOAT_EVERY == FLOAT_EVERY - 1 {
-            affinity::release(tid, &next.cpu_pin, allowed);
-            lane.cpu.store(NO_CPU, Ordering::Relaxed);
-            return;
-        }
-        let mut cpu = lane.cpu.load(Ordering::Relaxed);
-        if cpu == NO_CPU {
-            cpu = affinity::current_cpu();
-            lane.cpu.store(cpu, Ordering::Relaxed);
-        }
-        affinity::confine(tid, &next.cpu_pin, cpu);
+    /// The context of the OS thread hosting lane `worker`.
+    fn lane_host(&self, worker: usize) -> Context {
+        self.workers[worker]
+            .host
+            .lock()
+            .clone()
+            .expect("a thread is running on a lane that has no host inside Vp::start")
     }
 
-    /// Let the kernel place lane `worker` afresh: release its baton
-    /// holder (the calling thread, when it is one of ours) and forget the
-    /// lane's CPU; the next grant adopts wherever the holder then runs.
-    fn float_lane(&self, worker: usize, holder: Option<&Arc<Tcb>>) {
-        let Some(allowed) = &self.allowed_cpus else {
-            return;
-        };
-        if let Some(h) = holder {
-            affinity::release(0, &h.cpu_pin, allowed);
-        }
-        self.workers[worker].cpu.store(NO_CPU, Ordering::Relaxed);
-    }
-
-    /// Complete a context switch to `next` on lane `worker`.
-    fn dispatch_to(self: &Arc<Vp>, worker: usize, next: &Arc<Tcb>, me: Option<&Arc<Tcb>>, dep: Departure) {
+    /// Complete a context switch to `next` on lane `worker` — or, for an
+    /// exiting `me`, return `next`'s context as its successor.
+    fn dispatch_to(
+        self: &Arc<Vp>,
+        worker: usize,
+        next: &Arc<Tcb>,
+        me: Option<&Arc<Tcb>>,
+        dep: Departure,
+    ) -> Option<Context> {
         self.workers[worker].current.store(next.id, Ordering::Relaxed);
         next.life.lock().phase = Phase::Running;
-        if let Some(me) = me {
-            if me.id == next.id {
-                // "The scheduler simply returns without having to perform a
-                // context switch" (paper §4.1).
-                self.stats.self_redispatches.incr();
-                #[cfg(feature = "trace")]
-                if let Some(o) = &self.obs {
-                    o.emit(chant_obs::Event::Dispatch {
-                        thread: next.id,
-                        full_switch: false,
-                    });
-                }
-                debug_assert!(dep != Departure::Exit, "exiting thread re-dispatched");
-                // The only runnable thread of its lane has nothing to
-                // stay close to.
-                self.float_lane(worker, Some(me));
-                return;
+        if me.is_some_and(|me| me.id == next.id) {
+            // "The scheduler simply returns without having to perform a
+            // context switch" (paper §4.1).
+            self.stats.self_redispatches.incr();
+            #[cfg(feature = "trace")]
+            if let Some(o) = &self.obs {
+                o.emit(chant_obs::Event::Dispatch {
+                    thread: next.id,
+                    full_switch: false,
+                });
             }
+            debug_assert!(dep != Departure::Exit, "exiting thread re-dispatched");
+            return None;
         }
-        // Publish the lane before the grant: the permit's internal lock
-        // makes the store visible to the woken thread, which reads it to
-        // reschedule on this lane's behalf at its next departure.
+        // Tell `next` which lane it runs on before it runs: it reads this
+        // to reschedule on the lane's behalf at its next departure.
         next.running_on.store(worker, Ordering::Relaxed);
         self.stats.full_switches.incr();
-        self.follow_baton(worker, next);
-        // Emit before granting the permit: the incoming thread may start
-        // emitting the moment it wakes, and its events must follow its
-        // Dispatch in the lane.
+        // Emit before switching: the incoming thread's events must follow
+        // its Dispatch in the lane.
         #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Dispatch {
@@ -1296,25 +1362,32 @@ impl Vp {
                 full_switch: true,
             });
         }
-        next.permit.grant();
         match dep {
+            Departure::Exit => return Some(next.ctx().clone()),
+            Departure::Bootstrap => {
+                Context::switch(&self.lane_host(worker), next.ctx());
+                // The lane's last exit switched back here.
+                self.after_switch(worker);
+            }
             Departure::Yield | Departure::Block => {
                 let me = me.expect("yield/block without a current thread");
-                // From here on any lane may grant us; until here only the
-                // queues knew about us and `parked == false` deferred them.
-                // A lane that deferred us and went to sleep must look
-                // again — this is the moment a cross-lane push lands.
-                me.parked.store(true, Ordering::SeqCst);
                 if self.n > 1 {
-                    self.workers[me.home.load(Ordering::Relaxed) % self.n]
-                        .parker
-                        .unpark();
+                    // `me` is already on a run queue (or about to be
+                    // unblocked onto one); other lanes defer it until its
+                    // registers are saved. See `after_switch`.
+                    self.workers[worker]
+                        .departed_home
+                        .store(me.home.load(Ordering::Relaxed) % self.n, Ordering::Relaxed);
                 }
-                me.permit.wait();
-                me.parked.store(false, Ordering::Relaxed);
+                let mine = current::swap_current(None);
+                Context::switch(me.ctx(), next.ctx());
+                // Resumed — after a steal, on another lane's OS thread:
+                // nothing per-OS-thread survives from before the switch.
+                current::swap_current(mine);
+                self.after_switch(me.running_on.load(Ordering::Relaxed));
             }
-            Departure::Exit | Departure::Bootstrap => {}
         }
+        None
     }
 }
 
