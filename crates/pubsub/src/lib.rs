@@ -21,10 +21,14 @@
 //!   monotonic version, so replays and reorders cannot corrupt the
 //!   registry.
 //! * **Data is at-least-once, deduplicated**: every tree edge is
-//!   acknowledged hop by hop and retransmitted on timeout; receivers
-//!   drop duplicates by `(topic, origin, seq)` at the node *and* per
-//!   subscriber, so the seeded fault shim's drops/dups/reorders are
-//!   absorbed.
+//!   acknowledged hop by hop and retransmitted on timeout; each node
+//!   checks every data frame once, against a replay window per
+//!   `(topic, origin)` (the highest seq seen plus a bitmap of the 1 024
+//!   below it), before it delivers or forwards, so the seeded fault
+//!   shim's drops/dups/reorders are absorbed. A frame older than the
+//!   window is dropped and counted (`pubsub.stale_dropped`). A local
+//!   subscriber is a queue and a waiter slot under the node's lock: a
+//!   delivery pushes the message and wakes the waiting thread.
 //! * **Membership self-heals**: each node's relay daemon periodically
 //!   re-asserts its counts to every home (à la
 //!   `PUBSUB_CHANNEL_RESYNC_MS`), and homes expire registrants they

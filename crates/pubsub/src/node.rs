@@ -16,6 +16,8 @@
 //! * the **SDK** ([`PubsubNode`] / [`Subscriber`]) called from
 //!   application threads.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -23,14 +25,20 @@ use bytes::Bytes;
 use chant_comm::{kind, Address, Header, RecvSpec};
 use chant_core::ranges::{fns, tags};
 use chant_core::{ChantError, ChantNode, ClusterBuilder};
-use chant_ult::{UltCondvar, UltError, UltMutex};
+use chant_ult::{current_tid, Vp};
 
 use crate::state::{
-    Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStatsSnapshot, SubEntry,
-    SubQueue,
+    Arrival, Inner, Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStatsSnapshot, SubSlot,
 };
 use crate::tree;
 use crate::wire::{self, topic_tag, AckFrame, DataFrame, SubUpdate};
+
+/// Fan-out tree arity (children per node).
+const ARITY: usize = 4;
+
+/// Send attempts per hop before the frame is abandoned
+/// (`pubsub.expired`): at-least-once, not at-all-costs.
+const MAX_ATTEMPTS: u32 = 10;
 
 /// Register the pub-sub service with default [`PubsubConfig`].
 pub fn with_pubsub(builder: ClusterBuilder) -> ClusterBuilder {
@@ -81,10 +89,6 @@ fn unix_ns() -> u64 {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0)
-}
-
-fn ult_err(_: UltError) -> ChantError {
-    ChantError::NotChantContext
 }
 
 // ----------------------------------------------------------------------
@@ -180,12 +184,8 @@ fn relay_loop(node: &Arc<ChantNode>, cfg: PubsubConfig) {
 
 fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Bytes) {
     if hdr.tag == tags::PUBSUB_ACK {
-        let a = match wire::decode_ack(&body) {
-            Ok(a) => a,
-            Err(_) => {
-                st.stats.malformed.incr();
-                return;
-            }
+        let Ok(a) = wire::decode_ack(&body) else {
+            return st.stats.malformed.incr();
         };
         let mut inner = st.inner.lock();
         let key = (a.topic, a.origin, a.seq);
@@ -205,12 +205,8 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
         return;
     }
 
-    let f = match wire::decode_data(&body) {
-        Ok(f) => f,
-        Err(_) => {
-            st.stats.malformed.incr();
-            return;
-        }
+    let Ok(f) = wire::decode_data(&body) else {
+        return st.stats.malformed.incr();
     };
     // Ack the hop before deduplicating: when a parent retransmits, it
     // is usually *our previous ack* that was lost.
@@ -225,13 +221,11 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
             seq: f.seq,
         }),
     );
-    let cfg = st.config();
-    {
-        let mut inner = st.inner.lock();
-        if !inner.seen.insert((f.topic, f.origin, f.seq), cfg.dedup_window) {
-            st.stats.dup_dropped.incr();
-            return;
-        }
+    let arrival = st.inner.lock().seen.entry((f.topic, f.origin)).or_default().insert(f.seq);
+    match arrival {
+        Arrival::New => {}
+        Arrival::Duplicate => return st.stats.dup_dropped.incr(),
+        Arrival::Stale => return st.stats.stale_dropped.incr(),
     }
     if f.route == wire::ROUTE_TO_HOME {
         // We are the home: pin this publish's tree to the current
@@ -242,24 +236,18 @@ fn handle_frame(node: &ChantNode, st: &Arc<PubsubState>, hdr: &Header, body: Byt
             ..f
         };
         let routed_body = wire::encode_data(&routed);
-        process_routed(node, st, &routed, routed_body, &cfg);
+        process_routed(node, st, &routed, routed_body);
     } else {
         // Mid-tree: forward the received bytes verbatim.
-        process_routed(node, st, &f, body, &cfg);
+        process_routed(node, st, &f, body);
     }
 }
 
 /// Deliver a tree-routed frame locally and forward it to this node's
 /// tree children, recording the hop for retransmission.
-fn process_routed(
-    node: &ChantNode,
-    st: &Arc<PubsubState>,
-    f: &DataFrame,
-    body: Bytes,
-    cfg: &PubsubConfig,
-) {
-    deliver_local(node, st, f, cfg);
-    let kids = tree::children(&f.nodes, node.address(), cfg.arity.max(1));
+fn process_routed(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, body: Bytes) {
+    deliver_local(node, st, f);
+    let kids = tree::children(&f.nodes, node.address(), ARITY);
     if kids.is_empty() {
         return;
     }
@@ -268,55 +256,43 @@ fn process_routed(
         .endpoint()
         .isend_many(&kids, tag, 0, kind::PUBSUB, body.clone());
     st.stats.forwarded.add(sent as u64);
-    let mut inner = st.inner.lock();
-    inner.pending.insert(
-        (f.topic, f.origin, f.seq),
-        Pending {
-            tag,
-            body,
-            children: kids.into_iter().map(|c| (c, false)).collect(),
-            attempts: 1,
-            last_sent: Instant::now(),
-        },
-    );
+    let hop = Pending::sent(tag, body, kids);
+    st.inner.lock().pending.insert((f.topic, f.origin, f.seq), hop);
 }
 
-/// Push a frame into every local subscriber queue that has not seen it
-/// (the per-subscriber dedup window), waking blocked receivers.
-fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, cfg: &PubsubConfig) {
-    // Snapshot the subscriber list first: subscriber queues are
-    // ULT-level mutexes whose lock can yield the lane, so the
-    // host-level state lock must not be held across them.
-    let subs: Vec<Arc<SubEntry>> = {
-        let inner = st.inner.lock();
-        inner.local.get(&f.topic).cloned().unwrap_or_default()
-    };
-    if subs.is_empty() {
-        return;
-    }
-    let now_ns = unix_ns();
-    for sub in subs {
-        let Ok(mut q) = sub.queue.lock() else {
-            continue;
+/// Push a new frame into every local subscriber's queue in one pass
+/// under the state lock, then wake the subscribers that were blocked
+/// waiting for it, in subscription order.
+fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame) {
+    let waiters: Vec<_> = {
+        let mut inner = st.inner.lock();
+        let Some(slots) = inner.local.get_mut(&f.topic) else {
+            return;
         };
-        if !q.seen.insert((f.origin, f.seq), cfg.dedup_window) {
-            st.stats.dup_dropped.incr();
-            continue;
-        }
-        q.items.push_back(PubsubMsg {
+        let msg = PubsubMsg {
             topic: f.topic,
             origin: f.origin,
             seq: f.seq,
             payload: f.payload.clone(),
             sent_ns: f.sent_ns,
-        });
+        };
         // Counted before it is visible: a subscriber that has the
         // message (possibly on another lane, the instant it is woken)
         // must find it in the tally.
-        st.stats.delivered.incr();
-        drop(q);
-        sub.cv.notify_all();
-        trace_deliver(node, st, f, now_ns);
+        st.stats.delivered.add(slots.len() as u64);
+        trace_deliver(node, st, f, slots.len());
+        slots
+            .values_mut()
+            .filter_map(|slot| {
+                slot.items.push_back(msg.clone());
+                slot.waiter.take()
+            })
+            .collect()
+    };
+    for tid in waiters {
+        // A waiter that has exited since (cancelled, say) is no longer
+        // there to wake: nothing to do.
+        let _ = node.vp().unblock(tid);
     }
 }
 
@@ -327,7 +303,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
     let cfg = st.config();
     let now = Instant::now();
 
-    // Retransmit unacked hops past their RTO; abandon past max_attempts.
+    // Retransmit unacked hops past their RTO; abandon past MAX_ATTEMPTS.
     let mut resend: Vec<(Vec<Address>, i32, Bytes)> = Vec::new();
     {
         let mut inner = st.inner.lock();
@@ -336,7 +312,7 @@ fn sweep(node: &ChantNode, st: &Arc<PubsubState>, last_resync: &mut Instant) {
             if now.duration_since(p.last_sent) < cfg.rto {
                 return true;
             }
-            if p.attempts >= cfg.max_attempts {
+            if p.attempts >= MAX_ATTEMPTS {
                 stats.expired.incr();
                 return false;
             }
@@ -456,9 +432,10 @@ pub trait PubsubNode {
     fn subscribe(&self, topic: u64) -> Result<Subscriber, ChantError>;
 
     /// Publish `payload` to `topic`; returns this node's sequence
-    /// number for the publish. Delivery to current subscribers is
-    /// at-least-once with per-subscriber deduplication: the call
-    /// returns once the frame is on its way, not once it is delivered.
+    /// number for the publish. Hops are at-least-once and each node
+    /// drops the duplicates, so a current subscriber sees the publish
+    /// once; the call returns once the frame is on its way, not once it
+    /// is delivered.
     fn publish(&self, topic: u64, payload: &[u8]) -> Result<u64, ChantError>;
 
     /// [`PubsubNode::publish`] of a string payload.
@@ -471,38 +448,33 @@ pub trait PubsubNode {
 impl PubsubNode for ChantNode {
     fn subscribe(&self, topic: u64) -> Result<Subscriber, ChantError> {
         let st = pubsub_state(self);
-        let entry = {
-            let vp = self.vp();
+        let id = {
             let mut inner = st.inner.lock();
             inner.next_sub_id += 1;
-            let e = Arc::new(SubEntry {
-                id: inner.next_sub_id,
-                queue: UltMutex::new(vp, SubQueue::default()),
-                cv: UltCondvar::new(vp),
-            });
-            inner.local.entry(topic).or_default().push(Arc::clone(&e));
-            e
+            let id = inner.next_sub_id;
+            inner.local.entry(topic).or_default().insert(id, SubSlot::default());
+            id
         };
         if let Err(e) = announce(self, &st, topic) {
             // Roll back, and burn another version so a later resync
             // cannot tie with the failed (fate-unknown) update at the
             // home.
             let mut inner = st.inner.lock();
-            detach_entry(&mut inner, topic, entry.id);
+            detach(&mut inner, topic, id);
             *inner.sub_version.entry(topic).or_insert(0) += 1;
             return Err(e);
         }
         Ok(Subscriber {
             topic,
-            entry,
+            id,
             state: st,
-            detached: false,
+            vp: Arc::clone(self.vp()),
+            not_sync: PhantomData,
         })
     }
 
     fn publish(&self, topic: u64, payload: &[u8]) -> Result<u64, ChantError> {
         let st = pubsub_state(self);
-        let cfg = st.config();
         let me = self.address();
         let seq = {
             let mut inner = st.inner.lock();
@@ -514,49 +486,29 @@ impl PubsubNode for ChantNode {
         st.stats.published.incr();
         trace_publish(self, &st, topic, seq);
         let home = home_for(self, topic);
+        let mut f = DataFrame {
+            route: wire::ROUTE_TO_HOME,
+            topic,
+            origin: me,
+            seq,
+            sent_ns,
+            nodes: Vec::new(),
+            payload: Bytes::copy_from_slice(payload),
+        };
         if home == me {
             // We are the home: no first hop, the tree starts here.
-            {
-                let mut inner = st.inner.lock();
-                inner.seen.insert((topic, me, seq), cfg.dedup_window);
-            }
-            let f = DataFrame {
-                route: wire::ROUTE_TREE,
-                topic,
-                origin: me,
-                seq,
-                sent_ns,
-                nodes: tree_order(self, &st, topic),
-                payload: Bytes::copy_from_slice(payload),
-            };
+            st.inner.lock().seen.entry((topic, me)).or_default().insert(seq);
+            f.route = wire::ROUTE_TREE;
+            f.nodes = tree_order(self, &st, topic);
             let body = wire::encode_data(&f);
-            process_routed(self, &st, &f, body, &cfg);
+            process_routed(self, &st, &f, body);
         } else {
             // First hop to the home; the relay's sweep retransmits it
             // until the home acks.
-            let f = DataFrame {
-                route: wire::ROUTE_TO_HOME,
-                topic,
-                origin: me,
-                seq,
-                sent_ns,
-                nodes: Vec::new(),
-                payload: Bytes::copy_from_slice(payload),
-            };
-            let body = wire::encode_data(&f);
-            let tag = topic_tag(topic);
+            let (body, tag) = (wire::encode_data(&f), topic_tag(topic));
             self.endpoint().isend(home, tag, 0, kind::PUBSUB, body.clone());
-            let mut inner = st.inner.lock();
-            inner.pending.insert(
-                (topic, me, seq),
-                Pending {
-                    tag,
-                    body,
-                    children: vec![(home, false)],
-                    attempts: 1,
-                    last_sent: Instant::now(),
-                },
-            );
+            let hop = Pending::sent(tag, body, vec![home]);
+            st.inner.lock().pending.insert((topic, me, seq), hop);
         }
         Ok(seq)
     }
@@ -570,9 +522,10 @@ impl PubsubNode for ChantNode {
     }
 }
 
-fn detach_entry(inner: &mut crate::state::Inner, topic: u64, id: u64) {
+/// Remove subscriber `id`'s slot, queued messages and all (idempotent).
+fn detach(inner: &mut Inner, topic: u64, id: u64) {
     if let Some(subs) = inner.local.get_mut(&topic) {
-        subs.retain(|s| s.id != id);
+        subs.remove(&id);
         if subs.is_empty() {
             // No more resyncs for this topic; the home's expiry (or an
             // explicit unsubscribe) retires the registration.
@@ -585,11 +538,17 @@ fn detach_entry(inner: &mut crate::state::Inner, topic: u64, id: u64) {
 /// while the subscription is live queue here; [`Subscriber::recv`]
 /// blocks the calling user-level thread (yielding its lane) until one
 /// arrives.
+///
+/// A subscriber has one waiter slot, so it is `Send` (it may move to
+/// another thread of its node) but not `Sync` (two threads cannot wait
+/// on it at once).
 pub struct Subscriber {
     topic: u64,
-    entry: Arc<SubEntry>,
+    id: u64,
     state: Arc<PubsubState>,
-    detached: bool,
+    /// The node's VP, which `recv` blocks on and deliveries wake on.
+    vp: Arc<Vp>,
+    not_sync: PhantomData<Cell<()>>,
 }
 
 impl Subscriber {
@@ -600,64 +559,67 @@ impl Subscriber {
 
     /// Block until the next message arrives.
     pub fn recv(&self) -> Result<PubsubMsg, ChantError> {
-        let mut q = self.entry.queue.lock().map_err(ult_err)?;
-        loop {
-            if let Some(m) = q.items.pop_front() {
-                return Ok(m);
-            }
-            q = self.entry.cv.wait(q).map_err(ult_err)?;
-        }
+        self.recv_until(None)
     }
 
     /// Block until the next message arrives or `timeout` elapses
     /// ([`ChantError::Timeout`]).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<PubsubMsg, ChantError> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.entry.queue.lock().map_err(ult_err)?;
-        loop {
-            if let Some(m) = q.items.pop_front() {
-                return Ok(m);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ChantError::Timeout);
-            }
-            let (g, _) = self
-                .entry
-                .cv
-                .wait_timeout(q, deadline - now)
-                .map_err(ult_err)?;
-            q = g;
-        }
+        self.recv_until(Some(Instant::now() + timeout))
     }
 
     /// Take the next queued message without blocking.
     pub fn try_recv(&self) -> Result<Option<PubsubMsg>, ChantError> {
-        let mut q = self.entry.queue.lock().map_err(ult_err)?;
-        Ok(q.items.pop_front())
+        Ok(self.with_slot(|slot| slot.items.pop_front()))
     }
 
     /// Unsubscribe: detach the queue and tell the topic's home the new
     /// absolute count over the exactly-once control path. (Merely
     /// dropping the subscriber detaches too, leaving the correction to
     /// the periodic resync or the home's expiry.)
-    pub fn unsubscribe(mut self, node: &ChantNode) -> Result<(), ChantError> {
-        self.detach();
+    pub fn unsubscribe(self, node: &ChantNode) -> Result<(), ChantError> {
+        detach(&mut self.state.inner.lock(), self.topic, self.id);
         announce(node, &self.state, self.topic)
     }
 
-    fn detach(&mut self) {
-        if !self.detached {
-            self.detached = true;
-            let mut inner = self.state.inner.lock();
-            detach_entry(&mut inner, self.topic, self.entry.id);
+    /// Pop the next message, or record the caller in the waiter slot and
+    /// block until a delivery or the deadline wakes it. A wake-up that
+    /// lands before the block is kept by the VP as a token; a spurious
+    /// one just goes round the loop.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<PubsubMsg, ChantError> {
+        let me = current_tid().ok_or(ChantError::NotChantContext)?;
+        loop {
+            let expired = deadline.is_some_and(|d| Instant::now() >= d);
+            let next = self.with_slot(|slot| {
+                let next = slot.items.pop_front();
+                slot.waiter = (next.is_none() && !expired).then_some(me);
+                next
+            });
+            if let Some(m) = next {
+                return Ok(m);
+            }
+            match deadline {
+                _ if expired => return Err(ChantError::Timeout),
+                Some(d) => self.vp.block_until(d),
+                None => self.vp.block(),
+            }
         }
+    }
+
+    fn with_slot<R>(&self, f: impl FnOnce(&mut SubSlot) -> R) -> R {
+        let mut inner = self.state.inner.lock();
+        let slot = inner
+            .local
+            .get_mut(&self.topic)
+            .and_then(|subs| subs.get_mut(&self.id))
+            .expect("a live Subscriber keeps its slot");
+        f(slot)
     }
 }
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        self.detach();
+        detach(&mut self.state.inner.lock(), self.topic, self.id);
     }
 }
 
@@ -688,19 +650,24 @@ fn trace_publish(node: &ChantNode, st: &PubsubState, topic: u64, seq: u64) {
 #[cfg(not(feature = "trace"))]
 fn trace_publish(_node: &ChantNode, _st: &PubsubState, _topic: u64, _seq: u64) {}
 
+/// One latency sample and one `PubsubDeliver` event per subscriber the
+/// frame was delivered to.
 #[cfg(feature = "trace")]
-fn trace_deliver(node: &ChantNode, st: &PubsubState, f: &DataFrame, now_ns: u64) {
+fn trace_deliver(node: &ChantNode, st: &PubsubState, f: &DataFrame, subscribers: usize) {
     if let Some(o) = obs(node, st) {
-        o.deliver_latency_ns.record(now_ns.saturating_sub(f.sent_ns));
-        o.lane.emit(chant_obs::Event::PubsubDeliver {
-            topic: f.topic,
-            seq: f.seq,
-        });
+        let latency_ns = unix_ns().saturating_sub(f.sent_ns);
+        for _ in 0..subscribers {
+            o.deliver_latency_ns.record(latency_ns);
+            o.lane.emit(chant_obs::Event::PubsubDeliver {
+                topic: f.topic,
+                seq: f.seq,
+            });
+        }
     }
 }
 
 #[cfg(not(feature = "trace"))]
-fn trace_deliver(_node: &ChantNode, _st: &PubsubState, _f: &DataFrame, _now_ns: u64) {}
+fn trace_deliver(_node: &ChantNode, _st: &PubsubState, _f: &DataFrame, _subscribers: usize) {}
 
 #[cfg(test)]
 mod tests {

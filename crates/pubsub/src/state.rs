@@ -1,23 +1,22 @@
 //! Per-node pub-sub state: configuration, counters, the home-side
-//! subscription registry, local subscriber queues, and the in-flight
-//! retransmission ledger.
+//! subscription registry, the replay windows, local subscriber slots,
+//! and the in-flight retransmission ledger.
 //!
 //! One [`PubsubState`] exists per node, installed through
 //! [`chant_core::ChantNode::extension`]; the SDK threads, the RSR
-//! subscription handler, and the relay daemon all share it. The inner
-//! maps are guarded by a host-level `parking_lot::Mutex` (never held
-//! across an engine wait); the subscriber queues themselves are
-//! ULT-level mutex/condvar pairs so a blocked `recv` yields its VP lane
-//! instead of spinning.
+//! subscription handler, and the relay daemon all share it. Everything
+//! mutable sits behind one host-level `parking_lot::Mutex` that is never
+//! held across an engine wait or a ULT block: a subscriber is a queue and
+//! a waiter slot under that lock, and a blocked `recv` is woken with
+//! `Vp::unblock` after the deliverer has released it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use chant_comm::Address;
-use chant_ult::{UltCondvar, UltMutex};
+use chant_ult::Tid;
 use parking_lot::Mutex;
 
 /// Tunables for the pub-sub service, set once per cluster through
@@ -37,16 +36,8 @@ pub struct PubsubConfig {
     /// comfortably exceed `resync_interval` or healthy subscribers
     /// flap.
     pub topic_timeout: Duration,
-    /// Fan-out tree arity (children per node).
-    pub arity: usize,
     /// Retransmission timeout for unacknowledged data-frame hops.
     pub rto: Duration,
-    /// Retransmission attempts per hop before the frame is abandoned
-    /// (`pubsub.expired`); at-least-once, not at-all-costs.
-    pub max_attempts: u32,
-    /// Capacity of each `(topic, origin, seq)` dedup window (node-level
-    /// and per-subscriber).
-    pub dedup_window: usize,
 }
 
 impl Default for PubsubConfig {
@@ -54,10 +45,7 @@ impl Default for PubsubConfig {
         PubsubConfig {
             resync_interval: Duration::from_millis(250),
             topic_timeout: Duration::from_secs(1),
-            arity: 4,
             rto: Duration::from_millis(50),
-            max_attempts: 10,
-            dedup_window: 1024,
         }
     }
 }
@@ -83,8 +71,8 @@ chant_obs::counters! {
     "pubsub": pub(crate) struct PubsubStats => pub struct PubsubStatsSnapshot {
         /// Publishes issued by this node's threads.
         published,
-        /// Messages handed to local subscriber queues (counted per
-        /// subscriber).
+        /// Messages pushed to local subscriber queues: one per publish
+        /// per subscriber attached when the frame arrived.
         delivered,
         /// Data frames forwarded to fan-out-tree children.
         forwarded,
@@ -92,9 +80,14 @@ chant_obs::counters! {
         acks,
         /// Data-frame hop retransmissions.
         retransmits,
-        /// Duplicate data frames dropped (node-level or per-subscriber).
+        /// Data frames dropped by the node's replay window as already
+        /// seen (a retransmission whose ack was lost, or a link dup).
         dup_dropped,
-        /// Frames abandoned after `max_attempts` retransmissions.
+        /// Data frames dropped because their seq lies 1 024 or more
+        /// below the highest seen from the same `(topic, origin)`, too
+        /// old for the replay window to tell new from duplicate.
+        stale_dropped,
+        /// Frames abandoned after `MAX_ATTEMPTS` retransmissions.
         expired,
         /// Periodic subscription resyncs sent.
         resyncs,
@@ -105,50 +98,48 @@ chant_obs::counters! {
     }
 }
 
-/// A bounded first-in-first-out duplicate-suppression window over keys
-/// of type `K`. `insert` answers "is this new?" and evicts the oldest
-/// key once the window is full — the same shape as the RSR server's
-/// per-client dedup window, generalized over the key.
-pub(crate) struct SeqWindow<K: Hash + Eq + Copy> {
-    set: HashSet<K>,
-    order: VecDeque<K>,
+/// How many seqs a [`ReplayWindow`] tells apart: its highest and the
+/// 1 023 below it.
+const REPLAY_SPAN: u64 = 1024;
+
+/// What a [`ReplayWindow`] says about one seq.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    New,
+    Duplicate,
+    /// Below the window, where new and duplicate look alike: dropped.
+    Stale,
 }
 
-impl<K: Hash + Eq + Copy> Default for SeqWindow<K> {
-    fn default() -> SeqWindow<K> {
-        SeqWindow {
-            set: HashSet::new(),
-            order: VecDeque::new(),
-        }
-    }
+/// The anti-replay window of RFC 4303 §3.4.3 over one
+/// `(topic, origin)`'s publish seqs: the highest seq seen plus one bit
+/// per seq of the [`REPLAY_SPAN`] ending at it. The bitmap is a ring
+/// (seq `s` is bit `s % REPLAY_SPAN`), so moving the top up clears the
+/// bits of the seqs it slides past instead of shifting the rest.
+/// Reordering within the span is exact; no call allocates.
+#[derive(Default)]
+pub(crate) struct ReplayWindow {
+    top: u64,
+    bits: [u64; (REPLAY_SPAN / 64) as usize],
 }
 
-impl<K: Hash + Eq + Copy> SeqWindow<K> {
-    /// Record `key`; returns `false` if it was already in the window
-    /// (i.e. a duplicate). `cap` is passed per call because the config
-    /// may be installed after the first frames arrive.
-    pub(crate) fn insert(&mut self, key: K, cap: usize) -> bool {
-        let cap = cap.max(1);
-        if !self.set.insert(key) {
-            return false;
+impl ReplayWindow {
+    pub(crate) fn insert(&mut self, seq: u64) -> Arrival {
+        if self.top.saturating_sub(seq) >= REPLAY_SPAN {
+            return Arrival::Stale;
         }
-        self.order.push_back(key);
-        while self.order.len() > cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
+        let slot = |s: u64| ((s % REPLAY_SPAN / 64) as usize, 1u64 << (s % 64));
+        for s in (self.top..seq).take(REPLAY_SPAN as usize) {
+            let (word, bit) = slot(s + 1);
+            self.bits[word] &= !bit;
         }
-        // A full window inserts and removes one key per call, and the
-        // hash table takes the slots its removals have left unusable for
-        // a reason to double — at a constant number of keys. Every
-        // subscriber has a window, so that is the node's memory doubling
-        // after a few thousand publishes. A table for at most `cap + 1`
-        // keys never needs to reach twice that capacity: rebuild it at
-        // the size it needs instead (once per several `cap` inserts).
-        if self.set.capacity() >= 2 * (cap + 1) {
-            self.set.shrink_to_fit();
+        self.top = self.top.max(seq);
+        let (word, bit) = slot(seq);
+        if self.bits[word] & bit != 0 {
+            return Arrival::Duplicate;
         }
-        true
+        self.bits[word] |= bit;
+        Arrival::New
     }
 }
 
@@ -177,21 +168,25 @@ pub(crate) struct Pending {
     pub last_sent: Instant,
 }
 
-/// One local subscriber: an id (for unsubscribe bookkeeping) and the
-/// ULT-level queue its `recv` blocks on.
-pub(crate) struct SubEntry {
-    pub id: u64,
-    pub queue: Arc<UltMutex<SubQueue>>,
-    pub cv: Arc<UltCondvar>,
+impl Pending {
+    /// A hop just sent for the first time to `children`.
+    pub(crate) fn sent(tag: i32, body: Bytes, children: Vec<Address>) -> Pending {
+        Pending {
+            tag,
+            body,
+            children: children.into_iter().map(|c| (c, false)).collect(),
+            attempts: 1,
+            last_sent: Instant::now(),
+        }
+    }
 }
 
-/// A subscriber's delivery queue plus its private `(origin, seq)`
-/// dedup window — the ISSUE's per-subscriber deduplication, so a
-/// subscriber created mid-retransmission still sees each publish once.
+/// One local subscriber: its undelivered messages and the thread, if
+/// any, blocked waiting for the next one.
 #[derive(Default)]
-pub(crate) struct SubQueue {
+pub(crate) struct SubSlot {
     pub items: VecDeque<PubsubMsg>,
-    pub seen: SeqWindow<(Address, u64)>,
+    pub waiter: Option<Tid>,
 }
 
 /// Everything guarded by the host-level state lock.
@@ -199,14 +194,16 @@ pub(crate) struct SubQueue {
 pub(crate) struct Inner {
     /// Home-side registry: topic → registrant node → entry.
     pub registry: HashMap<u64, HashMap<Address, RegEntry>>,
-    /// Local subscribers by topic.
-    pub local: HashMap<u64, Vec<Arc<SubEntry>>>,
+    /// Local subscribers by topic, then by subscriber id (ascending id
+    /// is subscription order, which is the wake order).
+    pub local: HashMap<u64, BTreeMap<u64, SubSlot>>,
     /// This node's per-topic subscription-update version counter.
     pub sub_version: HashMap<u64, u64>,
     /// This node's per-topic publish sequence counter.
     pub publish_seq: HashMap<u64, u64>,
-    /// Node-level `(topic, origin, seq)` dedup window.
-    pub seen: SeqWindow<(u64, Address, u64)>,
+    /// The node's one dedup check, which every data frame passes once:
+    /// a replay window per `(topic, origin)`.
+    pub seen: HashMap<(u64, Address), ReplayWindow>,
     /// In-flight hops by `(topic, origin, seq)`.
     pub pending: HashMap<(u64, Address, u64), Pending>,
     /// Next local subscriber id.
@@ -248,32 +245,57 @@ impl PubsubState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
-    fn seq_window_dedups_within_capacity() {
-        let mut w = SeqWindow::default();
-        assert!(w.insert(1u64, 4));
-        assert!(w.insert(2, 4));
-        assert!(!w.insert(1, 4), "duplicate must be reported");
-        assert!(!w.insert(2, 4));
+    fn late_joiner_then_a_jump_past_the_span() {
+        let mut w = ReplayWindow::default();
+        // The first frame heard from an origin may carry any seq.
+        assert_eq!(w.insert(700), Arrival::New);
+        assert_eq!(w.insert(700), Arrival::Duplicate);
+        assert_eq!(w.insert(3), Arrival::New, "earlier seqs within the span are new");
+        assert_eq!(w.insert(3), Arrival::Duplicate);
+        // A jump of more than the span forgets everything below it.
+        let top = 701 + REPLAY_SPAN;
+        assert_eq!(w.insert(top), Arrival::New);
+        assert_eq!(w.insert(700), Arrival::Stale);
+        assert_eq!(w.insert(top - REPLAY_SPAN), Arrival::Stale);
+        assert_eq!(w.insert(top - REPLAY_SPAN + 1), Arrival::New, "oldest seq in the span");
+        assert_eq!(w.insert(top), Arrival::Duplicate);
     }
 
-    #[test]
-    fn seq_window_evicts_oldest_first() {
-        let mut w = SeqWindow::default();
-        for k in 0u64..4 {
-            assert!(w.insert(k, 4));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a model that remembers every seq: `New` exactly once
+        /// for each seq within the span of the running maximum,
+        /// `Duplicate` for a repeat inside it, `Stale` below it — over
+        /// near-ordered streams (small local reorders and repeats) and
+        /// over arbitrary ones (jumps of any size, both ways).
+        #[test]
+        fn replay_window_matches_a_model(
+            seqs in prop_oneof![
+                proptest::collection::vec(0u64..40, 1..1500).prop_map(|back| {
+                    back.iter().enumerate().map(|(i, b)| (i as u64).saturating_sub(*b)).collect()
+                }),
+                proptest::collection::vec(0u64..4 * REPLAY_SPAN, 1..600),
+            ],
+        ) {
+            let mut w = ReplayWindow::default();
+            let mut seen = HashSet::new();
+            let mut max = None;
+            for s in seqs {
+                let want = if max.is_some_and(|m: u64| s + REPLAY_SPAN <= m) {
+                    Arrival::Stale
+                } else if seen.insert(s) {
+                    Arrival::New
+                } else {
+                    Arrival::Duplicate
+                };
+                prop_assert_eq!(w.insert(s), want, "seq {} after max {:?}", s, max);
+                max = max.max(Some(s));
+            }
         }
-        assert!(w.insert(4, 4)); // evicts 0
-        assert!(w.insert(0, 4), "evicted key is forgotten");
-        assert!(!w.insert(4, 4), "recent key still remembered");
-    }
-
-    #[test]
-    fn seq_window_cap_is_clamped_to_one() {
-        let mut w = SeqWindow::default();
-        assert!(w.insert(7u64, 0));
-        assert!(!w.insert(7, 0), "window always remembers the last key");
-        assert!(w.insert(8, 0));
     }
 }

@@ -15,19 +15,24 @@
 //!   sees none of them, and a registration parked across the home's
 //!   expiry window survives on periodic resync alone;
 //! * multiple origins interleaving on one topic without loss;
+//! * dead waiters: a subscriber thread cancelled inside `recv` (its
+//!   Tid left in the waiter slot) and a subscriber dropped with
+//!   messages queued disturb no live subscriber, and a publish racing
+//!   a 1 ms `recv_timeout` is never lost or seen twice;
 //! * chaos: 1% drop + 1% dup on every link — control stays
-//!   exactly-once (RSR dedup), data arrives at-least-once and the
-//!   per-subscriber windows dedup it back to exactly-once.
+//!   exactly-once (RSR dedup), data arrives at-least-once and each
+//!   node's replay windows dedup it back to exactly-once.
 
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use chant::chant::{ChantCluster, ChantError, FaultConfig, PollingPolicy, RecvSrc, RetryPolicy};
 use chant::comm::Address;
-use chant::pubsub::{with_pubsub_config, PubsubConfig, PubsubNode};
+use chant::pubsub::{with_pubsub_config, PubsubConfig, PubsubNode, Subscriber};
+use chant::ult::SpawnAttr;
 use common::{for_each_transport, main_group, seeds, Backend};
 
 const POLICIES: [PollingPolicy; 3] = [
@@ -47,7 +52,6 @@ fn fast() -> PubsubConfig {
         resync_interval: Duration::from_millis(40),
         topic_timeout: Duration::from_millis(400),
         rto: Duration::from_millis(25),
-        ..PubsubConfig::default()
     }
 }
 
@@ -292,6 +296,172 @@ for_each_transport!(multiple_origins_interleave_without_loss, |backend: Backend|
         }
         group.barrier(node).unwrap();
     });
+});
+
+// ---------------------------------------------------------------------
+// Dead waiters and wake races
+// ---------------------------------------------------------------------
+
+/// Puts a [`Subscriber`] back into a shared slot when dropped, which
+/// includes the unwinding of a cancelled thread that held it.
+struct HandBack(Arc<Mutex<Option<Subscriber>>>, Option<Subscriber>);
+
+impl Drop for HandBack {
+    fn drop(&mut self) {
+        *self.0.lock().unwrap() = self.1.take();
+    }
+}
+
+for_each_transport!(dead_waiters_leave_live_subscribers_exactly_once, |backend: Backend| {
+    const TOPIC: u64 = 1; // home = PE 1, the subscriber node: a real first hop
+    const MSGS: u64 = 16;
+    const LIVE: u64 = 3;
+    for policy in POLICIES {
+        let cluster = with_pubsub_config(
+            ChantCluster::builder()
+                .pes(2)
+                .policy(policy)
+                .transport(backend.config()),
+            fast(),
+        )
+        .build();
+        cluster.run(move |node| {
+            let pe = node.pe();
+            let group = main_group(node, 0);
+            let publish = |seqs: std::ops::RangeInclusive<u64>| {
+                if pe == 0 {
+                    for i in seqs {
+                        node.publish(TOPIC, &i.to_le_bytes()).unwrap();
+                    }
+                }
+            };
+            // PE 1: LIVE threads blocked in `recv`; an orphan, whose
+            // thread was cancelled inside `recv` and handed it back with
+            // the dead thread's Tid in the waiter slot; and one
+            // subscriber to drop with messages queued.
+            let finished = Arc::new(AtomicU64::new(0));
+            let mut live = Vec::new();
+            let (mut orphan, mut dropped) = (None, None);
+            if pe == 1 {
+                for _ in 0..LIVE {
+                    let (sub, finished) = (node.subscribe(TOPIC).unwrap(), Arc::clone(&finished));
+                    live.push(node.spawn(SpawnAttr::new(), move |_| {
+                        for want in 1..=2 * MSGS {
+                            assert_eq!(sub.recv_timeout(PATIENCE).unwrap().seq, want);
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }));
+                }
+                let slot = Arc::new(Mutex::new(None));
+                let hand_back = HandBack(Arc::clone(&slot), Some(node.subscribe(TOPIC).unwrap()));
+                let doomed = node.spawn(SpawnAttr::new().name("doomed"), move |_| {
+                    let hand_back = hand_back;
+                    let _ = hand_back.1.as_ref().unwrap().recv();
+                    unreachable!("nothing is published before the cancel");
+                });
+                park(node, Duration::from_millis(20));
+                node.remote_cancel(doomed).unwrap();
+                let _ = node.remote_join(doomed);
+                orphan = slot.lock().unwrap().take();
+                assert!(orphan.is_some(), "the cancelled thread hands its subscriber back");
+                dropped = Some(node.subscribe(TOPIC).unwrap());
+            }
+            // Read before the barrier: once PE 0 is through it, frames
+            // may land here before this thread leaves it.
+            let before = node.pubsub_stats().delivered;
+            group.barrier(node).unwrap();
+
+            publish(1..=MSGS);
+            if let Some(orphan) = &orphan {
+                // Let the batch land before the orphan receives, so the
+                // first delivery meets the dead thread's Tid.
+                let deadline = Instant::now() + PATIENCE;
+                while node.pubsub_stats().delivered - before < MSGS * (LIVE + 2) {
+                    assert!(Instant::now() < deadline, "[{backend:?}/{policy:?}] stalled");
+                    park(node, Duration::from_millis(1));
+                }
+                for want in 1..=MSGS {
+                    assert_eq!(orphan.recv_timeout(PATIENCE).unwrap().seq, want);
+                }
+                // One delivery pass fills every slot, so the whole batch
+                // is queued on `dropped` now: drop it unread.
+                drop(dropped.take());
+                assert_eq!(
+                    node.pubsub_stats().delivered - before,
+                    MSGS * (LIVE + 2),
+                    "[{backend:?}/{policy:?}] one delivery per publish per attached subscriber"
+                );
+            }
+            group.barrier(node).unwrap();
+
+            publish(MSGS + 1..=2 * MSGS);
+            if let Some(orphan) = &orphan {
+                for want in MSGS + 1..=2 * MSGS {
+                    assert_eq!(orphan.recv_timeout(PATIENCE).unwrap().seq, want);
+                }
+                for id in live {
+                    let _ = node.remote_join(id);
+                }
+                assert_eq!(
+                    finished.load(Ordering::SeqCst),
+                    LIVE,
+                    "[{backend:?}/{policy:?}] every live subscriber gets every publish once, in order"
+                );
+                assert_eq!(
+                    node.pubsub_stats().delivered - before,
+                    MSGS * (LIVE + 2) + MSGS * (LIVE + 1),
+                    "[{backend:?}/{policy:?}] a dropped subscriber is no longer delivered to"
+                );
+            }
+            group.barrier(node).unwrap();
+        });
+    }
+});
+
+for_each_transport!(publish_racing_a_short_recv_timeout_is_never_lost_or_doubled, |backend: Backend| {
+    const TOPIC: u64 = 0; // home = PE 0, the publisher
+    const ROUNDS: u64 = 1000;
+    for policy in POLICIES {
+        let cluster = with_pubsub_config(
+            ChantCluster::builder()
+                .pes(2)
+                .policy(policy)
+                .transport(backend.config()),
+            fast(),
+        )
+        .build();
+        cluster.run(move |node| {
+            let sub = (node.pe() == 1).then(|| node.subscribe(TOPIC).unwrap());
+            let group = main_group(node, 0);
+            if node.pe() == 0 {
+                for i in 1..=ROUNDS {
+                    node.publish(TOPIC, &i.to_le_bytes()).unwrap();
+                    // Gaps of 0.1–1.2 ms: arrivals land before, at and
+                    // after the receiver's 1 ms timeouts expire.
+                    park(node, Duration::from_micros(100 * (1 + i % 12)));
+                }
+            }
+            if let Some(sub) = &sub {
+                let deadline = Instant::now() + PATIENCE;
+                let mut got = Vec::new();
+                while (got.len() as u64) < ROUNDS {
+                    match sub.recv_timeout(Duration::from_millis(1)) {
+                        Ok(m) => got.push(m.seq),
+                        Err(ChantError::Timeout) => assert!(Instant::now() < deadline, "stalled"),
+                        Err(e) => panic!("recv_timeout failed: {e:?}"),
+                    }
+                }
+                let want: Vec<u64> = (1..=ROUNDS).collect();
+                assert!(got == want, "[{backend:?}/{policy:?}] lost, doubled or reordered");
+            }
+            group.barrier(node).unwrap();
+            if let Some(sub) = &sub {
+                assert!(sub.try_recv().unwrap().is_none(), "[{backend:?}/{policy:?}] doubled");
+                assert_eq!(node.pubsub_stats().delivered, ROUNDS);
+            }
+            group.barrier(node).unwrap();
+        });
+    }
 });
 
 // ---------------------------------------------------------------------
