@@ -224,10 +224,10 @@ impl ClusterBuilder {
     /// Worker lanes (virtual processors) per node's scheduler (default:
     /// the `CHANT_VPS` environment variable, else 1). At 1 the scheduler
     /// is the paper's single-VP model, bit-identical to prior releases;
-    /// above 1 each node runs that many OS worker lanes with
-    /// work-stealing between their ready queues. Endpoint delivery stays
-    /// affine to the node, so the O(1) matching structures remain
-    /// uncontended regardless of the lane count.
+    /// above 1 each node runs that many OS worker lanes, and each
+    /// chanter stays on the lane it was placed on at spawn (round-robin,
+    /// or [`SpawnAttr::affinity`]). Endpoint delivery and the O(1)
+    /// matching structures stay per node, shared by every lane.
     pub fn vps(mut self, vps: usize) -> ClusterBuilder {
         assert!(vps > 0, "a node needs at least one worker lane");
         self.vps = vps;

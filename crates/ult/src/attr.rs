@@ -98,9 +98,10 @@ impl SpawnAttr {
         self
     }
 
-    /// Pin the thread's home run queue to the given worker lane (taken
-    /// modulo the VP's worker count). The thread requeues there on every
-    /// yield/unblock; idle workers may still steal individual dispatches.
+    /// Pin the thread to the given worker lane (taken modulo the VP's
+    /// worker count) instead of the next round-robin slot. The thread is
+    /// queued there and runs on that lane's OS thread only, from spawn to
+    /// exit.
     pub fn affinity(mut self, worker: usize) -> Self {
         self.affinity = Some(worker);
         self

@@ -11,10 +11,11 @@ pub struct VpConfig {
     /// Human-readable name of the VP, used in OS thread names and panics.
     pub name: String,
     /// Number of worker lanes multiplexing this VP's threads (default 1).
-    /// Each worker owns a run queue and a scheduling baton; idle workers
-    /// steal dispatches from the others' queues. At 1 the scheduler is
-    /// exactly the paper's single-VP model — same code path, same counter
-    /// stream.
+    /// Each worker owns a run queue, a scheduling baton and an OS thread;
+    /// a thread is placed on one lane at spawn (round-robin or by
+    /// [`crate::SpawnAttr::affinity`]) and stays there. At 1 the
+    /// scheduler is exactly the paper's single-VP model — same code path,
+    /// same counter stream.
     pub n_vps: usize,
 }
 

@@ -44,16 +44,19 @@
 //!   the target with a compare-exchange to `RUNNING` and panics if it
 //!   was not resumable. The departing context is marked `SUSPENDED` (or
 //!   `DONE`) **by the context that runs next**, after the registers are
-//!   saved — never by the departing side — so on a multi-lane VP a
-//!   thread that is already on a run queue cannot be resumed by a thief
-//!   before it has finished leaving ([`Context::is_suspended`] is what
-//!   the scheduler's steal-safety check reads).
+//!   saved — never by the departing side, which cannot know when its
+//!   own save has finished. The scheduler queues a departing thread
+//!   before it switches away; a claim that reached it that early would
+//!   find it `RUNNING` and panic rather than put two executions on one
+//!   stack.
 //! * **The caller of `switch(from, ..)` is `from`.** A per-OS-thread
 //!   cell records which context is running there; `switch` checks it.
 //!   That cell, like every `thread_local!` in this crate, is only
-//!   touched inside `#[inline(never)]` leaf functions: a stolen thread
-//!   resumes on another OS thread, and a thread-local address computed
-//!   before a switch must not be reused after it.
+//!   touched inside `#[inline(never)]` leaf functions: this layer does
+//!   not assume a context resumes on the OS thread it left (that a
+//!   thread stays on its lane is the VP's placement rule, not this
+//!   module's), so no function here may cache a thread-local's address
+//!   across a switch.
 //! * **No stack is unmapped or recycled while code runs on it.** A
 //!   running context holds a reference to itself, taken at its first
 //!   resume and released — together with its stack — by its successor,
@@ -345,6 +348,7 @@ impl Context {
     /// registers are saved. False while it runs — which includes the
     /// window in which it is already queued somewhere but has not yet
     /// switched away — and once it is done.
+    #[cfg(test)]
     pub fn is_suspended(&self) -> bool {
         matches!(self.0.state.load(Ordering::SeqCst), FRESH | SUSPENDED)
     }

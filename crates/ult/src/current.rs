@@ -5,11 +5,11 @@
 //! `yield_now`, `block`, TLS keys and the Chant layer find their context
 //! (cf. `pthread_chanter_self`). The slot is *moved*, not copied, at
 //! every context switch: the departing thread takes its entry out before
-//! it switches and puts it back when it is resumed — which, after a
-//! steal, is on a different OS thread. For the same reason every access
-//! to the slot is an `#[inline(never)]` leaf function: the compiler may
-//! compute a thread-local's address once per function, and no function
-//! that touches it may straddle a switch.
+//! it switches and puts it back when it is resumed, so the lane's other
+//! threads each find their own entry there in between. Every access to
+//! the slot is an `#[inline(never)]` leaf function, as the context layer
+//! requires of the crate's thread-locals (see `ctx`): no function that
+//! touches it straddles a switch.
 
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -31,7 +31,9 @@
 //!
 //! A thread is a **saved register set plus a stack of its own**, and a
 //! lane is **one OS thread**: the caller of [`Vp::start`] for lane 0,
-//! one named host thread for each further lane. A *full switch* saves
+//! one named host thread for each further lane. A thread is placed on
+//! one lane at spawn and runs there only, so it never changes OS thread
+//! between its first instruction and its exit. A *full switch* saves
 //! the departing thread's callee-saved registers and stack pointer and
 //! restores the next thread's — a dozen instructions of `global_asm!`,
 //! no system call, no kernel scheduling decision — after the scheduler
@@ -62,15 +64,6 @@
 //!   call, `std::thread::sleep` or a `std::sync` wait stalls every
 //!   thread of the lane. Use this crate's primitives, which block the
 //!   calling user-level thread only.
-//! * **Hold OS-thread-local state across a switch point on a multi-lane
-//!   VP.** An idle lane steals ready threads, so a thread that yields on
-//!   one OS thread may resume on another. A `thread_local!` value (or
-//!   its address — compilers cache it per function, so read
-//!   thread-locals in small non-inlined functions that contain no
-//!   yield), a `std::sync::MutexGuard`, an `Rc` shared with the old OS
-//!   thread: none may live across `yield_now`/`block`. Use [`TlsKey`],
-//!   which lives in the TCB. At one lane (the default) a VP's threads
-//!   never leave the OS thread that called [`Vp::start`].
 //! * **Overflow the stack.** There is no growth; ask for what you need.
 //!
 //! ## Quick example

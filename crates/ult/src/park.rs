@@ -19,8 +19,8 @@
 //! the state word are `SeqCst`, so they sit in one total order with each
 //! other. Suppose the scan missed a publication. Everything the scan
 //! reads is either behind a lock the publisher also takes (run queues,
-//! a receive's completion state) or itself a `SeqCst` word (a context's
-//! suspended state), so the scan's read preceding the publication puts
+//! a receive's completion state) or itself a `SeqCst` word (the nearest
+//! timer deadline), so the scan's read preceding the publication puts
 //! `begin_scan` before the waker's `unpark` in that order. The unpark
 //! then either finds `PARKED` and notifies under the lock the sleeper
 //! re-checks the state under, or finds `EMPTY` and leaves `NOTIFIED`,
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn timers_fire_nearest_first_and_disarm_is_idempotent() {
         let t = Timers::new();
-        let tcb = |id| Tcb::new(id, "t".into(), Priority::NORMAL, false);
+        let tcb = |id| Tcb::new(id, "t".into(), Priority::NORMAL, false, 0);
         let now = Instant::now();
         assert!(t.until_next().is_none());
         let (late, nearest) = t.arm(now + Duration::from_millis(40), tcb(1));

@@ -21,9 +21,6 @@ chant_obs::counters! {
         partial_switches,
         /// Schedule points: times the scheduler looked for the next thread.
         schedule_points,
-        /// Dispatches stolen from another worker's run queue (multi-VP only;
-        /// always zero at `n_vps == 1`).
-        steals,
         /// Voluntary yields from running threads.
         yields,
         /// Threads that entered the Blocked state.

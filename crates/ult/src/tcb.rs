@@ -8,7 +8,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
@@ -80,16 +80,10 @@ pub(crate) struct Tcb {
     pub life: Mutex<Lifecycle>,
     /// Wakeup token consumed by `block` if an `unblock` raced ahead of it.
     pub wake_token: Mutex<bool>,
-    /// The worker (VP lane) this thread requeues on when it becomes ready:
-    /// its placement affinity. Stealing moves a single dispatch, never the
-    /// home — a stolen thread's next yield/unblock returns it here.
-    pub home: AtomicUsize,
-    /// The lane this thread is running on, set by the dispatcher just
-    /// before it switches to the thread. `yield`, `block` and exit
-    /// reschedule on behalf of this lane. A stolen thread resumes on
-    /// another lane — another OS thread — so this is re-read after
-    /// every switch, never carried across one.
-    pub running_on: AtomicUsize,
+    /// The worker (VP lane) this thread was placed on at spawn. It is
+    /// queued only there and runs only on that lane's OS thread, so
+    /// `yield`, `block` and exit reschedule on behalf of this lane.
+    pub home: usize,
     /// Condvar (paired with `life`) for joiners on foreign OS threads.
     pub ext_cv: Condvar,
     /// Thread-local data slots (pthread_key style), keyed by TlsKey id.
@@ -101,7 +95,7 @@ pub(crate) struct Tcb {
 }
 
 impl Tcb {
-    pub fn new(id: Tid, name: String, priority: Priority, detached: bool) -> Arc<Tcb> {
+    pub fn new(id: Tid, name: String, priority: Priority, detached: bool, home: usize) -> Arc<Tcb> {
         Arc::new(Tcb {
             id,
             name,
@@ -118,8 +112,7 @@ impl Tcb {
             }),
             tls: Mutex::new(HashMap::new()),
             wake_token: Mutex::new(false),
-            home: AtomicUsize::new(0),
-            running_on: AtomicUsize::new(0),
+            home,
             ext_cv: Condvar::new(),
             #[cfg(feature = "trace")]
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),
@@ -186,7 +179,7 @@ mod tests {
 
     #[test]
     fn pending_slot_roundtrip() {
-        let tcb = Tcb::new(2, "t".into(), Priority::NORMAL, false);
+        let tcb = Tcb::new(2, "t".into(), Priority::NORMAL, false, 0);
         assert!(!tcb.pending_unready());
         tcb.set_pending(Box::new(|| false));
         assert!(tcb.pending_unready());
@@ -198,7 +191,7 @@ mod tests {
 
     #[test]
     fn priority_is_mutable() {
-        let tcb = Tcb::new(3, "t".into(), Priority::NORMAL, false);
+        let tcb = Tcb::new(3, "t".into(), Priority::NORMAL, false, 0);
         assert_eq!(tcb.priority(), Priority::NORMAL);
         tcb.set_priority(Priority::HIGH);
         assert_eq!(tcb.priority(), Priority::HIGH);

@@ -1074,54 +1074,9 @@ fn multivp_threads_all_complete_and_counters_balance() {
 }
 
 #[test]
-fn idle_lane_steals_from_a_busy_one() {
-    // Two threads pinned to lane 0. The first holds lane 0's baton in a
-    // pure spin (no scheduling point), so the second can only ever run if
-    // lane 1 steals it. Deterministic: no steal -> no flag -> test fails.
-    let vp = mvp(2);
-    let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let f1 = Arc::clone(&flag);
-    let spinner = vp.spawn(SpawnAttr::new().affinity(0).name("spinner"), move |_| {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !f1.load(Ordering::Acquire) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lane 1 never stole the setter from lane 0"
-            );
-            std::thread::yield_now();
-        }
-    });
-    let f2 = Arc::clone(&flag);
-    let setter = vp.spawn(SpawnAttr::new().affinity(0).name("setter"), move |_| {
-        f2.store(true, Ordering::Release);
-    });
-    vp.start();
-    spinner.join().unwrap();
-    setter.join().unwrap();
-    assert!(
-        vp.stats().snapshot().steals >= 1,
-        "the setter can only have run via a steal"
-    );
-}
-
-#[test]
-fn single_vp_never_steals() {
-    let vp = vp();
-    for _ in 0..8 {
-        vp.spawn(SpawnAttr::new().detached(), |vp| {
-            for _ in 0..10 {
-                vp.yield_now();
-            }
-        });
-    }
-    vp.start();
-    assert_eq!(vp.stats().snapshot().steals, 0);
-}
-
-#[test]
 fn affinity_pins_home_lane_round_robin_spreads() {
-    // All-pinned spawn: every thread requeues on lane 3's queue, so with
-    // yields the scheduler still completes everything.
+    // All-pinned spawn: every thread is queued and runs on lane 3 only,
+    // and the scheduler still completes everything.
     let vp = mvp(4);
     let counter = Arc::new(AtomicU32::new(0));
     for _ in 0..8 {
@@ -1541,8 +1496,9 @@ fn wait_exit_follows_a_detached_thread() {
 // ---------------------------------------------------------------------
 
 mod contexts {
+    use std::cell::Cell;
     use std::process::Command;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
@@ -1771,12 +1727,11 @@ mod contexts {
         assert_eq!(last.join().unwrap(), "still here");
     }
 
-    // -- migration -------------------------------------------------------
+    // -- placement -------------------------------------------------------
 
     /// The lane whose OS thread is executing the caller, from that OS
-    /// thread's name. Not inlined: a thread-local (here, std's handle to
-    /// the current thread) must not be read in a function that also
-    /// contains a switch point — see the crate docs.
+    /// thread's name. Not inlined, so that it reads the OS thread running
+    /// it now even where a caller's cached thread-local would not.
     #[inline(never)]
     fn lane_of_this_os_thread(vp_name: &str, lane0: std::thread::ThreadId) -> usize {
         let t = std::thread::current();
@@ -1789,51 +1744,100 @@ mod contexts {
             .unwrap_or_else(|| panic!("running on a foreign OS thread {name:?}"))
     }
 
+    thread_local! {
+        /// Set before every switch by each thread to its home lane: what
+        /// any thread of a lane reads back there is that lane's number.
+        static LANE_MARK: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+
+    /// What a thread checks after every resume: it is on its home lane's
+    /// OS thread, it is still itself (`current_tid`, a `TlsKey` value),
+    /// and an OS thread-local it wrote before the switch kept its value.
+    fn assert_at_home(
+        lane0: std::thread::ThreadId,
+        home: usize,
+        me: Tid,
+        key: TlsKey<usize>,
+        i: usize,
+    ) {
+        assert_eq!(
+            lane_of_this_os_thread("home", lane0),
+            home,
+            "tid {me} left its home lane"
+        );
+        assert_eq!(crate::current_tid(), Some(me));
+        assert_eq!(key.get(), Some(i));
+        assert_eq!(
+            LANE_MARK.with(Cell::get),
+            home,
+            "tid {me}: a thread_local! changed under it"
+        );
+    }
+
     #[test]
-    fn a_stolen_thread_knows_where_and_who_it_is_after_every_resume() {
+    fn a_thread_never_leaves_its_home_lane() {
         const LANES: usize = 4;
-        const THREADS: usize = 16;
-        let vp = Vp::new(VpConfig::named("mig").with_vps(LANES));
+        const PINNED: usize = 16;
+        const PLACED: usize = 8;
+        const ROUNDS: usize = 200;
+        let vp = Vp::new(VpConfig::named("home").with_vps(LANES));
         let lane0 = std::thread::current().id();
         let key: TlsKey<usize> = TlsKey::new();
-        let lanes_seen = Arc::new(AtomicUsize::new(0));
         let mut hs = Vec::new();
-        for i in 0..THREADS {
-            let seen = Arc::clone(&lanes_seen);
-            // Every thread is homed on lane 0: lanes 1-3 have nothing to
-            // run but what they steal.
+        // Placed round-robin: the VP's first unpinned spawns, so thread
+        // `j` is homed on lane `j % LANES`. Each blocks every round and
+        // is unblocked by a partner pinned to the next lane, which it
+        // unblocks in turn (one wake-up in flight each way at a time).
+        for j in 0..PLACED {
+            let home = j % LANES;
+            let partner_home = (home + 1) % LANES;
+            let partner = Arc::new(AtomicU32::new(0));
+            let p = Arc::clone(&partner);
+            let placed = vp.spawn(SpawnAttr::new(), move |vp| {
+                let me = crate::current_tid().unwrap();
+                key.set(j);
+                for _ in 0..ROUNDS {
+                    LANE_MARK.with(|m| m.set(home));
+                    vp.unblock(p.load(Ordering::Relaxed)).unwrap();
+                    vp.block();
+                    assert_at_home(lane0, home, me, key, j);
+                }
+            });
+            let target = placed.tid();
+            let unblocker = vp.spawn(SpawnAttr::new().affinity(partner_home), move |vp| {
+                let me = crate::current_tid().unwrap();
+                key.set(PLACED + j);
+                for _ in 0..ROUNDS {
+                    LANE_MARK.with(|m| m.set(partner_home));
+                    vp.block();
+                    assert_at_home(lane0, partner_home, me, key, PLACED + j);
+                    vp.unblock(target).unwrap();
+                }
+            });
+            partner.store(unblocker.tid(), Ordering::Relaxed);
+            hs.extend([placed, unblocker]);
+        }
+        // Pinned to lane 0 with work between yields: whenever the other
+        // lanes wait on their cross-lane wake-ups, lane 0 has a queue of
+        // ready threads they could take.
+        for i in 0..PINNED {
             hs.push(vp.spawn(SpawnAttr::new().affinity(0), move |vp| {
                 let me = crate::current_tid().unwrap();
-                key.set(i);
-                let mut mine = 0usize;
-                for _ in 0..300 {
-                    // A little work, so that a thief has time to get in.
+                key.set(2 * PLACED + i);
+                for _ in 0..ROUNDS {
                     for _ in 0..200 {
                         std::hint::spin_loop();
                     }
+                    LANE_MARK.with(|m| m.set(0));
                     vp.yield_now();
-                    // Resumed, possibly elsewhere.
-                    let os_lane = lane_of_this_os_thread("mig", lane0);
-                    assert_eq!(vp.current_lane(), os_lane, "running_on is stale");
-                    assert_eq!(crate::current_tid(), Some(me));
-                    assert_eq!(key.get(), Some(i));
-                    assert!(crate::is_ult_context());
-                    mine |= 1 << os_lane;
+                    assert_at_home(lane0, 0, me, key, 2 * PLACED + i);
                 }
-                seen.fetch_or(mine, Ordering::Relaxed);
-                me
             }));
         }
         vp.start();
         for h in hs {
             h.join().unwrap();
         }
-        let s = vp.stats().snapshot();
-        assert!(s.steals > 0, "nothing was stolen: {s:?}");
-        assert!(
-            lanes_seen.load(Ordering::Relaxed).count_ones() > 1,
-            "every thread stayed on one lane"
-        );
     }
 
     // -- child processes -------------------------------------------------

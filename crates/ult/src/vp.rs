@@ -28,36 +28,34 @@
 //!
 //! With [`VpConfig::n_vps`] > 1 the VP multiplexes its threads over N
 //! *worker lanes*, one scheduling baton and one OS thread each, so a
-//! multicore PE can run N user-level threads truly in parallel. Each lane owns a run queue;
-//! threads have a *home* lane (round-robin at spawn, or pinned with
-//! [`SpawnAttr::affinity`](crate::SpawnAttr::affinity)) that they requeue
-//! on at every yield/unblock. An idle lane steals single dispatches from
-//! the back of other lanes' queues — a steal moves one quantum of
-//! computation, never the home, and never any endpoint or matching-table
-//! ownership. A stolen thread resumes on the thief's OS thread, so
-//! nothing per-OS-thread (the lane, `current`, any `thread_local!`) is
-//! carried across a switch: it is re-read afterwards. A thread that
-//! yields or blocks is on a run queue *before* its registers are saved;
-//! until the context that runs next has marked it suspended
-//! ([`Context::is_suspended`]) other lanes defer it (`steal_safe`).
-//! Scheduler hooks stay effectively single-threaded: the
-//! schedule-point sweep is serialized by a try-lock gate (contending
-//! lanes skip, they do not wait). At `n_vps == 1` all of this
-//! degenerates to the paper's single-baton scheduler: the gate is never
-//! contended and no candidate is ever deferred by the steal-safety
-//! check, so counter streams are bit-identical to the pre-multi-VP
-//! scheduler while anything is runnable.
+//! multicore PE can run N user-level threads truly in parallel. Each
+//! lane owns a run queue. A thread is placed on a *home* lane at spawn —
+//! round-robin, or pinned with
+//! [`SpawnAttr::affinity`](crate::SpawnAttr::affinity) — and placement
+//! is final: the thread is queued only on its home lane, and only that
+//! lane's OS thread ever pops and resumes it, from its first instruction
+//! to its exit. A thread that yields or blocks is on its home queue
+//! *before* its registers are saved, but the only scheduler that can pop
+//! it then is the one running on its own stack, which redispatches it in
+//! place. Other lanes touch a lane only to make one of its threads ready
+//! (a push onto the home queue, then [`Vp::wake`]) and through scheduler
+//! hooks, which stay effectively single-threaded: the schedule-point
+//! sweep is serialized by a try-lock gate (contending lanes skip, they
+//! do not wait). At `n_vps == 1` this is the paper's single-baton
+//! scheduler: the gate is never contended, so counter streams are
+//! bit-identical to the pre-multi-VP scheduler while anything is
+//! runnable.
 //!
 //! # Waiting
 //!
 //! "Nothing to run" is a kernel sleep. A lane whose round dispatched
-//! nothing — own queue, steal, every partial-switch candidate requeued —
+//! nothing — own queue empty, every partial-switch candidate requeued —
 //! fires the timers that are due and otherwise **parks its OS thread**
 //! until the nearest armed deadline or [`Vp::wake`] (see [`crate::park`]
 //! for the parker and why no wake-up is lost). Everything that can make
 //! a thread runnable ends the park: [`Vp::unblock`], [`Vp::spawn`],
-//! [`Vp::cancel`], [`Vp::set_priority`], a timer, a thread becoming
-//! grantable to another lane, the last thread's exit — and, from outside
+//! [`Vp::cancel`], [`Vp::set_priority`], a timer, the last thread's
+//! exit — and, from outside
 //! the VP, whoever completes what a scheduler hook is polling for calls
 //! [`Vp::wake`] itself (Chant's endpoints do on every delivery). Timed
 //! waits ([`Vp::block_until`], [`Vp::timer_arm`]) register a deadline in
@@ -68,7 +66,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -89,9 +87,6 @@ use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
 /// deadlocked. Only an OS thread outside the VP could still unblock
 /// anyone by then, and it has had this long to do so.
 const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
-
-/// "No lane" in [`Worker::departed_home`].
-const NO_LANE: usize = usize::MAX;
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -129,18 +124,6 @@ enum Departure {
     /// Initial dispatch from [`Vp::start`]'s calling thread (or one of
     /// its worker-lane host threads).
     Bootstrap,
-}
-
-/// What a baton holder's look at its own queued entry came to
-/// ([`Vp::redispatch_queued_self`]).
-enum SelfDispatch {
-    /// It was runnable and has been resumed in place.
-    Resumed,
-    /// It is blocked, or its pending poll says "not yet": sleep on.
-    NotRunnable,
-    /// It is runnable but off its queue in another lane's hands for a
-    /// moment (that lane cannot resume it and puts it straight back).
-    InOtherHands,
 }
 
 /// Externally visible lifecycle state of a thread.
@@ -192,16 +175,9 @@ struct Shared {
 /// The lane's scheduler always runs on the lane's one OS thread, on
 /// whichever stack — a thread's or the host's — that thread is on.
 struct Worker {
-    /// This lane's ready queue, one FIFO per priority class. Owners pop
-    /// from the front; thieves pop from the back (oldest entry of the
-    /// highest non-empty class), keeping owner traffic cache-friendly.
-    ///
-    /// A plain mutexed deque, not a Chase–Lev deque: measured in PR 8's
-    /// lane sweep, queue-lock hold times are tens of nanoseconds against
-    /// a dispatch's other fixed costs, so an uncontended lock is not the
-    /// bottleneck — still true with a ≈0.2 µs user-level switch, where
-    /// the lock is one of several such costs per schedule point. The
-    /// lock-free deque stays an upgrade path behind this same interface.
+    /// This lane's ready queue, one FIFO per priority class: the threads
+    /// homed here. Any lane may push (an unblock comes from anywhere);
+    /// only this lane pops, from the front.
     ///
     /// Entries are the TCBs themselves, so a dispatch candidate costs no
     /// directory lookup; an entry whose thread has since finished is
@@ -214,12 +190,6 @@ struct Worker {
     /// The context of the OS thread hosting this lane, while one is
     /// inside [`Vp::start`]: what the lane's last exit switches back to.
     host: Mutex<Option<Context>>,
-    /// Post-switch step, multi-lane only: the home lane of the thread
-    /// that just yielded or blocked here ([`NO_LANE`] = nothing to do).
-    /// Written by the departing thread before it switches, consumed by
-    /// whatever runs next on this lane (`Vp::after_switch`) — by which
-    /// time the context layer has marked the departed thread suspended.
-    departed_home: AtomicUsize,
 }
 
 /// A virtual processor hosting cooperative user-level threads.
@@ -295,7 +265,6 @@ impl Vp {
                 current: AtomicU32::new(0),
                 parker: Parker::new(),
                 host: Mutex::new(None),
-                departed_home: AtomicUsize::new(NO_LANE),
             })
             .collect();
         Arc::new(Vp {
@@ -452,8 +421,7 @@ impl Vp {
 
     /// Queue a ready thread on its home lane.
     fn push_home(&self, tcb: &Arc<Tcb>) {
-        let w = tcb.home.load(Ordering::Relaxed) % self.n;
-        self.workers[w].ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
+        self.workers[tcb.home].ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
     }
 
     /// Pop the frontmost thread of the highest non-empty priority class
@@ -472,29 +440,14 @@ impl Vp {
         self.workers[worker].ready.lock().iter().map(VecDeque::len).sum()
     }
 
-    /// Steal one dispatch from another lane: scan victims round-robin
-    /// from this lane and take the *back* of the highest non-empty
-    /// priority class — the entry its owner would reach last.
-    fn try_steal(&self, worker: usize) -> Option<Arc<Tcb>> {
-        for d in 1..self.n {
-            let victim = (worker + d) % self.n;
-            let mut q = self.workers[victim].ready.lock();
-            for lane in q.iter_mut().rev() {
-                if let Some(t) = lane.pop_back() {
-                    return Some(t);
-                }
-            }
-        }
-        None
-    }
-
     /// Spawn a user-level thread on this VP. May be called from outside
     /// the VP (before or after [`Vp::start`]) or from one of its threads
     /// (cf. `pthread_chanter_create` with `pe == LOCAL`).
     ///
     /// The thread does not run until the scheduler dispatches it. On a
     /// multi-lane VP its home lane is the spawn attr's affinity (modulo
-    /// the lane count) or the next round-robin slot.
+    /// the lane count) or the next round-robin slot, and it runs on no
+    /// other lane.
     pub fn spawn<T, F>(self: &Arc<Vp>, attr: SpawnAttr, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -509,7 +462,6 @@ impl Vp {
                 .name
                 .clone()
                 .unwrap_or_else(|| format!("{}-t{}", self.cfg.name, tid));
-            let tcb = Tcb::new(tid, name, attr.priority, attr.detached);
             let home = match attr.affinity {
                 Some(a) => a % self.n,
                 None => {
@@ -518,7 +470,7 @@ impl Vp {
                     p
                 }
             };
-            tcb.home.store(home, Ordering::Relaxed);
+            let tcb = Tcb::new(tid, name, attr.priority, attr.detached, home);
             shared.tcbs.insert(tid, Arc::clone(&tcb));
             shared.live += 1;
             (tcb, attr.detached)
@@ -532,7 +484,6 @@ impl Vp {
                 vp: Arc::clone(&vp),
                 tcb: Arc::clone(&me),
             }));
-            vp.after_switch(me.running_on.load(Ordering::Relaxed));
             // The root of the thread: neither a panic nor a cancellation
             // unwinds past this frame (and so never into the context
             // layer's `extern "C"` root, let alone its asm).
@@ -611,23 +562,6 @@ impl Vp {
         *self.workers[w].host.lock() = None;
     }
 
-    /// Post-switch step, run by whatever runs next on lane `worker` —
-    /// a resumed thread, a thread's first instructions, the host. The
-    /// context layer has by now marked the thread that left suspended,
-    /// so any lane may resume it: a lane that looked at it too early,
-    /// deferred it and went to sleep must look again, and this is the
-    /// moment a cross-lane push really lands.
-    fn after_switch(&self, worker: usize) {
-        if self.n > 1 {
-            let home = self.workers[worker]
-                .departed_home
-                .swap(NO_LANE, Ordering::Relaxed);
-            if home != NO_LANE {
-                self.workers[home].parker.unpark();
-            }
-        }
-    }
-
     /// Convenience: spawn `f` as the main thread, run the VP to
     /// completion, and return `f`'s value.
     pub fn run<T, F>(self: &Arc<Vp>, f: F) -> Result<T, JoinError>
@@ -655,12 +589,6 @@ impl Vp {
         })
     }
 
-    /// The lane the calling thread believes it is running on.
-    #[cfg(test)]
-    pub(crate) fn current_lane(self: &Arc<Vp>) -> usize {
-        self.current_tcb().running_on.load(Ordering::Relaxed)
-    }
-
     /// Yield the processor to the next ready thread, as determined by the
     /// scheduler (cf. `pthread_chanter_yield`). Cancellation point.
     pub fn yield_now(self: &Arc<Vp>) {
@@ -673,11 +601,7 @@ impl Vp {
         }
         me.life.lock().phase = Phase::Ready;
         self.push_home(&me);
-        self.reschedule(
-            me.running_on.load(Ordering::Relaxed),
-            Some(&me),
-            Departure::Yield,
-        );
+        self.reschedule(me.home, Some(&me), Departure::Yield);
         self.testcancel_tcb(&me);
     }
 
@@ -736,11 +660,7 @@ impl Vp {
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Block { thread: me.id });
         }
-        self.reschedule(
-            me.running_on.load(Ordering::Relaxed),
-            Some(me),
-            Departure::Block,
-        );
+        self.reschedule(me.home, Some(me), Departure::Block);
         self.testcancel_tcb(me);
     }
 
@@ -941,7 +861,6 @@ impl Vp {
     /// choose the context that takes the lane over: the next thread, or
     /// the lane's host once the VP has no live thread left.
     fn finish(self: &Arc<Vp>, me: &Arc<Tcb>, outcome: Outcome) -> Context {
-        let worker = me.running_on.load(Ordering::Relaxed);
         let joiners: Vec<Arc<Tcb>> = {
             let mut life = me.life.lock();
             life.phase = Phase::Done;
@@ -983,7 +902,7 @@ impl Vp {
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::ThreadDone { thread: me.id });
         }
-        self.reschedule(worker, Some(me), Departure::Exit)
+        self.reschedule(me.home, Some(me), Departure::Exit)
             .expect("an exiting thread always has a successor")
     }
 
@@ -993,53 +912,9 @@ impl Vp {
         tcb.life.lock().phase != Phase::Done
     }
 
-    /// Whether it is safe for lane `worker`'s baton holder to dispatch
-    /// this candidate. A thread that is not `me` and not suspended is
-    /// still running the scheduler of *another* lane on its own stack
-    /// (it was requeued before its registers were saved); resuming it
-    /// now would put two OS threads on one stack. Single-lane VPs never
-    /// defer: the only unsuspended candidate possible is `me`.
-    fn steal_safe(&self, tcb: &Tcb, me: Option<&Arc<Tcb>>) -> bool {
-        self.n == 1 || me.is_some_and(|m| m.id == tcb.id) || tcb.ctx().is_suspended()
-    }
-
-    /// Multi-lane only: the departing thread `me` (still this lane's
-    /// baton holder) was not among the candidates this round examined.
-    /// If it is ready — queued on its home lane — apply the dispatch
-    /// test here and, on `Run`, pull its entry and resume it in place.
-    fn redispatch_queued_self(
-        self: &Arc<Vp>,
-        worker: usize,
-        me: &Arc<Tcb>,
-        hooks: &[HookRef],
-        wants_check: bool,
-        dep: Departure,
-    ) -> SelfDispatch {
-        if me.life.lock().phase != Phase::Ready {
-            return SelfDispatch::NotRunnable;
-        }
-        if self.dispatch_decision(hooks, wants_check, me) == DispatchDecision::Requeue {
-            self.stats.partial_switches.incr();
-            return SelfDispatch::NotRunnable;
-        }
-        let home = me.home.load(Ordering::Relaxed) % self.n;
-        let mut q = self.workers[home].ready.lock();
-        let Some((class, at)) = q.iter().enumerate().find_map(|(c, lane)| {
-            lane.iter().position(|t| t.id == me.id).map(|i| (c, i))
-        }) else {
-            return SelfDispatch::InOtherHands;
-        };
-        q[class].remove(at);
-        drop(q);
-        let successor = self.dispatch_to(worker, me, Some(me), dep);
-        debug_assert!(successor.is_none(), "self-redispatch never switches");
-        SelfDispatch::Resumed
-    }
-
     /// Run the pre-dispatch hooks for a candidate (the PS partial-switch
-    /// test). Not gate-serialized: concurrent lanes evaluate *different*
-    /// candidates, each under its own TCB's `pending` lock, and every
-    /// candidate must be tested no matter which lane examines it.
+    /// test). Not gate-serialized: each lane tests only the threads
+    /// homed on it, each under its TCB's `pending` lock.
     fn dispatch_decision(
         &self,
         hooks: &[HookRef],
@@ -1070,9 +945,13 @@ impl Vp {
     /// thread, on the departing thread's stack (or the host's). For
     /// `Yield`/`Block`/`Bootstrap` departures it switches to the thread
     /// it picked and returns `None` once *this* context has been resumed
-    /// — for a stolen thread, on another lane's OS thread. For `Exit` it
+    /// — on the same lane, so on the same OS thread. For `Exit` it
     /// switches nowhere: it returns the context that takes the lane
     /// over, and the caller unwinds its stack before the final switch.
+    ///
+    /// Only this lane pops its queue, so a popped thread whose context
+    /// is still running can only be `me`, requeued before it switched
+    /// away: dispatching it is a self-redispatch, not a second resume.
     fn reschedule(
         self: &Arc<Vp>,
         worker: usize,
@@ -1110,8 +989,6 @@ impl Vp {
             // again.
             let round_len = self.local_len(worker);
             let mut deferred: Vec<Arc<Tcb>> = Vec::new();
-            // Whether this round looked at the departing thread itself.
-            let mut saw_me = false;
             let mut dispatched = false;
             let mut successor = None;
             let mut examined = 0usize;
@@ -1119,13 +996,6 @@ impl Vp {
                 let Some(tcb) = self.pop_local(worker) else { break };
                 examined += 1;
                 if !Self::is_live(&tcb) {
-                    continue;
-                }
-                saw_me |= me.is_some_and(|m| m.id == tcb.id);
-                if !self.steal_safe(&tcb, me) {
-                    // Not a partial switch: the candidate was not examined
-                    // by any hook, it is merely not yet resumable.
-                    deferred.push(tcb);
                     continue;
                 }
                 match self.dispatch_decision(&hooks, wants_check, &tcb) {
@@ -1152,62 +1022,6 @@ impl Vp {
             if !dispatched && !deferred.is_empty() {
                 for t in deferred.drain(..) {
                     self.push_home(&t);
-                }
-            }
-
-            // Own queue came up dry: try to steal one dispatch from
-            // another lane. Garbage entries (reaped/Done) are consumed
-            // and the scan continues; a live candidate that fails its
-            // gate or hook test is returned home and the attempt ends —
-            // re-stealing it in a tight loop would spin on the same head.
-            if !dispatched && self.n > 1 {
-                while let Some(tcb) = self.try_steal(worker) {
-                    if !Self::is_live(&tcb) {
-                        continue;
-                    }
-                    saw_me |= me.is_some_and(|m| m.id == tcb.id);
-                    if !self.steal_safe(&tcb, me) {
-                        self.push_home(&tcb);
-                        break;
-                    }
-                    match self.dispatch_decision(&hooks, wants_check, &tcb) {
-                        DispatchDecision::Requeue => {
-                            self.stats.partial_switches.incr();
-                            #[cfg(feature = "trace")]
-                            if let Some(o) = &self.obs {
-                                o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
-                            }
-                            self.push_home(&tcb);
-                        }
-                        DispatchDecision::Run => {
-                            if me.is_none_or(|m| m.id != tcb.id) {
-                                self.stats.steals.incr();
-                            }
-                            successor = self.dispatch_to(worker, &tcb, me, dep);
-                            dispatched = true;
-                        }
-                    }
-                    break;
-                }
-            }
-
-            // The departing thread is this lane's baton holder until it
-            // switches away, so no other lane may resume it (they put it back
-            // when they pop it) — and if it is queued on a *foreign* home
-            // lane, the one-candidate steal above may never reach it.
-            // Before sleeping on it, give it the look only this lane can.
-            if !dispatched && !saw_me && self.n > 1 {
-                if let Some(m) = me.filter(|_| matches!(dep, Departure::Yield | Departure::Block)) {
-                    match self.redispatch_queued_self(worker, m, &hooks, wants_check, dep) {
-                        SelfDispatch::Resumed => dispatched = true,
-                        SelfDispatch::NotRunnable => {}
-                        SelfDispatch::InOtherHands => {
-                            // Runnable, but popped by another lane this
-                            // instant; it is on its way back.
-                            std::hint::spin_loop();
-                            continue;
-                        }
-                    }
                 }
             }
 
@@ -1349,9 +1163,6 @@ impl Vp {
             debug_assert!(dep != Departure::Exit, "exiting thread re-dispatched");
             return None;
         }
-        // Tell `next` which lane it runs on before it runs: it reads this
-        // to reschedule on the lane's behalf at its next departure.
-        next.running_on.store(worker, Ordering::Relaxed);
         self.stats.full_switches.incr();
         // Emit before switching: the incoming thread's events must follow
         // its Dispatch in the lane.
@@ -1365,26 +1176,16 @@ impl Vp {
         match dep {
             Departure::Exit => return Some(next.ctx().clone()),
             Departure::Bootstrap => {
+                // Returns once the lane's last exit has switched back here.
                 Context::switch(&self.lane_host(worker), next.ctx());
-                // The lane's last exit switched back here.
-                self.after_switch(worker);
             }
             Departure::Yield | Departure::Block => {
                 let me = me.expect("yield/block without a current thread");
-                if self.n > 1 {
-                    // `me` is already on a run queue (or about to be
-                    // unblocked onto one); other lanes defer it until its
-                    // registers are saved. See `after_switch`.
-                    self.workers[worker]
-                        .departed_home
-                        .store(me.home.load(Ordering::Relaxed) % self.n, Ordering::Relaxed);
-                }
+                // The lane's "current thread" slot belongs to whoever runs
+                // on it next; ours goes back in when we are resumed.
                 let mine = current::swap_current(None);
                 Context::switch(me.ctx(), next.ctx());
-                // Resumed — after a steal, on another lane's OS thread:
-                // nothing per-OS-thread survives from before the switch.
                 current::swap_current(mine);
-                self.after_switch(me.running_on.load(Ordering::Relaxed));
             }
         }
         None

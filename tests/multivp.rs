@@ -3,11 +3,12 @@
 //!
 //! The single-VP cancelled-waiter tests in `chant-ult` prove a stale
 //! queue entry is skipped when one baton does everything in program
-//! order. Here the same scenarios run with stealing in flight: lanes
-//! other than the waiter's home lane may be the ones delivering the
-//! wakeup, examining the doomed entry, or running the canceller. Seeds
+//! order. Here the same scenarios run on four lanes, with threads placed
+//! round-robin: the notify, cancel or message delivery that should wake
+//! a waiter arrives from a foreign lane, whose thread pushes the waiter
+//! onto its home lane's queue while that lane is busy or asleep. Seeds
 //! (default 1/7/42, overridable with `CHANT_VPS_SEED`) vary the amount
-//! of unrelated steal pressure so CI sweeps different interleavings.
+//! of unrelated lane pressure so CI sweeps different interleavings.
 
 mod common;
 
@@ -22,9 +23,9 @@ use chant::ult::{
 use common::{for_each_transport, seeds, Backend};
 
 /// Spawn `n` detached threads that yield a seed-derived number of times:
-/// pure steal pressure, keeping every lane's queues busy while the
+/// pure lane pressure, keeping every lane's queue busy while the
 /// scenario under test races them.
-fn steal_pressure(vp: &Arc<Vp>, seed: u64, n: u32) {
+fn lane_pressure(vp: &Arc<Vp>, seed: u64, n: u32) {
     for i in 0..u64::from(n) {
         // Tiny LCG so each seed gives a different yield mix.
         let yields = (seed.wrapping_mul(6364136223846793005).wrapping_add(i) >> 33) % 24 + 1;
@@ -37,12 +38,12 @@ fn steal_pressure(vp: &Arc<Vp>, seed: u64, n: u32) {
 }
 
 #[test]
-fn cancelled_condvar_waiter_is_skipped_with_lanes_stealing() {
+fn cancelled_condvar_waiter_is_skipped_with_four_lanes() {
     for seed in seeds() {
         let vp = Vp::new(VpConfig::named("mvp-cv").with_vps(4));
         let vp2 = Arc::clone(&vp);
         vp.run(move |vp| {
-            steal_pressure(vp, seed, 12);
+            lane_pressure(vp, seed, 12);
             let m = UltMutex::new(&vp2, (false, false));
             let cv = UltCondvar::new(&vp2);
 
@@ -69,7 +70,8 @@ fn cancelled_condvar_waiter_is_skipped_with_lanes_stealing() {
             }
             vp.cancel(doomed.tid()).unwrap();
             // No yield: the doomed entry is still queued on the condvar
-            // when the notification fires, possibly from a stolen lane.
+            // when the notification fires, from whichever lane this
+            // thread was placed on.
             m.lock().unwrap().1 = true;
             cv.notify_one();
             assert_eq!(live.join().unwrap(), "woken", "seed {seed}");
@@ -80,12 +82,12 @@ fn cancelled_condvar_waiter_is_skipped_with_lanes_stealing() {
 }
 
 #[test]
-fn cancelled_semaphore_waiter_is_skipped_with_lanes_stealing() {
+fn cancelled_semaphore_waiter_is_skipped_with_four_lanes() {
     for seed in seeds() {
         let vp = Vp::new(VpConfig::named("mvp-sem").with_vps(4));
         let vp2 = Arc::clone(&vp);
         vp.run(move |vp| {
-            steal_pressure(vp, seed, 12);
+            lane_pressure(vp, seed, 12);
             let sem = UltSemaphore::new(&vp2, 0);
             let s2 = Arc::clone(&sem);
             let victim = vp.spawn(SpawnAttr::new(), move |_| {
@@ -117,8 +119,9 @@ fn cancelled_semaphore_waiter_is_skipped_with_lanes_stealing() {
 // the wakeup machinery of that policy (thread polls, scheduler polls
 // with a work queue, or per-TCB pending polls) must neither hang on
 // the doomed waiter nor lose the message destined for the live one —
-// with four lanes per node delivering and stealing concurrently, on
-// every transport backend.
+// with four lanes per node running concurrently while the endpoint's
+// deliverer wakes receivers homed on any of them, on every transport
+// backend.
 for_each_transport!(cancelled_receiver_under_each_polling_policy_with_four_lanes, |backend: Backend| {
     for policy in [
         PollingPolicy::ThreadPolls,
@@ -143,7 +146,7 @@ for_each_transport!(cancelled_receiver_under_each_polling_policy_with_four_lanes
                         let _ = n.recv_tag(77);
                         unreachable!("tag 77 is never sent");
                     });
-                    // Steal pressure on node 0's lanes.
+                    // Lane pressure on node 0's lanes.
                     for _ in 0..(seed % 5 + 4) {
                         node.spawn(SpawnAttr::new(), |n| {
                             for _ in 0..16 {
