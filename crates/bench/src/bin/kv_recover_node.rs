@@ -6,7 +6,7 @@
 //! exactly-once application across a real process death.
 //!
 //! Spawned four times over TCP with the standard rank/port bootstrap
-//! (`CHANT_TRANSPORT=tcp|tcp-event`, `CHANT_RANK`, `CHANT_PEERS`).
+//! (`CHANT_TRANSPORT=tcp-event`, `CHANT_RANK`, `CHANT_PEERS`).
 //! Phases:
 //!
 //! 1. Every rank seeds a deterministic data set (keys above the inline

@@ -2,8 +2,8 @@
 //!
 //! Spawned N times by `tests/xproc.rs` (and usable by hand — see
 //! EXPERIMENTS.md) with the standard rank/port bootstrap environment:
-//! `CHANT_TRANSPORT=tcp` (or `tcp-event` for the event-loop backend),
-//! `CHANT_RANK=<pe>`, `CHANT_PEERS=host:port,…`.
+//! `CHANT_TRANSPORT=tcp-event`, `CHANT_RANK=<pe>`,
+//! `CHANT_PEERS=host:port,…`.
 //! Every process builds the *same* cluster and calls `run` with the
 //! same main; the transport config makes each one host only its own
 //! PE's node, so a chant RPC here genuinely crosses OS process

@@ -71,8 +71,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Start one rank per command over `backend` (`tcp` or `tcp-event`)
-    /// on freshly reserved ports. The whole run, respawns included, has
+    /// Start one rank per command over `backend` (a `CHANT_TRANSPORT`
+    /// value, `tcp-event` in practice) on freshly reserved ports. The whole run, respawns included, has
     /// `patience` from now.
     pub fn launch(backend: &str, patience: Duration, commands: Vec<Command>) -> Cluster {
         static LAUNCHES: AtomicU32 = AtomicU32::new(0);
@@ -205,12 +205,12 @@ pub fn retry_once<T>(what: &str, attempt: impl Fn() -> Result<T, String>) -> T {
 pub fn rank_from_env(who: &str) -> (TransportConfig, u32, u32) {
     let transport = TransportConfig::from_env();
     let (rank, pes) = match &transport {
-        TransportConfig::Tcp(opts) | TransportConfig::TcpEvent(opts) => (
+        TransportConfig::TcpEvent(opts) => (
             opts.rank
                 .unwrap_or_else(|| panic!("{who} needs CHANT_RANK")),
             opts.peers.len() as u32,
         ),
-        _ => panic!("{who} needs CHANT_TRANSPORT=tcp|tcp-event and CHANT_PEERS"),
+        _ => panic!("{who} needs CHANT_TRANSPORT=tcp-event and CHANT_PEERS"),
     };
     (transport, rank, pes)
 }
@@ -231,7 +231,7 @@ mod tests {
     fn a_rank_that_prints_a_mebibyte_exits_at_once_with_all_of_it() {
         let started = Instant::now();
         let noisy = sh("head -c 1048576 /dev/zero; head -c 1048576 /dev/zero >&2");
-        let exits = Cluster::launch("tcp", Duration::from_secs(120), vec![noisy]).join_all();
+        let exits = Cluster::launch("tcp-event", Duration::from_secs(120), vec![noisy]).join_all();
         assert!(exits[0].ok);
         assert_eq!(exits[0].stdout.len(), 1 << 20);
         assert_eq!(exits[0].stderr.len(), 1 << 20);
@@ -267,7 +267,7 @@ mod tests {
     fn a_rank_that_outlives_the_deadline_is_killed_and_reported_failed() {
         let started = Instant::now();
         let cluster = Cluster::launch(
-            "tcp",
+            "tcp-event",
             Duration::from_millis(200),
             vec![sh("exec sleep 600")],
         );

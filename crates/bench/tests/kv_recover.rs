@@ -12,6 +12,8 @@
 //! The respawn re-binds the same listen port, re-seeds its shards from
 //! the surviving replicas, and re-joins the protocol.
 
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 use std::time::Duration;
 
@@ -21,17 +23,9 @@ const NODES: usize = 4;
 /// Covers seed + kill + recovery + second round on a loaded host.
 const TIMEOUT: Duration = Duration::from_secs(240);
 
-/// The sockets backends the harness runs over. Legacy `tcp` is the only
-/// one off Linux; `tcp-event` is the one the benchmark measures.
-const BACKENDS: &[&str] = if cfg!(target_os = "linux") {
-    &["tcp", "tcp-event"]
-} else {
-    &["tcp"]
-};
-
-fn run_once(backend: &str, policy: &str, seed: u64) -> Result<(), String> {
+fn run_once(policy: &str, seed: u64) -> Result<(), String> {
     let sentinel = std::env::temp_dir().join(format!(
-        "chant_kvrec_{}_{backend}_{policy}_{seed}.sentinel",
+        "chant_kvrec_{}_{policy}_{seed}.sentinel",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&sentinel);
@@ -46,7 +40,7 @@ fn run_once(backend: &str, policy: &str, seed: u64) -> Result<(), String> {
         cmd
     };
     let mut cluster = Cluster::launch(
-        backend,
+        "tcp-event",
         TIMEOUT,
         (0..NODES).map(|_| rank_command(false)).collect(),
     );
@@ -63,7 +57,7 @@ fn run_once(backend: &str, policy: &str, seed: u64) -> Result<(), String> {
     }
 
     let exits = cluster.join_all();
-    let dump = |why: String| format!("[{backend}/{policy}/{seed}] {why}\n{}", report(&exits));
+    let dump = |why: String| format!("[{policy}/{seed}] {why}\n{}", report(&exits));
     if !reached {
         return Err(dump("rank 1 exited or timed out before its sentinel".into()));
     }
@@ -82,11 +76,7 @@ fn run_policy(policy: &str, default_seed: u64) {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default_seed);
-    for backend in BACKENDS {
-        retry_once("killed-primary recovery", || {
-            run_once(backend, policy, seed)
-        });
-    }
+    retry_once("killed-primary recovery", || run_once(policy, seed));
 }
 
 #[test]

@@ -7,7 +7,10 @@
 //! the examples use), and asserts that every process finishes the
 //! 1000-op exactly-once workload (4 × 250 counted RSRs through a 1%
 //! drop + 1% dup shim), joins the termination barrier cleanly, and
-//! exits having leaked zero socket file descriptors.
+//! exits having leaked zero file descriptors (sockets, epoll, eventfd).
+//! Each process runs one poller thread for all its connections.
+
+#![cfg(target_os = "linux")]
 
 use std::path::Path;
 use std::process::Command;
@@ -18,11 +21,11 @@ use chant_bench::launch::{report, retry_once, Cluster};
 const NODES: usize = 4;
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Run the cluster once over `backend` and return the retries its ranks
-/// reported; with a `trace_dir`, every rank also exports its trace
-/// there as `rank<r>.json`. The fault seed is the ranks' to read
+/// Run the cluster once and return the retries its ranks reported; with
+/// a `trace_dir`, every rank also exports its trace there as
+/// `rank<r>.json`. The fault seed is the ranks' to read
 /// (`CHANT_FAULT_SEED`, inherited; default 42).
-fn run_once(backend: &str, trace_dir: Option<&Path>) -> Result<u64, String> {
+fn run_once(trace_dir: Option<&Path>) -> Result<u64, String> {
     let commands = (0..NODES)
         .map(|rank| {
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_xproc_node"));
@@ -33,7 +36,7 @@ fn run_once(backend: &str, trace_dir: Option<&Path>) -> Result<u64, String> {
             cmd
         })
         .collect();
-    let exits = Cluster::launch(backend, TIMEOUT, commands).join_all();
+    let exits = Cluster::launch("tcp-event", TIMEOUT, commands).join_all();
     let mut retries = 0u64;
     for (rank, exit) in exits.iter().enumerate() {
         let marker = format!("XPROC-OK rank={rank}");
@@ -41,9 +44,7 @@ fn run_once(backend: &str, trace_dir: Option<&Path>) -> Result<u64, String> {
             .stdout
             .lines()
             .find(|l| exit.ok && l.contains(&marker))
-            .ok_or_else(|| {
-                format!("[{backend}] rank {rank}: no '{marker}'\n{}", report(&exits))
-            })?;
+            .ok_or_else(|| format!("rank {rank}: no '{marker}'\n{}", report(&exits)))?;
         retries += line
             .split("retries=")
             .nth(1)
@@ -54,8 +55,8 @@ fn run_once(backend: &str, trace_dir: Option<&Path>) -> Result<u64, String> {
 }
 
 #[test]
-fn four_process_tcp_cluster_runs_lossy_workload_exactly_once() {
-    retry_once("cross-process cluster", || run_once("tcp", None));
+fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
+    retry_once("cross-process cluster", || run_once(None));
 }
 
 /// The PR 7 tracing acceptance scenario: the same four-process lossy
@@ -90,28 +91,12 @@ mod traced {
             .unwrap_or(0)
     }
 
-    #[test]
-    fn four_process_traces_merge_into_one_causal_timeline() {
-        merged_timeline_is_causal("tcp");
-    }
-
-    /// The backend the benchmark measures, whose sends and receives are
-    /// traced from the poller thread rather than per-peer drain threads.
-    #[cfg(target_os = "linux")]
+    /// Sends and receives are traced from each rank's poller thread.
     #[test]
     fn four_process_tcp_event_traces_merge_into_one_causal_timeline() {
-        merged_timeline_is_causal("tcp-event");
-    }
-
-    fn merged_timeline_is_causal(backend: &str) {
-        let dir = std::env::temp_dir().join(format!(
-            "chant_xproc_trace_{}_{backend}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("chant_xproc_trace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create trace dir");
-        let retries = retry_once("traced cross-process cluster", || {
-            run_once(backend, Some(&dir))
-        });
+        let retries = retry_once("traced cross-process cluster", || run_once(Some(&dir)));
 
         let mut processes: Vec<ProcessTrace> = Vec::with_capacity(NODES);
         for rank in 0..NODES {
@@ -166,14 +151,4 @@ mod traced {
             "wire-level msg spans missing from the merge"
         );
     }
-}
-
-/// The same four-process lossy workload over the event-loop backend:
-/// each process runs one poller thread for all its connections, and the
-/// per-rank fd-leak assertion in `xproc_node` now also covers the epoll
-/// and eventfd descriptors.
-#[cfg(target_os = "linux")]
-#[test]
-fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
-    retry_once("cross-process tcp-event cluster", || run_once("tcp-event", None));
 }

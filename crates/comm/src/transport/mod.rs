@@ -15,29 +15,24 @@
 //! * **in-process** ([`TransportConfig::InProcess`], the default): the
 //!   original synchronous delivery into the destination endpoint. Zero
 //!   new cost; the paper's table reproductions run on this path.
-//! * **TCP** ([`TransportConfig::Tcp`]): length-prefixed frames
-//!   ([`encode_frame`]) over TCP sockets, with a lazy-connecting
-//!   per-peer connection manager and a drain thread per accepted
-//!   connection. In *loopback* mode all endpoints stay in one OS
+//! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
+//!   length-prefixed frames ([`encode_frame`]) over TCP sockets, every
+//!   connection driven by a single poller thread blocked in
+//!   `epoll_wait`, with nonblocking sockets, same-peer send coalescing
+//!   into vectored writes, pooled frame buffers and a bounded per-peer
+//!   send queue. In *loopback* mode all endpoints stay in one OS
 //!   process and traffic makes a real kernel round trip; in
 //!   *multi-process* mode (a rank and a peer list, usually from
 //!   [`TransportConfig::from_env`]) each OS process hosts one PE's
 //!   endpoints and a chant message genuinely crosses address spaces —
 //!   the paper's "threads that talk to threads in other address
 //!   spaces", live.
-//! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
-//!   the same wire format and topology, but every connection is driven
-//!   by a single poller thread blocked in `epoll_wait`, with
-//!   nonblocking sockets, same-peer send coalescing into vectored
-//!   writes, pooled frame buffers and a bounded per-peer send queue.
-//!   Scales to hundreds of peers on two threads where the legacy
-//!   backend needs two per peer.
 
 mod frame;
+#[cfg(target_os = "linux")]
 mod pool;
 #[cfg(target_os = "linux")]
 mod sys;
-mod tcp;
 #[cfg(target_os = "linux")]
 mod tcp_event;
 
@@ -45,9 +40,7 @@ pub use frame::{
     decode_frame, encode_frame, encode_frame_into, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC,
     MAX_FRAME_LEN,
 };
-pub use tcp::TcpOptions;
 
-pub(crate) use tcp::TcpTransport;
 #[cfg(target_os = "linux")]
 pub(crate) use tcp_event::TcpEventTransport;
 
@@ -69,7 +62,8 @@ use crate::world::WorldInner;
 /// the matching tables rely on). Loss is permitted only for transports
 /// that document it (the upper layers' retry/dedup machinery recovers).
 pub trait Transport: Send + Sync {
-    /// Short stable name for reports and traces (`"inproc"`, `"tcp"`).
+    /// Short stable name for reports and traces (`"inproc"`,
+    /// `"tcp-event"`).
     fn name(&self) -> &'static str;
 
     /// Move one message toward its destination. May block briefly for
@@ -147,24 +141,52 @@ chant_obs::counters! {
         /// Well-formed frames addressed to an endpoint this process does
         /// not host.
         misrouted,
-        /// Vectored writes that carried more than one frame (event-loop
-        /// backend; batch depth = `coalesced_frames / coalesced_writes`).
+        /// Vectored writes that carried more than one frame (batch depth
+        /// = `coalesced_frames / coalesced_writes`).
         coalesced_writes,
         /// Frames carried by those multi-frame vectored writes.
         coalesced_frames,
         /// Writes the kernel cut short, resumed later from the saved
-        /// offset (event-loop backend).
+        /// offset.
         partial_writes,
-        /// Times the poller was woken through the eventfd (event-loop
-        /// backend; shutdown only).
+        /// Times the poller was woken through the eventfd (shutdown
+        /// only).
         wakeups,
         /// Sends that found their peer's queue at its byte bound and waited
-        /// for the poller's flush to make room (event-loop backend).
+        /// for the poller's flush to make room.
         backpressure_waits,
-        /// Frame buffers served from the reuse pool (socket backends).
+        /// Frame buffers served from the reuse pool.
         pool_hits,
         /// Frame buffers that had to be freshly allocated.
         pool_misses,
+    }
+}
+
+/// Configuration of the socket backend.
+#[derive(Clone, Debug)]
+pub struct TcpOptions {
+    /// This OS process's PE index, or `None` for single-process
+    /// loopback (all PEs hosted here, traffic still over sockets).
+    pub rank: Option<u32>,
+    /// Listen addresses (`host:port`), one per PE in rank order. Empty
+    /// selects loopback mode with an ephemeral port. Non-empty requires
+    /// `rank` to be set.
+    pub peers: Vec<String>,
+    /// Dial attempts for a peer never reached before (bootstrap: peers
+    /// start in parallel, so patience here is correctness).
+    pub connect_attempts: u32,
+    /// Initial backoff between dial attempts; doubles up to 500 ms.
+    pub connect_backoff_ms: u64,
+}
+
+impl Default for TcpOptions {
+    fn default() -> TcpOptions {
+        TcpOptions {
+            rank: None,
+            peers: Vec::new(),
+            connect_attempts: 80,
+            connect_backoff_ms: 25,
+        }
     }
 }
 
@@ -175,26 +197,16 @@ pub enum TransportConfig {
     /// for the conformance suite).
     #[default]
     InProcess,
-    /// Length-prefixed frames over TCP sockets, one blocking drain
-    /// thread per connection (see [`TcpOptions`]).
-    Tcp(TcpOptions),
-    /// The same frames and topology, driven by a single epoll poller
-    /// thread with nonblocking sockets, send coalescing, and pooled
-    /// buffers (Linux only; see [`TcpOptions`]).
+    /// Length-prefixed frames over TCP sockets, driven by a single epoll
+    /// poller thread with nonblocking sockets, send coalescing, and
+    /// pooled buffers (Linux only; see [`TcpOptions`]).
     TcpEvent(TcpOptions),
 }
 
 impl TransportConfig {
-    /// A single-process TCP world: every endpoint lives here, but every
-    /// message makes a real kernel round trip through a loopback
-    /// socket. This is the configuration the conformance suite and the
-    /// fault-seed matrix run against.
-    pub fn tcp_loopback() -> TransportConfig {
-        TransportConfig::Tcp(TcpOptions::default())
-    }
-
-    /// A single-process event-loop TCP world: same loopback topology as
-    /// [`TransportConfig::tcp_loopback`], all sockets on one poller.
+    /// A single-process socket world: every endpoint lives here, but
+    /// every message makes a real kernel round trip through a loopback
+    /// socket (what the conformance suite and the fault matrix run).
     pub fn tcp_event_loopback() -> TransportConfig {
         TransportConfig::TcpEvent(TcpOptions::default())
     }
@@ -202,15 +214,16 @@ impl TransportConfig {
     /// Read the transport from the environment — the rank/port
     /// bootstrap shared by examples and the cross-process tests:
     ///
-    /// * `CHANT_TRANSPORT` — `tcp` selects the thread-per-peer TCP
-    ///   backend, `tcp-event` the event-loop backend; anything else
-    ///   (or unset) selects in-process.
+    /// * `CHANT_TRANSPORT` — `tcp-event` (or its alias `tcp`) selects
+    ///   the socket backend; anything else (or unset) selects
+    ///   in-process.
     /// * `CHANT_RANK` — this OS process's PE index (multi-process mode;
     ///   omit for single-process loopback).
     /// * `CHANT_PEERS` — comma-separated `host:port` listen addresses,
     ///   one per PE in rank order (required when `CHANT_RANK` is set).
     pub fn from_env() -> TransportConfig {
-        let socket_opts = || {
+        let name = std::env::var("CHANT_TRANSPORT").ok();
+        TransportConfig::select(name.as_deref(), || {
             let rank = std::env::var("CHANT_RANK").ok().and_then(|s| s.parse().ok());
             let peers = std::env::var("CHANT_PEERS")
                 .map(|s| {
@@ -225,10 +238,15 @@ impl TransportConfig {
                 peers,
                 ..TcpOptions::default()
             }
-        };
-        match std::env::var("CHANT_TRANSPORT") {
-            Ok(v) if v.eq_ignore_ascii_case("tcp") => TransportConfig::Tcp(socket_opts()),
-            Ok(v) if v.eq_ignore_ascii_case("tcp-event") || v.eq_ignore_ascii_case("tcp_event") => {
+        })
+    }
+
+    /// The transport a `CHANT_TRANSPORT` value names; `socket_opts` is
+    /// asked for the socket backend's options only when it is chosen.
+    fn select(name: Option<&str>, socket_opts: impl FnOnce() -> TcpOptions) -> TransportConfig {
+        let sockets = ["tcp", "tcp-event", "tcp_event"];
+        match name {
+            Some(v) if sockets.iter().any(|n| v.eq_ignore_ascii_case(n)) => {
                 TransportConfig::TcpEvent(socket_opts())
             }
             _ => TransportConfig::InProcess,
@@ -239,12 +257,8 @@ impl TransportConfig {
     /// one PE in multi-process mode, all of them otherwise.
     pub fn hosted_pes(&self, pes: u32) -> std::ops::Range<u32> {
         match self {
-            TransportConfig::Tcp(TcpOptions { rank: Some(r), .. })
-            | TransportConfig::TcpEvent(TcpOptions { rank: Some(r), .. }) => {
-                assert!(
-                    *r < pes,
-                    "CHANT_RANK {r} outside the world ({pes} PEs)"
-                );
+            TransportConfig::TcpEvent(TcpOptions { rank: Some(r), .. }) => {
+                assert!(*r < pes, "CHANT_RANK {r} outside the world ({pes} PEs)");
                 *r..*r + 1
             }
             _ => 0..pes,
@@ -294,20 +308,35 @@ impl Transport for InProcessTransport {
 /// threads hold only weak references.
 pub(crate) fn build_transport(
     config: &TransportConfig,
-    pes: u32,
+    #[cfg_attr(not(target_os = "linux"), allow(unused_variables))] pes: u32,
     world: Weak<WorldInner>,
 ) -> Arc<dyn Transport> {
     let sink = DeliverySink::new(world);
     match config {
         TransportConfig::InProcess => Arc::new(InProcessTransport::new(sink)),
-        TransportConfig::Tcp(opts) => TcpTransport::start(opts.clone(), pes, sink)
-            .unwrap_or_else(|e| panic!("failed to start TCP transport: {e}")),
         #[cfg(target_os = "linux")]
         TransportConfig::TcpEvent(opts) => TcpEventTransport::start(opts.clone(), pes, sink)
-            .unwrap_or_else(|e| panic!("failed to start event-loop TCP transport: {e}")),
+            .unwrap_or_else(|e| panic!("failed to start the socket transport: {e}")),
         #[cfg(not(target_os = "linux"))]
-        TransportConfig::TcpEvent(_) => {
-            panic!("the tcp-event transport requires Linux (epoll/eventfd)")
+        TransportConfig::TcpEvent(_) => panic!(
+            "the socket transport needs Linux (its poller is built on epoll and eventfd); \
+             unset CHANT_TRANSPORT to run in-process"
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tcp_is_an_alias_of_the_socket_backend() {
+        let select = |name| TransportConfig::select(name, TcpOptions::default);
+        for name in ["tcp", "TCP", "tcp-event", "tcp_event"] {
+            assert!(matches!(select(Some(name)), TransportConfig::TcpEvent(_)), "{name}");
+        }
+        for name in [None, Some("inproc")] {
+            assert!(matches!(select(name), TransportConfig::InProcess), "{name:?}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Minimal epoll/eventfd bindings for the event-loop TCP backend.
+//! Minimal epoll/eventfd bindings for the socket backend.
 //!
 //! The vendor tree carries no `libc` or `mio`, so the reactor talks to
 //! the kernel through these hand-written `extern "C"` declarations —

@@ -1,12 +1,9 @@
-//! The event-loop TCP backend: every connection on one poller thread.
-//!
-//! The legacy [`super::tcp`] backend spends two OS threads per peer
-//! (an accept thread plus a drain thread per inbound connection) and
-//! blocks senders in `write_all`. That shape caps connection count and
-//! pays a kernel thread wakeup on every hop. This backend is the LCI
-//!-style alternative: a single poller thread drives *all* sockets
-//! through an epoll readiness loop ([`super::sys`]), senders never
-//! block, and same-peer frames coalesce into one vectored write.
+//! The socket backend: length-prefixed frames between OS processes (or,
+//! in loopback mode, between the PEs of one), with every connection on
+//! one poller thread rather than a thread per connection. The poller
+//! drives *all* sockets through an epoll readiness loop
+//! ([`super::sys`]), senders never block in the kernel, and same-peer
+//! frames coalesce into one vectored write.
 //!
 //! Structure:
 //!
@@ -43,11 +40,13 @@
 //!   `epoll_ctl` directly (epoll is thread-safe); the eventfd exists
 //!   only to interrupt the blocked poller at shutdown.
 //!
-//! Delivery semantics are identical to the legacy backend — per-link
-//! FIFO (one connection per destination PE, queue order preserved,
-//! single flusher under the peer lock), counted-never-panicking
-//! malformed frames, lazy patient bootstrap dial, fail-fast redial —
-//! and `tests/transport_conformance.rs` holds it to that.
+//! Delivery semantics are the in-process oracle's, which
+//! `tests/transport_conformance.rs` holds it to: per-link FIFO (one
+//! connection per destination PE, single flusher under the peer lock).
+//! Malformed frames are counted and drop their connection, never panic;
+//! the first dial to a peer is patient (bootstrap), a redial fails fast,
+//! and what an unreachable peer costs is a counted `send_failures` drop
+//! that RSR retry/liveness upstream turns into `Timeout`/`NodeUnreachable`.
 
 #![cfg(target_os = "linux")]
 
@@ -66,12 +65,14 @@ use parking_lot::{Condvar, Mutex};
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use super::tcp::TcpOptions;
-use super::{DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot};
+use super::{
+    DeliverError, DeliverySink, TcpOptions, Transport, TransportStats, TransportStatsSnapshot,
+};
 use crate::header::Header;
 
-/// Fail-fast redial budget once a peer has answered before (same rule
-/// as the legacy backend).
+/// Dial attempts for a peer we had reached before (it answered once, so
+/// a long outage means it is gone — fail fast and let retries upstairs
+/// pace themselves).
 const RECONNECT_ATTEMPTS: u32 = 2;
 
 /// Most frames one `write_vectored` call will carry.
@@ -167,7 +168,6 @@ pub(crate) struct TcpEventTransport {
     opts: TcpOptions,
     /// Resolved listen address of every PE's process, by PE index.
     peers: Vec<SocketAddr>,
-    local_addr: SocketAddr,
     sink: DeliverySink,
     stats: Arc<TransportStats>,
     pool: BufferPool,
@@ -225,7 +225,6 @@ impl TcpEventTransport {
             let listener = TcpListener::bind(peers[rank as usize])?;
             (listener, peers)
         };
-        let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         let wake = EventFd::new()?;
@@ -235,7 +234,6 @@ impl TcpEventTransport {
         let transport = Arc::new(TcpEventTransport {
             opts,
             peers,
-            local_addr,
             sink,
             pool: BufferPool::new(256, Arc::clone(&stats)),
             stats,
@@ -260,12 +258,6 @@ impl TcpEventTransport {
             .expect("spawn TCP event poller");
         *transport.poller.lock() = Some(handle);
         Ok(transport)
-    }
-
-    /// The address this process listens on (for tests and reports).
-    #[allow(dead_code)]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
     }
 
     // -- sender side ---------------------------------------------------
@@ -501,10 +493,9 @@ impl TcpEventTransport {
             return;
         };
         loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
+            // WouldBlock (backlog drained) or a failed accept alike.
+            let Ok((stream, _)) = listener.accept() else {
+                return;
             };
             if self.stop.load(Ordering::Acquire) {
                 return;
@@ -556,7 +547,6 @@ impl TcpEventTransport {
     /// and deliver complete frames. Returns false when the connection
     /// is finished (EOF, error, or lost framing).
     fn inbound_ready(&self, conn: &mut InboundConn) -> bool {
-        let max = self.opts.max_frame_len.min(MAX_FRAME_LEN);
         loop {
             // Make room: compact consumed bytes, grow for jumbo frames.
             if conn.end == conn.buf.len() {
@@ -573,7 +563,7 @@ impl TcpEventTransport {
                 Ok(0) => return false, // EOF
                 Ok(n) => {
                     conn.end += n;
-                    if !self.parse_frames(conn, max) {
+                    if !self.parse_frames(conn) {
                         return false;
                     }
                     // Level-triggered epoll re-reports anything left; a
@@ -591,7 +581,7 @@ impl TcpEventTransport {
 
     /// Parse every complete frame in `buf[start..end]` and deliver it.
     /// Returns false on lost framing (connection must drop).
-    fn parse_frames(&self, conn: &mut InboundConn, max: u32) -> bool {
+    fn parse_frames(&self, conn: &mut InboundConn) -> bool {
         loop {
             let avail = conn.end - conn.start;
             if avail < 4 {
@@ -602,7 +592,7 @@ impl TcpEventTransport {
                     .try_into()
                     .expect("4 bytes"),
             );
-            if (n as usize) < FRAME_HEADER_LEN || n > max {
+            if (n as usize) < FRAME_HEADER_LEN || n > MAX_FRAME_LEN {
                 self.stats.malformed_frames.incr();
                 return false;
             }
@@ -931,7 +921,6 @@ mod tests {
             peers: vec!["127.0.0.1:0".into(), dead.to_string()],
             connect_attempts: 2,
             connect_backoff_ms: 1,
-            ..TcpOptions::default()
         };
         // rank 0 binds peers[0]; port 0 means an ephemeral bind.
         let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");

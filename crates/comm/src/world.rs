@@ -11,7 +11,7 @@
 //! the destination endpoint's matching tables — goes through the
 //! world's [`Transport`]: synchronous in-process delivery by default,
 //! or TCP sockets (possibly to other OS processes) when built with
-//! [`TransportConfig::Tcp`]. Everything upstream of that hop (fault
+//! [`TransportConfig::TcpEvent`]. Everything upstream of that hop (fault
 //! shim, latency line, matching, statistics) is transport-agnostic.
 
 use std::sync::{Arc, Once, OnceLock};
@@ -80,7 +80,7 @@ impl WorldInner {
 
     /// Does this OS process host the endpoint at `addr`? False for
     /// out-of-bounds addresses (a corrupted frame must not panic the
-    /// drain thread) and for PEs hosted by other processes.
+    /// poller thread) and for PEs hosted by other processes.
     pub(crate) fn hosts(&self, addr: Address) -> bool {
         addr.pe < self.pes && addr.process < self.procs_per_pe && self.hosted.contains(&addr.pe)
     }
@@ -267,7 +267,7 @@ impl CommWorld {
     }
 
     /// The name of the transport backend this world routes through
-    /// (`"inproc"` or `"tcp"`).
+    /// (`"inproc"` or `"tcp-event"`).
     pub fn transport_name(&self) -> &'static str {
         self.inner.transport().name()
     }

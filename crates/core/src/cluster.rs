@@ -168,7 +168,7 @@ impl ClusterBuilder {
     }
 
     /// Select the transport backend (default: in-process delivery).
-    /// With [`TransportConfig::Tcp`] the cluster's messages travel as
+    /// With [`TransportConfig::TcpEvent`] the cluster's messages travel as
     /// length-prefixed frames over real sockets; with a rank and peer
     /// list (usually [`TransportConfig::from_env`]) the cluster runs as
     /// N cooperating OS processes, each hosting one PE's nodes — every

@@ -21,7 +21,7 @@ use crate::tcb::Tid;
 use crate::vp::Vp;
 
 /// The calling ULT's tid, or [`UltError::NotUltContext`] when called from
-/// an ordinary OS thread (e.g. a transport drain thread or a test
+/// an ordinary OS thread (e.g. a transport poller thread or a test
 /// harness) — far likelier to happen by accident now that one VP's
 /// threads span several OS threads. Cross-VP sharing stays an assert: it
 /// is a same-process programming error, not a runtime condition.

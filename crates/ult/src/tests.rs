@@ -1015,7 +1015,7 @@ fn semaphore_acquire_timeout_times_out_then_succeeds() {
 #[test]
 fn sync_primitives_error_off_ult_instead_of_aborting() {
     // Regression: these used to `expect` (and so abort the process) when
-    // touched from an ordinary OS thread — e.g. a transport drain thread.
+    // touched from an ordinary OS thread — e.g. a transport poller thread.
     let vp = vp();
     let m = UltMutex::new(&vp, 0u32);
     assert!(matches!(m.lock(), Err(UltError::NotUltContext)));

@@ -10,7 +10,7 @@
 //! Each node runs a handful of client threads issuing a mixed stream —
 //! 50% get, 40% put (some past the inline threshold, so they ride the
 //! RMA bulk path), 10% counter add — against a shared key space. The
-//! same workload runs over the in-process transport and TCP loopback,
+//! same workload runs over the in-process transport and socket loopback,
 //! reliable and with fault injection (drops + duplicates + reordering
 //! under a deterministic seed). Under faults, the threads rendezvous
 //! through the KV itself (an exactly-once fence add plus read-only
@@ -216,16 +216,16 @@ fn main() {
         .unwrap_or(300);
 
     let configs: [(&str, TransportConfig, Option<FaultConfig>); 4] = [
-        ("inproc           ", TransportConfig::InProcess, None),
+        ("inproc", TransportConfig::InProcess, None),
         (
-            "inproc + faults  ",
+            "inproc + faults",
             TransportConfig::InProcess,
             Some(FaultConfig::new(7).drop_p(0.05).dup_p(0.10).reorder_p(0.10)),
         ),
-        ("tcp-loopback     ", TransportConfig::tcp_loopback(), None),
+        ("tcp-event", TransportConfig::tcp_event_loopback(), None),
         (
-            "tcp + faults     ",
-            TransportConfig::tcp_loopback(),
+            "tcp-event + faults",
+            TransportConfig::tcp_event_loopback(),
             Some(FaultConfig::new(7).drop_p(0.05).dup_p(0.10).reorder_p(0.10)),
         ),
     ];
@@ -238,7 +238,7 @@ fn main() {
     for (name, transport, faults) in configs {
         let s = run_config(transport, faults, ops_per_client);
         println!(
-            "{name}| {:6} | {:8.1} | {:7.1} | {:9} | {:7} | {:7}",
+            "{name:<19}| {:6} | {:8.1} | {:7.1} | {:9} | {:7} | {:7}",
             s.ops,
             s.elapsed.as_secs_f64() * 1e3,
             s.ops as f64 / s.elapsed.as_secs_f64() / 1e3,

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 //!
-//! Set `CHANT_TRANSPORT=tcp` to route every message through real
+//! Set `CHANT_TRANSPORT=tcp-event` to route every message through real
 //! loopback sockets instead of in-process delivery; add
 //! `CHANT_RANK=<pe>` and `CHANT_PEERS=host:port,host:port` (and start
 //! one process per PE) to run the same program as two genuinely
@@ -20,7 +20,7 @@ fn main() {
         .pes(2)
         .policy(PollingPolicy::SchedulerPollsPs) // the paper's best policy
         .server(false) // point-to-point only; no remote service requests
-        .transport(TransportConfig::from_env()) // CHANT_TRANSPORT=tcp knob
+        .transport(TransportConfig::from_env()) // CHANT_TRANSPORT=tcp-event knob
         .build();
 
     let report = cluster.run(|node| {

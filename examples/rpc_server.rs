@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example rpc_server`
 //!
-//! Set `CHANT_TRANSPORT=tcp` to route the same RPCs through real
+//! Set `CHANT_TRANSPORT=tcp-event` to route the same RPCs through real
 //! loopback sockets; add `CHANT_RANK=<pe>` and
 //! `CHANT_PEERS=host:port,host:port` (one process per rank) to run the
 //! client and the server as separate OS processes.
@@ -48,7 +48,7 @@ fn main() {
     let mut builder = ChantCluster::builder()
         .pes(2)
         .policy(PollingPolicy::SchedulerPollsPs)
-        // CHANT_TRANSPORT=tcp routes everything through real sockets;
+        // CHANT_TRANSPORT=tcp-event routes everything through real sockets;
         // with CHANT_RANK + CHANT_PEERS the two PEs become two OS
         // processes (start one per rank, same command line).
         .transport(TransportConfig::from_env());

@@ -14,28 +14,39 @@
 
 mod common;
 
+use std::collections::HashMap;
+use std::ffi::OsString;
 use std::time::{Duration, Instant};
 
 use chant::chant::{ChantCluster, ChantError, PollingPolicy, RecvSrc};
 use common::Backend;
 
-/// CPU time consumed so far by every thread of this process, from the
-/// kernel's per-task accounting (ns resolution, unlike the 10 ms ticks
-/// of `/proc/self/stat`).
+/// CPU time consumed so far by each live thread of this process, by
+/// tid, from the kernel's per-task accounting (ns resolution, unlike the
+/// 10 ms ticks of `/proc/self/stat`).
 #[cfg(target_os = "linux")]
-fn process_cpu_time() -> Duration {
-    let mut ns = 0u64;
+fn thread_cpu_times() -> HashMap<OsString, u64> {
+    let mut ns = HashMap::new();
     for task in std::fs::read_dir("/proc/self/task").expect("task list") {
-        let path = task.expect("task entry").path().join("schedstat");
+        let task = task.expect("task entry");
         // A thread may exit between the listing and the read.
-        if let Ok(stat) = std::fs::read_to_string(path) {
-            ns += stat
-                .split_whitespace()
-                .next()
-                .and_then(|f| f.parse::<u64>().ok())
-                .unwrap_or(0);
+        if let Ok(stat) = std::fs::read_to_string(task.path().join("schedstat")) {
+            let used = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+            ns.insert(task.file_name(), used.unwrap_or(0));
         }
     }
+    ns
+}
+
+/// CPU time the threads alive now have used since `before` was read. A
+/// thread that exited in between (one of an earlier cluster's, say) is
+/// left out: in a process-wide sum its whole history would drop out.
+#[cfg(target_os = "linux")]
+fn cpu_since(before: &HashMap<OsString, u64>) -> Duration {
+    let ns = thread_cpu_times()
+        .iter()
+        .map(|(tid, &ns)| ns.saturating_sub(before.get(tid).copied().unwrap_or(0)))
+        .sum();
     Duration::from_nanos(ns)
 }
 
@@ -43,11 +54,7 @@ fn process_cpu_time() -> Duration {
 #[test]
 fn idle_two_pe_cluster_uses_under_five_percent_of_a_core() {
     const IDLE: Duration = Duration::from_millis(500);
-    for backend in [
-        Backend::InProcess,
-        Backend::TcpLoopback,
-        Backend::TcpEventLoopback,
-    ] {
+    for backend in [Backend::InProcess, Backend::TcpEventLoopback] {
         for policy in [PollingPolicy::SchedulerPollsWq, PollingPolicy::SchedulerPollsPs] {
             let cluster = ChantCluster::builder()
                 .pes(2)
@@ -57,13 +64,13 @@ fn idle_two_pe_cluster_uses_under_five_percent_of_a_core() {
             cluster.run(move |node| {
                 // Connections dialled, both nodes past start-up.
                 let _fence = common::main_group(node, 1);
-                let cpu0 = process_cpu_time();
+                let cpu0 = thread_cpu_times();
                 let t0 = Instant::now();
                 match node.recv_timeout(RecvSrc::Any, Some(99), IDLE) {
                     Err(ChantError::Timeout) => {}
                     other => panic!("tag 99 is never sent, got {other:?}"),
                 }
-                let (took, burned) = (t0.elapsed(), process_cpu_time() - cpu0);
+                let (took, burned) = (t0.elapsed(), cpu_since(&cpu0));
                 assert!(took >= IDLE, "[{backend:?}/{policy:?}] woke early: {took:?}");
                 assert!(
                     took < IDLE + Duration::from_millis(250),

@@ -81,6 +81,7 @@ fn summed_ticks(path: &PathBuf, report: &ClusterReport) -> HashMap<String, u64> 
     sums
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn emitter_streams_parseable_deltas_that_sum_to_the_run_totals() {
     let path = sink("p2p");
@@ -90,7 +91,7 @@ fn emitter_streams_parseable_deltas_that_sum_to_the_run_totals() {
     let c2 = Arc::clone(&counter);
     let cluster = ChantCluster::builder()
         .pes(2)
-        .transport(TransportConfig::tcp_loopback())
+        .transport(TransportConfig::tcp_event_loopback())
         .telemetry(Duration::from_millis(5))
         .telemetry_path(&path)
         .rsr_handler(FN_COUNT, move |_node, req| {
