@@ -13,8 +13,8 @@
 //! - `--once` reads what is currently available, prints it plus a
 //!   totals row, and exits — handy in scripts and CI.
 //!
-//! Needs no features: telemetry is an always-on production facility,
-//! unlike the `trace`-gated event ring.
+//! Telemetry is an always-on production facility: unlike the event
+//! ring, it needs no tracer installed.
 
 use std::io::{BufRead, BufReader, Read};
 

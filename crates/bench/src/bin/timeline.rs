@@ -3,8 +3,7 @@
 //! across virtual time. A quick visual intuition for why the policies
 //! differ — WQ's idle-heavy stripes are the scan windows.
 //!
-//! With `--features trace` the same runs are additionally exported as a
-//! Chrome-trace-event JSON (one track per policy × PE, virtual-time
+//! The same runs are also exported as a Chrome-trace-event JSON (one track per policy × PE, virtual-time
 //! timestamps) to `bench_results/timeline_trace.json`, loadable in
 //! Perfetto / `chrome://tracing`.
 
@@ -13,7 +12,6 @@ use chant_sim::{CostModel, Engine, LayerMode, SimProgram, ThreadSpec};
 
 fn main() {
     let cost = CostModel::paragon_polling();
-    #[cfg(feature = "trace")]
     let mut all_lanes: Vec<chant_obs::LaneTrace> = Vec::new();
     for policy in [
         PollingPolicy::ThreadPolls,
@@ -42,24 +40,18 @@ fn main() {
         for (vp, row) in trace.gantt(2, metrics.total_ns, 100).iter().enumerate() {
             println!("  PE{vp} |{row}|");
         }
-        #[cfg(feature = "trace")]
-        {
-            let mut lanes = trace.to_lane_traces(2);
-            for lane in &mut lanes {
-                lane.name = format!("{}/{}", policy.label(), lane.name);
-            }
-            all_lanes.extend(lanes);
+        let mut lanes = trace.to_lane_traces(2);
+        for lane in &mut lanes {
+            lane.name = format!("{}/{}", policy.label(), lane.name);
         }
+        all_lanes.extend(lanes);
     }
     println!("\nlegend: '#' dispatch/completion-heavy, '~' blocking-heavy, '.' idle, ' ' quiet");
-    #[cfg(feature = "trace")]
-    {
-        let json = chant_obs::perfetto::to_json_string(&all_lanes);
-        let path = chant_bench::results_dir().join("timeline_trace.json");
-        std::fs::write(&path, json).expect("write timeline trace");
-        println!(
-            "wrote {} (load in https://ui.perfetto.dev)",
-            chant_bench::shown(&path)
-        );
-    }
+    let json = chant_obs::perfetto::to_json_string(&all_lanes);
+    let path = chant_bench::results_dir().join("timeline_trace.json");
+    std::fs::write(&path, json).expect("write timeline trace");
+    println!(
+        "wrote {} (load in https://ui.perfetto.dev)",
+        chant_bench::shown(&path)
+    );
 }

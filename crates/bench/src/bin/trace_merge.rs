@@ -1,7 +1,7 @@
 //! Stitch per-process trace exports into one cluster Perfetto file.
 //!
-//! Each rank of a multi-process cluster run under `--features trace`
-//! with `CHANT_TRACE_OUT=<path>` writes a self-describing trace (its
+//! Each rank of a multi-process cluster run with
+//! `CHANT_TRACE_OUT=<path>` writes a self-describing trace (its
 //! rank and PING-derived clock offset are embedded as top-level keys —
 //! see `chant_obs::merge`). This tool reads N of those files, shifts
 //! every timestamp onto the reference clock, emits Perfetto flow

@@ -21,14 +21,17 @@
 //! 3. after cluster teardown, **zero** socket file descriptors remain
 //!    open (`/proc/self/fd`), i.e. the transport leaked nothing;
 //!
-//! then prints `XPROC-OK rank=<r> ops=<n>` for the parent to assert on.
+//! then prints `XPROC-OK rank=<r> ops=<n> retries=<n> malformed=<n>`
+//! for the parent to assert on (`malformed` counts frames the transport
+//! could not decode).
 //!
-//! Under `--features trace` with `CHANT_TRACE_OUT=<path>` set, the rank
-//! additionally installs the tracer before building its cluster, runs a
-//! PING-piggybacked clock sync against rank 0 after the workload, and
+//! With `CHANT_TRACE_OUT=<path>` set, the rank additionally installs
+//! the tracer before building its cluster, runs a PING-piggybacked clock
+//! sync against rank 0 after the workload (rank 0 must trace too), and
 //! writes a self-describing per-process Perfetto export (rank + clock
 //! offset embedded) that `trace_merge` stitches into one cluster
-//! timeline.
+//! timeline. Traced and untraced ranks may share a cluster: the wire
+//! format is the same either way.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -74,16 +77,12 @@ fn main() {
 
     // Tracing must be live before the cluster exists: lanes register at
     // component construction.
-    #[cfg(feature = "trace")]
     let trace_out = std::env::var("CHANT_TRACE_OUT").ok();
-    #[cfg(feature = "trace")]
     if trace_out.is_some() {
         chant_obs::tracer::install();
     }
-    #[cfg(feature = "trace")]
     let clock_est: Arc<std::sync::Mutex<Option<chant_obs::ClockEstimate>>> =
         Arc::new(std::sync::Mutex::new(None));
-    #[cfg(feature = "trace")]
     let clock_est2 = Arc::clone(&clock_est);
 
     // Non-idempotent by design: every duplicate execution is visible.
@@ -122,16 +121,14 @@ fn main() {
         }
         // Clock-sync against rank 0 while its server thread is still
         // alive (the shutdown barrier has not run yet). Rank 0 is its
-        // own reference: identity offset.
-        #[cfg(feature = "trace")]
-        {
-            let est = if me.pe == 0 {
-                Some(chant_obs::ClockEstimate::identity())
-            } else {
-                node.clock_sync(chant_core::ChanterId::new(0, 0, 0).address(), 8)
-            };
-            *clock_est2.lock().unwrap() = est;
-        }
+        // own reference: identity offset. An untraced rank gets `None`
+        // at once, without a probe.
+        let est = if me.pe == 0 {
+            Some(chant_obs::ClockEstimate::identity())
+        } else {
+            node.clock_sync(chant_core::ChanterId::new(0, 0, 0).address(), 8)
+        };
+        *clock_est2.lock().unwrap() = est;
     });
 
     // Exactly-once: the left neighbour's ops each ran here exactly once.
@@ -146,10 +143,10 @@ fn main() {
         report.transport
     );
     let retries = report.nodes.iter().map(|n| n.rsr.retries).sum::<u64>();
+    let malformed = report.transport.malformed_frames;
 
     // Export this process's slice of the cluster timeline while the
     // cluster (and so every registered lane handle) is still alive.
-    #[cfg(feature = "trace")]
     if let Some(path) = trace_out {
         let est = clock_est
             .lock()
@@ -185,5 +182,5 @@ fn main() {
         }
     }
 
-    println!("XPROC-OK rank={rank} ops={ops} retries={retries}");
+    println!("XPROC-OK rank={rank} ops={ops} retries={retries} malformed={malformed}");
 }

@@ -17,7 +17,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod launch;
-pub mod matching;
 
 /// The paper's published numbers, transcribed from the text.
 pub mod paper {

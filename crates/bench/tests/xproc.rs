@@ -8,7 +8,9 @@
 //! 1000-op exactly-once workload (4 × 250 counted RSRs through a 1%
 //! drop + 1% dup shim), joins the termination barrier cleanly, and
 //! exits having leaked zero file descriptors (sockets, epoll, eventfd).
-//! Each process runs one poller thread for all its connections.
+//! Each process runs one poller thread for all its connections. The
+//! traced runs repeat the workload with every rank, or only ranks 0 and
+//! 2, exporting a trace.
 
 #![cfg(target_os = "linux")]
 
@@ -21,16 +23,27 @@ use chant_bench::launch::{report, retry_once, Cluster};
 const NODES: usize = 4;
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Run the cluster once and return the retries its ranks reported; with
-/// a `trace_dir`, every rank also exports its trace there as
-/// `rank<r>.json`. The fault seed is the ranks' to read
+/// The number after `key` on an `XPROC-OK` line.
+fn field(line: &str, key: &str) -> Option<u64> {
+    line.split(key)
+        .nth(1)?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// Run the cluster once and return the retries its ranks reported. The
+/// ranks in `traced` also export their traces to `dir` as
+/// `rank<r>.json`; the others do not trace. Every rank must report zero
+/// malformed frames. The fault seed is the ranks' to read
 /// (`CHANT_FAULT_SEED`, inherited; default 42).
-fn run_once(trace_dir: Option<&Path>) -> Result<u64, String> {
+fn run_once(traced: &[usize], dir: &Path) -> Result<u64, String> {
     let commands = (0..NODES)
         .map(|rank| {
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_xproc_node"));
             cmd.env("CHANT_XPROC_OPS", "250");
-            if let Some(dir) = trace_dir {
+            if traced.contains(&rank) {
                 cmd.env("CHANT_TRACE_OUT", dir.join(format!("rank{rank}.json")));
             }
             cmd
@@ -45,18 +58,22 @@ fn run_once(trace_dir: Option<&Path>) -> Result<u64, String> {
             .lines()
             .find(|l| exit.ok && l.contains(&marker))
             .ok_or_else(|| format!("rank {rank}: no '{marker}'\n{}", report(&exits)))?;
-        retries += line
-            .split("retries=")
-            .nth(1)
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0);
+        assert_eq!(
+            field(line, "malformed="),
+            Some(0),
+            "rank {rank}: undecodable frames on the wire\n{}",
+            report(&exits)
+        );
+        retries += field(line, "retries=").unwrap_or(0);
     }
     Ok(retries)
 }
 
 #[test]
 fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
-    retry_once("cross-process cluster", || run_once(None));
+    retry_once("cross-process cluster", || {
+        run_once(&[], &std::env::temp_dir())
+    });
 }
 
 /// The PR 7 tracing acceptance scenario: the same four-process lossy
@@ -65,11 +82,10 @@ fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
 /// cross-process RSR interaction appears as a send span flow-arrowed to
 /// its recv/serve span with non-negative wire gaps after alignment, and
 /// that the lossy shim's retries show up as first-class events.
-#[cfg(feature = "trace")]
 mod traced {
     use super::*;
-    use chant_obs::merge::{merge_cluster_trace, read_process_trace, ProcessTrace};
-    use chant_obs::perfetto::validate_chrome_trace;
+    use chant_obs::merge::{merge_cluster_trace, read_process_trace, MergeReport, ProcessTrace};
+    use chant_obs::perfetto::{validate_chrome_trace, TraceSummary};
     use serde::Value;
 
     /// Count non-metadata events whose `name` matches `pred`.
@@ -91,15 +107,18 @@ mod traced {
             .unwrap_or(0)
     }
 
-    /// Sends and receives are traced from each rank's poller thread.
-    #[test]
-    fn four_process_tcp_event_traces_merge_into_one_causal_timeline() {
-        let dir = std::env::temp_dir().join(format!("chant_xproc_trace_{}", std::process::id()));
+    /// A fresh per-test directory for the ranks' trace exports.
+    fn trace_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("chant_{test}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create trace dir");
-        let retries = retry_once("traced cross-process cluster", || run_once(Some(&dir)));
+        dir
+    }
 
-        let mut processes: Vec<ProcessTrace> = Vec::with_capacity(NODES);
-        for rank in 0..NODES {
+    /// Merge the exports of `ranks` from `dir` (then delete `dir`), and
+    /// check the merge against the Chrome-trace schema.
+    fn merge_ranks(dir: &Path, ranks: &[usize]) -> (Value, MergeReport, TraceSummary) {
+        let mut processes: Vec<ProcessTrace> = Vec::with_capacity(ranks.len());
+        for rank in ranks {
             let path = dir.join(format!("rank{rank}.json"));
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("rank {rank} wrote no trace at {path:?}: {e}"));
@@ -110,11 +129,19 @@ mod traced {
                     .unwrap_or_else(|e| panic!("rank {rank} trace malformed: {e}")),
             );
         }
-        let (merged, report) =
-            merge_cluster_trace(processes).expect("cluster traces must merge");
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let (merged, report) = merge_cluster_trace(processes).expect("cluster traces must merge");
+        let _ = std::fs::remove_dir_all(dir);
         let summary = validate_chrome_trace(&merged).expect("merged trace obeys the schema");
+        (merged, report, summary)
+    }
+
+    /// Sends and receives are traced from each rank's poller thread.
+    #[test]
+    fn four_process_tcp_event_traces_merge_into_one_causal_timeline() {
+        let dir = trace_dir("xproc_trace");
+        let all: Vec<usize> = (0..NODES).collect();
+        let retries = retry_once("traced cross-process cluster", || run_once(&all, &dir));
+        let (merged, report, summary) = merge_ranks(&dir, &all);
         assert_eq!(
             summary.flow_starts, summary.flow_ends,
             "every flow arrow must have both halves: {report:?}"
@@ -149,6 +176,35 @@ mod traced {
             count_events(&merged, |n| n == "msg.send") > 0
                 && count_events(&merged, |n| n == "msg.recv") > 0,
             "wire-level msg spans missing from the merge"
+        );
+    }
+
+    /// Ranks 0 and 2 trace and ranks 1 and 3 do not, in one cluster.
+    /// There is one frame layout, so the lossy workload stays
+    /// exactly-once (each rank checks its own count), no rank sees a
+    /// malformed frame, and the two traced ranks' exports merge.
+    #[test]
+    fn traced_and_untraced_ranks_share_one_cluster() {
+        let dir = trace_dir("xproc_mixed");
+        retry_once("mixed traced/untraced cluster", || run_once(&[0, 2], &dir));
+        for rank in [1, 3] {
+            assert!(
+                !dir.join(format!("rank{rank}.json")).exists(),
+                "untraced rank {rank} wrote a trace"
+            );
+        }
+        let (merged, report, summary) = merge_ranks(&dir, &[0, 2]);
+        assert_eq!(report.processes, 2, "{report:?}");
+        assert_eq!(summary.flow_starts, summary.flow_ends, "{report:?}");
+        // Rank 2's clock-sync PINGs to rank 0 are the traffic between
+        // the two traced ranks; the RSRs to untraced neighbours leave
+        // sends without a traced delivery.
+        assert!(report.cross_process_flows > 0, "{report:?}");
+        assert!(report.unmatched_sends > 0, "{report:?}");
+        assert!(report.min_wire_gap_ns >= 0, "{report:?}");
+        assert!(
+            count_events(&merged, |n| n == "rsr fn1001") > 0,
+            "traced ranks recorded no RSR service"
         );
     }
 }

@@ -178,7 +178,6 @@ mod tests {
             ctx: 0,
             kind: 0,
             len: 0,
-            #[cfg(feature = "trace")]
             trace: 0,
         };
         let q = HoldQueue::default();

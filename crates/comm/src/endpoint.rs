@@ -136,7 +136,6 @@ struct EndpointInner {
     arrival_seq: u64,
     /// Arrival timestamps (tracer clock) of parked unexpected messages,
     /// for the park-time histogram.
-    #[cfg(feature = "trace")]
     arrived_at_ns: HashMap<u64, u64>,
 }
 
@@ -275,7 +274,6 @@ pub struct Endpoint {
     waker: RwLock<Option<Waker>>,
     /// Trace lane + cached histogram handles; `None` when no tracer was
     /// installed at construction time.
-    #[cfg(feature = "trace")]
     obs: Option<crate::obs::EpObs>,
 }
 
@@ -290,7 +288,6 @@ impl Endpoint {
             stats: Arc::new(CommStats::default()),
             world,
             waker: RwLock::new(None),
-            #[cfg(feature = "trace")]
             obs: crate::obs::EpObs::register(addr),
         }
     }
@@ -339,12 +336,10 @@ impl Endpoint {
             ctx,
             kind,
             len: body.len() as u32,
-            #[cfg(feature = "trace")]
             trace: self.obs.as_ref().map_or(0, |o| o.next_trace_id()),
         };
         self.stats.sends.incr();
         self.stats.bytes_sent.add(body.len() as u64);
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.lane.emit(chant_obs::Event::Send { to: dst.pe, tag });
             if header.trace != 0 {
@@ -409,16 +404,13 @@ impl Endpoint {
             shared: Arc::clone(&shared),
             stats: Arc::clone(&self.stats),
             owner: None,
-            #[cfg(feature = "trace")]
             lane: self.obs.as_ref().map(|o| o.lane.clone()),
         };
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             shared.state.lock().posted_at_ns = o.lane.now_ns();
         }
         let mut inner = self.inner.lock();
         if let Some(seq) = inner.find_unexpected(&spec) {
-            #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 if let Some(at) = inner.arrived_at_ns.remove(&seq) {
                     o.unexpected_park_ns
@@ -485,7 +477,6 @@ impl Endpoint {
     pub(crate) fn deliver(&self, header: Header, body: Bytes) {
         debug_assert_eq!(header.dst, self.addr, "misrouted message");
         debug_assert_ne!(header.tag, ANY_TAG, "wildcard tag in a sent header");
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             if header.trace != 0 {
                 o.lane.emit(chant_obs::Event::MsgRecv {
@@ -499,7 +490,6 @@ impl Endpoint {
         if let Some((key, index)) = inner.find_posted(&header) {
             let posted = inner.take_posted(key, index);
             self.stats.posted_matches.incr();
-            #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 let now = o.lane.now_ns();
                 let posted_at = posted.shared.state.lock().posted_at_ns;
@@ -519,7 +509,6 @@ impl Endpoint {
             posted.shared.complete(header, body);
         } else {
             self.stats.unexpected_buffered.incr();
-            #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 let now = o.lane.now_ns();
                 let seq = inner.arrival_seq;

@@ -208,7 +208,6 @@ pub(crate) struct FaultInjector {
     held: Arc<HoldQueue>,
     /// Trace lane for annotated fault events carrying each victim's
     /// wire-level trace id; `None` when no tracer was installed.
-    #[cfg(feature = "trace")]
     lane: Option<chant_obs::LaneHandle>,
 }
 
@@ -221,7 +220,6 @@ impl FaultInjector {
             stats: FaultStats::default(),
             links: Mutex::new(HashMap::new()),
             held: HoldQueue::start("chant-comm-faults", world),
-            #[cfg(feature = "trace")]
             lane: chant_obs::tracer::register_lane("faults"),
         })
     }
@@ -298,18 +296,14 @@ impl FaultInjector {
     }
 
     /// Annotate the victim's wire-level trace id on the shim's lane.
-    #[cfg(feature = "trace")]
     fn emit(&self, kind: FaultKind, header: &Header) {
         if let Some(lane) = &self.lane {
             lane.emit(chant_obs::Event::Fault {
                 kind,
-                id: header.trace_id(),
+                id: header.trace,
             });
         }
     }
-
-    #[cfg(not(feature = "trace"))]
-    fn emit(&self, _kind: FaultKind, _header: &Header) {}
 }
 
 #[cfg(test)]

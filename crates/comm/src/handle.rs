@@ -27,7 +27,6 @@ pub(crate) struct RecvState {
     pub notify: Option<(Arc<CompletionInner>, u64)>,
     /// When the receive was posted (tracer clock, ns), for the
     /// posted-receive wait histogram.
-    #[cfg(feature = "trace")]
     pub posted_at_ns: u64,
 }
 
@@ -105,7 +104,6 @@ pub struct RecvHandle {
     pub(crate) owner: Option<Arc<crate::endpoint::RecvOwner>>,
     /// The owning endpoint's trace lane, so completion inquiries land on
     /// the endpoint's timeline track.
-    #[cfg(feature = "trace")]
     pub(crate) lane: Option<chant_obs::LaneHandle>,
 }
 
@@ -117,7 +115,6 @@ impl RecvHandle {
         if !done {
             self.stats.msgtest_failures.incr();
         }
-        #[cfg(feature = "trace")]
         if let Some(lane) = &self.lane {
             lane.emit(chant_obs::Event::Msgtest { ok: done });
         }
@@ -236,7 +233,6 @@ mod tests {
             shared: RecvShared::new(),
             stats: Arc::new(CommStats::default()),
             owner: None,
-            #[cfg(feature = "trace")]
             lane: None,
         }
     }
@@ -249,7 +245,6 @@ mod tests {
             ctx: 0,
             kind: kind::DATA,
             len,
-            #[cfg(feature = "trace")]
             trace: 0,
         }
     }
@@ -297,7 +292,6 @@ mod tests {
             shared: RecvShared::new(),
             stats: Arc::clone(&a.stats),
             owner: None,
-            #[cfg(feature = "trace")]
             lane: None,
         };
         assert_eq!(testany(&[&a, &b]), None);

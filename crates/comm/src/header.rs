@@ -77,27 +77,8 @@ pub struct Header {
     /// `chant_obs::trace_id`, allocated at `isend` and carried through
     /// every hop (frame codec included) so the per-process traces of a
     /// cluster can be causally stitched. `0` means untraced (no tracer
-    /// installed when the message was sent). Exists only under the
-    /// `trace` feature: the default build's header — and wire format —
-    /// is byte-identical to the untraced runtime.
-    #[cfg(feature = "trace")]
+    /// installed when the message was sent). Every frame carries it.
     pub trace: u64,
-}
-
-impl Header {
-    /// The wire-level trace id, `0` when untraced or compiled out.
-    /// Feature-independent accessor so shared code paths need no cfg.
-    #[inline]
-    pub fn trace_id(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.trace
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
-    }
 }
 
 /// How a receive spec constrains the header's context field.
@@ -224,7 +205,6 @@ mod tests {
             ctx,
             kind: k,
             len: 0,
-            #[cfg(feature = "trace")]
             trace: 0,
         }
     }

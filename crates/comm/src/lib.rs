@@ -50,7 +50,6 @@ mod fault;
 mod guard;
 mod handle;
 mod header;
-#[cfg(feature = "trace")]
 mod obs;
 mod profile;
 mod stats;

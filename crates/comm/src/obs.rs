@@ -1,4 +1,4 @@
-//! Endpoint instrumentation glue (the `trace` cargo feature).
+//! Endpoint instrumentation glue.
 //!
 //! Each endpoint registers one `chant-obs` lane (named `ep<pe>.<proc>`)
 //! at construction and caches the histogram handles its delivery paths

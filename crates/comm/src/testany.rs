@@ -26,7 +26,6 @@ pub fn testany(handles: &[&RecvHandle]) -> Option<usize> {
     let first = handles.first()?;
     first.stats.testany_calls.incr();
     let found = handles.iter().position(|h| h.is_complete());
-    #[cfg(feature = "trace")]
     if let Some(lane) = &first.lane {
         lane.emit(chant_obs::Event::Testany {
             ready: found.is_some(),
@@ -118,7 +117,6 @@ impl CompletionSet {
     pub fn testany(&mut self) -> Option<u64> {
         let member = self.members.values().next()?;
         member.stats.testany_calls.incr();
-        #[cfg(feature = "trace")]
         let lane = member.lane.clone();
         let mut found = None;
         let mut ready = self.inner.ready.lock();
@@ -131,7 +129,6 @@ impl CompletionSet {
             }
         }
         drop(ready);
-        #[cfg(feature = "trace")]
         if let Some(lane) = lane {
             lane.emit(chant_obs::Event::Testany {
                 ready: found.is_some(),
@@ -162,14 +159,12 @@ mod tests {
             shared: RecvShared::new(),
             stats: Arc::clone(&stats),
             owner: None,
-            #[cfg(feature = "trace")]
             lane: None,
         };
         let b = RecvHandle {
             shared: RecvShared::new(),
             stats,
             owner: None,
-            #[cfg(feature = "trace")]
             lane: None,
         };
         (a, b)
@@ -183,7 +178,6 @@ mod tests {
             ctx: 0,
             kind: kind::DATA,
             len: 0,
-            #[cfg(feature = "trace")]
             trace: 0,
         }
     }

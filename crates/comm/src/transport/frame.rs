@@ -13,24 +13,20 @@
 //!
 //! ```text
 //! u32  frame length  (bytes after this field: FRAME_HEADER_LEN + body)
-//! [u8;4] magic "CHT1" (format + version in one)
+//! [u8;4] magic "CHT2" (format + version in one)
 //! u8   kind
 //! i32  tag           (>= 0; wildcards are receive-side only)
 //! u64  ctx
 //! u32  src.pe   u32 src.process
 //! u32  dst.pe   u32 dst.process
 //! u32  body length   (must equal frame length - FRAME_HEADER_LEN)
-//! u64  trace id      (only in `trace`-feature builds, magic "CHTt")
+//! u64  trace id      (0 when the sender was not tracing)
 //! [..] body
 //! ```
 //!
-//! Under the `trace` cargo feature the header gains a trailing 8-byte
-//! wire-level trace id and the magic changes to `CHTt`, so a traced
-//! build never silently misparses an untraced peer's stream (mixing
-//! builds in one cluster fails fast as `BadMagic`). The default build
-//! compiles the extra field out entirely — its frames are
-//! byte-identical to the pre-tracing wire format, which the golden
-//! layout test below pins.
+//! There is one layout, whether or not either end traces: an untraced
+//! sender writes a zero trace id, so traced and untraced ranks share a
+//! cluster. The golden layout test below pins it.
 //!
 //! Decoding is total: malformed input yields a [`FrameError`], never a
 //! panic — the same rule PR 3 imposed on malformed RSR envelopes. A
@@ -42,18 +38,9 @@ use bytes::Bytes;
 use crate::header::{Address, Header};
 
 /// Magic + version tag opening every frame.
-#[cfg(not(feature = "trace"))]
-pub const FRAME_MAGIC: [u8; 4] = *b"CHT1";
-/// Magic + version tag opening every frame (traced wire format).
-#[cfg(feature = "trace")]
-pub const FRAME_MAGIC: [u8; 4] = *b"CHTt";
+pub const FRAME_MAGIC: [u8; 4] = *b"CHT2";
 
 /// Fixed bytes between the length prefix and the body.
-#[cfg(not(feature = "trace"))]
-pub const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 8 + 16 + 4;
-/// Fixed bytes between the length prefix and the body (traced wire
-/// format: +8 for the trace id).
-#[cfg(feature = "trace")]
 pub const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 8 + 16 + 4 + 8;
 
 /// Hard ceiling on one frame's post-prefix length; anything larger is
@@ -129,7 +116,6 @@ pub fn encode_frame_into(header: &Header, body: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&header.dst.pe.to_le_bytes());
     out.extend_from_slice(&header.dst.process.to_le_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    #[cfg(feature = "trace")]
     out.extend_from_slice(&header.trace.to_le_bytes());
     out.extend_from_slice(body);
 }
@@ -166,7 +152,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<(Header, Bytes), FrameError> {
     let src = Address::new(read_u32(payload, 17), read_u32(payload, 21));
     let dst = Address::new(read_u32(payload, 25), read_u32(payload, 29));
     let len = read_u32(payload, 33);
-    #[cfg(feature = "trace")]
     let trace = u64::from_le_bytes(payload[37..45].try_into().expect("8 bytes"));
     let body = &payload[FRAME_HEADER_LEN..];
     if len as usize != body.len() {
@@ -183,7 +168,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<(Header, Bytes), FrameError> {
             ctx,
             kind,
             len,
-            #[cfg(feature = "trace")]
             trace,
         },
         Bytes::from(body.to_vec()),
@@ -203,7 +187,6 @@ mod tests {
             ctx,
             kind,
             len,
-            #[cfg(feature = "trace")]
             trace: ctx.wrapping_add(0x77),
         }
     }
@@ -264,13 +247,13 @@ mod tests {
         ));
     }
 
-    /// Pins the default-build wire format to the exact pre-tracing byte
-    /// layout: length prefix, "CHT1", kind, tag, ctx, src, dst, body
-    /// length, body — nothing else. A traced build must change the
-    /// magic, never this layout.
-    #[cfg(not(feature = "trace"))]
+    /// Pins the one wire format byte for byte: length prefix, "CHT2",
+    /// kind, tag, ctx, src, dst, body length, trace id, body. The trace
+    /// id sits after the body-length field, at offset 41 of the frame
+    /// (37 of the payload), and is written whether or not it is 0.
     #[test]
-    fn golden_untraced_layout_is_pinned() {
+    fn golden_layout_is_pinned() {
+        assert_eq!(FRAME_HEADER_LEN, 45);
         let h = Header {
             src: Address::new(0x0102_0304, 0x0506_0708),
             dst: Address::new(0x090A_0B0C, 0x0D0E_0F10),
@@ -278,11 +261,12 @@ mod tests {
             ctx: 0xA1B2_C3D4_E5F6_0718,
             kind: 2,
             len: 3,
+            trace: 0x0001_0000_0000_002A, // pe 1, seq 42
         };
         let frame = encode_frame(&h, b"abc");
         let mut expect = Vec::new();
-        expect.extend_from_slice(&(37u32 + 3).to_le_bytes());
-        expect.extend_from_slice(b"CHT1");
+        expect.extend_from_slice(&(45u32 + 3).to_le_bytes());
+        expect.extend_from_slice(b"CHT2");
         expect.push(2);
         expect.extend_from_slice(&0x1122_3344i32.to_le_bytes());
         expect.extend_from_slice(&0xA1B2_C3D4_E5F6_0718u64.to_le_bytes());
@@ -291,45 +275,14 @@ mod tests {
         expect.extend_from_slice(&0x090A_0B0Cu32.to_le_bytes());
         expect.extend_from_slice(&0x0D0E_0F10u32.to_le_bytes());
         expect.extend_from_slice(&3u32.to_le_bytes());
+        expect.extend_from_slice(&0x0001_0000_0000_002Au64.to_le_bytes());
         expect.extend_from_slice(b"abc");
         assert_eq!(frame, expect);
-    }
-
-    /// The traced wire format is exactly the untraced one plus a
-    /// trailing 8-byte trace id after the body-length field, under a
-    /// distinct magic so mixed clusters fail fast instead of
-    /// misparsing each other.
-    #[cfg(feature = "trace")]
-    #[test]
-    fn traced_layout_extends_untraced_by_trace_id() {
-        assert_eq!(FRAME_MAGIC, *b"CHTt");
-        assert_eq!(FRAME_HEADER_LEN, 37 + 8);
-        let h = Header {
-            src: Address::new(1, 2),
-            dst: Address::new(3, 4),
-            tag: 5,
-            ctx: 6,
-            kind: 0,
-            len: 3,
-            trace: 0x0001_0000_0000_002A, // pe 1, seq 42
-        };
-        let frame = encode_frame(&h, b"abc");
-        assert_eq!(frame.len(), 4 + FRAME_HEADER_LEN + 3);
-        // Trace id sits after the body-length field, before the body.
         assert_eq!(
             u64::from_le_bytes(frame[41..49].try_into().unwrap()),
             h.trace
         );
-        let (h2, _) = decode_frame(&frame[4..]).unwrap();
-        assert_eq!(h2.trace, h.trace);
-        assert_eq!(h2.trace_id(), h.trace);
-        // An untraced ("CHT1") frame is rejected up front.
-        let mut untraced = frame.clone();
-        untraced[4..8].copy_from_slice(b"CHT1");
-        assert!(matches!(
-            decode_frame(&untraced[4..]),
-            Err(FrameError::BadMagic(_))
-        ));
+        assert_eq!(decode_frame(&frame[4..]).unwrap().0, h);
     }
 
     fn arb_frame() -> impl Strategy<Value = (Header, Vec<u8>)> {
@@ -343,7 +296,6 @@ mod tests {
                     ctx,
                     kind,
                     len: body.len() as u32,
-                    #[cfg(feature = "trace")]
                     trace: ctx.rotate_left(7) ^ dst,
                 };
                 (h, body)

@@ -767,7 +767,6 @@ mod tests {
             ctx: 0,
             kind: 0,
             len,
-            #[cfg(feature = "trace")]
             trace: 0,
         }
     }

@@ -186,7 +186,7 @@ impl ClusterBuilder {
     /// `chant_telemetry.ndjson`).
     /// Also switched on, without code changes, by setting
     /// `CHANT_TELEMETRY_MS=<millis>` in the environment. Zero cost when
-    /// off; independent of the `trace` feature.
+    /// off; independent of whether a tracer is installed.
     pub fn telemetry(mut self, interval: Duration) -> ClusterBuilder {
         assert!(!interval.is_zero(), "telemetry interval must be positive");
         self.telemetry = Some(interval);
@@ -324,7 +324,6 @@ impl ClusterBuilder {
         // built, so long-running traced processes hold the most recent
         // window instead of a full capture. A tracer the application
         // already installed wins (install_with refuses a second).
-        #[cfg(feature = "trace")]
         if let Some(cap) = std::env::var("CHANT_FLIGHT_RECORDER")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -527,7 +526,6 @@ impl ChantCluster {
         if !panicked.is_empty() {
             // A crashing run is exactly what the flight recorder is
             // for: persist the recent window before propagating.
-            #[cfg(feature = "trace")]
             let _ = crate::flight::dump("panic");
             panic!("cluster node driver(s) panicked: ranks {panicked:?}");
         }
@@ -540,7 +538,6 @@ impl ChantCluster {
             for (tid, rec) in exits.iter() {
                 if let crate::node::ExitOutcome::Panicked(msg) = &rec.outcome {
                     if !rec.claimed {
-                        #[cfg(feature = "trace")]
                         let _ = crate::flight::dump("panic");
                         panic!(
                             "thread {tid} on node {} panicked: {msg}",
@@ -574,7 +571,6 @@ impl ChantCluster {
         // and histograms side by side. Each run() adds its own totals
         // (nodes are fresh per cluster), so multi-cluster processes
         // accumulate rather than double-count.
-        #[cfg(feature = "trace")]
         if chant_obs::tracer::active() {
             let reg = chant_obs::registry();
             for &(name, value) in &report.counters {

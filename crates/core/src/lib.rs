@@ -56,7 +56,6 @@ pub mod api;
 mod cluster;
 mod collective;
 mod error;
-#[cfg(feature = "trace")]
 pub mod flight;
 mod id;
 mod naming;

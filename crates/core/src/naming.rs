@@ -179,7 +179,6 @@ mod tests {
             ctx: w.ctx,
             kind: kind::DATA,
             len: 0,
-            #[cfg(feature = "trace")]
             trace: 0,
         }
     }

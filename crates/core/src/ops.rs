@@ -155,7 +155,6 @@ impl ChantNode {
     /// RTT). Returns `None` when no tracer is installed on either side
     /// or every probe failed. The estimate's sign convention matches
     /// [`chant_obs::ClockEstimate`]: *this* clock minus the server's.
-    #[cfg(feature = "trace")]
     pub fn clock_sync(
         &self,
         dst: Address,
@@ -301,16 +300,14 @@ pub(crate) fn dispatch(
     }
 }
 
-/// Magic prefix marking a PING payload as a clock probe (trace builds):
+/// Magic prefix marking a PING payload as a clock probe:
 /// `magic ‖ t_send:u64`. The reply appends the server's tracer clock,
 /// `magic ‖ t_send ‖ t_server:u64`, turning the existing liveness probe
 /// into the timestamp exchange [`ChantNode::clock_sync`] feeds into
 /// [`chant_obs::clock::estimate_offset`]. Ordinary PINGs (any other
 /// payload) echo unchanged, as ever.
-#[cfg(feature = "trace")]
 pub(crate) const CLOCK_PROBE_MAGIC: &[u8; 8] = b"CHANTCLK";
 
-#[cfg(feature = "trace")]
 fn handle_ping(env: &RsrEnvelope) -> Bytes {
     if env.args.len() == 16 && env.args[..8] == *CLOCK_PROBE_MAGIC {
         let t_server = chant_obs::tracer::global_now_ns().unwrap_or(0);
@@ -319,11 +316,6 @@ fn handle_ping(env: &RsrEnvelope) -> Bytes {
         out.extend_from_slice(&t_server.to_le_bytes());
         return Bytes::from(out);
     }
-    env.args.clone()
-}
-
-#[cfg(not(feature = "trace"))]
-fn handle_ping(env: &RsrEnvelope) -> Bytes {
     env.args.clone()
 }
 

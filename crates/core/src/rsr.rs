@@ -267,7 +267,6 @@ pub struct RsrCallHandle {
     body: Bytes,
     seq: u64,
     /// Requested function id (trace annotation on retries).
-    #[cfg(feature = "trace")]
     fn_id: u32,
     state: Mutex<CallState>,
 }
@@ -343,7 +342,6 @@ impl ChantNode {
         )?;
         let body = encode_rsr(fn_id, token, me, seq, args);
         let reply = self.endpoint().irecv(spec);
-        #[cfg(feature = "trace")]
         if let Some(lane) = self.vp().obs_lane() {
             lane.emit(chant_obs::Event::RsrCall { fn_id, seq });
         }
@@ -353,7 +351,6 @@ impl ChantNode {
             spec,
             body,
             seq,
-            #[cfg(feature = "trace")]
             fn_id,
             state: Mutex::new(CallState {
                 reply,
@@ -478,7 +475,6 @@ impl ChantNode {
         for attempt in 0..policy.max_attempts.max(1) {
             if attempt > 0 {
                 self.rsr.stats.retries.incr();
-                #[cfg(feature = "trace")]
                 if let Some(lane) = self.vp().obs_lane() {
                     lane.emit(chant_obs::Event::RsrRetry {
                         fn_id: call.fn_id,
@@ -509,12 +505,10 @@ impl ChantNode {
         }
         self.rsr.stats.timeouts.incr();
         if self.probe_liveness(call.dst, policy.liveness_ping) {
-            #[cfg(feature = "trace")]
             let _ = crate::flight::dump("retry-exhausted");
             Err(ChantError::Timeout)
         } else {
             self.rsr.stats.unreachable.incr();
-            #[cfg(feature = "trace")]
             let _ = crate::flight::dump("node-unreachable");
             Err(ChantError::NodeUnreachable(ChanterId::new(
                 call.dst.pe,
@@ -594,7 +588,6 @@ impl ChantNode {
     pub(crate) fn server_loop(self: &Arc<Self>) {
         // Service-time histogram: request in hand → reply sent (or
         // handler returned). Fetched once per server thread.
-        #[cfg(feature = "trace")]
         let rsr_service_ns = self
             .vp()
             .obs_lane()
@@ -631,7 +624,6 @@ impl ChantNode {
                     }
                     // The serve→done pair becomes a slice on the server
                     // VP's timeline track.
-                    #[cfg(feature = "trace")]
                     let serve_start = self.vp().obs_lane().map(|lane| {
                         let now = lane.now_ns();
                         lane.emit_at(now, chant_obs::Event::RsrServe { fn_id: env.fn_id });
@@ -655,7 +647,6 @@ impl ChantNode {
                                 .dedup_complete(env.from.address(), env.seq, Bytes::new());
                         }
                     }
-                    #[cfg(feature = "trace")]
                     if let (Some(lane), Some(start)) = (self.vp().obs_lane(), serve_start) {
                         let now = lane.now_ns();
                         if let Some(h) = &rsr_service_ns {

@@ -1,8 +1,8 @@
 //! Live telemetry: periodic NDJSON snapshots of every counter family.
 //!
-//! Tracing (the `trace` feature) answers "what happened", after the
-//! fact, at event granularity. This module answers "what is happening
-//! *now*", cheaply, in production builds: an [`Emitter`] thread wakes
+//! Tracing (an installed `chant_obs` tracer) answers "what happened",
+//! after the fact, at event granularity. This module answers "what is
+//! happening *now*", cheaply, untraced: an [`Emitter`] thread wakes
 //! every `CHANT_TELEMETRY_MS` milliseconds, reads every always-on
 //! counter family present (`collect`), turns the cluster-wide totals
 //! into *deltas since the previous tick*, and writes one flat JSON

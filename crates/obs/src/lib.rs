@@ -22,8 +22,9 @@
 //!   trace ids.
 //!
 //! The runtime crates always link this crate for their counter
-//! families; event emission and every histogram stay behind their
-//! `trace` cargo feature and are compiled out entirely when it is off.
+//! families and their instrumentation. Event emission and every
+//! histogram happen only in components built after a tracer was
+//! installed ([`tracer::install`]); the rest hold `None`.
 
 #![warn(missing_docs)]
 

@@ -11,9 +11,8 @@
 //! The tracer is installed explicitly ([`install`]) *before* the
 //! runtime under observation is constructed; components built while no
 //! tracer is installed get `None` from [`register_lane`] and skip
-//! emission with a single branch. With the `trace` cargo feature off in
-//! the instrumented crates, even that branch does not exist — the
-//! instrumentation is compiled out entirely.
+//! emission with a single branch. That branch is the only switch:
+//! every build of the runtime carries the instrumentation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -624,10 +624,9 @@ impl Drop for Subscriber {
 }
 
 // ----------------------------------------------------------------------
-// Trace instrumentation (compiled out without the `trace` feature)
+// Trace instrumentation (silent unless a tracer was installed first)
 // ----------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
 fn obs<'a>(node: &ChantNode, st: &'a PubsubState) -> Option<&'a crate::state::PubsubObs> {
     st.obs
         .get_or_init(|| {
@@ -640,19 +639,14 @@ fn obs<'a>(node: &ChantNode, st: &'a PubsubState) -> Option<&'a crate::state::Pu
         .as_ref()
 }
 
-#[cfg(feature = "trace")]
 fn trace_publish(node: &ChantNode, st: &PubsubState, topic: u64, seq: u64) {
     if let Some(o) = obs(node, st) {
         o.lane.emit(chant_obs::Event::PubsubPublish { topic, seq });
     }
 }
 
-#[cfg(not(feature = "trace"))]
-fn trace_publish(_node: &ChantNode, _st: &PubsubState, _topic: u64, _seq: u64) {}
-
 /// One latency sample and one `PubsubDeliver` event per subscriber the
 /// frame was delivered to.
-#[cfg(feature = "trace")]
 fn trace_deliver(node: &ChantNode, st: &PubsubState, f: &DataFrame, subscribers: usize) {
     if let Some(o) = obs(node, st) {
         let latency_ns = unix_ns().saturating_sub(f.sent_ns);
@@ -665,9 +659,6 @@ fn trace_deliver(node: &ChantNode, st: &PubsubState, f: &DataFrame, subscribers:
         }
     }
 }
-
-#[cfg(not(feature = "trace"))]
-fn trace_deliver(_node: &ChantNode, _st: &PubsubState, _f: &DataFrame, _subscribers: usize) {}
 
 #[cfg(test)]
 mod tests {

@@ -222,12 +222,10 @@ pub(crate) struct PubsubState {
     pub inner: Mutex<Inner>,
     /// This node's trace handles, resolved on first use; `None` once
     /// resolved means no tracer was installed.
-    #[cfg(feature = "trace")]
     pub obs: OnceLock<Option<PubsubObs>>,
 }
 
 /// Per-node trace handles, looked up once.
-#[cfg(feature = "trace")]
 pub(crate) struct PubsubObs {
     /// The node's trace lane (`pubsub{pe}.{process}`).
     pub lane: chant_obs::LaneHandle,

@@ -76,10 +76,8 @@ pub struct RmaHandle {
     pub(crate) kind: OpKind,
     pub(crate) inner: Inner,
     /// Issue time, for the `core.rma.*_ns` latency histograms.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     pub(crate) started: Instant,
     /// Where completion latency is recorded; `None` when untraced.
-    #[cfg(feature = "trace")]
     pub(crate) latency_ns: Option<std::sync::Arc<chant_obs::Histogram>>,
 }
 
@@ -95,15 +93,11 @@ impl RmaHandle {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn record_latency(&self) {
         if let Some(h) = &self.latency_ns {
             h.record(self.started.elapsed().as_nanos() as u64);
         }
     }
-
-    #[cfg(not(feature = "trace"))]
-    fn record_latency(&self) {}
 
     /// Absorb a terminal outcome from the underlying call, caching the
     /// decoded result. Caller guarantees `node.rsr_take` is `Some`.

@@ -168,7 +168,6 @@ where
     L: FnOnce(&RmaState) -> Result<RmaResult, ChantError>,
 {
     node.check_dst(ChanterId::new(dst.pe, dst.process, 0))?;
-    #[cfg(feature = "trace")]
     let latency_ns = rma_state(node).obs(kind).map(|(issued, latency_ns)| {
         issued.incr();
         Arc::clone(latency_ns)
@@ -186,7 +185,6 @@ where
         kind,
         inner,
         started,
-        #[cfg(feature = "trace")]
         latency_ns,
     })
 }

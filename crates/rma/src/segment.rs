@@ -133,16 +133,13 @@ pub(crate) struct RmaState {
     /// Per op kind, the `core.rma.<op>` counter and `core.rma.<op>_ns`
     /// latency histogram, looked up once per node; `None` once resolved
     /// means no tracer was installed.
-    #[cfg(feature = "trace")]
     obs: std::sync::OnceLock<Option<[OpObs; 4]>>,
 }
 
 /// One op kind's issue counter and completion-latency histogram.
-#[cfg(feature = "trace")]
 pub(crate) type OpObs = (Arc<chant_obs::Counter>, Arc<chant_obs::Histogram>);
 
 impl RmaState {
-    #[cfg(feature = "trace")]
     pub(crate) fn obs(&self, kind: crate::handle::OpKind) -> Option<&OpObs> {
         self.obs
             .get_or_init(|| {

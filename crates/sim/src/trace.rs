@@ -134,7 +134,6 @@ impl Trace {
 /// casts (`usize` thread → `u32`, `u32` tag → `i32`) cannot lose
 /// information for any trace the simulator can produce (thread counts
 /// and tags are small by construction).
-#[cfg(feature = "trace")]
 impl From<TraceKind> for chant_obs::Event {
     fn from(kind: TraceKind) -> chant_obs::Event {
         use chant_obs::Event;
@@ -169,7 +168,6 @@ impl From<TraceKind> for chant_obs::Event {
     }
 }
 
-#[cfg(feature = "trace")]
 impl From<TraceEvent> for chant_obs::TimedEvent {
     fn from(e: TraceEvent) -> chant_obs::TimedEvent {
         chant_obs::TimedEvent {
@@ -179,7 +177,6 @@ impl From<TraceEvent> for chant_obs::TimedEvent {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Trace {
     /// Convert this simulator trace into per-VP observability lanes
     /// (virtual-time timestamps), ready for the Perfetto exporter.
@@ -248,7 +245,6 @@ mod tests {
         assert_eq!(t.count(|e| matches!(e.kind, TraceKind::Idle)), 4);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn bridge_maps_every_variant_and_groups_by_vp() {
         use chant_obs::Event;

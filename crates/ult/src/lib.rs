@@ -86,7 +86,6 @@ mod ctx;
 mod current;
 mod error;
 mod hooks;
-#[cfg(feature = "trace")]
 mod obs;
 mod park;
 mod stats;

@@ -1,11 +1,10 @@
-//! Scheduler instrumentation glue (the `trace` cargo feature).
+//! Scheduler instrumentation glue.
 //!
 //! Each VP registers one `chant-obs` lane (named after the VP) at
 //! construction and caches the handles it needs on hot paths: the lane
 //! for event emission and two registry histograms for latency
-//! attribution. When no tracer is installed — or the feature is off,
-//! in which case this module does not exist — the VP carries `None`
-//! and every emission site is one branch (feature off: zero).
+//! attribution. When no tracer is installed the VP carries `None` and
+//! every emission site is one branch.
 
 use std::sync::Arc;
 

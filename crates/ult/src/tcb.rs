@@ -90,7 +90,6 @@ pub(crate) struct Tcb {
     pub tls: Mutex<HashMap<u64, Box<dyn Any + Send>>>,
     /// When this thread last entered Blocked (tracer clock, ns), for the
     /// blocked-time histogram.
-    #[cfg(feature = "trace")]
     pub blocked_at_ns: std::sync::atomic::AtomicU64,
 }
 
@@ -114,7 +113,6 @@ impl Tcb {
             wake_token: Mutex::new(false),
             home,
             ext_cv: Condvar::new(),
-            #[cfg(feature = "trace")]
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),
         })
     }

@@ -220,7 +220,6 @@ pub struct Vp {
     stats: VpStats,
     /// Trace lane + cached histogram handles; `None` when no tracer was
     /// installed at construction time.
-    #[cfg(feature = "trace")]
     obs: Option<crate::obs::VpObs>,
 }
 
@@ -256,7 +255,6 @@ impl Vp {
 
     fn with_kind(cfg: VpConfig, kind: Kind) -> Arc<Vp> {
         install_cancel_hook();
-        #[cfg(feature = "trace")]
         let obs = crate::obs::VpObs::register(&cfg.name);
         let n = cfg.n_vps.max(1);
         let workers: Box<[Worker]> = (0..n)
@@ -286,7 +284,6 @@ impl Vp {
             kind,
             deadlock_reported: AtomicBool::new(false),
             stats: VpStats::default(),
-            #[cfg(feature = "trace")]
             obs,
         })
     }
@@ -294,7 +291,6 @@ impl Vp {
     /// The VP's trace lane, when a tracer was active at construction.
     /// Layers above (e.g. the RSR server) emit their own events here so
     /// they land on the VP's timeline track.
-    #[cfg(feature = "trace")]
     pub fn obs_lane(&self) -> Option<&chant_obs::LaneHandle> {
         self.obs.as_ref().map(|o| &o.lane)
     }
@@ -404,7 +400,6 @@ impl Vp {
         drop(life);
         self.push_home(tcb);
         self.stats.unblocks.incr();
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             let now = o.lane.now_ns();
             o.blocked_ns
@@ -595,7 +590,6 @@ impl Vp {
         let me = self.current_tcb();
         self.testcancel_tcb(&me);
         self.stats.yields.incr();
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Yield { thread: me.id });
         }
@@ -649,14 +643,12 @@ impl Vp {
             }
             // Stamp before publishing Blocked so an unblocker racing in
             // right after the lock drops reads a fresh timestamp.
-            #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 me.blocked_at_ns.store(o.lane.now_ns(), Ordering::Relaxed);
             }
             life.phase = Phase::Blocked;
         }
         self.stats.blocks.incr();
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Block { thread: me.id });
         }
@@ -898,7 +890,6 @@ impl Vp {
             // wake to see it and return.
             self.wake();
         }
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::ThreadDone { thread: me.id });
         }
@@ -959,11 +950,9 @@ impl Vp {
         dep: Departure,
     ) -> Option<Context> {
         let parker = &self.workers[worker].parker;
-        #[cfg(feature = "trace")]
         let mut idle_traced = false;
         loop {
             self.stats.schedule_points.incr();
-            #[cfg(feature = "trace")]
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
             // From here on, whatever a waker publishes is either seen by
             // this round's scan or leaves a token that voids the park.
@@ -1001,7 +990,6 @@ impl Vp {
                 match self.dispatch_decision(&hooks, wants_check, &tcb) {
                     DispatchDecision::Requeue => {
                         self.stats.partial_switches.incr();
-                        #[cfg(feature = "trace")]
                         if let Some(o) = &self.obs {
                             o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
                         }
@@ -1028,7 +1016,6 @@ impl Vp {
             if dispatched {
                 // Attribute the search cost only for rounds that found a
                 // thread; sleeping is accounted by `idle_spins`.
-                #[cfg(feature = "trace")]
                 if let Some(o) = &self.obs {
                     if let Some(start) = sched_start_ns {
                         o.sched_point_ns
@@ -1062,7 +1049,6 @@ impl Vp {
             let unattended = hooks.is_empty() && until_timer.is_none();
             self.stats.idle_spins.incr();
             // One Idle event per idle *period*, not per park.
-            #[cfg(feature = "trace")]
             if !std::mem::replace(&mut idle_traced, true) {
                 if let Some(o) = &self.obs {
                     o.emit(chant_obs::Event::Idle);
@@ -1153,7 +1139,6 @@ impl Vp {
             // "The scheduler simply returns without having to perform a
             // context switch" (paper §4.1).
             self.stats.self_redispatches.incr();
-            #[cfg(feature = "trace")]
             if let Some(o) = &self.obs {
                 o.emit(chant_obs::Event::Dispatch {
                     thread: next.id,
@@ -1166,7 +1151,6 @@ impl Vp {
         self.stats.full_switches.incr();
         // Emit before switching: the incoming thread's events must follow
         // its Dispatch in the lane.
-        #[cfg(feature = "trace")]
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Dispatch {
                 thread: next.id,

@@ -9,14 +9,14 @@
 //!
 //! Run with: `cargo run --example polling_policies`
 //!
-//! With `--features trace` the whole run is captured by the chant-obs
-//! tracer: every dispatch, block, unblock, send, arrival, and msgtest
-//! on every VP, across all four policies, is exported as one
-//! Chrome-trace-event JSON (`bench_results/polling_policies_trace.json`,
-//! load it at <https://ui.perfetto.dev>), and the metrics registry's
-//! counters and latency histograms are printed at the end:
+//! With `CHANT_TRACE_OUT=<file>` set, the whole run is captured by the
+//! chant-obs tracer: every dispatch, block, unblock, send, arrival, and
+//! msgtest on every VP, across all four policies, is exported to that
+//! file as one Chrome-trace-event JSON (load it at
+//! <https://ui.perfetto.dev>), and the metrics registry's counters and
+//! latency histograms are printed at the end:
 //!
-//! `cargo run --release --features trace --example polling_policies`
+//! `CHANT_TRACE_OUT=bench_results/polling_policies_trace.json cargo run --release --example polling_policies`
 
 use chant::chant::{ChantCluster, ChanterId, PollingPolicy};
 use chant_ult::SpawnAttr;
@@ -79,17 +79,19 @@ fn main() {
     );
     // The tracer must be installed before any cluster is built: VPs and
     // endpoints register their lanes at construction time.
-    #[cfg(feature = "trace")]
-    let tracing = chant_obs::tracer::install();
-    #[cfg(feature = "trace")]
+    let trace_out = std::env::var("CHANT_TRACE_OUT")
+        .ok()
+        .filter(|p| !p.is_empty());
+    if trace_out.is_some() {
+        chant_obs::tracer::install();
+    }
     let mut all_lanes: Vec<chant_obs::LaneTrace> = Vec::new();
     for policy in PollingPolicy::ALL {
         run_policy(policy);
         // Each policy builds a fresh cluster, so lane names repeat
         // across runs; drain between policies and prefix the policy
         // label so every Perfetto track is unambiguous.
-        #[cfg(feature = "trace")]
-        if tracing {
+        if trace_out.is_some() {
             let mut lanes = chant_obs::tracer::drain();
             for lane in &mut lanes {
                 lane.name = format!("{}/{}", policy.label(), lane.name);
@@ -97,13 +99,10 @@ fn main() {
             all_lanes.extend(lanes);
         }
     }
-    #[cfg(feature = "trace")]
-    if tracing {
+    if let Some(path) = trace_out {
         let events: usize = all_lanes.iter().map(|l| l.events.len()).sum();
         let json = chant_obs::perfetto::to_json_string(&all_lanes);
-        std::fs::create_dir_all("bench_results").expect("create bench_results/");
-        let path = "bench_results/polling_policies_trace.json";
-        std::fs::write(path, json).expect("write trace");
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!(
             "\ntraced {events} events across {} lanes -> {path} (load in https://ui.perfetto.dev)",
             all_lanes.len()

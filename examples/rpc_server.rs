@@ -19,10 +19,10 @@
 //! override the drop probability and the shim seed. The run ends with
 //! the shim's tally and the retry counters from the cluster report.
 //!
-//! With `--features trace` the run is captured by the chant-obs tracer
-//! and the server threads' RSR serve/done events are summarized at the
-//! end (request count per function id, service-time histogram), with
-//! the full timeline exported to `bench_results/rpc_server_trace.json`.
+//! With `CHANT_TRACE_OUT=<file>` set, the run is captured by the
+//! chant-obs tracer and the server threads' RSR serve/done events are
+//! summarized at the end (request count per function id, service-time
+//! histogram), with the full timeline exported to that file.
 
 use bytes::Bytes;
 use chant::chant::{
@@ -42,8 +42,12 @@ fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
 
 fn main() {
     // Install before the cluster exists: lanes register at construction.
-    #[cfg(feature = "trace")]
-    let tracing = chant_obs::tracer::install();
+    let trace_out = std::env::var("CHANT_TRACE_OUT")
+        .ok()
+        .filter(|p| !p.is_empty());
+    if trace_out.is_some() {
+        chant_obs::tracer::install();
+    }
     let faulty = std::env::var("CHANT_FAULTS").is_ok_and(|v| v != "0");
     let mut builder = ChantCluster::builder()
         .pes(2)
@@ -131,8 +135,7 @@ fn main() {
         );
     }
 
-    #[cfg(feature = "trace")]
-    if tracing {
+    if let Some(path) = trace_out {
         use chant_obs::Event;
         use std::collections::BTreeMap;
 
@@ -167,9 +170,7 @@ fn main() {
             );
         }
         let json = chant_obs::perfetto::to_json_string(&lanes);
-        std::fs::create_dir_all("bench_results").expect("create bench_results/");
-        let path = "bench_results/rpc_server_trace.json";
-        std::fs::write(path, json).expect("write trace");
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("  timeline -> {path} (load in https://ui.perfetto.dev)");
     }
 }

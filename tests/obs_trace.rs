@@ -6,8 +6,6 @@
 //! The tracer and the metrics registry are process-global, so all the
 //! assertions live in one `#[test]` with one installed tracer.
 
-#![cfg(feature = "trace")]
-
 use chant::chant::{ChantCluster, ChanterId, PollingPolicy};
 use chant_comm::Address;
 use chant_ult::SpawnAttr;
@@ -21,8 +19,11 @@ fn live_trace_balances_and_matches_metrics() {
         "tracer must install before any cluster exists"
     );
 
+    // One lane per VP whatever `CHANT_VPS` says: a VP has one trace
+    // lane, and dispatch/departure balance holds per OS lane.
     let cluster = ChantCluster::builder()
         .pes(2)
+        .vps(1)
         .policy(PollingPolicy::SchedulerPollsPs)
         .rsr_handler(FN_ECHO, |_node, req| Ok(req.args))
         .build();

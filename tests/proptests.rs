@@ -266,7 +266,6 @@ proptest! {
                         ctx,
                         kind,
                         len: 1,
-                        #[cfg(feature = "trace")]
                         trace: 0,
                     };
                     srcs[usize::from(src)].isend(

@@ -2,7 +2,7 @@
 //! enabled must produce a parseable NDJSON stream whose per-tick deltas
 //! add up to the run's actual totals.
 //!
-//! This is the production-build path — no `trace` feature involved: the
+//! This is the production path — no tracer installed: the
 //! emitter writes every always-on counter family present (scheduler,
 //! comm, RSR, installed extensions, transport, faults) as flat JSON
 //! lines that `chant-top` renders.
