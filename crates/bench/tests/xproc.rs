@@ -8,7 +8,8 @@
 //! 1000-op exactly-once workload (4 × 250 counted RSRs through a 1%
 //! drop + 1% dup shim), joins the termination barrier cleanly, and
 //! exits having leaked zero file descriptors (sockets, epoll, eventfd).
-//! Each process runs one poller thread for all its connections. The
+//! Each process's connections are read by its scheduler lane, with no
+//! transport thread. The
 //! traced runs repeat the workload with every rank, or only ranks 0 and
 //! 2, exporting a trace.
 
@@ -135,7 +136,8 @@ mod traced {
         (merged, report, summary)
     }
 
-    /// Sends and receives are traced from each rank's poller thread.
+    /// Sends and receives are traced from each rank's lane, which
+    /// reads its own sockets.
     #[test]
     fn four_process_tcp_event_traces_merge_into_one_causal_timeline() {
         let dir = trace_dir("xproc_trace");

@@ -48,6 +48,7 @@ use crate::guard::assert_may_block;
 use crate::handle::{RecvHandle, RecvShared, SendHandle};
 use crate::header::{Address, Header, RecvSpec, ANY_TAG};
 use crate::stats::CommStats;
+use crate::transport::Transport;
 use crate::world::WorldInner;
 
 struct PostedRecv {
@@ -73,6 +74,14 @@ pub(crate) struct RecvOwner {
 }
 
 impl RecvOwner {
+    /// The world's transport, when it has no thread of its own and an
+    /// OS thread blocked on this receive must drive it.
+    pub(crate) fn transport_to_drive(&self) -> Option<Arc<dyn Transport>> {
+        let world = self.inner.upgrade()?.lock().world.upgrade()?;
+        let t = Arc::clone(world.transport());
+        t.poll_fd().is_some().then_some(t)
+    }
+
     /// Take the posted entry out of the endpoint's buckets. `true` if
     /// it was still there — from now on no arrival can match this
     /// receive. `false` if it is gone: an arrival matched it (delivery
@@ -137,6 +146,9 @@ struct EndpointInner {
     /// Arrival timestamps (tracer clock) of parked unexpected messages,
     /// for the park-time histogram.
     arrived_at_ns: HashMap<u64, u64>,
+    /// The world, for a blocked OS thread that must drive its transport
+    /// (reached once per wait, so a posted receive holds no reference).
+    world: Weak<WorldInner>,
 }
 
 impl EndpointInner {
@@ -284,7 +296,10 @@ impl Endpoint {
     pub(crate) fn new(addr: Address, world: Weak<WorldInner>) -> Endpoint {
         Endpoint {
             addr,
-            inner: Arc::new(Mutex::new(EndpointInner::default())),
+            inner: Arc::new(Mutex::new(EndpointInner {
+                world: world.clone(),
+                ..EndpointInner::default()
+            })),
             stats: Arc::new(CommStats::default()),
             world,
             waker: RwLock::new(None),

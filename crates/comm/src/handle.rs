@@ -8,6 +8,7 @@
 //! `MPI_TEST_ANY`.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -16,6 +17,11 @@ use crate::guard::assert_may_block;
 use crate::header::Header;
 use crate::stats::CommStats;
 use crate::testany::CompletionInner;
+
+/// Longest one event-loop turn of a blocked OS thread lasts before it
+/// re-tests its receive: an arrival another thread's turn delivered
+/// is seen within this.
+const DRIVE_SLICE: Duration = Duration::from_millis(1);
 
 #[derive(Default)]
 pub(crate) struct RecvState {
@@ -136,28 +142,45 @@ impl RecvHandle {
     pub fn msgwait(&self) {
         assert_may_block("msgwait");
         self.stats.blocking_waits.incr();
-        let mut st = self.shared.state.lock();
-        while !st.done {
-            self.shared.cv.wait(&mut st);
-        }
+        self.wait_until(None);
     }
 
     /// Block the calling **OS thread** until completion or until
     /// `timeout` elapses; returns whether the receive completed. Same
     /// blocking-guard rules as [`RecvHandle::msgwait`].
-    pub fn msgwait_timeout(&self, timeout: std::time::Duration) -> bool {
+    pub fn msgwait_timeout(&self, timeout: Duration) -> bool {
         assert_may_block("msgwait_timeout");
         self.stats.blocking_waits.incr();
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.shared.state.lock();
-        while !st.done {
-            let now = std::time::Instant::now();
-            if now >= deadline {
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    /// Wait for completion until `deadline` (`None`: no limit). Over a
+    /// transport with no thread of its own, the waiter runs its turns —
+    /// each at most [`DRIVE_SLICE`] long, then the receive is re-tested;
+    /// otherwise it sleeps on the receive's condvar.
+    fn wait_until(&self, deadline: Option<Instant>) -> bool {
+        let drive = self.owner.as_ref().and_then(|o| o.transport_to_drive());
+        loop {
+            let mut st = self.shared.state.lock();
+            if st.done {
+                return true;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
                 return false;
             }
-            self.shared.cv.wait_for(&mut st, deadline - now);
+            match (&drive, left) {
+                (Some(t), _) => {
+                    // Unlocked: the turn may complete this very receive.
+                    drop(st);
+                    t.poll(Some(left.map_or(DRIVE_SLICE, |l| l.min(DRIVE_SLICE))));
+                }
+                (None, None) => self.shared.cv.wait(&mut st),
+                (None, Some(l)) => {
+                    self.shared.cv.wait_for(&mut st, l);
+                }
+            }
         }
-        true
     }
 
     /// Give up on this receive: take it out of the endpoint's matching

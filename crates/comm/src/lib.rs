@@ -34,7 +34,9 @@
 //! ## Blocking calls and threads
 //!
 //! Blocking operations ([`Endpoint::csend`], [`Endpoint::crecv`],
-//! [`RecvHandle::msgwait`]) park the calling **OS thread**. Chant's rule
+//! [`RecvHandle::msgwait`]) park the calling **OS thread** — over the
+//! socket transport, which has no thread of its own, by running its
+//! event loop until the receive completes. Chant's rule
 //! is that "only nonblocking communication primitives from the underlying
 //! communication system are utilized" from user-level thread context
 //! (paper §3.1); [`set_blocking_guard`] lets a thread runtime install a
@@ -68,7 +70,7 @@ pub use profile::CommProfile;
 pub use stats::{CommStats, CommStatsSnapshot};
 pub use transport::{
     decode_frame, encode_frame, encode_frame_into, DeliverError, DeliverySink, FrameError,
-    TcpOptions, Transport,
+    Progress, TcpOptions, Transport,
     TransportConfig, TransportStatsSnapshot, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
 };
 pub use world::CommWorld;

@@ -589,3 +589,38 @@ fn reordering_lets_later_traffic_overtake() {
     assert_eq!(&held.take().unwrap().1[..], b"held");
     assert_eq!(world.fault_stats().unwrap().reordered, 1);
 }
+
+/// The world's last reference can drop inside a socket turn: a delivery
+/// holds a transient upgrade, and the endpoint's waker — run inside the
+/// delivery — drops every other handle. Teardown then starts on the
+/// thread that holds the reactor, and must not wait for it.
+#[cfg(target_os = "linux")]
+#[test]
+fn world_dropped_inside_a_socket_turn_tears_down_on_that_thread() {
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
+
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let progress = world.progress().expect("the socket backend is driven by its waiters");
+    let last = Arc::new(Mutex::new(Some(world.clone())));
+    let slot = Arc::clone(&last);
+    world
+        .endpoint(Address::new(1, 0))
+        .set_waker(move || drop(slot.lock().unwrap().take()));
+    world
+        .endpoint(Address::new(0, 0))
+        .isend(Address::new(1, 0), 1, 0, kind::DATA, b("last"));
+    drop(world);
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        while last.lock().unwrap().is_some() {
+            progress.turn(true);
+        }
+        // The world is gone: a turn now finds no transport to run.
+        progress.turn(true);
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("teardown inside a socket turn deadlocked");
+}

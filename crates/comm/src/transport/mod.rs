@@ -17,11 +17,12 @@
 //!   new cost; the paper's table reproductions run on this path.
 //! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
 //!   length-prefixed frames ([`encode_frame`]) over TCP sockets, every
-//!   connection driven by a single poller thread blocked in
-//!   `epoll_wait`, with nonblocking sockets, same-peer send coalescing
-//!   into vectored writes, pooled frame buffers and a bounded per-peer
-//!   send queue. In *loopback* mode all endpoints stay in one OS
-//!   process and traffic makes a real kernel round trip; in
+//!   connection in one epoll set and no thread of its own — the threads
+//!   that wait on it drive it ([`Transport::poll`], [`Progress`]) — with
+//!   nonblocking sockets, same-peer send coalescing into vectored
+//!   writes, pooled frame buffers and a bounded per-peer send queue. In
+//!   *loopback* mode all endpoints stay in one OS process and traffic
+//!   makes a real kernel round trip; in
 //!   *multi-process* mode (a rank and a peer list, usually from
 //!   [`TransportConfig::from_env`]) each OS process hosts one PE's
 //!   endpoints and a chant message genuinely crosses address spaces —
@@ -31,8 +32,6 @@
 mod frame;
 #[cfg(target_os = "linux")]
 mod pool;
-#[cfg(target_os = "linux")]
-mod sys;
 #[cfg(target_os = "linux")]
 mod tcp_event;
 
@@ -44,7 +43,9 @@ pub use frame::{
 #[cfg(target_os = "linux")]
 pub(crate) use tcp_event::TcpEventTransport;
 
+use std::os::raw::c_int;
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -73,15 +74,33 @@ pub trait Transport: Send + Sync {
     /// What this transport has done so far.
     fn stats(&self) -> TransportStatsSnapshot;
 
-    /// Tear down background threads and close any handles. Called once
-    /// from world teardown; must be idempotent.
+    /// The fd that is readable while [`Transport::poll`] has work — for
+    /// a transport with no thread of its own, which the threads that
+    /// wait on it must drive. `None` (the default): delivery needs no
+    /// driving.
+    fn poll_fd(&self) -> Option<c_int> {
+        None
+    }
+
+    /// Move traffic on the calling thread: one turn of the transport's
+    /// event loop. `Some(t)`: wait out a turn in progress on another
+    /// thread, then up to `t` for readiness. `None`: a turn that waits
+    /// for nothing, skipped when another is in progress. Returns
+    /// whether a turn ran (never, when there is no loop).
+    fn poll(&self, _timeout: Option<Duration>) -> bool {
+        false
+    }
+
+    /// Tear down background threads and close any handles. Called
+    /// from world teardown — possibly inside this transport's own
+    /// [`Transport::poll`], when a delivery held the world's last
+    /// reference; must be idempotent.
     fn shutdown(&self);
 }
 
 /// Where a transport hands arriving messages back into the runtime: the
 /// destination endpoint's matching tables, reached through a weak
-/// world reference so a transport thread can never keep a dead world
-/// alive.
+/// world reference so a transport can never keep a dead world alive.
 #[derive(Clone)]
 pub struct DeliverySink {
     world: Weak<WorldInner>,
@@ -113,6 +132,39 @@ impl DeliverySink {
         }
         w.endpoint(header.dst).deliver(header, body);
         Ok(())
+    }
+}
+
+/// How a scheduler drives a transport that has no thread of its own
+/// (see [`crate::CommWorld::progress`]): sleep on [`Progress::fd`] among
+/// its other wake-ups, and run [`Progress::turn`] when it is readable —
+/// and, while busy, every so often.
+pub struct Progress {
+    fd: c_int,
+    transport: Weak<dyn Transport>,
+}
+
+impl Progress {
+    pub(crate) fn of(transport: &Arc<dyn Transport>) -> Option<Progress> {
+        Some(Progress {
+            fd: transport.poll_fd()?,
+            transport: Arc::downgrade(transport),
+        })
+    }
+
+    /// Readable while the transport has work for [`Progress::turn`]
+    /// (an epoll fd: add it to a set for `EPOLLIN`).
+    pub fn fd(&self) -> c_int {
+        self.fd
+    }
+
+    /// One turn that waits for no readiness: after waiting out a turn
+    /// in progress on another thread (`wait`), or else skipped when one
+    /// is. A no-op once the transport is gone.
+    pub fn turn(&self, wait: bool) {
+        if let Some(t) = self.transport.upgrade() {
+            t.poll(wait.then_some(Duration::ZERO));
+        }
     }
 }
 
@@ -149,11 +201,11 @@ chant_obs::counters! {
         /// Writes the kernel cut short, resumed later from the saved
         /// offset.
         partial_writes,
-        /// Times the poller was woken through the eventfd (shutdown
-        /// only).
+        /// Event-loop turns that found a socket ready: each is one
+        /// kernel → thread hand-off of arrivals or writability.
         wakeups,
-        /// Sends that found their peer's queue at its byte bound and waited
-        /// for the poller's flush to make room.
+        /// Sends that found their peer's queue at its byte bound and ran
+        /// event-loop turns until a flush made room.
         backpressure_waits,
         /// Frame buffers served from the reuse pool.
         pool_hits,
@@ -197,9 +249,9 @@ pub enum TransportConfig {
     /// for the conformance suite).
     #[default]
     InProcess,
-    /// Length-prefixed frames over TCP sockets, driven by a single epoll
-    /// poller thread with nonblocking sockets, send coalescing, and
-    /// pooled buffers (Linux only; see [`TcpOptions`]).
+    /// Length-prefixed frames over TCP sockets in one epoll set, driven
+    /// by the threads that wait on it, with nonblocking sockets, send
+    /// coalescing, and pooled buffers (Linux only; see [`TcpOptions`]).
     TcpEvent(TcpOptions),
 }
 
@@ -303,9 +355,8 @@ impl Transport for InProcessTransport {
     fn shutdown(&self) {}
 }
 
-/// Construct the configured transport for a world being built. Must be
-/// called from inside the world's `Arc::new_cyclic` so background
-/// threads hold only weak references.
+/// Construct the configured transport for a world being built, holding
+/// only a weak reference to it.
 pub(crate) fn build_transport(
     config: &TransportConfig,
     #[cfg_attr(not(target_os = "linux"), allow(unused_variables))] pes: u32,
@@ -319,7 +370,7 @@ pub(crate) fn build_transport(
             .unwrap_or_else(|e| panic!("failed to start the socket transport: {e}")),
         #[cfg(not(target_os = "linux"))]
         TransportConfig::TcpEvent(_) => panic!(
-            "the socket transport needs Linux (its poller is built on epoll and eventfd); \
+            "the socket transport needs Linux (its event loop is built on epoll); \
              unset CHANT_TRANSPORT to run in-process"
         ),
     }

@@ -1,44 +1,28 @@
 //! The socket backend: length-prefixed frames between OS processes (or,
-//! in loopback mode, between the PEs of one), with every connection on
-//! one poller thread rather than a thread per connection. The poller
-//! drives *all* sockets through an epoll readiness loop
-//! ([`super::sys`]), senders never block in the kernel, and same-peer
-//! frames coalesce into one vectored write.
+//! in loopback mode, between the PEs of one), every connection in one
+//! epoll set ([`chant_ult::sys`]) and no thread of its own.
 //!
-//! Structure:
-//!
-//! * **One reactor, one driver.** The listener, the wakeup eventfd, and
-//!   every connection (inbound and outbound) are registered with one
-//!   epoll instance, and the poller thread is the *only* thread that
-//!   waits on it: it blocks in `epoll_wait(-1)`, dispatches what is
-//!   ready, and blocks again. It owns the inbound staging buffers and
-//!   the listener outright — no lock, no hand-over protocol. An idle
-//!   transport costs nothing; an arriving frame costs one wake-up of
-//!   this thread, which reads it, delivers it into the destination
-//!   endpoint, and — through the endpoint's waker — ends the park of
-//!   the scheduler lane that is waiting for it.
-//! * **Inline-send fast path.** A sender encodes its frame into a
-//!   pooled buffer, appends it to the destination peer's queue, and —
-//!   when the queue was idle — flushes it right there with a
-//!   nonblocking vectored write. In the common case a message costs the
-//!   sender one `writev` and the poller nothing. Only when the socket
-//!   pushes back does the sender arm `EPOLLOUT` and hand the backlog to
-//!   the poller (partial-write offset included), which resumes exactly
-//!   where the kernel stopped.
-//! * **Send coalescing.** Whoever flushes (sender or poller) drains the
-//!   whole queue through one `write_vectored` call per kernel
-//!   round-trip — under load, many frames per syscall; the
-//!   `coalesced_*` counters record the achieved batch depth.
+//! * **The waiters drive.** The set's dispatch state — inbound staging
+//!   buffers, the listener, scratch — sits behind a try-lock, and
+//!   whoever takes it runs a *turn* ([`Transport::poll`]): collect what
+//!   is ready, dispatch it. `ChantNode::new` adds the set's fd to every
+//!   scheduler lane's own sleep set, so an idle lane sleeps on its
+//!   sockets and its wake-ups at once and an arriving frame wakes the
+//!   lane that reads it (kernel → lane, one hop); a busy lane turns at
+//!   its schedule points (every 50 µs, see `chant_ult::Vp`); an OS
+//!   thread blocked in `msgwait` turns while it waits.
+//! * **Inline sends, coalesced.** A sender encodes into a pooled buffer,
+//!   appends it to the peer's queue and — when the queue was idle —
+//!   flushes right there: one nonblocking `write_vectored` per kernel
+//!   round-trip for the whole queue (`coalesced_*` count the batch
+//!   depth). Only when the socket pushes back does it arm `EPOLLOUT`;
+//!   the next turn to see it resumes where the kernel stopped.
 //! * **A bounded send queue.** The backlog behind a socket that pushes
 //!   back holds at most [`SEND_QUEUE_MAX_BYTES`] (plus the frame that
-//!   crossed the line). At the bound `send` waits, on the peer's
-//!   condvar, for the poller's `EPOLLOUT` flush to make room — counted
-//!   in `backpressure_waits`. Nothing is dropped and queue order is
-//!   send order, so per-link FIFO holds across the wait. The poller
-//!   never sends, so it can never wait on itself.
-//! * **No blocking handoff for wakeups.** Senders arm interest with
-//!   `epoll_ctl` directly (epoll is thread-safe); the eventfd exists
-//!   only to interrupt the blocked poller at shutdown.
+//!   crossed the line). At the bound `send` runs turns until one makes
+//!   room — counted in `backpressure_waits`. A turn reads every inbound
+//!   socket too, so two ranks flooding each other each drain what holds
+//!   the other back. Nothing is dropped, and queue order is send order.
 //!
 //! Delivery semantics are the in-process oracle's, which
 //! `tests/transport_conformance.rs` holds it to: per-link FIFO (one
@@ -50,21 +34,22 @@
 
 #![cfg(target_os = "linux")]
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::raw::c_int;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use chant_ult::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use parking_lot::Mutex;
 
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
-use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::{
     DeliverError, DeliverySink, TcpOptions, Transport, TransportStats, TransportStatsSnapshot,
 };
@@ -81,32 +66,39 @@ const MAX_IOV: usize = 64;
 /// Initial per-connection receive staging buffer.
 const READ_BUF_INIT: usize = 64 * 1024;
 
-/// Most bytes one peer's send queue holds before `send` waits for the
-/// poller to flush: enough to ride out a burst against a full socket
-/// buffer, small enough that a peer that stopped reading stalls its
-/// senders instead of growing this process.
+/// Most bytes one peer's send queue holds before `send` waits for a
+/// flush: enough to ride out a burst against a full socket buffer,
+/// small enough that a peer that stopped reading stalls its senders
+/// instead of growing this process.
 const SEND_QUEUE_MAX_BYTES: usize = 1 << 20;
 
-/// Epoll tokens 0 and 1 are the wakeup eventfd and the listener;
-/// connections start at 2.
-const TOKEN_WAKE: u64 = 0;
-const TOKEN_LISTENER: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
+/// Longest one turn of a sender held at the bound waits for readiness.
+const HELD_TURN: Duration = Duration::from_millis(1);
 
-/// Outbound state for one destination PE. The mutex serializes queue
-/// access *and* flushing — there is exactly one flusher at a time, and
-/// frames leave in queue order, so per-link FIFO holds by construction.
-/// Every write under this lock is nonblocking; nothing holds it across
-/// a kernel wait.
-struct PeerOut {
-    s: Mutex<PeerOutState>,
-    /// Signalled whenever `s.q` shrinks; senders held at the queue's
-    /// byte bound wait here.
-    room: Condvar,
+/// Epoll tokens: the listener is 0, an inbound connection counts up
+/// from 1, an outbound one is `OUTBOUND | sequence << 32 | peer PE` (the
+/// sequence tells a torn-down connection's stale events apart).
+const TOKEN_LISTENER: u64 = 0;
+const OUTBOUND: u64 = 1 << 63;
+
+/// What every connection is watched for: data, or the peer's EOF.
+const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
+
+thread_local! {
+    /// The transport (by address) whose turn this thread is running: a
+    /// teardown that starts inside it (a delivery dropped the world's
+    /// last reference) must not wait for the lock its thread holds.
+    static IN_TURN: Cell<usize> = const { Cell::new(0) };
 }
 
-struct PeerOutState {
-    /// The connection, shared with the poller (which watches its fd for
+/// Outbound state for one destination PE, behind a mutex that
+/// serializes queue access *and* flushing — there is exactly one
+/// flusher at a time, and frames leave in queue order, so per-link FIFO
+/// holds by construction. Every write under that lock is nonblocking;
+/// nothing holds it across a kernel wait, nor while taking the reactor.
+#[derive(Default)]
+struct PeerOut {
+    /// The connection, also in the epoll set (which watches its fd for
     /// writability and EOF). `None` until the first send dials.
     conn: Option<Arc<TcpStream>>,
     /// Epoll token of `conn` (valid while `conn` is `Some`).
@@ -118,27 +110,12 @@ struct PeerOutState {
     q_bytes: usize,
     /// Bytes of `q[0]` already written (partial-write resume point).
     woff: usize,
-    /// Is `EPOLLOUT` armed (backlog handed to the poller)?
+    /// Is `EPOLLOUT` armed (backlog left for a turn)?
     want_write: bool,
     /// Is some sender currently inside the blocking dial?
     dialing: bool,
     /// Has a full dial cycle happened (patient budget spent)?
     tried: bool,
-}
-
-impl PeerOutState {
-    fn new() -> PeerOutState {
-        PeerOutState {
-            conn: None,
-            token: 0,
-            q: VecDeque::new(),
-            q_bytes: 0,
-            woff: 0,
-            want_write: false,
-            dialing: false,
-            tried: false,
-        }
-    }
 }
 
 /// One accepted (inbound) connection, owned by the reactor.
@@ -152,16 +129,13 @@ struct InboundConn {
     end: usize,
 }
 
-/// The dispatch state a reactor turn needs, owned by the poller thread.
+/// The dispatch state of a turn, held by whichever thread runs one.
 struct Reactor {
     inbound: HashMap<u64, InboundConn>,
     /// `None` after teardown (dropping it closes the listening socket).
     listener: Option<TcpListener>,
-    /// Scratch for `epoll_wait`.
+    /// Scratch for `epoll_pwait2`.
     events: Vec<EpollEvent>,
-    /// Scratch copy of one turn's `(token, bits)` pairs, so dispatch can
-    /// mutate `inbound` while iterating.
-    ready: Vec<(u64, u32)>,
 }
 
 pub(crate) struct TcpEventTransport {
@@ -172,107 +146,64 @@ pub(crate) struct TcpEventTransport {
     stats: Arc<TransportStats>,
     pool: BufferPool,
     epoll: Epoll,
-    wake: EventFd,
-    /// Per-destination-PE outbound state, created lazily. Lock order:
-    /// a peer lock before `out_tokens`.
-    out: Mutex<HashMap<u32, Arc<PeerOut>>>,
-    /// Epoll token -> destination PE, for outbound connections (inbound
-    /// connections live in the reactor's map).
-    out_tokens: Mutex<HashMap<u64, u32>>,
+    /// Lock order: the reactor before a peer lock.
+    reactor: Mutex<Reactor>,
+    /// Outbound state, by destination PE.
+    out: Vec<Mutex<PeerOut>>,
+    /// Sequence for epoll tokens (see [`OUTBOUND`]).
     next_token: AtomicU64,
-    poller: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
 }
 
 impl TcpEventTransport {
-    /// Bind the listener, start the poller thread, and return the
-    /// transport. Errors are configuration/bind problems; runtime I/O
-    /// failures are handled per connection.
-    pub fn start(
-        opts: TcpOptions,
-        pes: u32,
-        sink: DeliverySink,
-    ) -> std::io::Result<Arc<TcpEventTransport>> {
+    /// Bind the listener and return the transport. Errors are
+    /// configuration/bind problems; runtime I/O failures are handled
+    /// per connection.
+    pub fn start(opts: TcpOptions, pes: u32, sink: DeliverySink) -> std::io::Result<Arc<Self>> {
         let (listener, peers) = if opts.peers.is_empty() {
-            assert!(
-                opts.rank.is_none(),
-                "a TCP rank needs a peer list (set CHANT_PEERS)"
-            );
+            assert!(opts.rank.is_none(), "a TCP rank needs a peer list (set CHANT_PEERS)");
             let listener = TcpListener::bind(("127.0.0.1", 0))?;
             let local = listener.local_addr()?;
             (listener, vec![local; pes as usize])
         } else {
-            assert_eq!(
-                opts.peers.len(),
-                pes as usize,
-                "CHANT_PEERS must list one address per PE ({} PEs, {} peers)",
-                pes,
-                opts.peers.len()
-            );
-            let rank = opts
-                .rank
-                .expect("a TCP peer list needs a rank (set CHANT_RANK)");
-            let mut peers = Vec::with_capacity(opts.peers.len());
-            for p in &opts.peers {
-                let addr = p.to_socket_addrs()?.next().ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("peer address '{p}' did not resolve"),
-                    )
-                })?;
-                peers.push(addr);
-            }
+            let n = opts.peers.len();
+            let msg = format!("CHANT_PEERS must list one address per PE ({pes} PEs, {n} peers)");
+            assert_eq!(n, pes as usize, "{msg}");
+            let rank = opts.rank.expect("a TCP peer list needs a rank (set CHANT_RANK)");
+            let resolve = |p: &String| {
+                let unresolved = || {
+                    let msg = format!("peer address '{p}' did not resolve");
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+                };
+                p.to_socket_addrs()?.next().ok_or_else(unresolved)
+            };
+            let peers = opts.peers.iter().map(resolve).collect::<std::io::Result<Vec<_>>>()?;
             let listener = TcpListener::bind(peers[rank as usize])?;
             (listener, peers)
         };
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        let wake = EventFd::new()?;
-        epoll.add(wake.fd(), EPOLLIN, TOKEN_WAKE)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         let stats = Arc::new(TransportStats::default());
-        let transport = Arc::new(TcpEventTransport {
+        Ok(Arc::new(TcpEventTransport {
             opts,
             peers,
             sink,
             pool: BufferPool::new(256, Arc::clone(&stats)),
             stats,
             epoll,
-            wake,
-            out: Mutex::new(HashMap::new()),
-            out_tokens: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
-            poller: Mutex::new(None),
+            reactor: Mutex::new(Reactor {
+                inbound: HashMap::new(),
+                listener: Some(listener),
+                events: vec![EpollEvent::default(); 128],
+            }),
+            out: (0..pes).map(|_| Mutex::default()).collect(),
+            next_token: AtomicU64::new(TOKEN_LISTENER + 1),
             stop: AtomicBool::new(false),
-        });
-        let reactor = Reactor {
-            inbound: HashMap::new(),
-            listener: Some(listener),
-            events: vec![EpollEvent { events: 0, data: 0 }; 128],
-            ready: Vec::with_capacity(128),
-        };
-        let me = Arc::clone(&transport);
-        let handle = std::thread::Builder::new()
-            .name("chant-tcp-poll".into())
-            .spawn(move || me.poll_loop(reactor))
-            .expect("spawn TCP event poller");
-        *transport.poller.lock() = Some(handle);
-        Ok(transport)
+        }))
     }
 
     // -- sender side ---------------------------------------------------
-
-    fn out_slot(&self, pe: u32) -> Arc<PeerOut> {
-        let mut out = self.out.lock();
-        Arc::clone(
-            out.entry(pe).or_insert_with(|| {
-                Arc::new(PeerOut {
-                    s: Mutex::new(PeerOutState::new()),
-                    room: Condvar::new(),
-                })
-            }),
-        )
-    }
 
     /// Dial a peer, with the bootstrap budget on the first cycle and
     /// the fail-fast budget afterwards. Called without any peer lock
@@ -300,68 +231,54 @@ impl TcpEventTransport {
         None
     }
 
-    /// Register a freshly dialed stream with the poller's epoll set and
-    /// install it as the peer's connection. Returns false (queue
-    /// dropped and counted) if registration fails.
-    fn install_conn(
-        &self,
-        pe: u32,
-        slot: &PeerOut,
-        s: &mut PeerOutState,
-        stream: TcpStream,
-    ) -> bool {
-        if stream.set_nonblocking(true).is_err() {
-            self.fail_queue(slot, s);
-            return false;
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let fd = stream.as_raw_fd();
-        self.out_tokens.lock().insert(token, pe);
+    /// Register a freshly dialed stream with the epoll set and install
+    /// it as the peer's connection. Returns false (queue dropped and
+    /// counted) if registration fails.
+    fn install_conn(&self, pe: u32, s: &mut PeerOut, stream: TcpStream) -> bool {
+        let seq = self.next_token.fetch_add(1, Ordering::Relaxed) & 0x7fff_ffff;
+        let token = OUTBOUND | seq << 32 | u64::from(pe);
         // Read interest only: the remote never sends on our outbound
         // link, so EPOLLIN here means EOF.
-        if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, token).is_err() {
-            self.out_tokens.lock().remove(&token);
-            self.fail_queue(slot, s);
+        if stream.set_nonblocking(true).is_err()
+            || self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err()
+        {
+            self.fail_queue(s);
             return false;
         }
+        // `woff` and `want_write` are already clear: no link, no backlog.
         s.conn = Some(Arc::new(stream));
         s.token = token;
-        s.woff = 0;
-        s.want_write = false;
         true
     }
 
     /// Drop everything queued for an unreachable peer, counting each
     /// frame as a send failure (upstream retry/liveness takes over).
-    fn fail_queue(&self, slot: &PeerOut, s: &mut PeerOutState) {
+    fn fail_queue(&self, s: &mut PeerOut) {
         while let Some(f) = s.q.pop_front() {
             self.stats.send_failures.incr();
             self.pool.put(f);
         }
         s.q_bytes = 0;
         s.woff = 0;
-        slot.room.notify_all();
     }
 
     /// Tear down a peer's connection after an I/O error or remote EOF:
     /// close the socket, deregister, drop the backlog (counted), and
     /// leave the slot ready for a fail-fast redial on the next send.
-    fn teardown_locked(&self, slot: &PeerOut, s: &mut PeerOutState) {
+    fn teardown_locked(&self, s: &mut PeerOut) {
         if let Some(conn) = s.conn.take() {
-            self.out_tokens.lock().remove(&s.token);
             self.epoll.delete(conn.as_raw_fd());
             let _ = conn.shutdown(Shutdown::Both);
         }
         s.want_write = false;
-        self.fail_queue(slot, s);
+        self.fail_queue(s);
     }
 
     /// Flush as much of the peer's queue as the socket will take, in as
     /// few vectored writes as possible. Caller holds the peer lock; all
     /// writes are nonblocking.
-    fn flush_locked(&self, slot: &PeerOut, s: &mut PeerOutState) {
+    fn flush_locked(&self, s: &mut PeerOut) {
         let Some(conn) = s.conn.clone() else { return };
-        let mut full = s.q_bytes >= SEND_QUEUE_MAX_BYTES;
         let mut w = &*conn;
         while !s.q.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(s.q.len().min(MAX_IOV));
@@ -373,12 +290,7 @@ impl TcpEventTransport {
             }
             let batched = slices.len();
             match w.write_vectored(&slices) {
-                Ok(0) => {
-                    self.stats.reconnects.incr();
-                    self.teardown_locked(slot, s);
-                    return;
-                }
-                Ok(mut n) => {
+                Ok(mut n) if n > 0 => {
                     self.stats.frame_bytes_sent.add(n as u64);
                     if batched > 1 {
                         self.stats.coalesced_writes.incr();
@@ -401,102 +313,79 @@ impl TcpEventTransport {
                             self.stats.partial_writes.incr();
                         }
                     }
-                    if full && s.q_bytes < SEND_QUEUE_MAX_BYTES {
-                        full = false;
-                        slot.room.notify_all();
-                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Kernel buffer full: hand the backlog to the poller.
+                    // Kernel buffer full: leave the backlog to a turn.
                     if !s.want_write {
                         s.want_write = true;
-                        let _ = self.epoll.modify(
-                            conn.as_raw_fd(),
-                            EPOLLIN | EPOLLOUT | EPOLLRDHUP,
-                            s.token,
-                        );
+                        let fd = conn.as_raw_fd();
+                        let _ = self.epoll.modify(fd, READABLE | EPOLLOUT, s.token);
                     }
                     return;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
+                // A zero-length write or a hard error: the link is gone.
+                _ => {
                     self.stats.reconnects.incr();
-                    self.teardown_locked(slot, s);
+                    self.teardown_locked(s);
                     return;
                 }
             }
         }
-        // Drained: quiesce write interest so the poller stays blocked.
+        // Drained: quiesce write interest so the set goes quiet.
         if s.want_write {
             s.want_write = false;
             if let Some(conn) = &s.conn {
-                let _ = self
-                    .epoll
-                    .modify(conn.as_raw_fd(), EPOLLIN | EPOLLRDHUP, s.token);
+                let _ = self.epoll.modify(conn.as_raw_fd(), READABLE, s.token);
             }
         }
     }
 
     // -- reactor side --------------------------------------------------
 
-    /// One reactor turn: block until something is ready and dispatch
-    /// every reported event.
-    fn drive(&self, r: &mut Reactor) {
-        r.ready.clear();
-        for ev in self.epoll.wait(&mut r.events, -1) {
-            r.ready.push((ev.data, ev.events));
+    /// One turn (see [`Transport::poll`]): take the reactor, wait at most
+    /// `timeout` for readiness, dispatch it all. Every hold is bounded.
+    fn turn(&self, timeout: Option<Duration>) -> bool {
+        let r = timeout.map_or_else(|| self.reactor.try_lock(), |_| Some(self.reactor.lock()));
+        let Some(mut r) = r else { return false };
+        let outer = IN_TURN.replace(self as *const Self as usize);
+        self.dispatch(&mut r, timeout.unwrap_or_default());
+        IN_TURN.set(outer);
+        if self.stop.load(Ordering::Acquire) {
+            Self::close_inbound(&mut r);
         }
-        for i in 0..r.ready.len() {
-            let (token, bits) = r.ready[i];
-            match token {
-                TOKEN_WAKE => {
-                    self.stats.wakeups.incr();
-                    self.wake.drain();
-                }
-                TOKEN_LISTENER => self.accept_ready(r),
-                _ => {
-                    let out_pe = self.out_tokens.lock().get(&token).copied();
-                    if let Some(pe) = out_pe {
-                        self.outbound_event(pe, token, bits);
-                    } else if let Some(conn) = r.inbound.get_mut(&token) {
-                        if !self.inbound_ready(conn) {
-                            let dead = r.inbound.remove(&token).expect("conn present");
-                            self.epoll.delete(dead.stream.as_raw_fd());
-                            self.pool.put(dead.buf);
-                        }
-                    }
+        true
+    }
+
+    fn dispatch(&self, r: &mut Reactor, timeout: Duration) {
+        let n = self.epoll.wait(&mut r.events, Some(timeout)).len();
+        self.stats.wakeups.add(u64::from(n > 0));
+        for i in 0..n {
+            let EpollEvent { data: token, events: bits } = r.events[i];
+            if token == TOKEN_LISTENER {
+                self.accept_ready(r);
+            } else if token & OUTBOUND != 0 {
+                self.outbound_event(token as u32, token, bits);
+            } else if let Some(conn) = r.inbound.get_mut(&token) {
+                if !self.inbound_ready(conn) {
+                    // Dropping the stream closes it, which leaves the set.
+                    self.pool.put(r.inbound.remove(&token).expect("conn present").buf);
                 }
             }
         }
     }
 
-    /// The poller thread: the reactor's one and only driver. It sleeps
-    /// in the kernel whenever no socket is ready; `shutdown` interrupts
-    /// that sleep through the eventfd.
-    fn poll_loop(self: Arc<Self>, mut r: Reactor) {
-        while !self.stop.load(Ordering::Acquire) {
-            self.drive(&mut r);
-        }
-        // Teardown: the reactor owns the inbound side and the listener
-        // (dropping `r` closes it).
-        for (_, conn) in r.inbound.drain() {
-            self.epoll.delete(conn.stream.as_raw_fd());
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
+    /// Teardown of the reactor's side: close the inbound connections
+    /// (remote ends see EOF) and the listener. Idempotent.
+    fn close_inbound(r: &mut Reactor) {
+        r.inbound.clear();
+        r.listener = None;
     }
 
     fn accept_ready(&self, r: &mut Reactor) {
-        let Reactor {
-            inbound, listener, ..
-        } = r;
-        let Some(listener) = listener.as_ref() else {
-            return;
-        };
-        loop {
-            // WouldBlock (backlog drained) or a failed accept alike.
-            let Ok((stream, _)) = listener.accept() else {
-                return;
-            };
+        let Some(listener) = r.listener.as_ref() else { return };
+        // WouldBlock (backlog drained) or a failed accept alike.
+        while let Ok((stream, _)) = listener.accept() {
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
@@ -506,28 +395,20 @@ impl TcpEventTransport {
             let _ = stream.set_nodelay(true);
             self.stats.accepts.incr();
             let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-            if self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
+            if self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err() {
                 continue;
             }
             let mut buf = self.pool.get();
             let target = buf.capacity().max(READ_BUF_INIT);
             buf.resize(target, 0);
-            inbound.insert(
-                token,
-                InboundConn {
-                    stream,
-                    buf,
-                    start: 0,
-                    end: 0,
-                },
-            );
+            let conn = InboundConn { stream, buf, start: 0, end: 0 };
+            r.inbound.insert(token, conn);
         }
     }
 
     /// Writability / EOF on an outbound connection.
     fn outbound_event(&self, pe: u32, token: u64, bits: u32) {
-        let slot = self.out_slot(pe);
-        let mut s = slot.s.lock();
+        let mut s = self.out[pe as usize].lock();
         if s.conn.is_none() || s.token != token {
             return; // stale event for a connection already torn down
         }
@@ -535,11 +416,11 @@ impl TcpEventTransport {
             // The remote never sends on our outbound link: readability
             // or a hangup flag means the connection is gone.
             self.stats.reconnects.incr();
-            self.teardown_locked(&slot, &mut s);
+            self.teardown_locked(&mut s);
             return;
         }
         if bits & EPOLLOUT != 0 {
-            self.flush_locked(&slot, &mut s);
+            self.flush_locked(&mut s);
         }
     }
 
@@ -608,24 +489,16 @@ impl TcpEventTransport {
                 break;
             }
             let payload = &conn.buf[conn.start + 4..conn.start + total];
-            match decode_frame(payload) {
-                Ok((header, body)) => {
-                    self.stats.frames_received.incr();
-                    self.stats.frame_bytes_received.add(total as u64);
-                    match self.sink.deliver(header, body) {
-                        Ok(()) => {}
-                        Err(DeliverError::NotHosted) => {
-                            self.stats.misrouted.incr();
-                        }
-                        // World teardown is in progress; the stop flag
-                        // arrives with the transport's shutdown call.
-                        Err(DeliverError::WorldGone) => {}
-                    }
-                }
-                Err(_) => {
-                    self.stats.malformed_frames.incr();
-                    return false;
-                }
+            let Ok((header, body)) = decode_frame(payload) else {
+                self.stats.malformed_frames.incr();
+                return false;
+            };
+            self.stats.frames_received.incr();
+            self.stats.frame_bytes_received.add(total as u64);
+            // `WorldGone`: teardown is in progress, and the stop flag
+            // arrives with the transport's shutdown call.
+            if let Err(DeliverError::NotHosted) = self.sink.deliver(header, body) {
+                self.stats.misrouted.incr();
             }
             conn.start += total;
         }
@@ -649,16 +522,17 @@ impl Transport for TcpEventTransport {
         let pe = header.dst.pe;
         let mut frame = self.pool.get();
         encode_frame_into(&header, &body, &mut frame);
-        let slot = self.out_slot(pe);
-        let mut s = slot.s.lock();
-        // At the queue's byte bound, wait for the poller's EPOLLOUT
-        // flush (or a teardown) to make room. (The poller itself never
-        // sends — delivery only matches — so it cannot end up here
-        // waiting on its own flush.)
+        let slot = &self.out[pe as usize];
+        let mut s = slot.lock();
+        // At the queue's byte bound, move traffic until a flush (or a
+        // teardown) makes room. A turn never sends, so it never ends
+        // up here waiting on itself.
         if s.q_bytes >= SEND_QUEUE_MAX_BYTES {
             self.stats.backpressure_waits.incr();
             while s.q_bytes >= SEND_QUEUE_MAX_BYTES && !self.stop.load(Ordering::Acquire) {
-                slot.room.wait(&mut s);
+                drop(s);
+                self.turn(Some(HELD_TURN));
+                s = slot.lock();
             }
             if self.stop.load(Ordering::Acquire) {
                 self.pool.put(frame);
@@ -673,36 +547,28 @@ impl Transport for TcpEventTransport {
                 // queue and flushes when the dial lands.
                 return;
             }
-            let budget = if s.tried {
-                RECONNECT_ATTEMPTS
-            } else {
-                self.opts.connect_attempts
-            };
+            let budget = if s.tried { RECONNECT_ATTEMPTS } else { self.opts.connect_attempts };
             s.tried = true;
             s.dialing = true;
             // The dial blocks (bootstrap patience is correctness);
             // release the queue so other senders keep enqueueing.
             drop(s);
             let dialed = self.dial(pe, budget);
-            s = slot.s.lock();
+            s = slot.lock();
             s.dialing = false;
-            match dialed {
-                Some(stream) => {
-                    if !self.install_conn(pe, &slot, &mut s, stream) {
-                        return;
-                    }
-                }
-                None => {
-                    self.fail_queue(&slot, &mut s);
-                    return;
-                }
+            let Some(stream) = dialed else {
+                self.fail_queue(&mut s);
+                return;
+            };
+            if !self.install_conn(pe, &mut s, stream) {
+                return;
             }
         }
         // Inline fast path: flush here and now unless a backlog is
-        // already armed with the poller (order demands we queue behind
-        // it and let EPOLLOUT drive).
+        // already armed (order demands we queue behind it and let
+        // EPOLLOUT drive).
         if !s.want_write {
-            self.flush_locked(&slot, &mut s);
+            self.flush_locked(&mut s);
         }
     }
 
@@ -710,32 +576,27 @@ impl Transport for TcpEventTransport {
         self.stats.snapshot()
     }
 
+    fn poll_fd(&self) -> Option<c_int> {
+        Some(self.epoll.fd())
+    }
+
+    fn poll(&self, timeout: Option<Duration>) -> bool {
+        self.turn(timeout)
+    }
+
     fn shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.wake.signal();
-        // Join the poller — unless the last world reference happened to
-        // be dropped on the poller thread itself.
-        let handle = self.poller.lock().take();
-        if let Some(h) = handle {
-            if h.thread().id() == std::thread::current().id() {
-                drop(h);
-            } else {
-                let _ = h.join();
-            }
+        // Inside a turn on this thread, that turn closes it when it ends.
+        if IN_TURN.get() != self as *const Self as usize {
+            Self::close_inbound(&mut self.reactor.lock());
         }
         // Close outbound connections: remote ends see EOF. Anything
         // still queued counts as a failure (clean teardown drains first).
-        let out: Vec<Arc<PeerOut>> = self.out.lock().drain().map(|(_, p)| p).collect();
-        for peer in out {
-            let mut s = peer.s.lock();
-            if let Some(conn) = s.conn.take() {
-                self.out_tokens.lock().remove(&s.token);
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-            // Also releases any sender held at the queue bound.
-            self.fail_queue(&peer, &mut s);
+        // A sender held at the bound sees `stop` after its turn.
+        for peer in &self.out {
+            self.teardown_locked(&mut peer.lock());
         }
     }
 }
@@ -787,21 +648,21 @@ mod tests {
             let t = TcpEventTransport::start(TcpOptions::default(), 2, dangling_sink())
                 .expect("start event transport");
             // Generate real traffic to itself (loopback peers): frames
-            // go out, the poller accepts and reads them, delivery hits
-            // the dangling sink (world gone) and is dropped.
+            // go out, turns on this thread accept and read them,
+            // delivery hits the dangling sink (world gone) and is dropped.
             for i in 0..20u32 {
                 t.send(header(1, 4), Bytes::copy_from_slice(&i.to_le_bytes()));
             }
             let deadline = Instant::now() + Duration::from_secs(5);
             while t.stats().frames_received < 20 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
+                t.poll(Some(Duration::from_millis(5)));
             }
             assert_eq!(t.stats().frames_sent, 20, "{:?}", t.stats());
             assert_eq!(t.stats().frames_received, 20, "{:?}", t.stats());
             t.shutdown();
             t.shutdown(); // idempotent: second call is a no-op
         }
-        // Poller joined, sockets + epoll + eventfd all closed.
+        // Sockets and the epoll set all closed.
         let deadline = Instant::now() + Duration::from_secs(2);
         while open_fds() != before && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -850,7 +711,16 @@ mod tests {
             "frames cannot all be on the wire yet: {held:?}"
         );
 
-        // The peer reads again: every frame, in send order.
+        // The peer reads again: every frame, in send order. The tail the
+        // sender leaves is flushed by the next turn: a lane's, here a stand-in's.
+        let lane = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                while !t.stop.load(Ordering::Acquire) {
+                    t.poll(Some(Duration::from_millis(1)));
+                }
+            })
+        };
         conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
         let mut len = [0u8; 4];
         for want in 0..FRAMES {
@@ -863,11 +733,13 @@ mod tests {
             assert_eq!(seq, want, "per-link FIFO broken across the backpressure wait");
         }
         sender.join().unwrap();
+        t.poll(Some(Duration::ZERO)); // waits out a stand-in turn mid-flush: its writes are counted
         let snap = t.stats();
         assert_eq!(snap.frames_sent, u64::from(FRAMES), "{snap:?}");
         assert_eq!(snap.send_failures, 0, "nothing may be dropped: {snap:?}");
         assert!(snap.backpressure_waits >= 1);
         t.shutdown();
+        lane.join().unwrap();
     }
 
     /// A sender held at the bound is released (its frame dropped, like

@@ -23,7 +23,9 @@ use crate::endpoint::Endpoint;
 use crate::fault::{FaultAction, FaultConfig, FaultInjector, FaultStatsSnapshot};
 use crate::header::{Address, Header};
 use crate::stats::CommStatsSnapshot;
-use crate::transport::{build_transport, Transport, TransportConfig, TransportStatsSnapshot};
+use crate::transport::{
+    build_transport, Progress, Transport, TransportConfig, TransportStatsSnapshot,
+};
 
 pub(crate) struct WorldInner {
     pes: u32,
@@ -35,8 +37,8 @@ pub(crate) struct WorldInner {
     delay: Option<Arc<DelayLine>>,
     faults: Option<Arc<FaultInjector>>,
     /// Installed immediately after `Arc::new_cyclic` returns, so the
-    /// transport's background threads can never observe (or deliver
-    /// into) a half-constructed world. Always populated by the time any
+    /// transport can never observe (or deliver into) a half-constructed
+    /// world. Always populated by the time any
     /// message is routed.
     transport: OnceLock<Arc<dyn Transport>>,
     /// Guards teardown so [`CommWorld::shutdown`] and `Drop` compose:
@@ -80,21 +82,23 @@ impl WorldInner {
 
     /// Does this OS process host the endpoint at `addr`? False for
     /// out-of-bounds addresses (a corrupted frame must not panic the
-    /// poller thread) and for PEs hosted by other processes.
+    /// thread running the socket turn) and for PEs hosted by other
+    /// processes.
     pub(crate) fn hosts(&self, addr: Address) -> bool {
         addr.pe < self.pes && addr.process < self.procs_per_pe && self.hosted.contains(&addr.pe)
     }
 }
 
 impl WorldInner {
-    /// Stop the pipeline and join the transport's threads. Idempotent.
+    /// Stop the pipeline and close the transport. Idempotent.
     ///
     /// This exists separately from `Drop` because drop timing is
     /// refcount-driven: the fault shim's and delay line's deliverer
     /// threads hold transient upgrades of their `Weak<WorldInner>`, so
-    /// the *last* strong reference can die on one of those threads — in
-    /// which case `shutdown` skips joining the caller's own thread and
-    /// socket fds linger until it exits. An owner that needs teardown
+    /// the *last* strong reference can die on one of those threads (or
+    /// inside a socket turn's delivery) — in which case `shutdown` skips
+    /// joining the caller's own thread, and the socket turn closes its
+    /// inbound side only once it ends. An owner that needs teardown
     /// to be complete when its drop returns (a `ChantCluster`, a test
     /// asserting no fd leaks) calls this explicitly from its own thread
     /// instead.
@@ -241,8 +245,8 @@ impl CommWorld {
             }
         });
         // Install the transport only now, on the completed world: a TCP
-        // listener starts accepting the moment it exists, and its drain
-        // threads must always be able to upgrade their weak reference.
+        // listener starts accepting the moment it exists, and a turn
+        // must always be able to upgrade its weak reference.
         let t = build_transport(&transport, pes, Arc::downgrade(&inner));
         if inner.transport.set(t).is_err() {
             unreachable!("transport installed twice");
@@ -272,6 +276,16 @@ impl CommWorld {
         self.inner.transport().name()
     }
 
+    /// How a scheduler drives this world's transport, when it has no
+    /// thread of its own (the socket backend): `None` when delivery
+    /// needs no driving (in-process). A runtime that sleeps adds
+    /// [`Progress::fd`] to what its idle threads sleep on and runs
+    /// [`Progress::turn`] when it is readable; an OS thread blocked in
+    /// [`crate::RecvHandle::msgwait`] drives it by itself.
+    pub fn progress(&self) -> Option<Progress> {
+        Progress::of(self.inner.transport())
+    }
+
     /// What the transport has done so far (frames, bytes, connections,
     /// failures — see [`TransportStatsSnapshot`]).
     pub fn transport_stats(&self) -> TransportStatsSnapshot {
@@ -279,8 +293,8 @@ impl CommWorld {
     }
 
     /// Tear the world down *now*, on the calling thread: stop the fault
-    /// shim and delay line, close every transport socket, and join the
-    /// transport's background threads. Idempotent, and implied by
+    /// shim and delay line (joining their threads) and close every
+    /// transport socket. Idempotent, and implied by
     /// dropping the last `CommWorld` clone — but drop timing is
     /// refcount-driven (a background deliverer's transient upgrade can
     /// be the last reference), so callers that need teardown to be

@@ -117,6 +117,13 @@ impl ChantNode {
                 vp.wake();
             }
         });
+        // A socket transport has no thread of its own: the lanes read
+        // the sockets. Each also sleeps on the transport's epoll set and
+        // runs a turn when it wakes on it (or, busy, every 50 µs).
+        #[cfg(target_os = "linux")]
+        if let Some(progress) = world.progress() {
+            vp.set_progress(progress.fd(), move |woken| progress.turn(woken));
+        }
         Arc::new(ChantNode {
             pe,
             process,

@@ -90,6 +90,8 @@ mod obs;
 mod park;
 mod stats;
 mod sync;
+#[cfg(target_os = "linux")]
+pub mod sys;
 mod tcb;
 mod tls;
 mod vp;

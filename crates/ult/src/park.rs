@@ -7,6 +7,10 @@
 //!   Token semantics, like `std::thread::park`: an unpark that lands
 //!   *before* the park makes the park return at once, so "publish the
 //!   work, then unpark" can never lose a wake-up to "scan, then park".
+//!   On Linux it is an epoll set ([`crate::sys`]) holding an eventfd: a
+//!   park is one `epoll_pwait2`, an unpark of a sleeping lane one
+//!   eventfd write, and the same sleep waits on a [`Parker::watch`]ed
+//!   fd (a transport's epoll set). Elsewhere: a mutex and a condvar.
 //! * [`Timers`] — one per VP. The deadlines timed waits are waiting for,
 //!   nearest first, so a parked lane knows how long it may sleep and a
 //!   schedule point knows (from one atomic load) whether anything is due.
@@ -22,39 +26,86 @@
 //! a receive's completion state) or itself a `SeqCst` word (the nearest
 //! timer deadline), so the scan's read preceding the publication puts
 //! `begin_scan` before the waker's `unpark` in that order. The unpark
-//! then either finds `PARKED` and notifies under the lock the sleeper
-//! re-checks the state under, or finds `EMPTY` and leaves `NOTIFIED`,
-//! which fails the lane's `EMPTY → PARKED` exchange. An unpark that
-//! returns early on reading `NOTIFIED` read a token set after
-//! `begin_scan` — still unconsumed, so the exchange fails just the same.
+//! then either finds `PARKED` and signals the sleeper — an eventfd
+//! write stays pending until the sleeper's `epoll_pwait2` reports it, a
+//! condvar notify is made under the lock the sleeper re-checks the
+//! state under — or finds `EMPTY` and leaves `NOTIFIED`, which fails
+//! the lane's `EMPTY → PARKED` exchange. An unpark that returns early
+//! on reading `NOTIFIED` read a token set after `begin_scan` — still
+//! unconsumed, so the exchange fails just the same.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+#[cfg(not(target_os = "linux"))]
+use parking_lot::Condvar;
 
+#[cfg(target_os = "linux")]
+use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLET, EPOLLIN};
 use crate::tcb::Tcb;
 
 const EMPTY: u8 = 0;
 const NOTIFIED: u8 = 1;
 const PARKED: u8 = 2;
 
+/// Epoll tokens: the parker's own eventfd, and the watched source.
+#[cfg(target_os = "linux")]
+const TOKEN_UNPARK: u64 = 0;
+#[cfg(target_os = "linux")]
+const TOKEN_SOURCE: u64 = 1;
+
+/// What ended a [`Parker::park`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Woke {
+    /// A token from [`Parker::unpark`] (rather than the timeout).
+    pub unparked: bool,
+    /// The [`Parker::watch`]ed fd is ready.
+    pub source: bool,
+}
+
 /// A lane's sleep/wake cell. See the [module docs](self).
 pub(crate) struct Parker {
     state: AtomicU8,
+    #[cfg(target_os = "linux")]
+    epoll: Epoll,
+    #[cfg(target_os = "linux")]
+    pub(crate) unparks: EventFd,
+    #[cfg(not(target_os = "linux"))]
     lock: Mutex<()>,
+    #[cfg(not(target_os = "linux"))]
     cv: Condvar,
 }
 
 impl Parker {
+    /// # Panics
+    /// When the process is out of file descriptors (Linux: two a lane).
     pub fn new() -> Parker {
-        Parker {
+        let p = Parker {
             state: AtomicU8::new(EMPTY),
+            #[cfg(target_os = "linux")]
+            epoll: Epoll::new().expect("cannot create a lane's epoll set"),
+            #[cfg(target_os = "linux")]
+            unparks: EventFd::new().expect("cannot create a lane's eventfd"),
+            #[cfg(not(target_os = "linux"))]
             lock: Mutex::new(()),
+            #[cfg(not(target_os = "linux"))]
             cv: Condvar::new(),
-        }
+        };
+        #[cfg(target_os = "linux")]
+        // Edge-triggered: an unpark is one event, and nothing is drained.
+        let (fd, bits) = (p.unparks.fd(), EPOLLIN | EPOLLET);
+        p.epoll.add(fd, bits, TOKEN_UNPARK).expect("cannot watch a lane's eventfd");
+        p
+    }
+
+    /// Also end a park whenever `fd` is readable (level-triggered: a
+    /// park while it stays readable returns at once).
+    #[cfg(target_os = "linux")]
+    pub fn watch(&self, fd: std::os::unix::io::RawFd) -> std::io::Result<()> {
+        self.epoll.add(fd, EPOLLIN, TOKEN_SOURCE)
     }
 
     /// Consume a pending token before scanning for work: what the scan
@@ -67,34 +118,61 @@ impl Parker {
         }
     }
 
-    /// Sleep until [`Parker::unpark`] or for `timeout` (`None` = no
-    /// limit). Returns at once when a token arrived since
-    /// [`Parker::begin_scan`]. Returns whether an unpark (rather than
-    /// the timeout) ended it. Only the lane's baton holder calls this.
-    pub fn park(&self, timeout: Option<Duration>) -> bool {
+    /// Whether an unpark arrived since the last park or scan.
+    pub fn token_pending(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == NOTIFIED
+    }
+
+    /// Sleep until [`Parker::unpark`], the watched fd, or `timeout`
+    /// (`None` = no limit), whichever is first; never returns before
+    /// the timeout for any other reason. Returns at once when a token
+    /// arrived since [`Parker::begin_scan`]. Only the lane's baton
+    /// holder calls this.
+    pub fn park(&self, timeout: Option<Duration>) -> Woke {
         if self
             .state
             .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            return self.state.swap(EMPTY, Ordering::SeqCst) == NOTIFIED;
+            let unparked = self.state.swap(EMPTY, Ordering::SeqCst) == NOTIFIED;
+            return Woke { unparked, source: false };
         }
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut g = self.lock.lock();
-        while self.state.load(Ordering::SeqCst) == PARKED {
-            match deadline {
-                None => self.cv.wait(&mut g),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        break;
-                    }
-                    let _ = self.cv.wait_for(&mut g, d - now);
-                }
+        let source = self.sleep(deadline);
+        let unparked = self.state.swap(EMPTY, Ordering::SeqCst) == NOTIFIED;
+        Woke { unparked, source }
+    }
+
+    /// Wait until the state leaves `PARKED`, the watched fd is ready
+    /// (true), or `deadline`. A stale eventfd signal — an unpark that
+    /// lost its race with a timeout — is one event, and slept through.
+    #[cfg(target_os = "linux")]
+    fn sleep(&self, deadline: Option<Instant>) -> bool {
+        let mut events = [EpollEvent::default(); 2];
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let ready = self.epoll.wait(&mut events, left);
+            let source = ready.iter().any(|ev| ev.data == TOKEN_SOURCE);
+            if source
+                || self.state.load(Ordering::SeqCst) != PARKED
+                || deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                return source;
             }
         }
-        drop(g);
-        self.state.swap(EMPTY, Ordering::SeqCst) == NOTIFIED
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn sleep(&self, deadline: Option<Instant>) -> bool {
+        let mut g = self.lock.lock();
+        while self.state.load(Ordering::SeqCst) == PARKED {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.cv.wait(&mut g),
+                Some(left) if left.is_zero() => break,
+                Some(left) => _ = self.cv.wait_for(&mut g, left),
+            }
+        }
+        false
     }
 
     /// End the lane's park, or make its next one return at once. One
@@ -107,11 +185,16 @@ impl Parker {
             return;
         }
         if self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
+            #[cfg(target_os = "linux")]
+            self.unparks.signal();
             // Taking the lock orders this notify after the sleeper's
             // state check: it is either already waiting (and is woken)
             // or has not checked yet (and will see NOTIFIED).
-            drop(self.lock.lock());
-            self.cv.notify_one();
+            #[cfg(not(target_os = "linux"))]
+            {
+                drop(self.lock.lock());
+                self.cv.notify_one();
+            }
         }
     }
 }
@@ -147,6 +230,12 @@ impl Timers {
             next_ns: AtomicU64::new(NO_TIMER),
             epoch: Instant::now(),
         }
+    }
+
+    /// Now, on the clock [`Timers::until_next`] reads (ns since the
+    /// VP was built).
+    pub fn now_ns(&self) -> u64 {
+        self.ns(Instant::now())
     }
 
     fn ns(&self, t: Instant) -> u64 {
@@ -233,7 +322,7 @@ mod tests {
         p.begin_scan();
         p.unpark();
         let t0 = Instant::now();
-        assert!(p.park(Some(Duration::from_secs(5))));
+        assert!(p.park(Some(Duration::from_secs(5))).unparked);
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
@@ -242,20 +331,21 @@ mod tests {
         let p = Parker::new();
         p.unpark();
         p.begin_scan();
-        assert!(!p.park(Some(Duration::from_millis(5))), "token was consumed");
+        let woke = p.park(Some(Duration::from_millis(5)));
+        assert_eq!(woke, Woke::default(), "token was consumed");
     }
 
     #[test]
     fn park_times_out_and_unpark_ends_it() {
         let p = Arc::new(Parker::new());
         let t0 = Instant::now();
-        assert!(!p.park(Some(Duration::from_millis(20))));
+        assert!(!p.park(Some(Duration::from_millis(20))).unparked);
         assert!(t0.elapsed() >= Duration::from_millis(20));
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || p2.park(None));
         std::thread::sleep(Duration::from_millis(10));
         p.unpark();
-        assert!(h.join().unwrap());
+        assert!(h.join().unwrap().unparked);
     }
 
     #[test]

@@ -1015,7 +1015,7 @@ fn semaphore_acquire_timeout_times_out_then_succeeds() {
 #[test]
 fn sync_primitives_error_off_ult_instead_of_aborting() {
     // Regression: these used to `expect` (and so abort the process) when
-    // touched from an ordinary OS thread — e.g. a transport poller thread.
+    // touched from an ordinary OS thread — a test's, or a deliverer's.
     let vp = vp();
     let m = UltMutex::new(&vp, 0u32);
     assert!(matches!(m.lock(), Err(UltError::NotUltContext)));
@@ -1495,15 +1495,23 @@ fn wait_exit_follows_a_detached_thread() {
 // User-level contexts: a thread is a stack, not an OS thread
 // ---------------------------------------------------------------------
 
+/// Run one `#[ignore]`d test of this binary in a process of its own.
+fn run_child(test: &str) -> std::process::Output {
+    std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--ignored", "--exact", test, "--test-threads=1", "--nocapture"])
+        .output()
+        .expect("re-running the test binary")
+}
+
 mod contexts {
     use std::cell::Cell;
-    use std::process::Command;
     use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     use proptest::prelude::*;
 
+    use super::run_child;
     use crate::{JoinError, JoinHandle, Priority, SpawnAttr, Tid, TlsKey, Vp, VpConfig};
 
     // -- the reference-implementation test ------------------------------
@@ -1842,14 +1850,6 @@ mod contexts {
 
     // -- child processes -------------------------------------------------
 
-    /// Run one `#[ignore]`d test of this binary in a process of its own.
-    fn run_child(test: &str) -> std::process::Output {
-        Command::new(std::env::current_exe().expect("test binary path"))
-            .args(["--ignored", "--exact", test, "--test-threads=1", "--nocapture"])
-            .output()
-            .expect("re-running the test binary")
-    }
-
     fn count_lines(path: &str) -> usize {
         std::fs::read_to_string(path).unwrap().lines().count()
     }
@@ -1963,5 +1963,100 @@ mod contexts {
             .find("user-level thread 'subscriber-3' (tid 1) of VP 'pe7' panicked:")
             .unwrap_or_else(|| panic!("no prefix in:\n{stderr}"));
         assert!(stderr[at..].contains("lost my place"), "{stderr}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Parking: a lane's sleep is an epoll set (Linux) holding an eventfd
+// ---------------------------------------------------------------------
+
+mod parking {
+    use std::time::{Duration, Instant};
+
+    use crate::park::{Parker, Woke};
+    #[cfg(target_os = "linux")]
+    use {
+        super::run_child,
+        crate::sys::EventFd,
+        crate::{SpawnAttr, Vp, VpConfig},
+    };
+
+    /// A timer deadline below a millisecond is slept to, not rounded
+    /// down to a poll — nor does a stale wake-up cut it short.
+    #[test]
+    fn a_sub_millisecond_park_never_returns_before_its_deadline() {
+        let p = Parker::new();
+        for round in 0..200 {
+            // A stale eventfd write, left by an unpark that lost its
+            // race with a timeout: drained, and slept through.
+            #[cfg(target_os = "linux")]
+            if round % 50 == 0 {
+                p.unparks.signal();
+            }
+            let t0 = Instant::now();
+            let woke = p.park(Some(Duration::from_micros(300)));
+            let slept = t0.elapsed();
+            assert_eq!(woke, Woke::default(), "round {round}");
+            assert!(slept >= Duration::from_micros(300), "round {round}: woke after {slept:?}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_watched_fd_ends_the_park_while_it_stays_ready() {
+        let p = Parker::new();
+        let source = EventFd::new().unwrap();
+        p.watch(source.fd()).unwrap();
+        assert!(!p.park(Some(Duration::from_millis(5))).source, "quiet source");
+        source.signal();
+        let t0 = Instant::now();
+        let woke = p.park(Some(Duration::from_secs(5)));
+        assert_eq!(woke, Woke { unparked: false, source: true });
+        assert!(p.park(None).source, "level-triggered: still ready");
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    /// Counts of this process's epoll and eventfd instances.
+    #[cfg(target_os = "linux")]
+    fn wait_fds() -> (usize, usize) {
+        let (mut epolls, mut eventfds) = (0, 0);
+        for fd in std::fs::read_dir("/proc/self/fd").unwrap().flatten() {
+            match std::fs::read_link(fd.path()).map(|p| p.display().to_string()) {
+                Ok(l) if l == "anon_inode:[eventpoll]" => epolls += 1,
+                Ok(l) if l == "anon_inode:[eventfd]" => eventfds += 1,
+                _ => {}
+            }
+        }
+        (epolls, eventfds)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[ignore = "child body of a_dropped_vp_closes_its_lane_fds"]
+    fn child_dropped_vp_fds() {
+        let before = wait_fds();
+        let vp = Vp::new(VpConfig::named("fds").with_vps(4));
+        assert_eq!(wait_fds(), (before.0 + 4, before.1 + 4), "one set and one eventfd per lane");
+        let watched = EventFd::new().unwrap();
+        vp.set_progress(watched.fd(), |_| {});
+        let h = vp.spawn(SpawnAttr::new(), |vp| vp.yield_now());
+        vp.start();
+        h.join().unwrap();
+        drop(vp);
+        drop(watched);
+        assert_eq!(wait_fds(), before, "a dropped VP leaked its parkers' fds");
+    }
+
+    /// Alone in a process: the fd table is the whole process's.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dropped_vp_closes_its_lane_fds() {
+        let out = run_child("tests::parking::child_dropped_vp_fds");
+        assert!(
+            out.status.success(),
+            "{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }

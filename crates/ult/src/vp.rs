@@ -66,8 +66,8 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -78,7 +78,7 @@ use crate::ctx::{Context, Host, Kind};
 use crate::current::{self, UltContext};
 use crate::error::{JoinError, UltError};
 use crate::hooks::{DispatchDecision, HookRef, PendingPoll};
-use crate::park::{Parker, TimerKey, Timers};
+use crate::park::{Parker, TimerKey, Timers, Woke};
 use crate::stats::VpStats;
 use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
 
@@ -87,6 +87,20 @@ use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
 /// deadlocked. Only an OS thread outside the VP could still unblock
 /// anyone by then, and it has had this long to do so.
 const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
+
+/// How often a busy lane runs the progress source's turn at a schedule
+/// point ([`Vp::set_progress`]). An idle lane needs no interval — it
+/// sleeps on the source's fd and turns the moment it is readable — but
+/// a lane that never sleeps would otherwise leave arrivals unread. A
+/// turn costs a syscall, and a fan-out switches threads every
+/// microsecond or so: turning at every schedule point measurably
+/// raised the CPU per operation there, while 50 µs is a fraction of a
+/// socket round trip (≈ 100 µs on loopback), so a waiter sees its
+/// reply in well under one more trip.
+const PROGRESS_INTERVAL_NS: u64 = 50_000;
+
+/// An external event source the lanes drive (see [`Vp::set_progress`]).
+type ProgressTurn = Box<dyn Fn(bool) + Send + Sync>;
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -187,6 +201,9 @@ struct Worker {
     current: AtomicU32,
     /// Where this lane's baton holder sleeps when a round finds nothing.
     parker: Parker,
+    /// When this lane last ran the progress turn (ns on the timers'
+    /// clock). Only the lane's own OS thread touches it.
+    last_turn_ns: AtomicU64,
     /// The context of the OS thread hosting this lane, while one is
     /// inside [`Vp::start`]: what the lane's last exit switches back to.
     host: Mutex<Option<Context>>,
@@ -212,6 +229,8 @@ pub struct Vp {
     hook_gate: Mutex<()>,
     /// Deadlines of timed waits, shared by all lanes.
     timers: Timers,
+    /// The external event source every lane drives, once installed.
+    progress: OnceLock<ProgressTurn>,
     /// How this VP's threads are carried (see [`crate::ctx`]). Always
     /// [`Kind::DEFAULT`] outside this crate's own tests.
     kind: Kind,
@@ -262,6 +281,7 @@ impl Vp {
                 ready: Mutex::new(Default::default()),
                 current: AtomicU32::new(0),
                 parker: Parker::new(),
+                last_turn_ns: AtomicU64::new(0),
                 host: Mutex::new(None),
             })
             .collect();
@@ -281,6 +301,7 @@ impl Vp {
             hooks: RwLock::new(Arc::from(Vec::new())),
             hook_gate: Mutex::new(()),
             timers: Timers::new(),
+            progress: OnceLock::new(),
             kind,
             deadlock_reported: AtomicBool::new(false),
             stats: VpStats::default(),
@@ -345,6 +366,52 @@ impl Vp {
     pub fn wake(&self) {
         for w in self.workers.iter() {
             w.parker.unpark();
+        }
+    }
+
+    /// Make every lane drive an external event source — a transport
+    /// with no thread of its own. Each lane's sleep also waits on `fd`
+    /// (readable while the source has work), and the lane runs
+    /// `turn(true)` when it wakes on it and `turn(false)` — while busy —
+    /// at a schedule point once 50 µs have passed since its last turn.
+    /// `turn` may run on several lanes at once and must not block,
+    /// except that `turn(true)` — from a lane with nothing else to do —
+    /// should wait out a turn in progress elsewhere: the fd stays
+    /// readable until that one ends, and a lane that skipped would only
+    /// wake again at once. One source per VP, for the VP's lifetime:
+    /// the fd must stay open (or close, which drops it from every set).
+    ///
+    /// # Panics
+    /// On a second call, or when `fd` cannot be added to a lane's set.
+    #[cfg(target_os = "linux")]
+    pub fn set_progress(
+        &self,
+        fd: std::os::unix::io::RawFd,
+        turn: impl Fn(bool) + Send + Sync + 'static,
+    ) {
+        assert!(
+            self.progress.set(Box::new(turn)).is_ok(),
+            "a VP drives one progress source"
+        );
+        for w in self.workers.iter() {
+            w.parker
+                .watch(fd)
+                .unwrap_or_else(|e| panic!("cannot watch the progress fd: {e}"));
+        }
+    }
+
+    /// Run the progress turn on `worker`: when the lane woke on the fd
+    /// (`woken`), or when it last turned [`PROGRESS_INTERVAL_NS`] ago.
+    #[inline]
+    fn drive_progress(&self, worker: usize, woken: bool) {
+        let Some(turn) = self.progress.get() else {
+            return;
+        };
+        let last = &self.workers[worker].last_turn_ns;
+        let now = self.timers.now_ns();
+        if woken || now.saturating_sub(last.load(Ordering::Relaxed)) >= PROGRESS_INTERVAL_NS {
+            last.store(now, Ordering::Relaxed);
+            turn(woken);
         }
     }
 
@@ -954,6 +1021,9 @@ impl Vp {
         loop {
             self.stats.schedule_points.incr();
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
+            // Before the scan: what the turn delivers, this round sees
+            // (and the wake-up it sends this lane, the scan consumes).
+            self.drive_progress(worker, false);
             // From here on, whatever a waker publishes is either seen by
             // this round's scan or leaves a token that voids the park.
             parker.begin_scan();
@@ -1038,24 +1108,38 @@ impl Vp {
                     }
                 };
             }
-            // Sleep until something can have changed: a wake-up, or the
-            // nearest deadline. A hook-free VP with no timer armed has no
-            // event source but its own threads, so its park is bounded by
-            // the deadlock grace period instead.
-            let until_timer = self.timers.until_next();
-            if until_timer.is_some_and(|d| d.is_zero()) {
-                continue; // already due: the next round fires it
-            }
-            let unattended = hooks.is_empty() && until_timer.is_none();
-            self.stats.idle_spins.incr();
-            // One Idle event per idle *period*, not per park.
-            if !std::mem::replace(&mut idle_traced, true) {
-                if let Some(o) = &self.obs {
-                    o.emit(chant_obs::Event::Idle);
+            // Sleep until something can have changed: a wake-up, the
+            // progress fd, or the nearest deadline. A hook-free VP with no
+            // timer armed and no progress source has no event source but
+            // its own threads, so its park is bounded by the deadlock
+            // grace period instead.
+            let (woke, unattended) = loop {
+                let until_timer = self.timers.until_next();
+                if until_timer.is_some_and(|d| d.is_zero()) {
+                    break (Woke::default(), false); // due: the next round fires it
                 }
-            }
-            let woken = parker.park(until_timer.or(unattended.then_some(DEADLOCK_GRACE)));
-            if unattended && !woken && !self.timers.any_armed() {
+                let unattended =
+                    hooks.is_empty() && until_timer.is_none() && self.progress.get().is_none();
+                self.stats.idle_spins.incr();
+                // One Idle event per idle *period*, not per park.
+                if !std::mem::replace(&mut idle_traced, true) {
+                    if let Some(o) = &self.obs {
+                        o.emit(chant_obs::Event::Idle);
+                    }
+                }
+                let woke = parker.park(until_timer.or(unattended.then_some(DEADLOCK_GRACE)));
+                if !woke.source || woke.unparked {
+                    break (woke, unattended);
+                }
+                // The progress fd alone: turn, then scan again only if
+                // the turn made work here (a delivery to this VP unparks
+                // this lane); otherwise the last scan still stands.
+                self.drive_progress(worker, true);
+                if parker.token_pending() {
+                    break (woke, false);
+                }
+            };
+            if unattended && !woke.unparked && !self.timers.any_armed() {
                 if let Some(report) = self.detect_deadlock() {
                     // The blocked threads have been cancelled and unwind
                     // in an orderly fashion. Report by panicking the

@@ -30,7 +30,7 @@ use chant::chant::{ChantGroup, ChantNode, ChanterId, TransportConfig};
 pub enum Backend {
     InProcess,
     /// The socket backend (linux-only): every message through a real
-    /// loopback socket and one epoll poller thread.
+    /// loopback socket, read by the scheduler lanes themselves.
     #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     TcpEventLoopback,
 }

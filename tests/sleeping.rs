@@ -7,10 +7,11 @@
 //! A two-PE cluster whose every thread is waiting — the server threads
 //! for a request, the mains in a timed receive nobody will satisfy —
 //! must use (next to) no CPU while it waits: lanes park in the kernel
-//! until an arrival or the nearest deadline, the event-loop transport's
-//! poller blocks in `epoll_wait`, and nothing ticks. TP is not in the
-//! matrix: a thread-polls waiter re-tests every time it is scheduled,
-//! by design (paper Figure 5), so a TP node is never idle.
+//! until an arrival or the nearest deadline — on the event-loop
+//! transport that one sleep also waits on its sockets — and nothing
+//! ticks. TP is not in the matrix: a thread-polls waiter re-tests every
+//! time it is scheduled, by design (paper Figure 5), so a TP node is
+//! never idle.
 
 mod common;
 

@@ -5,9 +5,9 @@
 //! The in-process backend is the oracle: it is the original synchronous
 //! delivery path that the paper's table reproductions run on. The
 //! socket backend runs here in loopback mode (every endpoint local,
-//! every message through a real kernel socket via the frame codec, the
-//! per-peer send queue, and the poller thread), so any divergence is a
-//! transport bug, not an environment difference.
+//! every message through a real kernel socket via the frame codec and
+//! the per-peer send queue, read by the lanes' own reactor turns), so
+//! any divergence is a transport bug, not an environment difference.
 //!
 //! Covered per backend, via `for_each_transport!`:
 //! * per-link FIFO ordering under concurrent cross-traffic;
@@ -25,8 +25,8 @@
 mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -35,6 +35,7 @@ use chant::chant::{
     TransportConfig,
 };
 use chant::comm::{kind, Address, CommWorld, RecvSpec};
+use chant::ult::SpawnAttr;
 use common::{fault_seed, for_each_transport, Backend};
 
 const FN_COUNT: u32 = 1001;
@@ -266,10 +267,11 @@ fn tcp_event_loopback_frames_are_conserved() {
     );
 }
 
-/// The poller must wind down cleanly: shutdown is idempotent, the
-/// thread joins (no leak accumulating across worlds), and every fd —
-/// sockets, epoll, eventfd — is returned. Runs the whole lifecycle
-/// twice and compares `/proc/self/fd` populations.
+/// A socket world must wind down cleanly: shutdown is idempotent, the
+/// lanes join (no leak accumulating across worlds), and every fd —
+/// sockets, the transport's epoll set, each lane's epoll set and
+/// eventfd — is returned. Runs the whole lifecycle repeatedly and
+/// compares `/proc/self/fd` populations.
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_event_worlds_release_their_fds_and_threads() {
@@ -498,3 +500,185 @@ for_each_transport!(remote_pings_cost_a_bounded_number_of_msgtests, |backend: Ba
         );
     }
 });
+
+// ---------------------------------------------------------------------
+// No transport thread: the lanes read the sockets.
+// ---------------------------------------------------------------------
+
+// A lane that never sleeps still reads: it takes a reactor turn at a
+// schedule point every 50 µs. One ULT on PE 0 yields until another, on
+// the same lane, has made its RSR round trips (or the window closes);
+// PE 1's server lane is kept busy too, since on loopback an idle lane
+// anywhere in the process reads every socket. (Extra lanes under
+// `CHANT_VPS` sleep, and read as idle lanes do.) Without the
+// schedule-point turn nothing reads until the yielders give up, so the
+// trips end after the window.
+for_each_transport!(a_busy_lane_still_receives, |backend: Backend| {
+    // 100 trips take a few ms on an idle host; the window is wide so
+    // that a loaded one cannot fail a working turn.
+    const WINDOW: Duration = Duration::from_secs(2);
+    const TRIPS: u32 = 100;
+    let cluster = ChantCluster::builder()
+        .pes(2)
+        .transport(backend.config())
+        .build();
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    cluster.run(move |node| {
+        crate::common::main_group(node, 1);
+        let until = Instant::now() + WINDOW;
+        // Lane 0 hosts PE 1's server: the first thread a node spawns.
+        let busy = Arc::clone(&done);
+        node.spawn(SpawnAttr::new().affinity(0), move |n| {
+            while !busy.load(Ordering::SeqCst) && Instant::now() < until {
+                n.yield_now();
+            }
+        });
+        if node.pe() == 0 {
+            let done = Arc::clone(&done);
+            node.spawn(SpawnAttr::new().affinity(0), move |n| {
+                for _ in 0..TRIPS {
+                    n.ping(Address::new(1, 0), b"").unwrap();
+                }
+                let now = Instant::now();
+                done.store(true, Ordering::SeqCst);
+                assert!(
+                    now < until,
+                    "[{backend:?}] {TRIPS} round trips ended {:?} after a {WINDOW:?} busy window",
+                    now - until
+                );
+            });
+        }
+    });
+});
+
+/// A lane that sleeps does not wait for one that is busy: PE 0 spins
+/// without a schedule point while PEs 1 and 2 ping-pong over the same
+/// sockets, read by their own lanes.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_parked_lane_does_not_wait_for_a_busy_one() {
+    const SPIN: Duration = Duration::from_millis(200);
+    const ROUNDS: u32 = 100;
+    let cluster = ChantCluster::builder()
+        .pes(3)
+        .transport(TransportConfig::tcp_event_loopback())
+        .build();
+    let (spin_end, rally_end) = (Arc::new(Mutex::new(None)), Arc::new(Mutex::new(None)));
+    let (spun, rallied) = (Arc::clone(&spin_end), Arc::clone(&rally_end));
+    cluster.run(move |node| {
+        let me = node.self_id();
+        match me.pe {
+            0 => {
+                let end = Instant::now() + SPIN;
+                while Instant::now() < end {
+                    std::hint::spin_loop();
+                }
+                *spun.lock().unwrap() = Some(Instant::now());
+            }
+            pe => {
+                let peer = ChanterId::new(3 - pe, 0, me.thread);
+                for i in 0..ROUNDS {
+                    if pe == 1 {
+                        node.send(peer, 5, &i.to_le_bytes()).unwrap();
+                        node.recv_tag(5).unwrap();
+                    } else {
+                        node.recv_tag(5).unwrap();
+                        node.send(peer, 5, &i.to_le_bytes()).unwrap();
+                    }
+                }
+                if pe == 1 {
+                    *rallied.lock().unwrap() = Some(Instant::now());
+                }
+            }
+        }
+    });
+    let (spun, rallied) = (spin_end.lock().unwrap().unwrap(), rally_end.lock().unwrap().unwrap());
+    assert!(
+        rallied < spun,
+        "{ROUNDS} ping-pongs between PEs 1 and 2 waited for PE 0's {SPIN:?} spin to end"
+    );
+}
+
+/// Two ranks flood each other before either receives. One lane each,
+/// so no idle lane reads for them: each sender is held at its queue
+/// bound, and the turns it runs there read the other's flood.
+#[cfg(target_os = "linux")]
+#[test]
+fn mutual_flooding_drains_in_order_without_loss() {
+    const FRAMES: u32 = 512;
+    const BODY: usize = 64 * 1024; // 32 MiB each way
+    let cluster = ChantCluster::builder()
+        .pes(2)
+        .vps(1)
+        .transport(TransportConfig::tcp_event_loopback())
+        .build();
+    cluster.run(|node| {
+        let me = node.self_id();
+        let peer = ChanterId::new(1 - me.pe, 0, me.thread);
+        let mut body = vec![0u8; BODY];
+        for seq in 0..FRAMES {
+            body[..4].copy_from_slice(&seq.to_le_bytes());
+            node.send(peer, 8, &body).unwrap();
+        }
+        for want in 0..FRAMES {
+            let (_info, got) = node.recv_tag(8).unwrap();
+            assert_eq!(got.len(), BODY);
+            let seq = u32::from_le_bytes(got[..4].try_into().unwrap());
+            assert_eq!(seq, want, "link ({} -> {}) reordered", peer.pe, me.pe);
+        }
+    });
+    let t = cluster.world().transport_stats();
+    assert_eq!(t.send_failures, 0, "{t:?}");
+    assert!(t.backpressure_waits >= 1, "no sender reached the bound: {t:?}");
+}
+
+/// A socket cluster adds no OS thread to an in-process one: a lane per
+/// node, and nothing else. `/proc/self/task` is process-wide and this
+/// binary's tests run side by side, so the count is taken in a child
+/// running one test alone.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_socket_cluster_runs_as_many_threads_as_an_inprocess_one() {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--ignored", "--exact", "child_thread_counts", "--test-threads=1", "--nocapture"])
+        .output()
+        .expect("re-running the test binary");
+    assert!(
+        out.status.success(),
+        "{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "run alone in a child by a_socket_cluster_runs_as_many_threads_as_an_inprocess_one"]
+fn child_thread_counts() {
+    let threads = |backend: Backend| {
+        let cluster = ChantCluster::builder()
+            .pes(2)
+            .transport(backend.config())
+            .build();
+        let seen = Arc::new(AtomicU32::new(0));
+        let seen2 = Arc::clone(&seen);
+        cluster.run(move |node| {
+            // Every node is up (and has talked) before PE 0 counts; a
+            // node's extra lanes start beside its first, so PE 0 keeps
+            // the highest count it sees for a while.
+            let group = crate::common::main_group(node, 1);
+            if node.pe() == 0 {
+                let until = Instant::now() + Duration::from_millis(50);
+                while Instant::now() < until {
+                    let n = std::fs::read_dir("/proc/self/task").unwrap().count();
+                    seen2.fetch_max(n as u32, Ordering::SeqCst);
+                    node.yield_now();
+                }
+            }
+            group.barrier(node).unwrap();
+        });
+        seen.load(Ordering::SeqCst)
+    };
+    let inproc = threads(Backend::InProcess);
+    assert_eq!(threads(Backend::TcpEventLoopback), inproc);
+}
