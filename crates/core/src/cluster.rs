@@ -49,7 +49,6 @@ pub struct ClusterBuilder {
     profile: CommProfile,
     telemetry: Option<Duration>,
     telemetry_path: Option<std::path::PathBuf>,
-    vps: usize,
     entries: HashMap<String, EntryFn>,
     handlers: HandlerTable,
     daemons: Vec<(String, DaemonFn)>,
@@ -79,7 +78,6 @@ impl ClusterBuilder {
                 .filter(|&ms| ms > 0)
                 .map(Duration::from_millis),
             telemetry_path: None,
-            vps: chant_ult::VpConfig::vps_from_env(),
             entries: HashMap::new(),
             handlers: HashMap::new(),
             daemons: Vec::new(),
@@ -221,16 +219,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Worker lanes (virtual processors) per node's scheduler (default:
-    /// the `CHANT_VPS` environment variable, else 1). At 1 the scheduler
-    /// is the paper's single-VP model, bit-identical to prior releases;
-    /// above 1 each node runs that many OS worker lanes, and each
-    /// chanter stays on the lane it was placed on at spawn (round-robin,
-    /// or [`SpawnAttr::affinity`]). Endpoint delivery and the O(1)
-    /// matching structures stay per node, shared by every lane.
-    pub fn vps(mut self, vps: usize) -> ClusterBuilder {
-        assert!(vps > 0, "a node needs at least one worker lane");
-        self.vps = vps;
+    /// Scheduler lanes per node: always 1, since a node's VP is one OS
+    /// thread, as the paper's is. Kept only because the benchmark still
+    /// calls `.vps(1)`; it goes together with that call (ROADMAP item 1).
+    ///
+    /// # Panics
+    /// For any `vps` other than 1.
+    pub fn vps(self, vps: usize) -> ClusterBuilder {
+        assert_eq!(vps, 1, "a node's VP is one lane");
         self
     }
 
@@ -356,7 +352,6 @@ impl ClusterBuilder {
                     self.policy,
                     self.retry.clone(),
                     self.dedup_window,
-                    self.vps,
                     Arc::clone(&entries),
                     Arc::clone(&handlers),
                 ));

@@ -100,11 +100,10 @@ impl ChantNode {
         policy: PollingPolicy,
         retry: Option<RetryPolicy>,
         dedup_window: usize,
-        vps: usize,
         entries: Arc<HashMap<String, EntryFn>>,
         handlers: Arc<HandlerTable>,
     ) -> Arc<ChantNode> {
-        let vp = Vp::new(chant_ult::VpConfig::named(format!("pe{pe}.{process}")).with_vps(vps));
+        let vp = Vp::new(chant_ult::VpConfig::named(format!("pe{pe}.{process}")));
         let endpoint = world.endpoint(Address::new(pe, process));
         let engine = PollEngine::install(Arc::clone(&vp), policy);
         // An idle lane sleeps; every arrival at this node's endpoint —
@@ -117,9 +116,9 @@ impl ChantNode {
                 vp.wake();
             }
         });
-        // A socket transport has no thread of its own: the lanes read
-        // the sockets. Each also sleeps on the transport's epoll set and
-        // runs a turn when it wakes on it (or, busy, every 50 µs).
+        // A socket transport has no thread of its own: the nodes' lanes
+        // read the sockets. This one also sleeps on the transport's epoll
+        // set and runs a turn when it wakes on it (or, busy, every 50 µs).
         #[cfg(target_os = "linux")]
         if let Some(progress) = world.progress() {
             vp.set_progress(progress.fd(), move |woken| progress.turn(woken));

@@ -10,12 +10,12 @@
 //! own Process/PS baseline — the standard practice when calibrating a
 //! simulator to published numbers.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::Ns;
 
 /// Per-operation costs for the simulated machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Network latency: first byte delay from NIC out to destination
     /// endpoint (the α of α + β·n).
@@ -66,58 +66,6 @@ pub struct CostModel {
     /// so the two "generic computations" evidently had different bodies;
     /// we calibrate each separately.
     pub beta_unit_ns: Ns,
-    /// Worker lanes the live scheduler runs per processing element
-    /// (`CHANT_VPS`). The simulator models each lane as its own
-    /// simulated VP, so a PE with `vps_per_pe > 1` spreads its threads
-    /// across that many concurrently-advancing schedulers. Defaults to 1
-    /// (the paper's single-VP machine), under which every Table 3–5
-    /// analogue is bit-identical to cost models recorded before this
-    /// field existed — which is also why the hand-written `Deserialize`
-    /// below defaults it when the field is absent.
-    pub vps_per_pe: u32,
-}
-
-// Hand-written so cost models recorded before `vps_per_pe` existed keep
-// deserializing (the field defaults to 1 when absent). Every other field
-// is required, exactly as the derive would demand.
-impl serde::Deserialize for CostModel {
-    fn deserialize(v: &serde::Value) -> Result<CostModel, serde::DeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::msg("expected object for CostModel"))?;
-        fn req<T: serde::Deserialize>(
-            m: &serde::Map,
-            field: &str,
-        ) -> Result<T, serde::DeError> {
-            T::deserialize(
-                m.get(field)
-                    .ok_or_else(|| serde::DeError::msg(&format!("missing field {field}")))?,
-            )
-        }
-        Ok(CostModel {
-            net_latency_ns: req(m, "net_latency_ns")?,
-            net_per_byte_ps: req(m, "net_per_byte_ps")?,
-            send_cpu_ns: req(m, "send_cpu_ns")?,
-            recv_post_ns: req(m, "recv_post_ns")?,
-            crecv_claim_ns: req(m, "crecv_claim_ns")?,
-            msgtest_ns: req(m, "msgtest_ns")?,
-            testany_base_ns: req(m, "testany_base_ns")?,
-            testany_per_req_ns: req(m, "testany_per_req_ns")?,
-            ctxsw_full_ns: req(m, "ctxsw_full_ns")?,
-            ctxsw_partial_ns: req(m, "ctxsw_partial_ns")?,
-            redispatch_ns: req(m, "redispatch_ns")?,
-            sched_point_ns: req(m, "sched_point_ns")?,
-            wq_register_ns: req(m, "wq_register_ns")?,
-            chant_send_ns: req(m, "chant_send_ns")?,
-            chant_recv_ns: req(m, "chant_recv_ns")?,
-            compute_unit_ns: req(m, "compute_unit_ns")?,
-            beta_unit_ns: req(m, "beta_unit_ns")?,
-            vps_per_pe: match m.get("vps_per_pe") {
-                Some(v) => u32::deserialize(v)?,
-                None => 1,
-            },
-        })
-    }
 }
 
 impl CostModel {
@@ -148,7 +96,6 @@ impl CostModel {
             chant_recv_ns: 10_000,
             compute_unit_ns: 40,
             beta_unit_ns: 40,
-            vps_per_pe: 1,
         }
     }
 
@@ -182,7 +129,6 @@ impl CostModel {
             chant_recv_ns: 10_000,
             compute_unit_ns: 38,
             beta_unit_ns: 3_730,
-            vps_per_pe: 1,
         }
     }
 
@@ -207,16 +153,7 @@ impl CostModel {
             chant_recv_ns: 10,
             compute_unit_ns: 1,
             beta_unit_ns: 1,
-            vps_per_pe: 1,
         }
-    }
-
-    /// Same machine, but with `vps` worker lanes per PE (clamped to at
-    /// least one). See [`CostModel::vps_per_pe`].
-    #[must_use]
-    pub fn with_vps(mut self, vps: u32) -> CostModel {
-        self.vps_per_pe = vps.max(1);
-        self
     }
 
     /// Wire time of an `n`-byte body: α + β·n.

@@ -81,12 +81,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an engine with `n_vps` processors.
-    pub fn new(n_vps: usize, cost: CostModel, mode: LayerMode) -> Engine {
+    /// Create an engine with `vp_count` processors.
+    pub fn new(vp_count: usize, cost: CostModel, mode: LayerMode) -> Engine {
         Engine {
             cost,
             mode,
-            vps: (0..n_vps).map(|_| SimVp::new()).collect(),
+            vps: (0..vp_count).map(|_| SimVp::new()).collect(),
             heap: BinaryHeap::new(),
             seq: 0,
             max_events: 200_000_000,
@@ -715,12 +715,12 @@ impl Engine {
 
 /// Convenience: build, load, and run a complete simulation.
 pub fn simulate(
-    n_vps: usize,
+    vp_count: usize,
     cost: CostModel,
     mode: LayerMode,
     threads: Vec<ThreadSpec>,
 ) -> Result<RunMetrics, SimError> {
-    let mut engine = Engine::new(n_vps, cost, mode);
+    let mut engine = Engine::new(vp_count, cost, mode);
     engine.add_threads(threads);
     engine.run()
 }

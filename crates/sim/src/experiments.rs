@@ -164,23 +164,18 @@ pub fn polling_run(
     cfg: PollingConfig,
 ) -> Result<PollingRun, SimError> {
     assert!(cfg.pes >= 2 && cfg.pes.is_multiple_of(2), "PEs must pair up");
-    // Each PE contributes `vps_per_pe` simulated VPs (worker lanes); a
-    // PE's threads are spread across its lanes round-robin, and thread t
-    // pairs with the partner PE's thread t, which lives on the partner's
-    // lane `t % k`. At k == 1 the lane arithmetic collapses to the
-    // original `vp == pe` mapping, so Tables 3–5 are bit-identical.
-    let k = cost.vps_per_pe.max(1) as usize;
+    // One simulated VP per PE; thread t pairs with the partner PE's
+    // thread t.
     let mut threads = Vec::new();
     for pe in 0..cfg.pes {
         let partner = pe ^ 1; // pairwise partnership, as in the paper
         for t in 0..cfg.threads_per_pe {
-            let lane = t as usize % k;
             threads.push(ThreadSpec {
-                vp: pe * k + lane,
+                vp: pe,
                 program: SimProgram::figure9(
                     alpha,
                     beta,
-                    partner * k + lane,
+                    partner,
                     t,
                     cfg.msg_bytes,
                     cfg.iterations,
@@ -188,7 +183,7 @@ pub fn polling_run(
             });
         }
     }
-    let mut engine = Engine::new(cfg.pes * k, cost, LayerMode::Chant(policy));
+    let mut engine = Engine::new(cfg.pes, cost, LayerMode::Chant(policy));
     engine.add_threads(threads);
     engine.set_compute_jitter(cfg.jitter_pct, cfg.jitter_seed);
     let metrics = engine.run()?;

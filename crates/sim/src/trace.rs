@@ -85,10 +85,10 @@ impl Trace {
     /// columns spanning `[0, horizon]` virtual time. Each cell shows the
     /// dominant activity in its time slice: `#` running (dispatches),
     /// `.` idle, `~` blocked-heavy, space for no events.
-    pub fn gantt(&self, n_vps: usize, horizon: Ns, cols: usize) -> Vec<String> {
+    pub fn gantt(&self, vp_count: usize, horizon: Ns, cols: usize) -> Vec<String> {
         assert!(cols > 0 && horizon > 0);
-        let mut rows = Vec::with_capacity(n_vps);
-        for vp in 0..n_vps {
+        let mut rows = Vec::with_capacity(vp_count);
+        for vp in 0..vp_count {
             let mut dispatch = vec![0u32; cols];
             let mut idle = vec![0u32; cols];
             let mut blocked = vec![0u32; cols];
@@ -180,10 +180,10 @@ impl From<TraceEvent> for chant_obs::TimedEvent {
 impl Trace {
     /// Convert this simulator trace into per-VP observability lanes
     /// (virtual-time timestamps), ready for the Perfetto exporter.
-    /// Lanes are named `sim.vp{n}` for `n in 0..n_vps`; a VP with no
+    /// Lanes are named `sim.vp{n}` for `n in 0..vp_count`; a VP with no
     /// events still gets an (empty) lane so track order is stable.
-    pub fn to_lane_traces(&self, n_vps: usize) -> Vec<chant_obs::LaneTrace> {
-        let mut lanes: Vec<chant_obs::LaneTrace> = (0..n_vps)
+    pub fn to_lane_traces(&self, vp_count: usize) -> Vec<chant_obs::LaneTrace> {
+        let mut lanes: Vec<chant_obs::LaneTrace> = (0..vp_count)
             .map(|vp| chant_obs::LaneTrace {
                 name: format!("sim.vp{vp}"),
                 events: Vec::new(),

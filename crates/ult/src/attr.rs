@@ -58,10 +58,6 @@ pub struct SpawnAttr {
     /// thread touches become resident — with a guard page below it, so
     /// an overflow kills the process by signal. It does not grow.
     pub(crate) stack_size: Option<usize>,
-    /// Preferred worker lane (VP) on a multi-VP processor; `None` uses
-    /// round-robin placement. Taken modulo the VP's worker count, so a
-    /// fixed affinity is safe whatever `CHANT_VPS` resolves to.
-    pub(crate) affinity: Option<usize>,
 }
 
 impl SpawnAttr {
@@ -95,15 +91,6 @@ impl SpawnAttr {
     /// carries the thread.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = Some(bytes);
-        self
-    }
-
-    /// Pin the thread to the given worker lane (taken modulo the VP's
-    /// worker count) instead of the next round-robin slot. The thread is
-    /// queued there and runs on that lane's OS thread only, from spawn to
-    /// exit.
-    pub fn affinity(mut self, worker: usize) -> Self {
-        self.affinity = Some(worker);
         self
     }
 }
@@ -146,11 +133,5 @@ mod tests {
         assert_eq!(attr.priority, Priority::NORMAL);
         assert!(!attr.detached);
         assert!(attr.name.is_none());
-        assert!(attr.affinity.is_none());
-    }
-
-    #[test]
-    fn affinity_builder_sets_lane() {
-        assert_eq!(SpawnAttr::new().affinity(3).affinity, Some(3));
     }
 }

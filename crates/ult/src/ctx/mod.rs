@@ -54,8 +54,8 @@
 //!   That cell, like every `thread_local!` in this crate, is only
 //!   touched inside `#[inline(never)]` leaf functions: this layer does
 //!   not assume a context resumes on the OS thread it left (that a
-//!   thread stays on its lane is the VP's placement rule, not this
-//!   module's), so no function here may cache a thread-local's address
+//!   VP's threads all run on its one OS thread is the VP's rule, not
+//!   this module's), so no function here may cache a thread-local's address
 //!   across a switch.
 //! * **No stack is unmapped or recycled while code runs on it.** A
 //!   running context holds a reference to itself, taken at its first

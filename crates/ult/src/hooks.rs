@@ -52,24 +52,13 @@ pub enum DispatchDecision {
 
 /// A scheduler extension installed on a [`crate::Vp`].
 ///
-/// Hooks are invoked by OS threads holding one of the VP's scheduling
-/// batons, never while any VP-internal run-queue or directory lock is
-/// held (so a hook may freely call back into the VP, e.g. to unblock a
-/// thread). The concurrency contract on a multi-lane VP
-/// ([`crate::VpConfig::n_vps`] > 1):
-///
-/// * [`Self::at_schedule_point`] is serialized across lanes by a
-///   try-lock gate and therefore never runs concurrently with itself —
-///   but an individual lane may *skip* its sweep when another lane's is
-///   in flight, so it may not be relied on to run on every schedule
-///   point of every lane. The holder's sweep services all lanes' threads.
-/// * [`Self::before_dispatch`] may run concurrently on different lanes
-///   for *different* candidate threads (each call is made under its own
-///   candidate's pending-slot lock). It is never called twice
-///   concurrently for the same thread.
-///
-/// At `n_vps == 1` the gate is uncontended and this reduces to the
-/// original single-baton contract: never concurrent with anything.
+/// Hooks run on the VP's one OS thread, on the stack of whichever of
+/// its threads holds the scheduling baton, never while any VP-internal
+/// run-queue or directory lock is held (so a hook may freely call back
+/// into the VP, e.g. to unblock a thread). As in the paper's scheduler,
+/// a hook never runs concurrently with itself on a VP:
+/// [`Self::at_schedule_point`] runs at every schedule point, and
+/// [`Self::before_dispatch`] once per candidate, one after the other.
 ///
 /// # Hooks and the sleeping lane
 ///

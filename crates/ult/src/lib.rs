@@ -25,14 +25,13 @@
 //!
 //! Each [`Vp`] ("virtual processor", the paper's *processing element +
 //! process* context) multiplexes many user-level threads with **strict
-//! cooperative scheduling**: exactly one thread of a VP lane runs at any
+//! cooperative scheduling**: exactly one thread of a VP runs at any
 //! time, and control moves only at explicit points (`yield_now`,
 //! blocking operations, exit).
 //!
 //! A thread is a **saved register set plus a stack of its own**, and a
-//! lane is **one OS thread**: the caller of [`Vp::start`] for lane 0,
-//! one named host thread for each further lane. A thread is placed on
-//! one lane at spawn and runs there only, so it never changes OS thread
+//! VP is **one OS thread**, the caller of [`Vp::start`] — its *lane*.
+//! Every thread of the VP runs there, so it never changes OS thread
 //! between its first instruction and its exit. A *full switch* saves
 //! the departing thread's callee-saved registers and stack pointer and
 //! restores the next thread's — a dozen instructions of `global_asm!`,
@@ -60,9 +59,9 @@
 //!
 //! ### What code running on a VP must not do
 //!
-//! * **Block the OS thread.** A lane is one OS thread: a blocking system
+//! * **Block the OS thread.** A VP is one OS thread: a blocking system
 //!   call, `std::thread::sleep` or a `std::sync` wait stalls every
-//!   thread of the lane. Use this crate's primitives, which block the
+//!   thread of the VP. Use this crate's primitives, which block the
 //!   calling user-level thread only.
 //! * **Overflow the stack.** There is no growth; ask for what you need.
 //!

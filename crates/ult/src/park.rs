@@ -2,7 +2,7 @@
 //!
 //! Two small pieces the scheduler's idle path is built from:
 //!
-//! * [`Parker`] — one per worker lane. A lane whose round dispatched
+//! * [`Parker`] — one per VP, for its lane. A lane whose round dispatched
 //!   nothing parks its OS thread here; [`Parker::unpark`] ends the park.
 //!   Token semantics, like `std::thread::park`: an unpark that lands
 //!   *before* the park makes the park return at once, so "publish the
@@ -248,7 +248,7 @@ impl Timers {
     }
 
     /// Arm a timer for `tcb`. Returns the key and whether it became the
-    /// nearest deadline (sleeping lanes must then re-plan their park).
+    /// nearest deadline (a sleeping lane must then re-plan its park).
     pub fn arm(&self, deadline: Instant, tcb: Arc<Tcb>) -> (TimerKey, bool) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut armed = self.armed.lock();
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn timers_fire_nearest_first_and_disarm_is_idempotent() {
         let t = Timers::new();
-        let tcb = |id| Tcb::new(id, "t".into(), Priority::NORMAL, false, 0);
+        let tcb = |id| Tcb::new(id, "t".into(), Priority::NORMAL, false);
         let now = Instant::now();
         assert!(t.until_next().is_none());
         let (late, nearest) = t.arm(now + Duration::from_millis(40), tcb(1));

@@ -80,10 +80,6 @@ pub(crate) struct Tcb {
     pub life: Mutex<Lifecycle>,
     /// Wakeup token consumed by `block` if an `unblock` raced ahead of it.
     pub wake_token: Mutex<bool>,
-    /// The worker (VP lane) this thread was placed on at spawn. It is
-    /// queued only there and runs only on that lane's OS thread, so
-    /// `yield`, `block` and exit reschedule on behalf of this lane.
-    pub home: usize,
     /// Condvar (paired with `life`) for joiners on foreign OS threads.
     pub ext_cv: Condvar,
     /// Thread-local data slots (pthread_key style), keyed by TlsKey id.
@@ -94,7 +90,7 @@ pub(crate) struct Tcb {
 }
 
 impl Tcb {
-    pub fn new(id: Tid, name: String, priority: Priority, detached: bool, home: usize) -> Arc<Tcb> {
+    pub fn new(id: Tid, name: String, priority: Priority, detached: bool) -> Arc<Tcb> {
         Arc::new(Tcb {
             id,
             name,
@@ -111,7 +107,6 @@ impl Tcb {
             }),
             tls: Mutex::new(HashMap::new()),
             wake_token: Mutex::new(false),
-            home,
             ext_cv: Condvar::new(),
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),
         })
@@ -177,7 +172,7 @@ mod tests {
 
     #[test]
     fn pending_slot_roundtrip() {
-        let tcb = Tcb::new(2, "t".into(), Priority::NORMAL, false, 0);
+        let tcb = Tcb::new(2, "t".into(), Priority::NORMAL, false);
         assert!(!tcb.pending_unready());
         tcb.set_pending(Box::new(|| false));
         assert!(tcb.pending_unready());
@@ -189,7 +184,7 @@ mod tests {
 
     #[test]
     fn priority_is_mutable() {
-        let tcb = Tcb::new(3, "t".into(), Priority::NORMAL, false, 0);
+        let tcb = Tcb::new(3, "t".into(), Priority::NORMAL, false);
         assert_eq!(tcb.priority(), Priority::NORMAL);
         tcb.set_priority(Priority::HIGH);
         assert_eq!(tcb.priority(), Priority::HIGH);

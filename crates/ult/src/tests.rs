@@ -1040,176 +1040,6 @@ fn free_yield_now_off_ult_is_a_noop() {
 }
 
 // ---------------------------------------------------------------------
-// Multi-VP (worker-lane) scheduling
-// ---------------------------------------------------------------------
-
-fn mvp(n: usize) -> Arc<Vp> {
-    Vp::new(VpConfig::named("mvp").with_vps(n))
-}
-
-#[test]
-fn multivp_threads_all_complete_and_counters_balance() {
-    let vp = mvp(4);
-    assert_eq!(vp.n_vps(), 4);
-    let counter = Arc::new(AtomicU32::new(0));
-    let mut hs = Vec::new();
-    for _ in 0..32 {
-        let c = Arc::clone(&counter);
-        hs.push(vp.spawn(SpawnAttr::new(), move |vp| {
-            for _ in 0..20 {
-                c.fetch_add(1, Ordering::Relaxed);
-                vp.yield_now();
-            }
-        }));
-    }
-    vp.start();
-    for h in hs {
-        h.join().unwrap();
-    }
-    assert_eq!(counter.load(Ordering::Relaxed), 640);
-    let s = vp.stats().snapshot();
-    assert_eq!(s.spawned, 32);
-    assert_eq!(s.exited, 32);
-    assert_eq!(s.yields, 640);
-}
-
-#[test]
-fn affinity_pins_home_lane_round_robin_spreads() {
-    // All-pinned spawn: every thread is queued and runs on lane 3 only,
-    // and the scheduler still completes everything.
-    let vp = mvp(4);
-    let counter = Arc::new(AtomicU32::new(0));
-    for _ in 0..8 {
-        let c = Arc::clone(&counter);
-        vp.spawn(SpawnAttr::new().affinity(3).detached(), move |vp| {
-            c.fetch_add(1, Ordering::Relaxed);
-            vp.yield_now();
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    vp.start();
-    assert_eq!(counter.load(Ordering::Relaxed), 16);
-}
-
-#[test]
-fn multivp_sync_primitives_stay_correct() {
-    let vp = mvp(4);
-    let vp2 = Arc::clone(&vp);
-    let out = vp
-        .run(move |vp| {
-            let m = UltMutex::new(&vp2, 0u64);
-            let mut hs = Vec::new();
-            for _ in 0..8 {
-                let m = Arc::clone(&m);
-                hs.push(vp.spawn(SpawnAttr::new(), move |vp| {
-                    for _ in 0..50 {
-                        let mut g = m.lock().unwrap();
-                        let v = *g;
-                        vp.yield_now(); // invite every interleaving
-                        *g = v + 1;
-                        drop(g);
-                    }
-                }));
-            }
-            for h in hs {
-                h.join().unwrap();
-            }
-            let total = *m.lock().unwrap();
-            total
-        })
-        .unwrap();
-    assert_eq!(out, 400);
-}
-
-#[test]
-fn multivp_cancelled_condvar_waiter_does_not_strand_others() {
-    // The PR 3 cancelled-waiter fix, now with four lanes racing: the
-    // doomed waiter's stale queue entry must be skipped no matter which
-    // lane delivers the notification.
-    let vp = mvp(4);
-    let vp2 = Arc::clone(&vp);
-    vp.run(move |vp| {
-        let m = UltMutex::new(&vp2, (false, false));
-        let cv = UltCondvar::new(&vp2);
-
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let doomed = vp.spawn(SpawnAttr::new().name("doomed"), move |_| {
-            let mut g = m2.lock().unwrap();
-            while !g.0 {
-                g = cv2.wait(g).unwrap();
-            }
-            unreachable!("doomed waiter must be cancelled");
-        });
-        let (m3, cv3) = (Arc::clone(&m), Arc::clone(&cv));
-        let live = vp.spawn(SpawnAttr::new().name("live"), move |_| {
-            let mut g = m3.lock().unwrap();
-            while !g.1 {
-                g = cv3.wait(g).unwrap();
-            }
-            "woken"
-        });
-        // Let both park on the condvar (real queue entries, not tokens).
-        while vp.thread_info(doomed.tid()).unwrap().state != crate::ThreadState::Blocked
-            || vp.thread_info(live.tid()).unwrap().state != crate::ThreadState::Blocked
-        {
-            vp.yield_now();
-        }
-        vp.cancel(doomed.tid()).unwrap();
-        m.lock().unwrap().1 = true;
-        cv.notify_one(); // must skip the doomed entry and wake `live`
-        assert_eq!(live.join().unwrap(), "woken");
-        assert!(matches!(doomed.join(), Err(JoinError::Cancelled)));
-    })
-    .unwrap();
-}
-
-#[test]
-fn multivp_cancelled_semaphore_waiter_does_not_strand_others() {
-    let vp = mvp(4);
-    let vp2 = Arc::clone(&vp);
-    vp.run(move |vp| {
-        let sem = UltSemaphore::new(&vp2, 0);
-        let s2 = Arc::clone(&sem);
-        let victim = vp.spawn(SpawnAttr::new(), move |_| {
-            s2.acquire().unwrap();
-            unreachable!("victim must be cancelled while waiting");
-        });
-        let s3 = Arc::clone(&sem);
-        let survivor = vp.spawn(SpawnAttr::new(), move |_| {
-            s3.acquire().unwrap();
-            7u8
-        });
-        while vp.thread_info(victim.tid()).unwrap().state != crate::ThreadState::Blocked
-            || vp.thread_info(survivor.tid()).unwrap().state != crate::ThreadState::Blocked
-        {
-            vp.yield_now();
-        }
-        vp.cancel(victim.tid()).unwrap();
-        assert!(matches!(victim.join(), Err(JoinError::Cancelled)));
-        sem.release();
-        assert_eq!(survivor.join().unwrap(), 7);
-    })
-    .unwrap();
-}
-
-#[test]
-fn multivp_hookless_deadlock_still_detected() {
-    let vp = Vp::new(VpConfig::named("mdl").with_vps(3));
-    let h = vp.spawn(SpawnAttr::new(), |vp| {
-        vp.block(); // nobody will ever unblock us
-    });
-    vp.start(); // must terminate (exactly one lane reports), not hang
-    match h.join() {
-        Err(JoinError::Panicked(p)) => {
-            let msg = p.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("deadlock"), "unexpected panic: {msg}");
-        }
-        Err(JoinError::Cancelled) => {}
-        other => panic!("expected deadlock report, ok={}", other.is_ok()),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Waiting that sleeps: the parker, the timer queue, and what wakes them
 // ---------------------------------------------------------------------
 
@@ -1549,7 +1379,7 @@ mod contexts {
         }
     }
 
-    /// Run `program` on a one-lane VP and return the order in which
+    /// Run `program` on a VP and return the order in which
     /// everything happened plus the VP's counters.
     fn execute(vp: Arc<Vp>, program: Vec<Vec<Op>>) -> (Vec<String>, Vec<(&'static str, u64)>) {
         let log = Arc::new(Mutex::new(Vec::<String>::new()));
@@ -1645,7 +1475,7 @@ mod contexts {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// Why the OS-thread `Context` is kept: it is the reference the
-        /// user-level switch is compared against. On one lane a
+        /// user-level switch is compared against. On a VP a
         /// program's schedule is a pure function of the program, so the
         /// two must produce the same execution log, event for event, and
         /// the same `ult.*` counters.
@@ -1735,114 +1565,106 @@ mod contexts {
         assert_eq!(last.join().unwrap(), "still here");
     }
 
-    // -- placement -------------------------------------------------------
+    // -- one OS thread per VP ---------------------------------------------
 
-    /// The lane whose OS thread is executing the caller, from that OS
-    /// thread's name. Not inlined, so that it reads the OS thread running
-    /// it now even where a caller's cached thread-local would not.
+    /// The OS thread executing the caller. Not inlined, so that it reads
+    /// the OS thread running it now even where a caller's cached
+    /// thread-local would not.
     #[inline(never)]
-    fn lane_of_this_os_thread(vp_name: &str, lane0: std::thread::ThreadId) -> usize {
-        let t = std::thread::current();
-        if t.id() == lane0 {
-            return 0;
-        }
-        let name = t.name().expect("lane hosts are named");
-        name.strip_prefix(&format!("{vp_name}-w"))
-            .and_then(|k| k.parse().ok())
-            .unwrap_or_else(|| panic!("running on a foreign OS thread {name:?}"))
+    fn this_os_thread() -> std::thread::ThreadId {
+        std::thread::current().id()
     }
 
     thread_local! {
-        /// Set before every switch by each thread to its home lane: what
-        /// any thread of a lane reads back there is that lane's number.
-        static LANE_MARK: Cell<usize> = const { Cell::new(usize::MAX) };
+        /// Set before every switch by each thread to its VP's number:
+        /// what any thread of a VP reads back there is that VP's number.
+        static VP_MARK: Cell<usize> = const { Cell::new(usize::MAX) };
     }
 
-    /// What a thread checks after every resume: it is on its home lane's
-    /// OS thread, it is still itself (`current_tid`, a `TlsKey` value),
-    /// and an OS thread-local it wrote before the switch kept its value.
+    /// What a thread checks after every resume: it is on the OS thread
+    /// that called its VP's `start`, it is still itself (`current_tid`,
+    /// a `TlsKey` value), and an OS thread-local it wrote before the
+    /// switch kept its value.
     fn assert_at_home(
-        lane0: std::thread::ThreadId,
-        home: usize,
+        host: std::thread::ThreadId,
+        mark: usize,
         me: Tid,
         key: TlsKey<usize>,
         i: usize,
     ) {
-        assert_eq!(
-            lane_of_this_os_thread("home", lane0),
-            home,
-            "tid {me} left its home lane"
-        );
+        assert_eq!(this_os_thread(), host, "tid {me} resumed on a foreign OS thread");
         assert_eq!(crate::current_tid(), Some(me));
         assert_eq!(key.get(), Some(i));
         assert_eq!(
-            LANE_MARK.with(Cell::get),
-            home,
+            VP_MARK.with(Cell::get),
+            mark,
             "tid {me}: a thread_local! changed under it"
         );
     }
 
     #[test]
-    fn a_thread_never_leaves_its_home_lane() {
-        const LANES: usize = 4;
-        const PINNED: usize = 16;
-        const PLACED: usize = 8;
+    fn every_thread_resumes_on_the_os_thread_that_called_start() {
+        const PAIRS: usize = 8;
+        const BUSY: usize = 16;
         const ROUNDS: usize = 200;
-        let vp = Vp::new(VpConfig::named("home").with_vps(LANES));
-        let lane0 = std::thread::current().id();
+        // VP `a` runs on this OS thread; `b`, on a second one, holds the
+        // partner of each of `a`'s blocking threads: every wake-up of a
+        // blocked thread comes from the other VP's OS thread.
+        let (a, b) = (Vp::new(VpConfig::named("a")), Vp::new(VpConfig::named("b")));
+        let a_host = this_os_thread();
+        let b_host: Arc<std::sync::OnceLock<std::thread::ThreadId>> = Arc::default();
         let key: TlsKey<usize> = TlsKey::new();
         let mut hs = Vec::new();
-        // Placed round-robin: the VP's first unpinned spawns, so thread
-        // `j` is homed on lane `j % LANES`. Each blocks every round and
-        // is unblocked by a partner pinned to the next lane, which it
-        // unblocks in turn (one wake-up in flight each way at a time).
-        for j in 0..PLACED {
-            let home = j % LANES;
-            let partner_home = (home + 1) % LANES;
+        for j in 0..PAIRS {
             let partner = Arc::new(AtomicU32::new(0));
-            let p = Arc::clone(&partner);
-            let placed = vp.spawn(SpawnAttr::new(), move |vp| {
+            let (p, b2) = (Arc::clone(&partner), Arc::clone(&b));
+            let blocker = a.spawn(SpawnAttr::new(), move |vp| {
                 let me = crate::current_tid().unwrap();
                 key.set(j);
                 for _ in 0..ROUNDS {
-                    LANE_MARK.with(|m| m.set(home));
-                    vp.unblock(p.load(Ordering::Relaxed)).unwrap();
+                    VP_MARK.with(|m| m.set(0));
+                    b2.unblock(p.load(Ordering::Relaxed)).unwrap();
                     vp.block();
-                    assert_at_home(lane0, home, me, key, j);
+                    assert_at_home(a_host, 0, me, key, j);
                 }
             });
-            let target = placed.tid();
-            let unblocker = vp.spawn(SpawnAttr::new().affinity(partner_home), move |vp| {
+            let (target, a2, host) = (blocker.tid(), Arc::clone(&a), Arc::clone(&b_host));
+            let unblocker = b.spawn(SpawnAttr::new(), move |vp| {
                 let me = crate::current_tid().unwrap();
-                key.set(PLACED + j);
+                let host = *host.get().unwrap();
+                key.set(PAIRS + j);
                 for _ in 0..ROUNDS {
-                    LANE_MARK.with(|m| m.set(partner_home));
+                    VP_MARK.with(|m| m.set(1));
                     vp.block();
-                    assert_at_home(lane0, partner_home, me, key, PLACED + j);
-                    vp.unblock(target).unwrap();
+                    assert_at_home(host, 1, me, key, PAIRS + j);
+                    a2.unblock(target).unwrap();
                 }
             });
             partner.store(unblocker.tid(), Ordering::Relaxed);
-            hs.extend([placed, unblocker]);
+            hs.extend([blocker, unblocker]);
         }
-        // Pinned to lane 0 with work between yields: whenever the other
-        // lanes wait on their cross-lane wake-ups, lane 0 has a queue of
-        // ready threads they could take.
-        for i in 0..PINNED {
-            hs.push(vp.spawn(SpawnAttr::new().affinity(0), move |vp| {
+        // Work between yields: whenever an unblock arrives from `b`, `a`
+        // is as likely to be running as asleep.
+        for i in 0..BUSY {
+            hs.push(a.spawn(SpawnAttr::new(), move |vp| {
                 let me = crate::current_tid().unwrap();
-                key.set(2 * PLACED + i);
+                key.set(2 * PAIRS + i);
                 for _ in 0..ROUNDS {
                     for _ in 0..200 {
                         std::hint::spin_loop();
                     }
-                    LANE_MARK.with(|m| m.set(0));
+                    VP_MARK.with(|m| m.set(0));
                     vp.yield_now();
-                    assert_at_home(lane0, 0, me, key, 2 * PLACED + i);
+                    assert_at_home(a_host, 0, me, key, 2 * PAIRS + i);
                 }
             }));
         }
-        vp.start();
+        let b_lane = std::thread::spawn(move || {
+            b_host.set(this_os_thread()).unwrap();
+            b.start();
+        });
+        a.start();
+        b_lane.join().unwrap();
         for h in hs {
             h.join().unwrap();
         }
@@ -2035,8 +1857,8 @@ mod parking {
     #[ignore = "child body of a_dropped_vp_closes_its_lane_fds"]
     fn child_dropped_vp_fds() {
         let before = wait_fds();
-        let vp = Vp::new(VpConfig::named("fds").with_vps(4));
-        assert_eq!(wait_fds(), (before.0 + 4, before.1 + 4), "one set and one eventfd per lane");
+        let vp = Vp::new(VpConfig::named("fds"));
+        assert_eq!(wait_fds(), (before.0 + 1, before.1 + 1), "one set and one eventfd per VP");
         let watched = EventFd::new().unwrap();
         vp.set_progress(watched.fd(), |_| {});
         let h = vp.spawn(SpawnAttr::new(), |vp| vp.yield_now());

@@ -11,9 +11,8 @@
 //! messages on each context switch" (paper §3.1) without any dedicated
 //! scheduler thread.
 //!
-//! A lane is **one OS thread** — the caller of [`Vp::start`] for lane 0,
-//! a `"{vp}-w{k}"` host thread for each further lane — and passing the
-//! baton is a user-level context switch on that thread
+//! A VP is **one lane: one OS thread**, the caller of [`Vp::start`], and
+//! passing the baton is a user-level context switch on that thread
 //! ([`crate::ctx`]): the departing thread runs the scheduler *on its own
 //! stack*, picks the next thread, and `dispatch_to` saves its registers
 //! and restores the other's. A partial switch (PS) is then literally the
@@ -21,35 +20,19 @@
 //! restoring its context, and puts the TCB back if the message is not
 //! there. An exiting thread picks its successor the same way and the
 //! context layer makes the final switch once the thread's closure is
-//! gone; the lane's last exit switches back to the host, and
-//! [`Vp::start`] returns.
+//! gone; the last exit switches back to the host, and [`Vp::start`]
+//! returns.
 //!
-//! # Multi-VP mode
-//!
-//! With [`VpConfig::n_vps`] > 1 the VP multiplexes its threads over N
-//! *worker lanes*, one scheduling baton and one OS thread each, so a
-//! multicore PE can run N user-level threads truly in parallel. Each
-//! lane owns a run queue. A thread is placed on a *home* lane at spawn —
-//! round-robin, or pinned with
-//! [`SpawnAttr::affinity`](crate::SpawnAttr::affinity) — and placement
-//! is final: the thread is queued only on its home lane, and only that
-//! lane's OS thread ever pops and resumes it, from its first instruction
-//! to its exit. A thread that yields or blocks is on its home queue
-//! *before* its registers are saved, but the only scheduler that can pop
-//! it then is the one running on its own stack, which redispatches it in
-//! place. Other lanes touch a lane only to make one of its threads ready
-//! (a push onto the home queue, then [`Vp::wake`]) and through scheduler
-//! hooks, which stay effectively single-threaded: the schedule-point
-//! sweep is serialized by a try-lock gate (contending lanes skip, they
-//! do not wait). At `n_vps == 1` this is the paper's single-baton
-//! scheduler: the gate is never contended, so counter streams are
-//! bit-identical to the pre-multi-VP scheduler while anything is
-//! runnable.
+//! Every thread of the VP therefore runs on that one OS thread, from its
+//! first instruction to its exit, and the scheduler and its hooks never
+//! run concurrently with themselves. Other OS threads — another VP's
+//! lane, a plain thread — touch the VP only to make one of its threads
+//! ready (a push onto the run queue, then [`Vp::wake`]) or to spawn one.
 //!
 //! # Waiting
 //!
 //! "Nothing to run" is a kernel sleep. A lane whose round dispatched
-//! nothing — own queue empty, every partial-switch candidate requeued —
+//! nothing — run queue empty, every partial-switch candidate requeued —
 //! fires the timers that are due and otherwise **parks its OS thread**
 //! until the nearest armed deadline or [`Vp::wake`] (see [`crate::park`]
 //! for the parker and why no wake-up is lost). Everything that can make
@@ -66,11 +49,11 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::attr::{Priority, SpawnAttr};
 use crate::config::VpConfig;
@@ -99,7 +82,7 @@ const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
 /// reply in well under one more trip.
 const PROGRESS_INTERVAL_NS: u64 = 50_000;
 
-/// An external event source the lanes drive (see [`Vp::set_progress`]).
+/// An external event source the lane drives (see [`Vp::set_progress`]).
 type ProgressTurn = Box<dyn Fn(bool) + Send + Sync>;
 
 /// Panic payload used to unwind a cancelled thread (cf.
@@ -135,8 +118,7 @@ enum Departure {
     Block,
     /// I am exiting: choose my successor, do not come back.
     Exit,
-    /// Initial dispatch from [`Vp::start`]'s calling thread (or one of
-    /// its worker-lane host threads).
+    /// Initial dispatch from [`Vp::start`]'s calling thread.
     Bootstrap,
 }
 
@@ -169,44 +151,17 @@ pub struct ThreadInfo {
     pub detached: bool,
 }
 
-/// Thread directory and lifecycle bookkeeping, shared by all worker
-/// lanes. Deliberately holds no run queue: the queues live per-lane in
-/// [`Worker`] so ready-queue traffic never contends on this lock.
+/// Thread directory and lifecycle bookkeeping. Deliberately holds no
+/// run queue, so ready-queue traffic never contends on this lock.
 struct Shared {
     tcbs: HashMap<Tid, Arc<Tcb>>,
     next_tid: Tid,
     /// Threads not yet Done.
     live: usize,
     shutdown: bool,
-    /// Round-robin cursor for spawn placement across worker lanes.
-    next_place: usize,
     /// Threads blocked in [`Vp::wait_live_at_most`], with the live count
     /// each is waiting for; woken by the exit that reaches it.
     exit_watchers: Vec<(Arc<Tcb>, usize)>,
-}
-
-/// One worker lane: a run queue plus the lane's scheduling baton state.
-/// The lane's scheduler always runs on the lane's one OS thread, on
-/// whichever stack — a thread's or the host's — that thread is on.
-struct Worker {
-    /// This lane's ready queue, one FIFO per priority class: the threads
-    /// homed here. Any lane may push (an unblock comes from anywhere);
-    /// only this lane pops, from the front.
-    ///
-    /// Entries are the TCBs themselves, so a dispatch candidate costs no
-    /// directory lookup; an entry whose thread has since finished is
-    /// recognised by `phase == Done` and skipped.
-    ready: Mutex<[VecDeque<Arc<Tcb>>; Priority::LEVELS]>,
-    /// Tid last dispatched on this lane (0 = none yet), for introspection.
-    current: AtomicU32,
-    /// Where this lane's baton holder sleeps when a round finds nothing.
-    parker: Parker,
-    /// When this lane last ran the progress turn (ns on the timers'
-    /// clock). Only the lane's own OS thread touches it.
-    last_turn_ns: AtomicU64,
-    /// The context of the OS thread hosting this lane, while one is
-    /// inside [`Vp::start`]: what the lane's last exit switches back to.
-    host: Mutex<Option<Context>>,
 }
 
 /// A virtual processor hosting cooperative user-level threads.
@@ -214,28 +169,34 @@ struct Worker {
 /// See the [crate documentation](crate) for the execution model.
 pub struct Vp {
     cfg: VpConfig,
-    /// Worker-lane count; `cfg.n_vps` clamped to ≥ 1.
-    n: usize,
     shared: Mutex<Shared>,
-    workers: Box<[Worker]>,
-    done_cv: Condvar,
+    /// The ready queue, one FIFO per priority class. Any OS thread may
+    /// push (an unblock comes from anywhere); only the lane pops, from
+    /// the front.
+    ///
+    /// Entries are the TCBs themselves, so a dispatch candidate costs no
+    /// directory lookup; an entry whose thread has since finished is
+    /// recognised by `phase == Done` and skipped.
+    ready: Mutex<[VecDeque<Arc<Tcb>>; Priority::LEVELS]>,
+    /// Where the lane sleeps when a round finds nothing.
+    parker: Parker,
+    /// When the lane last ran the progress turn (ns on the timers'
+    /// clock). Only the lane's OS thread touches it.
+    last_turn_ns: AtomicU64,
+    /// The context of the OS thread inside [`Vp::start`], while there is
+    /// one: what the last exit switches back to.
+    host: Mutex<Option<Context>>,
     /// Installed scheduler hooks. Kept as a shared slice so the hot
     /// scheduling loop snapshots with one refcount bump and iterates
     /// with no extra indirection or allocation.
     hooks: RwLock<Arc<[HookRef]>>,
-    /// Serializes the `at_schedule_point` hook sweep across worker lanes
-    /// (try-lock: a contending lane skips its sweep rather than waiting —
-    /// the holder's sweep is doing the work).
-    hook_gate: Mutex<()>,
-    /// Deadlines of timed waits, shared by all lanes.
+    /// Deadlines of timed waits.
     timers: Timers,
-    /// The external event source every lane drives, once installed.
+    /// The external event source the lane drives, once installed.
     progress: OnceLock<ProgressTurn>,
     /// How this VP's threads are carried (see [`crate::ctx`]). Always
     /// [`Kind::DEFAULT`] outside this crate's own tests.
     kind: Kind,
-    /// Ensures exactly one lane reports a detected deadlock.
-    deadlock_reported: AtomicBool,
     stats: VpStats,
     /// Trace lane + cached histogram handles; `None` when no tracer was
     /// installed at construction time.
@@ -244,10 +205,7 @@ pub struct Vp {
 
 impl std::fmt::Debug for Vp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Vp")
-            .field("name", &self.cfg.name)
-            .field("n_vps", &self.n)
-            .finish()
+        f.debug_struct("Vp").field("name", &self.cfg.name).finish()
     }
 }
 
@@ -275,35 +233,23 @@ impl Vp {
     fn with_kind(cfg: VpConfig, kind: Kind) -> Arc<Vp> {
         install_cancel_hook();
         let obs = crate::obs::VpObs::register(&cfg.name);
-        let n = cfg.n_vps.max(1);
-        let workers: Box<[Worker]> = (0..n)
-            .map(|_| Worker {
-                ready: Mutex::new(Default::default()),
-                current: AtomicU32::new(0),
-                parker: Parker::new(),
-                last_turn_ns: AtomicU64::new(0),
-                host: Mutex::new(None),
-            })
-            .collect();
         Arc::new(Vp {
             cfg,
-            n,
             shared: Mutex::new(Shared {
                 tcbs: HashMap::new(),
                 next_tid: MAIN_TID,
                 live: 0,
                 shutdown: false,
-                next_place: 0,
                 exit_watchers: Vec::new(),
             }),
-            workers,
-            done_cv: Condvar::new(),
+            ready: Mutex::new(Default::default()),
+            parker: Parker::new(),
+            last_turn_ns: AtomicU64::new(0),
+            host: Mutex::new(None),
             hooks: RwLock::new(Arc::from(Vec::new())),
-            hook_gate: Mutex::new(()),
             timers: Timers::new(),
             progress: OnceLock::new(),
             kind,
-            deadlock_reported: AtomicBool::new(false),
             stats: VpStats::default(),
             obs,
         })
@@ -319,11 +265,6 @@ impl Vp {
     /// The VP's configured name.
     pub fn name(&self) -> &str {
         &self.cfg.name
-    }
-
-    /// Number of worker lanes this VP schedules across (≥ 1).
-    pub fn n_vps(&self) -> usize {
-        self.n
     }
 
     /// Scheduling statistics for this VP.
@@ -353,36 +294,35 @@ impl Vp {
     // Sleeping and waking.
     // ------------------------------------------------------------------
 
-    /// End every sleeping lane's park so it looks for work again — or,
-    /// for a lane that is awake, make its next park return at once.
+    /// End the lane's park so it looks for work again — or, if the lane
+    /// is awake, make its next park return at once.
     ///
-    /// Call this *after* publishing whatever a lane's scan should find:
+    /// Call this *after* publishing whatever the lane's scan should find:
     /// the VP calls it itself for everything it knows about (unblocks,
     /// spawns, cancels, timers); an event source outside the VP calls it
     /// when it completes something a scheduler hook polls for — a
     /// message arrival, an externally set [`PendingPoll`] flag. Safe from
-    /// any thread; one load per lane that already has a wake pending,
-    /// a syscall only for lanes that are really asleep.
+    /// any thread; one load when a wake is already pending, a syscall
+    /// only when the lane is really asleep.
     pub fn wake(&self) {
-        for w in self.workers.iter() {
-            w.parker.unpark();
-        }
+        self.parker.unpark();
     }
 
-    /// Make every lane drive an external event source — a transport
-    /// with no thread of its own. Each lane's sleep also waits on `fd`
+    /// Make the lane drive an external event source — a transport with
+    /// no thread of its own. The lane's sleep also waits on `fd`
     /// (readable while the source has work), and the lane runs
     /// `turn(true)` when it wakes on it and `turn(false)` — while busy —
     /// at a schedule point once 50 µs have passed since its last turn.
-    /// `turn` may run on several lanes at once and must not block,
-    /// except that `turn(true)` — from a lane with nothing else to do —
-    /// should wait out a turn in progress elsewhere: the fd stays
-    /// readable until that one ends, and a lane that skipped would only
-    /// wake again at once. One source per VP, for the VP's lifetime:
-    /// the fd must stay open (or close, which drops it from every set).
+    /// A source shared by several VPs has `turn` run on their lanes at
+    /// once, so it must not block, except that `turn(true)` — from a
+    /// lane with nothing else to do — should wait out a turn in progress
+    /// elsewhere: the fd stays readable until that one ends, and a lane
+    /// that skipped would only wake again at once. One source per VP,
+    /// for the VP's lifetime: the fd must stay open (or close, which
+    /// drops it from the set).
     ///
     /// # Panics
-    /// On a second call, or when `fd` cannot be added to a lane's set.
+    /// On a second call, or when `fd` cannot be added to the lane's set.
     #[cfg(target_os = "linux")]
     pub fn set_progress(
         &self,
@@ -393,21 +333,19 @@ impl Vp {
             self.progress.set(Box::new(turn)).is_ok(),
             "a VP drives one progress source"
         );
-        for w in self.workers.iter() {
-            w.parker
-                .watch(fd)
-                .unwrap_or_else(|e| panic!("cannot watch the progress fd: {e}"));
-        }
+        self.parker
+            .watch(fd)
+            .unwrap_or_else(|e| panic!("cannot watch the progress fd: {e}"));
     }
 
-    /// Run the progress turn on `worker`: when the lane woke on the fd
-    /// (`woken`), or when it last turned [`PROGRESS_INTERVAL_NS`] ago.
+    /// Run the progress turn: when the lane woke on the fd (`woken`), or
+    /// when it last turned [`PROGRESS_INTERVAL_NS`] ago.
     #[inline]
-    fn drive_progress(&self, worker: usize, woken: bool) {
+    fn drive_progress(&self, woken: bool) {
         let Some(turn) = self.progress.get() else {
             return;
         };
-        let last = &self.workers[worker].last_turn_ns;
+        let last = &self.last_turn_ns;
         let now = self.timers.now_ns();
         if woken || now.saturating_sub(last.load(Ordering::Relaxed)) >= PROGRESS_INTERVAL_NS {
             last.store(now, Ordering::Relaxed);
@@ -416,7 +354,7 @@ impl Vp {
     }
 
     /// Arm a timer for the calling thread: at `deadline` the thread is
-    /// made ready if it is blocked, and in any case a lane runs a fresh
+    /// made ready if it is blocked, and in any case the lane runs a fresh
     /// scheduling round (so a [`PendingPoll`] that reads the clock is
     /// re-tested). Pair with [`Vp::timer_disarm`].
     pub fn timer_arm(self: &Arc<Vp>, deadline: Instant) -> TimerKey {
@@ -459,13 +397,13 @@ impl Vp {
     }
 
     /// Make a thread found Blocked ready (`life` is its held lifecycle
-    /// lock) and queue it on its home lane. Does not wake sleeping
-    /// lanes — callers do, once, after their last push.
+    /// lock) and queue it. Does not wake the lane — callers do, once,
+    /// after their last push.
     fn make_ready(&self, tcb: &Arc<Tcb>, mut life: MutexGuard<'_, Lifecycle>) {
         debug_assert_eq!(life.phase, Phase::Blocked);
         life.phase = Phase::Ready;
         drop(life);
-        self.push_home(tcb);
+        self.push_ready(tcb);
         self.stats.unblocks.incr();
         if let Some(o) = &self.obs {
             let now = o.lane.now_ns();
@@ -477,39 +415,35 @@ impl Vp {
 
     // ------------------------------------------------------------------
     // Run-queue plumbing. Lock discipline: never hold the `shared` lock
-    // and a worker queue lock at the same time, and never hold either
+    // and the run-queue lock at the same time, and never hold either
     // while taking a TCB's `life` lock — each helper takes exactly one.
     // ------------------------------------------------------------------
 
-    /// Queue a ready thread on its home lane.
-    fn push_home(&self, tcb: &Arc<Tcb>) {
-        self.workers[tcb.home].ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
+    /// Queue a ready thread.
+    fn push_ready(&self, tcb: &Arc<Tcb>) {
+        self.ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
     }
 
-    /// Pop the frontmost thread of the highest non-empty priority class
-    /// of this lane's own queue.
-    fn pop_local(&self, worker: usize) -> Option<Arc<Tcb>> {
-        let mut q = self.workers[worker].ready.lock();
-        for lane in q.iter_mut().rev() {
-            if let Some(t) = lane.pop_front() {
+    /// Pop the frontmost thread of the highest non-empty priority class.
+    fn pop_ready(&self) -> Option<Arc<Tcb>> {
+        let mut q = self.ready.lock();
+        for class in q.iter_mut().rev() {
+            if let Some(t) = class.pop_front() {
                 return Some(t);
             }
         }
         None
     }
 
-    fn local_len(&self, worker: usize) -> usize {
-        self.workers[worker].ready.lock().iter().map(VecDeque::len).sum()
+    fn ready_len(&self) -> usize {
+        self.ready.lock().iter().map(VecDeque::len).sum()
     }
 
     /// Spawn a user-level thread on this VP. May be called from outside
     /// the VP (before or after [`Vp::start`]) or from one of its threads
     /// (cf. `pthread_chanter_create` with `pe == LOCAL`).
     ///
-    /// The thread does not run until the scheduler dispatches it. On a
-    /// multi-lane VP its home lane is the spawn attr's affinity (modulo
-    /// the lane count) or the next round-robin slot, and it runs on no
-    /// other lane.
+    /// The thread does not run until the scheduler dispatches it.
     pub fn spawn<T, F>(self: &Arc<Vp>, attr: SpawnAttr, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -524,15 +458,7 @@ impl Vp {
                 .name
                 .clone()
                 .unwrap_or_else(|| format!("{}-t{}", self.cfg.name, tid));
-            let home = match attr.affinity {
-                Some(a) => a % self.n,
-                None => {
-                    let p = shared.next_place % self.n;
-                    shared.next_place += 1;
-                    p
-                }
-            };
-            let tcb = Tcb::new(tid, name, attr.priority, attr.detached, home);
+            let tcb = Tcb::new(tid, name, attr.priority, attr.detached);
             shared.tcbs.insert(tid, Arc::clone(&tcb));
             shared.live += 1;
             (tcb, attr.detached)
@@ -540,7 +466,7 @@ impl Vp {
         let vp = Arc::clone(self);
         let me = Arc::clone(&tcb);
         let entry = Box::new(move || {
-            // First dispatch: this thread is what its lane's OS thread
+            // First dispatch: this thread is what the lane's OS thread
             // runs now (the thread that switched here took itself out).
             current::swap_current(Some(UltContext {
                 vp: Arc::clone(&vp),
@@ -565,7 +491,7 @@ impl Vp {
             .expect("failed to allocate a stack for a user-level thread");
         assert!(tcb.ctx.set(ctx).is_ok(), "fresh TCB already has a context");
         // Reachable by the dispatcher only from here on.
-        self.push_home(&tcb);
+        self.push_ready(&tcb);
         self.wake();
         self.stats.spawned.incr();
 
@@ -582,46 +508,30 @@ impl Vp {
     /// initial spawns; threads spawned later by running threads are
     /// awaited too.
     ///
-    /// The calling OS thread *is* lane 0 for the duration: every thread
-    /// dispatched on that lane runs on it, on its own stack, and the
-    /// lane's last exit switches back here. On a multi-lane VP this
-    /// additionally spawns one host OS thread per extra lane, named
-    /// `"{vp}-w{k}"`; they are joined before returning.
+    /// The calling OS thread *is* the VP's lane for the duration: every
+    /// thread runs on it, on its own stack, and the last exit switches
+    /// back here.
+    ///
+    /// # Panics
+    /// From a user-level thread, or while another OS thread is inside
+    /// `start` for this VP.
     pub fn start(self: &Arc<Vp>) {
         assert!(
             !current::is_ult_context(),
             "Vp::start must not be called from a user-level thread"
         );
-        let mut hosts = Vec::with_capacity(self.n.saturating_sub(1));
-        for w in 1..self.n {
-            let vp = Arc::clone(self);
-            hosts.push(
-                std::thread::Builder::new()
-                    .name(format!("{}-w{}", self.cfg.name, w))
-                    .spawn(move || vp.host_lane(w))
-                    .expect("failed to spawn VP worker-lane host thread"),
-            );
-        }
-        self.host_lane(0);
-        {
-            let mut shared = self.shared.lock();
-            while shared.live > 0 {
-                self.done_cv.wait(&mut shared);
-            }
-        }
-        for h in hosts {
-            let _ = h.join();
-        }
-    }
-
-    /// Run lane `w` on the calling OS thread until the VP has no live
-    /// thread left.
-    fn host_lane(self: &Arc<Vp>, w: usize) {
         let host = Host::enter(self.kind);
-        *self.workers[w].host.lock() = Some(host.context().clone());
-        let successor = self.reschedule(w, None, Departure::Bootstrap);
+        {
+            let mut slot = self.host.lock();
+            assert!(
+                slot.is_none(),
+                "Vp::start is already running on another OS thread"
+            );
+            *slot = Some(host.context().clone());
+        }
+        let successor = self.reschedule(None, Departure::Bootstrap);
         debug_assert!(successor.is_none());
-        *self.workers[w].host.lock() = None;
+        *self.host.lock() = None;
     }
 
     /// Convenience: spawn `f` as the main thread, run the VP to
@@ -661,8 +571,8 @@ impl Vp {
             o.emit(chant_obs::Event::Yield { thread: me.id });
         }
         me.life.lock().phase = Phase::Ready;
-        self.push_home(&me);
-        self.reschedule(me.home, Some(&me), Departure::Yield);
+        self.push_ready(&me);
+        self.reschedule(Some(&me), Departure::Yield);
         self.testcancel_tcb(&me);
     }
 
@@ -719,7 +629,7 @@ impl Vp {
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Block { thread: me.id });
         }
-        self.reschedule(me.home, Some(me), Departure::Block);
+        self.reschedule(Some(me), Departure::Block);
         self.testcancel_tcb(me);
     }
 
@@ -918,7 +828,7 @@ impl Vp {
     /// Thread exit: record the outcome, wake joiners, and run the
     /// scheduler one last time — on the exiting thread's own stack — to
     /// choose the context that takes the lane over: the next thread, or
-    /// the lane's host once the VP has no live thread left.
+    /// the host once the VP has no live thread left.
     fn finish(self: &Arc<Vp>, me: &Arc<Tcb>, outcome: Outcome) -> Context {
         let joiners: Vec<Arc<Tcb>> = {
             let mut life = me.life.lock();
@@ -930,37 +840,28 @@ impl Vp {
         for j in joiners {
             self.unblock_tcb(&j);
         }
-        let (live, watchers): (usize, Vec<Arc<Tcb>>) = {
+        let watchers: Vec<Arc<Tcb>> = {
             let mut shared = self.shared.lock();
             if me.detached.load(Ordering::Relaxed) {
                 shared.tcbs.remove(&me.id);
             }
             shared.live -= 1;
             self.stats.exited.incr();
-            if shared.live == 0 {
-                self.done_cv.notify_all();
-            }
             let live = shared.live;
-            let due = shared
+            shared
                 .exit_watchers
                 .iter()
                 .filter(|(_, n)| live <= *n)
                 .map(|(t, _)| Arc::clone(t))
-                .collect();
-            (live, due)
+                .collect()
         };
         for w in watchers {
             self.unblock_tcb(&w);
         }
-        if live == 0 {
-            // The last exit ends every lane's run: sleeping ones must
-            // wake to see it and return.
-            self.wake();
-        }
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::ThreadDone { thread: me.id });
         }
-        self.reschedule(me.home, Some(me), Departure::Exit)
+        self.reschedule(Some(me), Departure::Exit)
             .expect("an exiting thread always has a successor")
     }
 
@@ -971,8 +872,7 @@ impl Vp {
     }
 
     /// Run the pre-dispatch hooks for a candidate (the PS partial-switch
-    /// test). Not gate-serialized: each lane tests only the threads
-    /// homed on it, each under its TCB's `pending` lock.
+    /// test), under its TCB's `pending` lock.
     fn dispatch_decision(
         &self,
         hooks: &[HookRef],
@@ -999,60 +899,49 @@ impl Vp {
         d
     }
 
-    /// Core scheduling loop for one worker lane. Runs on the lane's OS
-    /// thread, on the departing thread's stack (or the host's). For
+    /// The scheduling loop. Runs on the lane's OS thread, on the
+    /// departing thread's stack (or the host's). For
     /// `Yield`/`Block`/`Bootstrap` departures it switches to the thread
     /// it picked and returns `None` once *this* context has been resumed
-    /// — on the same lane, so on the same OS thread. For `Exit` it
-    /// switches nowhere: it returns the context that takes the lane
-    /// over, and the caller unwinds its stack before the final switch.
+    /// — on the same OS thread. For `Exit` it switches nowhere: it
+    /// returns the context that takes the lane over, and the caller
+    /// unwinds its stack before the final switch.
     ///
-    /// Only this lane pops its queue, so a popped thread whose context
-    /// is still running can only be `me`, requeued before it switched
-    /// away: dispatching it is a self-redispatch, not a second resume.
-    fn reschedule(
-        self: &Arc<Vp>,
-        worker: usize,
-        me: Option<&Arc<Tcb>>,
-        dep: Departure,
-    ) -> Option<Context> {
-        let parker = &self.workers[worker].parker;
+    /// Only the lane pops the queue, so a popped thread whose context is
+    /// still running can only be `me`, requeued before it switched away:
+    /// dispatching it is a self-redispatch, not a second resume.
+    fn reschedule(self: &Arc<Vp>, me: Option<&Arc<Tcb>>, dep: Departure) -> Option<Context> {
+        let parker = &self.parker;
         let mut idle_traced = false;
         loop {
             self.stats.schedule_points.incr();
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
             // Before the scan: what the turn delivers, this round sees
             // (and the wake-up it sends this lane, the scan consumes).
-            self.drive_progress(worker, false);
+            self.drive_progress(false);
             // From here on, whatever a waker publishes is either seen by
             // this round's scan or leaves a token that voids the park.
             parker.begin_scan();
             self.expire_timers();
             let hooks = self.hooks_snapshot();
-            if !hooks.is_empty() {
-                // Gate-serialized across lanes; skip if another lane's
-                // sweep is in flight (its scan unblocks our threads too).
-                if let Some(_g) = self.hook_gate.try_lock() {
-                    for h in hooks.iter() {
-                        h.at_schedule_point();
-                    }
-                }
+            for h in hooks.iter() {
+                h.at_schedule_point();
             }
             let wants_check = hooks.iter().any(|h| h.wants_dispatch_check());
 
-            // Examine at most one full round of the lane's own queue;
+            // Examine at most one full round of the queue;
             // requeued (partially switched) candidates are held aside
             // until the round ends so a high-priority thread with an
             // unready pending request cannot monopolize the round, then
             // retried next round after the schedule-point hooks have run
             // again.
-            let round_len = self.local_len(worker);
+            let round_len = self.ready_len();
             let mut deferred: Vec<Arc<Tcb>> = Vec::new();
             let mut dispatched = false;
             let mut successor = None;
             let mut examined = 0usize;
             while examined < round_len.max(1) {
-                let Some(tcb) = self.pop_local(worker) else { break };
+                let Some(tcb) = self.pop_ready() else { break };
                 examined += 1;
                 if !Self::is_live(&tcb) {
                     continue;
@@ -1069,9 +958,9 @@ impl Vp {
                         // Requeue the partially-switched candidates before
                         // handing off, or they would be lost.
                         for t in deferred.drain(..) {
-                            self.push_home(&t);
+                            self.push_ready(&t);
                         }
-                        successor = self.dispatch_to(worker, &tcb, me, dep);
+                        successor = self.dispatch_to(&tcb, me, dep);
                         dispatched = true;
                         break;
                     }
@@ -1079,7 +968,7 @@ impl Vp {
             }
             if !dispatched && !deferred.is_empty() {
                 for t in deferred.drain(..) {
-                    self.push_home(&t);
+                    self.push_ready(&t);
                 }
             }
 
@@ -1097,11 +986,10 @@ impl Vp {
 
             // Nothing runnable this round.
             if self.shared.lock().live == 0 {
-                self.done_cv.notify_all();
                 return match dep {
-                    // The lane's last exit: back to the host, so that
+                    // The last exit: back to the host, so that
                     // `Vp::start` returns.
-                    Departure::Exit => Some(self.lane_host(worker)),
+                    Departure::Exit => Some(self.host_context()),
                     Departure::Bootstrap => None,
                     Departure::Yield | Departure::Block => {
                         unreachable!("a live thread found the VP empty")
@@ -1133,8 +1021,8 @@ impl Vp {
                 }
                 // The progress fd alone: turn, then scan again only if
                 // the turn made work here (a delivery to this VP unparks
-                // this lane); otherwise the last scan still stands.
-                self.drive_progress(worker, true);
+                // the lane); otherwise the last scan still stands.
+                self.drive_progress(true);
                 if parker.token_pending() {
                     break (woke, false);
                 }
@@ -1156,13 +1044,12 @@ impl Vp {
         }
     }
 
-    /// Called by a lane of a hook-free VP that slept a whole
+    /// Called by the lane of a hook-free VP that slept a whole
     /// [`DEADLOCK_GRACE`] with no timer armed and was never woken: if
     /// every live thread is blocked, nothing inside the VP can ever run
     /// again. Unwedge it — cancel every blocked thread — and return the
-    /// report. With several lanes, *this* lane sleeping through the grace
-    /// only means the work lives elsewhere — hence the all-blocked check
-    /// — and exactly one lane reports.
+    /// report. (A thread another OS thread is still spawning is Ready
+    /// but not yet queued: then there is no deadlock.)
     fn detect_deadlock(&self) -> Option<String> {
         let (all_blocked, blocked) = {
             let shared = self.shared.lock();
@@ -1180,12 +1067,7 @@ impl Vp {
             }
             (all, blocked)
         };
-        if !all_blocked
-            || self
-                .deadlock_reported
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-        {
+        if !all_blocked {
             return None;
         }
         for t in &blocked {
@@ -1199,25 +1081,22 @@ impl Vp {
         ))
     }
 
-    /// The context of the OS thread hosting lane `worker`.
-    fn lane_host(&self, worker: usize) -> Context {
-        self.workers[worker]
-            .host
+    /// The context of the OS thread inside [`Vp::start`].
+    fn host_context(&self) -> Context {
+        self.host
             .lock()
             .clone()
-            .expect("a thread is running on a lane that has no host inside Vp::start")
+            .expect("a thread is running on a VP with no host inside Vp::start")
     }
 
-    /// Complete a context switch to `next` on lane `worker` — or, for an
-    /// exiting `me`, return `next`'s context as its successor.
+    /// Complete a context switch to `next` — or, for an exiting `me`,
+    /// return `next`'s context as its successor.
     fn dispatch_to(
         self: &Arc<Vp>,
-        worker: usize,
         next: &Arc<Tcb>,
         me: Option<&Arc<Tcb>>,
         dep: Departure,
     ) -> Option<Context> {
-        self.workers[worker].current.store(next.id, Ordering::Relaxed);
         next.life.lock().phase = Phase::Running;
         if me.is_some_and(|me| me.id == next.id) {
             // "The scheduler simply returns without having to perform a
@@ -1244,8 +1123,8 @@ impl Vp {
         match dep {
             Departure::Exit => return Some(next.ctx().clone()),
             Departure::Bootstrap => {
-                // Returns once the lane's last exit has switched back here.
-                Context::switch(&self.lane_host(worker), next.ctx());
+                // Returns once the last exit has switched back here.
+                Context::switch(&self.host_context(), next.ctx());
             }
             Departure::Yield | Departure::Block => {
                 let me = me.expect("yield/block without a current thread");
@@ -1338,8 +1217,7 @@ impl<T: 'static> JoinHandle<T> {
 ///
 /// From an ordinary OS thread this is a no-op: there is no ULT scheduler
 /// to yield to, and aborting would make every library that politely
-/// yields unusable off-VP (likelier than ever now that a VP's threads
-/// span several OS threads).
+/// yields unusable off-VP.
 pub fn yield_now() {
     if let Some(vp) = current::current_vp() {
         vp.yield_now();

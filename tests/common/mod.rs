@@ -1,5 +1,4 @@
-//! Shared test support: the backend × seed × `CHANT_VPS` matrix in one
-//! place.
+//! Shared test support: the backend × seed matrix in one place.
 //!
 //! Every integration-test binary that wants the matrix declares
 //! `mod common;` and pulls what it needs. The pieces:
@@ -10,8 +9,8 @@
 //!   per backend, so a failure names the backend that diverged;
 //! * [`fault_seed`] — the `CHANT_FAULT_SEED` knob CI's fault matrix
 //!   pins;
-//! * [`seeds`] — the `CHANT_VPS_SEED` sweep (default 1/7/42) the
-//!   multi-VP and chaos suites iterate;
+//! * [`seeds`] — the `CHANT_TEST_SEED` sweep (default 1/7/42) the
+//!   cancellation and chaos scenarios iterate;
 //! * [`main_group`] — the all-PEs barrier rendezvous used to fence
 //!   setup (subscription, registration) from traffic.
 //!
@@ -55,11 +54,11 @@ pub fn fault_seed(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Seeds to sweep: `CHANT_VPS_SEED` pins one (for the CI matrix), else
+/// Seeds to sweep: `CHANT_TEST_SEED` pins one (for the CI matrix), else
 /// the standard trio.
 #[allow(dead_code)]
 pub fn seeds() -> Vec<u64> {
-    match std::env::var("CHANT_VPS_SEED")
+    match std::env::var("CHANT_TEST_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
     {

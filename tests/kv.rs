@@ -4,8 +4,8 @@
 //! Each scenario expands through `for_each_transport!` so all three
 //! backends (in-process oracle, tcp, tcp-event) carry real KV traffic;
 //! the scenarios sweep the three polling policies and, for the chaos
-//! and recovery runs, the standard seed trio (pinned with
-//! `CHANT_VPS_SEED` in CI's matrix). Covered:
+//! and recovery runs, the standard seed trio (`CHANT_TEST_SEED` pins
+//! one). Covered:
 //!
 //! * put / get / delete / add semantics, cross-node visibility, bulk
 //!   (RMA-staged) values, oversized-value rejection, and primary/backup

@@ -19,11 +19,8 @@ fn live_trace_balances_and_matches_metrics() {
         "tracer must install before any cluster exists"
     );
 
-    // One lane per VP whatever `CHANT_VPS` says: a VP has one trace
-    // lane, and dispatch/departure balance holds per OS lane.
     let cluster = ChantCluster::builder()
         .pes(2)
-        .vps(1)
         .policy(PollingPolicy::SchedulerPollsPs)
         .rsr_handler(FN_ECHO, |_node, req| Ok(req.args))
         .build();

@@ -5,7 +5,7 @@
 //! backends (in-process oracle, tcp, tcp-event) carry real pub-sub
 //! traffic; the scenarios themselves sweep the three polling policies
 //! and, for the chaos runs, the standard seed trio (pinned with
-//! `CHANT_VPS_SEED` in CI's matrix). Covered:
+//! `CHANT_TEST_SEED` in CI's matrix). Covered:
 //!
 //! * subscribe / publish / unsubscribe semantics, with the topic home
 //!   on the publisher (tree rooted at the origin) *and* remote (a real

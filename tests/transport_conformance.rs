@@ -15,6 +15,8 @@
 //!   (seed overridable with `CHANT_FAULT_SEED`, as in CI's matrix);
 //! * `recv_timeout` expiry and late-message delivery under all three
 //!   polling policies (plus the WQ+testany variant);
+//! * a receiver cancelled in each policy's wait neither hangs the node
+//!   nor takes a live receiver's message (seeds from `CHANT_TEST_SEED`);
 //! * retire-on-drop: an abandoned posted receive must not swallow a
 //!   message that arrives later.
 //!
@@ -36,7 +38,7 @@ use chant::chant::{
 };
 use chant::comm::{kind, Address, CommWorld, RecvSpec};
 use chant::ult::SpawnAttr;
-use common::{fault_seed, for_each_transport, Backend};
+use common::{fault_seed, for_each_transport, seeds, Backend};
 
 const FN_COUNT: u32 = 1001;
 
@@ -146,6 +148,67 @@ for_each_transport!(recv_timeout_under_all_policies, |backend: Backend| {
                 node.send(peer, 9, b"after the deadline").unwrap();
             }
         });
+    }
+});
+
+// A chanter blocked in a policy-specific receive wait is cancelled; the
+// wake-up machinery of that policy (thread polls, scheduler polls with
+// a work queue, or per-TCB pending polls) must neither hang on the
+// doomed waiter nor lose the message for the live one. The reply that
+// wakes the live receiver is delivered from PE 1's OS thread while PE
+// 0's lane is kept busy by yielding threads (seeds vary how many).
+for_each_transport!(cancelled_receiver_under_each_polling_policy, |backend: Backend| {
+    for policy in [
+        PollingPolicy::ThreadPolls,
+        PollingPolicy::SchedulerPollsWq,
+        PollingPolicy::SchedulerPollsPs,
+    ] {
+        for seed in seeds() {
+            let cancelled = Arc::new(AtomicU32::new(0));
+            let c2 = Arc::clone(&cancelled);
+            let cluster = ChantCluster::builder()
+                .pes(2)
+                .policy(policy)
+                .transport(backend.config())
+                .build();
+            cluster.run(move |node| {
+                let me = node.self_id();
+                let peer = ChanterId::new(1 - me.pe, 0, me.thread);
+                if me.pe == 0 {
+                    // A doomed receiver: tag 77 never arrives.
+                    let doomed = node.spawn(SpawnAttr::new().name("doomed"), |n| {
+                        let _ = n.recv_tag(77);
+                        unreachable!("tag 77 is never sent");
+                    });
+                    for _ in 0..(seed % 5 + 4) {
+                        node.spawn(SpawnAttr::new(), |n| {
+                            for _ in 0..16 {
+                                n.yield_now();
+                            }
+                        });
+                    }
+                    // Let the doomed receiver park in the policy's wait.
+                    match node.recv_timeout(RecvSrc::Any, Some(9), Duration::from_millis(20)) {
+                        Err(ChantError::Timeout) => {}
+                        other => panic!("[{policy:?}] expected Timeout, got {other:?}"),
+                    }
+                    node.remote_cancel(doomed).unwrap();
+                    c2.fetch_add(1, Ordering::Relaxed);
+                    // The live flow proceeds: real traffic both ways.
+                    node.send(peer, 1, b"ping").unwrap();
+                    let (_info, body) = node.recv_tag(2).expect("live receive survives");
+                    assert_eq!(&body[..], b"pong");
+                } else {
+                    node.recv_tag(1).unwrap();
+                    node.send(peer, 2, b"pong").unwrap();
+                }
+            });
+            assert_eq!(
+                cancelled.load(Ordering::Relaxed),
+                1,
+                "[{backend:?}/{policy:?}] seed {seed}: cancel path must have run"
+            );
+        }
     }
 });
 
@@ -474,10 +537,7 @@ for_each_transport!(rma_exactly_once_atomics_under_dup_and_reorder, |backend: Ba
 // scheduled, which is the policy, paper Figure 5.)
 for_each_transport!(remote_pings_cost_a_bounded_number_of_msgtests, |backend: Backend| {
     const PINGS: u64 = 1000;
-    // An arrival wakes every lane of the node (the thread it completes
-    // may be homed anywhere), and each woken lane sweeps once before it
-    // sleeps again: the budget is per lane. 20 at the default one lane.
-    let budget = 20.0 * chant::ult::VpConfig::vps_from_env() as f64;
+    let budget = 20.0;
     for policy in [PollingPolicy::SchedulerPollsWq, PollingPolicy::SchedulerPollsPs] {
         let cluster = ChantCluster::builder()
             .pes(2)
@@ -508,11 +568,10 @@ for_each_transport!(remote_pings_cost_a_bounded_number_of_msgtests, |backend: Ba
 // A lane that never sleeps still reads: it takes a reactor turn at a
 // schedule point every 50 µs. One ULT on PE 0 yields until another, on
 // the same lane, has made its RSR round trips (or the window closes);
-// PE 1's server lane is kept busy too, since on loopback an idle lane
-// anywhere in the process reads every socket. (Extra lanes under
-// `CHANT_VPS` sleep, and read as idle lanes do.) Without the
-// schedule-point turn nothing reads until the yielders give up, so the
-// trips end after the window.
+// PE 1's lane, which runs its server, is kept busy too, since on
+// loopback an idle lane anywhere in the process reads every socket.
+// Without the schedule-point turn nothing reads until the yielders give
+// up, so the trips end after the window.
 for_each_transport!(a_busy_lane_still_receives, |backend: Backend| {
     // 100 trips take a few ms on an idle host; the window is wide so
     // that a loaded one cannot fail a working turn.
@@ -526,16 +585,15 @@ for_each_transport!(a_busy_lane_still_receives, |backend: Backend| {
     cluster.run(move |node| {
         crate::common::main_group(node, 1);
         let until = Instant::now() + WINDOW;
-        // Lane 0 hosts PE 1's server: the first thread a node spawns.
         let busy = Arc::clone(&done);
-        node.spawn(SpawnAttr::new().affinity(0), move |n| {
+        node.spawn(SpawnAttr::new(), move |n| {
             while !busy.load(Ordering::SeqCst) && Instant::now() < until {
                 n.yield_now();
             }
         });
         if node.pe() == 0 {
             let done = Arc::clone(&done);
-            node.spawn(SpawnAttr::new().affinity(0), move |n| {
+            node.spawn(SpawnAttr::new(), move |n| {
                 for _ in 0..TRIPS {
                     n.ping(Address::new(1, 0), b"").unwrap();
                 }
@@ -609,7 +667,6 @@ fn mutual_flooding_drains_in_order_without_loss() {
     const BODY: usize = 64 * 1024; // 32 MiB each way
     let cluster = ChantCluster::builder()
         .pes(2)
-        .vps(1)
         .transport(TransportConfig::tcp_event_loopback())
         .build();
     cluster.run(|node| {
