@@ -45,10 +45,10 @@ struct HoldState {
 }
 
 /// Messages held until a due time, and the background thread that hands
-/// each to the transport when it comes due. The queue itself imposes no
-/// order between messages beyond their due times: the latency model
-/// (below) adds a per-link FIFO floor on submit, the fault shim holds
-/// without one — that absence is what reorders.
+/// each to the world's last hop when it comes due. The queue itself
+/// imposes no order between messages beyond their due times: the
+/// latency model (below) adds a per-link FIFO floor on submit, the fault
+/// shim holds without one — that absence is what reorders.
 #[derive(Default)]
 pub(crate) struct HoldQueue {
     state: Mutex<HoldState>,
@@ -107,10 +107,10 @@ impl HoldQueue {
                 }
             };
             match world.upgrade() {
-                // Through the transport, not straight into the endpoint:
-                // on a TCP world a held message must still cross the
-                // socket like every other message.
-                Some(w) => w.transport_send(header, body),
+                // Through the last hop, not straight into the endpoint:
+                // on a TCP world a held message to another endpoint must
+                // still cross the socket like every other message.
+                Some(w) => w.last_hop(header, body),
                 None => return, // world is gone; stop delivering
             }
         }

@@ -334,10 +334,13 @@ impl Endpoint {
     // Sending
     // ------------------------------------------------------------------
 
-    /// Nonblocking send (NX `isend`). For the in-memory transport the
-    /// returned handle is already complete: the body is refcounted, so
-    /// the caller's buffer is immediately reusable (locally blocking
-    /// semantics) and delivery happens before return.
+    /// Nonblocking send (NX `isend`). The returned handle is already
+    /// complete: the body is refcounted, so the caller's buffer is
+    /// immediately reusable (locally blocking semantics). A send to this
+    /// endpoint's own address (with no fault shim or latency line
+    /// holding it) is delivered into its matching tables before return,
+    /// on every backend, without touching a transport; so is every send
+    /// on the in-process backend.
     pub fn isend(&self, dst: Address, tag: i32, ctx: u64, kind: u8, body: Bytes) -> SendHandle {
         assert!(tag >= 0, "send tags must be non-negative (got {tag})");
         let world = self
@@ -376,8 +379,9 @@ impl Endpoint {
     /// deduplicated — each distinct address receives the frame exactly
     /// once per call, so a caller may hand over a tree's raw edge list
     /// without pre-filtering, and per-link publish traffic stays
-    /// O(distinct edges). Sends to this endpoint's own address are
-    /// delivered normally (self-loops are the local fan-out leg).
+    /// O(distinct edges). A send to this endpoint's own address (the
+    /// local fan-out leg) is delivered in place, as by [`Endpoint::isend`],
+    /// and is not a transport frame.
     ///
     /// Returns the number of frames actually sent (distinct
     /// destinations). The body is `Bytes`, so no copy is made per

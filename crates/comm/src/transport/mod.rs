@@ -1,12 +1,15 @@
 //! Pluggable transports under the matching engine.
 //!
 //! [`crate::CommWorld`]'s routing path is a thin, swappable seam: after
-//! the fault shim and the latency line have had their say, a message is
-//! handed to the world's [`Transport`], which is responsible for getting
-//! the framed `(header, body)` pair to the destination endpoint's
-//! matching tables (via [`DeliverySink::deliver`]). Everything above the
-//! seam — matching, polling policies, deadlines, RSR retry/dedup, fault
-//! injection, observability — is transport-agnostic and must behave
+//! the fault shim and the latency line have had their say, a message to
+//! another endpoint is handed to the world's [`Transport`], which is
+//! responsible for getting the framed `(header, body)` pair to the
+//! destination endpoint's matching tables (via
+//! [`DeliverySink::deliver`]). A message an endpoint sends to itself
+//! never reaches a transport: the world delivers it in place, on the
+//! sender's thread. Everything above the seam — matching, polling
+//! policies, deadlines, RSR retry/dedup, fault injection,
+//! observability — is transport-agnostic and must behave
 //! identically on every backend; `tests/transport_conformance.rs`
 //! enforces exactly that, with the in-process backend as the oracle.
 //!
@@ -22,7 +25,7 @@
 //!   nonblocking sockets, same-peer send coalescing into vectored
 //!   writes, pooled frame buffers and a bounded per-peer send queue. In
 //!   *loopback* mode all endpoints stay in one OS process and traffic
-//!   makes a real kernel round trip; in
+//!   between PEs makes a real kernel round trip; in
 //!   *multi-process* mode (a rank and a peer list, usually from
 //!   [`TransportConfig::from_env`]) each OS process hosts one PE's
 //!   endpoints and a chant message genuinely crosses address spaces —
@@ -54,6 +57,8 @@ use crate::world::WorldInner;
 
 /// A message-moving backend under the matching engine.
 ///
+/// It carries messages between distinct endpoints only: a message whose
+/// `dst` is its `src` the world delivers in place, before any transport.
 /// Implementations receive fully-formed headers (the `(pe, process,
 /// thread-bearing ctx/tag)` signature of §3.1) and opaque bodies, and
 /// must eventually hand every non-lost message to the destination
@@ -170,9 +175,12 @@ impl Progress {
 
 chant_obs::counters! {
     /// What a transport has done so far. In-process worlds report frames
-    /// but keep every socket-specific counter at zero.
+    /// but keep every socket-specific counter at zero. A message an
+    /// endpoint sends to itself is not a frame on any backend: it is
+    /// delivered before the transport and counted by none of these.
     "transport": pub(crate) struct TransportStats => pub struct TransportStatsSnapshot {
-        /// Frames handed to the wire (or delivered directly, in-process).
+        /// Frames between distinct endpoints handed to the wire (or
+        /// delivered directly, in-process).
         frames_sent,
         /// Frames received and delivered into endpoints.
         frames_received,
@@ -257,8 +265,9 @@ pub enum TransportConfig {
 
 impl TransportConfig {
     /// A single-process socket world: every endpoint lives here, but
-    /// every message makes a real kernel round trip through a loopback
-    /// socket (what the conformance suite and the fault matrix run).
+    /// every message between distinct endpoints makes a real kernel
+    /// round trip through a loopback socket (what the conformance suite
+    /// and the fault matrix run).
     pub fn tcp_event_loopback() -> TransportConfig {
         TransportConfig::TcpEvent(TcpOptions::default())
     }

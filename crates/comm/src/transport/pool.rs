@@ -1,6 +1,6 @@
 //! A small free-list of `Vec<u8>`s for the socket backend.
 //!
-//! The socket backend moves every message through a transient byte buffer
+//! The socket backend moves every frame through a transient byte buffer
 //! (frame encode on the way out, payload staging on the way in). At
 //! tens of thousands of messages per second, allocating and freeing
 //! that buffer per frame is measurable; recycling capacity through this

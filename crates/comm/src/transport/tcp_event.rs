@@ -1,6 +1,9 @@
 //! The socket backend: length-prefixed frames between OS processes (or,
 //! in loopback mode, between the PEs of one), every connection in one
-//! epoll set ([`chant_ult::sys`]) and no thread of its own.
+//! epoll set ([`chant_ult::sys`]) and no thread of its own. It carries
+//! only messages between distinct endpoints: the world delivers a
+//! message to its own sender in place, so in multi-process mode a rank
+//! never dials its own listener.
 //!
 //! * **The waiters drive.** The set's dispatch state — inbound staging
 //!   buffers, the listener, scratch — sits behind a try-lock, and

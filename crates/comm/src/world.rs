@@ -7,12 +7,16 @@
 //! semantic fidelity is this crate's job; the Paragon *cost* model lives
 //! in `chant-sim`.
 //!
-//! The final hop of [`WorldInner::route`] — getting a framed message to
-//! the destination endpoint's matching tables — goes through the
-//! world's [`Transport`]: synchronous in-process delivery by default,
-//! or TCP sockets (possibly to other OS processes) when built with
-//! [`TransportConfig::TcpEvent`]. Everything upstream of that hop (fault
-//! shim, latency line, matching, statistics) is transport-agnostic.
+//! The final hop of [`WorldInner::route`] — getting a message to the
+//! destination endpoint's matching tables — is [`WorldInner::last_hop`].
+//! A message an endpoint sends to itself is delivered there and then,
+//! on the sender's thread, into its own matching tables: it never
+//! leaves the process, so no transport sees it. Every other message
+//! goes through the world's [`Transport`]: synchronous in-process
+//! delivery by default, or TCP sockets (possibly to other OS processes)
+//! when built with [`TransportConfig::TcpEvent`]. Everything upstream of
+//! that hop (fault shim, latency line, matching, statistics) treats both
+//! kinds of message alike, so faults and latency reach self-links too.
 
 use std::sync::{Arc, Once, OnceLock};
 
@@ -49,7 +53,7 @@ pub(crate) struct WorldInner {
 impl WorldInner {
     /// Route a message: through the fault shim when one is installed,
     /// then through the delay line when a latency model is installed,
-    /// otherwise straight to the transport.
+    /// then to [`WorldInner::last_hop`].
     pub(crate) fn route(&self, header: Header, body: Bytes) {
         if let Some(shim) = &self.faults {
             match shim.apply(&header, &body) {
@@ -62,16 +66,22 @@ impl WorldInner {
         }
         match &self.delay {
             Some(line) => line.submit(header, body),
-            None => self.transport().send(header, body),
+            None => self.last_hop(header, body),
         }
     }
 
-    /// The post-shim, post-delay hop: hand a message to the transport.
-    /// Used by the fault shim's and latency line's background
-    /// deliverers, so held/delayed copies cross the same wire as
-    /// everything else.
-    pub(crate) fn transport_send(&self, header: Header, body: Bytes) {
-        self.transport().send(header, body);
+    /// The post-shim, post-delay hop. A message to its own sender's
+    /// endpoint is delivered into that endpoint now, on this thread (the
+    /// call a transport's [`crate::transport::DeliverySink`] makes);
+    /// any other goes to the transport. Also used by the fault shim's
+    /// and latency line's background deliverers, so held and delayed
+    /// copies take the same path as everything else.
+    pub(crate) fn last_hop(&self, header: Header, body: Bytes) {
+        if header.dst == header.src {
+            self.endpoint(header.dst).deliver(header, body);
+        } else {
+            self.transport().send(header, body);
+        }
     }
 
     pub(crate) fn transport(&self) -> &Arc<dyn Transport> {

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 //!
-//! Set `CHANT_TRANSPORT=tcp-event` to route every message through real
-//! loopback sockets instead of in-process delivery; add
+//! Set `CHANT_TRANSPORT=tcp-event` to route every message between PEs
+//! through real loopback sockets instead of in-process delivery; add
 //! `CHANT_RANK=<pe>` and `CHANT_PEERS=host:port,host:port` (and start
 //! one process per PE) to run the same program as two genuinely
 //! separate OS processes — the output is identical either way.

@@ -28,8 +28,9 @@ use chant::chant::{ChantGroup, ChantNode, ChanterId, TransportConfig};
 #[allow(dead_code)]
 pub enum Backend {
     InProcess,
-    /// The socket backend (linux-only): every message through a real
-    /// loopback socket, read by the scheduler lanes themselves.
+    /// The socket backend (linux-only): every message between distinct
+    /// endpoints through a real loopback socket, read by the scheduler
+    /// lanes themselves (a message to self never reaches a transport).
     #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     TcpEventLoopback,
 }

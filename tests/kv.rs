@@ -20,7 +20,9 @@
 //!   values must come back exactly, and the node must take writes again;
 //! * lease expiry: with renewal off the primary loses its read lease on
 //!   schedule, reads surface `NoLease`, and a manual renewal restores
-//!   local serving.
+//!   local serving;
+//! * mechanism: a read served by the caller's own node sends no
+//!   transport frame, a read served by the other node sends two.
 //!
 //! The faulted scenarios never use collective barriers or plain sends:
 //! those ride unretried data tags, so a single dropped frame would
@@ -34,7 +36,10 @@ mod common;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use chant::chant::{ChantCluster, ChantError, ChantNode, FaultConfig, PollingPolicy, RecvSrc, RetryPolicy};
+use chant::chant::{
+    ChantCluster, ChantError, ChantNode, ChanterId, FaultConfig, PollingPolicy, RecvSrc,
+    RetryPolicy,
+};
 use chant::kv::{
     kv_await_ready, kv_digest_local, kv_drain, kv_owners, kv_remote_digest, kv_renew_lease,
     kv_shard_of, kv_version_sum, kv_wipe, with_kv_config, KvClient, KvConfig, KvRead,
@@ -527,6 +532,75 @@ for_each_transport!(expired_lease_blocks_reads_until_renewed, |backend: Backend|
             group.barrier(node).unwrap();
         });
     }
+});
+
+// ---------------------------------------------------------------------
+// Mechanism: a read its own node serves never touches a transport.
+// ---------------------------------------------------------------------
+
+// A `get` whose primary is the caller's own node is an RSR call to the
+// caller's own address: request and reply are delivered in place, so
+// the transport's frame count does not move. A `get` on the other
+// node's primary is two frames, request and reply. Replication is
+// drained, lease renewal is off and PE 1 waits in a receive while PE 0
+// measures, so nothing else is on the wire.
+for_each_transport!(a_get_served_by_its_own_node_sends_no_frame, |backend: Backend| {
+    let cfg = KvConfig {
+        lease: Duration::from_secs(600),
+        lease_renew: None,
+        ..fast()
+    };
+    let cluster = with_kv_config(
+        ChantCluster::builder().pes(2).transport(backend.config()),
+        cfg,
+    )
+    .build();
+    cluster.run(move |node| {
+        kv_await_ready(node, PATIENCE).unwrap();
+        let group = main_group(node, 0);
+        let me = node.self_id();
+        let key_served_here = |here: bool| {
+            (0..)
+                .map(|i| format!("mech-{i}"))
+                .find(|k| {
+                    let (primary, _) = kv_owners(node, kv_shard_of(node, k.as_bytes()));
+                    (primary == me.address()) == here
+                })
+                .unwrap()
+        };
+        let (local, remote) = (key_served_here(true), key_served_here(false));
+        let mut c = KvClient::new(node);
+        c.put(local.as_bytes(), b"here").unwrap();
+        kv_drain(node, PATIENCE).unwrap();
+        group.barrier(node).unwrap();
+        if node.pe() != 0 {
+            node.recv_tag(7).unwrap();
+            return;
+        }
+        // Both reads served once (leases in hand), then wait until the
+        // daemons' start-up traffic is over.
+        c.get(local.as_bytes()).unwrap().expect("written");
+        c.get(remote.as_bytes()).unwrap();
+        let frames = || node.world().transport_stats().frames_sent;
+        let deadline = Instant::now() + PATIENCE;
+        loop {
+            let before = frames();
+            park(node, Duration::from_millis(20));
+            if frames() == before || Instant::now() > deadline {
+                break;
+            }
+        }
+        let f0 = frames();
+        let (_, got) = c.get(local.as_bytes()).unwrap().expect("written");
+        assert_eq!(&got[..], b"here");
+        let f1 = frames();
+        c.get(remote.as_bytes()).unwrap().expect("written by PE 1");
+        let f2 = frames();
+        // Release PE 1 before asserting, so a failure fails, not hangs.
+        node.send(ChanterId::new(1, 0, me.thread), 7, b"done").unwrap();
+        assert_eq!(f1 - f0, 0, "[{backend:?}] a get served locally made frames");
+        assert_eq!(f2 - f1, 2, "[{backend:?}] a remote get is one request and one reply");
+    });
 });
 
 // ---------------------------------------------------------------------

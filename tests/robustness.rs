@@ -12,7 +12,7 @@ mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use chant::chant::{
     ChantCluster, ChantError, ChanterId, FaultConfig, PollingPolicy, RecvSrc, RetryPolicy,
 };
-use chant::comm::{kind, Address};
-use common::fault_seed;
+use chant::comm::{kind, Address, CommWorld, RecvSpec, CONTROL_TAG_BASE};
+use common::{fault_seed, for_each_transport, Backend};
 
 const FN_ECHO: u32 = 1000;
 const FN_COUNT: u32 = 1001;
@@ -179,6 +179,103 @@ proptest! {
         exactly_once_under_dup_and_reorder(seed, policy);
     }
 }
+
+// ---------------------------------------------------------------------
+// Self-links are faulted like every other link: the shim sits above the
+// hop that delivers a message to self in place.
+// ---------------------------------------------------------------------
+
+// One DATA and one control-tag self-send per world. `drop_p = 1` drops
+// the first (counted by the shim), `dup_p = 1` delivers it twice (the
+// copy from the shim's deliverer); the control tag passes both
+// untouched. None of it is a transport frame.
+for_each_transport!(self_sends_meet_the_fault_shim, |backend: Backend| {
+    let me = Address::new(0, 0);
+    let control = CONTROL_TAG_BASE + 1;
+    let faulted = |config: FaultConfig| {
+        let world = CommWorld::with_config(2, 1, None, Some(config), backend.config());
+        let ep = world.endpoint(me);
+        ep.isend(me, 5, 0, kind::DATA, Bytes::from_static(b"data"));
+        ep.isend(me, control, 0, kind::DATA, Bytes::from_static(b"control"));
+        (world, ep)
+    };
+
+    let (world, ep) = faulted(FaultConfig::new(fault_seed(42)).drop_p(1.0));
+    let f = world.fault_stats().expect("shim installed");
+    assert_eq!((f.dropped, f.passed), (1, 1), "[{backend:?}] {f:?}");
+    assert!(!ep.iprobe(RecvSpec::tag(5)), "[{backend:?}] a dropped self-send arrived");
+    assert!(ep.iprobe(RecvSpec::tag(control)), "[{backend:?}] the control tag was faulted");
+    assert_eq!(world.transport_stats().frames_sent, 0, "[{backend:?}]");
+    world.shutdown();
+
+    let (world, ep) = faulted(FaultConfig::new(fault_seed(42)).dup_p(1.0));
+    ep.crecv(RecvSpec::tag(5));
+    ep.crecv(RecvSpec::tag(5)); // the held copy, due within `dup_delay_ns`
+    let f = world.fault_stats().expect("shim installed");
+    assert_eq!((f.duplicated, f.passed), (1, 1), "[{backend:?}] {f:?}");
+    // A stray control copy would be due within 0.5 ms; give it 40×.
+    std::thread::sleep(Duration::from_millis(20));
+    ep.crecv(RecvSpec::tag(control));
+    assert_eq!(ep.unexpected_len(), 0, "[{backend:?}] the control tag was duplicated");
+    assert_eq!(world.transport_stats().frames_sent, 0, "[{backend:?}]");
+    world.shutdown();
+});
+
+// Every request and every reply of a self `rsr_call` delivered twice:
+// the dedup window still runs the handler exactly once per call.
+for_each_transport!(self_rsr_is_exactly_once_when_every_message_is_duplicated, |backend: Backend| {
+    const OPS: usize = 16;
+    let seen: Arc<Vec<AtomicU32>> = Arc::new((0..OPS).map(|_| AtomicU32::new(0)).collect());
+    let s2 = Arc::clone(&seen);
+    let cluster = ChantCluster::builder()
+        .pes(2)
+        .transport(backend.config())
+        .faults(FaultConfig::new(fault_seed(42)).dup_p(1.0))
+        .rsr_retry(RetryPolicy {
+            max_attempts: 6,
+            base_timeout: Duration::from_millis(25),
+            max_timeout: Duration::from_millis(200),
+            liveness_ping: Duration::from_millis(500),
+        })
+        .rsr_handler(FN_COUNT, move |_node, req| {
+            let i = u32::from_le_bytes(req.args[..4].try_into().unwrap()) as usize;
+            s2[i].fetch_add(1, Ordering::SeqCst);
+            Ok(req.args.clone())
+        })
+        .build();
+    let report = cluster.run(|node| {
+        if node.pe() != 0 {
+            return;
+        }
+        for i in 0..OPS as u32 {
+            let reply = node
+                .rsr_call(node.address(), FN_COUNT, &i.to_le_bytes())
+                .expect("no drops are configured, so every call completes");
+            assert_eq!(u32::from_le_bytes(reply[..4].try_into().unwrap()), i);
+        }
+        // Each request's copy is due within `dup_delay_ns`: let the
+        // server meet every one before the run ends.
+        let suppressed = || {
+            let r = node.rsr_stats();
+            r.dup_dropped + r.dup_replayed
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while suppressed() < OPS as u64 && Instant::now() < deadline {
+            let _ = node.recv_timeout(RecvSrc::Any, Some(9999), Duration::from_millis(1));
+        }
+    });
+    for (i, slot) in seen.iter().enumerate() {
+        let runs = slot.load(Ordering::SeqCst);
+        assert_eq!(runs, 1, "[{backend:?}] self op {i} ran {runs} times");
+    }
+    let faults = report.faults.expect("shim was installed");
+    assert!(faults.duplicated >= 2 * OPS as u64, "[{backend:?}] {faults:?}");
+    let rsr = &report.nodes[0].rsr;
+    assert!(
+        rsr.dup_dropped + rsr.dup_replayed >= OPS as u64,
+        "[{backend:?}] the duplicated requests never reached the server: {rsr:?}"
+    );
+});
 
 // ---------------------------------------------------------------------
 // The acceptance scenario: a 4-node RPC workload over a 1% lossy,

@@ -5,9 +5,11 @@
 //! The in-process backend is the oracle: it is the original synchronous
 //! delivery path that the paper's table reproductions run on. The
 //! socket backend runs here in loopback mode (every endpoint local,
-//! every message through a real kernel socket via the frame codec and
-//! the per-peer send queue, read by the lanes' own reactor turns), so
-//! any divergence is a transport bug, not an environment difference.
+//! every message between distinct endpoints through a real kernel
+//! socket via the frame codec and the per-peer send queue, read by the
+//! lanes' own reactor turns; a message to self is delivered in place on
+//! every backend), so any divergence is a transport bug, not an
+//! environment difference.
 //!
 //! Covered per backend, via `for_each_transport!`:
 //! * per-link FIFO ordering under concurrent cross-traffic;
@@ -18,7 +20,10 @@
 //! * a receiver cancelled in each policy's wait neither hangs the node
 //!   nor takes a live receiver's message (seeds from `CHANT_TEST_SEED`);
 //! * retire-on-drop: an abandoned posted receive must not swallow a
-//!   message that arrives later.
+//!   message that arrives later;
+//! * a message to self is delivered in place: FIFO and exactly once on
+//!   the self link, never a transport frame, and a lone rank with no
+//!   reachable peer never dials (its own listener or anyone else).
 //!
 //! A final cross-backend test runs the same workload on each and
 //! compares the endpoint-level statistics — the matching engine must
@@ -372,6 +377,129 @@ fn tcp_event_worlds_release_their_fds_and_threads() {
     assert!(
         after <= baseline,
         "fd leak across tcp-event worlds: {baseline} before, {after} after"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Self-sends: delivered in place, never a transport frame.
+// ---------------------------------------------------------------------
+
+// Plain self `isend`s interleaved with `isend_many` calls that name self
+// (twice) and the other PE: the self link stays FIFO, every message
+// arrives exactly once, and only the sends to the other endpoint become
+// transport frames. A self-send is in the matching tables by the time
+// `isend` returns, on every backend.
+for_each_transport!(self_sends_are_delivered_in_place, |backend: Backend| {
+    const ROUNDS: u32 = 64;
+    const TAG: i32 = 3;
+    let world = CommWorld::with_transport(2, 1, backend.config());
+    let (me, peer) = (Address::new(0, 0), Address::new(1, 0));
+    let (ep, far) = (world.endpoint(me), world.endpoint(peer));
+    let body = |seq: u32| Bytes::copy_from_slice(&seq.to_le_bytes());
+    let seq_of = |b: &Bytes| u32::from_le_bytes(b[..4].try_into().unwrap());
+    let frames_before = world.transport_stats().frames_sent;
+    for round in 0..ROUNDS {
+        ep.isend(me, TAG, 0, kind::DATA, body(2 * round));
+        let sent = ep.isend_many(&[me, peer, me], TAG, 0, kind::DATA, body(2 * round + 1));
+        assert_eq!(sent, 2, "[{backend:?}] duplicate self destination not deduplicated");
+        assert_eq!(
+            ep.unexpected_len(),
+            2 * (round as usize + 1),
+            "[{backend:?}] a self-send was not delivered before isend returned"
+        );
+    }
+    for want in 0..2 * ROUNDS {
+        let (h, got) = ep.crecv(RecvSpec::tag(TAG).from(me));
+        assert_eq!((h.src, h.dst), (me, me));
+        assert_eq!(seq_of(&got), want, "[{backend:?}] self link reordered");
+    }
+    for round in 0..ROUNDS {
+        let (_, got) = far.crecv(RecvSpec::tag(TAG).from(me));
+        assert_eq!(seq_of(&got), 2 * round + 1, "[{backend:?}] link 0 -> 1 reordered");
+    }
+    assert_eq!(ep.unexpected_len(), 0, "[{backend:?}] a self-send arrived twice");
+    assert_eq!(far.unexpected_len(), 0, "[{backend:?}] a multicast arrived twice");
+    let t = world.transport_stats();
+    assert_eq!(
+        t.frames_sent - frames_before,
+        u64::from(ROUNDS),
+        "[{backend:?}] only the sends to PE 1 may be frames: {t:?}"
+    );
+    world.shutdown();
+});
+
+/// The multi-process shape in one process: rank 0 of a two-rank peer
+/// list whose rank-1 address has no listener. Talking to itself — a
+/// p2p exchange and an RSR call to its own address — needs no
+/// connection at all, so nothing is dialed (rank 0's own listener
+/// included) and nothing fails. The first frame to leave is the
+/// termination barrier's SHUTDOWN to the absent rank, which finds no
+/// listener.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_talking_to_itself_never_dials() {
+    use chant::chant::ranges::tags::DONE;
+    use chant::chant::{TcpOptions, TransportStatsSnapshot};
+
+    const FN_ECHO: u32 = 1000;
+    // Two distinct ports nobody listens on: rank 0 binds the first, the
+    // second stays dead.
+    let peers: Vec<String> = {
+        let held: Vec<_> = (0..2)
+            .map(|_| std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap())
+            .collect();
+        held.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
+    };
+    let opts = TcpOptions {
+        rank: Some(0),
+        peers,
+        connect_attempts: 2,
+        connect_backoff_ms: 1,
+    };
+    let cluster = ChantCluster::builder()
+        .pes(2)
+        .transport(TransportConfig::TcpEvent(opts))
+        // Bounds the self call: a lost message fails the test, not hangs it.
+        .rsr_retry(RetryPolicy {
+            max_attempts: 3,
+            base_timeout: Duration::from_millis(200),
+            max_timeout: Duration::from_millis(400),
+            liveness_ping: Duration::from_millis(500),
+        })
+        .rsr_handler(FN_ECHO, |_node, req| Ok(req.args.clone()))
+        .build();
+    assert_eq!(cluster.world().hosted_pes(), 0..1);
+    let seen: Arc<Mutex<Option<Result<TransportStatsSnapshot, String>>>> = Arc::default();
+    let seen2 = Arc::clone(&seen);
+    let report = cluster.run(move |node| {
+        let me = node.self_id();
+        // No panics before the stand-in DONE below: a main that
+        // panics here would leave the barrier waiting for rank 1.
+        let outcome = (|| {
+            node.send(me, 4, b"to myself").map_err(|e| format!("send: {e:?}"))?;
+            let (_info, got) = node
+                .recv_timeout(RecvSrc::Any, Some(4), Duration::from_secs(5))
+                .map_err(|e| format!("self p2p: {e:?}"))?;
+            let reply = node
+                .rsr_call(node.address(), FN_ECHO, b"echo")
+                .map_err(|e| format!("self rsr_call: {e:?}"))?;
+            if (&got[..], &reply[..]) != (&b"to myself"[..], &b"echo"[..]) {
+                return Err(format!("wrong bodies: {got:?}, {reply:?}"));
+            }
+            Ok(node.world().transport_stats())
+        })();
+        *seen2.lock().unwrap() = Some(outcome);
+        // Stand in for the absent rank's DONE, so the termination
+        // barrier (and this test) can finish.
+        node.send(me, DONE, b"").unwrap();
+    });
+    let t = seen.lock().unwrap().take().expect("main ran").unwrap();
+    assert_eq!((t.connects, t.send_failures), (0, 0), "a lone rank dialed: {t:?}");
+    assert_eq!(t.frames_sent, 0, "a self-send became a frame: {t:?}");
+    assert!(
+        report.transport.send_failures >= 1,
+        "the SHUTDOWN to rank 1 found a listener, so the test proves nothing: {:?}",
+        report.transport
     );
 }
 
