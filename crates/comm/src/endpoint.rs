@@ -320,7 +320,7 @@ impl Endpoint {
     /// Install the callback run after every delivery into this endpoint
     /// — a posted receive completed *or* an unexpected message buffered —
     /// on whichever thread delivered (the sender in-process, a socket
-    /// backend's reader, the fault shim's or latency line's deliverer).
+    /// backend's reader, the fault shim's deliverer).
     /// A runtime whose scheduler sleeps when nothing is runnable installs
     /// its wake-up here, so an arrival ends the sleep the same way on
     /// every transport; the callback runs with no endpoint lock held,
@@ -337,10 +337,10 @@ impl Endpoint {
     /// Nonblocking send (NX `isend`). The returned handle is already
     /// complete: the body is refcounted, so the caller's buffer is
     /// immediately reusable (locally blocking semantics). A send to this
-    /// endpoint's own address (with no fault shim or latency line
-    /// holding it) is delivered into its matching tables before return,
-    /// on every backend, without touching a transport; so is every send
-    /// on the in-process backend.
+    /// endpoint's own address (with no fault shim holding it) is
+    /// delivered into its matching tables before return, on every
+    /// backend, without touching a transport; so is every send on the
+    /// in-process backend.
     pub fn isend(&self, dst: Address, tag: i32, ctx: u64, kind: u8, body: Bytes) -> SendHandle {
         assert!(tag >= 0, "send tags must be non-negative (got {tag})");
         let world = self

@@ -16,25 +16,27 @@
 //!   regardless of how other links interleave.
 //! * **Eventual delivery.** Everything except an explicit drop is
 //!   delivered in finite time: duplicated/delayed/reordered copies go
-//!   through a background deliverer with a deadline queue and — unlike
-//!   the latency model's [`crate::LatencyModel`] line — **no per-link
-//!   FIFO floor**, so later messages genuinely overtake held ones.
+//!   through a background deliverer with a deadline queue and **no
+//!   per-link FIFO floor**, so a message held longer than the one behind
+//!   it is overtaken. Holding every message on a link for the same time
+//!   (`delay_p` 1, `delay_ns` with `lo == hi`) keeps the link FIFO: due
+//!   times then rise with send order, and ties go by arrival at the
+//!   queue.
 //! * **Control-plane exemption.** Tags in `0xFF00..=0xFFFF` are reserved
 //!   for runtime control traffic (cluster shutdown barriers); faulting
 //!   those wedges teardown rather than exercising user-visible failure
 //!   paths, so DATA-kind messages in that range pass through untouched
 //!   unless [`FaultConfig::fault_control`] opts in.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use chant_obs::FaultKind;
 
-use crate::delay::HoldQueue;
 use crate::header::{Address, Header};
 use crate::world::WorldInner;
 
@@ -70,15 +72,6 @@ impl SplitMix64 {
     /// Uniform in `[0, 1)`, with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi]` (inclusive; `lo` when the range is empty).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.next_u64() % (hi - lo + 1)
     }
 }
 
@@ -219,7 +212,7 @@ impl FaultInjector {
             config,
             stats: FaultStats::default(),
             links: Mutex::new(HashMap::new()),
-            held: HoldQueue::start("chant-comm-faults", world),
+            held: HoldQueue::start(world),
             lane: chant_obs::tracer::register_lane("faults"),
         })
     }
@@ -306,6 +299,87 @@ impl FaultInjector {
     }
 }
 
+#[derive(Default)]
+struct HoldState {
+    /// Held messages, earliest due first, FIFO within a tie.
+    held: BTreeMap<(Instant, u64), (Header, Bytes)>,
+    seq: u64,
+    shutdown: bool,
+}
+
+/// Messages held until a due time, and the background thread that hands
+/// each to the world's last hop when it comes due. The queue imposes no
+/// order between messages beyond their due times (ties go by arrival):
+/// a message held longer than the one behind it is overtaken, which is
+/// what reorders.
+#[derive(Default)]
+struct HoldQueue {
+    state: Mutex<HoldState>,
+    cv: Condvar,
+}
+
+impl HoldQueue {
+    /// Create the queue and start its deliverer thread.
+    fn start(world: Weak<WorldInner>) -> Arc<HoldQueue> {
+        let queue = Arc::new(HoldQueue::default());
+        let q2 = Arc::clone(&queue);
+        std::thread::Builder::new()
+            .name("chant-comm-faults".into())
+            .spawn(move || q2.run(world))
+            .expect("spawn hold-queue deliverer");
+        queue
+    }
+
+    /// Hold a message until `due`.
+    fn hold(&self, due: Instant, header: Header, body: Bytes) {
+        let mut st = self.state.lock();
+        st.seq += 1;
+        let seq = st.seq;
+        st.held.insert((due, seq), (header, body));
+        self.cv.notify_one();
+    }
+
+    /// Stop the deliverer (flushes nothing; pending messages are lost —
+    /// only used on world teardown).
+    fn shutdown(&self) {
+        self.state.lock().shutdown = true;
+        self.cv.notify_one();
+    }
+
+    fn run(&self, world: Weak<WorldInner>) {
+        loop {
+            // Pop the next due entry, or sleep until one is due.
+            let (header, body) = {
+                let mut st = self.state.lock();
+                loop {
+                    if st.shutdown {
+                        return;
+                    }
+                    let now = Instant::now();
+                    match st.held.first_key_value() {
+                        Some((&(due, _), _)) if due <= now => {
+                            break st.held.pop_first().expect("peeked entry").1;
+                        }
+                        Some((&(due, _), _)) => {
+                            self.cv.wait_for(&mut st, due - now);
+                        }
+                        None => {
+                            self.cv.wait(&mut st);
+                        }
+                    }
+                }
+            };
+            match world.upgrade() {
+                // Through the last hop, not straight into the endpoint:
+                // on a TCP world a held message to another endpoint must
+                // still cross the socket like every other message.
+                Some(w) => w.last_hop(header, body),
+                None => return, // world is gone; stop delivering
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,10 +401,7 @@ mod tests {
         for _ in 0..1000 {
             let f = r.next_f64();
             assert!((0.0..1.0).contains(&f));
-            let v = r.next_range(10, 20);
-            assert!((10..=20).contains(&v));
         }
-        assert_eq!(r.next_range(5, 5), 5);
     }
 
     #[test]
@@ -338,5 +409,28 @@ mod tests {
         let bad = FaultConfig::new(1).drop_p(1.5);
         let err = std::panic::catch_unwind(|| bad.validate());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn queue_orders_by_due_then_seq() {
+        let t0 = Instant::now();
+        let header = Header {
+            src: Address::new(0, 0),
+            dst: Address::new(0, 0),
+            tag: 0,
+            ctx: 0,
+            kind: 0,
+            len: 0,
+            trace: 0,
+        };
+        let q = HoldQueue::default();
+        for (ms, tag) in [(5, 1), (1, 2), (5, 3)] {
+            q.hold(t0 + Duration::from_millis(ms), Header { tag, ..header }, Bytes::new());
+        }
+        let mut st = q.state.lock();
+        let order: Vec<i32> = std::iter::from_fn(|| st.held.pop_first())
+            .map(|(_, (h, _))| h.tag)
+            .collect();
+        assert_eq!(order, [2, 1, 3]);
     }
 }

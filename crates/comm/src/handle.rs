@@ -128,8 +128,8 @@ impl RecvHandle {
     }
 
     /// Completion status *without* counting a `msgtest` call. Used by
-    /// [`testany`] and by bookkeeping that the paper's counters must not
-    /// see (e.g. re-checking after a successful test).
+    /// [`testany`](crate::testany()) and by bookkeeping that the paper's
+    /// counters must not see (e.g. re-checking after a successful test).
     pub fn is_complete(&self) -> bool {
         self.shared.state.lock().done
     }

@@ -46,7 +46,6 @@
 #![warn(rust_2018_idioms)]
 
 mod codec_props;
-mod delay;
 mod endpoint;
 mod fault;
 mod guard;
@@ -59,7 +58,6 @@ mod testany;
 mod transport;
 mod world;
 
-pub use delay::LatencyModel;
 pub use endpoint::Endpoint;
 pub use fault::{FaultConfig, FaultStats, FaultStatsSnapshot, CONTROL_TAG_BASE, CONTROL_TAG_END};
 pub use guard::set_blocking_guard;

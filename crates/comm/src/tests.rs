@@ -1,5 +1,7 @@
 //! Behavioural tests for the message layer.
 
+use std::time::{Duration, Instant};
+
 use bytes::Bytes;
 
 use crate::{kind, testany, Address, CommWorld, CtxMatch, RecvSpec, ANY_TAG};
@@ -288,80 +290,6 @@ fn concurrent_senders_one_receiver() {
     assert_eq!(got, 200);
 }
 
-// ---------------------------------------------------------------------
-// Latency-modelling transport
-// ---------------------------------------------------------------------
-
-use crate::LatencyModel;
-use std::time::{Duration, Instant};
-
-#[test]
-fn delayed_delivery_takes_flight_time() {
-    let world = CommWorld::with_latency(
-        2,
-        1,
-        LatencyModel {
-            fixed_ns: 20_000_000, // 20 ms
-            per_byte_ns: 0,
-        },
-    );
-    assert!(world.has_latency());
-    let a = world.endpoint(Address::new(0, 0));
-    let bep = world.endpoint(Address::new(1, 0));
-
-    let h = bep.irecv(RecvSpec::tag(1));
-    let start = Instant::now();
-    a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("in-flight"));
-    assert!(!h.is_complete(), "message must still be in flight");
-    h.msgwait();
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed >= Duration::from_millis(18),
-        "arrived too early: {elapsed:?}"
-    );
-    assert_eq!(&h.take().unwrap().1[..], b"in-flight");
-}
-
-#[test]
-fn delayed_delivery_preserves_per_link_fifo() {
-    // A large message sent first must not be overtaken by a small one on
-    // the same link, even though the small one's flight time is shorter.
-    let world = CommWorld::with_latency(
-        2,
-        1,
-        LatencyModel {
-            fixed_ns: 2_000_000,
-            per_byte_ns: 2_000, // big messages fly much longer
-        },
-    );
-    let a = world.endpoint(Address::new(0, 0));
-    let bep = world.endpoint(Address::new(1, 0));
-    let h1 = bep.irecv(RecvSpec::tag(1));
-    let h2 = bep.irecv(RecvSpec::tag(1));
-    a.isend(Address::new(1, 0), 1, 0, kind::DATA, Bytes::from(vec![1u8; 8192]));
-    a.isend(Address::new(1, 0), 1, 0, kind::DATA, Bytes::from(vec![2u8; 1]));
-    h1.msgwait();
-    h2.msgwait();
-    assert_eq!(h1.take().unwrap().1[0], 1, "first sent, first delivered");
-    assert_eq!(h2.take().unwrap().1[0], 2);
-}
-
-#[test]
-fn delayed_world_teardown_is_clean() {
-    let world = CommWorld::with_latency(
-        2,
-        1,
-        LatencyModel {
-            fixed_ns: 50_000_000,
-            per_byte_ns: 0,
-        },
-    );
-    let a = world.endpoint(Address::new(0, 0));
-    a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("never delivered"));
-    drop(a);
-    drop(world); // must not hang or panic with a message still in flight
-}
-
 #[test]
 fn outstanding_recvs_counter_tracks_posts_and_matches() {
     let world = CommWorld::flat(2);
@@ -557,11 +485,47 @@ fn delayed_message_arrives_late_but_arrives() {
     let a = world.endpoint(Address::new(0, 0));
     let bep = world.endpoint(Address::new(1, 0));
     let h = bep.irecv(RecvSpec::tag(1));
+    let start = Instant::now();
     a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("held"));
     assert!(!h.is_complete(), "delayed message must not arrive inline");
     h.msgwait(); // OS-thread wait is fine in a plain test
+    let elapsed = start.elapsed();
+    assert!(elapsed >= Duration::from_millis(1), "arrived too early: {elapsed:?}");
     assert_eq!(&h.take().unwrap().1[..], b"held");
     assert_eq!(world.fault_stats().unwrap().delayed, 1);
+}
+
+#[test]
+fn constant_hold_keeps_a_link_fifo() {
+    // With every message held for the same time, due times rise with
+    // send order, so a large message sent first is not overtaken by a
+    // small one behind it on the same link.
+    let mut cfg = crate::FaultConfig::new(5).delay_p(1.0);
+    cfg.delay_ns = (2_000_000, 2_000_000);
+    let world = CommWorld::with_faults(2, 1, cfg);
+    let a = world.endpoint(Address::new(0, 0));
+    let bep = world.endpoint(Address::new(1, 0));
+    let h1 = bep.irecv(RecvSpec::tag(1));
+    let h2 = bep.irecv(RecvSpec::tag(1));
+    a.isend(Address::new(1, 0), 1, 0, kind::DATA, Bytes::from(vec![1u8; 8192]));
+    a.isend(Address::new(1, 0), 1, 0, kind::DATA, Bytes::from(vec![2u8; 1]));
+    h1.msgwait();
+    h2.msgwait();
+    assert_eq!(h1.take().unwrap().1[0], 1, "first sent, first delivered");
+    assert_eq!(h2.take().unwrap().1[0], 2);
+    assert_eq!(world.fault_stats().unwrap().delayed, 2);
+}
+
+#[test]
+fn delayed_world_teardown_is_clean() {
+    let mut cfg = crate::FaultConfig::new(6).delay_p(1.0);
+    cfg.delay_ns = (50_000_000, 50_000_000);
+    let world = CommWorld::with_faults(2, 1, cfg);
+    let a = world.endpoint(Address::new(0, 0));
+    a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("never delivered"));
+    assert_eq!(world.fault_stats().unwrap().delayed, 1);
+    drop(a);
+    drop(world); // must not hang or panic with a message still held
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Pluggable transports under the matching engine.
 //!
 //! [`crate::CommWorld`]'s routing path is a thin, swappable seam: after
-//! the fault shim and the latency line have had their say, a message to
-//! another endpoint is handed to the world's [`Transport`], which is
-//! responsible for getting the framed `(header, body)` pair to the
-//! destination endpoint's matching tables (via
+//! the fault shim has had its say, a message to another endpoint is
+//! handed to the world's [`Transport`], which is responsible for getting
+//! the framed `(header, body)` pair to the destination endpoint's
+//! matching tables (via
 //! [`DeliverySink::deliver`]). A message an endpoint sends to itself
 //! never reaches a transport: the world delivers it in place, on the
 //! sender's thread. Everything above the seam — matching, polling
@@ -115,7 +115,7 @@ pub struct DeliverySink {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliverError {
     /// The world was torn down; the message is dropped (same rule as
-    /// the latency line at shutdown).
+    /// the fault shim's held messages at shutdown).
     WorldGone,
     /// The destination endpoint is not hosted by this process (a
     /// misrouted or corrupted frame in multi-process mode).

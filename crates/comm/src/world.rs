@@ -15,14 +15,14 @@
 //! goes through the world's [`Transport`]: synchronous in-process
 //! delivery by default, or TCP sockets (possibly to other OS processes)
 //! when built with [`TransportConfig::TcpEvent`]. Everything upstream of
-//! that hop (fault shim, latency line, matching, statistics) treats both
-//! kinds of message alike, so faults and latency reach self-links too.
+//! that hop (fault shim, matching, statistics) treats both kinds of
+//! message alike, so faults, held messages included, reach self-links
+//! too.
 
 use std::sync::{Arc, Once, OnceLock};
 
 use bytes::Bytes;
 
-use crate::delay::{DelayLine, LatencyModel};
 use crate::endpoint::Endpoint;
 use crate::fault::{FaultAction, FaultConfig, FaultInjector, FaultStatsSnapshot};
 use crate::header::{Address, Header};
@@ -38,7 +38,6 @@ pub(crate) struct WorldInner {
     /// multi-process TCP mode, where the process boundary is the PE).
     hosted: std::ops::Range<u32>,
     endpoints: Vec<Arc<Endpoint>>,
-    delay: Option<Arc<DelayLine>>,
     faults: Option<Arc<FaultInjector>>,
     /// Installed immediately after `Arc::new_cyclic` returns, so the
     /// transport can never observe (or deliver into) a half-constructed
@@ -52,30 +51,24 @@ pub(crate) struct WorldInner {
 
 impl WorldInner {
     /// Route a message: through the fault shim when one is installed,
-    /// then through the delay line when a latency model is installed,
     /// then to [`WorldInner::last_hop`].
     pub(crate) fn route(&self, header: Header, body: Bytes) {
         if let Some(shim) = &self.faults {
             match shim.apply(&header, &body) {
                 FaultAction::Deliver | FaultAction::DeliverAndHoldCopy => {}
                 // Dropped outright, or held for the shim's background
-                // deliverer (which bypasses the latency line — held
-                // copies already model in-flight time).
+                // deliverer, which hands it to the last hop when due.
                 FaultAction::Drop | FaultAction::HoldOnly => return,
             }
         }
-        match &self.delay {
-            Some(line) => line.submit(header, body),
-            None => self.last_hop(header, body),
-        }
+        self.last_hop(header, body);
     }
 
-    /// The post-shim, post-delay hop. A message to its own sender's
-    /// endpoint is delivered into that endpoint now, on this thread (the
-    /// call a transport's [`crate::transport::DeliverySink`] makes);
-    /// any other goes to the transport. Also used by the fault shim's
-    /// and latency line's background deliverers, so held and delayed
-    /// copies take the same path as everything else.
+    /// The post-shim hop. A message to its own sender's endpoint is
+    /// delivered into that endpoint now, on this thread (the call a
+    /// transport's [`crate::transport::DeliverySink`] makes); any other
+    /// goes to the transport. Also used by the fault shim's background
+    /// deliverer, so held copies take the same path as everything else.
     pub(crate) fn last_hop(&self, header: Header, body: Bytes) {
         if header.dst == header.src {
             self.endpoint(header.dst).deliver(header, body);
@@ -103,24 +96,21 @@ impl WorldInner {
     /// Stop the pipeline and close the transport. Idempotent.
     ///
     /// This exists separately from `Drop` because drop timing is
-    /// refcount-driven: the fault shim's and delay line's deliverer
-    /// threads hold transient upgrades of their `Weak<WorldInner>`, so
-    /// the *last* strong reference can die on one of those threads (or
-    /// inside a socket turn's delivery) — in which case `shutdown` skips
-    /// joining the caller's own thread, and the socket turn closes its
-    /// inbound side only once it ends. An owner that needs teardown
+    /// refcount-driven: the fault shim's deliverer thread holds
+    /// transient upgrades of its `Weak<WorldInner>`, so the *last*
+    /// strong reference can die on that thread (or inside a socket
+    /// turn's delivery) — in which case `shutdown` skips joining the
+    /// caller's own thread, and the socket turn closes its inbound side
+    /// only once it ends. An owner that needs teardown
     /// to be complete when its drop returns (a `ChantCluster`, a test
     /// asserting no fd leaks) calls this explicitly from its own thread
     /// instead.
     pub(crate) fn shutdown_now(&self) {
         self.shutdown.call_once(|| {
-            // Upstream stages first, so nothing new reaches the
-            // transport while it tears down.
+            // The shim first, so nothing new reaches the transport
+            // while it tears down.
             if let Some(shim) = &self.faults {
                 shim.shutdown();
-            }
-            if let Some(line) = &self.delay {
-                line.shutdown();
             }
             if let Some(t) = self.transport.get() {
                 t.shutdown();
@@ -162,72 +152,28 @@ impl CommWorld {
     /// Create a world of `pes` processing elements with `procs_per_pe`
     /// processes each.
     pub fn new(pes: u32, procs_per_pe: u32) -> CommWorld {
-        CommWorld::build(pes, procs_per_pe, None, None, TransportConfig::InProcess)
-    }
-
-    /// Create a world whose transport imposes wall-clock flight time on
-    /// every message (`fixed + per_byte × n` nanoseconds, per-link FIFO).
-    /// This makes the live runtime exhibit the latency the paper's
-    /// threads exist to hide.
-    pub fn with_latency(pes: u32, procs_per_pe: u32, model: LatencyModel) -> CommWorld {
-        CommWorld::build(
-            pes,
-            procs_per_pe,
-            Some(model),
-            None,
-            TransportConfig::InProcess,
-        )
+        CommWorld::with_config(pes, procs_per_pe, None, TransportConfig::InProcess)
     }
 
     /// Create a world with the seeded fault shim installed (see
     /// [`FaultConfig`]): deliveries may be dropped, duplicated, delayed,
     /// or reordered per link, deterministically for a given seed.
     pub fn with_faults(pes: u32, procs_per_pe: u32, config: FaultConfig) -> CommWorld {
-        CommWorld::build(
-            pes,
-            procs_per_pe,
-            None,
-            Some(config),
-            TransportConfig::InProcess,
-        )
+        CommWorld::with_config(pes, procs_per_pe, Some(config), TransportConfig::InProcess)
     }
 
     /// Create a world routed through the given transport backend (see
-    /// [`TransportConfig`]), with no latency model or fault shim.
+    /// [`TransportConfig`]), with no fault shim.
     pub fn with_transport(pes: u32, procs_per_pe: u32, transport: TransportConfig) -> CommWorld {
-        CommWorld::build(pes, procs_per_pe, None, None, transport)
+        CommWorld::with_config(pes, procs_per_pe, None, transport)
     }
 
-    /// Create a world with any combination of a latency model and the
-    /// fault shim (the general form of [`CommWorld::with_latency`] /
-    /// [`CommWorld::with_faults`]), on the in-process transport.
-    pub fn with_options(
-        pes: u32,
-        procs_per_pe: u32,
-        latency: Option<LatencyModel>,
-        faults: Option<FaultConfig>,
-    ) -> CommWorld {
-        CommWorld::build(pes, procs_per_pe, latency, faults, TransportConfig::InProcess)
-    }
-
-    /// The fully general constructor: latency model, fault shim, and
-    /// transport backend all chosen independently. The shim and the
-    /// delay line sit *above* the transport, so faults injected on a
-    /// TCP world genuinely perturb socket traffic.
+    /// The fully general constructor: fault shim and transport backend
+    /// chosen independently. The shim sits *above* the transport, so
+    /// faults injected on a TCP world genuinely perturb socket traffic.
     pub fn with_config(
         pes: u32,
         procs_per_pe: u32,
-        latency: Option<LatencyModel>,
-        faults: Option<FaultConfig>,
-        transport: TransportConfig,
-    ) -> CommWorld {
-        CommWorld::build(pes, procs_per_pe, latency, faults, transport)
-    }
-
-    pub(crate) fn build(
-        pes: u32,
-        procs_per_pe: u32,
-        model: Option<LatencyModel>,
         faults: Option<FaultConfig>,
         transport: TransportConfig,
     ) -> CommWorld {
@@ -248,7 +194,6 @@ impl CommWorld {
                 procs_per_pe,
                 hosted,
                 endpoints,
-                delay: model.map(|m| DelayLine::start(m, weak.clone())),
                 faults: faults.map(|c| FaultInjector::start(c, weak.clone())),
                 transport: OnceLock::new(),
                 shutdown: Once::new(),
@@ -262,11 +207,6 @@ impl CommWorld {
             unreachable!("transport installed twice");
         }
         CommWorld { inner }
-    }
-
-    /// Whether this world models message flight time.
-    pub fn has_latency(&self) -> bool {
-        self.inner.delay.is_some()
     }
 
     /// Whether this world has the fault shim installed.
@@ -303,10 +243,9 @@ impl CommWorld {
     }
 
     /// Tear the world down *now*, on the calling thread: stop the fault
-    /// shim and delay line (joining their threads) and close every
-    /// transport socket. Idempotent, and implied by
-    /// dropping the last `CommWorld` clone — but drop timing is
-    /// refcount-driven (a background deliverer's transient upgrade can
+    /// shim's deliverer and close every transport socket. Idempotent,
+    /// and implied by dropping the last `CommWorld` clone — but drop
+    /// timing is refcount-driven (the deliverer's transient upgrade can
     /// be the last reference), so callers that need teardown to be
     /// *complete* when this returns — before sampling `/proc/self/fd`,
     /// say — call it explicitly. Messages routed afterwards are

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use chant_comm::{
-    CommProfile, CommStatsSnapshot, CommWorld, FaultConfig, FaultStatsSnapshot, LatencyModel,
-    TransportConfig, TransportStatsSnapshot,
+    CommProfile, CommStatsSnapshot, CommWorld, FaultConfig, FaultStatsSnapshot, TransportConfig,
+    TransportStatsSnapshot,
 };
 use chant_ult::{Priority, SpawnAttr};
 
@@ -41,7 +41,6 @@ pub struct ClusterBuilder {
     naming: NamingMode,
     policy: PollingPolicy,
     server: bool,
-    latency: Option<LatencyModel>,
     faults: Option<FaultConfig>,
     retry: Option<RetryPolicy>,
     dedup_window: usize,
@@ -66,7 +65,6 @@ impl ClusterBuilder {
             naming: NamingMode::default(),
             policy: PollingPolicy::default(),
             server: true,
-            latency: None,
             faults: None,
             retry: None,
             dedup_window: DEFAULT_DEDUP_WINDOW,
@@ -120,22 +118,16 @@ impl ClusterBuilder {
         self
     }
 
-    /// Impose wall-clock message flight time (default: none — delivery
-    /// is synchronous). With a latency model installed, the live runtime
-    /// exhibits the communication latency that talking threads exist to
-    /// hide behind computation (paper §1).
-    pub fn latency(mut self, model: LatencyModel) -> ClusterBuilder {
-        self.latency = Some(model);
-        self
-    }
-
     /// Install the deterministic fault-injection shim on the cluster's
     /// transport (default: none — delivery is reliable). With a
     /// [`FaultConfig`], deliveries may be dropped, duplicated, delayed,
     /// or reordered per link, reproducibly for a given seed; cluster
     /// control traffic (tags `0xFF00..`) is exempt unless the config says
     /// otherwise. Pair lossy configs with [`ClusterBuilder::rsr_retry`]
-    /// so remote ops survive the losses.
+    /// so remote ops survive the losses. A config that delays every
+    /// message (`delay_p` 1) by a constant hold (`delay_ns` with
+    /// `lo == hi`) keeps each link FIFO and imposes the wall-clock flight
+    /// time that talking threads exist to hide (paper §1).
     pub fn faults(mut self, config: FaultConfig) -> ClusterBuilder {
         self.faults = Some(config);
         self
@@ -328,13 +320,8 @@ impl ClusterBuilder {
             chant_obs::tracer::install_with(cap, chant_obs::RingMode::KeepLatest);
         }
 
-        let world = CommWorld::with_config(
-            self.pes,
-            self.procs_per_pe,
-            self.latency,
-            self.faults,
-            self.transport,
-        );
+        let world =
+            CommWorld::with_config(self.pes, self.procs_per_pe, self.faults, self.transport);
         let entries = Arc::new(self.entries);
         let handlers = Arc::new(self.handlers);
         let mut nodes = Vec::new();

@@ -62,7 +62,6 @@ mod naming;
 mod node;
 pub(crate) mod ops;
 mod poll;
-mod port;
 pub mod ranges;
 mod rsr;
 pub mod telemetry;
@@ -76,7 +75,6 @@ pub use naming::NamingMode;
 pub use node::{ChantNode, ChantRecvHandle, MsgInfo, RecvSrc};
 pub use ops::RemoteSpawnOptions;
 pub use poll::PollingPolicy;
-pub use port::{port_send, Port, PortAddress};
 pub use rsr::{RetryPolicy, RsrCallHandle, RsrRequest, RsrStatsSnapshot, SERVER_FN_USER_BASE};
 
 // Fault-injection and transport configuration, re-exported so cluster

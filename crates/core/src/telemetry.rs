@@ -2,7 +2,7 @@
 //!
 //! Tracing (an installed `chant_obs` tracer) answers "what happened",
 //! after the fact, at event granularity. This module answers "what is
-//! happening *now*", cheaply, untraced: an [`Emitter`] thread wakes
+//! happening *now*", cheaply, untraced: an `Emitter` thread wakes
 //! every `CHANT_TELEMETRY_MS` milliseconds, reads every always-on
 //! counter family present (`collect`), turns the cluster-wide totals
 //! into *deltas since the previous tick*, and writes one flat JSON
@@ -129,7 +129,7 @@ pub(crate) struct Emitter {
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Times an [`Emitter::start`] failed to spawn its background thread
+/// Times an `Emitter::start` failed to spawn its background thread
 /// (process-wide). Telemetry is an observer — a resource-exhausted host
 /// that cannot spare one more OS thread must not take the workload down
 /// with it, so the failure is counted and the emitter degrades to a

@@ -1088,101 +1088,6 @@ fn remote_spawn_detached_cannot_be_joined() {
 }
 
 // ---------------------------------------------------------------------
-// Typed ports
-// ---------------------------------------------------------------------
-
-use crate::{port_send, Port, PortAddress};
-
-#[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
-struct Work {
-    id: u32,
-    payload: String,
-    weights: Vec<f32>,
-}
-
-#[test]
-fn typed_port_roundtrip_across_nodes() {
-    let cluster = ChantCluster::builder().pes(2).server(false).build();
-    cluster.run(|node| {
-        let me = node.self_id();
-        if me.pe == 1 {
-            let port: Port<Work> = Port::open(node, 40);
-            // Publish the port address via a plain message.
-            node.send(
-                ChanterId::new(0, 0, me.thread),
-                41,
-                &port.address().tag().to_le_bytes(),
-            )
-            .unwrap();
-            let (from, w) = port.recv_from(node).unwrap();
-            assert_eq!(
-                w,
-                Work {
-                    id: 7,
-                    payload: "typed".into(),
-                    weights: vec![1.5, -2.0],
-                }
-            );
-            assert_eq!(from, Some(ChanterId::new(0, 0, me.thread)));
-        } else {
-            let (_, body) = node.recv_tag(41).unwrap();
-            let tag = i32::from_le_bytes(body[..4].try_into().unwrap());
-            let to: PortAddress<Work> =
-                PortAddress::new(ChanterId::new(1, 0, me.thread), tag);
-            port_send(
-                node,
-                to,
-                &Work {
-                    id: 7,
-                    payload: "typed".into(),
-                    weights: vec![1.5, -2.0],
-                },
-            )
-            .unwrap();
-        }
-    });
-}
-
-#[test]
-fn typed_port_many_values_in_order() {
-    let cluster = ChantCluster::builder().pes(2).server(false).build();
-    cluster.run(|node| {
-        let me = node.self_id();
-        let peer_main = ChanterId::new(1 - me.pe, 0, me.thread);
-        if me.pe == 1 {
-            let port: Port<u64> = Port::open(node, 50);
-            for expect in 0..20u64 {
-                assert_eq!(port.recv(node).unwrap(), expect * 3);
-            }
-        } else {
-            let to: PortAddress<u64> = PortAddress::new(peer_main, 50);
-            for v in 0..20u64 {
-                port_send(node, to, &(v * 3)).unwrap();
-            }
-        }
-    });
-}
-
-#[test]
-fn typed_port_decode_error_is_reported() {
-    let cluster = ChantCluster::builder().pes(2).server(false).build();
-    cluster.run(|node| {
-        let me = node.self_id();
-        if me.pe == 1 {
-            let port: Port<Work> = Port::open(node, 60);
-            match port.recv(node) {
-                Err(ChantError::Wire(msg)) => assert!(msg.contains("decode")),
-                other => panic!("expected decode error, got {other:?}"),
-            }
-        } else {
-            // Send bytes that are not valid JSON for `Work`.
-            node.send(ChanterId::new(1, 0, me.thread), 60, b"not json")
-                .unwrap();
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
 // Communication-layer capability profiles
 // ---------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 //! client SDK.
 //!
 //! Per node the service is three cooperating pieces sharing one
-//! [`KvState`]:
+//! `KvState`:
 //!
 //! * **RSR extension handlers** ([`fns::KV_MUTATE`] and friends) run on
 //!   the server thread. They only touch local state — the iron rule

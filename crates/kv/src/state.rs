@@ -1,7 +1,7 @@
 //! Per-node KV state: configuration, the shard table, the replication
 //! queue, counters, and the daemon/client park points.
 //!
-//! One [`KvState`] exists per node, installed through
+//! One `KvState` exists per node, installed through
 //! [`chant_core::ChantNode::extension`]; the RSR handlers (server
 //! thread), the replication daemon (a ULT), and the client SDK all
 //! share it. Following the pub-sub template, the inner maps sit behind a

@@ -5,7 +5,7 @@
 //! the repo one substrate for that counting instead of four scattered
 //! ones:
 //!
-//! * [`event`] — the unified [`Event`](event::Event) vocabulary shared
+//! * [`event`] — the unified [`Event`] vocabulary shared
 //!   by the live runtime and the simulator.
 //! * [`ring`] — the lock-free bounded ring each lane buffers events in.
 //! * [`tracer`] — process-wide lane registration and collection; emit

@@ -3,7 +3,7 @@
 //! * [`pingpong`] — Table 2 / Figure 8: per-message time of raw
 //!   process-to-process NX traffic vs thread-to-thread Chant traffic
 //!   under the Thread-polls and Scheduler-polls policies.
-//! * [`polling`] — Tables 3–5 / Figures 10–13: the Figure-9 workload
+//! * [`polling_table`] — Tables 3–5 / Figures 10–13: the Figure-9 workload
 //!   (2 PEs × 12 threads × 100 iterations of
 //!   `compute(α); send; compute(β); recv`) under each polling policy,
 //!   reporting Time, context switches, `msgtest` calls, and the average

@@ -5,7 +5,7 @@
 //! kernel through these hand-written declarations: `epoll_create1`,
 //! `epoll_ctl`, `epoll_pwait2` (Linux ≥ 5.11; its timeout is in ns, so a
 //! sub-millisecond deadline is slept exactly), `eventfd`, and the
-//! eventfd's `write`. A lane's parker ([`crate::park`]) is an
+//! eventfd's `write`. A lane's parker (`park.rs`) is an
 //! [`Epoll`] set holding an [`EventFd`]; `chant-comm` adds its own set
 //! to it, so a lane sleeps on its wake-ups and its sockets at once.
 //!

@@ -327,22 +327,21 @@ fn sim_and_live_agree_on_wq_signature() {
     assert!(sim.msgtest_attempted > sim.messages);
 }
 
-/// Live latency tolerance: with a wall-clock latency transport, the same
-/// number of remote interactions completes much faster when split over
-/// many threads — the paper's §1 motivation, demonstrated on the real
-/// runtime rather than the simulator.
+/// Live latency tolerance: with a wall-clock flight time on every
+/// message, the same number of remote interactions completes much faster
+/// when split over many threads — the paper's §1 motivation,
+/// demonstrated on the real runtime rather than the simulator.
 #[test]
 fn live_latency_tolerance_overlaps_flight_time() {
-    use chant::comm::LatencyModel;
+    use chant::comm::FaultConfig;
     use std::time::Duration;
 
     fn run(threads: u32, per_thread: u32) -> Duration {
+        let mut flight = FaultConfig::new(1).delay_p(1.0);
+        flight.delay_ns = (3_000_000, 3_000_000); // 3 ms per message
         let cluster = ChantCluster::builder()
             .pes(2)
-            .latency(LatencyModel {
-                fixed_ns: 3_000_000, // 3 ms per message
-                per_byte_ns: 0,
-            })
+            .faults(flight)
             .server(false)
             .build();
         let report = cluster.run(move |node| {

@@ -17,10 +17,18 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use chant::chant::{ChantCluster, ChantError, ChantGroup, ChantNode, PollingPolicy};
-use chant::comm::{Address, LatencyModel};
+use chant::comm::{Address, FaultConfig};
 use chant::rma::{with_rma, RmaNode, RmaResult};
 use chant::ult::SpawnAttr;
 use common::{for_each_transport, Backend};
+
+/// Every message held for `ms` milliseconds: a constant hold, so each
+/// link stays FIFO.
+fn flight_time(ms: u64) -> FaultConfig {
+    let mut config = FaultConfig::new(1).delay_p(1.0);
+    config.delay_ns = (ms * 1_000_000, ms * 1_000_000);
+    config
+}
 
 /// Everyone registers `seg` at `size` bytes, then synchronises so no
 /// access can race a registration (segment ids are agreed out of band,
@@ -121,10 +129,7 @@ fn blocking_rma_shares_the_processor_under_all_policies() {
             ChantCluster::builder()
                 .pes(2)
                 .policy(policy)
-                .latency(LatencyModel {
-                    fixed_ns: 3_000_000, // 3 ms each way
-                    per_byte_ns: 0,
-                }),
+                .faults(flight_time(3)), // 3 ms each way
         )
         .build();
         cluster.run(move |node| {
@@ -171,12 +176,9 @@ fn nonblocking_handles_and_wait_timeout_under_all_policies() {
             ChantCluster::builder()
                 .pes(2)
                 .policy(policy)
-                .latency(LatencyModel {
-                    // 25 ms each way: a 5 ms bounded wait must expire
-                    // well before the reply can possibly be back.
-                    fixed_ns: 25_000_000,
-                    per_byte_ns: 0,
-                }),
+                // 25 ms each way: a 5 ms bounded wait must expire well
+                // before the reply can possibly be back.
+                .faults(flight_time(25)),
         )
         .build();
         cluster.run(move |node| {

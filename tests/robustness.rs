@@ -193,7 +193,7 @@ for_each_transport!(self_sends_meet_the_fault_shim, |backend: Backend| {
     let me = Address::new(0, 0);
     let control = CONTROL_TAG_BASE + 1;
     let faulted = |config: FaultConfig| {
-        let world = CommWorld::with_config(2, 1, None, Some(config), backend.config());
+        let world = CommWorld::with_config(2, 1, Some(config), backend.config());
         let ep = world.endpoint(me);
         ep.isend(me, 5, 0, kind::DATA, Bytes::from_static(b"data"));
         ep.isend(me, control, 0, kind::DATA, Bytes::from_static(b"control"));
