@@ -101,10 +101,9 @@ impl WorldInner {
     /// strong reference can die on that thread (or inside a socket
     /// turn's delivery) — in which case `shutdown` skips joining the
     /// caller's own thread, and the socket turn closes its inbound side
-    /// only once it ends. An owner that needs teardown
-    /// to be complete when its drop returns (a `ChantCluster`, a test
-    /// asserting no fd leaks) calls this explicitly from its own thread
-    /// instead.
+    /// only once it ends. An owner that needs teardown to be complete
+    /// when its drop returns (a `ChantCluster`, a test asserting no fd
+    /// leaks) calls this explicitly from its own thread instead.
     pub(crate) fn shutdown_now(&self) {
         self.shutdown.call_once(|| {
             // The shim first, so nothing new reaches the transport
