@@ -144,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_population_grows_with_latency() {
+    fn waiting_population_grows_as_latency_rises() {
         // Within the regime where first tests race the partner's send
         // (latency above the per-slot post+test time); at very low
         // latency the workload changes regime entirely (receives complete
