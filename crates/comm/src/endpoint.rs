@@ -67,6 +67,7 @@ type PostKey = (Option<Address>, i32, u8);
 /// later arrival can match it — silently losing the message.
 pub(crate) struct RecvOwner {
     inner: Weak<Mutex<EndpointInner>>,
+    pe: u32,
     stats: Arc<CommStats>,
     key: PostKey,
     seq: u64,
@@ -74,11 +75,11 @@ pub(crate) struct RecvOwner {
 }
 
 impl RecvOwner {
-    /// The world's transport, when it has no thread of its own and an
-    /// OS thread blocked on this receive must drive it.
+    /// The receiving endpoint's PE's transport, when it has no thread of
+    /// its own and an OS thread blocked on this receive must drive it.
     pub(crate) fn transport_to_drive(&self) -> Option<Arc<dyn Transport>> {
         let world = self.inner.upgrade()?.lock().world.upgrade()?;
-        let t = Arc::clone(world.transport());
+        let t = Arc::clone(world.transport(self.pe));
         t.poll_fd().is_some().then_some(t)
     }
 
@@ -451,6 +452,7 @@ impl Endpoint {
             inner.posted_count += 1;
             handle.owner = Some(Arc::new(RecvOwner {
                 inner: Arc::downgrade(&self.inner),
+                pe: self.addr.pe,
                 stats: Arc::clone(&self.stats),
                 key,
                 seq,

@@ -173,7 +173,7 @@ impl RecvHandle {
                 (Some(t), _) => {
                     // Unlocked: the turn may complete this very receive.
                     drop(st);
-                    t.poll(Some(left.map_or(DRIVE_SLICE, |l| l.min(DRIVE_SLICE))));
+                    t.poll(left.map_or(DRIVE_SLICE, |l| l.min(DRIVE_SLICE)));
                 }
                 (None, None) => self.shared.cv.wait(&mut st),
                 (None, Some(l)) => {

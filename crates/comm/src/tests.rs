@@ -565,7 +565,7 @@ fn world_dropped_inside_a_socket_turn_tears_down_on_that_thread() {
     use std::time::Duration;
 
     let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
-    let progress = world.progress().expect("the socket backend is driven by its waiters");
+    let progress = world.progress(1).expect("the socket backend is driven by its waiters");
     let last = Arc::new(Mutex::new(Some(world.clone())));
     let slot = Arc::clone(&last);
     world
@@ -578,13 +578,48 @@ fn world_dropped_inside_a_socket_turn_tears_down_on_that_thread() {
     let (done, finished) = mpsc::channel();
     std::thread::spawn(move || {
         while last.lock().unwrap().is_some() {
-            progress.turn(true);
+            progress.turn();
         }
         // The world is gone: a turn now finds no transport to run.
-        progress.turn(true);
+        progress.turn();
         let _ = done.send(());
     });
     finished
         .recv_timeout(Duration::from_secs(20))
         .expect("teardown inside a socket turn deadlocked");
+}
+
+/// Each PE of a loopback world has a transport of its own, and its
+/// turns deliver only the frames that reach it: with only PE 0's
+/// progress driven, 1 → 0 arrives, while 0 → 1 waits in PE 1's socket
+/// until PE 1's progress turns.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pes_turns_deliver_only_its_own_frames() {
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let (p0, p1) = (world.progress(0).unwrap(), world.progress(1).unwrap());
+    assert_ne!(p0.fd(), p1.fd(), "one epoll set per PE");
+    let (a, bep) = (world.endpoint(Address::new(0, 0)), world.endpoint(Address::new(1, 0)));
+    let (to_a, to_b) = (a.irecv(RecvSpec::tag(1)), bep.irecv(RecvSpec::tag(2)));
+    bep.isend(Address::new(0, 0), 1, 0, kind::DATA, b("1 -> 0"));
+    a.isend(Address::new(1, 0), 2, 0, kind::DATA, b("0 -> 1"));
+    let turn_until = |p: &crate::Progress, done: &crate::RecvHandle, what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done.is_complete() {
+            assert!(Instant::now() < deadline, "{what} never arrived");
+            p.turn();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    turn_until(&p0, &to_a, "1 -> 0, with PE 0 turning,");
+    // 0 -> 1 has been in PE 1's socket all along.
+    for _ in 0..50 {
+        p0.turn();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(!to_b.is_complete(), "PE 0's turns delivered a frame for PE 1");
+    turn_until(&p1, &to_b, "0 -> 1, with PE 1 turning,");
+    assert_eq!(&to_b.take().unwrap().1[..], b"0 -> 1");
+    assert_eq!(world.transport_stats().frames_received, 2);
+    world.shutdown();
 }

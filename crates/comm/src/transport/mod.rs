@@ -2,7 +2,8 @@
 //!
 //! [`crate::CommWorld`]'s routing path is a thin, swappable seam: after
 //! the fault shim has had its say, a message to another endpoint is
-//! handed to the world's [`Transport`], which is responsible for getting
+//! handed to its sender's PE's [`Transport`] (a world has one per hosted
+//! PE, all sharing one set of counters), which is responsible for getting
 //! the framed `(header, body)` pair to the destination endpoint's
 //! matching tables (via
 //! [`DeliverySink::deliver`]). A message an endpoint sends to itself
@@ -19,13 +20,14 @@
 //!   original synchronous delivery into the destination endpoint. Zero
 //!   new cost; the paper's table reproductions run on this path.
 //! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
-//!   length-prefixed frames ([`encode_frame`]) over TCP sockets, every
-//!   connection in one epoll set and no thread of its own — the threads
-//!   that wait on it drive it ([`Transport::poll`], [`Progress`]) — with
-//!   nonblocking sockets, same-peer send coalescing into vectored
-//!   writes, pooled frame buffers and a bounded per-peer send queue. In
-//!   *loopback* mode all endpoints stay in one OS process and traffic
-//!   between PEs makes a real kernel round trip; in
+//!   length-prefixed frames ([`encode_frame`]) over TCP sockets, each
+//!   PE's connections in its own epoll set and no thread of its own —
+//!   the PE's waiting threads drive it ([`Transport::poll`],
+//!   [`Progress`]) — with nonblocking sockets, same-peer send coalescing
+//!   into vectored writes, pooled frame buffers and a bounded per-peer
+//!   send queue. In *loopback* mode all endpoints stay in one OS
+//!   process, each PE with its own listener, and traffic between PEs
+//!   makes a real kernel round trip; in
 //!   *multi-process* mode (a rank and a peer list, usually from
 //!   [`TransportConfig::from_env`]) each OS process hosts one PE's
 //!   endpoints and a chant message genuinely crosses address spaces —
@@ -73,11 +75,9 @@ pub trait Transport: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Move one message toward its destination. May block briefly for
-    /// backpressure; must not block indefinitely.
+    /// backpressure; must not block indefinitely. Never called from
+    /// inside a delivery.
     fn send(&self, header: Header, body: Bytes);
-
-    /// What this transport has done so far.
-    fn stats(&self) -> TransportStatsSnapshot;
 
     /// The fd that is readable while [`Transport::poll`] has work — for
     /// a transport with no thread of its own, which the threads that
@@ -88,18 +88,14 @@ pub trait Transport: Send + Sync {
     }
 
     /// Move traffic on the calling thread: one turn of the transport's
-    /// event loop. `Some(t)`: wait out a turn in progress on another
-    /// thread, then up to `t` for readiness. `None`: a turn that waits
-    /// for nothing, skipped when another is in progress. Returns
-    /// whether a turn ran (never, when there is no loop).
-    fn poll(&self, _timeout: Option<Duration>) -> bool {
-        false
-    }
+    /// event loop, which first waits for the loop's lock (held by a turn
+    /// or a send on another thread), then up to `timeout` for
+    /// readiness. A no-op when there is no loop.
+    fn poll(&self, _timeout: Duration) {}
 
     /// Tear down background threads and close any handles. Called
-    /// from world teardown — possibly inside this transport's own
-    /// [`Transport::poll`], when a delivery held the world's last
-    /// reference; must be idempotent.
+    /// from world teardown, which never starts inside a turn (a turn
+    /// holds the world); must be idempotent.
     fn shutdown(&self);
 }
 
@@ -127,23 +123,24 @@ impl DeliverySink {
         DeliverySink { world }
     }
 
+    /// The world, held by a turn for its whole length so that its
+    /// teardown cannot start inside it (`None`: it is gone).
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(crate) fn pin(&self) -> Option<Arc<WorldInner>> {
+        self.world.upgrade()
+    }
+
     /// Deliver into the destination endpoint's matching tables.
     pub fn deliver(&self, header: Header, body: Bytes) -> Result<(), DeliverError> {
-        let Some(w) = self.world.upgrade() else {
-            return Err(DeliverError::WorldGone);
-        };
-        if !w.hosts(header.dst) {
-            return Err(DeliverError::NotHosted);
-        }
-        w.endpoint(header.dst).deliver(header, body);
-        Ok(())
+        let world = self.world.upgrade().ok_or(DeliverError::WorldGone)?;
+        world.deliver(header, body)
     }
 }
 
-/// How a scheduler drives a transport that has no thread of its own
-/// (see [`crate::CommWorld::progress`]): sleep on [`Progress::fd`] among
-/// its other wake-ups, and run [`Progress::turn`] when it is readable —
-/// and, while busy, every so often.
+/// How a scheduler drives one PE's transport when it has no thread of
+/// its own (see [`crate::CommWorld::progress`]): sleep on
+/// [`Progress::fd`] among its other wake-ups, and run [`Progress::turn`]
+/// when it is readable — and, while busy, every so often.
 pub struct Progress {
     fd: c_int,
     transport: Weak<dyn Transport>,
@@ -163,12 +160,11 @@ impl Progress {
         self.fd
     }
 
-    /// One turn that waits for no readiness: after waiting out a turn
-    /// in progress on another thread (`wait`), or else skipped when one
-    /// is. A no-op once the transport is gone.
-    pub fn turn(&self, wait: bool) {
+    /// One turn that waits for no readiness, only for the transport's
+    /// lock. A no-op once the transport is gone.
+    pub fn turn(&self) {
         if let Some(t) = self.transport.upgrade() {
-            t.poll(wait.then_some(Duration::ZERO));
+            t.poll(Duration::ZERO);
         }
     }
 }
@@ -179,8 +175,10 @@ chant_obs::counters! {
     /// endpoint sends to itself is not a frame on any backend: it is
     /// delivered before the transport and counted by none of these.
     "transport": pub(crate) struct TransportStats => pub struct TransportStatsSnapshot {
-        /// Frames between distinct endpoints handed to the wire (or
-        /// delivered directly, in-process).
+        /// Frames between distinct endpoints accepted for sending: queued
+        /// for the wire, counted before any of their bytes reach the
+        /// kernel (in-process: before they are delivered). A queued frame
+        /// later dropped counts here and in `send_failures`.
         frames_sent,
         /// Frames received and delivered into endpoints.
         frames_received,
@@ -194,7 +192,8 @@ chant_obs::counters! {
         accepts,
         /// Outbound connections re-established after a write failure.
         reconnects,
-        /// Messages dropped because the peer stayed unreachable.
+        /// Queued frames dropped because the peer stayed unreachable or
+        /// its connection failed (each also counted in `frames_sent`).
         send_failures,
         /// Frames rejected by the codec (connection dropped afterwards).
         malformed_frames,
@@ -229,7 +228,7 @@ pub struct TcpOptions {
     /// loopback (all PEs hosted here, traffic still over sockets).
     pub rank: Option<u32>,
     /// Listen addresses (`host:port`), one per PE in rank order. Empty
-    /// selects loopback mode with an ephemeral port. Non-empty requires
+    /// selects loopback mode, an ephemeral port per PE. Non-empty requires
     /// `rank` to be set.
     pub peers: Vec<String>,
     /// Dial attempts for a peer never reached before (bootstrap: peers
@@ -336,15 +335,6 @@ pub(crate) struct InProcessTransport {
     stats: Arc<TransportStats>,
 }
 
-impl InProcessTransport {
-    pub fn new(sink: DeliverySink) -> InProcessTransport {
-        InProcessTransport {
-            sink,
-            stats: Arc::new(TransportStats::default()),
-        }
-    }
-}
-
 impl Transport for InProcessTransport {
     fn name(&self) -> &'static str {
         "inproc"
@@ -357,26 +347,32 @@ impl Transport for InProcessTransport {
         }
     }
 
-    fn stats(&self) -> TransportStatsSnapshot {
-        self.stats.snapshot()
-    }
-
     fn shutdown(&self) {}
 }
 
-/// Construct the configured transport for a world being built, holding
-/// only a weak reference to it.
-pub(crate) fn build_transport(
+/// Construct the configured transports for a world being built, one per
+/// hosted PE in PE order, counting into `stats` and holding only a weak
+/// reference to the world.
+pub(crate) fn build_transports(
     config: &TransportConfig,
-    #[cfg_attr(not(target_os = "linux"), allow(unused_variables))] pes: u32,
+    pes: u32,
     world: Weak<WorldInner>,
-) -> Arc<dyn Transport> {
+    stats: &Arc<TransportStats>,
+) -> Vec<Arc<dyn Transport>> {
     let sink = DeliverySink::new(world);
     match config {
-        TransportConfig::InProcess => Arc::new(InProcessTransport::new(sink)),
+        TransportConfig::InProcess => {
+            // Stateless, so every PE may share one.
+            let stats = Arc::clone(stats);
+            let t: Arc<dyn Transport> = Arc::new(InProcessTransport { sink, stats });
+            vec![t; pes as usize]
+        }
         #[cfg(target_os = "linux")]
-        TransportConfig::TcpEvent(opts) => TcpEventTransport::start(opts.clone(), pes, sink)
-            .unwrap_or_else(|e| panic!("failed to start the socket transport: {e}")),
+        TransportConfig::TcpEvent(opts) => TcpEventTransport::start_hosted(opts, pes, &sink, stats)
+            .unwrap_or_else(|e| panic!("failed to start the socket transport: {e}"))
+            .into_iter()
+            .map(|t| t as Arc<dyn Transport>)
+            .collect(),
         #[cfg(not(target_os = "linux"))]
         TransportConfig::TcpEvent(_) => panic!(
             "the socket transport needs Linux (its event loop is built on epoll); \

@@ -16,16 +16,15 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use super::TransportStats;
 
 /// Buffers that grew beyond this are freed, not pooled.
 const MAX_POOLED_CAPACITY: usize = 1 << 20;
 
-/// Recycles `Vec<u8>` capacity across frames (see module docs).
+/// Recycles `Vec<u8>` capacity across frames (see module docs). It has
+/// no lock of its own: it lives under its transport's.
 pub(crate) struct BufferPool {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Vec<Vec<u8>>,
     max_pooled: usize,
     /// The owning transport's counters (`pool_hits`, `pool_misses`).
     stats: Arc<TransportStats>,
@@ -36,15 +35,15 @@ impl BufferPool {
     /// hits and misses into `stats`.
     pub fn new(max_pooled: usize, stats: Arc<TransportStats>) -> BufferPool {
         BufferPool {
-            free: Mutex::new(Vec::with_capacity(max_pooled.min(64))),
+            free: Vec::with_capacity(max_pooled.min(64)),
             max_pooled,
             stats,
         }
     }
 
     /// An empty buffer, reusing pooled capacity when available.
-    pub fn get(&self) -> Vec<u8> {
-        if let Some(buf) = self.free.lock().pop() {
+    pub fn get(&mut self) -> Vec<u8> {
+        if let Some(buf) = self.free.pop() {
             self.stats.pool_hits.incr();
             debug_assert!(buf.is_empty(), "pooled buffer not cleared");
             buf
@@ -56,14 +55,13 @@ impl BufferPool {
 
     /// Return a buffer to the pool (cleared; capacity kept unless the
     /// buffer or the pool outgrew its bound).
-    pub fn put(&self, mut buf: Vec<u8>) {
+    pub fn put(&mut self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
             return;
         }
         buf.clear();
-        let mut free = self.free.lock();
-        if free.len() < self.max_pooled {
-            free.push(buf);
+        if self.free.len() < self.max_pooled {
+            self.free.push(buf);
         }
     }
 }
@@ -78,7 +76,7 @@ mod tests {
 
     #[test]
     fn capacity_is_recycled() {
-        let pool = pool(4);
+        let mut pool = pool(4);
         let mut a = pool.get();
         a.extend_from_slice(&[7u8; 300]);
         let cap = a.capacity();
@@ -92,25 +90,25 @@ mod tests {
 
     #[test]
     fn pool_is_bounded() {
-        let pool = pool(2);
+        let mut pool = pool(2);
         for _ in 0..5 {
             let mut v = pool.get();
             v.push(1);
             pool.put(v);
         }
         // Never more than two buffers retained.
-        assert!(pool.free.lock().len() <= 2);
+        assert!(pool.free.len() <= 2);
     }
 
     #[test]
     fn oversized_buffers_are_not_cached() {
-        let pool = pool(4);
+        let mut pool = pool(4);
         let mut big = Vec::with_capacity(MAX_POOLED_CAPACITY + 1);
         big.push(0u8);
         pool.put(big);
-        assert_eq!(pool.free.lock().len(), 0);
+        assert_eq!(pool.free.len(), 0);
         // Zero-capacity buffers are not worth caching either.
         pool.put(Vec::new());
-        assert_eq!(pool.free.lock().len(), 0);
+        assert_eq!(pool.free.len(), 0);
     }
 }

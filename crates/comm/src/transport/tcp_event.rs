@@ -1,19 +1,22 @@
-//! The socket backend: length-prefixed frames between OS processes (or,
-//! in loopback mode, between the PEs of one), every connection in one
-//! epoll set ([`chant_ult::sys`]) and no thread of its own. It carries
-//! only messages between distinct endpoints: the world delivers a
-//! message to its own sender in place, so in multi-process mode a rank
-//! never dials its own listener.
+//! The socket backend: length-prefixed frames between the PEs of a
+//! world, one transport per hosted PE — its own listener, epoll set
+//! ([`chant_ult::sys`]) and peer queues — with no thread of its own. A
+//! rank hosts one PE; a loopback world hosts every PE, each on its own
+//! ephemeral port, so its PEs talk exactly as ranks do. It carries only
+//! messages between distinct endpoints: the world delivers a message to
+//! its own sender in place, so a PE never dials its own listener.
 //!
-//! * **The waiters drive.** The set's dispatch state — inbound staging
-//!   buffers, the listener, scratch — sits behind a try-lock, and
-//!   whoever takes it runs a *turn* ([`Transport::poll`]): collect what
-//!   is ready, dispatch it. `ChantNode::new` adds the set's fd to every
-//!   scheduler lane's own sleep set, so an idle lane sleeps on its
-//!   sockets and its wake-ups at once and an arriving frame wakes the
-//!   lane that reads it (kernel → lane, one hop); a busy lane turns at
-//!   its schedule points (every 50 µs, see `chant_ult::Vp`); an OS
-//!   thread blocked in `msgwait` turns while it waits.
+//! * **The PE's waiters drive.** All of a transport's state sits behind
+//!   one lock, and a *turn* ([`Transport::poll`]) takes it, collects
+//!   what is ready and dispatches it. `ChantNode::new` adds the set's fd
+//!   to its PE's lane's sleep set, so an idle lane sleeps on its sockets
+//!   and its wake-ups at once and an arriving frame wakes the lane that
+//!   reads it (kernel → lane, one hop); a busy lane turns at its
+//!   schedule points (every 50 µs, see `chant_ult::Vp`); an OS thread
+//!   blocked in `msgwait` turns its endpoint's PE while it waits. A turn
+//!   holds the world for its whole length, so teardown never starts
+//!   inside one, and a delivery never sends, so nothing waits for the
+//!   lock its own turn holds.
 //! * **Inline sends, coalesced.** A sender encodes into a pooled buffer,
 //!   appends it to the peer's queue and — when the queue was idle —
 //!   flushes right there: one nonblocking `write_vectored` per kernel
@@ -29,7 +32,7 @@
 //!
 //! Delivery semantics are the in-process oracle's, which
 //! `tests/transport_conformance.rs` holds it to: per-link FIFO (one
-//! connection per destination PE, single flusher under the peer lock).
+//! connection per destination PE, one flusher at a time under the lock).
 //! Malformed frames are counted and drop their connection, never panic;
 //! the first dial to a peer is patient (bootstrap), a redial fails fast,
 //! and what an unreachable peer costs is a counted `send_failures` drop
@@ -37,13 +40,12 @@
 
 #![cfg(target_os = "linux")]
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::raw::c_int;
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,10 +55,9 @@ use parking_lot::Mutex;
 
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
-use super::{
-    DeliverError, DeliverySink, TcpOptions, Transport, TransportStats, TransportStatsSnapshot,
-};
+use super::{DeliverError, DeliverySink, TcpOptions, Transport, TransportStats};
 use crate::header::Header;
+use crate::world::WorldInner;
 
 /// Dial attempts for a peer we had reached before (it answered once, so
 /// a long outage means it is gone — fail fast and let retries upstairs
@@ -87,23 +88,18 @@ const OUTBOUND: u64 = 1 << 63;
 /// What every connection is watched for: data, or the peer's EOF.
 const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
 
-thread_local! {
-    /// The transport (by address) whose turn this thread is running: a
-    /// teardown that starts inside it (a delivery dropped the world's
-    /// last reference) must not wait for the lock its thread holds.
-    static IN_TURN: Cell<usize> = const { Cell::new(0) };
-}
+// Debug builds: is this thread delivering a frame? (A delivery that
+// sent would wait for the lock its own turn holds.)
+#[cfg(debug_assertions)]
+thread_local!(static DELIVERING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
-/// Outbound state for one destination PE, behind a mutex that
-/// serializes queue access *and* flushing — there is exactly one
-/// flusher at a time, and frames leave in queue order, so per-link FIFO
-/// holds by construction. Every write under that lock is nonblocking;
-/// nothing holds it across a kernel wait, nor while taking the reactor.
+/// Outbound state for one destination PE. One flusher at a time (the
+/// lock's holder), frames in queue order: per-link FIFO by construction.
 #[derive(Default)]
 struct PeerOut {
     /// The connection, also in the epoll set (which watches its fd for
     /// writability and EOF). `None` until the first send dials.
-    conn: Option<Arc<TcpStream>>,
+    conn: Option<TcpStream>,
     /// Epoll token of `conn` (valid while `conn` is `Some`).
     token: u64,
     /// Encoded frames not yet fully handed to the kernel.
@@ -115,13 +111,13 @@ struct PeerOut {
     woff: usize,
     /// Is `EPOLLOUT` armed (backlog left for a turn)?
     want_write: bool,
-    /// Is some sender currently inside the blocking dial?
+    /// Is some sender inside the blocking dial, with the lock released?
     dialing: bool,
     /// Has a full dial cycle happened (patient budget spent)?
     tried: bool,
 }
 
-/// One accepted (inbound) connection, owned by the reactor.
+/// One accepted (inbound) connection.
 struct InboundConn {
     stream: TcpStream,
     /// Staging buffer; valid bytes are `buf[start..end]`. Kept at full
@@ -132,42 +128,51 @@ struct InboundConn {
     end: usize,
 }
 
-/// The dispatch state of a turn, held by whichever thread runs one.
-struct Reactor {
+/// Everything a turn or a send touches, behind the transport's one lock.
+struct State {
     inbound: HashMap<u64, InboundConn>,
     /// `None` after teardown (dropping it closes the listening socket).
     listener: Option<TcpListener>,
+    /// Outbound state, by destination PE.
+    out: Vec<PeerOut>,
+    pool: BufferPool,
+    /// Sequence for epoll tokens (see [`OUTBOUND`]).
+    next_token: u64,
     /// Scratch for `epoll_pwait2`.
     events: Vec<EpollEvent>,
 }
 
 pub(crate) struct TcpEventTransport {
     opts: TcpOptions,
-    /// Resolved listen address of every PE's process, by PE index.
+    /// Resolved listen address of every PE, by PE index.
     peers: Vec<SocketAddr>,
     sink: DeliverySink,
     stats: Arc<TransportStats>,
-    pool: BufferPool,
     epoll: Epoll,
-    /// Lock order: the reactor before a peer lock.
-    reactor: Mutex<Reactor>,
-    /// Outbound state, by destination PE.
-    out: Vec<Mutex<PeerOut>>,
-    /// Sequence for epoll tokens (see [`OUTBOUND`]).
-    next_token: AtomicU64,
+    state: Mutex<State>,
     stop: AtomicBool,
 }
 
 impl TcpEventTransport {
-    /// Bind the listener and return the transport. Errors are
-    /// configuration/bind problems; runtime I/O failures are handled
+    /// One transport per PE this process hosts, sharing `stats`. A rank
+    /// (`opts.rank`) binds its own address from the peer list; loopback
+    /// (no peer list) binds an ephemeral listener for every PE and hands
+    /// each PE's transport the list of them, as a peer list would. Errors
+    /// are configuration/bind problems; runtime I/O failures are handled
     /// per connection.
-    pub fn start(opts: TcpOptions, pes: u32, sink: DeliverySink) -> std::io::Result<Arc<Self>> {
-        let (listener, peers) = if opts.peers.is_empty() {
+    pub fn start_hosted(
+        opts: &TcpOptions,
+        pes: u32,
+        sink: &DeliverySink,
+        stats: &Arc<TransportStats>,
+    ) -> std::io::Result<Vec<Arc<Self>>> {
+        let (listeners, peers) = if opts.peers.is_empty() {
             assert!(opts.rank.is_none(), "a TCP rank needs a peer list (set CHANT_PEERS)");
-            let listener = TcpListener::bind(("127.0.0.1", 0))?;
-            let local = listener.local_addr()?;
-            (listener, vec![local; pes as usize])
+            let listeners = (0..pes).map(|_| TcpListener::bind(("127.0.0.1", 0)));
+            let listeners = listeners.collect::<std::io::Result<Vec<_>>>()?;
+            let peers = listeners.iter().map(TcpListener::local_addr);
+            let peers = peers.collect::<std::io::Result<Vec<_>>>()?;
+            (listeners, peers)
         } else {
             let n = opts.peers.len();
             let msg = format!("CHANT_PEERS must list one address per PE ({pes} PEs, {n} peers)");
@@ -181,38 +186,40 @@ impl TcpEventTransport {
                 p.to_socket_addrs()?.next().ok_or_else(unresolved)
             };
             let peers = opts.peers.iter().map(resolve).collect::<std::io::Result<Vec<_>>>()?;
-            let listener = TcpListener::bind(peers[rank as usize])?;
-            (listener, peers)
+            (vec![TcpListener::bind(peers[rank as usize])?], peers)
         };
-        listener.set_nonblocking(true)?;
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        let stats = Arc::new(TransportStats::default());
-        Ok(Arc::new(TcpEventTransport {
-            opts,
-            peers,
-            sink,
-            pool: BufferPool::new(256, Arc::clone(&stats)),
-            stats,
-            epoll,
-            reactor: Mutex::new(Reactor {
+        let start = |listener: TcpListener| {
+            listener.set_nonblocking(true)?;
+            let epoll = Epoll::new()?;
+            epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+            let state = State {
                 inbound: HashMap::new(),
                 listener: Some(listener),
+                out: peers.iter().map(|_| PeerOut::default()).collect(),
+                pool: BufferPool::new(256, Arc::clone(stats)),
+                next_token: TOKEN_LISTENER + 1,
                 events: vec![EpollEvent::default(); 128],
-            }),
-            out: (0..pes).map(|_| Mutex::default()).collect(),
-            next_token: AtomicU64::new(TOKEN_LISTENER + 1),
-            stop: AtomicBool::new(false),
-        }))
+            };
+            Ok(Arc::new(TcpEventTransport {
+                opts: opts.clone(),
+                peers: peers.clone(),
+                sink: sink.clone(),
+                stats: Arc::clone(stats),
+                epoll,
+                state: Mutex::new(state),
+                stop: AtomicBool::new(false),
+            }))
+        };
+        listeners.into_iter().map(start).collect()
     }
 
     // -- sender side ---------------------------------------------------
 
     /// Dial a peer, with the bootstrap budget on the first cycle and
-    /// the fail-fast budget afterwards. Called without any peer lock
-    /// held (the `dialing` flag keeps it single-flight).
-    fn dial(&self, pe: u32, attempts: u32) -> Option<TcpStream> {
-        let addr = self.peers[pe as usize];
+    /// the fail-fast budget afterwards. Called with the lock released
+    /// (the `dialing` flag keeps it single-flight).
+    fn dial(&self, pe: usize, attempts: u32) -> Option<TcpStream> {
+        let addr = self.peers[pe];
         let mut backoff = Duration::from_millis(self.opts.connect_backoff_ms.max(1));
         for attempt in 0..attempts {
             if self.stop.load(Ordering::Acquire) {
@@ -235,31 +242,33 @@ impl TcpEventTransport {
     }
 
     /// Register a freshly dialed stream with the epoll set and install
-    /// it as the peer's connection. Returns false (queue dropped and
+    /// it as peer `pe`'s connection. Returns false (queue dropped and
     /// counted) if registration fails.
-    fn install_conn(&self, pe: u32, s: &mut PeerOut, stream: TcpStream) -> bool {
-        let seq = self.next_token.fetch_add(1, Ordering::Relaxed) & 0x7fff_ffff;
-        let token = OUTBOUND | seq << 32 | u64::from(pe);
+    fn install_conn(&self, st: &mut State, pe: usize, stream: TcpStream) -> bool {
+        let seq = st.next_token & 0x7fff_ffff;
+        st.next_token += 1;
+        let token = OUTBOUND | seq << 32 | pe as u64;
+        let s = &mut st.out[pe];
         // Read interest only: the remote never sends on our outbound
         // link, so EPOLLIN here means EOF.
         if stream.set_nonblocking(true).is_err()
             || self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err()
         {
-            self.fail_queue(s);
+            self.fail_queue(s, &mut st.pool);
             return false;
         }
         // `woff` and `want_write` are already clear: no link, no backlog.
-        s.conn = Some(Arc::new(stream));
+        s.conn = Some(stream);
         s.token = token;
         true
     }
 
     /// Drop everything queued for an unreachable peer, counting each
     /// frame as a send failure (upstream retry/liveness takes over).
-    fn fail_queue(&self, s: &mut PeerOut) {
+    fn fail_queue(&self, s: &mut PeerOut, pool: &mut BufferPool) {
         while let Some(f) = s.q.pop_front() {
             self.stats.send_failures.incr();
-            self.pool.put(f);
+            pool.put(f);
         }
         s.q_bytes = 0;
         s.woff = 0;
@@ -268,21 +277,19 @@ impl TcpEventTransport {
     /// Tear down a peer's connection after an I/O error or remote EOF:
     /// close the socket, deregister, drop the backlog (counted), and
     /// leave the slot ready for a fail-fast redial on the next send.
-    fn teardown_locked(&self, s: &mut PeerOut) {
+    fn teardown(&self, s: &mut PeerOut, pool: &mut BufferPool) {
         if let Some(conn) = s.conn.take() {
             self.epoll.delete(conn.as_raw_fd());
             let _ = conn.shutdown(Shutdown::Both);
         }
         s.want_write = false;
-        self.fail_queue(s);
+        self.fail_queue(s, pool);
     }
 
     /// Flush as much of the peer's queue as the socket will take, in as
-    /// few vectored writes as possible. Caller holds the peer lock; all
-    /// writes are nonblocking.
-    fn flush_locked(&self, s: &mut PeerOut) {
-        let Some(conn) = s.conn.clone() else { return };
-        let mut w = &*conn;
+    /// few vectored writes as possible. All writes are nonblocking.
+    fn flush(&self, s: &mut PeerOut, pool: &mut BufferPool) {
+        let Some(mut w) = s.conn.as_ref() else { return };
         while !s.q.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(s.q.len().min(MAX_IOV));
             let mut it = s.q.iter();
@@ -308,8 +315,7 @@ impl TcpEventTransport {
                             s.woff = 0;
                             let done = s.q.pop_front().expect("frame while advancing");
                             s.q_bytes -= done.len();
-                            self.pool.put(done);
-                            self.stats.frames_sent.incr();
+                            pool.put(done);
                         } else {
                             s.woff += n;
                             n = 0;
@@ -321,7 +327,7 @@ impl TcpEventTransport {
                     // Kernel buffer full: leave the backlog to a turn.
                     if !s.want_write {
                         s.want_write = true;
-                        let fd = conn.as_raw_fd();
+                        let fd = w.as_raw_fd();
                         let _ = self.epoll.modify(fd, READABLE | EPOLLOUT, s.token);
                     }
                     return;
@@ -330,7 +336,7 @@ impl TcpEventTransport {
                 // A zero-length write or a hard error: the link is gone.
                 _ => {
                     self.stats.reconnects.incr();
-                    self.teardown_locked(s);
+                    self.teardown(s, pool);
                     return;
                 }
             }
@@ -346,72 +352,52 @@ impl TcpEventTransport {
 
     // -- reactor side --------------------------------------------------
 
-    /// One turn (see [`Transport::poll`]): take the reactor, wait at most
-    /// `timeout` for readiness, dispatch it all. Every hold is bounded.
-    fn turn(&self, timeout: Option<Duration>) -> bool {
-        let r = timeout.map_or_else(|| self.reactor.try_lock(), |_| Some(self.reactor.lock()));
-        let Some(mut r) = r else { return false };
-        let outer = IN_TURN.replace(self as *const Self as usize);
-        self.dispatch(&mut r, timeout.unwrap_or_default());
-        IN_TURN.set(outer);
-        if self.stop.load(Ordering::Acquire) {
-            Self::close_inbound(&mut r);
-        }
-        true
-    }
-
-    fn dispatch(&self, r: &mut Reactor, timeout: Duration) {
-        let n = self.epoll.wait(&mut r.events, Some(timeout)).len();
+    /// Wait at most `timeout` for readiness and dispatch it all,
+    /// delivering into `world` (`None`: it is gone, and what arrives is
+    /// read and dropped).
+    fn dispatch(&self, st: &mut State, world: Option<&WorldInner>, timeout: Duration) {
+        let n = self.epoll.wait(&mut st.events, Some(timeout)).len();
         self.stats.wakeups.add(u64::from(n > 0));
         for i in 0..n {
-            let EpollEvent { data: token, events: bits } = r.events[i];
+            let EpollEvent { data: token, events: bits } = st.events[i];
             if token == TOKEN_LISTENER {
-                self.accept_ready(r);
+                self.accept_ready(st);
             } else if token & OUTBOUND != 0 {
-                self.outbound_event(token as u32, token, bits);
-            } else if let Some(conn) = r.inbound.get_mut(&token) {
-                if !self.inbound_ready(conn) {
+                self.outbound_event(st, token, bits);
+            } else if let Some(conn) = st.inbound.get_mut(&token) {
+                if !self.inbound_ready(conn, world) {
                     // Dropping the stream closes it, which leaves the set.
-                    self.pool.put(r.inbound.remove(&token).expect("conn present").buf);
+                    let conn = st.inbound.remove(&token).expect("conn present");
+                    st.pool.put(conn.buf);
                 }
             }
         }
     }
 
-    /// Teardown of the reactor's side: close the inbound connections
-    /// (remote ends see EOF) and the listener. Idempotent.
-    fn close_inbound(r: &mut Reactor) {
-        r.inbound.clear();
-        r.listener = None;
-    }
-
-    fn accept_ready(&self, r: &mut Reactor) {
-        let Some(listener) = r.listener.as_ref() else { return };
+    fn accept_ready(&self, st: &mut State) {
+        let Some(listener) = st.listener.as_ref() else { return };
         // WouldBlock (backlog drained) or a failed accept alike.
         while let Ok((stream, _)) = listener.accept() {
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let _ = stream.set_nodelay(true);
             self.stats.accepts.incr();
-            let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+            let token = st.next_token;
+            st.next_token += 1;
             if self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err() {
                 continue;
             }
-            let mut buf = self.pool.get();
-            let target = buf.capacity().max(READ_BUF_INIT);
-            buf.resize(target, 0);
+            let mut buf = st.pool.get();
+            buf.resize(buf.capacity().max(READ_BUF_INIT), 0);
             let conn = InboundConn { stream, buf, start: 0, end: 0 };
-            r.inbound.insert(token, conn);
+            st.inbound.insert(token, conn);
         }
     }
 
     /// Writability / EOF on an outbound connection.
-    fn outbound_event(&self, pe: u32, token: u64, bits: u32) {
-        let mut s = self.out[pe as usize].lock();
+    fn outbound_event(&self, st: &mut State, token: u64, bits: u32) {
+        let s = &mut st.out[token as u32 as usize];
         if s.conn.is_none() || s.token != token {
             return; // stale event for a connection already torn down
         }
@@ -419,18 +405,16 @@ impl TcpEventTransport {
             // The remote never sends on our outbound link: readability
             // or a hangup flag means the connection is gone.
             self.stats.reconnects.incr();
-            self.teardown_locked(&mut s);
-            return;
-        }
-        if bits & EPOLLOUT != 0 {
-            self.flush_locked(&mut s);
+            self.teardown(s, &mut st.pool);
+        } else if bits & EPOLLOUT != 0 {
+            self.flush(s, &mut st.pool);
         }
     }
 
     /// Drain one inbound connection: read everything available, parse
     /// and deliver complete frames. Returns false when the connection
     /// is finished (EOF, error, or lost framing).
-    fn inbound_ready(&self, conn: &mut InboundConn) -> bool {
+    fn inbound_ready(&self, conn: &mut InboundConn, world: Option<&WorldInner>) -> bool {
         loop {
             // Make room: compact consumed bytes, grow for jumbo frames.
             if conn.end == conn.buf.len() {
@@ -447,7 +431,7 @@ impl TcpEventTransport {
                 Ok(0) => return false, // EOF
                 Ok(n) => {
                     conn.end += n;
-                    if !self.parse_frames(conn) {
+                    if !self.parse_frames(conn, world) {
                         return false;
                     }
                     // Level-triggered epoll re-reports anything left; a
@@ -465,7 +449,7 @@ impl TcpEventTransport {
 
     /// Parse every complete frame in `buf[start..end]` and deliver it.
     /// Returns false on lost framing (connection must drop).
-    fn parse_frames(&self, conn: &mut InboundConn) -> bool {
+    fn parse_frames(&self, conn: &mut InboundConn, world: Option<&WorldInner>) -> bool {
         loop {
             let avail = conn.end - conn.start;
             if avail < 4 {
@@ -498,9 +482,14 @@ impl TcpEventTransport {
             };
             self.stats.frames_received.incr();
             self.stats.frame_bytes_received.add(total as u64);
+            #[cfg(debug_assertions)]
+            DELIVERING.set(true);
             // `WorldGone`: teardown is in progress, and the stop flag
             // arrives with the transport's shutdown call.
-            if let Err(DeliverError::NotHosted) = self.sink.deliver(header, body) {
+            let delivered = world.map_or(Err(DeliverError::WorldGone), |w| w.deliver(header, body));
+            #[cfg(debug_assertions)]
+            DELIVERING.set(false);
+            if delivered == Err(DeliverError::NotHosted) {
                 self.stats.misrouted.incr();
             }
             conn.start += total;
@@ -519,32 +508,44 @@ impl Transport for TcpEventTransport {
     }
 
     fn send(&self, header: Header, body: Bytes) {
+        #[cfg(debug_assertions)]
+        assert!(!DELIVERING.get(), "a delivery sent: it would wait for its own turn's lock");
         if self.stop.load(Ordering::Acquire) {
             return;
         }
-        let pe = header.dst.pe;
-        let mut frame = self.pool.get();
-        encode_frame_into(&header, &body, &mut frame);
-        let slot = &self.out[pe as usize];
-        let mut s = slot.lock();
-        // At the queue's byte bound, move traffic until a flush (or a
-        // teardown) makes room. A turn never sends, so it never ends
-        // up here waiting on itself.
-        if s.q_bytes >= SEND_QUEUE_MAX_BYTES {
+        let pe = header.dst.pe as usize;
+        let mut st = self.state.lock();
+        // At the queue's byte bound, run turns under the lock until a
+        // flush (or a teardown) makes room: the PE's other senders wait
+        // meanwhile. A delivery never sends, so no turn here is waiting
+        // on this thread.
+        if st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
             self.stats.backpressure_waits.incr();
-            while s.q_bytes >= SEND_QUEUE_MAX_BYTES && !self.stop.load(Ordering::Acquire) {
-                drop(s);
-                self.turn(Some(HELD_TURN));
-                s = slot.lock();
-            }
-            if self.stop.load(Ordering::Acquire) {
-                self.pool.put(frame);
-                return;
+            // Never the world's last reference: the sender holds one.
+            let world = self.sink.pin();
+            while st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
+                if self.stop.load(Ordering::Acquire) {
+                    return;
+                }
+                if st.out[pe].dialing {
+                    // No socket to drain into yet, and the dialer needs
+                    // the lock to land one.
+                    drop(st);
+                    std::thread::sleep(HELD_TURN);
+                    st = self.state.lock();
+                } else {
+                    self.dispatch(&mut st, world.as_deref(), HELD_TURN);
+                }
             }
         }
+        // Counted before the peer can read it, so a reader sees it counted.
+        self.stats.frames_sent.incr();
+        let mut frame = st.pool.get();
+        encode_frame_into(&header, &body, &mut frame);
+        let s = &mut st.out[pe];
         s.q_bytes += frame.len();
         s.q.push_back(frame);
-        while s.conn.is_none() {
+        if s.conn.is_none() {
             if s.dialing {
                 // Another sender is mid-dial; our frame rides its
                 // queue and flushes when the dial lands.
@@ -554,52 +555,56 @@ impl Transport for TcpEventTransport {
             s.tried = true;
             s.dialing = true;
             // The dial blocks (bootstrap patience is correctness);
-            // release the queue so other senders keep enqueueing.
-            drop(s);
+            // release the lock so other senders and turns go on.
+            drop(st);
             let dialed = self.dial(pe, budget);
-            s = slot.lock();
-            s.dialing = false;
-            let Some(stream) = dialed else {
-                self.fail_queue(&mut s);
+            st = self.state.lock();
+            let st = &mut *st;
+            st.out[pe].dialing = false;
+            // A teardown while we dialed closed everything else.
+            let Some(stream) = dialed.filter(|_| !self.stop.load(Ordering::Acquire)) else {
+                self.fail_queue(&mut st.out[pe], &mut st.pool);
                 return;
             };
-            if !self.install_conn(pe, &mut s, stream) {
+            if !self.install_conn(st, pe, stream) {
                 return;
             }
         }
         // Inline fast path: flush here and now unless a backlog is
         // already armed (order demands we queue behind it and let
         // EPOLLOUT drive).
-        if !s.want_write {
-            self.flush_locked(&mut s);
+        let st = &mut *st;
+        if !st.out[pe].want_write {
+            self.flush(&mut st.out[pe], &mut st.pool);
         }
-    }
-
-    fn stats(&self) -> TransportStatsSnapshot {
-        self.stats.snapshot()
     }
 
     fn poll_fd(&self) -> Option<c_int> {
         Some(self.epoll.fd())
     }
 
-    fn poll(&self, timeout: Option<Duration>) -> bool {
-        self.turn(timeout)
+    fn poll(&self, timeout: Duration) {
+        // The world is pinned for the whole turn and let go only after
+        // the lock: if a delivery dropped every other reference, the
+        // teardown that follows runs here, outside the turn.
+        let world = self.sink.pin();
+        self.dispatch(&mut self.state.lock(), world.as_deref(), timeout);
+        drop(world);
     }
 
     fn shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Inside a turn on this thread, that turn closes it when it ends.
-        if IN_TURN.get() != self as *const Self as usize {
-            Self::close_inbound(&mut self.reactor.lock());
-        }
-        // Close outbound connections: remote ends see EOF. Anything
-        // still queued counts as a failure (clean teardown drains first).
-        // A sender held at the bound sees `stop` after its turn.
-        for peer in &self.out {
-            self.teardown_locked(&mut peer.lock());
+        // Close the listener and every connection: remote ends see EOF.
+        // Anything still queued counts as a failure (clean teardown
+        // drains first). A sender held at the bound sees `stop` after
+        // its turn.
+        let st = &mut *self.state.lock();
+        st.inbound.clear();
+        st.listener = None;
+        for s in &mut st.out {
+            self.teardown(s, &mut st.pool);
         }
     }
 }
@@ -611,8 +616,17 @@ mod tests {
     use std::sync::Weak;
     use std::time::Instant;
 
-    fn dangling_sink() -> DeliverySink {
-        DeliverySink::new(Weak::new())
+    /// The transports of the PEs `opts` hosts, sharing fresh counters,
+    /// delivering into no world.
+    fn start(opts: TcpOptions, pes: u32) -> Vec<Arc<TcpEventTransport>> {
+        let (sink, stats) = (DeliverySink::new(Weak::new()), Arc::default());
+        TcpEventTransport::start_hosted(&opts, pes, &sink, &stats).expect("start event transport")
+    }
+
+    impl TcpEventTransport {
+        fn stats(&self) -> crate::transport::TransportStatsSnapshot {
+            self.stats.snapshot()
+        }
     }
 
     /// The fd-leak test counts this process's open fds, so the tests of
@@ -648,22 +662,24 @@ mod tests {
         let _serial = serial();
         let before = open_fds();
         {
-            let t = TcpEventTransport::start(TcpOptions::default(), 2, dangling_sink())
-                .expect("start event transport");
-            // Generate real traffic to itself (loopback peers): frames
-            // go out, turns on this thread accept and read them,
-            // delivery hits the dangling sink (world gone) and is dropped.
+            let ts = start(TcpOptions::default(), 2);
+            let (t, peer) = (&ts[0], &ts[1]);
+            // Real traffic between two loopback PEs: PE 0's frames go
+            // out, turns of PE 1's transport on this thread accept and
+            // read them, delivery hits no world and is dropped.
             for i in 0..20u32 {
                 t.send(header(1, 4), Bytes::copy_from_slice(&i.to_le_bytes()));
             }
             let deadline = Instant::now() + Duration::from_secs(5);
             while t.stats().frames_received < 20 && Instant::now() < deadline {
-                t.poll(Some(Duration::from_millis(5)));
+                peer.poll(Duration::from_millis(5));
             }
             assert_eq!(t.stats().frames_sent, 20, "{:?}", t.stats());
             assert_eq!(t.stats().frames_received, 20, "{:?}", t.stats());
-            t.shutdown();
-            t.shutdown(); // idempotent: second call is a no-op
+            for t in &ts {
+                t.shutdown();
+                t.shutdown(); // idempotent: second call is a no-op
+            }
         }
         // Sockets and the epoll set all closed.
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -671,6 +687,24 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(open_fds(), before, "event transport leaked fds");
+    }
+
+    /// Loopback gives every PE a listener and an epoll set of its own,
+    /// and every PE's transport the same list of where they listen.
+    #[test]
+    fn loopback_gives_every_pe_its_own_listener_and_set() {
+        let _serial = serial();
+        let ts = start(TcpOptions::default(), 3);
+        assert_eq!(ts.len(), 3);
+        for (pe, t) in ts.iter().enumerate() {
+            let local = t.state.lock().listener.as_ref().unwrap().local_addr().unwrap();
+            assert_eq!(t.peers[pe], local, "PE {pe} listens where the others dial it");
+            assert_eq!(t.peers, ts[0].peers);
+        }
+        let sets: std::collections::HashSet<_> = ts.iter().map(|t| t.epoll.fd()).collect();
+        let ports: std::collections::HashSet<_> = ts[0].peers.iter().map(|a| a.port()).collect();
+        assert_eq!((sets.len(), ports.len()), (3, 3));
+        ts.iter().for_each(|t| t.shutdown());
     }
 
     /// A peer that stops reading fills the kernel buffers, then the
@@ -688,7 +722,7 @@ mod tests {
             connect_attempts: 2,
             ..TcpOptions::default()
         };
-        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+        let t = start(opts, 2).remove(0);
         let sender = {
             let t = Arc::clone(&t);
             std::thread::spawn(move || {
@@ -720,7 +754,7 @@ mod tests {
             let t = Arc::clone(&t);
             std::thread::spawn(move || {
                 while !t.stop.load(Ordering::Acquire) {
-                    t.poll(Some(Duration::from_millis(1)));
+                    t.poll(Duration::from_millis(1));
                 }
             })
         };
@@ -736,11 +770,74 @@ mod tests {
             assert_eq!(seq, want, "per-link FIFO broken across the backpressure wait");
         }
         sender.join().unwrap();
-        t.poll(Some(Duration::ZERO)); // waits out a stand-in turn mid-flush: its writes are counted
         let snap = t.stats();
         assert_eq!(snap.frames_sent, u64::from(FRAMES), "{snap:?}");
         assert_eq!(snap.send_failures, 0, "nothing may be dropped: {snap:?}");
         assert!(snap.backpressure_waits >= 1);
+        t.shutdown();
+        lane.join().unwrap();
+    }
+
+    /// A sender that reaches the bound while another still dials the
+    /// peer (nobody listens yet) waits without the lock, which the dialer
+    /// needs to land its connection. Then every frame arrives, in order.
+    #[test]
+    fn a_sender_held_behind_a_dial_lets_the_dial_land() {
+        let _serial = serial();
+        const FRAMES: u32 = 40;
+        const BODY: usize = 64 * 1024; // 2.5 MiB in all: past the bound
+        let port = TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap();
+        let opts = TcpOptions {
+            rank: Some(0),
+            peers: vec!["127.0.0.1:0".into(), port.to_string()],
+            connect_attempts: 200,
+            connect_backoff_ms: 5,
+        };
+        let t = start(opts, 2).remove(0);
+        let send = |seqs: std::ops::Range<u32>| {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let mut body = vec![0u8; BODY];
+                for seq in seqs {
+                    body[..4].copy_from_slice(&seq.to_le_bytes());
+                    t.send(header(1, BODY as u32), Bytes::copy_from_slice(&body));
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let dialer = send(0..1);
+        while !t.state.lock().out[1].dialing {
+            assert!(Instant::now() < deadline, "the first send never dialed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let filler = send(1..FRAMES);
+        while t.stats().backpressure_waits == 0 {
+            assert!(Instant::now() < deadline, "the filler never hit the bound: {:?}", t.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The peer comes up; a stand-in lane flushes what the senders leave.
+        let peer = TcpListener::bind(port).unwrap();
+        let lane = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                while !t.stop.load(Ordering::Acquire) {
+                    t.poll(Duration::from_millis(1));
+                }
+            })
+        };
+        let (mut conn, _) = peer.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut len = [0u8; 4];
+        for want in 0..FRAMES {
+            conn.read_exact(&mut len).expect("frame length");
+            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+            conn.read_exact(&mut payload).expect("frame payload");
+            let (_, body) = decode_frame(&payload).expect("well-formed frame");
+            assert_eq!(u32::from_le_bytes(body[..4].try_into().unwrap()), want);
+        }
+        dialer.join().unwrap();
+        filler.join().unwrap();
+        assert_eq!(t.stats().send_failures, 0, "{:?}", t.stats());
         t.shutdown();
         lane.join().unwrap();
     }
@@ -757,7 +854,7 @@ mod tests {
             connect_attempts: 2,
             ..TcpOptions::default()
         };
-        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+        let t = start(opts, 2).remove(0);
         let sender = {
             let t = Arc::clone(&t);
             std::thread::spawn(move || {
@@ -797,7 +894,7 @@ mod tests {
             connect_backoff_ms: 1,
         };
         // rank 0 binds peers[0]; port 0 means an ephemeral bind.
-        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+        let t = start(opts, 2).remove(0);
         let t0 = Instant::now();
         t.send(header(1, 1), Bytes::copy_from_slice(b"x"));
         assert!(t0.elapsed() < Duration::from_secs(10), "dial never failed fast");

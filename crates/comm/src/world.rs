@@ -12,14 +12,14 @@
 //! A message an endpoint sends to itself is delivered there and then,
 //! on the sender's thread, into its own matching tables: it never
 //! leaves the process, so no transport sees it. Every other message
-//! goes through the world's [`Transport`]: synchronous in-process
-//! delivery by default, or TCP sockets (possibly to other OS processes)
-//! when built with [`TransportConfig::TcpEvent`]. Everything upstream of
-//! that hop (fault shim, matching, statistics) treats both kinds of
-//! message alike, so faults, held messages included, reach self-links
-//! too.
+//! goes through its sender's PE's [`Transport`] (one per hosted PE):
+//! synchronous in-process delivery by default, or TCP sockets (possibly
+//! to other OS processes) when built with [`TransportConfig::TcpEvent`].
+//! Everything upstream of that hop (fault shim, matching, statistics)
+//! treats both kinds of message alike, so faults, held messages
+//! included, reach self-links too.
 
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, Once};
 
 use bytes::Bytes;
 
@@ -28,7 +28,8 @@ use crate::fault::{FaultAction, FaultConfig, FaultInjector, FaultStatsSnapshot};
 use crate::header::{Address, Header};
 use crate::stats::CommStatsSnapshot;
 use crate::transport::{
-    build_transport, Progress, Transport, TransportConfig, TransportStatsSnapshot,
+    build_transports, DeliverError, Progress, Transport, TransportConfig, TransportStats,
+    TransportStatsSnapshot,
 };
 
 pub(crate) struct WorldInner {
@@ -39,11 +40,10 @@ pub(crate) struct WorldInner {
     hosted: std::ops::Range<u32>,
     endpoints: Vec<Arc<Endpoint>>,
     faults: Option<Arc<FaultInjector>>,
-    /// Installed immediately after `Arc::new_cyclic` returns, so the
-    /// transport can never observe (or deliver into) a half-constructed
-    /// world. Always populated by the time any
-    /// message is routed.
-    transport: OnceLock<Arc<dyn Transport>>,
+    /// One transport per hosted PE, by `pe - hosted.start`.
+    transports: Vec<Arc<dyn Transport>>,
+    /// The counters the transports share.
+    transport_stats: Arc<TransportStats>,
     /// Guards teardown so [`CommWorld::shutdown`] and `Drop` compose:
     /// whichever runs first does the work, the other is a no-op.
     shutdown: Once,
@@ -67,51 +67,54 @@ impl WorldInner {
     /// The post-shim hop. A message to its own sender's endpoint is
     /// delivered into that endpoint now, on this thread (the call a
     /// transport's [`crate::transport::DeliverySink`] makes); any other
-    /// goes to the transport. Also used by the fault shim's background
-    /// deliverer, so held copies take the same path as everything else.
+    /// goes to the sender's PE's transport. Also used by the fault
+    /// shim's background deliverer, so held copies take the same path as
+    /// everything else.
     pub(crate) fn last_hop(&self, header: Header, body: Bytes) {
         if header.dst == header.src {
             self.endpoint(header.dst).deliver(header, body);
         } else {
-            self.transport().send(header, body);
+            self.transport(header.src.pe).send(header, body);
         }
     }
 
-    pub(crate) fn transport(&self) -> &Arc<dyn Transport> {
-        self.transport
-            .get()
-            .expect("transport installed during world construction")
+    /// The transport of hosted PE `pe` (panics for a PE hosted elsewhere).
+    pub(crate) fn transport(&self, pe: u32) -> &Arc<dyn Transport> {
+        assert!(self.hosted.contains(&pe), "PE {pe} is not hosted by this process");
+        &self.transports[(pe - self.hosted.start) as usize]
     }
 
-    /// Does this OS process host the endpoint at `addr`? False for
-    /// out-of-bounds addresses (a corrupted frame must not panic the
-    /// thread running the socket turn) and for PEs hosted by other
-    /// processes.
-    pub(crate) fn hosts(&self, addr: Address) -> bool {
-        addr.pe < self.pes && addr.process < self.procs_per_pe && self.hosted.contains(&addr.pe)
+    /// Deliver an arriving message into its destination endpoint, unless
+    /// another process hosts it or it is out of bounds (a corrupted frame
+    /// must not panic the thread running the socket turn).
+    pub(crate) fn deliver(&self, header: Header, body: Bytes) -> Result<(), DeliverError> {
+        if header.dst.process >= self.procs_per_pe || !self.hosted.contains(&header.dst.pe) {
+            return Err(DeliverError::NotHosted);
+        }
+        self.endpoint(header.dst).deliver(header, body);
+        Ok(())
     }
 }
 
 impl WorldInner {
-    /// Stop the pipeline and close the transport. Idempotent.
+    /// Stop the pipeline and close the transports. Idempotent.
     ///
     /// This exists separately from `Drop` because drop timing is
-    /// refcount-driven: the fault shim's deliverer thread holds
-    /// transient upgrades of its `Weak<WorldInner>`, so the *last*
-    /// strong reference can die on that thread (or inside a socket
-    /// turn's delivery) — in which case `shutdown` skips joining the
-    /// caller's own thread, and the socket turn closes its inbound side
-    /// only once it ends. An owner that needs teardown to be complete
-    /// when its drop returns (a `ChantCluster`, a test asserting no fd
-    /// leaks) calls this explicitly from its own thread instead.
+    /// refcount-driven: the fault shim's deliverer thread and every
+    /// socket turn hold transient upgrades of their `Weak<WorldInner>`,
+    /// so the *last* strong reference can die on such a thread — where
+    /// `shutdown` skips joining the caller's own thread, and which a turn
+    /// lets go of only after its lock. An owner that needs teardown to be
+    /// complete when its drop returns (a `ChantCluster`, a test asserting
+    /// no fd leaks) calls this explicitly from its own thread instead.
     pub(crate) fn shutdown_now(&self) {
         self.shutdown.call_once(|| {
-            // The shim first, so nothing new reaches the transport
-            // while it tears down.
+            // The shim first, so nothing new reaches the transports
+            // while they tear down.
             if let Some(shim) = &self.faults {
                 shim.shutdown();
             }
-            if let Some(t) = self.transport.get() {
+            for t in &self.transports {
                 t.shutdown();
             }
         });
@@ -178,6 +181,7 @@ impl CommWorld {
     ) -> CommWorld {
         assert!(pes > 0 && procs_per_pe > 0, "world must be non-empty");
         let hosted = transport.hosted_pes(pes);
+        let transport_stats = Arc::default();
         let inner = Arc::new_cyclic(|weak| {
             let mut endpoints = Vec::with_capacity((pes * procs_per_pe) as usize);
             for pe in 0..pes {
@@ -194,17 +198,11 @@ impl CommWorld {
                 hosted,
                 endpoints,
                 faults: faults.map(|c| FaultInjector::start(c, weak.clone())),
-                transport: OnceLock::new(),
+                transports: build_transports(&transport, pes, weak.clone(), &transport_stats),
+                transport_stats,
                 shutdown: Once::new(),
             }
         });
-        // Install the transport only now, on the completed world: a TCP
-        // listener starts accepting the moment it exists, and a turn
-        // must always be able to upgrade its weak reference.
-        let t = build_transport(&transport, pes, Arc::downgrade(&inner));
-        if inner.transport.set(t).is_err() {
-            unreachable!("transport installed twice");
-        }
         CommWorld { inner }
     }
 
@@ -222,23 +220,25 @@ impl CommWorld {
     /// The name of the transport backend this world routes through
     /// (`"inproc"` or `"tcp-event"`).
     pub fn transport_name(&self) -> &'static str {
-        self.inner.transport().name()
+        self.inner.transports[0].name()
     }
 
-    /// How a scheduler drives this world's transport, when it has no
-    /// thread of its own (the socket backend): `None` when delivery
-    /// needs no driving (in-process). A runtime that sleeps adds
-    /// [`Progress::fd`] to what its idle threads sleep on and runs
-    /// [`Progress::turn`] when it is readable; an OS thread blocked in
-    /// [`crate::RecvHandle::msgwait`] drives it by itself.
-    pub fn progress(&self) -> Option<Progress> {
-        Progress::of(self.inner.transport())
+    /// How a scheduler drives hosted PE `pe`'s transport (whose turns
+    /// deliver that PE's frames only), when it has no thread of its own
+    /// (the socket backend): `None` when delivery needs no driving
+    /// (in-process). A runtime that sleeps adds [`Progress::fd`] to what
+    /// the PE's idle threads sleep on and runs [`Progress::turn`] when it
+    /// is readable; an OS thread blocked in [`crate::RecvHandle::msgwait`]
+    /// drives its endpoint's PE by itself. Panics for a PE hosted
+    /// elsewhere.
+    pub fn progress(&self, pe: u32) -> Option<Progress> {
+        Progress::of(self.inner.transport(pe))
     }
 
-    /// What the transport has done so far (frames, bytes, connections,
-    /// failures — see [`TransportStatsSnapshot`]).
+    /// What the transports have done so far (frames, bytes,
+    /// connections, failures — see [`TransportStatsSnapshot`]).
     pub fn transport_stats(&self) -> TransportStatsSnapshot {
-        self.inner.transport().stats()
+        self.inner.transport_stats.snapshot()
     }
 
     /// Tear the world down *now*, on the calling thread: stop the fault
@@ -315,7 +315,7 @@ impl std::fmt::Debug for CommWorld {
         f.debug_struct("CommWorld")
             .field("pes", &self.inner.pes)
             .field("procs_per_pe", &self.inner.procs_per_pe)
-            .field("transport", &self.inner.transport().name())
+            .field("transport", &self.transport_name())
             .finish()
     }
 }

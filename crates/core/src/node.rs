@@ -116,12 +116,12 @@ impl ChantNode {
                 vp.wake();
             }
         });
-        // A socket transport has no thread of its own: the nodes' lanes
-        // read the sockets. This one also sleeps on the transport's epoll
-        // set and runs a turn when it wakes on it (or, busy, every 50 µs).
+        // A socket transport has no thread of its own: each PE's lanes
+        // read its sockets. This one also sleeps on its PE's epoll set
+        // and runs a turn when it wakes on it (or, busy, every 50 µs).
         #[cfg(target_os = "linux")]
-        if let Some(progress) = world.progress() {
-            vp.set_progress(progress.fd(), move |woken| progress.turn(woken));
+        if let Some(progress) = world.progress(pe) {
+            vp.set_progress(progress.fd(), move || progress.turn());
         }
         Arc::new(ChantNode {
             pe,

@@ -765,31 +765,6 @@ fn api_outside_chant_context_errors() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn multi_process_per_pe_cluster() {
-    let cluster = ChantCluster::builder()
-        .pes(2)
-        .procs_per_pe(2)
-        .server(false)
-        .build();
-    let count = Arc::new(AtomicU32::new(0));
-    let c2 = Arc::clone(&count);
-    cluster.run(move |node| {
-        // Ring: each node sends to the next rank, receives from previous.
-        let ranks = 4u32;
-        let my_rank = node.pe() * 2 + node.process();
-        let next = (my_rank + 1) % ranks;
-        let me = node.self_id();
-        let dst = ChanterId::new(next / 2, next % 2, me.thread);
-        node.send(dst, 30, &my_rank.to_le_bytes()).unwrap();
-        let (_, body) = node.recv_tag(30).unwrap();
-        let from = u32::from_le_bytes(body[..4].try_into().unwrap());
-        assert_eq!(from, (my_rank + ranks - 1) % ranks);
-        c2.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(count.load(Ordering::Relaxed), 4);
-}
-
-#[test]
 fn report_counts_plausible_messages() {
     let cluster = ChantCluster::builder().pes(2).server(false).build();
     let report = cluster.run(|node| {

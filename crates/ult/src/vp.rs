@@ -83,7 +83,7 @@ const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
 const PROGRESS_INTERVAL_NS: u64 = 50_000;
 
 /// An external event source the lane drives (see [`Vp::set_progress`]).
-type ProgressTurn = Box<dyn Fn(bool) + Send + Sync>;
+type ProgressTurn = Box<dyn Fn() + Send + Sync>;
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -310,16 +310,12 @@ impl Vp {
 
     /// Make the lane drive an external event source — a transport with
     /// no thread of its own. The lane's sleep also waits on `fd`
-    /// (readable while the source has work), and the lane runs
-    /// `turn(true)` when it wakes on it and `turn(false)` — while busy —
-    /// at a schedule point once 50 µs have passed since its last turn.
-    /// A source shared by several VPs has `turn` run on their lanes at
-    /// once, so it must not block, except that `turn(true)` — from a
-    /// lane with nothing else to do — should wait out a turn in progress
-    /// elsewhere: the fd stays readable until that one ends, and a lane
-    /// that skipped would only wake again at once. One source per VP,
-    /// for the VP's lifetime: the fd must stay open (or close, which
-    /// drops it from the set).
+    /// (readable while the source has work), and the lane runs `turn`
+    /// when it wakes on it and — while busy — at a schedule point once
+    /// 50 µs have passed since its last turn. `turn` must not wait for
+    /// readiness, only (briefly) for another thread's turn of the source
+    /// to end. One source per VP, for the VP's lifetime: the fd must stay
+    /// open (or close, which drops it from the set).
     ///
     /// # Panics
     /// On a second call, or when `fd` cannot be added to the lane's set.
@@ -327,7 +323,7 @@ impl Vp {
     pub fn set_progress(
         &self,
         fd: std::os::unix::io::RawFd,
-        turn: impl Fn(bool) + Send + Sync + 'static,
+        turn: impl Fn() + Send + Sync + 'static,
     ) {
         assert!(
             self.progress.set(Box::new(turn)).is_ok(),
@@ -349,7 +345,7 @@ impl Vp {
         let now = self.timers.now_ns();
         if woken || now.saturating_sub(last.load(Ordering::Relaxed)) >= PROGRESS_INTERVAL_NS {
             last.store(now, Ordering::Relaxed);
-            turn(woken);
+            turn();
         }
     }
 

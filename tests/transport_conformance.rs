@@ -23,7 +23,9 @@
 //!   message that arrives later;
 //! * a message to self is delivered in place: FIFO and exactly once on
 //!   the self link, never a transport frame, and a lone rank with no
-//!   reachable peer never dials (its own listener or anyone else).
+//!   reachable peer never dials (its own listener or anyone else);
+//! * a ring over two PEs with two processes each (on sockets: two lanes
+//!   driving one PE's transport).
 //!
 //! A final cross-backend test runs the same workload on each and
 //! compares the endpoint-level statistics — the matching engine must
@@ -690,14 +692,46 @@ for_each_transport!(remote_pings_cost_a_bounded_number_of_msgtests, |backend: Ba
 });
 
 // ---------------------------------------------------------------------
+// Several processes per PE: one PE's transport, two lanes.
+// ---------------------------------------------------------------------
+
+// A ring over two PEs with two processes each. On the socket backend
+// the two nodes of a PE are two lanes driving that PE's one transport,
+// and the hop between them goes through its own listener.
+for_each_transport!(multi_process_per_pe_cluster, |backend: Backend| {
+    let cluster = ChantCluster::builder()
+        .pes(2)
+        .procs_per_pe(2)
+        .server(false)
+        .transport(backend.config())
+        .build();
+    let count = Arc::new(AtomicU32::new(0));
+    let c2 = Arc::clone(&count);
+    cluster.run(move |node| {
+        // Ring: each node sends to the next rank, receives from the previous.
+        let ranks = 4u32;
+        let my_rank = node.pe() * 2 + node.process();
+        let next = (my_rank + 1) % ranks;
+        let me = node.self_id();
+        let dst = ChanterId::new(next / 2, next % 2, me.thread);
+        node.send(dst, 30, &my_rank.to_le_bytes()).unwrap();
+        let (_, body) = node.recv_tag(30).unwrap();
+        let from = u32::from_le_bytes(body[..4].try_into().unwrap());
+        assert_eq!(from, (my_rank + ranks - 1) % ranks);
+        c2.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(count.load(Ordering::Relaxed), 4);
+});
+
+// ---------------------------------------------------------------------
 // No transport thread: the lanes read the sockets.
 // ---------------------------------------------------------------------
 
 // A lane that never sleeps still reads: it takes a reactor turn at a
 // schedule point every 50 µs. One ULT on PE 0 yields until another, on
 // the same lane, has made its RSR round trips (or the window closes);
-// PE 1's lane, which runs its server, is kept busy too, since on
-// loopback an idle lane anywhere in the process reads every socket.
+// PE 1's lane, which runs its server, is kept busy too, so neither PE
+// has an idle lane to read its sockets.
 // Without the schedule-point turn nothing reads until the yielders give
 // up, so the trips end after the window.
 for_each_transport!(a_busy_lane_still_receives, |backend: Backend| {
