@@ -326,7 +326,9 @@ impl Endpoint {
     /// its wake-up here, so an arrival ends the sleep the same way on
     /// every transport; the callback runs with no endpoint lock held,
     /// after the message is visible to `msgtest`/`irecv`. Replaces any
-    /// previous waker.
+    /// previous waker. The callback must not send: on the socket backend
+    /// it runs inside its PE's turn, whose lock a send would wait for, so
+    /// such a send panics.
     pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
         *self.waker.write() = Some(Arc::new(waker));
     }

@@ -623,3 +623,34 @@ fn a_pes_turns_deliver_only_its_own_frames() {
     assert_eq!(world.transport_stats().frames_received, 2);
     world.shutdown();
 }
+
+/// A waker must not send: on the socket backend it runs inside its PE's
+/// turn, whose lock the send would wait for. Such a send panics with a
+/// message, in every build, instead of hanging the PE.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_waker_that_sends_panics_instead_of_hanging() {
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let (a, bep) = (world.endpoint(Address::new(0, 0)), world.endpoint(Address::new(1, 0)));
+    let weak = std::sync::Arc::downgrade(&a);
+    a.set_waker(move || {
+        if let Some(a) = weak.upgrade() {
+            a.isend(Address::new(1, 0), 2, 0, kind::DATA, b("from a waker"));
+        }
+    });
+    bep.isend(Address::new(0, 0), 1, 0, kind::DATA, b("1 -> 0"));
+    let p0 = world.progress(0).unwrap();
+    let lane = std::thread::spawn(move || loop {
+        p0.turn();
+        std::thread::sleep(Duration::from_millis(1));
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !lane.is_finished() {
+        assert!(Instant::now() < deadline, "the waker's send did not panic");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let panic = lane.join().unwrap_err();
+    let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(msg.starts_with("a delivery sent"), "{msg:?}");
+    world.shutdown();
+}

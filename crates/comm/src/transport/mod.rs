@@ -88,9 +88,9 @@ pub trait Transport: Send + Sync {
     }
 
     /// Move traffic on the calling thread: one turn of the transport's
-    /// event loop, which first waits for the loop's lock (held by a turn
-    /// or a send on another thread), then up to `timeout` for
-    /// readiness. A no-op when there is no loop.
+    /// event loop — wait up to `timeout` for readiness without the loop's
+    /// lock, then take the lock and dispatch what is ready. A no-op when
+    /// there is no loop.
     fn poll(&self, _timeout: Duration) {}
 
     /// Tear down background threads and close any handles. Called
@@ -130,7 +130,9 @@ impl DeliverySink {
         self.world.upgrade()
     }
 
-    /// Deliver into the destination endpoint's matching tables.
+    /// Deliver into the destination endpoint's matching tables. The
+    /// endpoint's waker runs inside this call, so it must not send (see
+    /// [`crate::Endpoint::set_waker`]).
     pub fn deliver(&self, header: Header, body: Bytes) -> Result<(), DeliverError> {
         let world = self.world.upgrade().ok_or(DeliverError::WorldGone)?;
         world.deliver(header, body)
@@ -161,7 +163,8 @@ impl Progress {
     }
 
     /// One turn that waits for no readiness, only for the transport's
-    /// lock. A no-op once the transport is gone.
+    /// lock (held for short nonblocking passes). A no-op once the
+    /// transport is gone.
     pub fn turn(&self) {
         if let Some(t) = self.transport.upgrade() {
             t.poll(Duration::ZERO);

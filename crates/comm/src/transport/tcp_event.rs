@@ -7,16 +7,15 @@
 //! its own sender in place, so a PE never dials its own listener.
 //!
 //! * **The PE's waiters drive.** All of a transport's state sits behind
-//!   one lock, and a *turn* ([`Transport::poll`]) takes it, collects
-//!   what is ready and dispatches it. `ChantNode::new` adds the set's fd
-//!   to its PE's lane's sleep set, so an idle lane sleeps on its sockets
-//!   and its wake-ups at once and an arriving frame wakes the lane that
-//!   reads it (kernel → lane, one hop); a busy lane turns at its
-//!   schedule points (every 50 µs, see `chant_ult::Vp`); an OS thread
-//!   blocked in `msgwait` turns its endpoint's PE while it waits. A turn
-//!   holds the world for its whole length, so teardown never starts
-//!   inside one, and a delivery never sends, so nothing waits for the
-//!   lock its own turn holds.
+//!   one lock. A *turn* ([`Transport::poll`]) waits for readiness
+//!   without it, then takes it and dispatches what is ready. The set's
+//!   fd is in its PE's lane's sleep set (`ChantNode::new`), so an
+//!   arriving frame wakes the lane that reads it (kernel → lane, one
+//!   hop); a busy lane turns at its schedule points (every 50 µs, see
+//!   `chant_ult::Vp`); an OS thread blocked in `msgwait` turns its
+//!   endpoint's PE while it waits. A turn pins the world, so teardown
+//!   never starts inside one, and a delivery never sends (`send` panics
+//!   if it does), so nothing waits for the lock its own turn holds.
 //! * **Inline sends, coalesced.** A sender encodes into a pooled buffer,
 //!   appends it to the peer's queue and — when the queue was idle —
 //!   flushes right there: one nonblocking `write_vectored` per kernel
@@ -76,7 +75,7 @@ const READ_BUF_INIT: usize = 64 * 1024;
 /// instead of growing this process.
 const SEND_QUEUE_MAX_BYTES: usize = 1 << 20;
 
-/// Longest one turn of a sender held at the bound waits for readiness.
+/// Longest a sender held at the bound waits for readiness per turn.
 const HELD_TURN: Duration = Duration::from_millis(1);
 
 /// Epoll tokens: the listener is 0, an inbound connection counts up
@@ -88,9 +87,8 @@ const OUTBOUND: u64 = 1 << 63;
 /// What every connection is watched for: data, or the peer's EOF.
 const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
 
-// Debug builds: is this thread delivering a frame? (A delivery that
-// sent would wait for the lock its own turn holds.)
-#[cfg(debug_assertions)]
+// Is this thread delivering a frame? A delivery that sent would wait
+// for the lock its own turn holds; `send` panics instead.
 thread_local!(static DELIVERING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
 /// Outbound state for one destination PE. One flusher at a time (the
@@ -352,11 +350,10 @@ impl TcpEventTransport {
 
     // -- reactor side --------------------------------------------------
 
-    /// Wait at most `timeout` for readiness and dispatch it all,
-    /// delivering into `world` (`None`: it is gone, and what arrives is
-    /// read and dropped).
-    fn dispatch(&self, st: &mut State, world: Option<&WorldInner>, timeout: Duration) {
-        let n = self.epoll.wait(&mut st.events, Some(timeout)).len();
+    /// Dispatch everything ready now, delivering into `world` (`None`:
+    /// it is gone, and what arrives is read and dropped).
+    fn dispatch(&self, st: &mut State, world: Option<&WorldInner>) {
+        let n = self.epoll.wait(&mut st.events, Some(Duration::ZERO)).len();
         self.stats.wakeups.add(u64::from(n > 0));
         for i in 0..n {
             let EpollEvent { data: token, events: bits } = st.events[i];
@@ -482,12 +479,10 @@ impl TcpEventTransport {
             };
             self.stats.frames_received.incr();
             self.stats.frame_bytes_received.add(total as u64);
-            #[cfg(debug_assertions)]
             DELIVERING.set(true);
             // `WorldGone`: teardown is in progress, and the stop flag
             // arrives with the transport's shutdown call.
             let delivered = world.map_or(Err(DeliverError::WorldGone), |w| w.deliver(header, body));
-            #[cfg(debug_assertions)]
             DELIVERING.set(false);
             if delivered == Err(DeliverError::NotHosted) {
                 self.stats.misrouted.incr();
@@ -508,34 +503,25 @@ impl Transport for TcpEventTransport {
     }
 
     fn send(&self, header: Header, body: Bytes) {
-        #[cfg(debug_assertions)]
         assert!(!DELIVERING.get(), "a delivery sent: it would wait for its own turn's lock");
         if self.stop.load(Ordering::Acquire) {
             return;
         }
         let pe = header.dst.pe as usize;
         let mut st = self.state.lock();
-        // At the queue's byte bound, run turns under the lock until a
-        // flush (or a teardown) makes room: the PE's other senders wait
-        // meanwhile. A delivery never sends, so no turn here is waiting
-        // on this thread.
+        // At the queue's byte bound, run turns until a flush (or a
+        // teardown) makes room. A turn waits without the lock, so the
+        // PE's other senders, its lanes' turns and a dialer landing the
+        // peer's connection go on meanwhile.
         if st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
             self.stats.backpressure_waits.incr();
-            // Never the world's last reference: the sender holds one.
-            let world = self.sink.pin();
             while st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
                 if self.stop.load(Ordering::Acquire) {
                     return;
                 }
-                if st.out[pe].dialing {
-                    // No socket to drain into yet, and the dialer needs
-                    // the lock to land one.
-                    drop(st);
-                    std::thread::sleep(HELD_TURN);
-                    st = self.state.lock();
-                } else {
-                    self.dispatch(&mut st, world.as_deref(), HELD_TURN);
-                }
+                drop(st);
+                self.poll(HELD_TURN);
+                st = self.state.lock();
             }
         }
         // Counted before the peer can read it, so a reader sees it counted.
@@ -584,11 +570,16 @@ impl Transport for TcpEventTransport {
     }
 
     fn poll(&self, timeout: Duration) {
+        // Wait for readiness without the lock: the set is level-triggered,
+        // so the wait consumes nothing the dispatch below must see.
+        if !timeout.is_zero() {
+            self.epoll.wait(&mut [EpollEvent::default()], Some(timeout));
+        }
         // The world is pinned for the whole turn and let go only after
         // the lock: if a delivery dropped every other reference, the
         // teardown that follows runs here, outside the turn.
         let world = self.sink.pin();
-        self.dispatch(&mut self.state.lock(), world.as_deref(), timeout);
+        self.dispatch(&mut self.state.lock(), world.as_deref());
         drop(world);
     }
 
