@@ -654,3 +654,103 @@ fn a_waker_that_sends_panics_instead_of_hanging() {
     assert!(msg.starts_with("a delivery sent"), "{msg:?}");
     world.shutdown();
 }
+
+/// PE 0's lane, as `chant-core` wires one: a VP that sleeps on the PE's
+/// epoll set, turns it, and flushes it before it parks.
+#[cfg(target_os = "linux")]
+fn pe_lane(world: &CommWorld, pe: u32) -> std::sync::Arc<chant_ult::Vp> {
+    let vp = chant_ult::Vp::new(chant_ult::VpConfig::named(format!("pe{pe}")));
+    let progress = world.progress(pe).expect("the socket backend is driven by its waiters");
+    let flusher = progress.clone();
+    vp.set_progress(progress.fd(), move || progress.turn(), move || flusher.flush());
+    vp
+}
+
+/// Turn `pe`'s transport (and only it) until every receive completes.
+#[cfg(target_os = "linux")]
+fn turn_until_complete(world: &CommWorld, pe: u32, recvs: &[crate::RecvHandle]) {
+    let progress = world.progress(pe).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !recvs.iter().all(crate::RecvHandle::is_complete) {
+        assert!(Instant::now() < deadline, "frames to PE {pe} never arrived");
+        progress.turn();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Several ULTs on PE 0's lane each send to PE 1 and then block. Their
+/// sends wait for the lane, which writes the peer's queue when it parks:
+/// the frames leave together, in one vectored write, and in send order.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_lanes_sends_to_one_peer_share_a_write() {
+    const SENDERS: u32 = 8;
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let vp = pe_lane(&world, 0);
+    let senders: Vec<_> = (0..SENDERS)
+        .map(|i| {
+            let a = world.endpoint(Address::new(0, 0));
+            vp.spawn(chant_ult::SpawnAttr::new(), move |vp| {
+                let body = Bytes::copy_from_slice(&i.to_le_bytes());
+                a.isend(Address::new(1, 0), 1, 0, kind::DATA, body);
+                vp.block();
+            })
+        })
+        .collect();
+    let lane = std::thread::spawn({
+        let vp = std::sync::Arc::clone(&vp);
+        move || vp.start()
+    });
+    let bep = world.endpoint(Address::new(1, 0));
+    let recvs: Vec<_> = (0..SENDERS).map(|_| bep.irecv(RecvSpec::tag(1))).collect();
+    turn_until_complete(&world, 1, &recvs);
+    for (i, r) in (0..SENDERS).zip(&recvs) {
+        assert_eq!(r.take().unwrap().1[..], i.to_le_bytes(), "link 0 -> 1 reordered");
+    }
+    let t = world.transport_stats();
+    assert!(t.coalesced_writes >= 1, "every frame had a write of its own: {t:?}");
+    for s in &senders {
+        vp.unblock(s.tid()).unwrap();
+    }
+    lane.join().unwrap();
+    senders.into_iter().for_each(|s| s.join().unwrap());
+    world.shutdown();
+}
+
+/// A send from a plain OS thread is written before it returns: it
+/// reaches PE 1 with no turn of the sending PE's transport.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_plain_threads_send_needs_no_turn_of_its_pe() {
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let _lane = pe_lane(&world, 0); // drives PE 0, but never runs
+    let recv = world.endpoint(Address::new(1, 0)).irecv(RecvSpec::tag(1));
+    let a = world.endpoint(Address::new(0, 0));
+    a.isend(Address::new(1, 0), 1, 0, kind::DATA, b("from a plain thread"));
+    turn_until_complete(&world, 1, std::slice::from_ref(&recv));
+    world.shutdown();
+}
+
+/// The thread `Vp::start` returns to is a plain thread again. A ULT on
+/// PE 0's lane sends (left to the lane, which writes it before `start`
+/// returns); then the same OS thread sends, and that frame is written
+/// at once too: both reach PE 1 with only PE 1 turning.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_send_after_the_lane_returns_is_written_at_once() {
+    let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
+    let bep = world.endpoint(Address::new(1, 0));
+    let recvs = [bep.irecv(RecvSpec::tag(1)), bep.irecv(RecvSpec::tag(2))];
+    let vp = pe_lane(&world, 0);
+    let a = world.endpoint(Address::new(0, 0));
+    let from_ult = std::sync::Arc::clone(&a);
+    let ult = vp.spawn(chant_ult::SpawnAttr::new(), move |_| {
+        from_ult.isend(Address::new(1, 0), 1, 0, kind::DATA, b("from a ULT"));
+    });
+    vp.start();
+    ult.join().unwrap();
+    a.isend(Address::new(1, 0), 2, 0, kind::DATA, b("after start"));
+    turn_until_complete(&world, 1, &recvs);
+    assert_eq!(&recvs[1].take().unwrap().1[..], b"after start");
+    world.shutdown();
+}

@@ -23,9 +23,11 @@
 //!   length-prefixed frames ([`encode_frame`]) over TCP sockets, each
 //!   PE's connections in its own epoll set and no thread of its own —
 //!   the PE's waiting threads drive it ([`Transport::poll`],
-//!   [`Progress`]) — with nonblocking sockets, same-peer send coalescing
-//!   into vectored writes, pooled frame buffers and a bounded per-peer
-//!   send queue. In *loopback* mode all endpoints stay in one OS
+//!   [`Progress`]) — with nonblocking sockets, pooled frame buffers, a
+//!   bounded per-peer send queue and same-peer send coalescing: a lane's
+//!   threads queue what they send, and the lane writes each peer's queue
+//!   with one vectored write at its next turn or before it parks
+//!   ([`Transport::flush`]). In *loopback* mode all endpoints stay in one OS
 //!   process, each PE with its own listener, and traffic between PEs
 //!   makes a real kernel round trip; in
 //!   *multi-process* mode (a rank and a peer list, usually from
@@ -76,7 +78,10 @@ pub trait Transport: Send + Sync {
 
     /// Move one message toward its destination. May block briefly for
     /// backpressure; must not block indefinitely. Never called from
-    /// inside a delivery.
+    /// inside a delivery. A transport driven by its waiters may leave
+    /// the write to [`Transport::flush`] — but only when the caller is a
+    /// user-level thread whose lane drives it (its VP's progress fd is
+    /// [`Transport::poll_fd`]), so that lane's next turn or park writes it.
     fn send(&self, header: Header, body: Bytes);
 
     /// The fd that is readable while [`Transport::poll`] has work — for
@@ -92,6 +97,12 @@ pub trait Transport: Send + Sync {
     /// lock, then take the lock and dispatch what is ready. A no-op when
     /// there is no loop.
     fn poll(&self, _timeout: Duration) {}
+
+    /// Write what [`Transport::send`] left queued for the calling lane,
+    /// without waiting for readiness. [`Transport::poll`] does the same
+    /// at the start of every turn; a lane calls this before it parks.
+    /// A no-op when nothing is left (one atomic load) or there is no loop.
+    fn flush(&self) {}
 
     /// Tear down background threads and close any handles. Called
     /// from world teardown, which never starts inside a turn (a turn
@@ -142,7 +153,9 @@ impl DeliverySink {
 /// How a scheduler drives one PE's transport when it has no thread of
 /// its own (see [`crate::CommWorld::progress`]): sleep on
 /// [`Progress::fd`] among its other wake-ups, and run [`Progress::turn`]
-/// when it is readable — and, while busy, every so often.
+/// when it is readable — and, while busy, every so often — and run
+/// [`Progress::flush`] before it parks.
+#[derive(Clone)]
 pub struct Progress {
     fd: c_int,
     transport: Weak<dyn Transport>,
@@ -168,6 +181,14 @@ impl Progress {
     pub fn turn(&self) {
         if let Some(t) = self.transport.upgrade() {
             t.poll(Duration::ZERO);
+        }
+    }
+
+    /// Write the sends this PE's lanes left for their next turn or park
+    /// (see [`Transport::send`]). A no-op once the transport is gone.
+    pub fn flush(&self) {
+        if let Some(t) = self.transport.upgrade() {
+            t.flush();
         }
     }
 }

@@ -16,12 +16,14 @@
 //!   endpoint's PE while it waits. A turn pins the world, so teardown
 //!   never starts inside one, and a delivery never sends (`send` panics
 //!   if it does), so nothing waits for the lock its own turn holds.
-//! * **Inline sends, coalesced.** A sender encodes into a pooled buffer,
-//!   appends it to the peer's queue and — when the queue was idle —
-//!   flushes right there: one nonblocking `write_vectored` per kernel
-//!   round-trip for the whole queue (`coalesced_*` count the batch
-//!   depth). Only when the socket pushes back does it arm `EPOLLOUT`;
-//!   the next turn to see it resumes where the kernel stopped.
+//! * **Sends wait for the lane.** A sender encodes into a pooled buffer
+//!   and appends it to the peer's queue. A ULT whose lane drives this set
+//!   (`chant_ult::current_progress_fd`) stops there: the lane writes each
+//!   peer's queue in one nonblocking `write_vectored` at its next turn or
+//!   before it parks ([`Transport::flush`]; `coalesced_*` count the batch
+//!   depth), or at once past [`FLUSH_BYTES`] or a full scatter list. Any
+//!   other sender writes right there. Only a socket that pushes back arms
+//!   `EPOLLOUT`; the next turn to see it resumes where the kernel stopped.
 //! * **A bounded send queue.** The backlog behind a socket that pushes
 //!   back holds at most [`SEND_QUEUE_MAX_BYTES`] (plus the frame that
 //!   crossed the line). At the bound `send` runs turns until one makes
@@ -49,6 +51,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use chant_ult::current_progress_fd;
 use chant_ult::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
 
@@ -58,9 +61,8 @@ use super::{DeliverError, DeliverySink, TcpOptions, Transport, TransportStats};
 use crate::header::Header;
 use crate::world::WorldInner;
 
-/// Dial attempts for a peer we had reached before (it answered once, so
-/// a long outage means it is gone — fail fast and let retries upstairs
-/// pace themselves).
+/// Dial attempts for a peer reached before: it answered once, so a long
+/// outage means it is gone (fail fast; retries upstairs pace themselves).
 const RECONNECT_ATTEMPTS: u32 = 2;
 
 /// Most frames one `write_vectored` call will carry.
@@ -74,6 +76,9 @@ const READ_BUF_INIT: usize = 64 * 1024;
 /// small enough that a peer that stopped reading stalls its senders
 /// instead of growing this process.
 const SEND_QUEUE_MAX_BYTES: usize = 1 << 20;
+
+/// Queued bytes at which a lane's send writes at once (a sixteenth of the bound).
+const FLUSH_BYTES: usize = 64 * 1024;
 
 /// Longest a sender held at the bound waits for readiness per turn.
 const HELD_TURN: Duration = Duration::from_millis(1);
@@ -102,8 +107,7 @@ struct PeerOut {
     token: u64,
     /// Encoded frames not yet fully handed to the kernel.
     q: VecDeque<Vec<u8>>,
-    /// Total length of the frames in `q` (bounded, see
-    /// [`SEND_QUEUE_MAX_BYTES`]).
+    /// Total length of the frames in `q` (bounded: [`SEND_QUEUE_MAX_BYTES`]).
     q_bytes: usize,
     /// Bytes of `q[0]` already written (partial-write resume point).
     woff: usize,
@@ -149,6 +153,11 @@ pub(crate) struct TcpEventTransport {
     epoll: Epoll,
     state: Mutex<State>,
     stop: AtomicBool,
+    /// Has a lane's ULT left frames queued for its next turn or park?
+    /// Relaxed: the frames are published by the lock, the lane that set it
+    /// reads its own store, and whoever clears it takes the lock next and
+    /// writes every queue (a frame queued in between included).
+    deferred: AtomicBool,
 }
 
 impl TcpEventTransport {
@@ -206,6 +215,7 @@ impl TcpEventTransport {
                 epoll,
                 state: Mutex::new(state),
                 stop: AtomicBool::new(false),
+                deferred: AtomicBool::new(false),
             }))
         };
         listeners.into_iter().map(start).collect()
@@ -286,18 +296,14 @@ impl TcpEventTransport {
 
     /// Flush as much of the peer's queue as the socket will take, in as
     /// few vectored writes as possible. All writes are nonblocking.
-    fn flush(&self, s: &mut PeerOut, pool: &mut BufferPool) {
+    fn flush_peer(&self, s: &mut PeerOut, pool: &mut BufferPool) {
         let Some(mut w) = s.conn.as_ref() else { return };
         while !s.q.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(s.q.len().min(MAX_IOV));
-            let mut it = s.q.iter();
-            let first = it.next().expect("queue non-empty");
-            slices.push(IoSlice::new(&first[s.woff..]));
-            for f in it.take(MAX_IOV - 1) {
-                slices.push(IoSlice::new(f));
-            }
-            let batched = slices.len();
-            match w.write_vectored(&slices) {
+            let mut slices = [IoSlice::new(&[]); MAX_IOV];
+            let batched = s.q.len().min(MAX_IOV);
+            slices.iter_mut().zip(&s.q).for_each(|(slot, f)| *slot = IoSlice::new(f));
+            slices[0] = IoSlice::new(&s.q[0][s.woff..]);
+            match w.write_vectored(&slices[..batched]) {
                 Ok(mut n) if n > 0 => {
                     self.stats.frame_bytes_sent.add(n as u64);
                     if batched > 1 {
@@ -323,10 +329,8 @@ impl TcpEventTransport {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // Kernel buffer full: leave the backlog to a turn.
-                    if !s.want_write {
-                        s.want_write = true;
-                        let fd = w.as_raw_fd();
-                        let _ = self.epoll.modify(fd, READABLE | EPOLLOUT, s.token);
+                    if !std::mem::replace(&mut s.want_write, true) {
+                        let _ = self.epoll.modify(w.as_raw_fd(), READABLE | EPOLLOUT, s.token);
                     }
                     return;
                 }
@@ -340,11 +344,8 @@ impl TcpEventTransport {
             }
         }
         // Drained: quiesce write interest so the set goes quiet.
-        if s.want_write {
-            s.want_write = false;
-            if let Some(conn) = &s.conn {
-                let _ = self.epoll.modify(conn.as_raw_fd(), READABLE, s.token);
-            }
+        if std::mem::take(&mut s.want_write) {
+            let _ = self.epoll.modify(w.as_raw_fd(), READABLE, s.token);
         }
     }
 
@@ -404,7 +405,7 @@ impl TcpEventTransport {
             self.stats.reconnects.incr();
             self.teardown(s, &mut st.pool);
         } else if bits & EPOLLOUT != 0 {
-            self.flush(s, &mut st.pool);
+            self.flush_peer(s, &mut st.pool);
         }
     }
 
@@ -424,6 +425,7 @@ impl TcpEventTransport {
                     conn.buf.resize(grown, 0);
                 }
             }
+            let offered = conn.buf.len() - conn.end;
             match conn.stream.read(&mut conn.buf[conn.end..]) {
                 Ok(0) => return false, // EOF
                 Ok(n) => {
@@ -431,9 +433,9 @@ impl TcpEventTransport {
                     if !self.parse_frames(conn, world) {
                         return false;
                     }
-                    // Level-triggered epoll re-reports anything left; a
-                    // short read means the socket is drained.
-                    if conn.end < conn.buf.len() {
+                    // A read shorter than the space it was offered means
+                    // the socket is drained (parsing may have reset `end`).
+                    if n < offered {
                         return true;
                     }
                 }
@@ -452,11 +454,7 @@ impl TcpEventTransport {
             if avail < 4 {
                 break;
             }
-            let n = u32::from_le_bytes(
-                conn.buf[conn.start..conn.start + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
+            let n = u32::from_le_bytes(conn.buf[conn.start..][..4].try_into().expect("4 bytes"));
             if (n as usize) < FRAME_HEADER_LEN || n > MAX_FRAME_LEN {
                 self.stats.malformed_frames.incr();
                 return false;
@@ -490,8 +488,7 @@ impl TcpEventTransport {
             conn.start += total;
         }
         if conn.start == conn.end {
-            conn.start = 0;
-            conn.end = 0;
+            (conn.start, conn.end) = (0, 0);
         }
         true
     }
@@ -533,8 +530,7 @@ impl Transport for TcpEventTransport {
         s.q.push_back(frame);
         if s.conn.is_none() {
             if s.dialing {
-                // Another sender is mid-dial; our frame rides its
-                // queue and flushes when the dial lands.
+                // Mid-dial elsewhere: the frame leaves when that dial lands.
                 return;
             }
             let budget = if s.tried { RECONNECT_ATTEMPTS } else { self.opts.connect_attempts };
@@ -556,17 +552,29 @@ impl Transport for TcpEventTransport {
                 return;
             }
         }
-        // Inline fast path: flush here and now unless a backlog is
-        // already armed (order demands we queue behind it and let
-        // EPOLLOUT drive).
-        let st = &mut *st;
-        if !st.out[pe].want_write {
-            self.flush(&mut st.out[pe], &mut st.pool);
+        // A ULT on a lane driving this set leaves the write to the lane
+        // (up to a full scatter list or FLUSH_BYTES); anyone else writes
+        // now, unless an armed backlog must drain first (order).
+        let (st, me) = (&mut *st, Some(self.epoll.fd()));
+        let s = &mut st.out[pe];
+        if s.q.len() < MAX_IOV && s.q_bytes < FLUSH_BYTES && current_progress_fd() == me {
+            self.deferred.store(true, Ordering::Relaxed);
+        } else if !s.want_write {
+            self.flush_peer(s, &mut st.pool);
         }
     }
 
     fn poll_fd(&self) -> Option<c_int> {
         Some(self.epoll.fd())
+    }
+
+    fn flush(&self) {
+        if self.deferred.swap(false, Ordering::Relaxed) {
+            let st = &mut *self.state.lock();
+            for s in st.out.iter_mut().filter(|s| !s.want_write) {
+                self.flush_peer(s, &mut st.pool);
+            }
+        }
     }
 
     fn poll(&self, timeout: Duration) {
@@ -575,9 +583,10 @@ impl Transport for TcpEventTransport {
         if !timeout.is_zero() {
             self.epoll.wait(&mut [EpollEvent::default()], Some(timeout));
         }
-        // The world is pinned for the whole turn and let go only after
-        // the lock: if a delivery dropped every other reference, the
-        // teardown that follows runs here, outside the turn.
+        // Sends left by lanes go out first. The world is pinned for the
+        // whole turn and let go only after the lock: if a delivery dropped
+        // every other reference, the teardown that follows runs here, after.
+        self.flush();
         let world = self.sink.pin();
         self.dispatch(&mut self.state.lock(), world.as_deref());
         drop(world);
@@ -604,6 +613,7 @@ impl Transport for TcpEventTransport {
 mod tests {
     use super::*;
     use crate::header::Address;
+    use crate::transport::encode_frame;
     use std::sync::Weak;
     use std::time::Instant;
 
@@ -868,6 +878,38 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         sender.join().unwrap();
+    }
+
+    /// A read that fills the staging buffer with whole frames is not the
+    /// end of the socket: one turn delivers a burst larger than the
+    /// buffer, not just the frames that fit in it.
+    #[test]
+    fn one_turn_delivers_a_burst_larger_than_the_read_buffer() {
+        let _serial = serial();
+        let ts = start(TcpOptions::default(), 2);
+        let mut raw = TcpStream::connect(ts[1].peers[1]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ts[1].state.lock().inbound.is_empty() {
+            assert!(Instant::now() < deadline, "the connection was never accepted");
+            ts[1].poll(Duration::from_millis(1));
+        }
+        // 64-byte frames: the buffer ends on a frame boundary when full.
+        let frame = encode_frame(&header(1, 15), &[7; 15]);
+        let buffered = ts[1].state.lock().inbound.values().next().unwrap().buf.len();
+        assert_eq!((frame.len(), buffered % frame.len()), (64, 0));
+        let frames = buffered / frame.len() + 16;
+        raw.write_all(&frame.repeat(frames)).unwrap();
+        // Every byte is in the accepted socket before the turn.
+        let mut peek = vec![0; frames * frame.len()];
+        while ts[1].state.lock().inbound.values().next().unwrap().stream.peek(&mut peek).unwrap()
+            < peek.len()
+        {
+            assert!(Instant::now() < deadline, "the burst never reached the socket");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ts[1].poll(Duration::ZERO);
+        assert_eq!(ts[1].stats().frames_received, frames as u64, "{:?}", ts[1].stats());
+        ts.iter().for_each(|t| t.shutdown());
     }
 
     #[test]

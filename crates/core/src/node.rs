@@ -118,10 +118,13 @@ impl ChantNode {
         });
         // A socket transport has no thread of its own: each PE's lanes
         // read its sockets. This one also sleeps on its PE's epoll set
-        // and runs a turn when it wakes on it (or, busy, every 50 µs).
+        // and runs a turn when it wakes on it (or, busy, every 50 µs);
+        // what its threads send waits for that turn or for the flush
+        // before it parks, so a round's sends to a peer share one write.
         #[cfg(target_os = "linux")]
         if let Some(progress) = world.progress(pe) {
-            vp.set_progress(progress.fd(), move || progress.turn());
+            let flusher = progress.clone();
+            vp.set_progress(progress.fd(), move || progress.turn(), move || flusher.flush());
         }
         Arc::new(ChantNode {
             pe,

@@ -77,6 +77,14 @@ pub fn current_vp() -> Option<Arc<Vp>> {
     with_current(|c| c.map(|ctx| Arc::clone(&ctx.vp)))
 }
 
+/// The progress fd ([`Vp::set_progress`]) of the VP whose user-level
+/// thread the calling OS thread is running: `None` off-ULT, or when that
+/// VP drives no source. A source that finds its own fd here may leave a
+/// send to the caller's lane, which flushes it at its next turn or park.
+pub fn current_progress_fd() -> Option<std::os::raw::c_int> {
+    with_current(|c| c.and_then(|ctx| ctx.vp.progress_fd()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

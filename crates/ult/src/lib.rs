@@ -97,7 +97,7 @@ mod vp;
 
 pub use attr::{Priority, SpawnAttr};
 pub use config::VpConfig;
-pub use current::{current_tid, current_vp, is_ult_context};
+pub use current::{current_progress_fd, current_tid, current_vp, is_ult_context};
 pub use error::{JoinError, UltError};
 pub use hooks::{DispatchDecision, NullHook, PendingPoll, SchedulerHook};
 pub use park::TimerKey;

@@ -1860,7 +1860,7 @@ mod parking {
         let vp = Vp::new(VpConfig::named("fds"));
         assert_eq!(wait_fds(), (before.0 + 1, before.1 + 1), "one set and one eventfd per VP");
         let watched = EventFd::new().unwrap();
-        vp.set_progress(watched.fd(), || {});
+        vp.set_progress(watched.fd(), || {}, || {});
         let h = vp.spawn(SpawnAttr::new(), |vp| vp.yield_now());
         vp.start();
         h.join().unwrap();

@@ -48,6 +48,7 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
+use std::os::raw::c_int;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
@@ -74,16 +75,22 @@ const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
 /// How often a busy lane runs the progress source's turn at a schedule
 /// point ([`Vp::set_progress`]). An idle lane needs no interval — it
 /// sleeps on the source's fd and turns the moment it is readable — but
-/// a lane that never sleeps would otherwise leave arrivals unread. A
-/// turn costs a syscall, and a fan-out switches threads every
-/// microsecond or so: turning at every schedule point measurably
-/// raised the CPU per operation there, while 50 µs is a fraction of a
-/// socket round trip (≈ 100 µs on loopback), so a waiter sees its
-/// reply in well under one more trip.
+/// a lane that never sleeps would otherwise leave arrivals unread, and
+/// the sends its threads left for the source unwritten: this bounds how
+/// long a busy lane holds both. A turn costs a syscall, and a fan-out
+/// switches threads every microsecond or so: turning at every schedule
+/// point measurably raised the CPU per operation there, while 50 µs is
+/// a fraction of a socket round trip (≈ 100 µs on loopback), so a
+/// waiter sees its reply, and a peer a held request, in well under one
+/// more trip.
 const PROGRESS_INTERVAL_NS: u64 = 50_000;
 
 /// An external event source the lane drives (see [`Vp::set_progress`]).
-type ProgressTurn = Box<dyn Fn() + Send + Sync>;
+struct ProgressSource {
+    fd: c_int,
+    turn: Box<dyn Fn() + Send + Sync>,
+    flush: Box<dyn Fn() + Send + Sync>,
+}
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -193,7 +200,7 @@ pub struct Vp {
     /// Deadlines of timed waits.
     timers: Timers,
     /// The external event source the lane drives, once installed.
-    progress: OnceLock<ProgressTurn>,
+    progress: OnceLock<ProgressSource>,
     /// How this VP's threads are carried (see [`crate::ctx`]). Always
     /// [`Kind::DEFAULT`] outside this crate's own tests.
     kind: Kind,
@@ -312,21 +319,28 @@ impl Vp {
     /// no thread of its own. The lane's sleep also waits on `fd`
     /// (readable while the source has work), and the lane runs `turn`
     /// when it wakes on it and — while busy — at a schedule point once
-    /// 50 µs have passed since its last turn. `turn` must not wait for
-    /// readiness, only (briefly) for another thread's turn of the source
-    /// to end. One source per VP, for the VP's lifetime: the fd must stay
-    /// open (or close, which drops it from the set).
+    /// 50 µs have passed since its last turn. Whenever a round finds
+    /// nothing to run — before the lane parks, and before [`Vp::start`]
+    /// returns — it runs `flush`, which writes what the VP's threads left
+    /// for the source to send: the source may leave a send to the lane
+    /// when its caller's VP reports `fd` ([`crate::current_progress_fd`]).
+    /// Neither `turn` nor `flush` may wait for readiness, only (briefly)
+    /// for another thread's pass over the source to end. One source per
+    /// VP, for the VP's lifetime: the fd must stay open (or close, which
+    /// drops it from the set).
     ///
     /// # Panics
     /// On a second call, or when `fd` cannot be added to the lane's set.
     #[cfg(target_os = "linux")]
     pub fn set_progress(
         &self,
-        fd: std::os::unix::io::RawFd,
+        fd: c_int,
         turn: impl Fn() + Send + Sync + 'static,
+        flush: impl Fn() + Send + Sync + 'static,
     ) {
+        let (turn, flush) = (Box::new(turn), Box::new(flush));
         assert!(
-            self.progress.set(Box::new(turn)).is_ok(),
+            self.progress.set(ProgressSource { fd, turn, flush }).is_ok(),
             "a VP drives one progress source"
         );
         self.parker
@@ -334,18 +348,23 @@ impl Vp {
             .unwrap_or_else(|e| panic!("cannot watch the progress fd: {e}"));
     }
 
+    /// The fd of the source this VP's lane drives, once installed.
+    pub(crate) fn progress_fd(&self) -> Option<c_int> {
+        self.progress.get().map(|p| p.fd)
+    }
+
     /// Run the progress turn: when the lane woke on the fd (`woken`), or
     /// when it last turned [`PROGRESS_INTERVAL_NS`] ago.
     #[inline]
     fn drive_progress(&self, woken: bool) {
-        let Some(turn) = self.progress.get() else {
+        let Some(source) = self.progress.get() else {
             return;
         };
         let last = &self.last_turn_ns;
         let now = self.timers.now_ns();
         if woken || now.saturating_sub(last.load(Ordering::Relaxed)) >= PROGRESS_INTERVAL_NS {
             last.store(now, Ordering::Relaxed);
-            turn();
+            (source.turn)();
         }
     }
 
@@ -980,7 +999,11 @@ impl Vp {
                 return successor;
             }
 
-            // Nothing runnable this round.
+            // Nothing runnable this round. Before the lane sleeps or hands
+            // its OS thread back, what its threads sent goes out.
+            if let Some(source) = self.progress.get() {
+                (source.flush)();
+            }
             if self.shared.lock().live == 0 {
                 return match dep {
                     // The last exit: back to the host, so that

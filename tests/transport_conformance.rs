@@ -27,6 +27,10 @@
 //! * a ring over two PEs with two processes each (on sockets: two lanes
 //!   driving one PE's transport).
 //!
+//! On sockets only, beyond these: a parked lane does not wait for a
+//! busy one, mutual floods drain, and a send left to its lane is
+//! written before the lane parks.
+//!
 //! A final cross-backend test runs the same workload on each and
 //! compares the endpoint-level statistics — the matching engine must
 //! not be able to tell the transports apart.
@@ -817,6 +821,43 @@ fn a_parked_lane_does_not_wait_for_a_busy_one() {
         rallied < spun,
         "{ROUNDS} ping-pongs between PEs 1 and 2 waited for PE 0's {SPIN:?} spin to end"
     );
+}
+
+/// A thread's send waits for its lane, and the lane writes it before
+/// it parks. Here each PE's main is its lane's only thread (no server),
+/// so after each send it blocks and the lane parks at once, with no
+/// timer armed: a lane that parked without writing would sleep for good.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_lanes_last_runnable_thread_gets_its_reply() {
+    const ROUNDS: u32 = 200;
+    let (done, finished) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let cluster = ChantCluster::builder()
+            .pes(2)
+            .server(false)
+            .transport(TransportConfig::tcp_event_loopback())
+            .build();
+        cluster.run(|node| {
+            let me = node.self_id();
+            let peer = ChanterId::new(1 - me.pe, 0, me.thread);
+            for i in 0..ROUNDS {
+                if me.pe == 0 {
+                    node.send(peer, 6, &i.to_le_bytes()).unwrap();
+                }
+                let (_, got) = node.recv_tag(6).unwrap();
+                assert_eq!(got[..], i.to_le_bytes());
+                if me.pe == 1 {
+                    node.send(peer, 6, &got).unwrap();
+                }
+            }
+        });
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a parked lane sat on the send it was left");
+    runner.join().unwrap();
 }
 
 /// Two ranks flood each other before either receives. One lane each,
