@@ -684,7 +684,9 @@ fn turn_until_complete(world: &CommWorld, pe: u32, recvs: &[crate::RecvHandle]) 
 #[cfg(target_os = "linux")]
 #[test]
 fn a_lanes_sends_to_one_peer_share_a_write() {
-    const SENDERS: u32 = 8;
+    // Enough that a preempted lane, turning between two of them, still
+    // leaves a batch for its park.
+    const SENDERS: u32 = 32;
     let world = CommWorld::with_transport(2, 1, crate::TransportConfig::tcp_event_loopback());
     let vp = pe_lane(&world, 0);
     let senders: Vec<_> = (0..SENDERS)
