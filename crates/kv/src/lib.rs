@@ -12,7 +12,8 @@
 //!   every client computes any key's primary and backup with zero
 //!   lookup traffic.
 //! * **Writes** ([`node`]): a mutation goes to the shard's primary over
-//!   RSR. The primary applies it under a monotonic per-shard version,
+//!   RSR, or is served in place when the primary is the caller's own
+//!   node. The primary applies it under a monotonic per-shard version,
 //!   remembers the reply per `(client, seq)`, and replicates the
 //!   post-image to the backup asynchronously — exactly-once end to end,
 //!   even across a primary crash, because the dedup watermark travels

@@ -5,16 +5,23 @@
 //! `KvState`:
 //!
 //! * **RSR extension handlers** ([`fns::KV_MUTATE`] and friends) run on
-//!   the server thread. They only touch local state — the iron rule
-//!   inherited from the RMA crate: a handler must never issue a
-//!   blocking remote call, or two nodes' serial server threads can
-//!   cross-wait into a distributed deadlock. Everything remote
-//!   (replication, leases, snapshot fetch) happens in the daemon.
+//!   the server thread and serve other nodes' requests. They only touch
+//!   local state — the iron rule inherited from the RMA crate: a
+//!   handler must never issue a blocking remote call, or two nodes'
+//!   serial server threads can cross-wait into a distributed deadlock.
+//!   Everything remote (replication, leases, snapshot fetch) happens in
+//!   the daemon. A get or mutation is decoded, served by `serve_get` /
+//!   `serve_mutate`, and encoded.
 //! * the **replication daemon** (a [`ClusterBuilder::daemon`] ULT)
 //!   ships applied mutations to each shard's backup, keeps read leases
 //!   fresh, and re-seeds not-ready shards from the surviving replica.
 //! * the **SDK** ([`KvClient`] plus the `kv_*` node-level functions)
-//!   called from application threads.
+//!   called from application threads. An op whose primary is the
+//!   caller's own node is not a message to itself: the client calls
+//!   `serve_get` / `serve_mutate` on the calling thread, with no codec
+//!   and no server-thread round trip — as the RMA crate serves an op on
+//!   its own segment — and yields if its lane is due a schedule point
+//!   ([`chant_ult::yield_if_due`]), since a served op never blocks.
 //!
 //! Exactly-once across faults *and* a primary restart: the client
 //! resubmits a timed-out op with the same `(client, seq)`; the
@@ -144,6 +151,14 @@ fn reply(status: u8, ver: u64, val: &[u8]) -> Result<Bytes, ChantError> {
     }))
 }
 
+fn refusal(status: u8, ver: u64) -> KvReply {
+    KvReply {
+        status,
+        ver,
+        val: Bytes::new(),
+    }
+}
+
 fn handle_mutate(
     node: &Arc<ChantNode>,
     st: &Arc<KvState>,
@@ -156,63 +171,71 @@ fn handle_mutate(
             return Err(e);
         }
     };
+    serve_mutate(node, st, &a).map(Served::encoded)
+}
+
+/// A served mutation's reply, with the encoding the `(client, seq)`
+/// watermark holds for it when there is one: the RSR handler sends that
+/// encoding, an in-place caller reads `reply` and decodes nothing.
+struct Served {
+    reply: KvReply,
+    cached: Option<Bytes>,
+}
+
+impl Served {
+    fn encoded(self) -> Bytes {
+        self.cached.unwrap_or_else(|| wire::encode_reply(&self.reply))
+    }
+}
+
+/// Apply one mutation at this node, the shard's primary: every check
+/// (size, primary, ready, the `(client, seq)` watermark), the applied
+/// entry, the cached reply and the replication enqueue. The one copy of
+/// the op, for the RSR handler and for a client on this node alike.
+fn serve_mutate(
+    node: &ChantNode,
+    st: &KvState,
+    a: &wire::MutateArgs,
+) -> Result<Served, ChantError> {
+    let refused = |status, ver| {
+        Ok(Served {
+            reply: refusal(status, ver),
+            cached: None,
+        })
+    };
     let cfg = st.config();
     if a.val.len() > cfg.slot_bytes {
-        return reply(status::TOO_LARGE, 0, &[]);
+        return refused(status::TOO_LARGE, 0);
     }
     let me = member_index(node);
     let (primary, backup) = ring_of(node, st).owners(a.shard % cfg.shards.max(1));
     if primary != me {
-        return reply(status::NOT_PRIMARY, 0, &[]);
+        return refused(status::NOT_PRIMARY, 0);
     }
     let mut inner = st.inner.lock();
-    let Some(sh) = inner.shards.get_mut(&a.shard) else {
+    let Some(sh) = inner.shards.get_mut(&a.shard).filter(|sh| sh.ready) else {
         st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
+        return refused(status::RETRY, 0);
     };
-    if !sh.ready {
-        st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
-    }
     // Exactly-once: resubmissions replay the cached reply, stale
     // sequence numbers are refused outright.
     if let Some(mark) = sh.clients.get(&a.client) {
         if a.seq == mark.seq {
             st.stats.dup_replayed.incr();
-            return Ok(mark.reply.clone());
+            return Ok(Served {
+                reply: wire::decode_reply(&mark.reply)?,
+                cached: Some(mark.reply.clone()),
+            });
         }
         if a.seq < mark.seq {
             st.stats.stale_dropped.incr();
-            return reply(status::STALE, mark.seq, &[]);
+            return refused(status::STALE, mark.seq);
         }
     }
-    sh.version += 1;
-    let ver = sh.version;
-    let (entry, out) = match a.opcode {
-        op::PUT => (
-            Entry {
-                ver,
-                tomb: false,
-                val: a.val.clone(),
-            },
-            KvReply {
-                status: status::OK,
-                ver,
-                val: Bytes::new(),
-            },
-        ),
-        op::DEL => (
-            Entry {
-                ver,
-                tomb: true,
-                val: Bytes::new(),
-            },
-            KvReply {
-                status: status::OK,
-                ver,
-                val: Bytes::new(),
-            },
-        ),
+    let ver = sh.version + 1;
+    let (tomb, val) = match a.opcode {
+        op::PUT => (false, a.val.clone()),
+        op::DEL => (true, Bytes::new()),
         op::ADD => {
             let old = sh
                 .entries
@@ -220,29 +243,32 @@ fn handle_mutate(
                 .filter(|e| !e.tomb)
                 .map_or(0, |e| le_u64(&e.val));
             let new = old.wrapping_add(le_u64(&a.val));
-            let val = Bytes::copy_from_slice(&new.to_le_bytes());
-            (
-                Entry {
-                    ver,
-                    tomb: false,
-                    val: val.clone(),
-                },
-                KvReply {
-                    status: status::OK,
-                    ver,
-                    val,
-                },
-            )
+            (false, Bytes::copy_from_slice(&new.to_le_bytes()))
         }
         other => {
-            sh.version -= 1; // nothing applied
             st.stats.malformed.incr();
             return Err(ChantError::Wire(format!("kv: unknown opcode {other}")));
         }
     };
-    let tomb = entry.tomb;
-    let val = entry.val.clone();
-    sh.entries.insert(a.key.clone(), entry);
+    sh.version = ver;
+    let out = KvReply {
+        status: status::OK,
+        ver,
+        // Only ADD answers with its value: the new counter total.
+        val: if a.opcode == op::ADD {
+            val.clone()
+        } else {
+            Bytes::new()
+        },
+    };
+    sh.entries.insert(
+        a.key.clone(),
+        Entry {
+            ver,
+            tomb,
+            val: val.clone(),
+        },
+    );
     let reply_bytes = wire::encode_reply(&out);
     sh.clients.insert(
         a.client,
@@ -252,9 +278,13 @@ fn handle_mutate(
         },
     );
     st.stats.mutations.incr();
+    let served = Served {
+        reply: out,
+        cached: Some(reply_bytes.clone()),
+    };
     if backup.is_none() {
         sh.replicated = ver;
-        return Ok(reply_bytes);
+        return Ok(served);
     }
     inner.queue.push_back(ReplRec {
         shard: a.shard,
@@ -262,13 +292,13 @@ fn handle_mutate(
         client: a.client,
         seq: a.seq,
         tomb,
-        key: a.key,
+        key: a.key.clone(),
         val,
-        reply: reply_bytes.clone(),
+        reply: reply_bytes,
     });
     drop(inner);
     st.poke_daemon();
-    Ok(reply_bytes)
+    Ok(served)
 }
 
 /// Little-endian `u64` from up to 8 leading bytes (short input is
@@ -293,33 +323,40 @@ fn handle_get(
             return Err(e);
         }
     };
+    Ok(wire::encode_reply(&serve_get(node, st, a.shard, &a.key)))
+}
+
+/// Read `key` at this node, the shard's primary: the primary, ready and
+/// lease checks, then the entry. The one copy of the op, for the RSR
+/// handler and for a client on this node alike.
+fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &Bytes) -> KvReply {
     let me = member_index(node);
-    let (primary, backup) = ring_of(node, st).owners(a.shard);
+    let (primary, backup) = ring_of(node, st).owners(shard);
     if primary != me {
-        return reply(status::NOT_PRIMARY, 0, &[]);
+        return refusal(status::NOT_PRIMARY, 0);
     }
-    let mut inner = st.inner.lock();
-    let Some(sh) = inner.shards.get_mut(&a.shard) else {
+    let inner = st.inner.lock();
+    let Some(sh) = inner.shards.get(&shard).filter(|sh| sh.ready) else {
         st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
+        return refusal(status::RETRY, 0);
     };
-    if !sh.ready {
-        st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
-    }
     // The local read is only safe while the backup's lease promise
     // holds; without it the backup could (in a richer design) have
     // taken over the shard.
     if backup.is_some() && sh.lease_until.is_none_or(|t| Instant::now() >= t) {
         st.stats.no_lease.incr();
-        return reply(status::NO_LEASE, 0, &[]);
+        return refusal(status::NO_LEASE, 0);
     }
     st.stats.reads.incr();
-    match sh.entries.get(&a.key) {
-        Some(e) if !e.tomb => reply(status::OK, e.ver, &e.val),
+    match sh.entries.get(key) {
+        Some(e) if !e.tomb => KvReply {
+            status: status::OK,
+            ver: e.ver,
+            val: e.val.clone(),
+        },
         _ => {
             st.stats.read_misses.incr();
-            reply(status::NOT_FOUND, sh.version, &[])
+            refusal(status::NOT_FOUND, sh.version)
         }
     }
 }
@@ -1018,9 +1055,11 @@ impl KvClient {
         self.st.config()
     }
 
-    fn primary_of(&self, shard: u32) -> Address {
+    /// Where `shard`'s ops go: `None` when this node is its primary and
+    /// serves them in place, else the primary's address.
+    fn primary_of(&self, shard: u32) -> Option<Address> {
         let p = ring_of(&self.node, &self.st).primary(shard);
-        addr_of(&self.node, p)
+        (p != member_index(&self.node)).then(|| addr_of(&self.node, p))
     }
 
     /// Park briefly before a retry (yields the lane; wakeable).
@@ -1037,37 +1076,43 @@ impl KvClient {
         let shard = shard_of(key, cfg.shards);
         let dst = self.primary_of(shard);
         self.seq += 1;
-        let args = wire::encode_mutate(&wire::MutateArgs {
+        let a = wire::MutateArgs {
             shard,
             client: self.id,
             seq: self.seq,
             opcode,
             key: Bytes::copy_from_slice(key),
             val: Bytes::copy_from_slice(val),
-        });
+        };
+        let remote = dst.map(|dst| (dst, wire::encode_mutate(&a)));
         let deadline = Instant::now() + cfg.op_patience;
         loop {
-            match bounded_call(&self.node, &cfg, dst, fns::KV_MUTATE, &args) {
-                Ok(raw) => {
-                    let kr = wire::decode_reply(&raw)?;
-                    match kr.status {
-                        status::OK => return Ok(kr),
-                        status::RETRY => {}
-                        status::TOO_LARGE => {
-                            return Err(ChantError::Remote("kv: value too large".into()))
-                        }
-                        status::STALE => {
-                            return Err(ChantError::Remote(
-                                "kv: stale sequence (client id reused?)".into(),
-                            ))
-                        }
-                        other => {
-                            return Err(ChantError::Remote(format!(
-                                "kv: mutation refused (status {other})"
-                            )))
-                        }
+            let served = match &remote {
+                Some((dst, args)) => bounded_call(&self.node, &cfg, *dst, fns::KV_MUTATE, args)
+                    .and_then(|raw| wire::decode_reply(&raw)),
+                None => serve_mutate(&self.node, &self.st, &a).map(|s| {
+                    in_place_done();
+                    s.reply
+                }),
+            };
+            match served {
+                Ok(kr) => match kr.status {
+                    status::OK => return Ok(kr),
+                    status::RETRY => {}
+                    status::TOO_LARGE => {
+                        return Err(ChantError::Remote("kv: value too large".into()))
                     }
-                }
+                    status::STALE => {
+                        return Err(ChantError::Remote(
+                            "kv: stale sequence (client id reused?)".into(),
+                        ))
+                    }
+                    other => {
+                        return Err(ChantError::Remote(format!(
+                            "kv: mutation refused (status {other})"
+                        )))
+                    }
+                },
                 // The op's fate is unknown: resubmit the *same* seq;
                 // the watermark makes the retry exactly-once.
                 Err(ChantError::Timeout) | Err(ChantError::NodeUnreachable(_)) => {}
@@ -1123,13 +1168,19 @@ impl KvClient {
     pub fn try_get(&self, key: &[u8]) -> Result<KvRead, ChantError> {
         let cfg = self.cfg();
         let shard = shard_of(key, cfg.shards);
-        let dst = self.primary_of(shard);
-        let args = wire::encode_get(&wire::GetArgs {
-            shard,
-            key: Bytes::copy_from_slice(key),
-        });
-        let raw = bounded_call(&self.node, &cfg, dst, fns::KV_GET, &args)?;
-        let kr = wire::decode_reply(&raw)?;
+        let key = Bytes::copy_from_slice(key);
+        let kr = match self.primary_of(shard) {
+            Some(dst) => {
+                let args = wire::encode_get(&wire::GetArgs { shard, key });
+                let raw = bounded_call(&self.node, &cfg, dst, fns::KV_GET, &args)?;
+                wire::decode_reply(&raw)?
+            }
+            None => {
+                let kr = serve_get(&self.node, &self.st, shard, &key);
+                in_place_done();
+                kr
+            }
+        };
         match kr.status {
             status::OK => Ok(KvRead::Hit {
                 version: kr.ver,
@@ -1143,6 +1194,15 @@ impl KvClient {
             ))),
         }
     }
+}
+
+/// The end of an op served in place. A remote op blocks for its reply,
+/// and so is a schedule point; one served in place does not, so a
+/// thread looping on own-node keys would hold its lane — no progress
+/// turn, no daemon renewing leases, no sibling writing the value it
+/// polls for. It yields when the lane is due a schedule point.
+fn in_place_done() {
+    chant_ult::yield_if_due();
 }
 
 // ----------------------------------------------------------------------
@@ -1324,5 +1384,73 @@ mod tests {
         );
         let end = snap_off(&cfg, members, members - 1) + cfg.snap_slot_bytes as u64;
         assert_eq!(end, seg_size(&cfg, members) as u64);
+    }
+
+    /// The shared op functions keep the exactly-once and lease contracts
+    /// whoever calls them: a resubmitted `(client, seq)` replays the
+    /// cached reply without applying, a lower seq is refused, and a read
+    /// past the lease is refused — through `serve_*` directly and through
+    /// a client served in place. Each PE checks a shard it is primary for.
+    #[test]
+    fn served_ops_replay_duplicates_refuse_stale_seqs_and_expired_leases() {
+        let cfg = KvConfig {
+            shards: 8,
+            // No renewal: once the test expires the lease, it stays
+            // expired.
+            lease_renew: None,
+            ..KvConfig::default()
+        };
+        let cluster = with_kv_config(chant_core::ChantCluster::builder().pes(2), cfg).build();
+        cluster.run(|node| {
+            kv_await_ready(node, Duration::from_secs(30)).unwrap();
+            let st = kv_state(node);
+            let me = member_index(node);
+            let key = (0..)
+                .map(|i| Bytes::from(format!("own-{i}").into_bytes()))
+                .find(|k| ring_of(node, &st).primary(kv_shard_of(node, k)) == me)
+                .unwrap();
+            let shard = kv_shard_of(node, &key);
+            let version = || st.inner.lock().shards[&shard].version;
+            let mut a = wire::MutateArgs {
+                shard,
+                client: 0xC11E,
+                seq: 10,
+                opcode: op::ADD,
+                key: key.clone(),
+                val: Bytes::copy_from_slice(&3u64.to_le_bytes()),
+            };
+
+            let first = serve_mutate(node, &st, &a).unwrap();
+            assert_eq!(first.reply.status, status::OK);
+            assert_eq!(le_u64(&first.reply.val), 3);
+            let applied = version();
+            assert_eq!(first.reply.ver, applied);
+
+            // The same (client, seq) again: the cached reply, nothing
+            // applied — an ADD applied twice would answer 6.
+            let replays = st.stats.dup_replayed.get();
+            let again = serve_mutate(node, &st, &a).unwrap();
+            assert_eq!(again.reply, first.reply);
+            assert_eq!(again.cached, first.cached);
+            assert_eq!(version(), applied);
+            assert_eq!(st.stats.dup_replayed.get(), replays + 1);
+
+            // A lower seq is refused outright and names the watermark.
+            a.seq = 9;
+            let stale = serve_mutate(node, &st, &a).unwrap();
+            assert_eq!((stale.reply.status, stale.reply.ver), (status::STALE, 10));
+            assert_eq!(version(), applied);
+
+            // A read past the lease is refused, served or asked in place.
+            let hit = serve_get(node, &st, shard, &key);
+            assert_eq!((hit.status, le_u64(&hit.val)), (status::OK, 3));
+            let no_lease = st.stats.no_lease.get();
+            if let Some(sh) = st.inner.lock().shards.get_mut(&shard) {
+                sh.lease_until = Some(Instant::now());
+            }
+            assert_eq!(serve_get(node, &st, shard, &key).status, status::NO_LEASE);
+            assert_eq!(KvClient::new(node).try_get(&key).unwrap(), KvRead::NoLease);
+            assert_eq!(st.stats.no_lease.get(), no_lease + 2);
+        });
     }
 }

@@ -108,7 +108,7 @@ pub use sync::{
 };
 pub use tcb::{Tid, MAIN_TID};
 pub use tls::TlsKey;
-pub use vp::{is_cancel_payload, yield_now, JoinHandle, ThreadInfo, ThreadState, Vp};
+pub use vp::{is_cancel_payload, yield_if_due, yield_now, JoinHandle, ThreadInfo, ThreadState, Vp};
 
 #[cfg(test)]
 mod tests;

@@ -82,7 +82,8 @@ const DEADLOCK_GRACE: Duration = Duration::from_secs(1);
 /// point measurably raised the CPU per operation there, while 50 µs is
 /// a fraction of a socket round trip (≈ 100 µs on loopback), so a
 /// waiter sees its reply, and a peer a held request, in well under one
-/// more trip.
+/// more trip. [`yield_if_due`] holds a thread that never blocks to
+/// the same bound.
 const PROGRESS_INTERVAL_NS: u64 = 50_000;
 
 /// An external event source the lane drives (see [`Vp::set_progress`]).
@@ -190,6 +191,9 @@ pub struct Vp {
     /// When the lane last ran the progress turn (ns on the timers'
     /// clock). Only the lane's OS thread touches it.
     last_turn_ns: AtomicU64,
+    /// When the lane last passed a schedule point (ns on the timers'
+    /// clock), for [`yield_if_due`]. Only the lane's OS thread touches it.
+    last_sched_ns: AtomicU64,
     /// The context of the OS thread inside [`Vp::start`], while there is
     /// one: what the last exit switches back to.
     host: Mutex<Option<Context>>,
@@ -252,6 +256,7 @@ impl Vp {
             ready: Mutex::new(Default::default()),
             parker: Parker::new(),
             last_turn_ns: AtomicU64::new(0),
+            last_sched_ns: AtomicU64::new(0),
             host: Mutex::new(None),
             hooks: RwLock::new(Arc::from(Vec::new())),
             timers: Timers::new(),
@@ -354,14 +359,13 @@ impl Vp {
     }
 
     /// Run the progress turn: when the lane woke on the fd (`woken`), or
-    /// when it last turned [`PROGRESS_INTERVAL_NS`] ago.
+    /// when it last turned [`PROGRESS_INTERVAL_NS`] before `now`.
     #[inline]
-    fn drive_progress(&self, woken: bool) {
+    fn drive_progress(&self, now: u64, woken: bool) {
         let Some(source) = self.progress.get() else {
             return;
         };
         let last = &self.last_turn_ns;
-        let now = self.timers.now_ns();
         if woken || now.saturating_sub(last.load(Ordering::Relaxed)) >= PROGRESS_INTERVAL_NS {
             last.store(now, Ordering::Relaxed);
             (source.turn)();
@@ -931,9 +935,11 @@ impl Vp {
         loop {
             self.stats.schedule_points.incr();
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
+            let now = self.timers.now_ns();
+            self.last_sched_ns.store(now, Ordering::Relaxed);
             // Before the scan: what the turn delivers, this round sees
             // (and the wake-up it sends this lane, the scan consumes).
-            self.drive_progress(false);
+            self.drive_progress(now, false);
             // From here on, whatever a waker publishes is either seen by
             // this round's scan or leaves a token that voids the park.
             parker.begin_scan();
@@ -1041,7 +1047,7 @@ impl Vp {
                 // The progress fd alone: turn, then scan again only if
                 // the turn made work here (a delivery to this VP unparks
                 // the lane); otherwise the last scan still stands.
-                self.drive_progress(true);
+                self.drive_progress(self.timers.now_ns(), true);
                 if parker.token_pending() {
                     break (woke, false);
                 }
@@ -1240,6 +1246,26 @@ impl<T: 'static> JoinHandle<T> {
 pub fn yield_now() {
     if let Some(vp) = current::current_vp() {
         vp.yield_now();
+    }
+}
+
+/// Yield the current user-level thread when its lane has passed no
+/// schedule point for 50 µs (the interval a busy lane turns its
+/// progress source at); otherwise return at once. A thread that serves
+/// work in place without blocking calls this after each piece, so a
+/// loop of such work cannot hold its lane from its siblings, its timers
+/// and its progress turn for longer than a busy lane holds them anyway. From an ordinary OS thread it does
+/// nothing: there is no lane to starve.
+pub fn yield_if_due() {
+    let due = current::with_current(|c| {
+        c.is_some_and(|ctx| {
+            let vp = &ctx.vp;
+            let last = vp.last_sched_ns.load(Ordering::Relaxed);
+            vp.timers.now_ns().saturating_sub(last) >= PROGRESS_INTERVAL_NS
+        })
+    });
+    if due {
+        yield_now();
     }
 }
 

@@ -21,8 +21,12 @@
 //! * lease expiry: with renewal off the primary loses its read lease on
 //!   schedule, reads surface `NoLease`, and a manual renewal restores
 //!   local serving;
-//! * mechanism: a read served by the caller's own node sends no
-//!   transport frame, a read served by the other node sends two.
+//! * mechanism: a get, put or add served by the caller's own node sends
+//!   no message and no transport frame, a read served by the other node
+//!   sends two frames;
+//! * liveness: a thread looping on ops its own node serves in place
+//!   (which never block) still lets its lane run — the sibling that
+//!   writes the key it polls, the daemon that renews its read lease.
 //!
 //! The faulted scenarios never use collective barriers or plain sends:
 //! those ride unretried data tags, so a single dropped frame would
@@ -42,8 +46,9 @@ use chant::chant::{
 };
 use chant::kv::{
     kv_await_ready, kv_digest_local, kv_drain, kv_owners, kv_remote_digest, kv_renew_lease,
-    kv_shard_of, kv_version_sum, kv_wipe, with_kv_config, KvClient, KvConfig, KvRead,
+    kv_shard_of, kv_stats, kv_version_sum, kv_wipe, with_kv_config, KvClient, KvConfig, KvRead,
 };
+use chant::ult::SpawnAttr;
 use common::{for_each_transport, main_group, seeds, Backend};
 
 const POLICIES: [PollingPolicy; 3] = [
@@ -535,15 +540,28 @@ for_each_transport!(expired_lease_blocks_reads_until_renewed, |backend: Backend|
 });
 
 // ---------------------------------------------------------------------
-// Mechanism: a read its own node serves never touches a transport.
+// Mechanism: an op its own node serves is no message at all.
 // ---------------------------------------------------------------------
 
-// A `get` whose primary is the caller's own node is an RSR call to the
-// caller's own address: request and reply are delivered in place, so
-// the transport's frame count does not move. A `get` on the other
-// node's primary is two frames, request and reply. Replication is
-// drained, lease renewal is off and PE 1 waits in a receive while PE 0
-// measures, so nothing else is on the wire.
+/// A key whose primary is (`here`) or is not (`!here`) the caller's node.
+fn key_served_here(node: &Arc<ChantNode>, name: &str, here: bool) -> String {
+    let me = node.self_id().address();
+    (0..)
+        .map(|i| format!("{name}-{i}"))
+        .find(|k| (kv_owners(node, kv_shard_of(node, k.as_bytes())).0 == me) == here)
+        .unwrap()
+}
+
+// A `get`, `put` or `add` whose primary is the caller's own node is
+// served on the calling thread, not sent to the caller's own address:
+// neither the node's message-layer send count nor the transport's frame
+// count moves. A `get` on the other node's primary is two frames,
+// request and reply. Replication is drained, lease renewal is off and
+// PE 1 waits in a receive while PE 0 measures, so nothing else is on
+// the wire. A put does hand a replication record to the daemon, which
+// sends it; the daemon shares the lane, so it runs only at a schedule
+// point, and an op served in place passes one only when its lane is
+// due one. A sample whose op passed a schedule point is taken again.
 for_each_transport!(a_get_served_by_its_own_node_sends_no_frame, |backend: Backend| {
     let cfg = KvConfig {
         lease: Duration::from_secs(600),
@@ -559,16 +577,8 @@ for_each_transport!(a_get_served_by_its_own_node_sends_no_frame, |backend: Backe
         kv_await_ready(node, PATIENCE).unwrap();
         let group = main_group(node, 0);
         let me = node.self_id();
-        let key_served_here = |here: bool| {
-            (0..)
-                .map(|i| format!("mech-{i}"))
-                .find(|k| {
-                    let (primary, _) = kv_owners(node, kv_shard_of(node, k.as_bytes()));
-                    (primary == me.address()) == here
-                })
-                .unwrap()
-        };
-        let (local, remote) = (key_served_here(true), key_served_here(false));
+        let local = key_served_here(node, "mech", true);
+        let remote = key_served_here(node, "mech", false);
         let mut c = KvClient::new(node);
         c.put(local.as_bytes(), b"here").unwrap();
         kv_drain(node, PATIENCE).unwrap();
@@ -590,17 +600,118 @@ for_each_transport!(a_get_served_by_its_own_node_sends_no_frame, |backend: Backe
                 break;
             }
         }
-        let f0 = frames();
+        let sends = || node.endpoint().stats().snapshot().sends;
+        let (f0, s0) = (frames(), sends());
         let (_, got) = c.get(local.as_bytes()).unwrap().expect("written");
         assert_eq!(&got[..], b"here");
-        let f1 = frames();
+        let (f1, s1) = (frames(), sends());
         c.get(remote.as_bytes()).unwrap().expect("written by PE 1");
         let f2 = frames();
+
+        // Messages sent by one own-node mutation, in a sample where the
+        // lane passed no schedule point (so the daemon did not run).
+        let points = || node.vp().stats().snapshot().schedule_points;
+        let sent_by = |op: &mut dyn FnMut()| {
+            (0..100).find_map(|_| {
+                node.yield_now();
+                let (s0, p0) = (sends(), points());
+                op();
+                (points() == p0).then(|| sends() - s0)
+            })
+        };
+        let put = sent_by(&mut || {
+            c.put(local.as_bytes(), b"again").unwrap();
+        });
+        let add = sent_by(&mut || {
+            c.add(local.as_bytes(), 1).unwrap();
+        });
         // Release PE 1 before asserting, so a failure fails, not hangs.
         node.send(ChanterId::new(1, 0, me.thread), 7, b"done").unwrap();
         assert_eq!(f1 - f0, 0, "[{backend:?}] a get served locally made frames");
+        assert_eq!(s1 - s0, 0, "[{backend:?}] a get served locally sent messages");
         assert_eq!(f2 - f1, 2, "[{backend:?}] a remote get is one request and one reply");
+        // `None`: every sample passed a schedule point — the op blocked,
+        // as a message to itself does.
+        for (op, sent) in [("put", put), ("add", add)] {
+            assert_eq!(
+                sent,
+                Some(0),
+                "[{backend:?}] an own-node {op} must be served in place, sending nothing"
+            );
+        }
     });
+});
+
+// ---------------------------------------------------------------------
+// Liveness: ops served in place never block, and still yield the lane
+// ---------------------------------------------------------------------
+
+// An op on a key the caller's own node serves runs on the calling
+// thread and never blocks, so it is no schedule point of itself. A
+// thread that loops on such ops must still let its lane run: first a
+// sibling on the same lane that writes the key the loop polls for,
+// then — for twice the lease, renewal on — the daemon that keeps the
+// read lease fresh, so not one read is refused for want of it. Each
+// loop checks its own deadline: a lane that never yields fails here
+// instead of hanging.
+for_each_transport!(a_loop_on_own_node_keys_keeps_its_lane_live, |backend: Backend| {
+    const SPIN: Duration = Duration::from_secs(10);
+    for policy in POLICIES {
+        let cfg = KvConfig {
+            lease: Duration::from_millis(300),
+            lease_renew: Some(Duration::from_millis(200)),
+            ..fast()
+        };
+        let lease = cfg.lease;
+        let cluster = with_kv_config(
+            ChantCluster::builder()
+                .pes(2)
+                .policy(policy)
+                .transport(backend.config()),
+            cfg,
+        )
+        .build();
+        cluster.run(move |node| {
+            let label = format!("{backend:?}/{policy:?}");
+            kv_await_ready(node, PATIENCE).unwrap();
+            // PE 1 waits at no barrier: its server and daemon serve PE 0
+            // until PE 0 is done, and a failure on PE 0 fails, not hangs.
+            main_group(node, 0);
+            if node.pe() == 0 {
+                let key = key_served_here(node, "live", true);
+                let writer = {
+                    let key = key.clone();
+                    node.spawn(SpawnAttr::new(), move |node| {
+                        KvClient::new(node).put(key.as_bytes(), b"up").unwrap();
+                    })
+                };
+                let c = KvClient::new(node);
+                let deadline = Instant::now() + SPIN;
+                while !matches!(c.try_get(key.as_bytes()).unwrap(), KvRead::Hit { .. }) {
+                    assert!(
+                        Instant::now() < deadline,
+                        "[{label}] a spin on an own-node key never let its sibling write it"
+                    );
+                }
+                node.remote_join(writer).unwrap();
+
+                let before = kv_stats(node);
+                let until = Instant::now() + 2 * lease;
+                while Instant::now() < until {
+                    match c.try_get(key.as_bytes()).unwrap() {
+                        KvRead::Hit { .. } => {}
+                        other => panic!("[{label}] an own-node read under renewal got {other:?}"),
+                    }
+                }
+                let after = kv_stats(node);
+                assert_eq!(after.no_lease, before.no_lease, "[{label}] kv.no_lease moved");
+                assert!(
+                    after.leases_taken > before.leases_taken,
+                    "[{label}] the daemon renewed no lease while the loop ran"
+                );
+            }
+        });
+    }
 });
 
 // ---------------------------------------------------------------------
