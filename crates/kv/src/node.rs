@@ -143,20 +143,17 @@ fn seg_size(cfg: &KvConfig, members: u32) -> usize {
 // RSR handlers (server thread; local state only)
 // ----------------------------------------------------------------------
 
-fn reply(status: u8, ver: u64, val: &[u8]) -> Result<Bytes, ChantError> {
-    Ok(wire::encode_reply(&KvReply {
-        status,
-        ver,
-        val: Bytes::copy_from_slice(val),
-    }))
-}
-
-fn refusal(status: u8, ver: u64) -> KvReply {
+/// A reply that carries no value.
+fn bare(status: u8, ver: u64) -> KvReply {
     KvReply {
         status,
         ver,
         val: Bytes::new(),
     }
+}
+
+fn reply(status: u8, ver: u64) -> Result<Bytes, ChantError> {
+    Ok(wire::encode_reply(&bare(status, ver)))
 }
 
 fn handle_mutate(
@@ -199,7 +196,7 @@ fn serve_mutate(
 ) -> Result<Served, ChantError> {
     let refused = |status, ver| {
         Ok(Served {
-            reply: refusal(status, ver),
+            reply: bare(status, ver),
             cached: None,
         })
     };
@@ -333,19 +330,19 @@ fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &Bytes) -> KvReply
     let me = member_index(node);
     let (primary, backup) = ring_of(node, st).owners(shard);
     if primary != me {
-        return refusal(status::NOT_PRIMARY, 0);
+        return bare(status::NOT_PRIMARY, 0);
     }
     let inner = st.inner.lock();
     let Some(sh) = inner.shards.get(&shard).filter(|sh| sh.ready) else {
         st.stats.not_ready.incr();
-        return refusal(status::RETRY, 0);
+        return bare(status::RETRY, 0);
     };
     // The local read is only safe while the backup's lease promise
     // holds; without it the backup could (in a richer design) have
     // taken over the shard.
     if backup.is_some() && sh.lease_until.is_none_or(|t| Instant::now() >= t) {
         st.stats.no_lease.incr();
-        return refusal(status::NO_LEASE, 0);
+        return bare(status::NO_LEASE, 0);
     }
     st.stats.reads.incr();
     match sh.entries.get(key) {
@@ -356,7 +353,7 @@ fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &Bytes) -> KvReply
         },
         _ => {
             st.stats.read_misses.incr();
-            refusal(status::NOT_FOUND, sh.version)
+            bare(status::NOT_FOUND, sh.version)
         }
     }
 }
@@ -388,29 +385,29 @@ fn handle_replicate(
             },
             // Daemon has not registered the segment yet; the primary
             // will resend.
-            None => return reply(status::RETRY, 0, &[]),
+            None => return reply(status::RETRY, 0),
         }
     };
     let mut inner = st.inner.lock();
     let Some(sh) = inner.shards.get_mut(&a.shard) else {
         st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
+        return reply(status::RETRY, 0);
     };
     if !sh.ready {
         // Mid-recovery: applying now could be undone by the snapshot
         // install racing us. Refuse; the primary retries.
         st.stats.not_ready.incr();
-        return reply(status::RETRY, 0, &[]);
+        return reply(status::RETRY, 0);
     }
     if a.ver <= sh.version {
         // Duplicate of something we already hold (retransmission, or a
         // snapshot already covered it).
-        return reply(status::OK, sh.version, &[]);
+        return reply(status::OK, sh.version);
     }
     if a.ver != sh.version + 1 {
         // A gap cannot happen with the in-order daemon, but refuse
         // defensively rather than silently skipping versions.
-        return reply(status::RETRY, sh.version, &[]);
+        return reply(status::RETRY, sh.version);
     }
     let val = if a.tomb {
         Bytes::new()
@@ -442,7 +439,7 @@ fn handle_replicate(
         );
     }
     st.stats.repl_applied.incr();
-    reply(status::OK, a.ver, &[])
+    reply(status::OK, a.ver)
 }
 
 fn handle_lease(
@@ -460,13 +457,13 @@ fn handle_lease(
     let (primary, backup) = ring_of(node, st).owners(a.shard);
     let me = member_index(node);
     if backup != Some(me) || req.from.address() != addr_of(node, primary) {
-        return reply(status::NOT_PRIMARY, 0, &[]);
+        return reply(status::NOT_PRIMARY, 0);
     }
     let mut inner = st.inner.lock();
     let sh = inner.shards.entry(a.shard).or_default();
     sh.granted_until = Some(Instant::now() + Duration::from_millis(u64::from(a.ttl_ms)));
     st.stats.leases_granted.incr();
-    reply(status::OK, sh.version, &[])
+    reply(status::OK, sh.version)
 }
 
 fn handle_flush(
@@ -1091,7 +1088,7 @@ impl KvClient {
                 Some((dst, args)) => bounded_call(&self.node, &cfg, *dst, fns::KV_MUTATE, args)
                     .and_then(|raw| wire::decode_reply(&raw)),
                 None => serve_mutate(&self.node, &self.st, &a).map(|s| {
-                    in_place_done();
+                    chant_ult::yield_if_due();
                     s.reply
                 }),
             };
@@ -1177,7 +1174,12 @@ impl KvClient {
             }
             None => {
                 let kr = serve_get(&self.node, &self.st, shard, &key);
-                in_place_done();
+                // A remote op blocks for its reply, so it is a schedule
+                // point; one served in place is not. A thread looping on
+                // own-node keys would hold its lane — no progress turn,
+                // no daemon renewing leases, no sibling writing the value
+                // it polls for — unless it yields when the lane is due.
+                chant_ult::yield_if_due();
                 kr
             }
         };
@@ -1194,15 +1196,6 @@ impl KvClient {
             ))),
         }
     }
-}
-
-/// The end of an op served in place. A remote op blocks for its reply,
-/// and so is a schedule point; one served in place does not, so a
-/// thread looping on own-node keys would hold its lane — no progress
-/// turn, no daemon renewing leases, no sibling writing the value it
-/// polls for. It yields when the lane is due a schedule point.
-fn in_place_done() {
-    chant_ult::yield_if_due();
 }
 
 // ----------------------------------------------------------------------
@@ -1442,6 +1435,10 @@ mod tests {
             assert_eq!(version(), applied);
 
             // A read past the lease is refused, served or asked in place.
+            // First wait out the daemon's first lease (`get` retries
+            // through `NoLease`), so the refusal below is the expiry's.
+            let client = KvClient::new(node);
+            client.get(&key).unwrap().expect("added above");
             let hit = serve_get(node, &st, shard, &key);
             assert_eq!((hit.status, le_u64(&hit.val)), (status::OK, 3));
             let no_lease = st.stats.no_lease.get();
@@ -1449,7 +1446,7 @@ mod tests {
                 sh.lease_until = Some(Instant::now());
             }
             assert_eq!(serve_get(node, &st, shard, &key).status, status::NO_LEASE);
-            assert_eq!(KvClient::new(node).try_get(&key).unwrap(), KvRead::NoLease);
+            assert_eq!(client.try_get(&key).unwrap(), KvRead::NoLease);
             assert_eq!(st.stats.no_lease.get(), no_lease + 2);
         });
     }
