@@ -22,8 +22,8 @@
 //!   schedule, reads surface `NoLease`, and a manual renewal restores
 //!   local serving;
 //! * mechanism: a get, put or add served by the caller's own node sends
-//!   no message and no transport frame, a read served by the other node
-//!   sends two frames;
+//!   no message of its own (a get no transport frame either), a read
+//!   served by the other node sends two frames;
 //! * liveness: a thread looping on ops its own node serves in place
 //!   (which never block) still lets its lane run — the sibling that
 //!   writes the key it polls, the daemon that renews its read lease.
