@@ -34,6 +34,10 @@ pub(crate) struct RecvState {
     /// When the receive was posted (tracer clock, ns), for the
     /// posted-receive wait histogram.
     pub posted_at_ns: u64,
+    /// OS threads asleep on the condvar in `wait_until`: completion
+    /// notifies only when there is one, since a notify is a syscall
+    /// whether or not anyone waits.
+    pub sleepers: u32,
 }
 
 pub(crate) struct RecvShared {
@@ -57,7 +61,9 @@ impl RecvShared {
         st.body = Some(body);
         st.done = true;
         let notify = st.notify.take();
-        self.cv.notify_all();
+        if st.sleepers > 0 {
+            self.cv.notify_all();
+        }
         drop(st);
         // Posted-match completions run under the endpoint delivery lock,
         // so ready-list order is delivery order.
@@ -175,9 +181,15 @@ impl RecvHandle {
                     drop(st);
                     t.poll(left.map_or(DRIVE_SLICE, |l| l.min(DRIVE_SLICE)));
                 }
-                (None, None) => self.shared.cv.wait(&mut st),
-                (None, Some(l)) => {
-                    self.shared.cv.wait_for(&mut st, l);
+                (None, left) => {
+                    st.sleepers += 1;
+                    match left {
+                        None => self.shared.cv.wait(&mut st),
+                        Some(l) => {
+                            self.shared.cv.wait_for(&mut st, l);
+                        }
+                    }
+                    st.sleepers -= 1;
                 }
             }
         }
@@ -301,10 +313,17 @@ mod tests {
         let h = handle();
         let h2 = h.clone();
         let t = std::thread::spawn(move || h2.msgwait());
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // Complete only once the waiter is asleep on the condvar: the
+        // completion must wake it, not find it still testing.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.shared.state.lock().sleepers == 0 {
+            assert!(Instant::now() < deadline, "the waiter never went to sleep");
+            std::thread::yield_now();
+        }
         assert!(!t.is_finished());
         h.shared.complete(dummy_header(0), Bytes::new());
         t.join().unwrap();
+        assert_eq!(h.shared.state.lock().sleepers, 0);
         assert_eq!(h.stats.snapshot().blocking_waits, 1);
     }
 

@@ -15,9 +15,10 @@
 //!   RSR, or is served in place when the primary is the caller's own
 //!   node. The primary applies it under a monotonic per-shard version,
 //!   remembers the reply per `(client, seq)`, and replicates the
-//!   post-image to the backup asynchronously — exactly-once end to end,
-//!   even across a primary crash, because the dedup watermark travels
-//!   with the data.
+//!   post-image to the backup asynchronously, every queued record for a
+//!   backup in one batched call — exactly-once end to end, even across
+//!   a primary crash, because the dedup watermark travels with the
+//!   data.
 //! * **Reads**: served locally at the primary under a time-bound *read
 //!   lease* granted by the backup — no replication round-trip on the
 //!   read path.

@@ -13,8 +13,10 @@
 //!   the daemon. A get or mutation is decoded, served by `serve_get` /
 //!   `serve_mutate`, and encoded.
 //! * the **replication daemon** (a [`ClusterBuilder::daemon`] ULT)
-//!   ships applied mutations to each shard's backup, keeps read leases
-//!   fresh, and re-seeds not-ready shards from the surviving replica.
+//!   ships applied mutations to each shard's backup — every queued
+//!   record for a backup in one `KV_REPLICATE` batch, up to a fixed
+//!   16 KiB, a staged bulk value alone — keeps read leases fresh, and
+//!   re-seeds not-ready shards from the surviving replica.
 //! * the **SDK** ([`KvClient`] plus the `kv_*` node-level functions)
 //!   called from application threads. An op whose primary is the
 //!   caller's own node is not a message to itself: the client calls
@@ -40,7 +42,7 @@ use chant_core::{ChantError, ChantNode, ClusterBuilder, RsrRequest};
 use chant_rma::{with_rma, RmaNode};
 use chant_ult::UltError;
 
-use crate::ring::{shard_of, Ring};
+use crate::ring::{shard_of, OwnerTable, Ring};
 use crate::state::{
     entry_digest, ClientMark, Entry, Inner, KvConfig, KvState, KvStatsSnapshot, ReplRec,
     ShardState, SnapStash,
@@ -120,9 +122,12 @@ fn addr_of(node: &ChantNode, member: u32) -> Address {
     member_addr(member, node.world().procs_per_pe())
 }
 
-fn ring_of<'a>(node: &ChantNode, st: &'a KvState) -> &'a Ring {
-    st.ring
-        .get_or_init(|| Ring::new(members_of(node), st.config().vnodes))
+/// Every shard's owners, tabulated on first use.
+fn ring_of<'a>(node: &ChantNode, st: &'a KvState) -> &'a OwnerTable {
+    st.owners.get_or_init(|| {
+        let cfg = st.config();
+        OwnerTable::new(Ring::new(members_of(node), cfg.vnodes), cfg.shards.max(1))
+    })
 }
 
 /// Segment layout: per-source replication staging slots first, then
@@ -326,7 +331,7 @@ fn handle_get(
 /// Read `key` at this node, the shard's primary: the primary, ready and
 /// lease checks, then the entry. The one copy of the op, for the RSR
 /// handler and for a client on this node alike.
-fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &Bytes) -> KvReply {
+fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &[u8]) -> KvReply {
     let me = member_index(node);
     let (primary, backup) = ring_of(node, st).owners(shard);
     if primary != me {
@@ -358,66 +363,77 @@ fn serve_get(node: &ChantNode, st: &KvState, shard: u32, key: &Bytes) -> KvReply
     }
 }
 
+/// Apply a batch of replication records at this node, the backup, in
+/// order, each under the per-record rules of [`apply_repl`]. The reply
+/// holds one status per record.
 fn handle_replicate(
     node: &Arc<ChantNode>,
     st: &Arc<KvState>,
     req: RsrRequest,
 ) -> Result<Bytes, ChantError> {
-    let a = match wire::decode_repl(&req.args) {
-        Ok(a) => a,
+    let recs = match wire::decode_repl_batch(&req.args) {
+        Ok(recs) => recs,
         Err(e) => {
             st.stats.malformed.incr();
             return Err(e);
         }
     };
-    // Resolve the staged value *before* taking the state lock — the
-    // read is local (our own segment), but keeps lock scopes minimal.
-    let staged = if a.inline || a.tomb {
-        None
-    } else {
-        match node.rma_segment(KV_SEG) {
-            Some(seg) => match seg.read(a.off, a.len) {
-                Ok(b) => {
+    // Every record's value, resolved *before* taking the state lock — a
+    // staged one is read from our own segment, which is local, but keeps
+    // lock scopes minimal. `None`: the daemon has not registered the
+    // segment yet; the primary will resend.
+    let mut seg = None;
+    let mut vals = Vec::with_capacity(recs.len());
+    for a in &recs {
+        vals.push(if a.tomb {
+            Some(Bytes::new())
+        } else if a.inline {
+            Some(Bytes::copy_from_slice(a.val))
+        } else {
+            match seg.get_or_insert_with(|| node.rma_segment(KV_SEG)) {
+                Some(seg) => {
+                    let v = seg.read(a.off, a.len)?;
                     st.stats.staged_bulk.incr();
-                    Some(b)
+                    Some(v)
                 }
-                Err(e) => return Err(e),
-            },
-            // Daemon has not registered the segment yet; the primary
-            // will resend.
-            None => return reply(status::RETRY, 0),
-        }
-    };
-    let mut inner = st.inner.lock();
-    let Some(sh) = inner.shards.get_mut(&a.shard) else {
-        st.stats.not_ready.incr();
-        return reply(status::RETRY, 0);
-    };
-    if !sh.ready {
-        // Mid-recovery: applying now could be undone by the snapshot
-        // install racing us. Refuse; the primary retries.
-        st.stats.not_ready.incr();
-        return reply(status::RETRY, 0);
+                None => None,
+            }
+        });
     }
+    let mut inner = st.inner.lock();
+    let acks: Vec<u8> = recs
+        .iter()
+        .zip(vals)
+        .map(|(a, val)| apply_repl(st, &mut inner, a, val))
+        .collect();
+    drop(inner);
+    Ok(wire::encode_repl_acks(&acks))
+}
+
+/// Apply one replication record to its shard; the record's status.
+fn apply_repl(st: &KvState, inner: &mut Inner, a: &wire::ReplArgs<'_>, val: Option<Bytes>) -> u8 {
+    // Absent or mid-recovery: applying now could be undone by the
+    // snapshot install racing us. Refuse; the primary retries.
+    let Some(sh) = inner.shards.get_mut(&a.shard).filter(|sh| sh.ready) else {
+        st.stats.not_ready.incr();
+        return status::RETRY;
+    };
     if a.ver <= sh.version {
         // Duplicate of something we already hold (retransmission, or a
         // snapshot already covered it).
-        return reply(status::OK, sh.version);
+        return status::OK;
     }
+    // A gap cannot happen with the in-order daemon (except behind a
+    // record of the same shard refused earlier in the batch), but refuse
+    // rather than silently skip versions.
     if a.ver != sh.version + 1 {
-        // A gap cannot happen with the in-order daemon, but refuse
-        // defensively rather than silently skipping versions.
-        return reply(status::RETRY, sh.version);
+        return status::RETRY;
     }
-    let val = if a.tomb {
-        Bytes::new()
-    } else if a.inline {
-        a.val
-    } else {
-        staged.unwrap_or_default()
+    let Some(val) = val else {
+        return status::RETRY;
     };
     sh.entries.insert(
-        a.key,
+        Bytes::copy_from_slice(a.key),
         Entry {
             ver: a.ver,
             tomb: a.tomb,
@@ -428,18 +444,17 @@ fn handle_replicate(
     sh.replicated = a.ver;
     // Carry the dedup watermark: after failover this backup can replay
     // the reply to a resubmitted op instead of double-applying it.
-    let newer = sh.clients.get(&a.client).is_none_or(|m| a.seq > m.seq);
-    if newer {
+    if sh.clients.get(&a.client).is_none_or(|m| a.seq > m.seq) {
         sh.clients.insert(
             a.client,
             ClientMark {
                 seq: a.seq,
-                reply: a.reply,
+                reply: Bytes::copy_from_slice(a.reply),
             },
         );
     }
     st.stats.repl_applied.incr();
-    reply(status::OK, a.ver)
+    status::OK
 }
 
 fn handle_lease(
@@ -673,7 +688,7 @@ fn kv_loop(node: &Arc<ChantNode>, cfg: KvConfig) {
     // recovery pass seeds it — from the peer replica after a restart,
     // trivially on first boot.
     {
-        let ring = st.ring.get().expect("ring installed above");
+        let ring = st.owners.get().expect("owners installed above");
         let mut inner = st.inner.lock();
         for shard in 0..cfg.shards.max(1) {
             let (p, b) = ring.owners(shard);
@@ -713,7 +728,7 @@ fn recover_pass(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u3
     if pending.is_empty() {
         return;
     }
-    let ring = st.ring.get().expect("ring installed at daemon start");
+    let ring = st.owners.get().expect("owners installed at daemon start");
     for shard in pending {
         let (p, b) = ring.owners(shard);
         let peer = if p == me { b } else { Some(p) };
@@ -807,26 +822,29 @@ fn fetch_snapshot(
     Ok(Fetched::Installed)
 }
 
-/// Ship queued mutations to their backups, strictly in order per shard.
-/// A failed shard (or suspected backup) parks its records back at the
-/// front of the queue; other shards keep flowing.
+/// Largest `KV_REPLICATE` body a drain pass builds: well under the
+/// transport's 64 KiB read and flush buffers. A record larger than this
+/// travels as a batch of one.
+const REPL_BATCH_BYTES: usize = 16 * 1024;
+
+/// Ship queued mutations to their backups, strictly in order per shard:
+/// every backup's records go in batches ([`Outbox`]). A failed shard (or
+/// suspected backup) parks its records back at the front of the queue;
+/// other shards keep flowing.
 fn drain_queue(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32) {
-    let batch: VecDeque<ReplRec> = {
+    let queue: VecDeque<ReplRec> = {
         let mut inner = st.inner.lock();
         std::mem::take(&mut inner.queue)
     };
-    if batch.is_empty() {
+    if queue.is_empty() {
         return;
     }
-    let ring = st.ring.get().expect("ring installed at daemon start");
-    let mut failed: HashSet<u32> = HashSet::new();
-    let mut retry: VecDeque<ReplRec> = VecDeque::new();
-    for rec in batch {
-        if failed.contains(&rec.shard) {
-            retry.push_back(rec);
-            continue;
-        }
-        let (p, b) = ring.owners(rec.shard);
+    let owners = st.owners.get().expect("owners installed at daemon start");
+    // One list per backup, in queue order: a shard has one backup, so
+    // each shard's records keep their order.
+    let mut by_backup: Vec<(u32, Vec<ReplRec>)> = Vec::new();
+    for rec in queue {
+        let (p, b) = owners.owners(rec.shard);
         if p != me {
             continue; // role confusion; membership is static, drop
         }
@@ -837,33 +855,30 @@ fn drain_queue(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32
             }
             continue;
         };
-        if suspected(&st.inner.lock(), backup) {
-            failed.insert(rec.shard);
-            retry.push_back(rec);
-            continue;
+        match by_backup.iter_mut().find(|(m, _)| *m == backup) {
+            Some((_, recs)) => recs.push(rec),
+            None => by_backup.push((backup, vec![rec])),
         }
-        match ship_record(node, st, cfg, me, backup, &rec) {
-            Ok(true) => {
-                let mut inner = st.inner.lock();
-                if let Some(sh) = inner.shards.get_mut(&rec.shard) {
-                    sh.replicated = sh.replicated.max(rec.ver);
-                }
-                st.stats.repl_sent.incr();
-            }
-            Ok(false) => {
-                // Backup said RETRY (recovering): back off this shard
-                // without suspecting the member.
-                st.stats.repl_retries.incr();
-                failed.insert(rec.shard);
-                retry.push_back(rec);
-            }
-            Err(_) => {
-                st.stats.repl_retries.incr();
-                suspect(st, cfg, backup);
-                failed.insert(rec.shard);
-                retry.push_back(rec);
-            }
+    }
+    let mut retry: VecDeque<ReplRec> = VecDeque::new();
+    for (backup, recs) in by_backup {
+        let mut out = Outbox {
+            node,
+            st,
+            cfg,
+            dst: addr_of(node, backup),
+            backup,
+            slot: repl_off(cfg, me),
+            batch: wire::ReplBatch::new(),
+            held: Vec::new(),
+            failed: HashSet::new(),
+            down: suspected(&st.inner.lock(), backup),
+            retry: &mut retry,
+        };
+        for rec in recs {
+            out.ship(rec);
         }
+        out.flush();
     }
     if !retry.is_empty() {
         let mut inner = st.inner.lock();
@@ -875,49 +890,126 @@ fn drain_queue(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32
     }
 }
 
-/// Send one replication record; `Ok(true)` = applied, `Ok(false)` =
-/// backup asked to retry later, `Err` = transport-level failure.
-fn ship_record(
-    node: &Arc<ChantNode>,
-    st: &Arc<KvState>,
-    cfg: &KvConfig,
-    me: u32,
+/// One drain pass's traffic to one backup: the batch being filled, the
+/// records it holds, and which of them must wait for a later pass.
+struct Outbox<'a> {
+    node: &'a ChantNode,
+    st: &'a KvState,
+    cfg: &'a KvConfig,
+    dst: Address,
     backup: u32,
-    rec: &ReplRec,
-) -> Result<bool, ChantError> {
-    let dst = addr_of(node, backup);
-    let inline = rec.tomb || rec.val.len() <= cfg.inline_max;
-    let (off, len) = if inline {
-        (0, 0)
-    } else {
-        // Stage the bulk value into the backup's slot for this source
-        // with a one-sided put; the record then carries (off, len).
-        let off = repl_off(cfg, me);
-        node.rma_put(dst, KV_SEG, off, &rec.val)?;
-        st.stats.staged_bulk.incr();
-        (off, rec.val.len() as u64)
-    };
-    let args = wire::encode_repl(&wire::ReplArgs {
-        shard: rec.shard,
-        ver: rec.ver,
-        client: rec.client,
-        seq: rec.seq,
-        tomb: rec.tomb,
-        inline,
-        off,
-        len,
-        key: rec.key.clone(),
-        reply: rec.reply.clone(),
-        val: if inline { rec.val.clone() } else { Bytes::new() },
-    });
-    let raw = bounded_call(node, cfg, dst, fns::KV_REPLICATE, &args)?;
-    let kr = wire::decode_reply(&raw)?;
-    Ok(kr.status == status::OK)
+    /// This node's staging slot in the backup's segment.
+    slot: u64,
+    batch: wire::ReplBatch,
+    /// The records `batch` encodes, in its order.
+    held: Vec<ReplRec>,
+    /// Shards refused this pass: their later records wait too.
+    failed: HashSet<u32>,
+    /// The backup is suspected, or failed a call this pass.
+    down: bool,
+    retry: &'a mut VecDeque<ReplRec>,
+}
+
+impl Outbox<'_> {
+    /// Add `rec` to the batch, shipping the batch first if `rec` would
+    /// overflow it. A value above `inline_max` is staged into the
+    /// backup's slot for this source (one slot, so one staged record at
+    /// a time) and ships alone, after the batch before it.
+    fn ship(&mut self, rec: ReplRec) {
+        if self.down || self.failed.contains(&rec.shard) {
+            self.retry.push_back(rec);
+            return;
+        }
+        let staged = !rec.tomb && rec.val.len() > self.cfg.inline_max;
+        let (off, len) = if staged {
+            (self.slot, rec.val.len() as u64)
+        } else {
+            (0, 0)
+        };
+        let args = wire::ReplArgs {
+            shard: rec.shard,
+            ver: rec.ver,
+            client: rec.client,
+            seq: rec.seq,
+            tomb: rec.tomb,
+            inline: !staged,
+            off,
+            len,
+            key: &rec.key,
+            reply: &rec.reply,
+            val: if staged { &[] } else { &rec.val },
+        };
+        if staged || self.batch.encoded_len() + args.encoded_len() > REPL_BATCH_BYTES {
+            self.flush();
+            if self.down || self.failed.contains(&rec.shard) {
+                self.retry.push_back(rec);
+                return;
+            }
+        }
+        if staged {
+            if self.node.rma_put(self.dst, KV_SEG, off, &rec.val).is_err() {
+                self.fail_call(vec![rec]);
+                return;
+            }
+            self.st.stats.staged_bulk.incr();
+        }
+        self.batch.push(&args);
+        self.held.push(rec);
+        if staged {
+            self.flush();
+        }
+    }
+
+    /// Ship the batch, if it holds anything, and settle every record in
+    /// it: an applied one advances its shard's `replicated`, a refused
+    /// one — and every later record of its shard — waits.
+    fn flush(&mut self) {
+        if self.held.is_empty() {
+            return;
+        }
+        let body = std::mem::take(&mut self.batch).finish();
+        let held = std::mem::take(&mut self.held);
+        self.st.stats.repl_batches.incr();
+        let raw = match bounded_call(self.node, self.cfg, self.dst, fns::KV_REPLICATE, &body) {
+            Ok(raw) => raw,
+            Err(_) => return self.fail_call(held),
+        };
+        let acks = match wire::decode_repl_acks(&raw) {
+            Ok(acks) if acks.len() == held.len() => acks,
+            _ => return self.fail_call(held),
+        };
+        let mut inner = self.st.inner.lock();
+        for (rec, &ack) in held.into_iter().zip(acks) {
+            if self.failed.contains(&rec.shard) {
+                self.retry.push_back(rec);
+            } else if ack == status::OK {
+                if let Some(sh) = inner.shards.get_mut(&rec.shard) {
+                    sh.replicated = sh.replicated.max(rec.ver);
+                }
+                self.st.stats.repl_sent.incr();
+            } else {
+                // Backup said RETRY (recovering): back off this shard
+                // without suspecting the member.
+                self.st.stats.repl_retries.incr();
+                self.failed.insert(rec.shard);
+                self.retry.push_back(rec);
+            }
+        }
+    }
+
+    /// A call to the backup failed outright: suspect it, and hold
+    /// `recs` and everything after them for a later pass.
+    fn fail_call(&mut self, recs: Vec<ReplRec>) {
+        self.st.stats.repl_retries.incr();
+        suspect(self.st, self.cfg, self.backup);
+        self.down = true;
+        self.retry.extend(recs);
+    }
 }
 
 /// Obtain or refresh read leases for every primary shard with a backup.
 fn renew_leases(node: &Arc<ChantNode>, st: &Arc<KvState>, cfg: &KvConfig, me: u32) {
-    let ring = st.ring.get().expect("ring installed at daemon start");
+    let ring = st.owners.get().expect("owners installed at daemon start");
     let due: Vec<(u32, u32)> = {
         let inner = st.inner.lock();
         inner
@@ -1165,15 +1257,15 @@ impl KvClient {
     pub fn try_get(&self, key: &[u8]) -> Result<KvRead, ChantError> {
         let cfg = self.cfg();
         let shard = shard_of(key, cfg.shards);
-        let key = Bytes::copy_from_slice(key);
         let kr = match self.primary_of(shard) {
             Some(dst) => {
+                let key = Bytes::copy_from_slice(key);
                 let args = wire::encode_get(&wire::GetArgs { shard, key });
                 let raw = bounded_call(&self.node, &cfg, dst, fns::KV_GET, &args)?;
                 wire::decode_reply(&raw)?
             }
             None => {
-                let kr = serve_get(&self.node, &self.st, shard, &key);
+                let kr = serve_get(&self.node, &self.st, shard, key);
                 // A remote op blocks for its reply, so it is a schedule
                 // point; one served in place is not. A thread looping on
                 // own-node keys would hold its lane — no progress turn,
@@ -1377,6 +1469,84 @@ mod tests {
         );
         let end = snap_off(&cfg, members, members - 1) + cfg.snap_slot_bytes as u64;
         assert_eq!(end, seg_size(&cfg, members) as u64);
+    }
+
+    /// A batch is applied record by record: a not-ready shard and a
+    /// version gap are refused for those shards only, every other
+    /// record applies and carries its watermark, and the same batch sent
+    /// again is all duplicates or refusals — no version moves. Each PE
+    /// checks shards it backs, without yielding, so its own daemon (the
+    /// only other writer of that state) cannot run in between.
+    #[test]
+    fn a_batch_refuses_only_its_not_ready_and_gapped_shards() {
+        let cfg = KvConfig {
+            shards: 16,
+            ..KvConfig::default()
+        };
+        let cluster = with_kv_config(chant_core::ChantCluster::builder().pes(2), cfg).build();
+        cluster.run(|node| {
+            kv_await_ready(node, Duration::from_secs(30)).unwrap();
+            let st = kv_state(node);
+            let me = member_index(node);
+            let backed: Vec<u32> = (0..16)
+                .filter(|&s| ring_of(node, &st).owners(s).1 == Some(me))
+                .collect();
+            let [ok, not_ready, gap, ok2, ..] = backed[..] else {
+                panic!("PE {} backs only shards {backed:?}", node.pe());
+            };
+            let version = |shard| st.inner.lock().shards[&shard].version;
+            let base = |shard| version(shard);
+            let rec = |shard, ver, seq| wire::ReplArgs {
+                shard,
+                ver,
+                client: 0xBA7C,
+                seq,
+                tomb: false,
+                inline: true,
+                off: 0,
+                len: 0,
+                key: b"k",
+                reply: b"r",
+                val: b"v",
+            };
+            let mut batch = wire::ReplBatch::new();
+            for a in [
+                rec(ok, base(ok) + 1, 1),
+                rec(not_ready, base(not_ready) + 1, 2),
+                rec(ok, base(ok) + 2, 3),
+                rec(gap, base(gap) + 2, 4),
+                rec(ok2, base(ok2) + 1, 5),
+            ] {
+                batch.push(&a);
+            }
+            let body = batch.finish();
+            let before: Vec<u64> = [ok, not_ready, gap, ok2].map(version).to_vec();
+            let applied = st.stats.repl_applied.get();
+            st.inner.lock().shards.get_mut(&not_ready).unwrap().ready = false;
+            let send = || {
+                let req = RsrRequest {
+                    from: node.self_id(),
+                    fn_id: fns::KV_REPLICATE,
+                    args: body.clone(),
+                };
+                let raw = handle_replicate(node, &st, req).unwrap();
+                wire::decode_repl_acks(&raw).unwrap().to_vec()
+            };
+            use status::{OK, RETRY};
+            assert_eq!(send(), [OK, RETRY, OK, RETRY, OK]);
+            let after: Vec<u64> = [ok, not_ready, gap, ok2].map(version).to_vec();
+            assert_eq!(after, [before[0] + 2, before[1], before[2], before[3] + 1]);
+            assert_eq!(st.stats.repl_applied.get(), applied + 3);
+            // The last applied record's watermark is the one carried.
+            assert_eq!(st.inner.lock().shards[&ok].clients[&0xBA7C].seq, 3);
+
+            // Again: the applied records are duplicates, the refused
+            // ones are refused again.
+            assert_eq!(send(), [OK, RETRY, OK, RETRY, OK]);
+            assert_eq!([ok, not_ready, gap, ok2].map(version).to_vec(), after);
+            assert_eq!(st.stats.repl_applied.get(), applied + 3);
+            st.inner.lock().shards.get_mut(&not_ready).unwrap().ready = true;
+        });
     }
 
     /// The shared op functions keep the exactly-once and lease contracts

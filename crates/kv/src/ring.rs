@@ -114,6 +114,39 @@ impl Ring {
     }
 }
 
+/// Every shard's `(primary, backup)`, computed once from a [`Ring`]:
+/// an op's placement is an index into this table, not a binary search
+/// of the ring. A shard id past the table (a malformed request's) still
+/// answers, from the ring.
+#[derive(Debug)]
+pub struct OwnerTable {
+    ring: Ring,
+    owners: Vec<(u32, Option<u32>)>,
+}
+
+impl OwnerTable {
+    /// Tabulate `ring`'s owners of shards `0..shards`.
+    pub fn new(ring: Ring, shards: u32) -> OwnerTable {
+        let owners = (0..shards).map(|s| ring.owners(s)).collect();
+        OwnerTable { ring, owners }
+    }
+
+    /// The shard's `(primary, backup)` members (see [`Ring::owners`]).
+    #[inline]
+    pub fn owners(&self, shard: u32) -> (u32, Option<u32>) {
+        match self.owners.get(shard as usize) {
+            Some(&o) => o,
+            None => self.ring.owners(shard),
+        }
+    }
+
+    /// The shard's primary member.
+    #[inline]
+    pub fn primary(&self, shard: u32) -> u32 {
+        self.owners(shard).0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +162,21 @@ mod tests {
             let bk = bk.expect("4-member ring must yield a backup");
             assert!(bk < 4);
             assert_ne!(p, bk, "shard {shard}: primary must differ from backup");
+        }
+    }
+
+    #[test]
+    fn the_owner_table_is_the_ring() {
+        for members in 1..=5 {
+            let shards = 64;
+            let table = OwnerTable::new(Ring::new(members, 64), shards);
+            let ring = Ring::new(members, 64);
+            // Past the table too: an out-of-range shard asks the ring.
+            for shard in 0..shards + 8 {
+                let at = format!("{members} members, shard {shard}");
+                assert_eq!(table.owners(shard), ring.owners(shard), "{at}");
+                assert_eq!(table.primary(shard), ring.primary(shard));
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use chant_ult::{UltCondvar, UltMutex, Vp};
 use parking_lot::Mutex;
 
-use crate::ring::Ring;
+use crate::ring::OwnerTable;
 
 /// Tunables for the KV service, set once per cluster through
 /// [`crate::with_kv_config`]. Every process of a multi-process cluster
@@ -180,8 +180,10 @@ chant_obs::counters! {
         not_ready,
         /// Reads refused because the read lease had lapsed.
         no_lease,
-        /// Replication records shipped to the backup.
+        /// Replication records shipped to the backup and applied there.
         repl_sent,
+        /// `KV_REPLICATE` calls made: one per batch of records.
+        repl_batches,
         /// Replication records applied at this node as a backup.
         repl_applied,
         /// Replication records re-shipped after a failed or refused send.
@@ -212,8 +214,8 @@ pub(crate) struct KvState {
     /// Cluster config; first writer wins (daemon and handlers install
     /// the same value).
     pub cfg: OnceLock<KvConfig>,
-    /// The placement ring, built once from the world shape.
-    pub ring: OnceLock<Ring>,
+    /// Every shard's owners, built once from the world shape.
+    pub owners: OnceLock<OwnerTable>,
     /// Shared with the node's counter-family list.
     pub stats: Arc<KvStats>,
     pub inner: Mutex<Inner>,
@@ -272,6 +274,22 @@ mod tests {
         assert_ne!(base, entry_digest(b"k", &e(2, false, b"v")));
         assert_ne!(base, entry_digest(b"k", &e(1, true, b"v")));
         assert_ne!(base, entry_digest(b"k", &e(1, false, b"w")));
+    }
+
+    /// The shard table is searched with the caller's `&[u8]` key; no
+    /// `Bytes` is built for a lookup.
+    #[test]
+    fn entries_are_found_by_a_borrowed_key() {
+        let mut sh = ShardState::default();
+        let e = Entry {
+            ver: 3,
+            tomb: false,
+            val: Bytes::from_static(b"v"),
+        };
+        sh.entries.insert(Bytes::copy_from_slice(b"key"), e);
+        let probe: &[u8] = b"key";
+        assert_eq!(sh.entries.get(probe).map(|e| e.ver), Some(3));
+        assert!(!sh.entries.contains_key(&b"ke"[..]));
     }
 
     #[test]

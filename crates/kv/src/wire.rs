@@ -12,7 +12,7 @@
 //! the transport error space keeps meaning "the call may not have
 //! executed", while a KV status always means "the primary spoke".
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use chant_core::wire::{Reader, Writer};
 use chant_core::ChantError;
 
@@ -122,10 +122,12 @@ pub fn decode_get(buf: &[u8]) -> Result<GetArgs, ChantError> {
     })
 }
 
-/// `KV_REPLICATE` arguments: one applied mutation's post-image plus the
-/// dedup watermark it established, shipped primary→backup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplArgs {
+/// One `KV_REPLICATE` record: an applied mutation's post-image plus the
+/// dedup watermark it established, shipped primary→backup inside a
+/// [`ReplBatch`]. It borrows its byte strings — from the primary's queue
+/// while it is encoded, from the request body while it is decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplArgs<'a> {
     /// Shard the record belongs to.
     pub shard: u32,
     /// The shard version the primary assigned this mutation.
@@ -144,47 +146,118 @@ pub struct ReplArgs {
     /// Staged-value length (`inline == false`).
     pub len: u64,
     /// Key bytes.
-    pub key: Bytes,
+    pub key: &'a [u8],
     /// The cached reply for `(client, seq)` — replayed to a resubmitted
     /// op after failover.
-    pub reply: Bytes,
+    pub reply: &'a [u8],
     /// Inline post-image value (`inline == true`, non-tombstone).
-    pub val: Bytes,
+    pub val: &'a [u8],
 }
 
-/// Encode [`ReplArgs`].
-pub fn encode_repl(a: &ReplArgs) -> Bytes {
-    Writer::new()
-        .u32(a.shard)
-        .u64(a.ver)
-        .u64(a.client)
-        .u64(a.seq)
-        .u8(u8::from(a.tomb))
-        .u8(u8::from(a.inline))
-        .u64(a.off)
-        .u64(a.len)
-        .bytes(&a.key)
-        .bytes(&a.reply)
-        .bytes(&a.val)
-        .finish()
+/// Encoded size of a record's fixed fields and its three length prefixes.
+const REPL_FIXED: usize = 4 + 3 * 8 + 2 + 2 * 8 + 3 * 4;
+
+impl ReplArgs<'_> {
+    /// The record's encoded size inside a batch.
+    pub fn encoded_len(&self) -> usize {
+        REPL_FIXED + self.key.len() + self.reply.len() + self.val.len()
+    }
 }
 
-/// Decode [`ReplArgs`].
-pub fn decode_repl(buf: &[u8]) -> Result<ReplArgs, ChantError> {
+/// A `KV_REPLICATE` body under construction: a `u32` record count, then
+/// the records in shipping order, each encoded straight into the one
+/// buffer as it is pushed.
+pub struct ReplBatch {
+    buf: BytesMut,
+    count: u32,
+}
+
+impl Default for ReplBatch {
+    fn default() -> ReplBatch {
+        ReplBatch::new()
+    }
+}
+
+impl ReplBatch {
+    /// An empty batch.
+    pub fn new() -> ReplBatch {
+        let mut buf = BytesMut::with_capacity(256);
+        buf.put_u32_le(0); // the count, set by `finish`
+        ReplBatch { buf, count: 0 }
+    }
+
+    /// Append one record.
+    pub fn push(&mut self, a: &ReplArgs<'_>) {
+        let b = &mut self.buf;
+        b.put_u32_le(a.shard);
+        b.put_u64_le(a.ver);
+        b.put_u64_le(a.client);
+        b.put_u64_le(a.seq);
+        b.put_u8(u8::from(a.tomb));
+        b.put_u8(u8::from(a.inline));
+        b.put_u64_le(a.off);
+        b.put_u64_le(a.len);
+        for s in [a.key, a.reply, a.val] {
+            b.put_u32_le(s.len() as u32);
+            b.put_slice(s);
+        }
+        self.count += 1;
+    }
+
+    /// Records pushed so far.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Encoded size so far, count included.
+    pub fn encoded_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The finished body.
+    pub fn finish(mut self) -> Bytes {
+        self.buf[..4].copy_from_slice(&self.count.to_le_bytes());
+        self.buf.freeze()
+    }
+}
+
+/// Decode a [`ReplBatch`] body into its records, in order.
+pub fn decode_repl_batch(buf: &[u8]) -> Result<Vec<ReplArgs<'_>>, ChantError> {
+    let bad = |_| truncated("replicate");
     let mut r = Reader::new(buf);
-    Ok(ReplArgs {
-        shard: r.u32().map_err(|_| truncated("replicate"))?,
-        ver: r.u64().map_err(|_| truncated("replicate"))?,
-        client: r.u64().map_err(|_| truncated("replicate"))?,
-        seq: r.u64().map_err(|_| truncated("replicate"))?,
-        tomb: r.u8().map_err(|_| truncated("replicate"))? != 0,
-        inline: r.u8().map_err(|_| truncated("replicate"))? != 0,
-        off: r.u64().map_err(|_| truncated("replicate"))?,
-        len: r.u64().map_err(|_| truncated("replicate"))?,
-        key: Bytes::copy_from_slice(r.bytes().map_err(|_| truncated("replicate"))?),
-        reply: Bytes::copy_from_slice(r.bytes().map_err(|_| truncated("replicate"))?),
-        val: Bytes::copy_from_slice(r.bytes().map_err(|_| truncated("replicate"))?),
-    })
+    let n = r.u32().map_err(bad)?;
+    // Cap pre-allocation by what the buffer could possibly hold, so a
+    // corrupt count cannot balloon.
+    let mut out = Vec::with_capacity((n as usize).min(buf.len() / REPL_FIXED));
+    for _ in 0..n {
+        out.push(ReplArgs {
+            shard: r.u32().map_err(bad)?,
+            ver: r.u64().map_err(bad)?,
+            client: r.u64().map_err(bad)?,
+            seq: r.u64().map_err(bad)?,
+            tomb: r.u8().map_err(bad)? != 0,
+            inline: r.u8().map_err(bad)? != 0,
+            off: r.u64().map_err(bad)?,
+            len: r.u64().map_err(bad)?,
+            key: r.bytes().map_err(bad)?,
+            reply: r.bytes().map_err(bad)?,
+            val: r.bytes().map_err(bad)?,
+        });
+    }
+    Ok(out)
+}
+
+/// Encode a `KV_REPLICATE` reply: one [`status`] per record of the
+/// batch, in the batch's order.
+pub fn encode_repl_acks(acks: &[u8]) -> Bytes {
+    Writer::new().bytes(acks).finish()
+}
+
+/// Decode a `KV_REPLICATE` reply (see [`encode_repl_acks`]).
+pub fn decode_repl_acks(buf: &[u8]) -> Result<&[u8], ChantError> {
+    Reader::new(buf)
+        .bytes()
+        .map_err(|_| truncated("replicate reply"))
 }
 
 /// `KV_LEASE` arguments: the primary asks the backup for a read lease.
@@ -460,17 +533,65 @@ mod tests {
         get: (any::<u32>(), arb_bytes(64)).prop_map(|(shard, key)| GetArgs { shard, key }),
         encode_get, decode_get, every_byte_matters = true
     );
+    /// An owned [`ReplArgs`], for the property battery.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Rec {
+        fixed: (u32, u64, u64, u64, bool, bool, u64, u64),
+        key: Vec<u8>,
+        reply: Vec<u8>,
+        val: Vec<u8>,
+    }
+
+    fn encode_recs(recs: &[Rec]) -> Bytes {
+        let mut batch = ReplBatch::new();
+        for r in recs {
+            let (shard, ver, client, seq, tomb, inline, off, len) = r.fixed;
+            batch.push(&ReplArgs {
+                shard, ver, client, seq, tomb, inline, off, len,
+                key: &r.key, reply: &r.reply, val: &r.val,
+            });
+        }
+        assert_eq!(batch.count() as usize, recs.len());
+        let body = batch.finish();
+        assert_eq!(body.len(), 4 + recs.iter().map(|r| REPL_FIXED + r.key.len() + r.reply.len() + r.val.len()).sum::<usize>());
+        body
+    }
+
+    fn decode_recs(buf: &[u8]) -> Result<Vec<Rec>, ChantError> {
+        Ok(decode_repl_batch(buf)?
+            .into_iter()
+            .map(|a| Rec {
+                fixed: (a.shard, a.ver, a.client, a.seq, a.tomb, a.inline, a.off, a.len),
+                key: a.key.to_vec(),
+                reply: a.reply.to_vec(),
+                val: a.val.to_vec(),
+            })
+            .collect())
+    }
+
+    fn arb_vec(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..max)
+    }
+
     kv_codec!(
-        repl: (
-            (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<bool>(), any::<bool>(), any::<u64>(), any::<u64>()),
-            (arb_bytes(64), arb_bytes(32), arb_bytes(128)),
-        )
-            .prop_map(|((shard, ver, client, seq), (tomb, inline, off, len), (key, reply, val))| {
-                ReplArgs { shard, ver, client, seq, tomb, inline, off, len, key, reply, val }
-            }),
-        encode_repl, decode_repl, every_byte_matters = false
+        repl_batch: proptest::collection::vec(
+            (
+                (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
+                (any::<bool>(), any::<bool>(), any::<u64>(), any::<u64>()),
+                (arb_vec(32), arb_vec(16), arb_vec(64)),
+            )
+                .prop_map(|((shard, ver, client, seq), (tomb, inline, off, len), (key, reply, val))| {
+                    Rec { fixed: (shard, ver, client, seq, tomb, inline, off, len), key, reply, val }
+                }),
+            0..6,
+        ),
+        encode_recs, decode_recs, every_byte_matters = false
     );
+    fn decode_acks(buf: &[u8]) -> Result<Vec<u8>, ChantError> {
+        decode_repl_acks(buf).map(<[u8]>::to_vec)
+    }
+
+    kv_codec!(repl_acks: arb_vec(64), encode_repl_acks, decode_acks, every_byte_matters = true);
     kv_codec!(
         lease: (any::<u32>(), any::<u32>()).prop_map(|(shard, ttl_ms)| LeaseArgs { shard, ttl_ms }),
         encode_lease, decode_lease, every_byte_matters = true

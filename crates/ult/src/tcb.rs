@@ -60,6 +60,10 @@ pub(crate) struct Lifecycle {
     pub joined: bool,
     /// Threads blocked in `join` on this one, to unblock at exit.
     pub joiners: Vec<Arc<Tcb>>,
+    /// Foreign OS threads asleep on `ext_cv` in `join`: exit notifies
+    /// only when there is one (a notify is a syscall even with no
+    /// waiter).
+    pub ext_sleepers: u32,
 }
 
 /// A thread control block.
@@ -104,6 +108,7 @@ impl Tcb {
                 outcome: None,
                 joined: false,
                 joiners: Vec::new(),
+                ext_sleepers: 0,
             }),
             tls: Mutex::new(HashMap::new()),
             wake_token: Mutex::new(false),
@@ -119,11 +124,6 @@ impl Tcb {
     /// dispatcher asks, and the TCB is on no run queue until then).
     pub fn ctx(&self) -> &Context {
         self.ctx.get().expect("TCB without a context")
-    }
-
-    /// Wake any foreign-OS-thread joiners waiting on `ext_cv`.
-    pub fn ext_cv_notify(&self) {
-        self.ext_cv.notify_all();
     }
 
     #[inline]

@@ -148,6 +148,37 @@ fn block_unblock_round_trip() {
     assert_eq!(progressed.load(Ordering::SeqCst), 2);
 }
 
+/// An OS thread that is not a VP's joins a thread still running: it
+/// sleeps on the thread's condvar, and the exit must wake it (exit
+/// notifies only when someone sleeps there).
+#[test]
+fn an_os_thread_asleep_in_join_is_woken_by_the_exit() {
+    let vp = vp();
+    let go = Arc::new(AtomicU32::new(0));
+    let g2 = Arc::clone(&go);
+    let h = vp.spawn(SpawnAttr::new(), move |vp| {
+        while g2.load(Ordering::SeqCst) == 0 {
+            vp.yield_now();
+        }
+        5u32
+    });
+    let lane = {
+        let vp = Arc::clone(&vp);
+        std::thread::spawn(move || vp.start())
+    };
+    let sleepers = h.ext_sleepers();
+    let joiner = std::thread::spawn(move || h.join().unwrap());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while sleepers() == 0 {
+        assert!(std::time::Instant::now() < deadline, "the joiner never went to sleep");
+        std::thread::yield_now();
+    }
+    go.store(1, Ordering::SeqCst);
+    assert_eq!(joiner.join().unwrap(), 5);
+    lane.join().unwrap();
+    assert_eq!(sleepers(), 0);
+}
+
 #[test]
 fn unblock_before_block_leaves_token() {
     let vp = vp();

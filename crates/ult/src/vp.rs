@@ -853,9 +853,13 @@ impl Vp {
             let mut life = me.life.lock();
             life.phase = Phase::Done;
             life.outcome = Some(outcome);
+            // Foreign-OS-thread joiners sleep on `ext_cv`; wake them
+            // under the lock they counted themselves under.
+            if life.ext_sleepers > 0 {
+                me.ext_cv.notify_all();
+            }
             std::mem::take(&mut life.joiners)
         };
-        me.ext_cv_notify();
         for j in joiners {
             self.unblock_tcb(&j);
         }
@@ -1170,6 +1174,15 @@ impl<T: 'static> JoinHandle<T> {
         self.tid
     }
 
+    /// A reader of how many foreign OS threads sleep in `join` on this
+    /// thread, usable after the handle has moved to one of them.
+    #[cfg(test)]
+    pub(crate) fn ext_sleepers(&self) -> impl Fn() -> u32 {
+        let tcb = self.vp.shared.lock().tcbs.get(&self.tid).cloned();
+        let tcb = tcb.expect("the thread is not reaped before its join");
+        move || tcb.life.lock().ext_sleepers
+    }
+
     /// Wait for the thread to finish and return its value. Callable from a
     /// user-level thread of the same VP (blocks cooperatively) or from an
     /// ordinary OS thread (blocks the OS thread).
@@ -1202,7 +1215,9 @@ impl<T: 'static> JoinHandle<T> {
                 // treat the same way: park its OS thread).
                 let mut life = tcb.life.lock();
                 while life.phase != Phase::Done {
+                    life.ext_sleepers += 1;
                     tcb.ext_cv.wait(&mut life);
+                    life.ext_sleepers -= 1;
                 }
             }
         }

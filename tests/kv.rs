@@ -21,6 +21,8 @@
 //! * lease expiry: with renewal off the primary loses its read lease on
 //!   schedule, reads surface `NoLease`, and a manual renewal restores
 //!   local serving;
+//! * batching: a preload's replication backlog ships in far fewer
+//!   `KV_REPLICATE` calls than records, every record applied once;
 //! * mechanism: a get, put or add served by the caller's own node sends
 //!   no message of its own (a get no transport frame either), a read
 //!   served by the other node sends two frames;
@@ -712,6 +714,69 @@ for_each_transport!(a_loop_on_own_node_keys_keeps_its_lane_live, |backend: Backe
             }
         });
     }
+});
+
+// ---------------------------------------------------------------------
+// Replication ships in batches
+// ---------------------------------------------------------------------
+
+// A preload's backlog drains in batches, not one call per record: PE 0
+// writes N keys from thirty-two threads, so the backlog builds faster
+// than one call ships it (the benchmark's set-up does the same),
+// while PE 1 serves; then both drain. Every record reaches
+// its backup (Σ `kv.repl_sent` == N, each put being one record), in
+// fewer than N/10 `KV_REPLICATE` calls, and every backup's digest equals
+// its primary's.
+for_each_transport!(a_preload_replicates_in_batches, |backend: Backend| {
+    const N: u64 = 2000;
+    const LOADERS: u64 = 32;
+    let cluster = with_kv_config(
+        ChantCluster::builder().pes(2).transport(backend.config()),
+        KvConfig {
+            // Values inline, as the benchmark's are.
+            inline_max: 1024,
+            ..fast()
+        },
+    )
+    .build();
+    let totals = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
+    let t = Arc::clone(&totals);
+    cluster.run(move |node| {
+        kv_await_ready(node, PATIENCE).unwrap();
+        let group = main_group(node, 0);
+        let before = kv_stats(node);
+        if node.pe() == 0 {
+            let loaders: Vec<_> = (0..LOADERS)
+                .map(|l| {
+                    node.spawn(SpawnAttr::new(), move |node| {
+                        let mut c = KvClient::new(node);
+                        for i in (l..N).step_by(LOADERS as usize) {
+                            c.put(format!("pre-{i}").as_bytes(), &[7u8; 100]).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for l in loaders {
+                node.remote_join(l).unwrap();
+            }
+        }
+        group.barrier(node).unwrap();
+        kv_drain(node, PATIENCE).unwrap();
+        group.barrier(node).unwrap();
+        assert_replica_parity(node, fast().shards, &format!("{backend:?}"));
+        let after = kv_stats(node);
+        let mut t = t.lock().unwrap();
+        t.0 += after.repl_sent - before.repl_sent;
+        t.1 += after.repl_batches - before.repl_batches;
+        drop(t);
+        group.barrier(node).unwrap();
+    });
+    let (sent, batches) = *totals.lock().unwrap();
+    assert_eq!(sent, N, "[{backend:?}] every record must be shipped and applied once");
+    assert!(
+        batches < N / 10,
+        "[{backend:?}] {N} records took {batches} KV_REPLICATE calls"
+    );
 });
 
 // ---------------------------------------------------------------------
