@@ -700,6 +700,7 @@ fn kv_loop(node: &Arc<ChantNode>, cfg: KvConfig) {
     if members > 1 && node.rma_segment(KV_SEG).is_none() {
         node.rma_register(KV_SEG, seg_size(&cfg, members));
     }
+    let progress = node.world().progress(node.pe());
     loop {
         recover_pass(node, &st, &cfg, me);
         drain_queue(node, &st, &cfg, me);
@@ -707,6 +708,13 @@ fn kv_loop(node: &Arc<ChantNode>, cfg: KvConfig) {
         let (m, cv) = st.park(&st.daemon_park, node.vp());
         let Ok(guard) = m.lock() else { return };
         let _ = cv.wait_timeout(guard, cfg.tick);
+        // A poke comes from a mutation this lane just served, whose reply
+        // may still sit in the lane's send queue, written only when a
+        // round finds nothing to run. Write it now, or it waits out the
+        // pass below.
+        if let Some(p) = &progress {
+            p.flush();
+        }
     }
 }
 
@@ -916,10 +924,6 @@ impl Outbox<'_> {
     /// backup's slot for this source (one slot, so one staged record at
     /// a time) and ships alone, after the batch before it.
     fn ship(&mut self, rec: ReplRec) {
-        if self.down || self.failed.contains(&rec.shard) {
-            self.retry.push_back(rec);
-            return;
-        }
         let staged = !rec.tomb && rec.val.len() > self.cfg.inline_max;
         let (off, len) = if staged {
             (self.slot, rec.val.len() as u64)
@@ -941,10 +945,10 @@ impl Outbox<'_> {
         };
         if staged || self.batch.encoded_len() + args.encoded_len() > REPL_BATCH_BYTES {
             self.flush();
-            if self.down || self.failed.contains(&rec.shard) {
-                self.retry.push_back(rec);
-                return;
-            }
+        }
+        if self.down || self.failed.contains(&rec.shard) {
+            self.retry.push_back(rec);
+            return;
         }
         if staged {
             if self.node.rma_put(self.dst, KV_SEG, off, &rec.val).is_err() {
@@ -1495,7 +1499,6 @@ mod tests {
                 panic!("PE {} backs only shards {backed:?}", node.pe());
             };
             let version = |shard| st.inner.lock().shards[&shard].version;
-            let base = |shard| version(shard);
             let rec = |shard, ver, seq| wire::ReplArgs {
                 shard,
                 ver,
@@ -1511,11 +1514,11 @@ mod tests {
             };
             let mut batch = wire::ReplBatch::new();
             for a in [
-                rec(ok, base(ok) + 1, 1),
-                rec(not_ready, base(not_ready) + 1, 2),
-                rec(ok, base(ok) + 2, 3),
-                rec(gap, base(gap) + 2, 4),
-                rec(ok2, base(ok2) + 1, 5),
+                rec(ok, version(ok) + 1, 1),
+                rec(not_ready, version(not_ready) + 1, 2),
+                rec(ok, version(ok) + 2, 3),
+                rec(gap, version(gap) + 2, 4),
+                rec(ok2, version(ok2) + 1, 5),
             ] {
                 batch.push(&a);
             }

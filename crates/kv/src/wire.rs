@@ -204,11 +204,6 @@ impl ReplBatch {
         self.count += 1;
     }
 
-    /// Records pushed so far.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
     /// Encoded size so far, count included.
     pub fn encoded_len(&self) -> usize {
         self.buf.len()
@@ -542,18 +537,22 @@ mod tests {
         val: Vec<u8>,
     }
 
+    impl Rec {
+        fn args(&self) -> ReplArgs<'_> {
+            let (shard, ver, client, seq, tomb, inline, off, len) = self.fixed;
+            let (key, reply, val) = (&self.key[..], &self.reply[..], &self.val[..]);
+            ReplArgs { shard, ver, client, seq, tomb, inline, off, len, key, reply, val }
+        }
+    }
+
     fn encode_recs(recs: &[Rec]) -> Bytes {
         let mut batch = ReplBatch::new();
         for r in recs {
-            let (shard, ver, client, seq, tomb, inline, off, len) = r.fixed;
-            batch.push(&ReplArgs {
-                shard, ver, client, seq, tomb, inline, off, len,
-                key: &r.key, reply: &r.reply, val: &r.val,
-            });
+            batch.push(&r.args());
         }
-        assert_eq!(batch.count() as usize, recs.len());
         let body = batch.finish();
-        assert_eq!(body.len(), 4 + recs.iter().map(|r| REPL_FIXED + r.key.len() + r.reply.len() + r.val.len()).sum::<usize>());
+        let sizes: usize = recs.iter().map(|r| r.args().encoded_len()).sum();
+        assert_eq!(body.len(), 4 + sizes);
         body
     }
 
