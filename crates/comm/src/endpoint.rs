@@ -91,7 +91,7 @@ impl RecvOwner {
     pub(crate) fn retire(&self) -> bool {
         // Advisory fast path: completed receives left the buckets when
         // they matched (the removal below re-checks under the lock).
-        if self.shared.state.lock().done {
+        if self.shared.is_done() {
             return false;
         }
         let Some(inner) = self.inner.upgrade() else {

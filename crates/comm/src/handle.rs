@@ -7,6 +7,7 @@
 //! NX's `msgtest`/`msgwait`, and [`crate::testany`] is MPI's
 //! `MPI_TEST_ANY`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,7 +26,6 @@ const DRIVE_SLICE: Duration = Duration::from_millis(1);
 
 #[derive(Default)]
 pub(crate) struct RecvState {
-    pub done: bool,
     pub header: Option<Header>,
     pub body: Option<Bytes>,
     /// Completion-list subscription: on completion, push the token onto
@@ -42,6 +42,11 @@ pub(crate) struct RecvState {
 
 pub(crate) struct RecvShared {
     pub state: Mutex<RecvState>,
+    /// Whether the receive has completed. Stored (`Release`) only by
+    /// [`RecvShared::complete`], under `state`, after the message is in
+    /// place; so a test is one `Acquire` load with no lock, and a
+    /// reader holding `state` sees the same answer the lock would give.
+    done: AtomicBool,
     pub cv: Condvar,
 }
 
@@ -49,17 +54,24 @@ impl RecvShared {
     pub fn new() -> Arc<RecvShared> {
         Arc::new(RecvShared {
             state: Mutex::new(RecvState::default()),
+            done: AtomicBool::new(false),
             cv: Condvar::new(),
         })
+    }
+
+    /// Whether the receive has completed (one load, no lock).
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
     }
 
     /// Deliver a message into this receive and mark it complete.
     pub fn complete(&self, header: Header, body: Bytes) {
         let mut st = self.state.lock();
-        debug_assert!(!st.done, "receive completed twice");
+        debug_assert!(!self.is_done(), "receive completed twice");
         st.header = Some(header);
         st.body = Some(body);
-        st.done = true;
+        self.done.store(true, Ordering::Release);
         let notify = st.notify.take();
         if st.sleepers > 0 {
             self.cv.notify_all();
@@ -77,7 +89,7 @@ impl RecvShared {
     /// pushed immediately, so the subscriber cannot miss the event.
     pub fn subscribe(&self, inner: &Arc<CompletionInner>, token: u64) {
         let mut st = self.state.lock();
-        if st.done {
+        if self.is_done() {
             inner.ready.lock().push_back(token);
         } else {
             debug_assert!(
@@ -123,7 +135,7 @@ impl RecvHandle {
     /// Test for completion, counting one `msgtest` call (NX `msgdone`).
     pub fn msgtest(&self) -> bool {
         self.stats.msgtests.incr();
-        let done = self.shared.state.lock().done;
+        let done = self.shared.is_done();
         if !done {
             self.stats.msgtest_failures.incr();
         }
@@ -137,7 +149,7 @@ impl RecvHandle {
     /// [`testany`](crate::testany()) and by bookkeeping that the paper's
     /// counters must not see (e.g. re-checking after a successful test).
     pub fn is_complete(&self) -> bool {
-        self.shared.state.lock().done
+        self.shared.is_done()
     }
 
     /// Block the calling **OS thread** until completion (NX `msgwait`).
@@ -168,7 +180,7 @@ impl RecvHandle {
         let drive = self.owner.as_ref().and_then(|o| o.transport_to_drive());
         loop {
             let mut st = self.shared.state.lock();
-            if st.done {
+            if self.shared.is_done() {
                 return true;
             }
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
@@ -215,7 +227,7 @@ impl RecvHandle {
     /// `None` again after the first successful claim.
     pub fn take(&self) -> Option<(Header, Bytes)> {
         let mut st = self.shared.state.lock();
-        if !st.done {
+        if !self.shared.is_done() {
             return None;
         }
         match (st.header.take(), st.body.take()) {

@@ -152,6 +152,14 @@ impl ClusterBuilder {
     /// non-idempotent ones (`fetch_add`, remote spawn) an undersized
     /// window under duplication breaks exactly-once, so raise the knob
     /// for high-rate one-sided workloads on faulty links.
+    ///
+    /// The overrun does not need many ops in flight: a duplicate the
+    /// network *delays* (the fault shim holds one up to `dup_delay_ns`)
+    /// arrives after its original has run, and if the same client node
+    /// has sent a window's worth of newer requests meanwhile — even one
+    /// at a time — the original's entry is gone and the duplicate runs
+    /// again. The server counts each request it runs as new with a seq
+    /// below the lowest its full window holds as `rsr.below_window`.
     pub fn rsr_dedup_window(mut self, window: usize) -> ClusterBuilder {
         self.dedup_window = window.max(1);
         self

@@ -167,6 +167,8 @@ impl SchedulerHook for WqHook {
         let Some(vp) = self.vp.lock().as_ref().and_then(std::sync::Weak::upgrade) else {
             return;
         };
+        // Every thread whose receive completed is woken in one batch.
+        let mut woken = Vec::new();
         match &mut *self.table.lock() {
             WqTable::Testany { set, owner, by_tid } => {
                 // One msgtestany call per completed request (plus a final
@@ -183,7 +185,7 @@ impl SchedulerHook for WqHook {
                             owner.remove(&sibling);
                         }
                     }
-                    let _ = vp.unblock(tid);
+                    woken.push(tid);
                 }
             }
             WqTable::Nx(entries) => {
@@ -198,12 +200,15 @@ impl SchedulerHook for WqHook {
                         // (wait-any); drop its other entries so it is
                         // woken exactly once.
                         entries.retain(|(t, _)| *t != tid);
-                        let _ = vp.unblock(tid);
+                        woken.push(tid);
                     } else {
                         i += 1;
                     }
                 }
             }
+        }
+        if !woken.is_empty() {
+            vp.unblock_all(&woken);
         }
     }
 

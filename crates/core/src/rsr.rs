@@ -141,6 +141,11 @@ chant_obs::counters! {
         dup_dropped,
         /// Duplicate requests answered from the cached-reply window.
         dup_replayed,
+        /// Requests run as new although their seq lies below the lowest
+        /// one their client's full dedup window still holds: either a
+        /// late original, or a duplicate whose entry was evicted and so
+        /// ran twice. The window cannot tell the two apart.
+        below_window,
         /// Malformed RSR bodies dropped by the server.
         malformed,
     }
@@ -214,6 +219,11 @@ impl RsrState {
             Some(DedupEntry::Pending) => DedupVerdict::InFlight,
             Some(DedupEntry::Completed(b)) => DedupVerdict::Replay(b.clone()),
             None => {
+                if win.len() >= self.window
+                    && win.first_key_value().is_some_and(|(&low, _)| seq < low)
+                {
+                    self.stats.below_window.incr();
+                }
                 win.insert(seq, DedupEntry::Pending);
                 // Overrun semantics: the oldest entries are evicted, so a
                 // duplicate of a request older than the window is treated

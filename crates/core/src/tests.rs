@@ -1242,6 +1242,29 @@ fn dedup_window_evicts_oldest_seq_first() {
 }
 
 #[test]
+fn a_request_below_a_full_window_is_counted() {
+    use crate::rsr::{DedupVerdict, RsrState};
+    use chant_comm::Address;
+
+    let st = RsrState::new(None, 2);
+    let client = Address::new(0, 0);
+    // Out of order while the window still has room: nothing was
+    // evicted, so a lower seq is plainly new.
+    assert!(matches!(st.dedup_begin(client, 5), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(client, 4), DedupVerdict::New));
+    assert_eq!(st.stats.below_window.get(), 0);
+    // Full: seq 6 evicts 4. A request for 4 — the evicted one's
+    // delayed duplicate, or a late original — runs as new, and counts.
+    assert!(matches!(st.dedup_begin(client, 6), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(client, 4), DedupVerdict::New));
+    assert_eq!(st.stats.below_window.get(), 1);
+    // Inside the window nothing counts: a duplicate, and a new top seq.
+    assert!(matches!(st.dedup_begin(client, 6), DedupVerdict::InFlight));
+    assert!(matches!(st.dedup_begin(client, 7), DedupVerdict::New));
+    assert_eq!(st.stats.below_window.get(), 1);
+}
+
+#[test]
 fn dedup_window_is_clamped_to_at_least_one() {
     use crate::rsr::{DedupVerdict, RsrState};
     use chant_comm::Address;

@@ -46,6 +46,19 @@ impl Counter {
         self.add(1);
     }
 
+    /// Add one to a counter that only one thread ever writes: a load and
+    /// a store, no locked read-modify-write. Readers on other threads
+    /// still see a torn-free, monotone value. Two writers racing here
+    /// would lose increments, so a counter bumped this way must never
+    /// also be bumped by another thread (with either method).
+    #[inline]
+    pub fn incr_local(&self) {
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_add(1),
+            Ordering::Relaxed,
+        );
+    }
+
     /// Current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

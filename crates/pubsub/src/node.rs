@@ -28,7 +28,7 @@ use chant_core::{ChantError, ChantNode, ClusterBuilder};
 use chant_ult::{current_tid, Vp};
 
 use crate::state::{
-    Arrival, Inner, Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStatsSnapshot, SubSlot,
+    Arrival, Inner, Pending, PubsubConfig, PubsubMsg, PubsubState, PubsubStatsSnapshot, SlotRef,
 };
 use crate::tree;
 use crate::wire::{self, topic_tag, AckFrame, DataFrame, SubUpdate};
@@ -260,13 +260,13 @@ fn process_routed(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame, body: 
     st.inner.lock().pending.insert((f.topic, f.origin, f.seq), hop);
 }
 
-/// Push a new frame into every local subscriber's queue in one pass
+/// Push a new frame into every attached subscriber slot in one pass
 /// under the state lock, then wake the subscribers that were blocked
-/// waiting for it, in subscription order.
+/// waiting for it, in subscription order, as one batch.
 fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame) {
     let waiters: Vec<_> = {
-        let mut inner = st.inner.lock();
-        let Some(slots) = inner.local.get_mut(&f.topic) else {
+        let inner = st.inner.lock();
+        let Some(slots) = inner.local.get(&f.topic) else {
             return;
         };
         let msg = PubsubMsg {
@@ -282,18 +282,17 @@ fn deliver_local(node: &ChantNode, st: &Arc<PubsubState>, f: &DataFrame) {
         st.stats.delivered.add(slots.len() as u64);
         trace_deliver(node, st, f, slots.len());
         slots
-            .values_mut()
-            .filter_map(|slot| {
+            .iter()
+            .filter_map(|(_, slot)| {
+                let mut slot = slot.lock();
                 slot.items.push_back(msg.clone());
                 slot.waiter.take()
             })
             .collect()
     };
-    for tid in waiters {
-        // A waiter that has exited since (cancelled, say) is no longer
-        // there to wake: nothing to do.
-        let _ = node.vp().unblock(tid);
-    }
+    // A waiter that has exited since (cancelled, say) is no longer there
+    // to wake: `unblock_all` skips it.
+    node.vp().unblock_all(&waiters);
 }
 
 /// The relay's timer work: retransmit or expire due hops, send the
@@ -448,11 +447,13 @@ pub trait PubsubNode {
 impl PubsubNode for ChantNode {
     fn subscribe(&self, topic: u64) -> Result<Subscriber, ChantError> {
         let st = pubsub_state(self);
+        let slot = SlotRef::default();
         let id = {
             let mut inner = st.inner.lock();
             inner.next_sub_id += 1;
             let id = inner.next_sub_id;
-            inner.local.entry(topic).or_default().insert(id, SubSlot::default());
+            // Ids only grow, so pushing keeps the list in id order.
+            inner.local.entry(topic).or_default().push((id, Arc::clone(&slot)));
             id
         };
         if let Err(e) = announce(self, &st, topic) {
@@ -467,6 +468,7 @@ impl PubsubNode for ChantNode {
         Ok(Subscriber {
             topic,
             id,
+            slot,
             state: st,
             vp: Arc::clone(self.vp()),
             not_sync: PhantomData,
@@ -525,7 +527,9 @@ impl PubsubNode for ChantNode {
 /// Remove subscriber `id`'s slot, queued messages and all (idempotent).
 fn detach(inner: &mut Inner, topic: u64, id: u64) {
     if let Some(subs) = inner.local.get_mut(&topic) {
-        subs.remove(&id);
+        if let Ok(i) = subs.binary_search_by_key(&id, |(sid, _)| *sid) {
+            subs.remove(i);
+        }
         if subs.is_empty() {
             // No more resyncs for this topic; the home's expiry (or an
             // explicit unsubscribe) retires the registration.
@@ -545,6 +549,9 @@ fn detach(inner: &mut Inner, topic: u64, id: u64) {
 pub struct Subscriber {
     topic: u64,
     id: u64,
+    /// This subscription's queue and waiter slot; the node's registry
+    /// holds the same `Arc` while the subscription is attached.
+    slot: SlotRef,
     state: Arc<PubsubState>,
     /// The node's VP, which `recv` blocks on and deliveries wake on.
     vp: Arc<Vp>,
@@ -570,7 +577,7 @@ impl Subscriber {
 
     /// Take the next queued message without blocking.
     pub fn try_recv(&self) -> Result<Option<PubsubMsg>, ChantError> {
-        Ok(self.with_slot(|slot| slot.items.pop_front()))
+        Ok(self.slot.lock().items.pop_front())
     }
 
     /// Unsubscribe: detach the queue and tell the topic's home the new
@@ -590,11 +597,12 @@ impl Subscriber {
         let me = current_tid().ok_or(ChantError::NotChantContext)?;
         loop {
             let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            let next = self.with_slot(|slot| {
+            let next = {
+                let mut slot = self.slot.lock();
                 let next = slot.items.pop_front();
                 slot.waiter = (next.is_none() && !expired).then_some(me);
                 next
-            });
+            };
             if let Some(m) = next {
                 return Ok(m);
             }
@@ -604,16 +612,6 @@ impl Subscriber {
                 None => self.vp.block(),
             }
         }
-    }
-
-    fn with_slot<R>(&self, f: impl FnOnce(&mut SubSlot) -> R) -> R {
-        let mut inner = self.state.inner.lock();
-        let slot = inner
-            .local
-            .get_mut(&self.topic)
-            .and_then(|subs| subs.get_mut(&self.id))
-            .expect("a live Subscriber keeps its slot");
-        f(slot)
     }
 }
 
@@ -697,5 +695,58 @@ mod tests {
         let inner = st.inner.lock();
         assert_eq!(inner.registry[&7][&from].count, 0);
         assert_eq!(inner.registry[&7][&from].version, 6);
+    }
+
+    /// Many subscribers of one node, each blocked in `recv` on its own
+    /// slot: every publish reaches each of them once and in order, woken
+    /// as one batch. A dropped subscriber's slot leaves the registry, so
+    /// it receives nothing more and `pubsub.delivered` stops counting it.
+    #[test]
+    fn blocked_subscribers_on_one_vp_each_receive_every_publish_in_order() {
+        use chant_core::ChantCluster;
+        use chant_ult::{SpawnAttr, ThreadState};
+        const TOPIC: u64 = 5;
+        const SUBS: u64 = 24;
+        const MSGS: u64 = 10;
+        const HALF: u64 = MSGS / 2;
+        let cluster = crate::with_pubsub(ChantCluster::builder().pes(1)).build();
+        cluster.run(|node| {
+            let vp = node.vp();
+            let before = node.pubsub_stats().delivered;
+            let receivers: Vec<_> = (0..SUBS)
+                .map(|_| {
+                    let sub = node.subscribe(TOPIC).unwrap();
+                    vp.spawn(SpawnAttr::new(), move |_| {
+                        (0..MSGS)
+                            .map(|_| sub.recv().expect("a live subscription receives").seq)
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            let quitter = node.subscribe(TOPIC).unwrap();
+            let blocked = |h: &chant_ult::JoinHandle<Vec<u64>>| {
+                vp.thread_info(h.tid()).map(|i| i.state) == Some(ThreadState::Blocked)
+            };
+            while !receivers.iter().all(blocked) {
+                vp.yield_now();
+            }
+            for i in 1..=HALF {
+                assert_eq!(node.publish(TOPIC, &i.to_le_bytes()).unwrap(), i);
+            }
+            for i in 1..=HALF {
+                let m = quitter.try_recv().unwrap().expect("attached while published");
+                assert_eq!((m.seq, &m.payload[..]), (i, &i.to_le_bytes()[..]));
+            }
+            assert!(quitter.try_recv().unwrap().is_none());
+            drop(quitter);
+            for i in HALF + 1..=MSGS {
+                node.publish(TOPIC, &i.to_le_bytes()).unwrap();
+            }
+            for h in receivers {
+                assert_eq!(h.join().unwrap(), (1..=MSGS).collect::<Vec<_>>());
+            }
+            let delivered = node.pubsub_stats().delivered - before;
+            assert_eq!(delivered, SUBS * MSGS + HALF, "only attached slots are counted");
+        });
     }
 }

@@ -4,13 +4,16 @@
 //!
 //! One [`PubsubState`] exists per node, installed through
 //! [`chant_core::ChantNode::extension`]; the SDK threads, the RSR
-//! subscription handler, and the relay daemon all share it. Everything
-//! mutable sits behind one host-level `parking_lot::Mutex` that is never
-//! held across an engine wait or a ULT block: a subscriber is a queue and
-//! a waiter slot under that lock, and a blocked `recv` is woken with
-//! `Vp::unblock` after the deliverer has released it.
+//! subscription handler, and the relay daemon all share it. The node's
+//! state sits behind one host-level `parking_lot::Mutex` that is never
+//! held across an engine wait or a ULT block. A subscriber's queue and
+//! waiter slot are its own: a [`SubSlot`] behind a mutex of its own,
+//! shared by the [`crate::Subscriber`] and the node's registry, so a
+//! `recv` locks only its slot. The deliverer locks the node state and
+//! then each attached slot; blocked subscribers are woken in one
+//! `Vp::unblock_all` after it has released both.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -189,14 +192,17 @@ pub(crate) struct SubSlot {
     pub waiter: Option<Tid>,
 }
 
+/// A subscriber slot as the subscriber and the registry both hold it.
+pub(crate) type SlotRef = Arc<Mutex<SubSlot>>;
+
 /// Everything guarded by the host-level state lock.
 #[derive(Default)]
 pub(crate) struct Inner {
     /// Home-side registry: topic → registrant node → entry.
     pub registry: HashMap<u64, HashMap<Address, RegEntry>>,
-    /// Local subscribers by topic, then by subscriber id (ascending id
-    /// is subscription order, which is the wake order).
-    pub local: HashMap<u64, BTreeMap<u64, SubSlot>>,
+    /// Local subscribers by topic: `(subscriber id, slot)` in ascending
+    /// id, which is subscription order and the wake order.
+    pub local: HashMap<u64, Vec<(u64, SlotRef)>>,
     /// This node's per-topic subscription-update version counter.
     pub sub_version: HashMap<u64, u64>,
     /// This node's per-topic publish sequence counter.

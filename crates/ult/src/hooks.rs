@@ -18,6 +18,13 @@
 //! The paper notes that "some thread packages may not allow modification
 //! of the scheduler activities"; this crate deliberately does, since that
 //! is precisely the design space being measured.
+//!
+//! A VP's hooks are installed before its lane starts
+//! ([`crate::Vp::install_hook`], which panics afterwards) and are fixed
+//! from then on: the scheduler reads the set at every schedule point
+//! with one load — no lock, no refcount — because it cannot change
+//! under it. A policy is chosen when its node is built, so nothing
+//! needs to swap hooks on a running lane.
 
 use std::sync::Arc;
 
@@ -75,8 +82,8 @@ pub enum DispatchDecision {
 /// with the passage of time arms a timer ([`crate::Vp::timer_arm`]).
 pub trait SchedulerHook: Send + Sync {
     /// Called at every schedule point, before the ready queue is examined.
-    /// A WQ-style hook scans its request list here and calls
-    /// [`crate::Vp::unblock`] for each thread whose message has arrived.
+    /// A WQ-style hook scans its request list here and wakes every thread
+    /// whose message has arrived ([`crate::Vp::unblock_all`]).
     fn at_schedule_point(&self);
 
     /// Called for a candidate thread popped from the ready queue, before

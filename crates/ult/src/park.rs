@@ -13,7 +13,8 @@
 //!   fd (a transport's epoll set). Elsewhere: a mutex and a condvar.
 //! * [`Timers`] — one per VP. The deadlines timed waits are waiting for,
 //!   nearest first, so a parked lane knows how long it may sleep and a
-//!   schedule point knows (from one atomic load) whether anything is due.
+//!   schedule point knows (from one atomic load and the clock reading it
+//!   took anyway) whether anything is due.
 //!
 //! # The lost-wake-up argument
 //!
@@ -216,8 +217,8 @@ pub(crate) struct Timers {
     armed: Mutex<BTreeMap<(Instant, u64), Arc<Tcb>>>,
     seq: AtomicU64,
     /// The nearest deadline, in ns since `epoch` ([`NO_TIMER`] = none),
-    /// so a schedule point with nothing due pays one load and — only
-    /// while a timer is armed — one clock read.
+    /// so a schedule point with nothing due pays one load, compared with
+    /// the clock reading it already holds.
     next_ns: AtomicU64,
     epoch: Instant,
 }
@@ -284,21 +285,19 @@ impl Timers {
         self.next_ns.load(Ordering::SeqCst) != NO_TIMER
     }
 
-    /// Fire every due timer, calling `fire` for each thread (under the
-    /// timer lock — see [`Timers::disarm`]). Returns how many fired.
-    pub fn expire(&self, mut fire: impl FnMut(&Arc<Tcb>)) -> usize {
+    /// Fire every timer due by `now` (a [`Timers::now_ns`] reading the
+    /// caller already took: a schedule point reads the clock once),
+    /// calling `fire` for each thread (under the timer lock — see
+    /// [`Timers::disarm`]). Returns how many fired.
+    pub fn expire(&self, now: u64, mut fire: impl FnMut(&Arc<Tcb>)) -> usize {
         let next = self.next_ns.load(Ordering::Relaxed);
-        if next == NO_TIMER {
-            return 0;
-        }
-        let now = Instant::now();
-        if self.ns(now) < next {
+        if next == NO_TIMER || now < next {
             return 0;
         }
         let mut armed = self.armed.lock();
         let mut fired = 0;
         while let Some(entry) = armed.first_entry() {
-            if entry.key().0 > now {
+            if self.ns(entry.key().0) > now {
                 break;
             }
             fire(&entry.remove());
@@ -361,10 +360,10 @@ mod tests {
         let (_mid, nearest) = t.arm(now + Duration::from_millis(20), tcb(3));
         assert!(!nearest);
         assert!(t.until_next().unwrap() <= Duration::from_millis(5));
-        assert_eq!(t.expire(|_| panic!("nothing is due yet")), 0);
+        assert_eq!(t.expire(t.now_ns(), |_| panic!("nothing is due yet")), 0);
         std::thread::sleep(Duration::from_millis(25));
         let mut order = Vec::new();
-        assert_eq!(t.expire(|tcb| order.push(tcb.id)), 2);
+        assert_eq!(t.expire(t.now_ns(), |tcb| order.push(tcb.id)), 2);
         assert_eq!(order, vec![2, 3]);
         t.disarm(soon); // already fired: no-op
         t.disarm(late);

@@ -4,6 +4,12 @@
 //! of complete context switches performed", and the total number of
 //! `msgtest` calls. The first two are properties of the thread scheduler
 //! and are counted here; `msgtest` counts live in `chant-comm`.
+//!
+//! The per-switch counters — all but `unblocks`, `spawned` and
+//! `exited` — are written only by the VP's lane and bumped with the
+//! single-writer [`chant_obs::Counter::incr_local`]. `unblocks` and
+//! `spawned` may be written from any OS thread (a waker, a spawner), so
+//! they use `incr`/`add`; `exited`, once per thread, keeps `incr` too.
 
 chant_obs::counters! {
     /// Monotonic counters describing one VP's scheduling activity.

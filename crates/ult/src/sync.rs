@@ -252,12 +252,10 @@ impl UltCondvar {
         wake_first_alive(&self.vp, &mut w);
     }
 
-    /// Wake all waiting threads.
+    /// Wake all waiting threads, as one batch ([`Vp::unblock_all`]).
     pub fn notify_all(&self) {
-        let all: Vec<Tid> = self.waiters.lock().drain(..).collect();
-        for t in all {
-            let _ = self.vp.unblock(t);
-        }
+        let mut all = std::mem::take(&mut *self.waiters.lock());
+        self.vp.unblock_all(all.make_contiguous());
     }
 }
 
@@ -304,9 +302,7 @@ impl UltBarrier {
                 let to_wake: Vec<Tid> =
                     st.arrived.drain(..).filter(|&t| t != me).collect();
                 drop(st);
-                for t in to_wake {
-                    let _ = self.vp.unblock(t);
-                }
+                self.vp.unblock_all(&to_wake);
                 return Ok(true);
             }
         }
@@ -527,9 +523,8 @@ impl<T: ?Sized> UltRwLock<T> {
             wake_first_alive(&self.vp, &mut st.waiting_writers);
         } else {
             st.waiting_writers.clear();
-            for t in st.waiting_readers.drain(..) {
-                let _ = self.vp.unblock(t);
-            }
+            self.vp.unblock_all(st.waiting_readers.make_contiguous());
+            st.waiting_readers.clear();
         }
     }
 }

@@ -82,8 +82,14 @@ pub(crate) struct Tcb {
     /// completing a switch to this thread.
     pub pending: Mutex<Option<Box<dyn PendingPoll>>>,
     pub life: Mutex<Lifecycle>,
+    /// Set once, under `life`, when the thread reaches [`Phase::Done`]:
+    /// the dispatcher tells a stale run-queue entry from a live one with
+    /// one load instead of the `life` lock.
+    pub done: AtomicBool,
     /// Wakeup token consumed by `block` if an `unblock` raced ahead of it.
-    pub wake_token: Mutex<bool>,
+    /// Read and written only under `life`; atomic so that costs no second
+    /// lock.
+    pub wake_token: AtomicBool,
     /// Condvar (paired with `life`) for joiners on foreign OS threads.
     pub ext_cv: Condvar,
     /// Thread-local data slots (pthread_key style), keyed by TlsKey id.
@@ -111,7 +117,8 @@ impl Tcb {
                 ext_sleepers: 0,
             }),
             tls: Mutex::new(HashMap::new()),
-            wake_token: Mutex::new(false),
+            done: AtomicBool::new(false),
+            wake_token: AtomicBool::new(false),
             ext_cv: Condvar::new(),
             blocked_at_ns: std::sync::atomic::AtomicU64::new(0),
         })

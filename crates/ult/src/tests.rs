@@ -193,6 +193,78 @@ fn unblock_before_block_leaves_token() {
     assert_eq!(h.join().unwrap(), 42);
 }
 
+/// One batch over every kind of target: a Blocked thread is made ready
+/// once, a Ready one and the Running caller each get a token, and a
+/// Done thread and an unknown tid are skipped.
+#[test]
+fn unblock_all_readies_the_blocked_and_leaves_the_rest_a_token() {
+    use crate::ThreadState;
+    let vp = vp();
+    let h = vp.spawn(SpawnAttr::new(), |vp| {
+        let me = crate::current_tid().unwrap();
+        let wakes = Arc::new(AtomicU32::new(0));
+        let w = Arc::clone(&wakes);
+        let blocked = vp.spawn(SpawnAttr::new(), move |vp| {
+            vp.block();
+            w.fetch_add(1, Ordering::SeqCst);
+            vp.block();
+        });
+        let done = vp.spawn(SpawnAttr::new(), |_| ());
+        vp.yield_now(); // `blocked` blocks, `done` finishes
+        let passed = Arc::new(AtomicU32::new(0));
+        let p = Arc::clone(&passed);
+        let ready = vp.spawn(SpawnAttr::new(), move |vp| {
+            vp.block(); // the token makes this return at once
+            p.store(1, Ordering::SeqCst);
+        });
+        let state = |t| vp.thread_info(t).map(|i| i.state);
+        assert_eq!(state(blocked.tid()), Some(ThreadState::Blocked));
+        assert_eq!(state(done.tid()), Some(ThreadState::Done));
+        assert_eq!(state(ready.tid()), Some(ThreadState::Ready));
+
+        let before = vp.stats().snapshot().unblocks;
+        let tids = [blocked.tid(), me, ready.tid(), done.tid(), 9_999];
+        assert_eq!(vp.unblock_all(&tids), 4, "every tid but the unknown one");
+        assert_eq!(vp.stats().snapshot().unblocks - before, 1, "one thread was Blocked");
+        assert_eq!(state(blocked.tid()), Some(ThreadState::Ready));
+        assert_eq!(state(done.tid()), Some(ThreadState::Done));
+
+        // Our own token: this block returns without a switch.
+        vp.block();
+        assert_eq!(wakes.load(Ordering::SeqCst), 0, "nothing else ran");
+
+        for _ in 0..4 {
+            vp.yield_now();
+        }
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "made ready exactly once");
+        assert_eq!(state(blocked.tid()), Some(ThreadState::Blocked));
+        assert_eq!(passed.load(Ordering::SeqCst), 1, "the Ready thread kept its token");
+
+        vp.unblock(blocked.tid()).unwrap();
+        blocked.join().unwrap();
+        done.join().unwrap();
+        ready.join().unwrap();
+        assert_eq!(vp.unblock(9_999), Err(UltError::NoSuchThread(9_999)));
+    });
+    vp.start();
+    h.join().unwrap();
+}
+
+/// The hook set is fixed when the lane starts: a hook installed later
+/// would never be read, so installing one is refused.
+#[test]
+fn install_hook_after_start_panics() {
+    let vp = vp();
+    vp.install_hook(Arc::new(crate::NullHook));
+    vp.run(|_| ()).unwrap();
+    let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        vp.install_hook(Arc::new(crate::NullHook));
+    }));
+    let msg = late.expect_err("a hook installed after start must panic");
+    let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(msg.contains("fixed once the VP has started"), "{msg}");
+}
+
 #[test]
 fn cancel_terminates_at_next_yield() {
     let vp = vp();

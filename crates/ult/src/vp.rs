@@ -36,7 +36,8 @@
 //! fires the timers that are due and otherwise **parks its OS thread**
 //! until the nearest armed deadline or [`Vp::wake`] (see [`crate::park`]
 //! for the parker and why no wake-up is lost). Everything that can make
-//! a thread runnable ends the park: [`Vp::unblock`], [`Vp::spawn`],
+//! a thread runnable ends the park: [`Vp::unblock`] /
+//! [`Vp::unblock_all`], [`Vp::spawn`],
 //! [`Vp::cancel`], [`Vp::set_priority`], a timer, the last thread's
 //! exit — and, from outside
 //! the VP, whoever completes what a scheduler hook is polling for calls
@@ -47,6 +48,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::os::raw::c_int;
 use std::panic::{self, AssertUnwindSafe};
@@ -54,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::attr::{Priority, SpawnAttr};
 use crate::config::VpConfig;
@@ -64,7 +66,7 @@ use crate::error::{JoinError, UltError};
 use crate::hooks::{DispatchDecision, HookRef, PendingPoll};
 use crate::park::{Parker, TimerKey, Timers, Woke};
 use crate::stats::VpStats;
-use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
+use crate::tcb::{Outcome, Phase, Tcb, Tid, MAIN_TID};
 
 /// How long a hook-free VP with every live thread blocked and no timer
 /// armed must go without a single wake-up before it is declared
@@ -159,10 +161,33 @@ pub struct ThreadInfo {
     pub detached: bool,
 }
 
+/// The directory's hasher: tids are small sequential integers, so one
+/// multiply (Fibonacci hashing) spreads them over the table's buckets
+/// and control bytes alike, where SipHash's resistance to chosen keys
+/// buys nothing and costs a wake-up tens of ns.
+#[derive(Default)]
+struct TidHasher(u64);
+
+impl Hasher for TidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Thread directory and lifecycle bookkeeping. Deliberately holds no
 /// run queue, so ready-queue traffic never contends on this lock.
 struct Shared {
-    tcbs: HashMap<Tid, Arc<Tcb>>,
+    tcbs: HashMap<Tid, Arc<Tcb>, BuildHasherDefault<TidHasher>>,
     next_tid: Tid,
     /// Threads not yet Done.
     live: usize,
@@ -170,6 +195,105 @@ struct Shared {
     /// Threads blocked in [`Vp::wait_live_at_most`], with the live count
     /// each is waiting for; woken by the exit that reaches it.
     exit_watchers: Vec<(Arc<Tcb>, usize)>,
+}
+
+/// The ready queue, one FIFO per priority class, plus the candidates
+/// the current scheduling round has held aside.
+#[derive(Default)]
+struct RunQueue {
+    classes: [VecDeque<Arc<Tcb>>; Priority::LEVELS],
+    /// Partially switched candidates of the round in progress, in the
+    /// order they were examined; empty between rounds. Only the lane
+    /// touches it, and it keeps its capacity, so holding a candidate
+    /// aside allocates nothing once the lane has warmed up.
+    aside: Vec<Arc<Tcb>>,
+}
+
+impl RunQueue {
+    fn push(&mut self, tcb: Arc<Tcb>) {
+        self.classes[tcb.priority().index()].push_back(tcb);
+    }
+
+    /// Pop the frontmost thread of the highest non-empty priority class.
+    fn pop(&mut self) -> Option<Arc<Tcb>> {
+        self.classes.iter_mut().rev().find_map(VecDeque::pop_front)
+    }
+
+    fn len(&self) -> usize {
+        self.classes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Requeue every held-aside candidate, in the order it was examined.
+    fn restore_aside(&mut self) {
+        let RunQueue { classes, aside } = self;
+        for t in aside.drain(..) {
+            classes[t.priority().index()].push_back(t);
+        }
+    }
+}
+
+/// A batch of wake-ups: each thread's `life` lock in turn, one run-queue
+/// lock for every thread the batch makes ready (taken at the first), and
+/// one lane wake at the end.
+struct Wakes<'a> {
+    vp: &'a Vp,
+    queue: Option<MutexGuard<'a, RunQueue>>,
+    readied: u64,
+}
+
+impl<'a> Wakes<'a> {
+    fn new(vp: &'a Vp) -> Wakes<'a> {
+        Wakes {
+            vp,
+            queue: None,
+            readied: 0,
+        }
+    }
+
+    /// Make `tcb` ready if it is Blocked. A Ready or Running thread gets
+    /// a wake token instead when `token` is set (its next `block` returns
+    /// at once); a Done one is skipped.
+    fn offer(&mut self, tcb: &Arc<Tcb>, token: bool) {
+        let mut life = tcb.life.lock();
+        match life.phase {
+            Phase::Blocked => {
+                life.phase = Phase::Ready;
+                // Lock order: run queue before `life`. A thread that is
+                // Ready but not yet queued is invisible to the lane
+                // until the push below, and to every other waker only a
+                // token target.
+                drop(life);
+                let vp = self.vp;
+                self.queue
+                    .get_or_insert_with(|| vp.ready.lock())
+                    .push(Arc::clone(tcb));
+                self.readied += 1;
+                if let Some(o) = &vp.obs {
+                    let now = o.lane.now_ns();
+                    o.blocked_ns
+                        .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
+                    o.lane
+                        .emit_at(now, chant_obs::Event::Unblock { thread: tcb.id });
+                }
+            }
+            Phase::Done => {}
+            // Token set under `life`, pairing with `block`'s
+            // check-under-`life`: the wakeup cannot fall between its
+            // token test and its Blocked store.
+            _ if token => tcb.wake_token.store(true, Ordering::Relaxed),
+            _ => {}
+        }
+    }
+
+    /// Release the run queue and wake the lane once, if anything was
+    /// made ready.
+    fn finish(self) {
+        drop(self.queue);
+        if self.readied > 0 {
+            self.vp.stats.unblocks.add(self.readied);
+            self.vp.wake();
+        }
+    }
 }
 
 /// A virtual processor hosting cooperative user-level threads.
@@ -184,8 +308,8 @@ pub struct Vp {
     ///
     /// Entries are the TCBs themselves, so a dispatch candidate costs no
     /// directory lookup; an entry whose thread has since finished is
-    /// recognised by `phase == Done` and skipped.
-    ready: Mutex<[VecDeque<Arc<Tcb>>; Priority::LEVELS]>,
+    /// recognised by its `done` flag and skipped.
+    ready: Mutex<RunQueue>,
     /// Where the lane sleeps when a round finds nothing.
     parker: Parker,
     /// When the lane last ran the progress turn (ns on the timers'
@@ -197,10 +321,11 @@ pub struct Vp {
     /// The context of the OS thread inside [`Vp::start`], while there is
     /// one: what the last exit switches back to.
     host: Mutex<Option<Context>>,
-    /// Installed scheduler hooks. Kept as a shared slice so the hot
-    /// scheduling loop snapshots with one refcount bump and iterates
-    /// with no extra indirection or allocation.
-    hooks: RwLock<Arc<[HookRef]>>,
+    /// Hooks installed so far; moved into `hooks` when the lane starts.
+    staged_hooks: Mutex<Vec<HookRef>>,
+    /// The scheduler hooks, fixed from the first [`Vp::start`] on: the
+    /// scheduling loop reads them with one load, no lock and no refcount.
+    hooks: OnceLock<Box<[HookRef]>>,
     /// Deadlines of timed waits.
     timers: Timers,
     /// The external event source the lane drives, once installed.
@@ -247,7 +372,7 @@ impl Vp {
         Arc::new(Vp {
             cfg,
             shared: Mutex::new(Shared {
-                tcbs: HashMap::new(),
+                tcbs: HashMap::default(),
                 next_tid: MAIN_TID,
                 live: 0,
                 shutdown: false,
@@ -258,7 +383,8 @@ impl Vp {
             last_turn_ns: AtomicU64::new(0),
             last_sched_ns: AtomicU64::new(0),
             host: Mutex::new(None),
-            hooks: RwLock::new(Arc::from(Vec::new())),
+            staged_hooks: Mutex::new(Vec::new()),
+            hooks: OnceLock::new(),
             timers: Timers::new(),
             progress: OnceLock::new(),
             kind,
@@ -285,21 +411,33 @@ impl Vp {
     }
 
     /// Install a scheduler hook. Hooks run at every schedule point in
-    /// installation order; see [`crate::SchedulerHook`].
+    /// installation order; see [`crate::SchedulerHook`]. The set is fixed
+    /// when the lane starts, so every hook is installed before the first
+    /// [`Vp::start`].
+    ///
+    /// # Panics
+    /// Once [`Vp::start`] has been called.
     pub fn install_hook(&self, hook: Arc<dyn crate::SchedulerHook>) {
-        let mut guard = self.hooks.write();
-        let mut v: Vec<HookRef> = guard.to_vec();
-        v.push(hook);
-        *guard = Arc::from(v);
+        let mut staged = self.staged_hooks.lock();
+        assert!(
+            self.hooks.get().is_none(),
+            "scheduler hooks are fixed once the VP has started"
+        );
+        staged.push(hook);
     }
 
-    /// Remove all scheduler hooks.
-    pub fn clear_hooks(&self) {
-        *self.hooks.write() = Arc::from(Vec::new());
+    /// Fix the hook set (the first `start` does; later calls keep it).
+    fn seal_hooks(&self) {
+        let mut staged = self.staged_hooks.lock();
+        let _ = self
+            .hooks
+            .set(std::mem::take(&mut *staged).into_boxed_slice());
     }
 
-    fn hooks_snapshot(&self) -> Arc<[HookRef]> {
-        Arc::clone(&self.hooks.read())
+    /// The fixed hook set. Empty before the first `start` — when nothing
+    /// runs a schedule point anyway.
+    fn hooks(&self) -> &[HookRef] {
+        self.hooks.get().map_or(&[], |h| h)
     }
 
     // ------------------------------------------------------------------
@@ -397,65 +535,26 @@ impl Vp {
         self.timers.disarm(key);
     }
 
-    /// Fire every due timer: blocked owners become ready. Called at each
-    /// schedule point, just before the round that will find them.
-    fn expire_timers(&self) {
-        let mut woke = false;
-        self.timers.expire(|tcb| {
-            // Never a wake token: a thread that is not blocked has no
-            // wait for this timer to end.
-            let life = tcb.life.lock();
-            if life.phase == Phase::Blocked {
-                self.make_ready(tcb, life);
-                woke = true;
-            }
-        });
-        if woke {
-            self.wake();
-        }
-    }
-
-    /// Make a thread found Blocked ready (`life` is its held lifecycle
-    /// lock) and queue it. Does not wake the lane — callers do, once,
-    /// after their last push.
-    fn make_ready(&self, tcb: &Arc<Tcb>, mut life: MutexGuard<'_, Lifecycle>) {
-        debug_assert_eq!(life.phase, Phase::Blocked);
-        life.phase = Phase::Ready;
-        drop(life);
-        self.push_ready(tcb);
-        self.stats.unblocks.incr();
-        if let Some(o) = &self.obs {
-            let now = o.lane.now_ns();
-            o.blocked_ns
-                .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
-            o.lane.emit_at(now, chant_obs::Event::Unblock { thread: tcb.id });
-        }
+    /// Fire every timer due by `now`: blocked owners become ready.
+    /// Called at each schedule point, just before the round that will
+    /// find them.
+    fn expire_timers(&self, now: u64) {
+        let mut wakes = Wakes::new(self);
+        // Never a wake token: a thread that is not blocked has no wait
+        // for this timer to end.
+        self.timers.expire(now, |tcb| wakes.offer(tcb, false));
+        wakes.finish();
     }
 
     // ------------------------------------------------------------------
-    // Run-queue plumbing. Lock discipline: never hold the `shared` lock
-    // and the run-queue lock at the same time, and never hold either
-    // while taking a TCB's `life` lock — each helper takes exactly one.
+    // Run-queue plumbing. Lock order: the directory (`shared`), then the
+    // run queue, then a TCB's `life`; nothing takes a lock that comes
+    // before one it holds.
     // ------------------------------------------------------------------
 
     /// Queue a ready thread.
     fn push_ready(&self, tcb: &Arc<Tcb>) {
-        self.ready.lock()[tcb.priority().index()].push_back(Arc::clone(tcb));
-    }
-
-    /// Pop the frontmost thread of the highest non-empty priority class.
-    fn pop_ready(&self) -> Option<Arc<Tcb>> {
-        let mut q = self.ready.lock();
-        for class in q.iter_mut().rev() {
-            if let Some(t) = class.pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn ready_len(&self) -> usize {
-        self.ready.lock().iter().map(VecDeque::len).sum()
+        self.ready.lock().push(Arc::clone(tcb));
     }
 
     /// Spawn a user-level thread on this VP. May be called from outside
@@ -539,6 +638,7 @@ impl Vp {
             !current::is_ult_context(),
             "Vp::start must not be called from a user-level thread"
         );
+        self.seal_hooks();
         let host = Host::enter(self.kind);
         {
             let mut slot = self.host.lock();
@@ -585,7 +685,7 @@ impl Vp {
     pub fn yield_now(self: &Arc<Vp>) {
         let me = self.current_tcb();
         self.testcancel_tcb(&me);
-        self.stats.yields.incr();
+        self.stats.yields.incr_local();
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Yield { thread: me.id });
         }
@@ -627,7 +727,10 @@ impl Vp {
             if me.cancel_requested.load(Ordering::Relaxed) {
                 return; // re-checked below; don't sleep through a cancel
             }
-            if std::mem::take(&mut *me.wake_token.lock()) {
+            // Under `life`, as every write of the token is: a load and a
+            // store, no atomic exchange.
+            if me.wake_token.load(Ordering::Relaxed) {
+                me.wake_token.store(false, Ordering::Relaxed);
                 return; // consume a pending wakeup token
             }
             // A timer only ever wakes a thread it finds Blocked, and it
@@ -644,7 +747,7 @@ impl Vp {
             }
             life.phase = Phase::Blocked;
         }
-        self.stats.blocks.incr();
+        self.stats.blocks.incr_local();
         if let Some(o) = &self.obs {
             o.emit(chant_obs::Event::Block { thread: me.id });
         }
@@ -654,36 +757,41 @@ impl Vp {
 
     /// Make a blocked thread ready again. If the target is not currently
     /// blocked, a wakeup token is left for its next [`Vp::block`]. May be
-    /// called from any OS thread, including scheduler hooks.
+    /// called from any OS thread, including scheduler hooks. The
+    /// one-thread case of [`Vp::unblock_all`].
     pub fn unblock(&self, tid: Tid) -> Result<(), UltError> {
-        let tcb = self
-            .shared
-            .lock()
-            .tcbs
-            .get(&tid)
-            .cloned()
-            .ok_or(UltError::NoSuchThread(tid))?;
-        self.unblock_tcb(&tcb);
-        Ok(())
+        match self.unblock_all(&[tid]) {
+            0 => Err(UltError::NoSuchThread(tid)),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`Vp::unblock`] every thread of `tids`, in order, as one batch:
+    /// one directory lock, each thread's lifecycle lock in turn, one
+    /// run-queue lock for every thread made ready, and one lane wake. A
+    /// Blocked thread becomes ready; a Ready or Running one gets a wakeup
+    /// token; a finished one, and a tid the VP does not know, is skipped.
+    /// Returns how many of `tids` the VP knew. May be called from any OS
+    /// thread, including scheduler hooks.
+    pub fn unblock_all(&self, tids: &[Tid]) -> usize {
+        let shared = self.shared.lock();
+        let mut wakes = Wakes::new(self);
+        let mut known = 0;
+        for tcb in tids.iter().filter_map(|tid| shared.tcbs.get(tid)) {
+            known += 1;
+            wakes.offer(tcb, true);
+        }
+        drop(shared);
+        wakes.finish();
+        known
     }
 
     /// [`Vp::unblock`] for callers that already hold the TCB (joiner and
     /// watcher lists): no directory lookup.
     fn unblock_tcb(&self, tcb: &Arc<Tcb>) {
-        let life = tcb.life.lock();
-        match life.phase {
-            Phase::Blocked => {
-                self.make_ready(tcb, life);
-                self.wake();
-            }
-            Phase::Done => {}
-            _ => {
-                // Token set under `life`, pairing with `block`'s
-                // check-under-`life`: the wakeup cannot fall between its
-                // token test and its Blocked store.
-                *tcb.wake_token.lock() = true;
-            }
-        }
+        let mut wakes = Wakes::new(self);
+        wakes.offer(tcb, true);
+        wakes.finish();
     }
 
     /// Store a pending poll request in the calling thread's TCB (the PS
@@ -852,6 +960,7 @@ impl Vp {
         let joiners: Vec<Arc<Tcb>> = {
             let mut life = me.life.lock();
             life.phase = Phase::Done;
+            me.done.store(true, Ordering::Release);
             life.outcome = Some(outcome);
             // Foreign-OS-thread joiners sleep on `ext_cv`; wake them
             // under the lock they counted themselves under.
@@ -888,10 +997,48 @@ impl Vp {
             .expect("an exiting thread always has a successor")
     }
 
-    /// Whether a popped queue entry is worth examining: `false` for the
-    /// stale entry of a thread that has since exited.
-    fn is_live(tcb: &Tcb) -> bool {
-        tcb.life.lock().phase != Phase::Done
+    /// One round over the run queue: examine at most one queue's length
+    /// of candidates and return the first one to run — with every
+    /// candidate held aside before it already back in the queue — or
+    /// `None` (everything requeued, nothing queued).
+    ///
+    /// A partially switched candidate is held aside until the round ends,
+    /// so a high-priority thread with an unready pending request cannot
+    /// monopolize the round; it is retried next round, after the
+    /// schedule-point hooks have run again. One lock reads the length
+    /// and pops the first candidate, one holds a candidate aside and pops
+    /// the next, one puts the held-aside back; none is held while a hook
+    /// looks at a candidate.
+    fn pick_next(&self, hooks: &[HookRef], wants_check: bool) -> Option<Arc<Tcb>> {
+        let mut q = self.ready.lock();
+        let round_len = q.len().max(1);
+        let mut held_aside = false;
+        for _ in 0..round_len {
+            let Some(tcb) = q.pop() else { break };
+            drop(q);
+            // A stale entry: the thread exited after it was queued.
+            let decision = (!tcb.done.load(Ordering::Acquire))
+                .then(|| self.dispatch_decision(hooks, wants_check, &tcb));
+            if decision == Some(DispatchDecision::Run) {
+                if held_aside {
+                    self.ready.lock().restore_aside();
+                }
+                return Some(tcb);
+            }
+            if decision == Some(DispatchDecision::Requeue) {
+                self.stats.partial_switches.incr_local();
+                if let Some(o) = &self.obs {
+                    o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
+                }
+                q = self.ready.lock();
+                q.aside.push(tcb);
+                held_aside = true;
+            } else {
+                q = self.ready.lock();
+            }
+        }
+        q.restore_aside();
+        None
     }
 
     /// Run the pre-dispatch hooks for a candidate (the PS partial-switch
@@ -935,10 +1082,14 @@ impl Vp {
     /// dispatching it is a self-redispatch, not a second resume.
     fn reschedule(self: &Arc<Vp>, me: Option<&Arc<Tcb>>, dep: Departure) -> Option<Context> {
         let parker = &self.parker;
+        let hooks = self.hooks();
         let mut idle_traced = false;
         loop {
-            self.stats.schedule_points.incr();
+            self.stats.schedule_points.incr_local();
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
+            // The schedule point's one clock read: the progress interval,
+            // `yield_if_due`'s stamp and the timers all use it, so a
+            // timer that falls due during the turn fires next round.
             let now = self.timers.now_ns();
             self.last_sched_ns.store(now, Ordering::Relaxed);
             // Before the scan: what the turn delivers, this round sees
@@ -947,64 +1098,19 @@ impl Vp {
             // From here on, whatever a waker publishes is either seen by
             // this round's scan or leaves a token that voids the park.
             parker.begin_scan();
-            self.expire_timers();
-            let hooks = self.hooks_snapshot();
-            for h in hooks.iter() {
+            self.expire_timers(now);
+            for h in hooks {
                 h.at_schedule_point();
             }
             let wants_check = hooks.iter().any(|h| h.wants_dispatch_check());
 
-            // Examine at most one full round of the queue;
-            // requeued (partially switched) candidates are held aside
-            // until the round ends so a high-priority thread with an
-            // unready pending request cannot monopolize the round, then
-            // retried next round after the schedule-point hooks have run
-            // again.
-            let round_len = self.ready_len();
-            let mut deferred: Vec<Arc<Tcb>> = Vec::new();
-            let mut dispatched = false;
-            let mut successor = None;
-            let mut examined = 0usize;
-            while examined < round_len.max(1) {
-                let Some(tcb) = self.pop_ready() else { break };
-                examined += 1;
-                if !Self::is_live(&tcb) {
-                    continue;
-                }
-                match self.dispatch_decision(&hooks, wants_check, &tcb) {
-                    DispatchDecision::Requeue => {
-                        self.stats.partial_switches.incr();
-                        if let Some(o) = &self.obs {
-                            o.emit(chant_obs::Event::PartialSwitch { thread: tcb.id });
-                        }
-                        deferred.push(tcb);
-                    }
-                    DispatchDecision::Run => {
-                        // Requeue the partially-switched candidates before
-                        // handing off, or they would be lost.
-                        for t in deferred.drain(..) {
-                            self.push_ready(&t);
-                        }
-                        successor = self.dispatch_to(&tcb, me, dep);
-                        dispatched = true;
-                        break;
-                    }
-                }
-            }
-            if !dispatched && !deferred.is_empty() {
-                for t in deferred.drain(..) {
-                    self.push_ready(&t);
-                }
-            }
-
-            if dispatched {
+            if let Some(next) = self.pick_next(hooks, wants_check) {
+                let successor = self.dispatch_to(&next, me, dep);
                 // Attribute the search cost only for rounds that found a
                 // thread; sleeping is accounted by `idle_spins`.
-                if let Some(o) = &self.obs {
-                    if let Some(start) = sched_start_ns {
-                        o.sched_point_ns
-                            .record(o.lane.now_ns().saturating_sub(start));
-                    }
+                if let (Some(o), Some(start)) = (&self.obs, sched_start_ns) {
+                    o.sched_point_ns
+                        .record(o.lane.now_ns().saturating_sub(start));
                 }
                 return successor;
             }
@@ -1037,7 +1143,7 @@ impl Vp {
                 }
                 let unattended =
                     hooks.is_empty() && until_timer.is_none() && self.progress.get().is_none();
-                self.stats.idle_spins.incr();
+                self.stats.idle_spins.incr_local();
                 // One Idle event per idle *period*, not per park.
                 if !std::mem::replace(&mut idle_traced, true) {
                     if let Some(o) = &self.obs {
@@ -1130,7 +1236,7 @@ impl Vp {
         if me.is_some_and(|me| me.id == next.id) {
             // "The scheduler simply returns without having to perform a
             // context switch" (paper §4.1).
-            self.stats.self_redispatches.incr();
+            self.stats.self_redispatches.incr_local();
             if let Some(o) = &self.obs {
                 o.emit(chant_obs::Event::Dispatch {
                     thread: next.id,
@@ -1140,7 +1246,7 @@ impl Vp {
             debug_assert!(dep != Departure::Exit, "exiting thread re-dispatched");
             return None;
         }
-        self.stats.full_switches.incr();
+        self.stats.full_switches.incr_local();
         // Emit before switching: the incoming thread's events must follow
         // its Dispatch in the lane.
         if let Some(o) = &self.obs {

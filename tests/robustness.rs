@@ -331,7 +331,12 @@ fn lossy_four_node_rpc_is_exactly_once() {
         .map(|(i, _)| i)
         .collect();
     assert!(lost.is_empty(), "lost ops: {lost:?}");
-    assert!(doubled.is_empty(), "doubly-applied ops: {doubled:?}");
+    assert!(
+        doubled.is_empty(),
+        "doubly-applied ops: {doubled:?} (rsr.below_window = {}: requests run as new \
+         below a full dedup window)",
+        report.counter("rsr.below_window")
+    );
 
     let faults = report.faults.expect("shim was installed");
     assert!(
