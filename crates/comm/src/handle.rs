@@ -42,10 +42,15 @@ pub(crate) struct RecvState {
 
 pub(crate) struct RecvShared {
     pub state: Mutex<RecvState>,
-    /// Whether the receive has completed. Stored (`Release`) only by
+    /// Whether the receive has completed. Stored only by
     /// [`RecvShared::complete`], under `state`, after the message is in
-    /// place; so a test is one `Acquire` load with no lock, and a
-    /// reader holding `state` sees the same answer the lock would give.
+    /// place; so a test is one load with no lock, and a reader holding
+    /// `state` sees the same answer the lock would give. `SeqCst` on
+    /// both sides: a lane's idle scan tests it between its parker's
+    /// `begin_scan` and `park`, and the parker's no-lost-wake-up
+    /// argument needs every word the scan reads to be behind a lock the
+    /// publisher takes or in the one `SeqCst` order (`chant_ult`'s
+    /// `park` module). On x86-64 the load is a plain load either way.
     done: AtomicBool,
     pub cv: Condvar,
 }
@@ -62,7 +67,7 @@ impl RecvShared {
     /// Whether the receive has completed (one load, no lock).
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+        self.done.load(Ordering::SeqCst)
     }
 
     /// Deliver a message into this receive and mark it complete.
@@ -71,7 +76,7 @@ impl RecvShared {
         debug_assert!(!self.is_done(), "receive completed twice");
         st.header = Some(header);
         st.body = Some(body);
-        self.done.store(true, Ordering::Release);
+        self.done.store(true, Ordering::SeqCst);
         let notify = st.notify.take();
         if st.sleepers > 0 {
             self.cv.notify_all();

@@ -23,9 +23,9 @@
 //! A waker is: publish the work, [`Parker::unpark`]. All operations on
 //! the state word are `SeqCst`, so they sit in one total order with each
 //! other. Suppose the scan missed a publication. Everything the scan
-//! reads is either behind a lock the publisher also takes (run queues,
-//! a receive's completion state) or itself a `SeqCst` word (the nearest
-//! timer deadline), so the scan's read preceding the publication puts
+//! reads is either behind a lock the publisher also takes (run queues)
+//! or itself a `SeqCst` word (the nearest timer deadline, a receive's
+//! completion flag), so the scan's read preceding the publication puts
 //! `begin_scan` before the waker's `unpark` in that order. The unpark
 //! then either finds `PARKED` and signals the sleeper — an eventfd
 //! write stays pending until the sleeper's `epoll_pwait2` reports it, a
