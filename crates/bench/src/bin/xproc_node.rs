@@ -13,7 +13,7 @@
 //! real sockets: each rank fires `CHANT_XPROC_OPS` (default 250)
 //! non-idempotent counted RSRs at its right neighbour through a lossy
 //! loopback shim (1% drop + 1% dup, seed from `CHANT_FAULT_SEED`),
-//! with retry/backoff and the server-side dedup window keeping the
+//! with retry/backoff and the server-side dedup table keeping the
 //! effects exactly-once. On success the process verifies:
 //!
 //! 1. its local counter shows each neighbour op exactly once;

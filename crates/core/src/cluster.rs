@@ -23,8 +23,7 @@ use crate::naming::NamingMode;
 use crate::poll::PollingPolicy;
 use crate::ranges;
 use crate::rsr::{
-    HandlerTable, RetryPolicy, RsrHandler, RsrRequest, RsrStatsSnapshot, DEFAULT_DEDUP_WINDOW,
-    SERVER_FN_USER_BASE,
+    HandlerTable, RetryPolicy, RsrHandler, RsrRequest, RsrStatsSnapshot, SERVER_FN_USER_BASE,
 };
 use crate::RecvSrc;
 
@@ -43,7 +42,6 @@ pub struct ClusterBuilder {
     server: bool,
     faults: Option<FaultConfig>,
     retry: Option<RetryPolicy>,
-    dedup_window: usize,
     transport: TransportConfig,
     profile: CommProfile,
     telemetry: Option<Duration>,
@@ -67,7 +65,6 @@ impl ClusterBuilder {
             server: true,
             faults: None,
             retry: None,
-            dedup_window: DEFAULT_DEDUP_WINDOW,
             transport: TransportConfig::InProcess,
             profile: CommProfile::NATIVE,
             telemetry: std::env::var(crate::telemetry::INTERVAL_ENV)
@@ -137,31 +134,6 @@ impl ClusterBuilder {
     /// wait forever, the pre-robustness semantics). See [`RetryPolicy`].
     pub fn rsr_retry(mut self, policy: RetryPolicy) -> ClusterBuilder {
         self.retry = Some(policy);
-        self
-    }
-
-    /// How many request sequence numbers each node's server remembers
-    /// *per client node* for exactly-once dedup (default 64; clamped to
-    /// ≥ 1). Size it to at least the number of remote ops a single
-    /// client node may have in flight toward one server.
-    ///
-    /// **Overrun semantics:** the window evicts oldest-first, so a
-    /// duplicate of a request that has since fallen out of the window is
-    /// indistinguishable from a new request and is *re-executed*. For
-    /// idempotent ops (RMA get/put) that is harmless; for
-    /// non-idempotent ones (`fetch_add`, remote spawn) an undersized
-    /// window under duplication breaks exactly-once, so raise the knob
-    /// for high-rate one-sided workloads on faulty links.
-    ///
-    /// The overrun does not need many ops in flight: a duplicate the
-    /// network *delays* (the fault shim holds one up to `dup_delay_ns`)
-    /// arrives after its original has run, and if the same client node
-    /// has sent a window's worth of newer requests meanwhile — even one
-    /// at a time — the original's entry is gone and the duplicate runs
-    /// again. The server counts each request it runs as new with a seq
-    /// below the lowest its full window holds as `rsr.below_window`.
-    pub fn rsr_dedup_window(mut self, window: usize) -> ClusterBuilder {
-        self.dedup_window = window.max(1);
         self
     }
 
@@ -346,7 +318,6 @@ impl ClusterBuilder {
                     self.naming,
                     self.policy,
                     self.retry.clone(),
-                    self.dedup_window,
                     Arc::clone(&entries),
                     Arc::clone(&handlers),
                 ));

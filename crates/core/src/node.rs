@@ -73,7 +73,7 @@ pub struct ChantNode {
     pub(crate) exits: Mutex<HashMap<Tid, ExitRecord>>,
     /// Deferred JOIN repliers: `(joiner, reply_token, request_seq)` per
     /// still-running thread. The seq rides along so the reply can be
-    /// cached in the dedup window when it is finally sent.
+    /// cached in the dedup table when it is finally sent.
     pub(crate) exit_waiters: Mutex<HashMap<Tid, Vec<JoinWaiter>>>,
     /// Threads detached before exiting: their exit record is discarded.
     pub(crate) detach_requested: Mutex<std::collections::HashSet<Tid>>,
@@ -99,7 +99,6 @@ impl ChantNode {
         naming: NamingMode,
         policy: PollingPolicy,
         retry: Option<RetryPolicy>,
-        dedup_window: usize,
         entries: Arc<HashMap<String, EntryFn>>,
         handlers: Arc<HandlerTable>,
     ) -> Arc<ChantNode> {
@@ -136,7 +135,7 @@ impl ChantNode {
             engine,
             entries,
             handlers,
-            rsr: RsrState::new(retry, dedup_window),
+            rsr: RsrState::new(retry),
             exits: Mutex::new(HashMap::new()),
             exit_waiters: Mutex::new(HashMap::new()),
             detach_requested: Mutex::new(std::collections::HashSet::new()),
@@ -364,11 +363,9 @@ impl ChantNode {
                     )))
                 };
                 let sent = self.send_rsr_reply(joiner, token, seq, &reply);
-                // The deferred reply resolves the window's Pending entry;
+                // The deferred reply resolves the table's Pending entry;
                 // cache it so a lost reply can be re-requested.
-                if seq != 0 {
-                    self.rsr.dedup_complete(joiner.address(), seq, sent);
-                }
+                self.rsr.dedup_complete(joiner.address(), seq, sent);
             }
         }
     }

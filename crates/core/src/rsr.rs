@@ -25,8 +25,8 @@
 //! possible ... without having to interrupt a computation thread
 //! prematurely".
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +79,7 @@ pub(crate) type HandlerTable = HashMap<u32, RsrHandler>;
 /// [`ChantError::NodeUnreachable`] (node dead or partitioned).
 ///
 /// Retransmissions reuse the request's sequence number, so the server's
-/// dedup window guarantees the op executes at most once even when the
+/// dedup table guarantees the op executes at most once even when the
 /// transport duplicates or the client re-sends.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
@@ -104,16 +104,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Default for how many per-client request sequence numbers the server
-/// remembers (overridable with
-/// [`crate::ClusterBuilder::rsr_dedup_window`]). A retransmission can
-/// only arrive while its original is younger than the window: with
-/// in-order-ish links and ≤ `max_attempts` duplicates per op, 64
-/// outstanding ops per client node is far beyond what the paper's
-/// workloads generate — but high-rate one-sided (RMA) traffic can
-/// overrun it, which is why it became a knob.
-pub(crate) const DEFAULT_DEDUP_WINDOW: usize = 64;
-
 enum DedupEntry {
     /// Executing now, or a deferred reply (JOIN) not yet sent: duplicates
     /// are dropped so the op cannot run twice or double-register.
@@ -124,8 +114,55 @@ enum DedupEntry {
 
 pub(crate) enum DedupVerdict {
     New,
-    InFlight,
+    /// In flight, or below the client's floor: not run, not answered.
+    Dropped,
     Replay(Bytes),
+}
+
+/// A server's dedup table for one client node: every request at or
+/// above `floor` (the largest `low` that client has sent), pending or
+/// with its cached reply. Below the floor the client awaits nothing, so
+/// no entry is kept and any request is refused.
+#[derive(Default)]
+struct ClientTable {
+    floor: u64,
+    entries: BTreeMap<u64, DedupEntry>,
+}
+
+/// Client side: the seqs this node has issued since its oldest call
+/// still awaiting a reply. Seqs are consecutive, so `done[i]` says
+/// whether `base + i` is settled (replied, abandoned, or a post); the
+/// front is always unsettled, which makes `base` the floor a request
+/// carries as its `low`.
+struct Outstanding {
+    base: u64,
+    done: VecDeque<bool>,
+}
+
+impl Outstanding {
+    /// Take the next seq; returns it with the floor to send beside it.
+    /// An `awaited` seq holds the floor until it is settled; any other
+    /// is settled at once.
+    fn issue(&mut self, awaited: bool) -> (u64, u64) {
+        let seq = self.base + self.done.len() as u64;
+        if self.done.is_empty() && !awaited {
+            self.base += 1;
+            return (seq, seq);
+        }
+        self.done.push_back(!awaited);
+        (seq, self.base)
+    }
+
+    /// `seq` is no longer awaited (idempotent).
+    fn settle(&mut self, seq: u64) {
+        if let Some(d) = seq.checked_sub(self.base).and_then(|i| self.done.get_mut(i as usize)) {
+            *d = true;
+        }
+        while self.done.front() == Some(&true) {
+            self.done.pop_front();
+            self.base += 1;
+        }
+    }
 }
 
 chant_obs::counters! {
@@ -137,42 +174,39 @@ chant_obs::counters! {
         timeouts,
         /// Remote ops that failed fast because the target missed its PING.
         unreachable,
-        /// Duplicate requests dropped while the original was in flight.
+        /// Requests dropped unrun: a duplicate of one in flight, or any
+        /// request below its client's floor.
         dup_dropped,
-        /// Duplicate requests answered from the cached-reply window.
+        /// Duplicate requests answered from a cached reply.
         dup_replayed,
-        /// Requests run as new although their seq lies below the lowest
-        /// one their client's full dedup window still holds: either a
-        /// late original, or a duplicate whose entry was evicted and so
-        /// ran twice. The window cannot tell the two apart.
-        below_window,
         /// Malformed RSR bodies dropped by the server.
         malformed,
     }
 }
 
-/// Per-node RSR state: reply-token and sequence allocators, the retry
-/// policy, and the server's dedup window.
+/// Per-node RSR state: the reply-token allocator, the client's
+/// outstanding calls, the retry policy, and the server's dedup tables.
 pub(crate) struct RsrState {
     token: AtomicU32,
-    /// Request sequence allocator; seeded per process incarnation (0
-    /// marks pre-seq traffic, exempt from dedup). See [`boot_seq`].
-    seq: AtomicU64,
+    /// Seq allocation and the outstanding record under one lock, so no
+    /// request's `low` passes a seq a sibling has taken but not yet
+    /// recorded. Seeded per process incarnation (see [`boot_seq`]).
+    calls: Arc<Mutex<Outstanding>>,
     pub(crate) retry: Option<RetryPolicy>,
-    /// Per-client dedup window size (entries per client node).
-    window: usize,
-    dedup: Mutex<HashMap<Address, BTreeMap<u64, DedupEntry>>>,
+    dedup: Mutex<HashMap<Address, ClientTable>>,
     pub(crate) stats: RsrStats,
     malformed_note: Mutex<Option<String>>,
 }
 
 impl RsrState {
-    pub fn new(retry: Option<RetryPolicy>, window: usize) -> RsrState {
+    pub fn new(retry: Option<RetryPolicy>) -> RsrState {
         RsrState {
             token: AtomicU32::new(0),
-            seq: AtomicU64::new(boot_seq()),
+            calls: Arc::new(Mutex::new(Outstanding {
+                base: boot_seq(),
+                done: VecDeque::new(),
+            })),
             retry,
-            window: window.max(1),
             dedup: Mutex::new(HashMap::new()),
             stats: RsrStats::default(),
             malformed_note: Mutex::new(None),
@@ -185,22 +219,17 @@ impl RsrState {
     pub fn next_token(&self) -> u32 {
         self.token.fetch_add(1, Ordering::Relaxed) % 0xFFFE + 1
     }
-
-    /// Allocate a request sequence number (per node, never 0).
-    pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 /// First request sequence number of this process incarnation: the boot
-/// wall clock in nanoseconds. A restarted process reuses its dead
-/// predecessor's `Address`, and the peers' dedup windows still hold
-/// `(address, seq)` entries from before the crash — restarting the
-/// allocator at 1 would replay the old incarnation's cached replies to
-/// the new incarnation's fresh requests. A boot-time seed keeps the
-/// sequence space monotonic across restarts, so a reincarnated node's
-/// requests are always new to every surviving dedup window (the old
-/// low-seq entries age out of the bounded window as usual).
+/// wall clock in nanoseconds (≥ 1, and seqs only increase). A restarted
+/// process reuses its dead predecessor's `Address`, and the peers' dedup
+/// tables still hold `(address, seq)` entries from before the crash —
+/// restarting the allocator at 1 would replay the old incarnation's
+/// cached replies to the new incarnation's fresh requests. A boot-time
+/// seed keeps the sequence space monotonic across restarts, and the new
+/// incarnation's first request carries its boot seq as `low`, so each
+/// server drops the old entries at once.
 fn boot_seq() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::SystemTime::UNIX_EPOCH)
@@ -210,28 +239,29 @@ fn boot_seq() -> u64 {
 }
 
 impl RsrState {
-    /// Server side: classify an incoming request against the dedup
-    /// window, registering fresh sequence numbers as in flight.
-    pub fn dedup_begin(&self, client: Address, seq: u64) -> DedupVerdict {
+    /// Server side: raise the client's floor to `low` (dropping every
+    /// entry below it), then classify the request, registering a fresh
+    /// seq as in flight.
+    pub fn dedup_begin(&self, client: Address, seq: u64, low: u64) -> DedupVerdict {
         let mut map = self.dedup.lock();
-        let win = map.entry(client).or_default();
-        match win.get(&seq) {
-            Some(DedupEntry::Pending) => DedupVerdict::InFlight,
-            Some(DedupEntry::Completed(b)) => DedupVerdict::Replay(b.clone()),
-            None => {
-                if win.len() >= self.window
-                    && win.first_key_value().is_some_and(|(&low, _)| seq < low)
-                {
-                    self.stats.below_window.incr();
-                }
-                win.insert(seq, DedupEntry::Pending);
-                // Overrun semantics: the oldest entries are evicted, so a
-                // duplicate of a request older than the window is treated
-                // as new and re-executed. Size the window (builder knob)
-                // above the worst-case outstanding-ops-per-client count.
-                while win.len() > self.window {
-                    win.pop_first();
-                }
+        let table = map.entry(client).or_default();
+        let low = low.min(seq);
+        if low > table.floor {
+            table.floor = low;
+            while table.entries.first_key_value().is_some_and(|(&s, _)| s < low) {
+                table.entries.pop_first();
+            }
+        }
+        if seq < table.floor {
+            return DedupVerdict::Dropped;
+        }
+        match table.entries.entry(seq) {
+            btree_map::Entry::Occupied(e) => match e.get() {
+                DedupEntry::Pending => DedupVerdict::Dropped,
+                DedupEntry::Completed(b) => DedupVerdict::Replay(b.clone()),
+            },
+            btree_map::Entry::Vacant(e) => {
+                e.insert(DedupEntry::Pending);
                 DedupVerdict::New
             }
         }
@@ -240,7 +270,8 @@ impl RsrState {
     /// Server side: record the encoded reply for a finished request so a
     /// late duplicate is answered without re-execution.
     pub fn dedup_complete(&self, client: Address, seq: u64, reply: Bytes) {
-        if let Some(entry) = self.dedup.lock().entry(client).or_default().get_mut(&seq) {
+        let mut map = self.dedup.lock();
+        if let Some(entry) = map.get_mut(&client).and_then(|t| t.entries.get_mut(&seq)) {
             *entry = DedupEntry::Completed(reply);
         }
     }
@@ -267,10 +298,13 @@ impl RsrState {
 /// directly on this, which is how RMA completions ride the same four
 /// polling policies as ordinary receives.
 ///
-/// Dropping the handle retires the posted reply receive (nothing leaks),
-/// and — because the request keeps its sequence number — the server's
-/// dedup window still guarantees the operation runs at most once even if
-/// the abandoned request is retransmitted by a faulty transport.
+/// The call counts as outstanding — it holds its node's floor at or
+/// below its seq, so the servers keep its dedup entry — until its reply
+/// is absorbed or the handle is dropped, whichever comes first. Dropping
+/// the handle retires the posted reply receive (nothing leaks); a copy
+/// of the abandoned request that the transport delivers late runs at
+/// most once, and not at all once a later request has raised the floor
+/// past it.
 pub struct RsrCallHandle {
     dst: Address,
     spec: RecvSpec,
@@ -279,6 +313,15 @@ pub struct RsrCallHandle {
     /// Requested function id (trace annotation on retries).
     fn_id: u32,
     state: Mutex<CallState>,
+    calls: Arc<Mutex<Outstanding>>,
+}
+
+impl Drop for RsrCallHandle {
+    fn drop(&mut self) {
+        if self.state.get_mut().result.is_none() {
+            self.calls.lock().settle(self.seq);
+        }
+    }
 }
 
 struct CallState {
@@ -312,7 +355,7 @@ impl ChantNode {
     ///
     /// With a [`RetryPolicy`] installed the wait is bounded: each
     /// attempt re-sends the *same* token and sequence number (the
-    /// server's dedup window makes retransmission safe) with doubling
+    /// server's dedup table makes retransmission safe) with doubling
     /// deadlines, and exhaustion ends in [`ChantError::Timeout`] or —
     /// when the target also misses a liveness PING —
     /// [`ChantError::NodeUnreachable`].
@@ -343,14 +386,14 @@ impl ChantNode {
     ) -> Result<RsrCallHandle, ChantError> {
         let me = self.self_id();
         let token = self.rsr.next_token();
-        let seq = self.rsr.next_seq();
         let spec = self.naming().recv_spec(
             RecvSpec::any().from(dst).kind(kind::RSR_REPLY),
             me.thread,
             None,
             Some(token as i32),
         )?;
-        let body = encode_rsr(fn_id, token, me, seq, args);
+        let (seq, low) = self.rsr.calls.lock().issue(true);
+        let body = encode_rsr(fn_id, token, me, seq, low, args);
         let reply = self.endpoint().irecv(spec);
         if let Some(lane) = self.vp().obs_lane() {
             lane.emit(chant_obs::Event::RsrCall { fn_id, seq });
@@ -366,35 +409,28 @@ impl ChantNode {
                 reply,
                 result: None,
             }),
+            calls: Arc::clone(&self.rsr.calls),
         })
     }
 
     /// Take a completed reply out of the underlying receive and decode
-    /// it. Returns `false` when the reply was a stale echo of a wrapped
-    /// token (the receive is re-posted and the wait must continue).
-    /// Caller holds the state lock.
+    /// it, settling the call. Returns `false` when the reply was a stale
+    /// echo of a wrapped token (the receive is re-posted and the wait
+    /// must continue). Caller holds the state lock.
     fn rsr_absorb(&self, call: &RsrCallHandle, st: &mut CallState) -> bool {
-        let Some((_, payload)) = st.reply.take() else {
-            st.result = Some(Err(ChantError::Wire(
-                "completed RSR reply had no message".into(),
-            )));
-            return true;
-        };
-        match decode_reply(&payload) {
-            Err(e) => {
-                st.result = Some(Err(e));
-                true
-            }
-            Ok((echo, result)) if echo == call.seq => {
-                st.result = Some(result);
-                true
-            }
+        let result = match st.reply.take().map(|(_, payload)| decode_reply(&payload)) {
+            None => Err(ChantError::Wire("completed RSR reply had no message".into())),
+            Some(Err(e)) => Err(e),
+            Some(Ok((echo, result))) if echo == call.seq => result,
             // A stale reply to a wrapped token: re-post and keep waiting.
-            Ok(_) => {
+            Some(Ok(_)) => {
                 st.reply = self.endpoint().irecv(call.spec);
-                false
+                return false;
             }
-        }
+        };
+        st.result = Some(result);
+        call.calls.lock().settle(call.seq);
+        true
     }
 
     /// Nonblocking completion probe for an outstanding request (one
@@ -531,33 +567,20 @@ impl ChantNode {
     /// One unretried PING with a short reply window: does the target's
     /// server thread still answer at all?
     fn probe_liveness(&self, dst: Address, window: Duration) -> bool {
-        let me = self.self_id();
-        let token = self.rsr.next_token();
-        let seq = self.rsr.next_seq();
-        let Ok(spec) = self.naming().recv_spec(
-            RecvSpec::any().from(dst).kind(kind::RSR_REPLY),
-            me.thread,
-            None,
-            Some(token as i32),
-        ) else {
-            return false;
-        };
-        let reply = self.endpoint().irecv(spec);
-        let body = encode_rsr(fns::PING, token, me, seq, b"");
-        self.endpoint().isend(dst, 0, 0, kind::RSR, body);
-        self.engine()
-            .wait_deadline(&reply, Instant::now() + window)
+        self.rsr_icall(dst, fns::PING, b"")
+            .and_then(|ping| self.rsr_wait_deadline(&ping, Instant::now() + window))
             .is_ok()
     }
 
     /// Issue a fire-and-forget remote service request (no reply). Not
     /// retried (there is no reply to time out on), but sequenced, so the
-    /// dedup window still delivers it at most once under a duplicating
-    /// transport.
+    /// server's dedup table still delivers it at most once under a
+    /// duplicating transport. Nothing awaits it, so it is settled at once
+    /// and never holds its node's floor.
     pub fn rsr_post(&self, dst: Address, fn_id: u32, args: &[u8]) -> Result<(), ChantError> {
         let me = self.self_id();
-        let seq = self.rsr.next_seq();
-        let body = encode_rsr(fn_id, 0, me, seq, args);
+        let (seq, low) = self.rsr.calls.lock().issue(false);
+        let body = encode_rsr(fn_id, 0, me, seq, low, args);
         self.endpoint().isend(dst, 0, 0, kind::RSR, body);
         Ok(())
     }
@@ -612,24 +635,22 @@ impl ChantNode {
             };
             match decode_rsr(&body) {
                 Ok(env) => {
-                    // Dedup window: a retransmitted or transport-duplicated
-                    // request must not execute twice.
-                    if env.seq != 0 {
-                        match self.rsr.dedup_begin(env.from.address(), env.seq) {
-                            DedupVerdict::New => {}
-                            DedupVerdict::InFlight => {
-                                self.rsr.stats.dup_dropped.incr();
-                                self.engine().unboost();
-                                continue;
+                    // A retransmitted or transport-duplicated request
+                    // must not execute twice.
+                    match self.rsr.dedup_begin(env.from.address(), env.seq, env.low) {
+                        DedupVerdict::New => {}
+                        DedupVerdict::Dropped => {
+                            self.rsr.stats.dup_dropped.incr();
+                            self.engine().unboost();
+                            continue;
+                        }
+                        DedupVerdict::Replay(cached) => {
+                            self.rsr.stats.dup_replayed.incr();
+                            if env.reply_token != 0 {
+                                self.send_rsr_reply_raw(env.from, env.reply_token, cached);
                             }
-                            DedupVerdict::Replay(cached) => {
-                                self.rsr.stats.dup_replayed.incr();
-                                if env.reply_token != 0 {
-                                    self.send_rsr_reply_raw(env.from, env.reply_token, cached);
-                                }
-                                self.engine().unboost();
-                                continue;
-                            }
+                            self.engine().unboost();
+                            continue;
                         }
                     }
                     // The serve→done pair becomes a slice on the server
@@ -641,21 +662,17 @@ impl ChantNode {
                     });
                     let reply = ops::dispatch(self, &env);
                     // A `None` reply means a built-in deferred it (e.g.
-                    // JOIN); the window entry stays Pending until
+                    // JOIN); the table entry stays Pending until
                     // `record_exit` sends and caches it.
                     if let Some(result) = reply {
-                        if env.reply_token != 0 {
-                            let sent =
-                                self.send_rsr_reply(env.from, env.reply_token, env.seq, &result);
-                            if env.seq != 0 {
-                                self.rsr.dedup_complete(env.from.address(), env.seq, sent);
-                            }
-                        } else if env.seq != 0 {
-                            // Fire-and-forget: remember it ran; a
-                            // duplicate is dropped with no resend.
-                            self.rsr
-                                .dedup_complete(env.from.address(), env.seq, Bytes::new());
-                        }
+                        // Fire-and-forget caches an empty reply: a
+                        // duplicate is dropped with no resend.
+                        let sent = if env.reply_token != 0 {
+                            self.send_rsr_reply(env.from, env.reply_token, env.seq, &result)
+                        } else {
+                            Bytes::new()
+                        };
+                        self.rsr.dedup_complete(env.from.address(), env.seq, sent);
                     }
                     if let (Some(lane), Some(start)) = (self.vp().obs_lane(), serve_start) {
                         let now = lane.now_ns();
@@ -676,6 +693,19 @@ impl ChantNode {
                 }
             }
             self.engine().unboost();
+        }
+    }
+}
+
+#[cfg(test)]
+mod inspect {
+    use super::*;
+
+    impl RsrState {
+        /// The seqs the server holds for `client`, in order.
+        pub(crate) fn held(&self, client: Address) -> Vec<u64> {
+            let map = self.dedup.lock();
+            map.get(&client).map_or(Vec::new(), |t| t.entries.keys().copied().collect())
         }
     }
 }

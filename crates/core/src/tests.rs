@@ -1214,83 +1214,202 @@ fn msgwait_any_round_robin_stress() {
 }
 
 // ---------------------------------------------------------------------
-// RSR dedup window sizing (the rsr_dedup_window builder knob)
+// RSR dedup: the floor each client sends bounds the server's table
 // ---------------------------------------------------------------------
-
-#[test]
-fn dedup_window_evicts_oldest_seq_first() {
-    use crate::rsr::{DedupVerdict, RsrState};
-    use chant_comm::Address;
-
-    let st = RsrState::new(None, 2);
-    let client = Address::new(0, 0);
-    assert!(matches!(st.dedup_begin(client, 1), DedupVerdict::New));
-    st.dedup_complete(client, 1, Bytes::from_static(b"r1"));
-    assert!(matches!(st.dedup_begin(client, 2), DedupVerdict::New));
-    // Inside the window a duplicate replays the cached reply, and an
-    // in-flight duplicate is dropped.
-    assert!(matches!(
-        st.dedup_begin(client, 1),
-        DedupVerdict::Replay(ref b) if &b[..] == b"r1"
-    ));
-    assert!(matches!(st.dedup_begin(client, 2), DedupVerdict::InFlight));
-    // A third distinct seq overruns the 2-entry window, evicting the
-    // oldest (seq 1): its late duplicate is now indistinguishable from a
-    // new request — the documented overrun semantics.
-    assert!(matches!(st.dedup_begin(client, 3), DedupVerdict::New));
-    assert!(matches!(st.dedup_begin(client, 1), DedupVerdict::New));
-}
-
-#[test]
-fn a_request_below_a_full_window_is_counted() {
-    use crate::rsr::{DedupVerdict, RsrState};
-    use chant_comm::Address;
-
-    let st = RsrState::new(None, 2);
-    let client = Address::new(0, 0);
-    // Out of order while the window still has room: nothing was
-    // evicted, so a lower seq is plainly new.
-    assert!(matches!(st.dedup_begin(client, 5), DedupVerdict::New));
-    assert!(matches!(st.dedup_begin(client, 4), DedupVerdict::New));
-    assert_eq!(st.stats.below_window.get(), 0);
-    // Full: seq 6 evicts 4. A request for 4 — the evicted one's
-    // delayed duplicate, or a late original — runs as new, and counts.
-    assert!(matches!(st.dedup_begin(client, 6), DedupVerdict::New));
-    assert!(matches!(st.dedup_begin(client, 4), DedupVerdict::New));
-    assert_eq!(st.stats.below_window.get(), 1);
-    // Inside the window nothing counts: a duplicate, and a new top seq.
-    assert!(matches!(st.dedup_begin(client, 6), DedupVerdict::InFlight));
-    assert!(matches!(st.dedup_begin(client, 7), DedupVerdict::New));
-    assert_eq!(st.stats.below_window.get(), 1);
-}
-
-#[test]
-fn dedup_window_is_clamped_to_at_least_one() {
-    use crate::rsr::{DedupVerdict, RsrState};
-    use chant_comm::Address;
-
-    // A zero window would disable dedup entirely; the constructor (and
-    // the builder knob) clamp it so the current request always dedups.
-    let st = RsrState::new(None, 0);
-    let client = Address::new(3, 0);
-    assert!(matches!(st.dedup_begin(client, 9), DedupVerdict::New));
-    assert!(matches!(st.dedup_begin(client, 9), DedupVerdict::InFlight));
-}
 
 #[test]
 fn dedup_windows_are_per_client_node() {
     use crate::rsr::{DedupVerdict, RsrState};
     use chant_comm::Address;
 
-    let st = RsrState::new(None, 1);
+    let st = RsrState::new(None);
+    let (a, b) = (Address::new(0, 0), Address::new(1, 0));
     // The same seq from two different client nodes is two different
-    // requests; one client's traffic cannot evict another's window.
-    assert!(matches!(st.dedup_begin(Address::new(0, 0), 5), DedupVerdict::New));
-    assert!(matches!(st.dedup_begin(Address::new(1, 0), 5), DedupVerdict::New));
+    // requests, and one client's floor leaves the other's table alone.
+    assert!(matches!(st.dedup_begin(a, 5, 5), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(b, 5, 5), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(b, 9, 9), DedupVerdict::New));
+    assert_eq!(st.held(b), [9]);
+    assert!(matches!(st.dedup_begin(a, 5, 5), DedupVerdict::Dropped));
+    assert_eq!(st.held(a), [5]);
+}
+
+/// The delayed-duplicate case a sized window got wrong: seq 100 ran and
+/// its reply reached the client, 100 newer calls completed and raised
+/// the floor past it, and then the transport delivers a late copy of
+/// 100. An oldest-first window of 64 had evicted its entry and ran it
+/// again.
+#[test]
+fn a_duplicate_below_the_floor_is_not_run() {
+    use crate::rsr::{DedupVerdict, RsrState};
+    use chant_comm::Address;
+
+    let st = RsrState::new(None);
+    let client = Address::new(0, 0);
+    for seq in 100..=200 {
+        assert!(matches!(st.dedup_begin(client, seq, seq), DedupVerdict::New));
+        st.dedup_complete(client, seq, Bytes::from_static(b"done"));
+    }
+    assert!(matches!(st.dedup_begin(client, 100, 100), DedupVerdict::Dropped));
+    assert_eq!(st.held(client), [200]);
+}
+
+/// A call the client still awaits holds the floor at its seq, however
+/// many newer calls complete meanwhile: its original was lost, so its
+/// retry must run, once. Refusing everything below a full window would
+/// refuse it.
+#[test]
+fn a_request_held_at_the_floor_runs_once_while_newer_ones_complete() {
+    use crate::rsr::{DedupVerdict, RsrState};
+    use chant_comm::Address;
+
+    let st = RsrState::new(None);
+    let client = Address::new(0, 0);
+    for seq in 101..=200 {
+        assert!(matches!(st.dedup_begin(client, seq, 100), DedupVerdict::New));
+        st.dedup_complete(client, seq, Bytes::from_static(b"newer"));
+    }
+    assert!(matches!(st.dedup_begin(client, 100, 100), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(client, 100, 100), DedupVerdict::Dropped));
+    st.dedup_complete(client, 100, Bytes::from_static(b"r100"));
     assert!(matches!(
-        st.dedup_begin(Address::new(0, 0), 5),
-        DedupVerdict::InFlight
+        st.dedup_begin(client, 100, 100),
+        DedupVerdict::Replay(ref r) if &r[..] == b"r100"
     ));
+    assert_eq!(st.held(client).len(), 101);
+}
+
+#[test]
+fn raising_the_floor_drops_every_entry_below_it() {
+    use crate::rsr::{DedupVerdict, RsrState};
+    use chant_comm::Address;
+
+    let st = RsrState::new(None);
+    let client = Address::new(0, 0);
+    // Ten entries at floor 10, half completed and half in flight.
+    for seq in 10..20 {
+        assert!(matches!(st.dedup_begin(client, seq, 10), DedupVerdict::New));
+        if seq % 2 == 0 {
+            st.dedup_complete(client, seq, Bytes::new());
+        }
+    }
+    assert_eq!(st.held(client), (10..20).collect::<Vec<_>>());
+    assert!(matches!(st.dedup_begin(client, 20, 15), DedupVerdict::New));
+    assert_eq!(st.held(client), (15..=20).collect::<Vec<_>>());
+    // Below the floor: refused, and nothing is recorded.
+    assert!(matches!(st.dedup_begin(client, 12, 12), DedupVerdict::Dropped));
+    // A stale `low` never lowers the floor; a `low` above the request's
+    // own seq counts as that seq, so no request refuses itself.
+    assert!(matches!(st.dedup_begin(client, 21, 11), DedupVerdict::New));
+    assert!(matches!(st.dedup_begin(client, 14, 14), DedupVerdict::Dropped));
+    assert!(matches!(st.dedup_begin(client, 22, 99), DedupVerdict::New));
+    assert_eq!(st.held(client), [22]);
+}
+
+/// Client side: ULTs on one node issue calls, wait for some, drop others
+/// unanswered and post in between. The peer stands in for the server
+/// and decodes every envelope: each `low` must be the oldest call its
+/// node still awaited when it was sent (the request's own seq if none).
+/// The ULTs share one lane, so the log below is the order in which the
+/// node allocated and settled seqs.
+#[test]
+fn every_request_carries_the_oldest_awaited_seq_as_its_low() {
+    use crate::rsr::SERVER_FN_USER_BASE as FN;
+    use crate::wire::decode_rsr;
+    use chant_comm::{kind, Address, RecvSpec};
+    use parking_lot::Mutex;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[derive(Clone, Copy, Debug)]
+    enum Ev {
+        Issue(u64),
+        Post,
+        Settle(u64),
+    }
+    const ULTS: u32 = 4;
+    const ROUNDS: u32 = 12;
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let lows = Arc::new(Mutex::new(BTreeMap::new()));
+    let (log2, lows2) = (Arc::clone(&log), Arc::clone(&lows));
+    let cluster = ChantCluster::builder().pes(2).server(false).build();
+    cluster.run(move |node| {
+        if node.self_id().pe == 1 {
+            // Answer only the calls that ask for it (args `[1]`).
+            for _ in 0..ULTS * ROUNDS {
+                let h = node.endpoint().irecv(RecvSpec::any().kind(kind::RSR));
+                node.wait_handle(&h);
+                let env = decode_rsr(&h.take().unwrap().1).unwrap();
+                lows2.lock().insert(env.seq, env.low);
+                if env.args[..] == [1] {
+                    node.send_rsr_reply(env.from, env.reply_token, env.seq, &Ok(Bytes::new()));
+                }
+            }
+            return;
+        }
+        let dst = Address::new(1, 0);
+        let finished = Arc::new(AtomicU32::new(0));
+        for u in 0..ULTS {
+            let (log, finished) = (Arc::clone(&log2), Arc::clone(&finished));
+            node.spawn(SpawnAttr::new(), move |node| {
+                let mut held = Vec::new();
+                for r in 0..ROUNDS {
+                    match (u + r) % 4 {
+                        0 => {
+                            let call = node.rsr_icall(dst, FN, &[0]).unwrap();
+                            let seq = call.seq();
+                            drop(call);
+                            log.lock().extend([Ev::Issue(seq), Ev::Settle(seq)]);
+                        }
+                        1 => {
+                            node.rsr_post(dst, FN, &[0]).unwrap();
+                            log.lock().push(Ev::Post);
+                        }
+                        _ => {
+                            let call = node.rsr_icall(dst, FN, &[1]).unwrap();
+                            log.lock().push(Ev::Issue(call.seq()));
+                            held.push(call);
+                        }
+                    }
+                    if held.len() == 2 || r == ROUNDS - 1 {
+                        for call in held.drain(..) {
+                            node.rsr_wait(&call).unwrap();
+                            log.lock().push(Ev::Settle(call.seq()));
+                        }
+                    }
+                    node.yield_now();
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        while finished.load(Ordering::SeqCst) < ULTS {
+            node.yield_now();
+        }
+    });
+
+    let lows = lows.lock();
+    assert_eq!(lows.len(), (ULTS * ROUNDS) as usize);
+    let mut next = *lows.keys().next().unwrap();
+    let mut awaited = BTreeSet::new();
+    let mut held_by_another = 0;
+    for ev in log.lock().iter().copied() {
+        let seq = match ev {
+            Ev::Settle(seq) => {
+                awaited.remove(&seq);
+                continue;
+            }
+            Ev::Issue(seq) => {
+                assert_eq!(seq, next, "seqs are consecutive per node");
+                awaited.insert(seq);
+                seq
+            }
+            Ev::Post => next,
+        };
+        next += 1;
+        let want = awaited.first().copied().unwrap_or(seq);
+        held_by_another += usize::from(want < seq);
+        assert_eq!(lows[&seq], want, "seq {seq}: {ev:?}");
+    }
+    assert!(held_by_another > 0, "no request was sent below an older awaited call");
 }
 
 // ---------------------------------------------------------------------

@@ -156,10 +156,14 @@ pub(crate) struct RsrEnvelope {
     pub reply_token: u32,
     /// Who asked (so deferred repliers know where to send).
     pub from: ChanterId,
-    /// Per-client request sequence number. Retransmissions of the same
-    /// logical request reuse the same `seq`, so the server's dedup
-    /// window can recognise (and not re-execute) duplicates.
+    /// Per-client-node request sequence number. Retransmissions of the
+    /// same logical request reuse the same `seq`, so the server's dedup
+    /// table can recognise (and not re-execute) duplicates.
     pub seq: u64,
+    /// The client node's floor: the oldest seq it still awaited a reply
+    /// for when it sent this request (≤ `seq`). Every lower seq is
+    /// settled, so the server forgets and refuses them.
+    pub low: u64,
     pub args: Bytes,
 }
 
@@ -168,6 +172,7 @@ pub(crate) fn encode_rsr(
     reply_token: u32,
     from: ChanterId,
     seq: u64,
+    low: u64,
     args: &[u8],
 ) -> Bytes {
     Writer::new()
@@ -177,6 +182,7 @@ pub(crate) fn encode_rsr(
         .u32(from.process)
         .u32(from.thread)
         .u64(seq)
+        .u64(low)
         .raw(args)
         .finish()
 }
@@ -189,12 +195,14 @@ pub(crate) fn decode_rsr(body: &Bytes) -> Result<RsrEnvelope, ChantError> {
     let process = r.u32()?;
     let thread = r.u32()?;
     let seq = r.u64()?;
-    let args = Bytes::copy_from_slice(r.rest());
+    let low = r.u64()?;
+    let args = body.slice(body.len() - r.rest().len()..);
     Ok(RsrEnvelope {
         fn_id,
         reply_token,
         from: ChanterId::new(pe, process, thread),
         seq,
+        low,
         args,
     })
 }
@@ -303,12 +311,13 @@ mod tests {
     #[test]
     fn rsr_envelope_roundtrip() {
         let from = ChanterId::new(1, 0, 9);
-        let body = encode_rsr(42, 7, from, 11, b"argbytes");
+        let body = encode_rsr(42, 7, from, 11, 8, b"argbytes");
         let env = decode_rsr(&body).unwrap();
         assert_eq!(env.fn_id, 42);
         assert_eq!(env.reply_token, 7);
         assert_eq!(env.from, from);
         assert_eq!(env.seq, 11);
+        assert_eq!(env.low, 8);
         assert_eq!(&env.args[..], b"argbytes");
     }
 
@@ -363,25 +372,27 @@ mod tests {
 
         fn arb_rsr() -> impl Strategy<Value = RsrEnvelope> {
             let from = (any::<u32>(), any::<u32>(), any::<u32>());
-            (any::<u32>(), any::<u32>(), from, any::<u64>(), arb_bytes(256)).prop_map(
-                |(fn_id, reply_token, (pe, process, thread), seq, args)| RsrEnvelope {
+            let seqs = (any::<u64>(), any::<u64>());
+            (any::<u32>(), any::<u32>(), from, seqs, arb_bytes(256)).prop_map(
+                |(fn_id, reply_token, (pe, process, thread), (seq, low), args)| RsrEnvelope {
                     fn_id,
                     reply_token,
                     from: ChanterId::new(pe, process, thread),
                     seq,
+                    low,
                     args,
                 },
             )
         }
 
         // The arguments are "the rest" of the body, so only a cut into
-        // the 28-byte fixed part (4+4+12+8) can be told from a shorter
+        // the 36-byte fixed part (4+4+12+8+8) can be told from a shorter
         // request.
         chant_comm::codec_props!(
             rsr: arb_rsr(),
-            |e: &RsrEnvelope| encode_rsr(e.fn_id, e.reply_token, e.from, e.seq, &e.args),
+            |e: &RsrEnvelope| encode_rsr(e.fn_id, e.reply_token, e.from, e.seq, e.low, &e.args),
             |raw: &[u8]| decode_rsr(&Bytes::copy_from_slice(raw)),
-            rejects_prefixes_below = 28,
+            rejects_prefixes_below = 36,
             every_byte_matters = true,
         );
 

@@ -187,7 +187,7 @@ pub enum Event {
     RsrCall {
         /// Requested function id.
         fn_id: u32,
-        /// The caller's RSR sequence number (dedup-window seq).
+        /// The caller's RSR sequence number (its dedup-table key).
         seq: u64,
     },
     /// A client re-sent a timed-out remote service request.

@@ -18,10 +18,11 @@
 //! * **retry/backoff** — with a [`chant_core::RetryPolicy`] installed,
 //!   lost requests and replies retransmit with the same sequence
 //!   number;
-//! * **exactly-once** — the server's dedup window recognises those
+//! * **exactly-once** — the server's dedup table recognises those
 //!   retransmissions, so a `fetch_add` is applied once no matter how
-//!   often the transport duplicates it (see
-//!   [`chant_core::ClusterBuilder::rsr_dedup_window`] for sizing);
+//!   often the transport duplicates it; the table needs no sizing, as
+//!   each request tells the server the oldest call its node still
+//!   awaits;
 //! * **transport independence** — in-process and TCP clusters run the
 //!   same code.
 //!

@@ -222,7 +222,7 @@ for_each_transport!(self_sends_meet_the_fault_shim, |backend: Backend| {
 });
 
 // Every request and every reply of a self `rsr_call` delivered twice:
-// the dedup window still runs the handler exactly once per call.
+// the dedup table still runs the handler exactly once per call.
 for_each_transport!(self_rsr_is_exactly_once_when_every_message_is_duplicated, |backend: Backend| {
     const OPS: usize = 16;
     let seen: Arc<Vec<AtomicU32>> = Arc::new((0..OPS).map(|_| AtomicU32::new(0)).collect());
@@ -333,9 +333,9 @@ fn lossy_four_node_rpc_is_exactly_once() {
     assert!(lost.is_empty(), "lost ops: {lost:?}");
     assert!(
         doubled.is_empty(),
-        "doubly-applied ops: {doubled:?} (rsr.below_window = {}: requests run as new \
-         below a full dedup window)",
-        report.counter("rsr.below_window")
+        "doubly-applied ops: {doubled:?} (rsr.dup_dropped = {}: requests dropped unrun \
+         as in flight or below their client's floor)",
+        report.counter("rsr.dup_dropped")
     );
 
     let faults = report.faults.expect("shim was installed");

@@ -616,10 +616,7 @@ for_each_transport!(rma_exactly_once_atomics_under_dup_and_reorder, |backend: Ba
                 base_timeout: Duration::from_millis(25),
                 max_timeout: Duration::from_millis(200),
                 liveness_ping: Duration::from_millis(500),
-            })
-            // Exercise the sizing knob: plenty of room for every
-            // duplicate the fault shim can mint.
-            .rsr_dedup_window(256),
+            }),
     )
     .build();
     cluster.run(|node| {
