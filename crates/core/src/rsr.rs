@@ -576,7 +576,9 @@ impl ChantNode {
     /// retried (there is no reply to time out on), but sequenced, so the
     /// server's dedup table still delivers it at most once under a
     /// duplicating transport. Nothing awaits it, so it is settled at once
-    /// and never holds its node's floor.
+    /// and never holds its node's floor: a post the transport delivers
+    /// after a later request from this node to the same server is
+    /// refused, as if lost.
     pub fn rsr_post(&self, dst: Address, fn_id: u32, args: &[u8]) -> Result<(), ChantError> {
         let me = self.self_id();
         let (seq, low) = self.rsr.calls.lock().issue(false);
