@@ -100,8 +100,8 @@ pub fn encode_frame(header: &Header, body: &[u8]) -> Vec<u8> {
 
 /// Encode one message as a length-prefixed frame, appending to `out` —
 /// the allocation-free form of [`encode_frame`]. A transport that keeps
-/// a pool of cleared `Vec<u8>`s pays the frame allocation once per
-/// buffer, not once per message.
+/// one send buffer per peer encodes straight onto its end, and pays an
+/// allocation only when the buffer grows.
 pub fn encode_frame_into(header: &Header, body: &[u8], out: &mut Vec<u8>) {
     debug_assert_eq!(header.len as usize, body.len(), "header.len out of sync");
     let frame_len = (FRAME_HEADER_LEN + body.len()) as u32;
@@ -325,7 +325,7 @@ mod tests {
         ) {
             let (h, body) = frame;
             let fresh = encode_frame(&h, &body);
-            // A pooled buffer arrives with stale capacity, cleared.
+            // A reused buffer arrives with stale capacity, cleared.
             let mut reused = residue;
             reused.clear();
             encode_frame_into(&h, &body, &mut reused);

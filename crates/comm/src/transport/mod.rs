@@ -23,10 +23,10 @@
 //!   length-prefixed frames ([`encode_frame`]) over TCP sockets, each
 //!   PE's connections in its own epoll set and no thread of its own —
 //!   the PE's waiting threads drive it ([`Transport::poll`],
-//!   [`Progress`]) — with nonblocking sockets, pooled frame buffers, a
-//!   bounded per-peer send queue and same-peer send coalescing: a lane's
-//!   threads queue what they send, and the lane writes each peer's queue
-//!   with one vectored write at its next turn or before it parks
+//!   [`Progress`]) — with nonblocking sockets, one bounded send buffer
+//!   per peer and same-peer send coalescing: a lane's threads append
+//!   what they send to the peer's buffer, and the lane hands each buffer
+//!   to the kernel at its next turn or before it parks
 //!   ([`Transport::flush`]). In *loopback* mode all endpoints stay in one OS
 //!   process, each PE with its own listener, and traffic between PEs
 //!   makes a real kernel round trip; in
@@ -37,8 +37,6 @@
 //!   spaces", live.
 
 mod frame;
-#[cfg(target_os = "linux")]
-mod pool;
 #[cfg(target_os = "linux")]
 mod tcp_event;
 
@@ -217,20 +215,24 @@ chant_obs::counters! {
         /// Outbound connections re-established after a write failure.
         reconnects,
         /// Queued frames dropped because the peer stayed unreachable or
-        /// its connection failed (each also counted in `frames_sent`).
+        /// its connection failed (each also counted in `frames_sent`). On
+        /// the socket backend: the frames appended since the peer's send
+        /// buffer was last empty — exact unless a partial write came
+        /// first, whose fully written frames then count too.
         send_failures,
         /// Frames rejected by the codec (connection dropped afterwards).
         malformed_frames,
         /// Well-formed frames addressed to an endpoint this process does
         /// not host.
         misrouted,
-        /// Vectored writes that carried more than one frame (batch depth
-        /// = `coalesced_frames / coalesced_writes`).
+        /// Writes that carried the first byte of more than one frame
+        /// (batch depth = `coalesced_frames / coalesced_writes`).
         coalesced_writes,
-        /// Frames carried by those multi-frame vectored writes.
+        /// Frames whose first byte those writes carried: a frame counts
+        /// in the first write that carries any of its bytes.
         coalesced_frames,
-        /// Writes the kernel cut short, resumed later from the saved
-        /// offset.
+        /// Writes the kernel cut short inside a frame, resumed later
+        /// from the saved offset.
         partial_writes,
         /// Event-loop turns that found a socket ready: each is one
         /// kernel → thread hand-off of arrivals or writability.
@@ -238,9 +240,12 @@ chant_obs::counters! {
         /// Sends that found their peer's queue at its byte bound and ran
         /// event-loop turns until a flush made room.
         backpressure_waits,
-        /// Frame buffers served from the reuse pool.
+        /// Frames encoded into capacity the peer's send buffer already
+        /// had: sends that did not allocate. The name stays with
+        /// `benchmark/src/counters.rs`, which reads it.
         pool_hits,
-        /// Frame buffers that had to be freshly allocated.
+        /// Frames whose encode grew the peer's send buffer (named with
+        /// `pool_hits`, for the same reader).
         pool_misses,
     }
 }
@@ -282,7 +287,8 @@ pub enum TransportConfig {
     InProcess,
     /// Length-prefixed frames over TCP sockets in one epoll set, driven
     /// by the threads that wait on it, with nonblocking sockets, send
-    /// coalescing, and pooled buffers (Linux only; see [`TcpOptions`]).
+    /// coalescing, and one send buffer per peer (Linux only; see
+    /// [`TcpOptions`]).
     TcpEvent(TcpOptions),
 }
 

@@ -16,20 +16,22 @@
 //!   endpoint's PE while it waits. A turn pins the world, so teardown
 //!   never starts inside one, and a delivery never sends (`send` panics
 //!   if it does), so nothing waits for the lock its own turn holds.
-//! * **Sends wait for the lane.** A sender encodes into a pooled buffer
-//!   and appends it to the peer's queue. A ULT whose lane drives this set
-//!   (`chant_ult::current_progress_fd`) stops there: the lane writes each
-//!   peer's queue in one nonblocking `write_vectored` at its next turn or
-//!   before it parks ([`Transport::flush`]; `coalesced_*` count the batch
-//!   depth), or at once past [`FLUSH_BYTES`] or a full scatter list. Any
-//!   other sender writes right there. Only a socket that pushes back arms
-//!   `EPOLLOUT`; the next turn to see it resumes where the kernel stopped.
-//! * **A bounded send queue.** The backlog behind a socket that pushes
-//!   back holds at most [`SEND_QUEUE_MAX_BYTES`] (plus the frame that
-//!   crossed the line). At the bound `send` runs turns until one makes
-//!   room — counted in `backpressure_waits`. A turn reads every inbound
-//!   socket too, so two ranks flooding each other each drain what holds
-//!   the other back. Nothing is dropped, and queue order is send order.
+//! * **Sends wait for the lane.** A sender encodes its frame onto the
+//!   end of the peer's one byte buffer. A ULT whose lane drives this set
+//!   (`chant_ult::current_progress_fd`) stops there: the lane hands each
+//!   peer's buffer to the kernel in plain nonblocking `write`s at its
+//!   next turn or before it parks ([`Transport::flush`]; `coalesced_*`
+//!   count the batch depth), or at once at [`FLUSH_FRAMES`] frames or
+//!   [`FLUSH_BYTES`]. Any other sender writes right there. Only a socket
+//!   that pushes back arms `EPOLLOUT`; the next turn to see it resumes
+//!   where the kernel stopped.
+//! * **A bounded send buffer.** The backlog behind a socket that pushes
+//!   back holds at most [`SEND_QUEUE_MAX_BYTES`] unwritten bytes (plus
+//!   the frame that crossed the line). At the bound `send` runs turns
+//!   until one makes room — counted in `backpressure_waits`. A turn reads
+//!   every inbound socket too, so two ranks flooding each other each
+//!   drain what holds the other back. Nothing is dropped, and byte order
+//!   is send order.
 //!
 //! Delivery semantics are the in-process oracle's, which
 //! `tests/transport_conformance.rs` holds it to: per-link FIFO (one
@@ -41,8 +43,8 @@
 
 #![cfg(target_os = "linux")]
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Read, Write};
+use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::raw::c_int;
 use std::os::unix::io::AsRawFd;
@@ -56,7 +58,6 @@ use chant_ult::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, E
 use parking_lot::Mutex;
 
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use super::pool::BufferPool;
 use super::{DeliverError, DeliverySink, TcpOptions, Transport, TransportStats};
 use crate::header::Header;
 use crate::world::WorldInner;
@@ -65,20 +66,27 @@ use crate::world::WorldInner;
 /// outage means it is gone (fail fast; retries upstairs pace themselves).
 const RECONNECT_ATTEMPTS: u32 = 2;
 
-/// Most frames one `write_vectored` call will carry.
-const MAX_IOV: usize = 64;
+/// Frames at which a lane's send writes at once: the first frame of a
+/// batch waits for the lane's next turn or park only while this many
+/// more queue behind it.
+const FLUSH_FRAMES: u64 = 64;
 
 /// Initial per-connection receive staging buffer.
 const READ_BUF_INIT: usize = 64 * 1024;
 
-/// Most bytes one peer's send queue holds before `send` waits for a
-/// flush: enough to ride out a burst against a full socket buffer,
-/// small enough that a peer that stopped reading stalls its senders
-/// instead of growing this process.
+/// Most unwritten bytes one peer's send buffer holds before `send`
+/// waits for a flush: enough to ride out a burst against a full socket
+/// buffer, small enough that a peer that stopped reading stalls its
+/// senders instead of growing this process.
 const SEND_QUEUE_MAX_BYTES: usize = 1 << 20;
 
-/// Queued bytes at which a lane's send writes at once (a sixteenth of the bound).
+/// Unwritten bytes at which a lane's send writes at once (a sixteenth
+/// of the bound).
 const FLUSH_BYTES: usize = 64 * 1024;
+
+/// A send buffer that grew past this (one bulk frame) is freed when it
+/// drains, so that it does not pin its size for good.
+const MAX_KEPT_CAPACITY: usize = 1 << 20;
 
 /// Longest a sender held at the bound waits for readiness per turn.
 const HELD_TURN: Duration = Duration::from_millis(1);
@@ -97,7 +105,7 @@ const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
 thread_local!(static DELIVERING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
 /// Outbound state for one destination PE. One flusher at a time (the
-/// lock's holder), frames in queue order: per-link FIFO by construction.
+/// lock's holder), bytes in append order: per-link FIFO by construction.
 #[derive(Default)]
 struct PeerOut {
     /// The connection, also in the epoll set (which watches its fd for
@@ -105,18 +113,41 @@ struct PeerOut {
     conn: Option<TcpStream>,
     /// Epoll token of `conn` (valid while `conn` is `Some`).
     token: u64,
-    /// Encoded frames not yet fully handed to the kernel.
-    q: VecDeque<Vec<u8>>,
-    /// Total length of the frames in `q` (bounded: [`SEND_QUEUE_MAX_BYTES`]).
-    q_bytes: usize,
-    /// Bytes of `q[0]` already written (partial-write resume point).
+    /// Encoded frames back to back, in send order. `buf[woff..]` is not
+    /// yet handed to the kernel (bounded: [`SEND_QUEUE_MAX_BYTES`]); the
+    /// written prefix is reclaimed before the buffer would grow.
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written (partial-write resume point).
     woff: usize,
+    /// Offset of the first frame no byte of which is written yet
+    /// (`buf.len()` if none): where a write's count of frames begins.
+    next_frame: usize,
+    /// Frames appended since `buf` was last empty.
+    frames: u64,
     /// Is `EPOLLOUT` armed (backlog left for a turn)?
     want_write: bool,
     /// Is some sender inside the blocking dial, with the lock released?
     dialing: bool,
     /// Has a full dial cycle happened (patient budget spent)?
     tried: bool,
+}
+
+impl PeerOut {
+    /// Bytes appended but not yet handed to the kernel.
+    fn unwritten(&self) -> usize {
+        self.buf.len() - self.woff
+    }
+
+    /// Empty the buffer, freeing it if one bulk frame grew it past
+    /// [`MAX_KEPT_CAPACITY`].
+    fn clear(&mut self) {
+        if self.buf.capacity() > MAX_KEPT_CAPACITY {
+            self.buf = Vec::new();
+        } else {
+            self.buf.clear();
+        }
+        (self.woff, self.next_frame, self.frames) = (0, 0, 0);
+    }
 }
 
 /// One accepted (inbound) connection.
@@ -137,7 +168,6 @@ struct State {
     listener: Option<TcpListener>,
     /// Outbound state, by destination PE.
     out: Vec<PeerOut>,
-    pool: BufferPool,
     /// Sequence for epoll tokens (see [`OUTBOUND`]).
     next_token: u64,
     /// Scratch for `epoll_pwait2`.
@@ -203,7 +233,6 @@ impl TcpEventTransport {
                 inbound: HashMap::new(),
                 listener: Some(listener),
                 out: peers.iter().map(|_| PeerOut::default()).collect(),
-                pool: BufferPool::new(256, Arc::clone(stats)),
                 next_token: TOKEN_LISTENER + 1,
                 events: vec![EpollEvent::default(); 128],
             };
@@ -262,7 +291,7 @@ impl TcpEventTransport {
         if stream.set_nonblocking(true).is_err()
             || self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err()
         {
-            self.fail_queue(s, &mut st.pool);
+            self.fail_queue(s);
             return false;
         }
         // `woff` and `want_write` are already clear: no link, no backlog.
@@ -272,60 +301,48 @@ impl TcpEventTransport {
     }
 
     /// Drop everything queued for an unreachable peer, counting each
-    /// frame as a send failure (upstream retry/liveness takes over).
-    fn fail_queue(&self, s: &mut PeerOut, pool: &mut BufferPool) {
-        while let Some(f) = s.q.pop_front() {
-            self.stats.send_failures.incr();
-            pool.put(f);
-        }
-        s.q_bytes = 0;
-        s.woff = 0;
+    /// frame appended since the buffer was last empty as a send failure
+    /// (upstream retry/liveness takes over). That is exact unless a
+    /// partial write came first: its fully written frames count too.
+    fn fail_queue(&self, s: &mut PeerOut) {
+        self.stats.send_failures.add(s.frames);
+        s.clear();
     }
 
     /// Tear down a peer's connection after an I/O error or remote EOF:
     /// close the socket, deregister, drop the backlog (counted), and
     /// leave the slot ready for a fail-fast redial on the next send.
-    fn teardown(&self, s: &mut PeerOut, pool: &mut BufferPool) {
+    fn teardown(&self, s: &mut PeerOut) {
         if let Some(conn) = s.conn.take() {
             self.epoll.delete(conn.as_raw_fd());
             let _ = conn.shutdown(Shutdown::Both);
         }
         s.want_write = false;
-        self.fail_queue(s, pool);
+        self.fail_queue(s);
     }
 
-    /// Flush as much of the peer's queue as the socket will take, in as
-    /// few vectored writes as possible. All writes are nonblocking.
-    fn flush_peer(&self, s: &mut PeerOut, pool: &mut BufferPool) {
+    /// Hand as much of the peer's buffer to the kernel as the socket
+    /// will take, in plain nonblocking writes.
+    fn flush_peer(&self, s: &mut PeerOut) {
         let Some(mut w) = s.conn.as_ref() else { return };
-        while !s.q.is_empty() {
-            let mut slices = [IoSlice::new(&[]); MAX_IOV];
-            let batched = s.q.len().min(MAX_IOV);
-            slices.iter_mut().zip(&s.q).for_each(|(slot, f)| *slot = IoSlice::new(f));
-            slices[0] = IoSlice::new(&s.q[0][s.woff..]);
-            match w.write_vectored(&slices[..batched]) {
-                Ok(mut n) if n > 0 => {
+        while s.woff < s.buf.len() {
+            match w.write(&s.buf[s.woff..]) {
+                Ok(n) if n > 0 => {
+                    s.woff += n;
                     self.stats.frame_bytes_sent.add(n as u64);
-                    if batched > 1 {
+                    // Count the frames whose first byte this write carried.
+                    let mut started = 0;
+                    while s.next_frame < s.woff {
+                        let len = s.buf[s.next_frame..][..4].try_into().expect("4 bytes");
+                        s.next_frame += 4 + u32::from_le_bytes(len) as usize;
+                        started += 1;
+                    }
+                    if started > 1 {
                         self.stats.coalesced_writes.incr();
-                        self.stats.coalesced_frames.add(batched as u64);
+                        self.stats.coalesced_frames.add(started);
                     }
-                    // Advance the queue by n bytes, recycling every
-                    // fully written frame.
-                    while n > 0 {
-                        let remaining = s.q[0].len() - s.woff;
-                        if n >= remaining {
-                            n -= remaining;
-                            s.woff = 0;
-                            let done = s.q.pop_front().expect("frame while advancing");
-                            s.q_bytes -= done.len();
-                            pool.put(done);
-                        } else {
-                            s.woff += n;
-                            n = 0;
-                            self.stats.partial_writes.incr();
-                        }
-                    }
+                    // The write stopped inside a frame.
+                    self.stats.partial_writes.add(u64::from(s.next_frame > s.woff));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // Kernel buffer full: leave the backlog to a turn.
@@ -338,7 +355,7 @@ impl TcpEventTransport {
                 // A zero-length write or a hard error: the link is gone.
                 _ => {
                     self.stats.reconnects.incr();
-                    self.teardown(s, pool);
+                    self.teardown(s);
                     return;
                 }
             }
@@ -347,6 +364,7 @@ impl TcpEventTransport {
         if std::mem::take(&mut s.want_write) {
             let _ = self.epoll.modify(w.as_raw_fd(), READABLE, s.token);
         }
+        s.clear();
     }
 
     // -- reactor side --------------------------------------------------
@@ -365,8 +383,7 @@ impl TcpEventTransport {
             } else if let Some(conn) = st.inbound.get_mut(&token) {
                 if !self.inbound_ready(conn, world) {
                     // Dropping the stream closes it, which leaves the set.
-                    let conn = st.inbound.remove(&token).expect("conn present");
-                    st.pool.put(conn.buf);
+                    st.inbound.remove(&token);
                 }
             }
         }
@@ -386,9 +403,7 @@ impl TcpEventTransport {
             if self.epoll.add(stream.as_raw_fd(), READABLE, token).is_err() {
                 continue;
             }
-            let mut buf = st.pool.get();
-            buf.resize(buf.capacity().max(READ_BUF_INIT), 0);
-            let conn = InboundConn { stream, buf, start: 0, end: 0 };
+            let conn = InboundConn { stream, buf: vec![0; READ_BUF_INIT], start: 0, end: 0 };
             st.inbound.insert(token, conn);
         }
     }
@@ -403,9 +418,9 @@ impl TcpEventTransport {
             // The remote never sends on our outbound link: readability
             // or a hangup flag means the connection is gone.
             self.stats.reconnects.incr();
-            self.teardown(s, &mut st.pool);
+            self.teardown(s);
         } else if bits & EPOLLOUT != 0 {
-            self.flush_peer(s, &mut st.pool);
+            self.flush_peer(s);
         }
     }
 
@@ -506,13 +521,13 @@ impl Transport for TcpEventTransport {
         }
         let pe = header.dst.pe as usize;
         let mut st = self.state.lock();
-        // At the queue's byte bound, run turns until a flush (or a
+        // At the buffer's byte bound, run turns until a flush (or a
         // teardown) makes room. A turn waits without the lock, so the
         // PE's other senders, its lanes' turns and a dialer landing the
         // peer's connection go on meanwhile.
-        if st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
+        if st.out[pe].unwritten() >= SEND_QUEUE_MAX_BYTES {
             self.stats.backpressure_waits.incr();
-            while st.out[pe].q_bytes >= SEND_QUEUE_MAX_BYTES {
+            while st.out[pe].unwritten() >= SEND_QUEUE_MAX_BYTES {
                 if self.stop.load(Ordering::Acquire) {
                     return;
                 }
@@ -523,11 +538,21 @@ impl Transport for TcpEventTransport {
         }
         // Counted before the peer can read it, so a reader sees it counted.
         self.stats.frames_sent.incr();
-        let mut frame = st.pool.get();
-        encode_frame_into(&header, &body, &mut frame);
         let s = &mut st.out[pe];
-        s.q_bytes += frame.len();
-        s.q.push_back(frame);
+        // Reclaim the written prefix rather than grow past it.
+        if s.woff > 0 && s.buf.len() + 4 + FRAME_HEADER_LEN + body.len() > s.buf.capacity() {
+            s.buf.drain(..s.woff);
+            s.next_frame -= s.woff;
+            s.woff = 0;
+        }
+        let capacity = s.buf.capacity();
+        encode_frame_into(&header, &body, &mut s.buf);
+        s.frames += 1;
+        if s.buf.capacity() == capacity {
+            self.stats.pool_hits.incr();
+        } else {
+            self.stats.pool_misses.incr();
+        }
         if s.conn.is_none() {
             if s.dialing {
                 // Mid-dial elsewhere: the frame leaves when that dial lands.
@@ -545,7 +570,7 @@ impl Transport for TcpEventTransport {
             st.out[pe].dialing = false;
             // A teardown while we dialed closed everything else.
             let Some(stream) = dialed.filter(|_| !self.stop.load(Ordering::Acquire)) else {
-                self.fail_queue(&mut st.out[pe], &mut st.pool);
+                self.fail_queue(&mut st.out[pe]);
                 return;
             };
             if !self.install_conn(st, pe, stream) {
@@ -553,14 +578,13 @@ impl Transport for TcpEventTransport {
             }
         }
         // A ULT on a lane driving this set leaves the write to the lane
-        // (up to a full scatter list or FLUSH_BYTES); anyone else writes
-        // now, unless an armed backlog must drain first (order).
-        let (st, me) = (&mut *st, Some(self.epoll.fd()));
-        let s = &mut st.out[pe];
-        if s.q.len() < MAX_IOV && s.q_bytes < FLUSH_BYTES && current_progress_fd() == me {
+        // (up to FLUSH_FRAMES or FLUSH_BYTES); anyone else writes now,
+        // unless an armed backlog must drain first (order).
+        let (s, me) = (&mut st.out[pe], Some(self.epoll.fd()));
+        if s.frames < FLUSH_FRAMES && s.unwritten() < FLUSH_BYTES && current_progress_fd() == me {
             self.deferred.store(true, Ordering::Relaxed);
         } else if !s.want_write {
-            self.flush_peer(s, &mut st.pool);
+            self.flush_peer(s);
         }
     }
 
@@ -572,7 +596,7 @@ impl Transport for TcpEventTransport {
         if self.deferred.swap(false, Ordering::Relaxed) {
             let st = &mut *self.state.lock();
             for s in st.out.iter_mut().filter(|s| !s.want_write) {
-                self.flush_peer(s, &mut st.pool);
+                self.flush_peer(s);
             }
         }
     }
@@ -604,7 +628,7 @@ impl Transport for TcpEventTransport {
         st.inbound.clear();
         st.listener = None;
         for s in &mut st.out {
-            self.teardown(s, &mut st.pool);
+            self.teardown(s);
         }
     }
 }
@@ -878,6 +902,76 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         sender.join().unwrap();
+    }
+
+    /// Small frames, one 2 MiB frame, then more small frames, to a peer
+    /// that reads only once the sender is held at the bound: every frame
+    /// arrives byte-exact and in order through partial writes and the
+    /// wait, none is lost, and the drained buffer, which the big frame
+    /// grew past 1 MiB, is not kept at that size.
+    #[test]
+    fn a_bulk_frame_among_small_ones_arrives_whole_and_in_order() {
+        let _serial = serial();
+        const FRAMES: u32 = 9001;
+        const BULK: u32 = 1000; // 1 MiB of small frames before it, 8 MiB after
+        let body = |i: u32| -> Vec<u8> {
+            let len = if i == BULK { 2 << 20 } else { 1 + (i as usize * 97) % 2048 };
+            (0..len).map(|k| (i as usize * 31 + k * 7) as u8).collect()
+        };
+        let peer = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let opts = TcpOptions {
+            rank: Some(0),
+            peers: vec!["127.0.0.1:0".into(), peer.local_addr().unwrap().to_string()],
+            connect_attempts: 2,
+            ..TcpOptions::default()
+        };
+        let t = start(opts, 2).remove(0);
+        let sender = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                for i in 0..FRAMES {
+                    let b = body(i);
+                    t.send(header(1, b.len() as u32), Bytes::from(b));
+                }
+            })
+        };
+        let (mut conn, _) = peer.accept().unwrap();
+        // The reader pauses until the sender is held at the bound...
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while t.stats().backpressure_waits == 0 {
+            assert!(Instant::now() < deadline, "sender never hit the bound: {:?}", t.stats());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        // ...and resumes, while a stand-in lane flushes what the sender leaves.
+        let lane = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                while !t.stop.load(Ordering::Acquire) {
+                    t.poll(Duration::from_millis(1));
+                }
+            })
+        };
+        conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut len = [0u8; 4];
+        for i in 0..FRAMES {
+            conn.read_exact(&mut len).expect("frame length");
+            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+            conn.read_exact(&mut payload).expect("frame payload");
+            let (h, got) = decode_frame(&payload).expect("well-formed frame");
+            assert_eq!(h.len as usize, got.len());
+            assert!(got[..] == body(i)[..], "frame {i} arrived altered or out of order");
+        }
+        sender.join().unwrap();
+        let snap = t.stats();
+        assert_eq!(snap.frames_sent, u64::from(FRAMES), "{snap:?}");
+        assert_eq!(snap.send_failures, 0, "nothing may be dropped: {snap:?}");
+        // The last byte left under the lock, in the flush that emptied
+        // the buffer: taking the lock now sees that flush finished.
+        let kept = t.state.lock().out[1].buf.capacity();
+        assert!(kept <= MAX_KEPT_CAPACITY, "a drained buffer kept {kept} bytes");
+        t.shutdown();
+        lane.join().unwrap();
     }
 
     /// A read that fills the staging buffer with whole frames is not the

@@ -527,11 +527,6 @@ impl ChantNode {
         let inner: Vec<&RecvHandle> = handles.iter().map(|h| &h.inner).collect();
         self.engine.wait_any(&inner)
     }
-
-    // Used by the RSR layer (same wait machinery, server boost rules).
-    pub(crate) fn wait_handle(&self, handle: &RecvHandle) {
-        self.engine.wait(handle);
-    }
 }
 
 /// Settle a timed receive that is about to be abandoned. A deadline and

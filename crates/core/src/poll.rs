@@ -296,7 +296,7 @@ impl PollEngine {
     /// re-reading the clock. TP keeps the paper's loop: its waiter is
     /// ready anyway, re-testing each time it is scheduled, and reads the
     /// clock while it is there.
-    fn wait_first(
+    pub(crate) fn wait_first(
         &self,
         handles: &[&RecvHandle],
         deadline: Option<Instant>,

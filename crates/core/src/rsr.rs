@@ -461,23 +461,10 @@ impl ChantNode {
     /// [`ChantNode::rsr_call`] does.
     pub fn rsr_wait(&self, call: &RsrCallHandle) -> Result<Bytes, ChantError> {
         match self.rsr.retry.clone() {
-            None => loop {
-                let reply = {
-                    let mut st = call.state.lock();
-                    if let Some(r) = st.result.clone() {
-                        return r;
-                    }
-                    if st.reply.msgtest() {
-                        self.rsr_absorb(call, &mut st);
-                        continue;
-                    }
-                    st.reply.clone()
-                };
-                // The wait runs without the state lock held: a blocked
-                // thread must not wedge other threads of this VP that
-                // test the same handle.
-                self.wait_handle(&reply);
-            },
+            None => {
+                self.rsr_await(call, None)?;
+                self.rsr_take(call).expect("an awaited call is settled")
+            }
             Some(policy) => self.rsr_wait_retrying(call, &policy),
         }
     }
@@ -493,6 +480,13 @@ impl ChantNode {
         call: &RsrCallHandle,
         deadline: Instant,
     ) -> Result<(), ChantError> {
+        self.rsr_await(call, Some(deadline))
+    }
+
+    /// The one reply wait: test, absorb, and wait under the node's
+    /// polling policy until the call is settled or `deadline` (if any)
+    /// passes ([`ChantError::Timeout`]). No retransmission.
+    fn rsr_await(&self, call: &RsrCallHandle, deadline: Option<Instant>) -> Result<(), ChantError> {
         loop {
             let reply = {
                 let mut st = call.state.lock();
@@ -505,7 +499,10 @@ impl ChantNode {
                 }
                 st.reply.clone()
             };
-            self.engine().wait_deadline(&reply, deadline)?;
+            // The wait runs without the state lock held: a blocked
+            // thread must not wedge other threads of this VP that test
+            // the same handle.
+            self.engine().wait_first(&[&reply], deadline)?;
         }
     }
 

@@ -1337,7 +1337,7 @@ fn every_request_carries_the_oldest_awaited_seq_as_its_low() {
             // Answer only the calls that ask for it (args `[1]`).
             for _ in 0..ULTS * ROUNDS {
                 let h = node.endpoint().irecv(RecvSpec::any().kind(kind::RSR));
-                node.wait_handle(&h);
+                node.engine().wait(&h);
                 let env = decode_rsr(&h.take().unwrap().1).unwrap();
                 lows2.lock().insert(env.seq, env.low);
                 if env.args[..] == [1] {

@@ -671,6 +671,7 @@ fn suspected(inner: &Inner, member: u32) -> bool {
 }
 
 fn suspect(st: &KvState, cfg: &KvConfig, member: u32) {
+    st.stats.suspicions.incr();
     st.inner
         .lock()
         .suspects
@@ -1155,13 +1156,9 @@ impl KvClient {
         (p != member_index(&self.node)).then(|| addr_of(&self.node, p))
     }
 
-    /// Park briefly before a retry (yields the lane; wakeable).
+    /// Park briefly before a retry (yields the lane).
     fn backoff(&self) {
-        let cfg = self.cfg();
-        let (m, cv) = self.st.park(&self.st.client_park, self.node.vp());
-        if let Ok(g) = m.lock() {
-            let _ = cv.wait_timeout(g, cfg.tick.max(Duration::from_millis(1)));
-        }
+        let _ = park_tick(&self.node, &self.st);
     }
 
     fn mutate(&mut self, opcode: u8, key: &[u8], val: &[u8]) -> Result<KvReply, ChantError> {
@@ -1432,11 +1429,15 @@ pub fn kv_wipe(node: &ChantNode) {
     st.poke_daemon();
 }
 
+/// Block the calling ULT for one tick (at least 1 ms): a timed block,
+/// which leaves the lane to its other threads. An OS thread gets
+/// [`UltError::NotUltContext`], as a ULT lock would give it.
 fn park_tick(node: &Arc<ChantNode>, st: &Arc<KvState>) -> Result<(), ChantError> {
+    if !chant_ult::is_ult_context() {
+        return Err(ult_err(UltError::NotUltContext));
+    }
     let tick = st.config().tick.max(Duration::from_millis(1));
-    let (m, cv) = st.park(&st.client_park, node.vp());
-    let g = m.lock().map_err(ult_err)?;
-    let _ = cv.wait_timeout(g, tick).map_err(ult_err)?;
+    node.vp().block_until(Instant::now() + tick);
     Ok(())
 }
 
@@ -1621,6 +1622,19 @@ mod tests {
             assert_eq!(serve_get(node, &st, shard, &key).status, status::NO_LEASE);
             assert_eq!(client.try_get(&key).unwrap(), KvRead::NoLease);
             assert_eq!(st.stats.no_lease.get(), no_lease + 2);
+        });
+    }
+
+    /// A tick's park is a ULT timed block: off a ULT it is the error a
+    /// ULT lock gave, not a panic.
+    #[test]
+    fn park_tick_off_a_ult_is_an_error_not_a_panic() {
+        let cluster = with_kv_config(chant_core::ChantCluster::builder().pes(1), KvConfig::default());
+        cluster.build().run(|node| {
+            park_tick(node, &kv_state(node)).expect("a ULT parks for a tick");
+            let (node, st) = (Arc::clone(node), kv_state(node));
+            let off = std::thread::spawn(move || park_tick(&node, &st)).join();
+            assert!(matches!(off, Ok(Err(ChantError::NotChantContext))), "{off:?}");
         });
     }
 }

@@ -200,6 +200,9 @@ chant_obs::counters! {
         snapshots_installed,
         /// Malformed KV bodies refused.
         malformed,
+        /// Times this node suspected a peer and stopped asking it for
+        /// `suspect_for`.
+        suspicions,
     }
 }
 
@@ -222,8 +225,6 @@ pub(crate) struct KvState {
     /// The daemon's park point: mutations queued by the server thread
     /// poke it so replication starts before the next tick.
     pub daemon_park: OnceLock<Park>,
-    /// Client retry backoff park point.
-    pub client_park: OnceLock<Park>,
 }
 
 impl KvState {

@@ -39,6 +39,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -790,31 +791,27 @@ for_each_transport!(a_preload_replicates_in_batches, |backend: Backend| {
 // healthy) peer and sat out `suspect_for` before asking again, so
 // about every other cluster start took a quarter of a second longer
 // than the rest. A peer that answers at all is alive: ask again next
-// tick. Twenty cold starts per backend, none may lose a `suspect_for`.
+// tick. Twenty cold starts per backend, none may suspect a peer. The
+// count, not the wall clock, is the property: a start slowed by a busy
+// host proves nothing, and a suspicion is the fault whatever it costs.
 for_each_transport!(cold_start_never_waits_out_a_suspicion, |backend: Backend| {
     const STARTS: usize = 20;
-    let cfg = KvConfig::default();
-    let suspect_for = cfg.suspect_for;
-    let worst = Arc::new(std::sync::Mutex::new(Duration::ZERO));
+    let suspicions = Arc::new(AtomicU64::new(0));
     for _ in 0..STARTS {
-        let w = Arc::clone(&worst);
+        let count = Arc::clone(&suspicions);
         let cluster = with_kv_config(
             ChantCluster::builder().pes(2).transport(backend.config()),
-            cfg.clone(),
+            KvConfig::default(),
         )
         .build();
         cluster.run(move |node| {
-            let t0 = Instant::now();
             kv_await_ready(node, PATIENCE).expect("cluster becomes ready");
-            let took = t0.elapsed();
-            let mut worst = w.lock().unwrap();
-            *worst = (*worst).max(took);
+            count.fetch_add(kv_stats(node).suspicions, Ordering::Relaxed);
         });
     }
-    let worst = *worst.lock().unwrap();
-    assert!(
-        worst < suspect_for,
-        "[{backend:?}] a cold start took {worst:?} to become ready — a healthy peer \
-         was suspected for {suspect_for:?}"
+    let suspicions = suspicions.load(Ordering::Relaxed);
+    assert_eq!(
+        suspicions, 0,
+        "[{backend:?}] {STARTS} cold starts suspected a healthy peer {suspicions} times"
     );
 });

@@ -323,11 +323,11 @@ fn tcp_event_loopback_frames_are_conserved() {
     assert_eq!(t.malformed_frames, 0, "codec rejected own frames: {t:?}");
     assert_eq!(t.frame_bytes_sent, t.frame_bytes_received, "byte drift: {t:?}");
     assert!(t.connects > 0 && t.accepts > 0, "no connections: {t:?}");
-    // The pooled-encode path must actually be recycling buffers by the
-    // time dozens of frames have crossed one connection.
+    // Frames must be encoding into capacity their peer's send buffer
+    // already has by the time dozens have crossed one connection.
     assert!(
         t.pool_hits > 0,
-        "buffer pool never produced a hit: {t:?}"
+        "every send grew its peer's send buffer: {t:?}"
     );
 
     let inproc = ChantCluster::builder().pes(2).build();
@@ -589,7 +589,7 @@ for_each_transport!(transport_stats_deltas_are_monotone, |backend: Backend| {
         assert!(t.connects > 0 && t.accepts > 0, "[{backend:?}] {t:?}");
         assert!(
             t.pool_hits + t.pool_misses > 0,
-            "[{backend:?}] buffer pool unreported: {t:?}"
+            "[{backend:?}] send-buffer hits and misses unreported: {t:?}"
         );
     }
 });
